@@ -9,6 +9,10 @@ class MetricError(PeelEmbedError):
     pass
 
 
+class NonFiniteDistance(MetricError):
+    pass
+
+
 class AsymmetricMatrix(MetricError):
     pass
 

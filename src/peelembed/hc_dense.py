@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec
+from .local_search import TIE_TOL, scan_argmax, score_moves, single_moves, sizes_and_ranks
 from .metric import Metric, subset_stats
 from .objectives import HcTree, evaluate_hc, ladder_tree
 from .oracles import all_binary_trees
@@ -104,42 +105,51 @@ def _caterpillar_skeleton(slots: int):
     return node
 
 
+def _caterpillar_values(dist: np.ndarray, assigns: np.ndarray, slots: int) -> np.ndarray:
+    """Value of the caterpillar-of-ladders tree of each assignment row.
+
+    The LCA of a pair in one slot is the ladder node that peels the smaller
+    id, holding t_a - rank(min id) leaves (t_a the slot size, rank 0-based
+    by id within the slot).  The LCA of a pair in different slots is the
+    spine node of the lower slot, holding every point in that slot or later.
+    """
+    c, n = assigns.shape
+    sizes, rank = sizes_and_ranks(assigns, slots)
+    from_slot = np.cumsum(sizes[:, ::-1], axis=1)[:, ::-1]
+    ladder = np.take_along_axis(sizes, assigns, 1) - rank
+    low = np.minimum(assigns[:, :, None], assigns[:, None, :]).reshape(c, n * n)
+    lca = np.take_along_axis(from_slot, low, 1).reshape(c, n, n)
+    same = assigns[:, :, None] == assigns[:, None, :]
+    first = np.minimum.outer(np.arange(n), np.arange(n))
+    lca = np.where(same, ladder[:, first], lca)
+    return (lca * dist).reshape(c, n * n).sum(axis=1) / 2.0
+
+
 def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
     n, slots = m.n, cfg.slots
     skeleton = _caterpillar_skeleton(slots)
-    best = None
     ladder = ladder_tree(range(n))
-    if _better(evaluate_hc(m, ladder), ladder, best):
-        best = (evaluate_hc(m, ladder), ladder)
+    best = (evaluate_hc(m, ladder), ladder)
+
+    def score(rows):
+        return _caterpillar_values(m.dist, rows, slots)
 
     seeds = np.random.SeedSequence(seed).spawn(cfg.budget.restarts)
     for ss in seeds:
         rng = np.random.default_rng(ss)
         assign = rng.integers(0, slots, size=n)
-
-        def score(a):
-            tree = _skeleton_tree(skeleton, _parts_of(a, slots))
-            return evaluate_hc(m, tree), tree
-
-        value, tree = score(assign)
+        value = score(assign[None, :])[0]
         for _ in range(cfg.budget.moves(n)):
-            move = None  # (gain, point, target)
-            for p in range(n):
-                a = int(assign[p])
-                for b in range(slots):
-                    if b == a:
-                        continue
-                    assign[p] = b
-                    cand_val, _ = score(assign)
-                    assign[p] = a
-                    gain = cand_val - value
-                    if move is None or gain > move[0] + 1e-12:
-                        move = (gain, p, b)
-            if move is None or move[0] <= 1e-12:
+            points, targets = single_moves(assign, slots)
+            values = score_moves(assign, points, targets, score)
+            gains = values - value
+            pick = scan_argmax(gains)
+            if gains[pick] <= TIE_TOL:
                 break
-            _, p, b = move
-            assign[p] = b
-            value, tree = score(assign)
+            assign[points[pick]] = targets[pick]
+            value = values[pick]
+        tree = _skeleton_tree(skeleton, _parts_of(assign, slots))
+        value = evaluate_hc(m, tree)
         if _better(value, tree, best):
             best = (value, tree)
     return best
@@ -215,7 +225,6 @@ def solve_hc_dense(m: Metric, cfg: DenseHcConfig, seed: int = 0) -> HcTree:
     if n <= cfg.slots or m.diameter() <= 0.0:
         # Too few points for the skeleton to matter; any tree with every split
         # nontrivial is fine, the ascending ladder is the canonical one.
-        best = None
         ladder = ladder_tree(range(n))
         best = (evaluate_hc(m, ladder), ladder)
         if n <= 8 and m.diameter() > 0.0:

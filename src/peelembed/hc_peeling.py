@@ -98,7 +98,8 @@ def _solve(m, cfg, seed, ids, level, trace) -> HcTree:
         return dense_leaf()
 
     core_loc = sorted(find_core(sub).core)
-    a_loc = [v for v in range(sub.n) if v not in set(core_loc)]
+    core_set = set(core_loc)
+    a_loc = [v for v in range(sub.n) if v not in core_set]
     if not a_loc:
         # The core swallowed everything; recursing would not shrink the
         # instance, so the dense solver takes it whole.

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec
+from .local_search import TIE_TOL, scan_argmax, score_moves, single_moves, sizes_and_ranks
 from .metric import Metric, subset_stats
 from .objectives import LinearArrangement, evaluate_la
 from .partition_search import PartitionSpec, SearchBudget, search_partition
@@ -51,27 +52,46 @@ def _embed_assignment(assignment) -> LinearArrangement:
     return LinearArrangement.from_order(order)
 
 
+def _arrangement_values(dist: np.ndarray, assigns: np.ndarray, k: int) -> np.ndarray:
+    """``evaluate_la`` of the consecutive-parts embedding of each assignment row.
+
+    Point i sits at slot (points in lower parts) + (rank of i by id in its
+    part) + 1; the pair sum is taken exactly as ``evaluate_la`` takes it.
+    """
+    c, n = assigns.shape
+    sizes, rank = sizes_and_ranks(assigns, k)
+    before = np.cumsum(sizes, axis=1) - sizes
+    pos = (np.take_along_axis(before, assigns, 1) + rank + 1).astype(float)
+    gaps = np.abs(pos[:, :, None] - pos[:, None, :])
+    return (dist * gaps).reshape(c, n * n).sum(axis=1) / 2.0
+
+
+def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """n x n matrix of the LA value change when points i and j trade slots.
+
+    With A = |pos_i - pos_j| and S = D A, the gain is
+    S_ij + S_ji - S_ii - S_jj + 2 D_ij A_ij.
+    """
+    gaps = np.abs(pos[:, None] - pos[None, :])
+    s = dist @ gaps
+    diag = np.diag(s)
+    return s + s.T - diag[:, None] - diag[None, :] + 2.0 * dist * gaps
+
+
 def _swap_hill_climb(m: Metric, arr: LinearArrangement, sweeps: int) -> LinearArrangement:
-    """Steepest-descent slot swaps until a local maximum (deterministic)."""
+    """Steepest-descent slot swaps until a local maximum (deterministic).
+
+    Each sweep scans the pairs i < j row-major for the best swap.
+    """
     pos = np.array(arr.position, dtype=float)
-    value = evaluate_la(m, arr)
+    upper = np.triu_indices(m.n, 1)
     for _ in range(sweeps):
-        best = None  # (gain, i, j)
-        for i in range(m.n):
-            for j in range(i + 1, m.n):
-                # Swapping slots of i and j only changes pairs touching them.
-                delta = 0.0
-                gi = np.abs(pos - pos[j]) - np.abs(pos - pos[i])
-                gj = np.abs(pos - pos[i]) - np.abs(pos - pos[j])
-                delta += float(m.dist[i] @ gi) + float(m.dist[j] @ gj)
-                delta -= 2.0 * m.dist[i, j] * (gi[j])  # i-j pair counted twice
-                if best is None or delta > best[0] + 1e-12:
-                    best = (delta, i, j)
-        if best is None or best[0] <= 1e-12:
+        gains = _swap_gains(m.dist, pos)[upper]
+        pick = scan_argmax(gains)
+        if gains[pick] <= TIE_TOL:
             break
-        _, i, j = best
+        i, j = upper[0][pick], upper[1][pick]
         pos[i], pos[j] = pos[j], pos[i]
-        value += best[0]
     return LinearArrangement.from_positions(int(p) for p in pos)
 
 
@@ -96,30 +116,24 @@ def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):
         if _better(value, cand, best):
             best = (value, cand)
 
+    def score(rows):
+        return _arrangement_values(m.dist, rows, k)
+
     seeds = np.random.SeedSequence(seed).spawn(cfg.budget.restarts)
     for ss in seeds:
         rng = np.random.default_rng(ss)
         assign = rng.integers(0, k, size=n)
-        arr = _embed_assignment(assign)
-        value = evaluate_la(m, arr)
+        value = score(assign[None, :])[0]
         for _ in range(cfg.budget.moves(n)):
-            move = None  # (gain, point, target)
-            for p in range(n):
-                a = int(assign[p])
-                for b in range(k):
-                    if b == a:
-                        continue
-                    assign[p] = b
-                    cand_val = evaluate_la(m, _embed_assignment(assign))
-                    assign[p] = a
-                    gain = cand_val - value
-                    if move is None or gain > move[0] + 1e-12:
-                        move = (gain, p, b)
-            if move is None or move[0] <= 1e-12:
+            points, targets = single_moves(assign, k)
+            gains = score_moves(assign, points, targets, score) - value
+            pick = scan_argmax(gains)
+            if gains[pick] <= TIE_TOL:
                 break
-            _, p, b = move
-            assign[p] = b
-            value += move[0]
+            assign[points[pick]] = targets[pick]
+            # gains stay measured from this running sum, not a fresh score;
+            # the two can differ in the last bit and tip a near-tie
+            value += gains[pick]
         arr = _swap_hill_climb(m, _embed_assignment(assign), cfg.swap_sweeps)
         value = evaluate_la(m, arr)
         if _better(value, arr, best):

@@ -102,7 +102,8 @@ def _solve(m, cfg, seed, ids, level, trace) -> list:
     threshold = eps**2 * stats.diameter
     a_loc = [v for v in range(sub.n) if dist_to_core[v] >= threshold]
     rest_loc = [v for v in range(sub.n) if dist_to_core[v] < threshold]
-    b_loc = [v for v in rest_loc if v not in set(core)]
+    core_set = set(core)
+    b_loc = [v for v in rest_loc if v not in core_set]
     if not a_loc:
         # Every point sits near the core; nothing to peel, so the dense
         # solver takes the whole subinstance.

@@ -18,6 +18,7 @@ from .errors import (
     AsymmetricMatrix,
     EmptySubset,
     NegativeDistance,
+    NonFiniteDistance,
     NonzeroDiagonal,
     TriangleViolation,
     ZeroDiameter,
@@ -87,12 +88,19 @@ class CoreResult:
 def validate_metric(raw, check_triangle: bool = True) -> Metric:
     """Validate a raw square matrix and wrap it as a :class:`Metric`.
 
-    Raises :class:`NegativeDistance`, :class:`NonzeroDiagonal`,
-    :class:`AsymmetricMatrix` or :class:`TriangleViolation` (with the
-    witnessing triple).  ``check_triangle=False`` skips the O(n^3) triangle
-    scan for matrices known valid by construction.
+    Raises :class:`NonFiniteDistance` (checked first), :class:`NegativeDistance`,
+    :class:`NonzeroDiagonal`, :class:`AsymmetricMatrix` or
+    :class:`TriangleViolation` (with the witnessing triple).
+    ``check_triangle=False`` skips the O(n^3) triangle scan for matrices known
+    valid by construction.
     """
     mat = np.array(raw, dtype=float)
+    # min and max propagate NaN, so together they see every non-finite entry
+    # without an n x n mask
+    if mat.size and not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
+        idx = np.unravel_index(int(np.argmin(np.isfinite(mat))), mat.shape)
+        where = "".join(f"[{i}]" for i in idx)
+        raise NonFiniteDistance(f"dist{where} = {mat[idx]:g} is not finite")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValueError(f"expected a square n>=1 matrix, got shape {mat.shape}")
     n = mat.shape[0]

@@ -2,12 +2,18 @@
 
 Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
-ladder payoff floor and the telescoping accounting on realized runs.
+ladder payoff floor and the telescoping accounting on realized runs, and
+holding the per-candidate reference loops of the dense solvers.
 """
 
 import numpy as np
 
+from peelembed.hc_dense import _better as _hc_better
+from peelembed.hc_dense import _caterpillar_skeleton, _parts_of, _skeleton_tree
+from peelembed.la_dense import _better as _la_better
+from peelembed.la_dense import _embed_assignment
 from peelembed.metric import subset_stats
+from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la, ladder_tree
 
 
 def sub_positions(order, ids):
@@ -85,3 +91,144 @@ def hc_ladder_payoff(m, tree, a_ids):
         else:
             stack.extend(((node, True), (node[1], False), (node[0], False)))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference loops of the dense solvers' reduced local search.  They rebuild
+# and score every candidate from scratch; the solvers score a whole sweep in
+# one numpy pass, and the differential tests compare the two.
+
+
+def reference_hc_move_values(m, assign, slots):
+    """Score of every single-point move via _skeleton_tree + evaluate_hc."""
+    skeleton = _caterpillar_skeleton(slots)
+    assign = [int(a) for a in assign]
+    out = []
+    for p in range(len(assign)):
+        a = assign[p]
+        for b in range(slots):
+            if b == a:
+                continue
+            assign[p] = b
+            out.append(evaluate_hc(m, _skeleton_tree(skeleton, _parts_of(assign, slots))))
+            assign[p] = a
+    return out
+
+
+def reference_la_move_values(m, assign, k):
+    """Score of every single-point move via _embed_assignment + evaluate_la."""
+    assign = [int(a) for a in assign]
+    out = []
+    for p in range(len(assign)):
+        a = assign[p]
+        for b in range(k):
+            if b == a:
+                continue
+            assign[p] = b
+            out.append(evaluate_la(m, _embed_assignment(assign)))
+            assign[p] = a
+    return out
+
+
+def reference_swap_gain(m, pos, i, j):
+    """Change of the LA value when points i and j trade slots."""
+    # Swapping slots of i and j only changes pairs touching them.
+    gi = np.abs(pos - pos[j]) - np.abs(pos - pos[i])
+    gj = np.abs(pos - pos[i]) - np.abs(pos - pos[j])
+    delta = float(m.dist[i] @ gi) + float(m.dist[j] @ gj)
+    return delta - 2.0 * m.dist[i, j] * gi[j]  # i-j pair counted twice
+
+
+def reference_swap_hill_climb(m, arr, sweeps):
+    pos = np.array(arr.position, dtype=float)
+    for _ in range(sweeps):
+        best = None  # (gain, i, j)
+        for i in range(m.n):
+            for j in range(i + 1, m.n):
+                delta = reference_swap_gain(m, pos, i, j)
+                if best is None or delta > best[0] + 1e-12:
+                    best = (delta, i, j)
+        if best is None or best[0] <= 1e-12:
+            break
+        _, i, j = best
+        pos[i], pos[j] = pos[j], pos[i]
+    return LinearArrangement.from_positions(int(p) for p in pos)
+
+
+def reference_hc_reduced(m, cfg, seed):
+    """Tree of the reduced HC search, one full evaluation per candidate."""
+    n, slots = m.n, cfg.slots
+    skeleton = _caterpillar_skeleton(slots)
+    ladder = ladder_tree(range(n))
+    best = (evaluate_hc(m, ladder), ladder)
+
+    def score(a):
+        tree = _skeleton_tree(skeleton, _parts_of(a, slots))
+        return evaluate_hc(m, tree), tree
+
+    for ss in np.random.SeedSequence(seed).spawn(cfg.budget.restarts):
+        rng = np.random.default_rng(ss)
+        assign = rng.integers(0, slots, size=n)
+        value, tree = score(assign)
+        for _ in range(cfg.budget.moves(n)):
+            move = None  # (gain, point, target)
+            for p in range(n):
+                a = int(assign[p])
+                for b in range(slots):
+                    if b == a:
+                        continue
+                    assign[p] = b
+                    cand_val, _ = score(assign)
+                    assign[p] = a
+                    gain = cand_val - value
+                    if move is None or gain > move[0] + 1e-12:
+                        move = (gain, p, b)
+            if move is None or move[0] <= 1e-12:
+                break
+            _, p, b = move
+            assign[p] = b
+            value, tree = score(assign)
+        if _hc_better(value, tree, best):
+            best = (value, tree)
+    return best[1]
+
+
+def reference_la_reduced(m, cfg, seed):
+    """Arrangement of the reduced LA search, one full evaluation per candidate."""
+    n, k = m.n, cfg.k
+    best = None
+    for cand in (
+        LinearArrangement.from_order(range(n)),
+        reference_swap_hill_climb(m, LinearArrangement.from_order(range(n)), cfg.swap_sweeps),
+    ):
+        value = evaluate_la(m, cand)
+        if _la_better(value, cand, best):
+            best = (value, cand)
+
+    for ss in np.random.SeedSequence(seed).spawn(cfg.budget.restarts):
+        rng = np.random.default_rng(ss)
+        assign = rng.integers(0, k, size=n)
+        value = evaluate_la(m, _embed_assignment(assign))
+        for _ in range(cfg.budget.moves(n)):
+            move = None  # (gain, point, target)
+            for p in range(n):
+                a = int(assign[p])
+                for b in range(k):
+                    if b == a:
+                        continue
+                    assign[p] = b
+                    cand_val = evaluate_la(m, _embed_assignment(assign))
+                    assign[p] = a
+                    gain = cand_val - value
+                    if move is None or gain > move[0] + 1e-12:
+                        move = (gain, p, b)
+            if move is None or move[0] <= 1e-12:
+                break
+            _, p, b = move
+            assign[p] = b
+            value += move[0]
+        arr = reference_swap_hill_climb(m, _embed_assignment(assign), cfg.swap_sweeps)
+        value = evaluate_la(m, arr)
+        if _la_better(value, arr, best):
+            best = (value, arr)
+    return best[1]

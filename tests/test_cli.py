@@ -63,6 +63,19 @@ class TestValidateAndGen:
         path.write_text("3\n0 1 9\n1 0 1\n9 1 0\n")
         assert main(["validate", "--input", str(path), "--format", "matrix"]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "solve-la", "solve-hc"])
+    def test_non_finite_matrix_exits_1_without_traceback(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.txt"
+        path.write_text("3\n0 1 nan\n1 0 1\nnan 1 0\n")
+        argv = [command, "--input", str(path), "--format", "matrix"]
+        if command != "validate":
+            argv += ["--eps", "0.5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not finite" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestSolveAndOracle:
     def test_solve_la_sound_and_parses(self, matrix_file, two_cluster_6, capsys):

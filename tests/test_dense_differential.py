@@ -1,0 +1,169 @@
+"""Batched move scoring of the dense solvers against the reference loops.
+
+The reduced searches score every move of a sweep in one numpy pass; the
+loops in ``structural.py`` rebuild and score each candidate from scratch.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from structural import (
+    reference_hc_move_values,
+    reference_hc_reduced,
+    reference_la_move_values,
+    reference_la_reduced,
+    reference_swap_gain,
+    reference_swap_hill_climb,
+)
+from peelembed.hc_dense import DenseHcConfig, _caterpillar_values, solve_hc_dense
+from peelembed.instances import GeneratorSpec, generate
+from peelembed.la_dense import (
+    DenseLaConfig,
+    _arrangement_values,
+    _swap_gains,
+    _swap_hill_climb,
+    solve_la_dense,
+)
+from peelembed.local_search import TIE_TOL, scan_argmax, score_moves, single_moves
+from peelembed.objectives import LinearArrangement
+from peelembed.partition_search import SearchBudget
+
+FAMILIES = (
+    "euclidean_gaussian",
+    "clustered",
+    "uniform_metric",
+    "path_metric",
+    "cluster_plus_outliers",
+)
+
+
+def _metrics(sizes):
+    return [
+        (f"{family}-n{n}", generate(GeneratorSpec(family=family, n=n, seed=n)))
+        for family in FAMILIES
+        for n in sizes
+    ]
+
+
+def _sequential_argmax(gains):
+    best = None
+    for idx, gain in enumerate(gains):
+        if best is None or gain > gains[best] + TIE_TOL:
+            best = idx
+    return best
+
+
+def test_scan_argmax_matches_sequential_scan():
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        size = int(rng.integers(1, 60))
+        # few distinct levels plus offsets around the tolerance make ties,
+        # near-ties and chains of sub-tolerance steps
+        levels = rng.integers(0, 4, size=size).astype(float)
+        gains = levels + rng.choice([0.0, 0.4e-12, 0.9e-12, 1.1e-12, 3e-12], size=size)
+        if trial % 3 == 0:
+            gains = np.sort(gains)
+        assert scan_argmax(gains) == _sequential_argmax(list(gains)), gains
+
+
+def test_single_moves_scan_order():
+    points, targets = single_moves(np.array([1, 0, 2]), 3)
+    assert list(zip(points, targets)) == [
+        (0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)
+    ]
+
+
+@pytest.mark.parametrize("slots", [2, 3, 5])
+def test_hc_move_values_match_reference(slots):
+    rng = np.random.default_rng(slots)
+    for label, m in _metrics((5, 12, 20)):
+        assign = rng.integers(0, slots, size=m.n)
+        points, targets = single_moves(assign, slots)
+        got = score_moves(
+            assign, points, targets, lambda rows: _caterpillar_values(m.dist, rows, slots)
+        )
+        want = reference_hc_move_values(m, assign, slots)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=label)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_la_move_values_match_reference(k):
+    rng = np.random.default_rng(k)
+    for label, m in _metrics((5, 12, 20)):
+        assign = rng.integers(0, k, size=m.n)
+        points, targets = single_moves(assign, k)
+        got = score_moves(
+            assign, points, targets, lambda rows: _arrangement_values(m.dist, rows, k)
+        )
+        want = reference_la_move_values(m, assign, k)
+        # the pair sum is taken as evaluate_la takes it, so equal bit for bit:
+        # the solver carries a running value built from these gains
+        np.testing.assert_array_equal(got, want, err_msg=label)
+
+
+def test_identical_trees_score_identically():
+    # Point 0 alone ahead of a single ladder is the ladder over all points,
+    # whichever slot 0 sits in; the scores must agree exactly so that such a
+    # move has gain 0 and is never taken.
+    m = generate(GeneratorSpec(family="euclidean_gaussian", n=9, seed=3))
+    rows = np.full((3, 9), 2)
+    rows[0, 0], rows[1, 0] = 0, 1
+    values = _caterpillar_values(m.dist, rows, 3)
+    assert values[0] == values[1] == values[2]
+    # batch position does not change a row's score
+    assert _caterpillar_values(m.dist, rows[1:2], 3)[0] == values[1]
+
+
+def test_swap_gains_match_per_pair_delta():
+    rng = np.random.default_rng(5)
+    for label, m in _metrics((5, 12, 20)):
+        pos = rng.permutation(m.n).astype(float) + 1.0
+        gains = _swap_gains(m.dist, pos)
+        for i in range(m.n):
+            for j in range(i + 1, m.n):
+                want = reference_swap_gain(m, pos, i, j)
+                assert gains[i, j] == pytest.approx(want, rel=1e-9, abs=1e-9), label
+                assert gains[j, i] == pytest.approx(want, rel=1e-9, abs=1e-9), label
+
+
+def test_swap_hill_climb_matches_reference():
+    rng = np.random.default_rng(8)
+    for label, m in _metrics((7, 40)):
+        for start in (range(m.n), rng.permutation(m.n)):
+            arr = LinearArrangement.from_order(start)
+            assert _swap_hill_climb(m, arr, 40) == reference_swap_hill_climb(m, arr, 40), label
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_dense_witnesses_match_reference_loops(eps):
+    budget = SearchBudget(restarts=3)
+    hc_cfg = DenseHcConfig(eps=eps, budget=budget)
+    la_cfg = DenseLaConfig(eps=eps, budget=budget)
+    for label, m in _metrics((7, 10)):
+        for seed in (0, 1):
+            got = solve_hc_dense(m, hc_cfg, seed=seed)
+            want = reference_hc_reduced(m, hc_cfg, seed)
+            assert got.serialize() == want.serialize(), (label, seed)
+            assert solve_la_dense(m, la_cfg, seed=seed) == reference_la_reduced(
+                m, la_cfg, seed
+            ), (label, seed)
+
+
+def test_one_restart_memory_is_bounded():
+    # Unbatched, one HC sweep at n=300 would hold 600 candidates x 300^2
+    # entries (over 400 MB per temporary); batches keep it to a few MB each.
+    m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
+    budget = SearchBudget(restarts=1, moves_per_restart=1)
+    for solve, cfg in (
+        (solve_hc_dense, DenseHcConfig(eps=0.5, budget=budget)),
+        (solve_la_dense, DenseLaConfig(eps=0.5, budget=budget)),
+    ):
+        tracemalloc.start()
+        try:
+            solve(m, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, (cfg, peak)

@@ -9,6 +9,7 @@ from peelembed.errors import (
     AsymmetricMatrix,
     EmptySubset,
     NegativeDistance,
+    NonFiniteDistance,
     NonzeroDiagonal,
     TriangleViolation,
     ZeroDiameter,
@@ -51,6 +52,21 @@ def test_validate_rejects_negative_and_diagonal_and_asymmetry():
         validate_metric([[1, 1], [1, 0]])
     with pytest.raises(AsymmetricMatrix):
         validate_metric([[0, 1], [2, 0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_before_other_checks(bad):
+    with pytest.raises(NonFiniteDistance):
+        validate_metric([[0, bad], [bad, 0]])
+    # one bad entry makes the matrix asymmetric too; the finite check wins
+    with pytest.raises(NonFiniteDistance):
+        validate_metric([[0, 1, bad], [1, 0, 1], [1, 1, 0]])
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_parse_metric_rejects_non_finite_tokens(token):
+    with pytest.raises(NonFiniteDistance):
+        parse_metric(f"2\n0 {token}\n{token} 0\n")
 
 
 def test_subset_stats_uniform_metric():
