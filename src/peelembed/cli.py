@@ -1,6 +1,7 @@
 """Command-line interface: validate, gen, solve-la, solve-hc, oracle, bench.
 
-Exit codes: 0 ok, 1 invariant/assertion failure, 2 usage or parse error.
+Exit codes: 0 ok, 1 invariant/assertion failure or size violation, 2 malformed
+input, configuration or usage.
 The bench subcommand emits a fixed-column CSV; wall times are only filled in
 with --timing so that default output is byte-identical across runs.
 """
@@ -13,13 +14,14 @@ import io
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from typing import Callable
 
-from .errors import ConfigParse, PeelEmbedError
-from .hc_dense import DenseHcConfig, solve_hc_dense
+from .errors import ConfigParse, InputParse, PeelEmbedError
+from .hc_dense import solve_hc_dense
 from .hc_peeling import HcPeelConfig, solve_hc
 from .instances import GeneratorSpec, generate
-from .la_dense import DenseLaConfig, solve_la_dense
+from .la_dense import solve_la_dense
 from .la_peeling import LaPeelConfig, solve_la
 from .metric import (
     Metric,
@@ -54,9 +56,59 @@ CSV_COLUMNS = [
 ]
 
 
+@dataclass(frozen=True)
+class Objective:
+    """What the solve, oracle and bench commands need of one objective.
+
+    Solvers are wrapped in lambdas, as in :class:`peeling.Policy`, so that
+    wrappers installed on their module-level names see the calls.
+    """
+
+    peel: Callable  # (metric, peel config, seed) -> (witness, trace)
+    peel_config: type  # its dense_type is the dense solver's config
+    dense: Callable  # (metric, dense config, seed) -> witness
+    evaluate: Callable  # (metric, witness) -> value
+    oracle: Callable  # metric -> OracleResult; raises TooLarge above oracle_max_n
+    oracle_max_n: int
+    witness: str  # label of the printed witness line
+
+    def solve(self, m, eps, budget, seed, grid_mode="reduced", dense_only=False):
+        """(witness, trace) of the peeling solver; with ``dense_only`` the dense
+        solver's witness and no trace."""
+        dense = self.peel_config.dense_type(eps=eps, grid_mode=grid_mode, budget=budget)
+        if dense_only:
+            return self.dense(m, dense, seed), None
+        return self.peel(m, self.peel_config(eps=eps, dense=dense), seed)
+
+
+OBJECTIVES = {
+    "la": Objective(
+        peel=lambda m, cfg, seed: solve_la(m, cfg, seed),
+        peel_config=LaPeelConfig,
+        dense=lambda m, cfg, seed: solve_la_dense(m, cfg, seed),
+        evaluate=lambda m, arr: evaluate_la(m, arr),
+        oracle=lambda m: brute_force_la(m),
+        oracle_max_n=LA_ORACLE_MAX_N,
+        witness="arrangement",
+    ),
+    "hc": Objective(
+        peel=lambda m, cfg, seed: solve_hc(m, cfg, seed),
+        peel_config=HcPeelConfig,
+        dense=lambda m, cfg, seed: solve_hc_dense(m, cfg, seed),
+        evaluate=lambda m, tree: evaluate_hc(m, tree),
+        oracle=lambda m: brute_force_hc(m),
+        oracle_max_n=HC_ORACLE_MAX_N,
+        witness="tree",
+    ),
+}
+
+
 def _load_metric(path: str, fmt: str) -> Metric:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputParse(f"cannot read input {path}: {exc}") from None
     if fmt == "matrix":
         return parse_metric(text)
     if fmt == "points":
@@ -97,45 +149,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _la_configs(args):
-    budget = SearchBudget(restarts=args.budget_restarts)
-    dense = DenseLaConfig(eps=args.eps, grid_mode=args.grid_mode, budget=budget)
-    return dense, LaPeelConfig(eps=args.eps, dense=dense)
-
-
-def _hc_configs(args):
-    budget = SearchBudget(restarts=args.budget_restarts)
-    dense = DenseHcConfig(eps=args.eps, grid_mode=args.grid_mode, budget=budget)
-    return dense, HcPeelConfig(eps=args.eps, dense=dense)
-
-
-def _cmd_solve_la(args) -> int:
+def _cmd_solve(args) -> int:
+    obj = OBJECTIVES[args.objective]
     m = _load_metric(args.input, args.format)
-    dense, peel = _la_configs(args)
-    if args.dense_only:
-        arr = solve_la_dense(m, dense, seed=args.seed)
-        trace = None
-    else:
-        arr, trace = solve_la(m, peel, seed=args.seed)
-    print(f"value {evaluate_la(m, arr):.12g}")
-    print(f"arrangement {arr.serialize()}")
-    if trace is not None:
-        print(f"depth {trace.depth} cases {trace.case_sequence()}")
-        if args.trace:
-            _write_out(args.trace, trace.to_json_lines())
-    return 0
-
-
-def _cmd_solve_hc(args) -> int:
-    m = _load_metric(args.input, args.format)
-    dense, peel = _hc_configs(args)
-    if args.dense_only:
-        tree = solve_hc_dense(m, dense, seed=args.seed)
-        trace = None
-    else:
-        tree, trace = solve_hc(m, peel, seed=args.seed)
-    print(f"value {evaluate_hc(m, tree):.12g}")
-    print(f"tree {tree.serialize()}")
+    budget = SearchBudget(restarts=args.budget_restarts)
+    witness, trace = obj.solve(m, args.eps, budget, args.seed, args.grid_mode, args.dense_only)
+    print(f"value {obj.evaluate(m, witness):.12g}")
+    print(f"{obj.witness} {witness.serialize()}")
     if trace is not None:
         print(f"depth {trace.depth} cases {trace.case_sequence()}")
         if args.trace:
@@ -144,17 +164,20 @@ def _cmd_solve_hc(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    m = _load_metric(args.input, args.format)
-    if args.objective == "la":
-        res = brute_force_la(m)
-        print(f"value {res.value:.12g}")
-        print(f"arrangement {res.witness.serialize()}")
-    else:
-        res = brute_force_hc(m)
-        print(f"value {res.value:.12g}")
-        print(f"tree {res.witness.serialize()}")
+    obj = OBJECTIVES[args.objective]
+    res = obj.oracle(_load_metric(args.input, args.format))
+    print(f"value {res.value:.12g}")
+    print(f"{obj.witness} {res.witness.serialize()}")
     print(f"explored {res.explored}")
     return 0
+
+
+# bench algorithm -> the objective it is scored on
+_BENCH_ALGORITHMS = {
+    **{f"{kind}-{name}": name for kind in ("peel", "dense", "oracle") for name in OBJECTIVES},
+    "avg-link": "hc",
+    "bisect-la": "la",
+}
 
 
 def _bench_rows(config: dict, seed: int, timing: bool):
@@ -170,40 +193,30 @@ def _bench_rows(config: dict, seed: int, timing: bool):
             raise ConfigParse(f"bad instance entry {idx}: {exc}") from None
         m = generate(spec)
         label = label or f"{spec.family}-n{spec.n}-s{spec.seed}"
-        oracle_la = brute_force_la(m).value if m.n <= LA_ORACLE_MAX_N else None
-        oracle_hc = brute_force_hc(m).value if m.n <= HC_ORACLE_MAX_N else None
+        oracles = {}  # objective -> exact optimum, None above the oracle's size limit
         for algorithm in algorithms:
-            eps_list = eps_values if algorithm.startswith(("peel", "dense")) else [None]
-            for eps in eps_list:
+            if algorithm not in _BENCH_ALGORITHMS:
+                raise ConfigParse(f"unknown algorithm {algorithm!r}")
+            kind, objective = algorithm.split("-")[0], _BENCH_ALGORITHMS[algorithm]
+            obj = OBJECTIVES[objective]
+            if objective not in oracles:
+                oracles[objective] = obj.oracle(m).value if m.n <= obj.oracle_max_n else None
+            oracle = oracles[objective]
+            for eps in eps_values if kind in ("peel", "dense") else [None]:
                 start = time.perf_counter()
-                depth, cases = None, None
-                if algorithm == "peel-la":
-                    cfg = LaPeelConfig(eps=eps, dense=DenseLaConfig(eps=eps, budget=budget))
-                    arr, trace = solve_la(m, cfg, seed=seed)
-                    value, oracle = evaluate_la(m, arr), oracle_la
-                    depth, cases = trace.depth, trace.case_sequence()
-                elif algorithm == "peel-hc":
-                    cfg = HcPeelConfig(eps=eps, dense=DenseHcConfig(eps=eps, budget=budget))
-                    tree, trace = solve_hc(m, cfg, seed=seed)
-                    value, oracle = evaluate_hc(m, tree), oracle_hc
-                    depth, cases = trace.depth, trace.case_sequence()
-                elif algorithm == "dense-la":
-                    arr = solve_la_dense(m, DenseLaConfig(eps=eps, budget=budget), seed=seed)
-                    value, oracle = evaluate_la(m, arr), oracle_la
-                elif algorithm == "dense-hc":
-                    tree = solve_hc_dense(m, DenseHcConfig(eps=eps, budget=budget), seed=seed)
-                    value, oracle = evaluate_hc(m, tree), oracle_hc
-                elif algorithm == "avg-link":
-                    value, oracle = evaluate_hc(m, average_linkage_hc(m)), oracle_hc
-                elif algorithm == "bisect-la":
-                    arr = random_bisection_la(m, seed=seed)
-                    value, oracle = evaluate_la(m, arr), oracle_la
-                elif algorithm == "oracle-la":
-                    value, oracle = oracle_la, oracle_la
-                elif algorithm == "oracle-hc":
-                    value, oracle = oracle_hc, oracle_hc
+                trace = None
+                if kind == "oracle":
+                    # above the size limit this raises TooLarge, as `oracle` does
+                    value = oracle if oracle is not None else obj.oracle(m).value
                 else:
-                    raise ConfigParse(f"unknown algorithm {algorithm!r}")
+                    if kind in ("peel", "dense"):
+                        dense_only = kind == "dense"
+                        witness, trace = obj.solve(m, eps, budget, seed, dense_only=dense_only)
+                    elif algorithm == "avg-link":
+                        witness = average_linkage_hc(m)
+                    else:  # bisect-la
+                        witness = random_bisection_la(m, seed=seed)
+                    value = obj.evaluate(m, witness)
                 elapsed = time.perf_counter() - start
                 ratio = None if oracle in (None, 0.0) else value / oracle
                 if ratio is not None and ratio > 1.0 + 1e-9:
@@ -219,8 +232,8 @@ def _bench_rows(config: dict, seed: int, timing: bool):
                     "value": f"{value:.12g}",
                     "oracle_value": "" if oracle is None else f"{oracle:.12g}",
                     "ratio": "" if ratio is None else f"{ratio:.6f}",
-                    "depth": "" if depth is None else depth,
-                    "cases": "" if cases is None else cases,
+                    "depth": "" if trace is None else trace.depth,
+                    "cases": "" if trace is None else trace.case_sequence(),
                     "wall_time": f"{elapsed:.6f}" if timing else "",
                 }
 
@@ -274,8 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float)
     p.add_argument("--weight-ratio", dest="weight_ratio", type=float)
 
-    for name in ("solve-la", "solve-hc"):
-        p = sub.add_parser(name)
+    for objective in OBJECTIVES:
+        p = sub.add_parser(f"solve-{objective}")
+        p.set_defaults(objective=objective)
         add_input(p)
         p.add_argument("--eps", type=float, required=True)
         p.add_argument("--grid-mode", choices=["reduced", "faithful"], default="reduced")
@@ -285,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle")
     add_input(p)
-    p.add_argument("--objective", choices=["la", "hc"], required=True)
+    p.add_argument("--objective", choices=list(OBJECTIVES), required=True)
 
     p = sub.add_parser("bench")
     p.add_argument("--config", required=True)
@@ -296,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "validate": _cmd_validate,
     "gen": _cmd_gen,
-    "solve-la": _cmd_solve_la,
-    "solve-hc": _cmd_solve_hc,
+    "solve-la": _cmd_solve,
+    "solve-hc": _cmd_solve,
     "oracle": _cmd_oracle,
     "bench": _cmd_bench,
 }
@@ -308,7 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigParse as exc:
+    except (ConfigParse, InputParse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PeelEmbedError, AssertionError, ValueError) as exc:

@@ -80,3 +80,7 @@ class FaithfulGridTooLarge(PeelEmbedError):
 
 class ConfigParse(PeelEmbedError):
     pass
+
+
+class InputParse(PeelEmbedError):
+    """A metric or point-cloud input that cannot be read as one."""

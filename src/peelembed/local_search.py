@@ -1,24 +1,116 @@
-"""Batched single-point-move sweeps shared by the dense solvers.
+"""What the two dense solvers share: config, tie-break, reduced local
+search and the faithful grid's partition driver.
 
-A sweep of the reduced local search looks at every move "point p to part b"
-in a fixed order (ascending p, then ascending b, skipping p's own part) and
-keeps the first move that no later move beats by more than ``TIE_TOL``.  The
-solvers score a whole sweep at once: ``score_moves`` evaluates every moved
-assignment in bounded batches and ``scan_argmax`` returns the index that the
-sequential scan would have kept.
+Each restart of the reduced search starts from a seeded random assignment
+of the points to parts and runs sweeps of single-point moves.  A sweep looks
+at every move "point p to part b" in a fixed order (ascending p, then
+ascending b, skipping p's own part) and keeps the first move that no later
+move beats by more than ``TIE_TOL``.  The solvers score a whole sweep at
+once: ``score_moves`` evaluates every moved assignment in bounded batches
+and ``scan_argmax`` returns the index that the sequential scan would have
+kept.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
+
+from .errors import InvalidSpec
+from .partition_search import PartitionSpec, SearchBudget, search_partition
 
 # A candidate replaces the incumbent only when it is better by more than this.
 TIE_TOL = 1e-12
+
+# Most cells a faithful grid may enumerate before it is refused.
+MAX_GRID_CELLS = 2_000_000
 
 # Most n x n entries one batch of candidates may hold.  Each entry costs a few
 # dozen bytes of temporaries, so a sweep stays within tens of MB whatever n
 # and the number of parts are.
 BATCH_ENTRIES = 1 << 19
+
+
+@dataclass(frozen=True)
+class DenseConfig:
+    """Parameters of both dense solvers."""
+
+    eps: float
+    grid_mode: str = "reduced"  # 'reduced' or 'faithful'
+    budget: SearchBudget = field(default_factory=SearchBudget)
+
+    def __post_init__(self):
+        if not 0.0 < self.eps <= 1.0:
+            raise InvalidSpec(f"eps must be in (0, 1], got {self.eps}")
+        if self.grid_mode not in ("reduced", "faithful"):
+            raise InvalidSpec(f"unknown grid mode {self.grid_mode!r}")
+
+
+def best_of(candidates, value, key, best=None):
+    """(value, candidate) of the best of ``best`` (None or such a pair) and
+    ``candidates``, scored in order: a candidate replaces the incumbent when
+    it scores more than ``TIE_TOL`` higher, or within ``TIE_TOL`` with a
+    smaller ``key``."""
+    for cand in candidates:
+        v = value(cand)
+        if (best is None or v > best[0] + TIE_TOL
+                or (abs(v - best[0]) <= TIE_TOL and key(cand) < key(best[1]))):
+            best = (v, cand)
+    return best
+
+
+def grid_cells(levels: int, step: float, count: int, keep):
+    """Faithful-grid cells: lists [i_1 * step, ..., i_count * step] with
+    0 <= i < levels, in lexicographic order, whose sum ``keep`` accepts."""
+    for cell in itertools.product(range(levels), repeat=count):
+        values = [i * step for i in cell]
+        if keep(sum(values)):
+            yield values
+
+
+def grid_partitions(m, parts: int, size_cells, mu_cells, eps_err: float,
+                    budget: SearchBudget, seed: int):
+    """Yield each new assignment the bounded-partition search finds for a grid
+    cell: part-size fractions from ``size_cells`` (outer loop) times crossing
+    weights of the pairs a < b, row-major, from ``mu_cells`` (inner loop)."""
+    pairs = [(a, b) for a in range(parts) for b in range(a + 1, parts)]
+    seen = set()
+    for lam in size_cells:
+        for mu in mu_cells:
+            wb = [[(0.0, math.inf)] * parts for _ in range(parts)]
+            for (a, b), target in zip(pairs, mu):
+                wb[a][b] = wb[b][a] = (target, target)
+            spec = PartitionSpec.build(parts, size_bounds=[(v, v) for v in lam],
+                                       weight_bounds=wb)
+            part = search_partition(m, spec, eps_err=eps_err, budget=budget, seed=seed)
+            if part is not None and part.assignment not in seen:
+                seen.add(part.assignment)
+                yield part.assignment
+
+
+def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget, score):
+    """Yield the final assignment of each seeded restart of the reduced search.
+
+    ``score`` maps a (C, n) array of assignments to their C values.  Gains
+    are taken against the score of the current assignment, so a move that
+    rebuilds it gains exactly 0.
+    """
+    for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
+        assign = np.random.default_rng(ss).integers(0, parts, size=n)
+        value = score(assign[None, :])[0]
+        for _ in range(budget.moves(n)):
+            points, targets = single_moves(assign, parts)
+            values = score_moves(assign, points, targets, score)
+            gains = values - value
+            pick = scan_argmax(gains)
+            if gains[pick] <= TIE_TOL:
+                break
+            assign[points[pick]] = targets[pick]
+            value = values[pick]
+        yield assign
 
 
 def scan_argmax(gains) -> int:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     AsymmetricMatrix,
     EmptySubset,
+    InputParse,
     NegativeDistance,
     NonFiniteDistance,
     NonzeroDiagonal,
@@ -194,13 +195,18 @@ def format_metric(m: Metric) -> str:
 
 
 def parse_metric(text: str, check_triangle: bool = True) -> Metric:
+    """Parse ``n`` followed by the n * n matrix entries, then validate."""
     tokens = text.split()
     if not tokens:
-        raise ValueError("empty metric file")
-    n = int(tokens[0])
-    vals = [float(t) for t in tokens[1:]]
-    if len(vals) != n * n:
-        raise ValueError(f"expected {n * n} matrix entries, got {len(vals)}")
+        raise InputParse("empty metric file")
+    try:
+        n = int(tokens[0])
+        vals = [float(t) for t in tokens[1:]]
+    except ValueError as exc:
+        raise InputParse(f"metric file: {exc}") from None
+    if n < 1 or len(vals) != n * n:
+        raise InputParse(f"expected n >= 1 and n * n matrix entries, got n={n} "
+                         f"and {len(vals)} entries")
     return validate_metric(
         np.array(vals).reshape(n, n), check_triangle=check_triangle
     )
@@ -214,24 +220,38 @@ def format_point_cloud(points: np.ndarray) -> str:
 
 
 def parse_point_cloud(text: str) -> Metric:
-    """Parse ``id x1 ... xd`` lines and build the Euclidean metric."""
-    rows = {}
-    for line in text.splitlines():
+    """Parse ``id x1 ... xd`` lines, ids 0..n-1 once each and one d for all
+    rows, and build the Euclidean metric."""
+    rows, dim = {}, None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        rows[int(parts[0])] = [float(x) for x in parts[1:]]
+        try:
+            point, coords = int(parts[0]), [float(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise InputParse(f"line {lineno}: {exc}") from None
+        if point in rows:
+            raise InputParse(f"line {lineno}: point id {point} appears twice")
+        dim = len(coords) if dim is None else dim
+        if len(coords) != dim:
+            raise InputParse(f"line {lineno}: {len(coords)} coordinates, expected {dim}")
+        rows[point] = coords
     if not rows:
-        raise ValueError("empty point-cloud file")
+        raise InputParse("empty point-cloud file")
     if sorted(rows) != list(range(len(rows))):
-        raise ValueError("point ids must be 0..n-1")
+        raise InputParse("point ids must be 0..n-1")
     pts = np.array([rows[i] for i in range(len(rows))])
     return metric_from_points(pts)
 
 
 def metric_from_points(points: np.ndarray) -> Metric:
+    """Euclidean metric of the rows of an n x d array of finite coordinates."""
     pts = np.asarray(points, dtype=float)
+    if not np.isfinite(pts).all():
+        i, j = np.argwhere(~np.isfinite(pts))[0]
+        raise NonFiniteDistance(f"point {i} coordinate {j} = {pts[i, j]:g} is not finite")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     dist = (dist + dist.T) / 2.0

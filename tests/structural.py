@@ -8,12 +8,17 @@ holding the per-candidate reference loops of the dense solvers.
 
 import numpy as np
 
-from peelembed.hc_dense import _better as _hc_better
 from peelembed.hc_dense import _caterpillar_skeleton, _parts_of, _skeleton_tree
-from peelembed.la_dense import _better as _la_better
-from peelembed.la_dense import _embed_assignment
+from peelembed.la_dense import _embed_assignment, _position
+from peelembed.local_search import best_of
 from peelembed.metric import subset_stats
-from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la, ladder_tree
+from peelembed.objectives import (
+    HcTree,
+    LinearArrangement,
+    evaluate_hc,
+    evaluate_la,
+    ladder_tree,
+)
 
 
 def sub_positions(order, ids):
@@ -66,6 +71,17 @@ def point_set_upper_bound(m, n, p, c_ids):
     n_c = len(c_ids)
     w_pc = float(m.dist[p, list(c_ids)].sum())
     return (w_pc + n_c * set_diameter(m, c_ids)) * (n - n_c / 2.0)
+
+
+def has_not_all_small_weights(m, c0, c1):
+    """True when at most a (1 - c1) fraction of pairs weigh below c0 * D_V."""
+    n = m.n
+    if n < 2:
+        return False
+    diam = m.diameter()
+    iu = np.triu_indices(n, 1)
+    small = int((m.dist[iu] < c0 * diam).sum())
+    return small <= (1.0 - c1) * len(iu[0])
 
 
 def hc_ladder_payoff(m, tree, a_ids):
@@ -188,22 +204,16 @@ def reference_hc_reduced(m, cfg, seed):
             _, p, b = move
             assign[p] = b
             value, tree = score(assign)
-        if _hc_better(value, tree, best):
-            best = (value, tree)
+        best = best_of([tree], lambda _: value, HcTree.serialize, best)
     return best[1]
 
 
 def reference_la_reduced(m, cfg, seed):
     """Arrangement of the reduced LA search, one full evaluation per candidate."""
     n, k = m.n, cfg.k
-    best = None
-    for cand in (
-        LinearArrangement.from_order(range(n)),
-        reference_swap_hill_climb(m, LinearArrangement.from_order(range(n)), cfg.swap_sweeps),
-    ):
-        value = evaluate_la(m, cand)
-        if _la_better(value, cand, best):
-            best = (value, cand)
+    identity = LinearArrangement.from_order(range(n))
+    best = best_of([identity, reference_swap_hill_climb(m, identity, cfg.swap_sweeps)],
+                   lambda arr: evaluate_la(m, arr), _position)
 
     for ss in np.random.SeedSequence(seed).spawn(cfg.budget.restarts):
         rng = np.random.default_rng(ss)
@@ -226,9 +236,7 @@ def reference_la_reduced(m, cfg, seed):
                 break
             _, p, b = move
             assign[p] = b
-            value += move[0]
+            value = evaluate_la(m, _embed_assignment(assign))
         arr = reference_swap_hill_climb(m, _embed_assignment(assign), cfg.swap_sweeps)
-        value = evaluate_la(m, arr)
-        if _la_better(value, arr, best):
-            best = (value, arr)
+        best = best_of([arr], lambda arr: evaluate_la(m, arr), _position, best)
     return best[1]

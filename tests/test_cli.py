@@ -77,6 +77,51 @@ class TestValidateAndGen:
         assert "Traceback" not in captured.err
 
 
+    NAN_CLOUD = "0 nan 0\n1 1 0\n2 3 1\n3 0 2\n"
+
+    @pytest.mark.parametrize("command", ["validate", "solve-la", "solve-hc"])
+    def test_non_finite_point_cloud_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "nan_points.txt"
+        path.write_text(self.NAN_CLOUD)
+        argv = [command, "--input", str(path)]
+        if command != "validate":
+            argv += ["--eps", "0.5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "text, fmt",
+        [
+            ("0 1\n0 2\n", "auto"),  # duplicate id
+            ("0 0 0\n1 1\n2 3 1\n", "points"),  # ragged rows
+            ("0 0 0\n1 1 x\n", "auto"),  # non-numeric coordinate
+            ("3\n0 1 1\n1 0 1\n", "matrix"),  # too few matrix entries
+            ("2\n0 x\nx 0\n", "matrix"),  # non-numeric entry
+        ],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, text, fmt):
+        path = tmp_path / "bad_input.txt"
+        path.write_text(text)
+        for argv in (["validate"], ["solve-hc", "--eps", "0.5"]):
+            assert main(argv + ["--input", str(path), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["validate", "solve-la", "oracle"])
+    def test_missing_input_exits_2(self, tmp_path, capsys, command):
+        argv = [command, "--input", str(tmp_path / "absent.txt")]
+        argv += {"validate": [], "solve-la": ["--eps", "0.5"],
+                 "oracle": ["--objective", "la"]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read input ")
+        assert "Traceback" not in captured.err
+
+
 class TestSolveAndOracle:
     def test_solve_la_sound_and_parses(self, matrix_file, two_cluster_6, capsys):
         assert main(["solve-la", "--input", matrix_file, "--eps", "0.5"]) == 0
@@ -164,6 +209,16 @@ class TestBench:
         rc = main(["--out", str(out), "bench", "--config", str(cfg)])
         assert rc == 0
         assert out.read_text() == run_bench(BENCH_CONFIG)
+
+    @pytest.mark.parametrize("algorithm, n", [("oracle-la", 11), ("oracle-hc", 9)])
+    def test_oracle_row_too_large_exits_1(self, tmp_path, capsys, algorithm, n):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"algorithms": [algorithm],
+                                   "instances": [{"family": "uniform_metric", "n": n}]}))
+        assert main(["bench", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "oracle guarded" in captured.err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from peelembed.errors import (
     AsymmetricMatrix,
     EmptySubset,
+    InputParse,
     NegativeDistance,
     NonFiniteDistance,
     NonzeroDiagonal,
@@ -138,6 +139,39 @@ def test_point_cloud_roundtrip():
     assert m.dist[0, 1] == pytest.approx(5.0)
     again = parse_point_cloud(format_point_cloud(pts))
     assert np.array_equal(m.dist, again.dist)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_point_cloud_rejects_non_finite_coordinates(token):
+    with pytest.raises(NonFiniteDistance, match="point 0 coordinate 0"):
+        parse_point_cloud(f"0 {token} 0\n1 1 0\n2 3 1\n3 0 2\n")
+    with pytest.raises(NonFiniteDistance):
+        metric_from_points(np.array([[0.0, 1.0], [2.0, float(token)]]))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n0 2\n", "appears twice"),
+        ("0 0 0\n1 1\n2 3 1\n", "1 coordinates, expected 2"),
+        ("0 0 0\n1 1 x\n", "line 2"),
+        ("0.5 1 2\n", "line 1"),
+        ("0 1\n2 3\n", "0..n-1"),
+        ("# only a comment\n", "empty"),
+    ],
+)
+def test_point_cloud_rejects_malformed_text(text, message):
+    with pytest.raises(InputParse, match=message):
+        parse_point_cloud(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "2\n0 1\n1\n", "2\n0 1\n1 0 7\n", "2\n0 x\nx 0\n", "two\n", "0\n"],
+)
+def test_parse_metric_rejects_malformed_text(text):
+    with pytest.raises(InputParse):
+        parse_metric(text)
 
 
 def test_submetric_induces_sorted_ids(cluster_outlier_5):
