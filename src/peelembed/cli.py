@@ -80,6 +80,10 @@ class Objective:
             return self.dense(m, dense, seed), None
         return self.peel(m, self.peel_config(eps=eps, dense=dense), seed)
 
+    def value(self, m, witness, trace):
+        """Objective value of ``witness``; a peeling trace already holds it."""
+        return trace.value if trace is not None else self.evaluate(m, witness)
+
 
 OBJECTIVES = {
     "la": Objective(
@@ -118,7 +122,7 @@ def _load_metric(path: str, fmt: str) -> Metric:
     try:
         n = int(tokens[0])
         if len(tokens) == 1 + n * n:
-            return parse_metric(text)
+            return parse_metric(text, tokens=tokens)
     except (ValueError, IndexError):
         pass
     return parse_point_cloud(text)
@@ -154,7 +158,7 @@ def _cmd_solve(args) -> int:
     m = _load_metric(args.input, args.format)
     budget = SearchBudget(restarts=args.budget_restarts)
     witness, trace = obj.solve(m, args.eps, budget, args.seed, args.grid_mode, args.dense_only)
-    print(f"value {obj.evaluate(m, witness):.12g}")
+    print(f"value {obj.value(m, witness, trace):.12g}")
     print(f"{obj.witness} {witness.serialize()}")
     if trace is not None:
         print(f"depth {trace.depth} cases {trace.case_sequence()}")
@@ -216,7 +220,7 @@ def _bench_rows(config: dict, seed: int, timing: bool):
                         witness = average_linkage_hc(m)
                     else:  # bisect-la
                         witness = random_bisection_la(m, seed=seed)
-                    value = obj.evaluate(m, witness)
+                    value = obj.value(m, witness, trace)
                 elapsed = time.perf_counter() - start
                 ratio = None if oracle in (None, 0.0) else value / oracle
                 if ratio is not None and ratio > 1.0 + 1e-9:

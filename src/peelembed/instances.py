@@ -58,10 +58,10 @@ def generate(spec: GeneratorSpec) -> Metric:
     n = spec.n
     if spec.family == "uniform_metric":
         dist = np.ones((n, n)) - np.eye(n)
-        return Metric.trusted(dist)
+        return Metric(dist)
     if spec.family == "path_metric":
         idx = np.arange(n, dtype=float)
-        return Metric.trusted(np.abs(idx[:, None] - idx[None, :]))
+        return Metric(np.abs(idx[:, None] - idx[None, :]))
     if spec.family == "euclidean_gaussian":
         return metric_from_points(rng.standard_normal((n, spec.dim)))
     if spec.family == "euclidean_uniform_box":

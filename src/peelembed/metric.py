@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,10 @@ from .errors import (
 # floating-point Euclidean point clouds validate.
 TRIANGLE_TOL = 1e-9
 
+# Rounding margin of the triangle screen, in machine epsilons of max(D, 1);
+# see _triangle_screen for why 8 keeps the screen conservative.
+SCREEN_MARGIN_EPS = 8
+
 # Density reported for zero-diameter subsets.  Compares >= any threshold, which
 # routes degenerate instances into the dense branch of the solvers.
 DENSE_BY_CONVENTION = math.inf
@@ -37,28 +41,34 @@ DENSE_BY_CONVENTION = math.inf
 class Metric:
     """Immutable symmetric distance matrix satisfying the triangle inequality.
 
-    Construct through :func:`validate_metric` (checked) or
-    :meth:`Metric.trusted` (unchecked, for matrices valid by construction such
-    as Euclidean point clouds or induced submetrics).
+    Construct through :func:`validate_metric` (checked) or ``Metric(dist)``
+    (unchecked, for matrices valid by construction); the constructor keeps a
+    read-only copy of ``dist`` and leaves the caller's array alone.
     """
 
     __slots__ = ("n", "dist", "_assignment_cache")
 
     def __init__(self, dist: np.ndarray):
-        dist = np.asarray(dist, dtype=float)
+        self._own(np.array(dist, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, dist: np.ndarray) -> "Metric":
+        """Wrap a fresh C-ordered float array that no caller holds, without
+        copying it."""
+        m = cls.__new__(cls)
+        m._own(dist)
+        return m
+
+    def _own(self, dist: np.ndarray) -> None:
         dist.flags.writeable = False
         self.n = dist.shape[0]
         self.dist = dist
-        self._assignment_cache: dict = {}
-
-    @classmethod
-    def trusted(cls, dist: np.ndarray) -> "Metric":
-        return cls(np.array(dist, dtype=float))
+        self._assignment_cache = {}
 
     def submetric(self, indices: Sequence[int]) -> "Metric":
         """Induced metric on ``indices`` (order defines the new point ids)."""
         idx = np.asarray(sorted(indices), dtype=int)
-        return Metric(self.dist[np.ix_(idx, idx)].copy())
+        return Metric._adopt(self.dist[np.ix_(idx, idx)])
 
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
@@ -125,16 +135,54 @@ def validate_metric(raw, check_triangle: bool = True) -> Metric:
     np.fill_diagonal(mat, 0.0)
     mat[mat < 0] = 0.0
 
-    if check_triangle:
-        for k in range(n):
-            via_k = mat[:, k, None] + mat[None, k, :]
-            slack = mat - via_k
-            worst = float(slack.max())
-            if worst > tol:
-                i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-                raise TriangleViolation(int(i), int(j), k, worst)
+    if check_triangle and _triangle_screen(mat, tol):
+        _raise_triangle_witness(mat, tol)  # returns only on a false flag
+    return Metric._adopt(mat)
 
-    return Metric(mat)
+
+def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
+    """False only if no triple fails the test of :func:`_raise_triangle_witness`.
+
+    For i < k, ``|d(k,j) - d(i,j)| <= d(i,k)`` over all j is the triangle
+    inequality with the pair {i, k} as one side.  Columns j > i suffice: a
+    triple a < b < c meets its three inequalities in the pairs {a, b}
+    (column c) and {a, c} (column b).  So row i's slab covers every triple
+    whose smallest point is i, each unordered pair once, in one reused buffer.
+
+    Rounding, with u = eps / 2 and M = max(D) >= every entry: if the witness
+    test fl(d_ij - fl(d_ik + d_kj)) > tol rejects, then exactly
+    d_ij - d_ik - d_kj > tol (1 - u) - 2 u M, and the slab entry
+    fl(|d_ij - d_kj|) is at least d_ij - d_kj - u M.  The row's bound is
+    fl(d_ik + fl(tol - margin)) <= d_ik + tol - margin + u M + 2 u tol + u^2 tol,
+    so the entry exceeds it once margin >= 4 u M + 3 u tol + u^2 tol, about
+    2 eps M as tol << max(M, 1).  A margin of ``SCREEN_MARGIN_EPS`` eps
+    max(M, 1) covers that with room to spare and stays far below tol.  A flag
+    can thus be false, but a violation is never missed.
+    """
+    n = mat.shape[0]
+    margin = SCREEN_MARGIN_EPS * np.finfo(float).eps * max(float(mat.max()), 1.0)
+    allowed = tol - margin
+    buf = np.empty((n - 1) * (n - 1))
+    for i in range(n - 2):  # the last two rows hold no triple with i smallest
+        rest = mat[i, i + 1 :]
+        slab = buf[: rest.size * rest.size].reshape(rest.size, rest.size)
+        np.subtract(mat[i + 1 :, i + 1 :], rest, out=slab)
+        np.abs(slab, out=slab)
+        if (slab.max(axis=1) > rest + allowed).any():
+            return True
+    return False
+
+
+def _raise_triangle_witness(mat: np.ndarray, tol: float) -> None:
+    """Raise :class:`TriangleViolation` at the smallest violating k, with the
+    first (i, j) of largest slack; return if no triple violates by > tol."""
+    for k in range(mat.shape[0]):
+        via_k = mat[:, k, None] + mat[None, k, :]
+        slack = mat - via_k
+        worst = float(slack.max())
+        if worst > tol:
+            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+            raise TriangleViolation(int(i), int(j), k, worst)
 
 
 def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
@@ -194,9 +242,15 @@ def format_metric(m: Metric) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_metric(text: str, check_triangle: bool = True) -> Metric:
-    """Parse ``n`` followed by the n * n matrix entries, then validate."""
-    tokens = text.split()
+def parse_metric(
+    text: str, check_triangle: bool = True, tokens: Optional[Sequence[str]] = None
+) -> Metric:
+    """Parse ``n`` followed by the n * n matrix entries, then validate.
+
+    ``tokens`` is ``text.split()``, for a caller that has split it already.
+    """
+    if tokens is None:
+        tokens = text.split()
     if not tokens:
         raise InputParse("empty metric file")
     try:
@@ -247,13 +301,18 @@ def parse_point_cloud(text: str) -> Metric:
 
 
 def metric_from_points(points: np.ndarray) -> Metric:
-    """Euclidean metric of the rows of an n x d array of finite coordinates."""
+    """Euclidean metric of the rows of an n x d array of finite coordinates;
+    raises :class:`NonFiniteDistance` if a distance overflows."""
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
         i, j = np.argwhere(~np.isfinite(pts))[0]
         raise NonFiniteDistance(f"point {i} coordinate {j} = {pts[i, j]:g} is not finite")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    dist = (dist + dist.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
-    return Metric(dist)
+    if dist.size and not np.isfinite(dist.max()):
+        i, j = np.unravel_index(int(np.argmin(np.isfinite(dist))), dist.shape)
+        raise NonFiniteDistance(f"distance between points {i} and {j} overflows")
+    return Metric._adopt(dist)

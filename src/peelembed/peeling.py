@@ -65,7 +65,8 @@ def peel(policy: Policy, m: Metric, cfg: PeelConfig, seed: int):
     trace = RecursionTrace()
     solution = _level(policy, m, cfg, seed, list(range(m.n)), 0, trace)
     trace.levels.reverse()  # each level is recorded after the levels below it
-    trace.value = policy.value(m, solution)
+    # level 0 scored this solution on an identical copy of m
+    trace.value = trace.levels[0].alg_value
     trace.validate()
     return solution, trace
 

@@ -3,7 +3,8 @@
 Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
 ladder payoff floor and the telescoping accounting on realized runs, and
-holding the per-candidate reference loops of the dense solvers.
+holding the per-candidate reference loops of the dense solvers and the per-k
+triangle scan of metric validation.
 """
 
 import numpy as np
@@ -82,6 +83,20 @@ def has_not_all_small_weights(m, c0, c1):
     iu = np.triu_indices(n, 1)
     small = int((m.dist[iu] < c0 * diam).sum())
     return small <= (1.0 - c1) * len(iu[0])
+
+
+def reference_triangle_scan(mat, tol):
+    """The per-k triangle scan ``validate_metric`` ran over every matrix
+    before its pair screen: (i, j, k, worst) at the smallest k whose worst
+    slack d_ij - (d_ik + d_kj) exceeds tol, first (i, j) of that slack, or
+    None."""
+    for k in range(mat.shape[0]):
+        slack = mat - (mat[:, k, None] + mat[None, k, :])
+        worst = float(slack.max())
+        if worst > tol:
+            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+            return int(i), int(j), k, worst
+    return None
 
 
 def hc_ladder_payoff(m, tree, a_ids):

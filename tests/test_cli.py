@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from peelembed.cli import CSV_COLUMNS, main, run_bench
-from peelembed.metric import format_metric, parse_metric
+from peelembed.cli import CSV_COLUMNS, OBJECTIVES, main, run_bench
+from peelembed.instances import GeneratorSpec, generate, la_case_c_spec
+from peelembed.metric import Metric, format_metric, parse_metric
 from peelembed.oracles import brute_force_la
+from peelembed.partition_search import SearchBudget
 
 
 @pytest.fixture
@@ -91,6 +94,19 @@ class TestValidateAndGen:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "not finite" in captured.err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["validate", "solve-la", "solve-hc"])
+    def test_overflowing_point_cloud_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "huge_points.txt"
+        path.write_text("0 1e200 0\n1 0 0\n2 3 1\n")
+        argv = [command, "--input", str(path)]
+        if command != "validate":
+            argv += ["--eps", "0.5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: distance between points 0 and 1 overflows\n"
+
     @pytest.mark.parametrize(
         "text, fmt",
         [
@@ -160,6 +176,20 @@ class TestSolveAndOracle:
         rows = [" ".join("0" if i == j else "1" for j in range(n)) for i in range(n)]
         path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
         assert main(["oracle", "--input", str(path), "--objective", "la"]) == 1
+
+    @pytest.mark.parametrize("objective", list(OBJECTIVES))
+    def test_trace_value_is_the_witness_value(self, objective):
+        obj = OBJECTIVES[objective]
+        spec, eps = la_case_c_spec(250)
+        metrics = [generate(spec)]
+        for family in ("euclidean_gaussian", "clustered", "cluster_plus_outliers"):
+            metrics += [generate(GeneratorSpec(family=family, n=n, seed=2)) for n in (6, 31)]
+        # a Fortran-ordered matrix, whose own layout could change summation order
+        metrics.append(Metric(np.asfortranarray(metrics[2].dist)))
+        for m in metrics:
+            witness, trace = obj.solve(m, eps, SearchBudget(restarts=0), seed=1)
+            assert trace.value == obj.evaluate(m, witness)
+            assert obj.value(m, witness, trace) == trace.value
 
     def test_determinism_across_runs(self, matrix_file, capsys):
         outs = []

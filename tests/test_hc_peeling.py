@@ -72,7 +72,7 @@ class TestCaseRouting:
         assert trace.value == pytest.approx(evaluate_hc(cluster_outlier_5, tree))
 
     def test_two_points_case_a(self):
-        m = Metric.trusted(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        m = Metric(np.array([[0.0, 2.0], [2.0, 0.0]]))
         tree, trace = solve_hc(m, HcPeelConfig(eps=0.5))
         assert trace.case_sequence() == "a"
         assert trace.value == pytest.approx(4.0)

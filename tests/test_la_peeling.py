@@ -69,7 +69,7 @@ class TestCaseRouting:
         assert trace.value == pytest.approx(evaluate_la(cluster_outlier_5, arr))
 
     def test_two_points_case_a(self):
-        m = Metric.trusted(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        m = Metric(np.array([[0.0, 1.0], [1.0, 0.0]]))
         arr, trace = solve_la(m, LaPeelConfig(eps=0.5))
         assert trace.case_sequence() == "a"
         assert trace.value == pytest.approx(1.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peelembed import metric as metric_module
 from peelembed.errors import (
     AsymmetricMatrix,
     EmptySubset,
@@ -17,6 +18,8 @@ from peelembed.errors import (
 )
 from peelembed.metric import (
     DENSE_BY_CONVENTION,
+    TRIANGLE_TOL,
+    Metric,
     find_core,
     format_metric,
     format_point_cloud,
@@ -26,6 +29,7 @@ from peelembed.metric import (
     subset_stats,
     validate_metric,
 )
+from structural import reference_triangle_scan
 
 
 def test_validate_accepts_smallest_metric():
@@ -44,6 +48,95 @@ def test_validate_rejects_triangle_violation_with_witness():
         validate_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
     i, j, k = exc.value.triple
     assert {i, j} == {0, 2} and k == 1
+
+
+def test_validate_reports_smallest_violating_k():
+    dist = np.abs(np.arange(6.0)[:, None] - np.arange(6.0)[None, :])
+    dist[0, 2] = dist[2, 0] = 2.5  # fails only via k = 1, by 0.5
+    dist[3, 5] = dist[5, 3] = 3.0  # fails only via k = 4, by 1.0
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(dist)
+    assert exc.value.triple == (0, 2, 1) and exc.value.slack == 0.5
+
+
+def _triangle_base(kind, n, rng, scale):
+    """Exactly symmetric matrices that are metrics, with exact equalities in
+    the path and uniform cases."""
+    if kind == "closure":
+        raw = rng.uniform(0.2, 1.0, size=(n, n))
+        raw = (raw + raw.T) / 2.0
+        np.fill_diagonal(raw, 0.0)
+        for k in range(n):
+            raw = np.minimum(raw, raw[:, k, None] + raw[None, k, :])
+    elif kind == "euclid":
+        raw = np.array(metric_from_points(rng.standard_normal((n, 1 + n % 3))).dist)
+    elif kind == "path":
+        idx = np.arange(n, dtype=float)
+        raw = np.abs(idx[:, None] - idx[None, :])
+    else:
+        raw = np.ones((n, n)) - np.eye(n)
+    return raw * scale
+
+
+def _plant_violation(mat, rng, excess):
+    """Lengthen one pair past its shortest two-hop path: by one of a few ulps
+    around tol (excess an int), by 10 tol, or by half the diameter."""
+    n = mat.shape[0]
+    a, b = (int(p) for p in rng.choice(n, size=2, replace=False))
+    via = min(mat[a, k] + mat[k, b] for k in range(n) if k not in (a, b))
+    for _ in range(2):  # lengthening the pair may raise the diameter and tol
+        tol = TRIANGLE_TOL * max(float(mat.max()), 1.0)
+        if excess == "10tol":
+            value = via + 10.0 * tol
+        elif excess == "half":
+            value = via + 0.5 * float(mat.max())
+        else:
+            value = via + tol
+            for _ in range(abs(excess)):
+                value = np.nextafter(value, math.copysign(math.inf, excess))
+        mat[a, b] = mat[b, a] = value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["closure", "euclid", "path", "uniform"]),
+    st.integers(1, 40),
+    st.sampled_from([1e-3, 1.0, 7.0, 1e4]),
+    st.lists(st.sampled_from([-3, -1, 0, 1, 3, "10tol", "half"]), max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_triangle_screen_matches_reference_scan(kind, n, scale, plants, seed):
+    rng = np.random.default_rng(seed)
+    mat = _triangle_base(kind, n, rng, scale)
+    if n >= 3:
+        for excess in plants:
+            _plant_violation(mat, rng, excess)
+    expected = reference_triangle_scan(mat, TRIANGLE_TOL * max(float(mat.max()), 1.0))
+    try:
+        m = validate_metric(mat)
+    except TriangleViolation as exc:
+        assert expected == (*exc.triple, exc.slack)
+    else:
+        assert expected is None
+        assert np.array_equal(m.dist, mat)
+
+
+@pytest.mark.parametrize("kind", ["closure", "euclid", "path", "uniform"])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+def test_triangle_witness_scan_skipped_on_metrics(monkeypatch, kind, scale):
+    def fail(mat, tol):
+        raise AssertionError("the screen flagged a metric")
+
+    monkeypatch.setattr(metric_module, "_raise_triangle_witness", fail)
+    validate_metric(_triangle_base(kind, 60, np.random.default_rng(4), scale))
+
+
+def test_metric_copies_the_callers_array():
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    copies = [Metric(a), validate_metric(a)]
+    a[0, 1] = 2.0  # raised while Metric(a) froze a itself
+    for m in copies:
+        assert m.dist[0, 1] == 1.0 and not m.dist.flags.writeable
 
 
 def test_validate_rejects_negative_and_diagonal_and_asymmetry():
@@ -147,6 +240,14 @@ def test_point_cloud_rejects_non_finite_coordinates(token):
         parse_point_cloud(f"0 {token} 0\n1 1 0\n2 3 1\n3 0 2\n")
     with pytest.raises(NonFiniteDistance):
         metric_from_points(np.array([[0.0, 1.0], [2.0, float(token)]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_point_cloud_rejects_overflowing_distances():
+    with pytest.raises(NonFiniteDistance, match="points 0 and 1 overflows"):
+        parse_point_cloud("0 1e200 0\n1 0 0\n2 3 1\n")
+    with pytest.raises(NonFiniteDistance):
+        metric_from_points(np.array([[1e308], [-1e308]]))
 
 
 @pytest.mark.parametrize(

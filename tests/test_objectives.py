@@ -103,7 +103,7 @@ def test_deep_ladder_no_recursion_limit():
     assert HcTree.parse(text).serialize() == text
     assert HcTree(relabel(tree.root, {i: i for i in range(n)})).serialize() == text
     idx = np.arange(n, dtype=float)
-    metric = Metric.trusted(np.abs(idx[:, None] - idx[None, :]))
+    metric = Metric(np.abs(idx[:, None] - idx[None, :]))
     assert evaluate_hc(metric, tree) > 0
 
 
