@@ -33,6 +33,10 @@ TRIANGLE_TOL = 1e-9
 # see _triangle_screen for why 8 keeps the screen conservative.
 SCREEN_MARGIN_EPS = 8
 
+# Most coordinate differences (n x d per row) one block of
+# ``metric_from_points`` holds, so its temporaries stay a few MB for any n.
+POINT_BLOCK_ENTRIES = 1 << 18
+
 # Density reported for zero-diameter subsets.  Compares >= any threshold, which
 # routes degenerate instances into the dense branch of the solvers.
 DENSE_BY_CONVENTION = math.inf
@@ -197,10 +201,13 @@ def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
         raise EmptySubset("subset_stats requires a nonempty subset")
     if idx[0] < 0 or idx[-1] >= m.n:
         raise IndexError(f"subset out of range for n={m.n}")
-    sub = m.dist[np.ix_(idx, idx)]
     size = len(idx)
+    sub = m.dist.copy() if size == m.n else m.dist[np.ix_(idx, idx)]
     diameter = float(sub.max())
-    weight = float(np.triu(sub, 1).sum())
+    # np.triu(sub, 1) in place: the same C-ordered array, so the same sum
+    for i in range(size):
+        sub[i, : i + 1] = 0.0
+    weight = float(sub.sum())
     if diameter > 0.0:
         density = weight / (size * size * diameter)
     else:
@@ -214,18 +221,20 @@ def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
     )
 
 
-def find_core(m: Metric) -> CoreResult:
+def find_core(m: Metric, stats: Optional[SubsetStats] = None) -> CoreResult:
     """Largest ball of radius 2 * D_V * sqrt(rho_V); ties to smallest center.
 
+    ``stats`` are ``subset_stats(m, range(m.n))``, for a caller that has them.
     The returned subset has diameter <= 4 * D_V * sqrt(rho_V) and size
     >= n * (1 - sqrt(rho_V)).
     """
-    stats = subset_stats(m, range(m.n))
+    if stats is None:
+        stats = subset_stats(m, range(m.n))
     if stats.diameter <= 0.0:
         raise ZeroDiameter("all points coincide; instance is trivially dense")
     radius = 2.0 * stats.diameter * math.sqrt(stats.density)
     within = m.dist <= radius
-    sizes = within.sum(axis=1)
+    sizes = np.count_nonzero(within, axis=1)
     center = int(np.argmax(sizes))  # argmax returns the smallest maximizer
     core = frozenset(int(i) for i in np.flatnonzero(within[center]))
     return CoreResult(core=core, center=center, stats=subset_stats(m, core))
@@ -302,15 +311,31 @@ def parse_point_cloud(text: str) -> Metric:
 
 def metric_from_points(points: np.ndarray) -> Metric:
     """Euclidean metric of the rows of an n x d array of finite coordinates;
-    raises :class:`NonFiniteDistance` if a distance overflows."""
+    raises :class:`NonFiniteDistance` if a distance overflows.
+
+    Rows are computed in blocks of at most ``POINT_BLOCK_ENTRIES`` coordinate
+    differences, each entry by the same ``sqrt(sum(diff * diff))`` over its d
+    coordinates, into one n x n array that is then symmetrised in place.
+    """
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
         i, j = np.argwhere(~np.isfinite(pts))[0]
         raise NonFiniteDistance(f"point {i} coordinate {j} = {pts[i, j]:g} is not finite")
+    n, d = pts.shape
+    dist = np.empty((n, n))
+    step = max(1, POINT_BLOCK_ENTRIES // max(n * d, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        dist = (dist + dist.T) / 2.0
+        for lo in range(0, n, step):
+            diff = pts[lo : lo + step, None, :] - pts[None, :, :]
+            np.sqrt((diff * diff).sum(axis=-1), out=dist[lo : lo + step])
+        # (dist + dist.T) / 2, a strip at a time: rows lo:hi from column lo on
+        # and their mirror image, read before either is written
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            half = np.add(dist[lo:hi, lo:], dist[lo:, lo:hi].T)
+            half /= 2.0
+            dist[lo:hi, lo:] = half
+            dist[lo:, lo:hi] = half.T
     np.fill_diagonal(dist, 0.0)
     if dist.size and not np.isfinite(dist.max()):
         i, j = np.unravel_index(int(np.argmin(np.isfinite(dist))), dist.shape)

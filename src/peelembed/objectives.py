@@ -76,6 +76,13 @@ class HcTree:
     def __post_init__(self):
         self.leaves()  # checks binarity and distinctness; partial trees allowed
 
+    @classmethod
+    def _unchecked(cls, root: TreeNode) -> "HcTree":
+        """Wrap a root that is valid by construction, without walking it."""
+        tree = cls.__new__(cls)
+        object.__setattr__(tree, "root", root)
+        return tree
+
     def leaves(self) -> list:
         out = []
         stack = [self.root]
@@ -156,27 +163,44 @@ def evaluate_la(m: Metric, arrangement: LinearArrangement) -> float:
 
 def evaluate_hc(m: Metric, tree: HcTree) -> float:
     """Sum over unordered pairs of dist[i][j] * (leaves under LCA(i, j))."""
-    leaves = tree.leaves()
-    if sorted(leaves) != list(range(m.n)):
+    order, spans = _leaf_spans(tree.root)
+    if sorted(order) != list(range(m.n)):
         raise SizeMismatch(f"tree leaves do not cover 0..{m.n - 1}")
+    idx = np.asarray(order, dtype=int)
     total = 0.0
-    # Iterative post-order so deep ladders do not hit the stack limit.
-    stack = [(tree.root, False)]
-    done = []  # leaf-index arrays of finished subtrees
-    while stack:
-        node, expanded = stack.pop()
-        if not isinstance(node, tuple):
-            done.append(np.array([node], dtype=int))
-            continue
-        if expanded:
-            right = done.pop()
-            left = done.pop()
-            size = len(left) + len(right)
-            total += size * float(m.dist[np.ix_(left, right)].sum())
-            done.append(np.concatenate([left, right]))
+    for lo, mid, hi in spans:
+        if mid - lo == 1:
+            block = m.dist[idx[lo], idx[mid:hi]]
         else:
-            stack.extend(((node, True), (node[1], False), (node[0], False)))
+            block = m.dist[np.ix_(idx[lo:mid], idx[mid:hi])]
+        total += (hi - lo) * float(block.sum())
     return total
+
+
+_MID, _END = object(), object()  # markers of _leaf_spans' walk
+
+
+def _leaf_spans(root: TreeNode):
+    """Leaves of a raw tree left to right, and (lo, mid, hi) of each internal
+    node in post-order: its left subtree holds leaves [lo, mid), its right
+    subtree [mid, hi).  Iterative, so deep ladders are safe."""
+    order, spans, open_spans = [], [], []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is _MID:
+            open_spans[-1].append(len(order))
+        elif node is _END:
+            lo, mid = open_spans.pop()
+            spans.append((lo, mid, len(order)))
+        elif isinstance(node, tuple):
+            if len(node) != 2:
+                raise MalformedTree("internal node with != 2 children")
+            open_spans.append([len(order)])
+            stack.extend((_END, node[1], _MID, node[0]))
+        else:
+            order.append(int(node))
+    return order, spans
 
 
 def ladder_tree(order: Sequence[int], tail: Optional[HcTree] = None) -> HcTree:
@@ -194,13 +218,14 @@ def ladder_tree(order: Sequence[int], tail: Optional[HcTree] = None) -> HcTree:
         node: TreeNode = order[-1]
         spine = order[:-1]
     else:
-        if set(order) & set(tail.leaves()):
+        if set(order).intersection(tail.leaves()):
             raise DuplicateLeaf("ladder order overlaps tail leaves")
         node = tail.root
         spine = order
     for point in reversed(spine):
         node = (point, node)
-    return HcTree(node)
+    # distinct spine leaves over a checked tail: nothing left to check
+    return HcTree._unchecked(node)
 
 
 def relabel(node: TreeNode, mapping) -> TreeNode:

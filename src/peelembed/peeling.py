@@ -12,7 +12,7 @@ the kept points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,10 +63,9 @@ class Policy:
 def peel(policy: Policy, m: Metric, cfg: PeelConfig, seed: int):
     """Peel all of ``m``; returns (solution, RecursionTrace)."""
     trace = RecursionTrace()
-    solution = _level(policy, m, cfg, seed, list(range(m.n)), 0, trace)
+    solution = _level(policy, m, cfg, seed, list(range(m.n)), None, 0, trace)
     trace.levels.reverse()  # each level is recorded after the levels below it
-    # level 0 scored this solution on an identical copy of m
-    trace.value = trace.levels[0].alg_value
+    trace.value = trace.levels[0].alg_value  # level 0 scored the solution on m
     trace.validate()
     return solution, trace
 
@@ -75,26 +74,35 @@ def _weight(sub: Metric, ids: list) -> float:
     return subset_stats(sub, ids).weight_sum if len(ids) > 1 else 0.0
 
 
-def _level(policy, m, cfg, seed, ids, level, trace):
-    """Solution on the ascending point ids ``ids`` of ``m``, in local ids."""
+def _level(policy, m, cfg, seed, ids, stats, level, trace):
+    """Solution on the ascending point ids ``ids`` of ``m``, in local ids.
+
+    ``stats`` are the subset stats of ``ids``, from the level above, or None.
+    """
     cap = cfg.depth_cap(m.n)
     if level > cap:
         raise DepthExceeded(f"peeling depth exceeded {cap} levels")
-    sub = m.submetric(ids)
-    stats = subset_stats(sub, range(sub.n))
+    sub = m if len(ids) == m.n else m.submetric(ids)
+    if stats is None:
+        stats = subset_stats(sub, range(sub.n))
     rho, eps = stats.density, cfg.eps
     layer = []
     if rho < eps**policy.dense_power:  # a single point has infinite density
-        core = sorted(find_core(sub).core)
+        found = find_core(sub, stats)
+        core = sorted(found.core)
         layer, b, kept = policy.split(sub, stats, core, eps)
     if layer:
         w_a = _weight(sub, layer)
         w_ac = float(sub.dist[np.ix_(layer, core)].sum())
-        if _weight(sub, kept) < policy.case_b_factor * eps * stats.weight_sum:
+        kept_stats = found.stats if kept == core else subset_stats(sub, kept)
+        if kept_stats.weight_sum < policy.case_b_factor * eps * stats.weight_sum:
             case, inner = "b", policy.canonical(len(kept))
         else:
             case = "c"
-            inner = _level(policy, m, cfg, seed, [ids[i] for i in kept], level + 1, trace)
+            # the kept points' stats, renumbered as the next level's local ids
+            kept_stats = replace(kept_stats, indices=frozenset(range(len(kept))))
+            inner = _level(policy, m, cfg, seed, [ids[i] for i in kept], kept_stats,
+                           level + 1, trace)
         solution = policy.join(layer, kept, inner)
         terms = policy.terms(sub.n, math.sqrt(rho), w_a, w_ac, eps)
     else:

@@ -3,8 +3,9 @@
 Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
 ladder payoff floor and the telescoping accounting on realized runs, and
-holding the per-candidate reference loops of the dense solvers and the per-k
-triangle scan of metric validation.
+holding the per-candidate reference loops of the dense solvers, the per-k
+triangle scan of metric validation and the evaluators and metric builders
+that faster code replaced.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from peelembed.hc_dense import _caterpillar_skeleton, _parts_of, _skeleton_tree
 from peelembed.la_dense import _embed_assignment, _position
 from peelembed.local_search import best_of
-from peelembed.metric import subset_stats
+from peelembed.metric import DENSE_BY_CONVENTION, SubsetStats, subset_stats
 from peelembed.objectives import (
     HcTree,
     LinearArrangement,
@@ -97,6 +98,53 @@ def reference_triangle_scan(mat, tol):
             i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
             return int(i), int(j), k, worst
     return None
+
+
+def reference_evaluate_hc(m, tree):
+    """``evaluate_hc`` as it was: a post-order walk that gathers each node's
+    block with ``np.ix_`` from the concatenated leaf arrays of its children."""
+    leaves = tree.leaves()
+    if sorted(leaves) != list(range(m.n)):
+        raise ValueError(f"tree leaves do not cover 0..{m.n - 1}")
+    total = 0.0
+    stack = [(tree.root, False)]
+    done = []  # leaf-index arrays of finished subtrees
+    while stack:
+        node, expanded = stack.pop()
+        if not isinstance(node, tuple):
+            done.append(np.array([node], dtype=int))
+            continue
+        if expanded:
+            right = done.pop()
+            left = done.pop()
+            size = len(left) + len(right)
+            total += size * float(m.dist[np.ix_(left, right)].sum())
+            done.append(np.concatenate([left, right]))
+        else:
+            stack.extend(((node, True), (node[1], False), (node[0], False)))
+    return total
+
+
+def reference_subset_stats(m, subset):
+    """``subset_stats`` as it was: an ``np.ix_`` gather and ``np.triu``."""
+    idx = sorted(set(int(i) for i in subset))
+    sub = m.dist[np.ix_(idx, idx)]
+    size, diameter = len(idx), float(sub.max())
+    weight = float(np.triu(sub, 1).sum())
+    density = weight / (size * size * diameter) if diameter > 0.0 else DENSE_BY_CONVENTION
+    return SubsetStats(frozenset(idx), diameter, weight, size, density)
+
+
+def reference_metric_from_points(points):
+    """Distance matrix of ``metric_from_points`` as it was, from n x n x d
+    tensors (no checks)."""
+    pts = np.asarray(points, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        dist = (dist + dist.T) / 2.0
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 def hc_ladder_payoff(m, tree, a_ids):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,11 @@ from peelembed.metric import (
     subset_stats,
     validate_metric,
 )
-from structural import reference_triangle_scan
+from structural import (
+    reference_metric_from_points,
+    reference_subset_stats,
+    reference_triangle_scan,
+)
 
 
 def test_validate_accepts_smallest_metric():
@@ -188,6 +193,17 @@ def test_subset_stats_empty_rejected(cluster_outlier_5):
         subset_stats(cluster_outlier_5, [])
 
 
+def test_subset_stats_and_find_core_bit_equal_to_reference():
+    rng = np.random.default_rng(7)
+    cloud = metric_from_points(rng.normal(size=(300, 2)))
+    for m in (cloud, Metric(np.asfortranarray(cloud.dist)), cloud.submetric(range(0, 300, 3))):
+        subsets = [range(m.n), [m.n - 1], [0, m.n // 2]]
+        subsets += [rng.choice(m.n, size=k, replace=False) for k in (3, 50, m.n - 1)]
+        for subset in subsets:
+            assert subset_stats(m, subset) == reference_subset_stats(m, subset)
+        assert find_core(m, subset_stats(m, range(m.n))) == find_core(m)
+
+
 def test_find_core_cluster_outlier(cluster_outlier_5):
     res = find_core(cluster_outlier_5)
     assert res.core == frozenset({0, 1, 2, 3})
@@ -248,6 +264,34 @@ def test_point_cloud_rejects_overflowing_distances():
         parse_point_cloud("0 1e200 0\n1 0 0\n2 3 1\n")
     with pytest.raises(NonFiniteDistance):
         metric_from_points(np.array([[1e308], [-1e308]]))
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_metric_from_points_bit_equal_to_tensor_formula(d):
+    rng = np.random.default_rng(d)
+    n = 600
+    assert n > metric_module.POINT_BLOCK_ENTRIES // (n * d)  # more than one row block
+    pts = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    pts[n // 2] = pts[0]  # a repeated point
+    assert metric_from_points(pts).dist.tobytes() == reference_metric_from_points(pts).tobytes()
+
+
+def test_metric_from_points_one_row_per_block(monkeypatch):
+    pts = np.random.default_rng(3).normal(size=(40, 3))
+    monkeypatch.setattr(metric_module, "POINT_BLOCK_ENTRIES", 1)
+    assert metric_from_points(pts).dist.tobytes() == reference_metric_from_points(pts).tobytes()
+
+
+def test_metric_from_points_peak_memory():
+    n, d = 2000, 2
+    pts = np.random.default_rng(0).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        metric_from_points(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * n * 8  # three n x n float matrices
 
 
 @pytest.mark.parametrize(

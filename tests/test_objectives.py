@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_metric
 from peelembed.errors import DuplicateLeaf, EmptyInput, MalformedTree, SizeMismatch
-from peelembed.metric import validate_metric
+from peelembed.metric import Metric, metric_from_points, validate_metric
 from peelembed.objectives import (
     HcTree,
     LinearArrangement,
@@ -14,6 +14,7 @@ from peelembed.objectives import (
     ladder_tree,
     relabel,
 )
+from structural import reference_evaluate_hc
 
 M3 = validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])  # w01=1, w02=2, w12=1
 U4 = validate_metric(np.ones((4, 4)) - np.eye(4))
@@ -149,3 +150,67 @@ def test_hc_matches_pair_loop_and_child_swap(n, seed):
     swapped = HcTree((tree.root[1], tree.root[0]))
     assert evaluate_hc(m, swapped) == pytest.approx(val, rel=1e-12)
     assert 2 * m.total_weight() - 1e-9 <= val <= m.n * m.total_weight() + 1e-9
+
+
+def random_tree(rng, leaves):
+    """Random binary tree: merge two random subtrees until one is left."""
+    nodes = [int(p) for p in leaves]
+    while len(nodes) > 1:
+        i, j = sorted(rng.choice(len(nodes), size=2, replace=False))
+        right, left = nodes.pop(j), nodes.pop(i)
+        nodes.append((left, right))
+    return nodes[0]
+
+
+def caterpillar(rng, leaves):
+    """Spine whose every node hangs one leaf, on a random side."""
+    node = int(leaves[0])
+    for p in leaves[1:]:
+        node = (int(p), node) if rng.random() < 0.5 else (node, int(p))
+    return node
+
+
+def hc_trees(rng, n):
+    """Ladders with and without a tail, a caterpillar, a random tree and a
+    relabelled subtree under a ladder, each over 0..n-1."""
+    perm = [int(p) for p in rng.permutation(n)]
+    cut = int(rng.integers(0, n))
+    kept = sorted(int(p) for p in rng.choice(n, size=n - cut, replace=False))
+    layer = [p for p in range(n) if p not in set(kept)]
+    inner = HcTree(random_tree(rng, range(len(kept))))
+    return [
+        ladder_tree(perm),
+        ladder_tree(perm[:cut], tail=HcTree(random_tree(rng, perm[cut:]))),
+        HcTree(caterpillar(rng, perm)),
+        HcTree(random_tree(rng, perm)),
+        ladder_tree(layer, tail=HcTree(relabel(inner.root, kept))),
+    ]
+
+
+def hc_metrics(rng, n):
+    """A point-cloud metric, one induced by ``submetric`` and two built from
+    a Fortran-ordered matrix."""
+    m = metric_from_points(rng.normal(size=(n, 3)))
+    big = metric_from_points(rng.normal(size=(n + 7, 2)) * 10.0)
+    ids = sorted(int(p) for p in rng.choice(n + 7, size=n, replace=False))
+    fortran = np.asfortranarray(m.dist)
+    return [m, big.submetric(ids), Metric(fortran), validate_metric(fortran)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64, 129, 300])
+def test_evaluate_hc_bit_equal_to_reference(n):
+    rng = np.random.default_rng(n)
+    for m in hc_metrics(rng, n):
+        for tree in hc_trees(rng, n):
+            assert evaluate_hc(m, tree) == reference_evaluate_hc(m, tree)
+
+
+def test_ladder_tree_checks_its_parts():
+    tail = HcTree((3, (4, 5)))
+    tree = ladder_tree([2, 0, 1], tail=tail)
+    assert tree.root == (2, (0, (1, (3, (4, 5)))))
+    assert sorted(tree.leaves()) == list(range(6))
+    with pytest.raises(DuplicateLeaf):
+        ladder_tree([0, 4], tail=tail)
+    with pytest.raises(DuplicateLeaf):
+        ladder_tree([0, 1, 0])

@@ -1,0 +1,149 @@
+"""Every level of a peel, recomputed without the recursion's shortcuts.
+
+The recursion scores level 0 on the root metric itself and hands each
+level's subset stats down to the next level.  These tests rebuild every
+``LevelRecord`` from ``m.submetric(ids)``, fresh ``subset_stats``, the full
+``find_core`` and the reference evaluators, and require bit-equal numbers on
+runs of depth 3 and more for both objectives.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from peelembed import hc_peeling, la_peeling, metric, peeling
+from peelembed.hc_dense import DenseHcConfig
+from peelembed.hc_peeling import HcPeelConfig
+from peelembed.instances import generate, hc_case_c_spec
+from peelembed.la_dense import DenseLaConfig
+from peelembed.la_peeling import LaPeelConfig
+from peelembed.metric import Metric, find_core, metric_from_points, subset_stats
+from peelembed.objectives import HcTree, LinearArrangement, evaluate_la, relabel
+from peelembed.partition_search import SearchBudget
+
+from structural import reference_evaluate_hc, set_weight
+
+ZERO = SearchBudget(restarts=0, moves_per_restart=0)
+
+# HC's case (b) test keeps a level in case (c) only while its core holds 16 eps
+# of the weight at density below eps^2, which takes n in the thousands per
+# level.  The HC policy with the case-(b) factor of LA reaches depth 3 and 4
+# on a hundred points; everything else about the levels is HC's.
+HC_SHALLOW_B = replace(hc_peeling._POLICY, case_b_factor=1.0)
+
+
+def nested_line(cluster_n, width, outliers):
+    """``cluster_n`` evenly spaced points on [0, width], then one point at
+    each position in ``outliers``."""
+    pts = np.concatenate([np.linspace(0.0, width, cluster_n), outliers])
+    return metric_from_points(pts[:, None])
+
+
+def la_case(cluster_n=800):
+    eps = 0.45
+    m = nested_line(cluster_n, 4.2 / cluster_n, [0.17, 1.0])
+    cfg = LaPeelConfig(eps=eps, dense=DenseLaConfig(eps=eps, budget=ZERO, swap_sweeps=0))
+    return la_peeling._POLICY, m, cfg
+
+
+def hc_case(cluster_n, width, outliers, eps):
+    cfg = HcPeelConfig(eps=eps, dense=DenseHcConfig(eps=eps, budget=ZERO))
+    return HC_SHALLOW_B, nested_line(cluster_n, width, outliers), cfg
+
+
+def hc_calibrated_case():
+    spec, eps = hc_case_c_spec(1860)
+    cfg = HcPeelConfig(eps=eps, dense=DenseHcConfig(eps=eps, budget=ZERO))
+    return hc_peeling._POLICY, generate(spec), cfg
+
+
+# name -> (builder of (policy, metric, config), depth of the run)
+CASES = {
+    "la-cca": (la_case, 3),
+    "hc-ccca": (lambda: hc_case(60, 6 * 0.6 * 0.06 / 60, [0.06, 0.25, 1.0], 0.25), 4),
+    "hc-cca": (lambda: hc_case(120, 6 * 2.0 * 0.2 / 120, [0.2, 1.0], 0.3), 3),
+    "hc-ccb": (lambda: hc_case(60, 6 * 0.3 * 0.09 / 60, [0.09, 0.3, 1.0], 0.25), 3),
+    "hc-ca-calibrated": (hc_calibrated_case, 2),
+}
+
+
+def run(name):
+    policy, m, cfg = CASES[name][0]()
+    return policy, m, cfg, *peeling.peel(policy, m, cfg, 0)
+
+
+def level_solutions(m, witness, trace):
+    """(ids, solution in ids local to them) of each level, from the witness:
+    a level's points are the previous level's minus its layer, its LA order
+    is the witness order restricted to them, its HC tree the subtree under
+    the spine of the layers above."""
+    ids = list(range(m.n))
+    node = witness.root if isinstance(witness, HcTree) else None
+    out = []
+    for rec in trace.levels:
+        local = {p: i for i, p in enumerate(ids)}
+        if node is None:
+            order = [p for p in witness.order() if p in local]
+            solution = LinearArrangement.from_order([local[p] for p in order])
+        else:
+            solution = HcTree(relabel(node, local))
+        out.append((ids, solution))
+        for _ in rec.a_ids:
+            node = None if node is None else node[1]
+        peeled = set(rec.a_ids)
+        ids = [p for p in ids if p not in peeled]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_level_matches_a_fresh_recount(name):
+    policy, m, cfg, witness, trace = run(name)
+    assert trace.depth == CASES[name][1] and trace.case_sequence()[-1] in "ab"
+    for rec, (ids, solution) in zip(trace.levels, level_solutions(m, witness, trace)):
+        sub = m.submetric(ids)
+        stats = subset_stats(sub, range(sub.n))
+        assert (rec.n, rec.rho) == (sub.n, stats.density)
+        if rec.case == "a":
+            assert rec.c_ids == tuple(ids) and rec.w_a == 0.0 and rec.w_ac is None
+        else:
+            core = sorted(find_core(sub).core)
+            layer, b, _ = policy.split(sub, stats, core, cfg.eps)
+            assert rec.a_ids == tuple(ids[i] for i in layer)
+            assert rec.b_ids == tuple(ids[i] for i in b)
+            assert rec.c_ids == tuple(ids[i] for i in core)
+            assert rec.w_a == set_weight(sub, layer)
+            assert rec.w_ac == float(sub.dist[np.ix_(layer, core)].sum())
+        if isinstance(solution, HcTree):
+            assert rec.alg_value == reference_evaluate_hc(sub, solution)
+        else:
+            assert rec.alg_value == evaluate_la(sub, solution)
+    assert trace.value == trace.levels[0].alg_value
+
+
+@pytest.mark.parametrize("name", ["la-cca", "hc-ccca", "hc-ccb"])
+def test_level_zero_copies_nothing_and_stats_are_computed_once(monkeypatch, name):
+    submetric_sizes, stats_calls = [], []
+    original_submetric, original_stats = Metric.submetric, metric.subset_stats
+
+    def counted_submetric(self, indices):
+        submetric_sizes.append(len(indices))
+        return original_submetric(self, indices)
+
+    def counted_stats(m, subset):
+        stats_calls.append(m.n)
+        return original_stats(m, subset)
+
+    monkeypatch.setattr(Metric, "submetric", counted_submetric)
+    monkeypatch.setattr(metric, "subset_stats", counted_stats)
+    monkeypatch.setattr(peeling, "subset_stats", counted_stats)
+    _, m, _, _, trace = run(name)
+    # one copy per level below level 0, none of the whole root
+    assert submetric_sizes == [rec.n for rec in trace.levels[1:]]
+    # the whole root once; then per peeled level its core, its layer when it
+    # has two points or more, and its kept points when they are not the core
+    expected = 1 + sum(1 + (rec.n_a > 1) + (rec.n_b > 0)
+                       for rec in trace.levels if rec.case != "a")
+    assert len(stats_calls) == expected
+    if name.startswith("hc"):  # one-point layers: at most two per level
+        assert len(stats_calls) <= 2 * trace.depth
