@@ -66,23 +66,20 @@ class Objective:
 
     peel: Callable  # (metric, peel config, seed) -> (witness, trace)
     peel_config: type  # its dense_type is the dense solver's config
-    dense: Callable  # (metric, dense config, seed) -> witness
+    dense: Callable  # (metric, dense config, seed) -> (witness, value)
     evaluate: Callable  # (metric, witness) -> value
     oracle: Callable  # metric -> OracleResult; raises TooLarge above oracle_max_n
     oracle_max_n: int
     witness: str  # label of the printed witness line
 
     def solve(self, m, eps, budget, seed, grid_mode="reduced", dense_only=False):
-        """(witness, trace) of the peeling solver; with ``dense_only`` the dense
-        solver's witness and no trace."""
+        """(witness, value, trace) of the peeling solver; with ``dense_only``
+        the dense solver's witness and value, and no trace."""
         dense = self.peel_config.dense_type(eps=eps, grid_mode=grid_mode, budget=budget)
         if dense_only:
-            return self.dense(m, dense, seed), None
-        return self.peel(m, self.peel_config(eps=eps, dense=dense), seed)
-
-    def value(self, m, witness, trace):
-        """Objective value of ``witness``; a peeling trace already holds it."""
-        return trace.value if trace is not None else self.evaluate(m, witness)
+            return (*self.dense(m, dense, seed), None)
+        witness, trace = self.peel(m, self.peel_config(eps=eps, dense=dense), seed)
+        return witness, trace.value, trace
 
 
 OBJECTIVES = {
@@ -157,8 +154,9 @@ def _cmd_solve(args) -> int:
     obj = OBJECTIVES[args.objective]
     m = _load_metric(args.input, args.format)
     budget = SearchBudget(restarts=args.budget_restarts)
-    witness, trace = obj.solve(m, args.eps, budget, args.seed, args.grid_mode, args.dense_only)
-    print(f"value {obj.value(m, witness, trace):.12g}")
+    witness, value, trace = obj.solve(m, args.eps, budget, args.seed, args.grid_mode,
+                                      args.dense_only)
+    print(f"value {value:.12g}")
     print(f"{obj.witness} {witness.serialize()}")
     if trace is not None:
         print(f"depth {trace.depth} cases {trace.case_sequence()}")
@@ -212,15 +210,12 @@ def _bench_rows(config: dict, seed: int, timing: bool):
                 if kind == "oracle":
                     # above the size limit this raises TooLarge, as `oracle` does
                     value = oracle if oracle is not None else obj.oracle(m).value
-                else:
-                    if kind in ("peel", "dense"):
-                        dense_only = kind == "dense"
-                        witness, trace = obj.solve(m, eps, budget, seed, dense_only=dense_only)
-                    elif algorithm == "avg-link":
-                        witness = average_linkage_hc(m)
-                    else:  # bisect-la
-                        witness = random_bisection_la(m, seed=seed)
-                    value = obj.value(m, witness, trace)
+                elif kind in ("peel", "dense"):
+                    _, value, trace = obj.solve(m, eps, budget, seed, dense_only=kind == "dense")
+                elif algorithm == "avg-link":
+                    value = obj.evaluate(m, average_linkage_hc(m))
+                else:  # bisect-la
+                    value = obj.evaluate(m, random_bisection_la(m, seed=seed))
                 elapsed = time.perf_counter() - start
                 ratio = None if oracle in (None, 0.0) else value / oracle
                 if ratio is not None and ratio > 1.0 + 1e-9:
@@ -298,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, required=True)
         p.add_argument("--grid-mode", choices=["reduced", "faithful"], default="reduced")
         p.add_argument("--budget-restarts", type=int, default=32)
-        p.add_argument("--dense-only", action="store_true")
-        p.add_argument("--trace")
+        only_or_trace = p.add_mutually_exclusive_group()  # the dense solver records no trace
+        only_or_trace.add_argument("--dense-only", action="store_true")
+        only_or_trace.add_argument("--trace")
 
     p = sub.add_parser("oracle")
     add_input(p)

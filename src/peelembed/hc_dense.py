@@ -143,8 +143,9 @@ def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
     return best
 
 
-def solve_hc_dense(m: Metric, cfg: DenseHcConfig, seed: int = 0) -> HcTree:
-    """Best tree found for a dense instance (a single leaf when n = 1)."""
+def solve_hc_dense(m: Metric, cfg: DenseHcConfig, seed: int = 0) -> tuple[HcTree, float]:
+    """(tree, its value) of the best tree found for a dense instance (a
+    single leaf when n = 1)."""
     n = m.n
     if n <= cfg.slots or m.diameter() <= 0.0:
         # Too few points for the skeleton to matter; any tree with every split
@@ -152,8 +153,8 @@ def solve_hc_dense(m: Metric, cfg: DenseHcConfig, seed: int = 0) -> HcTree:
         candidates = [ladder_tree(range(n))]
         if n <= 8 and m.diameter() > 0.0:
             candidates += map(HcTree, all_binary_trees(list(range(n))))
-        return best_of(candidates, lambda tree: evaluate_hc(m, tree), HcTree.serialize)[1]
+        return best_of(candidates, lambda tree: evaluate_hc(m, tree), HcTree.serialize)
     best = _solve_reduced(m, cfg, seed)
     if cfg.grid_mode == "faithful":
         best = _solve_faithful(m, cfg, seed, best)
-    return best[1]
+    return best

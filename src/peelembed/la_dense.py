@@ -79,7 +79,8 @@ def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def _swap_hill_climb(m: Metric, arr: LinearArrangement, sweeps: int) -> LinearArrangement:
-    """Steepest-descent slot swaps until a local maximum (deterministic).
+    """Steepest-descent slot swaps until a local maximum (deterministic);
+    ``arr`` itself when no swap gains, so that ``best_of`` skips rescoring it.
 
     Each sweep scans the pairs i < j row-major for the best swap.
     """
@@ -92,7 +93,8 @@ def _swap_hill_climb(m: Metric, arr: LinearArrangement, sweeps: int) -> LinearAr
             break
         i, j = upper[0][pick], upper[1][pick]
         pos[i], pos[j] = pos[j], pos[i]
-    return LinearArrangement.from_positions(int(p) for p in pos)
+    climbed = LinearArrangement.from_positions(int(p) for p in pos)
+    return arr if climbed == arr else climbed
 
 
 def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):
@@ -127,12 +129,16 @@ def _solve_faithful(m: Metric, cfg: DenseLaConfig, seed: int, best):
     return best_of(arrangements, lambda arr: evaluate_la(m, arr), _position, best)
 
 
-def solve_la_dense(m: Metric, cfg: DenseLaConfig, seed: int = 0) -> LinearArrangement:
-    """Best arrangement found for a dense instance (identity when n < k)."""
+def solve_la_dense(
+    m: Metric, cfg: DenseLaConfig, seed: int = 0
+) -> tuple[LinearArrangement, float]:
+    """(arrangement, its value) of the best arrangement found for a dense
+    instance (identity when n < k)."""
     n = m.n
     if n < cfg.k or m.diameter() <= 0.0:
-        return LinearArrangement.from_order(range(n))
+        identity = LinearArrangement.from_order(range(n))
+        return identity, evaluate_la(m, identity)
     best = _solve_reduced(m, cfg, seed)
     if cfg.grid_mode == "faithful":
         best = _solve_faithful(m, cfg, seed, best)
-    return best[1]
+    return best

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec
-from .partition_search import PartitionSpec, SearchBudget, search_partition
+from .partition_search import PartitionSpec, SearchBudget, enumerate_assignments, search_partition
 
 # A candidate replaces the incumbent only when it is better by more than this.
 TIE_TOL = 1e-12
@@ -50,15 +50,18 @@ class DenseConfig:
 
 
 def best_of(candidates, value, key, best=None):
-    """(value, candidate) of the best of ``best`` (None or such a pair) and
+    """(candidate, value) of the best of ``best`` (None or such a pair) and
     ``candidates``, scored in order: a candidate replaces the incumbent when
     it scores more than ``TIE_TOL`` higher, or within ``TIE_TOL`` with a
-    smaller ``key``."""
+    smaller ``key``.  A candidate that is the incumbent object itself is not
+    rescored, as it could not replace itself."""
     for cand in candidates:
+        if best is not None and cand is best[0]:
+            continue
         v = value(cand)
-        if (best is None or v > best[0] + TIE_TOL
-                or (abs(v - best[0]) <= TIE_TOL and key(cand) < key(best[1]))):
-            best = (v, cand)
+        if (best is None or v > best[1] + TIE_TOL
+                or (abs(v - best[1]) <= TIE_TOL and key(cand) < key(best[0]))):
+            best = (cand, v)
     return best
 
 
@@ -77,6 +80,7 @@ def grid_partitions(m, parts: int, size_cells, mu_cells, eps_err: float,
     cell: part-size fractions from ``size_cells`` (outer loop) times crossing
     weights of the pairs a < b, row-major, from ``mu_cells`` (inner loop)."""
     pairs = [(a, b) for a in range(parts) for b in range(a + 1, parts)]
+    enumerated = enumerate_assignments(m, parts) if budget.exhaustive(m.n, parts) else None
     seen = set()
     for lam in size_cells:
         for mu in mu_cells:
@@ -85,7 +89,8 @@ def grid_partitions(m, parts: int, size_cells, mu_cells, eps_err: float,
                 wb[a][b] = wb[b][a] = (target, target)
             spec = PartitionSpec.build(parts, size_bounds=[(v, v) for v in lam],
                                        weight_bounds=wb)
-            part = search_partition(m, spec, eps_err=eps_err, budget=budget, seed=seed)
+            part = search_partition(m, spec, eps_err=eps_err, budget=budget, seed=seed,
+                                    enumerated=enumerated)
             if part is not None and part.assignment not in seen:
                 seen.add(part.assignment)
                 yield part.assignment

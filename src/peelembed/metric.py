@@ -50,7 +50,7 @@ class Metric:
     read-only copy of ``dist`` and leaves the caller's array alone.
     """
 
-    __slots__ = ("n", "dist", "_assignment_cache")
+    __slots__ = ("n", "dist")
 
     def __init__(self, dist: np.ndarray):
         self._own(np.array(dist, dtype=float, order="C"))
@@ -67,7 +67,6 @@ class Metric:
         dist.flags.writeable = False
         self.n = dist.shape[0]
         self.dist = dist
-        self._assignment_cache = {}
 
     def submetric(self, indices: Sequence[int]) -> "Metric":
         """Induced metric on ``indices`` (order defines the new point ids)."""
@@ -86,7 +85,6 @@ class Metric:
 
 @dataclass(frozen=True)
 class SubsetStats:
-    indices: frozenset
     diameter: float
     weight_sum: float
     size: int
@@ -95,9 +93,8 @@ class SubsetStats:
 
 @dataclass(frozen=True)
 class CoreResult:
-    core: frozenset
+    core: tuple  # ascending point ids
     center: int
-    stats: SubsetStats
 
 
 def validate_metric(raw, check_triangle: bool = True) -> Metric:
@@ -208,17 +205,8 @@ def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
     for i in range(size):
         sub[i, : i + 1] = 0.0
     weight = float(sub.sum())
-    if diameter > 0.0:
-        density = weight / (size * size * diameter)
-    else:
-        density = DENSE_BY_CONVENTION
-    return SubsetStats(
-        indices=frozenset(idx),
-        diameter=diameter,
-        weight_sum=weight,
-        size=size,
-        density=density,
-    )
+    density = weight / (size * size * diameter) if diameter > 0.0 else DENSE_BY_CONVENTION
+    return SubsetStats(diameter=diameter, weight_sum=weight, size=size, density=density)
 
 
 def find_core(m: Metric, stats: Optional[SubsetStats] = None) -> CoreResult:
@@ -236,8 +224,7 @@ def find_core(m: Metric, stats: Optional[SubsetStats] = None) -> CoreResult:
     within = m.dist <= radius
     sizes = np.count_nonzero(within, axis=1)
     center = int(np.argmax(sizes))  # argmax returns the smallest maximizer
-    core = frozenset(int(i) for i in np.flatnonzero(within[center]))
-    return CoreResult(core=core, center=center, stats=subset_stats(m, core))
+    return CoreResult(core=tuple(np.flatnonzero(within[center]).tolist()), center=center)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +302,10 @@ def metric_from_points(points: np.ndarray) -> Metric:
 
     Rows are computed in blocks of at most ``POINT_BLOCK_ENTRIES`` coordinate
     differences, each entry by the same ``sqrt(sum(diff * diff))`` over its d
-    coordinates, into one n x n array that is then symmetrised in place.
+    coordinates, into one n x n array.  It is exactly symmetric with a zero
+    diagonal without a further pass: fl(a - b) = -fl(b - a) and a - a = +0,
+    so entries (i, j) and (j, i) square and sum the same d values in the
+    same order.
     """
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
@@ -328,15 +318,6 @@ def metric_from_points(points: np.ndarray) -> Metric:
         for lo in range(0, n, step):
             diff = pts[lo : lo + step, None, :] - pts[None, :, :]
             np.sqrt((diff * diff).sum(axis=-1), out=dist[lo : lo + step])
-        # (dist + dist.T) / 2, a strip at a time: rows lo:hi from column lo on
-        # and their mirror image, read before either is written
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            half = np.add(dist[lo:hi, lo:], dist[lo:, lo:hi].T)
-            half /= 2.0
-            dist[lo:hi, lo:] = half
-            dist[lo:, lo:hi] = half.T
-    np.fill_diagonal(dist, 0.0)
     if dist.size and not np.isfinite(dist.max()):
         i, j = np.unravel_index(int(np.argmin(np.isfinite(dist))), dist.shape)
         raise NonFiniteDistance(f"distance between points {i} and {j} overflows")

@@ -31,6 +31,15 @@ class SearchBudget:
     moves_per_restart: Optional[int] = None  # None -> 200 * n
     exhaustive_assignments: int = 200_000
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and value < 0:
+                raise InvalidSpec(f"{name} must be >= 0, got {value}")
+
+    def exhaustive(self, n: int, k: int) -> bool:
+        """Whether a k-part search on n points enumerates all k^n assignments."""
+        return n <= self.exhaustive_n and k**n <= self.exhaustive_assignments
+
     def moves(self, n: int) -> int:
         return self.moves_per_restart if self.moves_per_restart is not None else 200 * n
 
@@ -122,10 +131,9 @@ def crossing_matrix(m: Metric, assignment: Sequence[int], k: int) -> np.ndarray:
     """Symmetric k x k weight matrix; off-diagonal = crossing, diagonal = intra."""
     assign = np.asarray(assignment, dtype=int)
     onehot = np.eye(k)[assign]
-    full = onehot.T @ m.dist @ onehot
-    out = full.copy()
-    np.fill_diagonal(out, np.diag(full) / 2.0)
-    return out
+    cross = onehot.T @ m.dist @ onehot
+    np.fill_diagonal(cross, np.diag(cross) / 2.0)
+    return cross
 
 
 def make_partition(m: Metric, assignment: Sequence[int], k: int) -> Partition:
@@ -156,23 +164,18 @@ def partition_feasible(
     )
 
 
-def _enumerated_stats(m: Metric, k: int):
-    """All k^n assignments with their size and weight statistics (cached)."""
-    key = ("enum", k)
-    if key not in m._assignment_cache:
-        n = m.n
-        digits = np.array(
-            list(itertools.product(range(k), repeat=n)), dtype=np.int8
-        )
-        onehot = np.eye(k)[digits]  # (A, n, k)
-        sizes = onehot.sum(axis=1)
-        inner = np.einsum("nm,amk->ank", m.dist, onehot)
-        full = np.einsum("ank,anj->akj", onehot, inner)
-        cross = full.copy()
-        idx = np.arange(k)
-        cross[:, idx, idx] /= 2.0
-        m._assignment_cache[key] = (digits, sizes, cross)
-    return m._assignment_cache[key]
+def enumerate_assignments(m: Metric, k: int):
+    """All k^n assignments with their size and weight statistics, the input of
+    the exhaustive regime; a caller searching many specs on one metric builds
+    it once and passes it to :func:`search_partition`."""
+    digits = np.array(list(itertools.product(range(k), repeat=m.n)), dtype=np.int8)
+    onehot = np.eye(k)[digits]  # (A, n, k)
+    sizes = onehot.sum(axis=1)
+    inner = np.einsum("nm,amk->ank", m.dist, onehot)
+    cross = np.einsum("ank,anj->akj", onehot, inner)
+    idx = np.arange(k)
+    cross[:, idx, idx] /= 2.0
+    return digits, sizes, cross
 
 
 def search_partition(
@@ -181,11 +184,14 @@ def search_partition(
     eps_err: float,
     budget: Optional[SearchBudget] = None,
     seed: int = 0,
+    enumerated=None,
 ) -> Optional[Partition]:
     """Find a partition meeting ``spec`` within additive slack ``eps_err``.
 
     Returns None when nothing is found; in the exhaustive regime that means
     no feasible partition exists, otherwise only that the budget ran out.
+    ``enumerated`` is ``enumerate_assignments(m, spec.k)``, for a caller that
+    has it; it changes no result.
     """
     if eps_err < 0:
         raise InvalidSpec("eps_err must be nonnegative")
@@ -202,8 +208,9 @@ def search_partition(
             f"size fractions cannot sum to 1: lb={slb.sum():g}, ub={sub.sum():g}"
         )
 
-    if n <= budget.exhaustive_n and k**n <= budget.exhaustive_assignments:
-        assignment = _search_exhaustive(m, spec, eps_err)
+    if budget.exhaustive(n, k):
+        assignment = _search_exhaustive(m, spec, eps_err,
+                                        enumerated or enumerate_assignments(m, k))
     else:
         assignment = _search_local(m, spec, eps_err, budget, seed)
     if assignment is None:
@@ -212,12 +219,12 @@ def search_partition(
     return make_partition(m, assignment, k)
 
 
-def _search_exhaustive(m, spec, eps_err):
-    n, k = m.n, spec.k
+def _search_exhaustive(m, spec, eps_err, enumerated):
+    n = m.n
     diam = m.diameter()
     norm = n * n * diam if diam > 0 else 1.0
     slb, sub, wlb, wub = _spec_arrays(spec)
-    digits, sizes, cross = _enumerated_stats(m, k)
+    digits, sizes, cross = enumerated
     ok = (
         (sizes / n >= slb - eps_err - 1e-12).all(axis=1)
         & (sizes / n <= sub + eps_err + 1e-12).all(axis=1)
@@ -252,9 +259,7 @@ def _search_local(m, spec, eps_err, budget, seed):
         onehot = np.eye(k)[assign]
         part_dist = m.dist @ onehot  # part_dist[p, j] = W(p, part j)
         sizes = onehot.sum(axis=0)
-        full = onehot.T @ m.dist @ onehot
-        cross = full.copy()
-        np.fill_diagonal(cross, np.diag(full) / 2.0)
+        cross = crossing_matrix(m, assign, k)
         pen = penalty(sizes, cross)
         for _ in range(budget.moves(n)):
             if pen <= 0.0:

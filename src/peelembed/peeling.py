@@ -12,7 +12,7 @@ the kept points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,10 +54,10 @@ class Policy:
     case_b_factor: float  # case (b) when the kept weight < case_b_factor * eps * W
     split: Callable  # (sub, stats, core, eps) -> ascending ids (layer, B, kept)
     terms: Callable  # (n, sqrt(rho), w_a, w_ac, eps) -> (alpha, beta, gamma)
-    dense: Callable  # (sub, dense config, seed) -> solution
+    dense: Callable  # (sub, dense config, seed) -> (solution, its value on sub)
     canonical: Callable  # k -> the solution case (b) gives k kept points
     join: Callable  # (layer, kept, solution of kept in ids local to kept) -> solution
-    value: Callable  # (metric, solution) -> objective value
+    value: Callable  # (metric, solution) -> objective value of a case (b)/(c) solution
 
 
 def peel(policy: Policy, m: Metric, cfg: PeelConfig, seed: int):
@@ -88,28 +88,26 @@ def _level(policy, m, cfg, seed, ids, stats, level, trace):
     rho, eps = stats.density, cfg.eps
     layer = []
     if rho < eps**policy.dense_power:  # a single point has infinite density
-        found = find_core(sub, stats)
-        core = sorted(found.core)
+        core = find_core(sub, stats).core
         layer, b, kept = policy.split(sub, stats, core, eps)
     if layer:
         w_a = _weight(sub, layer)
         w_ac = float(sub.dist[np.ix_(layer, core)].sum())
-        kept_stats = found.stats if kept == core else subset_stats(sub, kept)
+        kept_stats = subset_stats(sub, kept)  # also the next level's stats
         if kept_stats.weight_sum < policy.case_b_factor * eps * stats.weight_sum:
             case, inner = "b", policy.canonical(len(kept))
         else:
             case = "c"
-            # the kept points' stats, renumbered as the next level's local ids
-            kept_stats = replace(kept_stats, indices=frozenset(range(len(kept))))
             inner = _level(policy, m, cfg, seed, [ids[i] for i in kept], kept_stats,
                            level + 1, trace)
         solution = policy.join(layer, kept, inner)
+        value = policy.value(sub, solution)
         terms = policy.terms(sub.n, math.sqrt(rho), w_a, w_ac, eps)
     else:
         # Dense, or every point sits in or near the core: recursing would not
         # shrink the instance, so the dense solver takes it whole.
         case, b, core, w_a, w_ac, terms = "a", [], range(sub.n), 0.0, None, (None,) * 3
-        solution = policy.dense(sub, cfg.dense_config(), seed)
+        solution, value = policy.dense(sub, cfg.dense_config(), seed)
     alpha, beta, gamma = terms
     trace.levels.append(
         LevelRecord(
@@ -125,7 +123,7 @@ def _level(policy, m, cfg, seed, ids, stats, level, trace):
             alpha=alpha,
             beta=beta,
             gamma=gamma,
-            alg_value=policy.value(sub, solution),
+            alg_value=value,
         )
     )
     return solution

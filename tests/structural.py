@@ -132,7 +132,7 @@ def reference_subset_stats(m, subset):
     size, diameter = len(idx), float(sub.max())
     weight = float(np.triu(sub, 1).sum())
     density = weight / (size * size * diameter) if diameter > 0.0 else DENSE_BY_CONVENTION
-    return SubsetStats(frozenset(idx), diameter, weight, size, density)
+    return SubsetStats(diameter, weight, size, density)
 
 
 def reference_metric_from_points(points):
@@ -239,7 +239,7 @@ def reference_hc_reduced(m, cfg, seed):
     n, slots = m.n, cfg.slots
     skeleton = _caterpillar_skeleton(slots)
     ladder = ladder_tree(range(n))
-    best = (evaluate_hc(m, ladder), ladder)
+    best = (ladder, evaluate_hc(m, ladder))
 
     def score(a):
         tree = _skeleton_tree(skeleton, _parts_of(a, slots))
@@ -268,7 +268,7 @@ def reference_hc_reduced(m, cfg, seed):
             assign[p] = b
             value, tree = score(assign)
         best = best_of([tree], lambda _: value, HcTree.serialize, best)
-    return best[1]
+    return best[0]
 
 
 def reference_la_reduced(m, cfg, seed):
@@ -302,4 +302,4 @@ def reference_la_reduced(m, cfg, seed):
             value = evaluate_la(m, _embed_assignment(assign))
         arr = reference_swap_hill_climb(m, _embed_assignment(assign), cfg.swap_sweeps)
         best = best_of([arr], lambda arr: evaluate_la(m, arr), _position, best)
-    return best[1]
+    return best[0]

@@ -189,12 +189,12 @@ def test_soundness_sweep(corpus_oracles):
         for label, m, la_opt, hc_opt in corpus_oracles:
             la_values = [
                 solve_la(m, LaPeelConfig(eps=0.25, dense=la_dense))[1].value,
-                evaluate_la(m, solve_la_dense(m, DenseLaConfig(eps=0.5, budget=budget))),
+                evaluate_la(m, solve_la_dense(m, DenseLaConfig(eps=0.5, budget=budget))[0]),
                 evaluate_la(m, random_bisection_la(m, seed=0)),
             ]
             hc_values = [
                 solve_hc(m, HcPeelConfig(eps=0.25, dense=hc_dense))[1].value,
-                evaluate_hc(m, solve_hc_dense(m, DenseHcConfig(eps=0.5, budget=budget))),
+                evaluate_hc(m, solve_hc_dense(m, DenseHcConfig(eps=0.5, budget=budget))[0]),
                 evaluate_hc(m, average_linkage_hc(m)),
             ]
             for v in la_values:
@@ -333,14 +333,14 @@ def test_dense_solver_equivalence():
             la_opt = brute_force_la(m).value
             hc_opt = brute_force_hc(m).value
 
-            arr = solve_la_dense(m, DenseLaConfig(eps=0.5, grid_mode="faithful"))
+            arr, _ = solve_la_dense(m, DenseLaConfig(eps=0.5, grid_mode="faithful"))
             assert evaluate_la(m, arr) == pytest.approx(la_opt, rel=1e-12)
-            tree = solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"))
+            tree, _ = solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"))
             assert evaluate_hc(m, tree) == pytest.approx(hc_opt, rel=1e-12)
 
-            arr = solve_la_dense(m, DenseLaConfig(eps=0.5, grid_mode="reduced"))
+            arr, _ = solve_la_dense(m, DenseLaConfig(eps=0.5, grid_mode="reduced"))
             assert evaluate_la(m, arr) >= 0.95 * la_opt
-            tree = solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="reduced"))
+            tree, _ = solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="reduced"))
             assert evaluate_hc(m, tree) >= 0.95 * hc_opt
         elapsed = time.process_time() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s CPU"
@@ -447,9 +447,9 @@ def test_determinism(tmp_path, case_c_pool):
         small = perturbed_two_cluster(0)
         for cfg_cls, solver in ((DenseLaConfig, solve_la_dense),
                                 (DenseHcConfig, solve_hc_dense)):
-            a = solver(small, cfg_cls(eps=0.5), seed=3)
-            b = solver(small, cfg_cls(eps=0.5), seed=3)
-            assert a.serialize() == b.serialize()
+            (a, a_value), (b, b_value) = (solver(small, cfg_cls(eps=0.5), seed=3)
+                                          for _ in range(2))
+            assert a.serialize() == b.serialize() and a_value == b_value
 
         config = {"eps": [0.5], "algorithms": ["peel-la", "peel-hc", "bisect-la"],
                   "instances": [{"family": "clustered", "n": 7, "seed": 1}]}

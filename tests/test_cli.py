@@ -154,6 +154,34 @@ class TestSolveAndOracle:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2  # no trace line without peeling
 
+    @pytest.mark.parametrize("command", ["solve-la", "solve-hc"])
+    def test_dense_only_with_trace_is_a_usage_error(self, matrix_file, tmp_path, capsys,
+                                                    command):
+        trace_path = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", matrix_file, "--eps", "0.5", "--dense-only",
+                  "--trace", str(trace_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --trace: not allowed with argument --dense-only" in captured.err
+        assert not trace_path.exists()
+
+    @pytest.mark.parametrize("command", ["solve-la", "solve-hc", "bench"])
+    def test_negative_budget_exits_1_without_traceback(self, matrix_file, tmp_path, capsys,
+                                                       command):
+        if command == "bench":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**BENCH_CONFIG, "restarts": -2}))
+            argv, shown = ["bench", "--config", str(cfg)], -2
+        else:
+            argv = [command, "--input", matrix_file, "--eps", "0.5", "--budget-restarts", "-3"]
+            shown = -3
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: restarts must be >= 0, got {shown}\n"
+
     def test_solve_hc_trace_file(self, matrix_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         rc = main(["solve-hc", "--input", matrix_file, "--eps", "0.5",
@@ -187,9 +215,12 @@ class TestSolveAndOracle:
         # a Fortran-ordered matrix, whose own layout could change summation order
         metrics.append(Metric(np.asfortranarray(metrics[2].dist)))
         for m in metrics:
-            witness, trace = obj.solve(m, eps, SearchBudget(restarts=0), seed=1)
-            assert trace.value == obj.evaluate(m, witness)
-            assert obj.value(m, witness, trace) == trace.value
+            witness, value, trace = obj.solve(m, eps, SearchBudget(restarts=0), seed=1)
+            assert value == trace.value == obj.evaluate(m, witness)
+            if m.n < 100:  # the dense solver alone, as --dense-only runs it
+                witness, value, trace = obj.solve(m, eps, SearchBudget(restarts=0), seed=1,
+                                                  dense_only=True)
+                assert trace is None and value == obj.evaluate(m, witness)
 
     def test_determinism_across_runs(self, matrix_file, capsys):
         outs = []

@@ -27,7 +27,8 @@ from peelembed.la_dense import (
     solve_la_dense,
 )
 from peelembed.local_search import TIE_TOL, scan_argmax, score_moves, single_moves
-from peelembed.objectives import LinearArrangement
+from peelembed.metric import validate_metric
+from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la
 from peelembed.partition_search import SearchBudget
 
 FAMILIES = (
@@ -143,12 +144,33 @@ def test_dense_witnesses_match_reference_loops(eps):
     la_cfg = DenseLaConfig(eps=eps, budget=budget)
     for label, m in _metrics((7, 10)):
         for seed in (0, 1):
-            got = solve_hc_dense(m, hc_cfg, seed=seed)
+            got, _ = solve_hc_dense(m, hc_cfg, seed=seed)
             want = reference_hc_reduced(m, hc_cfg, seed)
             assert got.serialize() == want.serialize(), (label, seed)
-            assert solve_la_dense(m, la_cfg, seed=seed) == reference_la_reduced(
+            assert solve_la_dense(m, la_cfg, seed=seed)[0] == reference_la_reduced(
                 m, la_cfg, seed
             ), (label, seed)
+
+
+@pytest.mark.parametrize("grid_mode", ["reduced", "faithful"])
+def test_dense_value_is_the_witness_value(grid_mode):
+    single, zeros = validate_metric([[0.0]]), validate_metric(np.zeros((4, 4)))
+    pair = validate_metric([[0.0, 1.0], [1.0, 0.0]])
+    searched = [(label, m, 0.5) for label, m in _metrics((6,))]
+    solvers = {  # solver -> (config, evaluator, (label, metric, eps) cases)
+        solve_la_dense: (DenseLaConfig, evaluate_la, [
+            ("one point", single, 0.5), ("n < k", pair, 0.3), ("zero diameter", zeros, 0.5),
+        ]),
+        solve_hc_dense: (DenseHcConfig, evaluate_hc, [
+            ("one point", single, 0.5), ("n <= slots, enumerated", _metrics((5,))[0][1], 0.25),
+            ("zero diameter", zeros, 0.5),
+        ]),
+    }
+    for solve, (cfg_type, evaluate, early) in solvers.items():
+        for label, m, eps in early + searched:
+            cfg = cfg_type(eps=eps, grid_mode=grid_mode, budget=SearchBudget(restarts=2))
+            witness, value = solve(m, cfg, seed=1)
+            assert value == evaluate(m, witness), (solve.__name__, label)
 
 
 def test_one_restart_memory_is_bounded():

@@ -22,19 +22,19 @@ def test_config_validation():
 
 def test_n2_unique_tree():
     m = validate_metric([[0, 0.7], [0.7, 0]])
-    tree = solve_hc_dense(m, DenseHcConfig(eps=0.5))
+    tree, _ = solve_hc_dense(m, DenseHcConfig(eps=0.5))
     assert evaluate_hc(m, tree) == pytest.approx(1.4)
 
 
 def test_uniform_any_mode_scores_twenty():
     for mode in ("reduced", "faithful"):
-        tree = solve_hc_dense(U4, DenseHcConfig(eps=0.5, grid_mode=mode))
+        tree, _ = solve_hc_dense(U4, DenseHcConfig(eps=0.5, grid_mode=mode))
         assert evaluate_hc(U4, tree) == 20.0
 
 
 def test_two_cluster_faithful_hits_oracle(two_cluster_6):
     opt = brute_force_hc(two_cluster_6).value
-    tree = solve_hc_dense(two_cluster_6, DenseHcConfig(eps=0.5, grid_mode="faithful"))
+    tree, _ = solve_hc_dense(two_cluster_6, DenseHcConfig(eps=0.5, grid_mode="faithful"))
     assert evaluate_hc(two_cluster_6, tree) == pytest.approx(opt)
 
 
@@ -43,16 +43,16 @@ def test_faithful_never_below_reduced_never_below_ladder():
     for seed in range(3):
         m = random_metric(rng, 6)
         ladder_val = evaluate_hc(m, ladder_tree(range(m.n)))
-        red = evaluate_hc(m, solve_hc_dense(m, DenseHcConfig(eps=0.5), seed=seed))
+        red = evaluate_hc(m, solve_hc_dense(m, DenseHcConfig(eps=0.5), seed=seed)[0])
         fai = evaluate_hc(
-            m, solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"), seed=seed)
+            m, solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"), seed=seed)[0]
         )
         assert fai >= red - 1e-9 >= ladder_val - 2e-9
 
 
 def test_soundness_against_oracle(corpus):
     for label, m in corpus[:30]:
-        tree = solve_hc_dense(m, DenseHcConfig(eps=0.5))
+        tree, _ = solve_hc_dense(m, DenseHcConfig(eps=0.5))
         assert evaluate_hc(m, tree) <= brute_force_hc(m).value + 1e-9, label
 
 
@@ -60,7 +60,7 @@ def test_determinism(two_cluster_6):
     cfg = DenseHcConfig(eps=0.5, grid_mode="faithful")
     a = solve_hc_dense(two_cluster_6, cfg, seed=5)
     b = solve_hc_dense(two_cluster_6, cfg, seed=5)
-    assert a.serialize() == b.serialize()
+    assert a[0].serialize() == b[0].serialize() and a[1] == b[1]
 
 
 def test_has_not_all_small_weights_on_dense_instances():

@@ -24,22 +24,22 @@ def test_config_validation():
 
 def test_uniform_any_mode_scores_ten():
     for mode in ("reduced", "faithful"):
-        arr = solve_la_dense(U4, DenseLaConfig(eps=0.5, grid_mode=mode))
+        arr, _ = solve_la_dense(U4, DenseLaConfig(eps=0.5, grid_mode=mode))
         assert evaluate_la(U4, arr) == 10.0
 
 
 def test_degenerate_sizes():
     m1 = validate_metric([[0.0]])
-    assert solve_la_dense(m1, DenseLaConfig(eps=0.5)).position == (1,)
+    assert solve_la_dense(m1, DenseLaConfig(eps=0.5))[0].position == (1,)
     # n < k returns the identity arrangement
     m2 = validate_metric([[0, 1], [1, 0]])
     cfg = DenseLaConfig(eps=0.3)  # k = 3
-    assert solve_la_dense(m2, cfg).position == (1, 2)
+    assert solve_la_dense(m2, cfg)[0].position == (1, 2)
 
 
 def test_two_cluster_faithful_hits_oracle(two_cluster_6):
     opt = brute_force_la(two_cluster_6).value
-    arr = solve_la_dense(two_cluster_6, DenseLaConfig(eps=0.5, grid_mode="faithful"))
+    arr, _ = solve_la_dense(two_cluster_6, DenseLaConfig(eps=0.5, grid_mode="faithful"))
     assert evaluate_la(two_cluster_6, arr) == pytest.approx(opt)
 
 
@@ -47,23 +47,23 @@ def test_faithful_never_below_reduced(two_cluster_6):
     rng = np.random.default_rng(2)
     for seed in range(4):
         m = random_metric(rng, 6)
-        red = evaluate_la(m, solve_la_dense(m, DenseLaConfig(eps=0.5), seed=seed))
+        red = evaluate_la(m, solve_la_dense(m, DenseLaConfig(eps=0.5), seed=seed)[0])
         fai = evaluate_la(
-            m, solve_la_dense(m, DenseLaConfig(eps=0.5, grid_mode="faithful"), seed=seed)
+            m, solve_la_dense(m, DenseLaConfig(eps=0.5, grid_mode="faithful"), seed=seed)[0]
         )
         assert fai >= red - 1e-9
 
 
 def test_soundness_against_oracle(corpus):
     for label, m in corpus[:30]:
-        arr = solve_la_dense(m, DenseLaConfig(eps=0.5))
+        arr, _ = solve_la_dense(m, DenseLaConfig(eps=0.5))
         assert evaluate_la(m, arr) <= brute_force_la(m).value + 1e-9, label
 
 
 def test_output_beats_random_arrangements(corpus):
     rng = np.random.default_rng(9)
     for label, m in corpus[:12]:
-        val = evaluate_la(m, solve_la_dense(m, DenseLaConfig(eps=0.5)))
+        val = evaluate_la(m, solve_la_dense(m, DenseLaConfig(eps=0.5))[0])
         best_random = max(
             evaluate_la(m, LinearArrangement.from_order(rng.permutation(m.n)))
             for _ in range(100)
@@ -75,7 +75,7 @@ def test_budget_monotonicity(two_cluster_6):
     vals = []
     for restarts in (1, 4, 16):
         cfg = DenseLaConfig(eps=0.5, budget=SearchBudget(restarts=restarts))
-        vals.append(evaluate_la(two_cluster_6, solve_la_dense(two_cluster_6, cfg, seed=3)))
+        vals.append(evaluate_la(two_cluster_6, solve_la_dense(two_cluster_6, cfg, seed=3)[0]))
     assert vals == sorted(vals)
 
 

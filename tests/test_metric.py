@@ -144,6 +144,12 @@ def test_metric_copies_the_callers_array():
         assert m.dist[0, 1] == 1.0 and not m.dist.flags.writeable
 
 
+def test_metric_holds_no_other_state():
+    assert Metric.__slots__ == ("n", "dist")
+    with pytest.raises(AttributeError):
+        Metric(np.zeros((1, 1))).cache = {}
+
+
 def test_validate_rejects_negative_and_diagonal_and_asymmetry():
     with pytest.raises(NegativeDistance):
         validate_metric([[0, -1], [-1, 0]])
@@ -206,20 +212,20 @@ def test_subset_stats_and_find_core_bit_equal_to_reference():
 
 def test_find_core_cluster_outlier(cluster_outlier_5):
     res = find_core(cluster_outlier_5)
-    assert res.core == frozenset({0, 1, 2, 3})
+    assert res.core == (0, 1, 2, 3)
     assert res.center == 0
-    assert res.stats.diameter == pytest.approx(0.1)
+    assert subset_stats(cluster_outlier_5, res.core).diameter == pytest.approx(0.1)
 
 
 def test_find_core_uniform_takes_everything():
     m = validate_metric(np.ones((4, 4)) - np.eye(4))
     res = find_core(m)
-    assert res.core == frozenset(range(4)) and res.center == 0
+    assert res.core == (0, 1, 2, 3) and res.center == 0
 
 
 def test_find_core_antipodal_pair():
     m = validate_metric([[0, 1], [1, 0]])
-    assert find_core(m).core == frozenset({0, 1})
+    assert find_core(m).core == (0, 1)
 
 
 def test_find_core_zero_diameter_rejected():
@@ -334,7 +340,7 @@ def test_core_guarantee_random_euclidean(n, seed):
     s = subset_stats(m, range(m.n))
     if s.diameter == 0.0:
         return
-    res = find_core(m)
+    core = subset_stats(m, find_core(m).core)
     root = math.sqrt(s.density)
-    assert res.stats.diameter <= 4.0 * s.diameter * root + 1e-9
-    assert res.stats.size >= m.n * (1.0 - root) - 1e-9
+    assert core.diameter <= 4.0 * s.diameter * root + 1e-9
+    assert core.size >= m.n * (1.0 - root) - 1e-9

@@ -15,6 +15,7 @@ from peelembed.partition_search import (
     PartitionSpec,
     SearchBudget,
     crossing_matrix,
+    enumerate_assignments,
     make_partition,
     partition_feasible,
     search_partition,
@@ -76,6 +77,15 @@ def test_invalid_specs_rejected():
         search_partition(U4, PartitionSpec.build(2), eps_err=-0.1)
 
 
+@pytest.mark.parametrize(
+    "field", ["exhaustive_n", "restarts", "moves_per_restart", "exhaustive_assignments"]
+)
+def test_negative_budget_rejected(field):
+    with pytest.raises(InvalidSpec, match=f"{field} must be >= 0, got -1"):
+        SearchBudget(**{field: -1})
+    assert getattr(SearchBudget(**{field: 0}), field) == 0
+
+
 def test_spec_json_roundtrip():
     spec = PartitionSpec.build(
         2, size_bounds=[(0.25, 0.75), (0.25, 0.75)],
@@ -114,6 +124,9 @@ def test_exhaustive_matches_brute_force_oracle():
             assert brute_force_feasible(m, spec, eps_err) is None
             continue
         ref = brute_force_feasible(m, spec, eps_err)
+        # a caller's own enumeration changes no result
+        assert search_partition(m, spec, eps_err=eps_err, seed=trial,
+                                enumerated=enumerate_assignments(m, k)) == got
         if got is None:
             assert ref is None
             checked_missing += 1

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from peelembed import hc_peeling, la_peeling, metric, peeling
+from peelembed import hc_dense, hc_peeling, la_dense, la_peeling, metric, objectives, peeling
 from peelembed.hc_dense import DenseHcConfig
 from peelembed.hc_peeling import HcPeelConfig
 from peelembed.instances import generate, hc_case_c_spec
@@ -123,7 +123,7 @@ def test_every_level_matches_a_fresh_recount(name):
 
 @pytest.mark.parametrize("name", ["la-cca", "hc-ccca", "hc-ccb"])
 def test_level_zero_copies_nothing_and_stats_are_computed_once(monkeypatch, name):
-    submetric_sizes, stats_calls = [], []
+    submetric_sizes, stats_calls, evaluate_calls = [], [], []
     original_submetric, original_stats = Metric.submetric, metric.subset_stats
 
     def counted_submetric(self, indices):
@@ -137,13 +137,22 @@ def test_level_zero_copies_nothing_and_stats_are_computed_once(monkeypatch, name
     monkeypatch.setattr(Metric, "submetric", counted_submetric)
     monkeypatch.setattr(metric, "subset_stats", counted_stats)
     monkeypatch.setattr(peeling, "subset_stats", counted_stats)
+    for evaluate in ("evaluate_la", "evaluate_hc"):
+        def counted_evaluate(m, solution, original=getattr(objectives, evaluate)):
+            evaluate_calls.append(m.n)
+            return original(m, solution)
+
+        for module in (objectives, la_dense, hc_dense, la_peeling, hc_peeling):
+            if hasattr(module, evaluate):
+                monkeypatch.setattr(module, evaluate, counted_evaluate)
     _, m, _, _, trace = run(name)
     # one copy per level below level 0, none of the whole root
     assert submetric_sizes == [rec.n for rec in trace.levels[1:]]
-    # the whole root once; then per peeled level its core, its layer when it
-    # has two points or more, and its kept points when they are not the core
-    expected = 1 + sum(1 + (rec.n_a > 1) + (rec.n_b > 0)
-                       for rec in trace.levels if rec.case != "a")
+    # the whole root once; then per peeled level its kept points and its
+    # layer when it has two points or more; none from find_core
+    expected = 1 + sum(1 + (rec.n_a > 1) for rec in trace.levels if rec.case != "a")
     assert len(stats_calls) == expected
+    # each level's solution is scored once, a case-(a) one by the dense solver
+    assert evaluate_calls == [rec.n for rec in reversed(trace.levels)]
     if name.startswith("hc"):  # one-point layers: at most two per level
         assert len(stats_calls) <= 2 * trace.depth
