@@ -182,11 +182,29 @@ _BENCH_ALGORITHMS = {
 }
 
 
+def _list_of(*types):
+    # bool is an int, but JSON true is not a number
+    return lambda v: isinstance(v, list) and all(
+        isinstance(x, types) and not isinstance(x, bool) for x in v)
+
+
+# bench config field -> (default, type test, what the test asks for)
+_BENCH_FIELDS = {
+    "eps": ([0.25], _list_of(int, float), "a list of numbers"),
+    "algorithms": (["peel-la", "peel-hc"], _list_of(str), "a list of strings"),
+    "restarts": (32, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "instances": ([], _list_of(dict), "a list of objects"),
+}
+
+
 def _bench_rows(config: dict, seed: int, timing: bool):
-    eps_values = config.get("eps", [0.25])
-    algorithms = config.get("algorithms", ["peel-la", "peel-hc"])
-    budget = SearchBudget(restarts=int(config.get("restarts", 32)))
-    for idx, inst in enumerate(config.get("instances", [])):
+    cfg = {}
+    for name, (default, ok, kind) in _BENCH_FIELDS.items():
+        cfg[name] = config.get(name, default)
+        if not ok(cfg[name]):
+            raise ConfigParse(f"config field {name!r} must be {kind}, got {cfg[name]!r}")
+    budget = SearchBudget(restarts=cfg["restarts"])
+    for idx, inst in enumerate(cfg["instances"]):
         inst = dict(inst)
         label = inst.pop("label", None)
         try:
@@ -196,7 +214,7 @@ def _bench_rows(config: dict, seed: int, timing: bool):
         m = generate(spec)
         label = label or f"{spec.family}-n{spec.n}-s{spec.seed}"
         oracles = {}  # objective -> exact optimum, None above the oracle's size limit
-        for algorithm in algorithms:
+        for algorithm in cfg["algorithms"]:
             if algorithm not in _BENCH_ALGORITHMS:
                 raise ConfigParse(f"unknown algorithm {algorithm!r}")
             kind, objective = algorithm.split("-")[0], _BENCH_ALGORITHMS[algorithm]
@@ -204,7 +222,7 @@ def _bench_rows(config: dict, seed: int, timing: bool):
             if objective not in oracles:
                 oracles[objective] = obj.oracle(m).value if m.n <= obj.oracle_max_n else None
             oracle = oracles[objective]
-            for eps in eps_values if kind in ("peel", "dense") else [None]:
+            for eps in cfg["eps"] if kind in ("peel", "dense") else [None]:
                 start = time.perf_counter()
                 trace = None
                 if kind == "oracle":

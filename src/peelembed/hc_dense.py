@@ -19,18 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import FaithfulGridTooLarge
-from .local_search import (
-    MAX_GRID_CELLS,
-    DenseConfig,
-    best_of,
-    grid_cells,
-    grid_partitions,
-    reduced_restarts,
-    sizes_and_ranks,
-)
+from .local_search import DenseConfig, best_of, reduced_restarts, sizes_and_ranks
 from .metric import Metric, subset_stats
 from .objectives import HcTree, evaluate_hc, ladder_tree
 from .oracles import all_binary_trees
+from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
 
 
 @dataclass(frozen=True)

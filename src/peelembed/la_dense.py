@@ -18,19 +18,11 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import FaithfulGridTooLarge
-from .local_search import (
-    MAX_GRID_CELLS,
-    TIE_TOL,
-    DenseConfig,
-    best_of,
-    grid_cells,
-    grid_partitions,
-    reduced_restarts,
-    scan_argmax,
-    sizes_and_ranks,
-)
+from .local_search import (TIE_TOL, DenseConfig, best_of, reduced_restarts, scan_argmax,
+                           sizes_and_ranks)
 from .metric import Metric, subset_stats
 from .objectives import LinearArrangement, evaluate_la
+from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
 
 
 _position = attrgetter("position")  # the tie-break key of arrangements

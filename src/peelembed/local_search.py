@@ -1,37 +1,51 @@
-"""What the two dense solvers share: config, tie-break, reduced local
-search and the faithful grid's partition driver.
+"""What every local search shares: the search budget, the dense solvers'
+config and tie-break, the reduced search's restart loop and the move sweep.
 
-Each restart of the reduced search starts from a seeded random assignment
-of the points to parts and runs sweeps of single-point moves.  A sweep looks
-at every move "point p to part b" in a fixed order (ascending p, then
-ascending b, skipping p's own part) and keeps the first move that no later
-move beats by more than ``TIE_TOL``.  The solvers score a whole sweep at
-once: ``score_moves`` evaluates every moved assignment in bounded batches
-and ``scan_argmax`` returns the index that the sequential scan would have
-kept.
+Each restart starts from a seeded assignment of the points to parts and runs
+sweeps of single-point moves.  A sweep looks at every move "point p to part
+b" in a fixed order (ascending p, then ascending b, skipping p's own part)
+and keeps the first move that no later move beats by more than a tolerance.
+A whole sweep is scored at once: ``single_moves`` lists the moves,
+``score_moves`` scores the moved assignments in bounded batches and
+``scan_argmax`` returns the index that the sequential scan would have kept.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .partition_search import PartitionSpec, SearchBudget, enumerate_assignments, search_partition
 
 # A candidate replaces the incumbent only when it is better by more than this.
 TIE_TOL = 1e-12
-
-# Most cells a faithful grid may enumerate before it is refused.
-MAX_GRID_CELLS = 2_000_000
 
 # Most n x n entries one batch of candidates may hold.  Each entry costs a few
 # dozen bytes of temporaries, so a sweep stays within tens of MB whatever n
 # and the number of parts are.
 BATCH_ENTRIES = 1 << 19
+
+
+@dataclass(frozen=True)
+class SearchBudget:
+    exhaustive_n: int = 12
+    restarts: int = 32
+    moves_per_restart: Optional[int] = None  # None -> 200 * n
+    exhaustive_assignments: int = 200_000
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and value < 0:
+                raise InvalidSpec(f"{name} must be >= 0, got {value}")
+
+    def exhaustive(self, n: int, k: int) -> bool:
+        """Whether a k-part search on n points enumerates all k^n assignments."""
+        return n <= self.exhaustive_n and k**n <= self.exhaustive_assignments
+
+    def moves(self, n: int) -> int:
+        return self.moves_per_restart if self.moves_per_restart is not None else 200 * n
 
 
 @dataclass(frozen=True)
@@ -65,37 +79,6 @@ def best_of(candidates, value, key, best=None):
     return best
 
 
-def grid_cells(levels: int, step: float, count: int, keep):
-    """Faithful-grid cells: lists [i_1 * step, ..., i_count * step] with
-    0 <= i < levels, in lexicographic order, whose sum ``keep`` accepts."""
-    for cell in itertools.product(range(levels), repeat=count):
-        values = [i * step for i in cell]
-        if keep(sum(values)):
-            yield values
-
-
-def grid_partitions(m, parts: int, size_cells, mu_cells, eps_err: float,
-                    budget: SearchBudget, seed: int):
-    """Yield each new assignment the bounded-partition search finds for a grid
-    cell: part-size fractions from ``size_cells`` (outer loop) times crossing
-    weights of the pairs a < b, row-major, from ``mu_cells`` (inner loop)."""
-    pairs = [(a, b) for a in range(parts) for b in range(a + 1, parts)]
-    enumerated = enumerate_assignments(m, parts) if budget.exhaustive(m.n, parts) else None
-    seen = set()
-    for lam in size_cells:
-        for mu in mu_cells:
-            wb = [[(0.0, math.inf)] * parts for _ in range(parts)]
-            for (a, b), target in zip(pairs, mu):
-                wb[a][b] = wb[b][a] = (target, target)
-            spec = PartitionSpec.build(parts, size_bounds=[(v, v) for v in lam],
-                                       weight_bounds=wb)
-            part = search_partition(m, spec, eps_err=eps_err, budget=budget, seed=seed,
-                                    enumerated=enumerated)
-            if part is not None and part.assignment not in seen:
-                seen.add(part.assignment)
-                yield part.assignment
-
-
 def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget, score):
     """Yield the final assignment of each seeded restart of the reduced search.
 
@@ -118,9 +101,9 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget, score)
         yield assign
 
 
-def scan_argmax(gains) -> int:
+def scan_argmax(gains, tol: float = TIE_TOL) -> int:
     """Index kept by a left-to-right scan that replaces its incumbent only on
-    ``gain > incumbent + TIE_TOL`` (the first entry starts as incumbent).
+    ``gain > incumbent + tol`` (the first entry starts as incumbent).
 
     Every replacement is larger than all entries before it, so only strict
     running maxima can be kept; their values ascend, which lets each jump to
@@ -132,7 +115,7 @@ def scan_argmax(gains) -> int:
     values = g[records]
     k = 0
     while True:
-        nxt = int(np.searchsorted(values, values[k] + TIE_TOL, side="right"))
+        nxt = int(np.searchsorted(values, values[k] + tol, side="right"))
         if nxt == len(values):
             return int(records[k])
         k = nxt

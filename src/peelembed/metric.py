@@ -97,14 +97,12 @@ class CoreResult:
     center: int
 
 
-def validate_metric(raw, check_triangle: bool = True) -> Metric:
+def validate_metric(raw) -> Metric:
     """Validate a raw square matrix and wrap it as a :class:`Metric`.
 
     Raises :class:`NonFiniteDistance` (checked first), :class:`NegativeDistance`,
     :class:`NonzeroDiagonal`, :class:`AsymmetricMatrix` or
     :class:`TriangleViolation` (with the witnessing triple).
-    ``check_triangle=False`` skips the O(n^3) triangle scan for matrices known
-    valid by construction.
     """
     mat = np.array(raw, dtype=float)
     # min and max propagate NaN, so together they see every non-finite entry
@@ -136,7 +134,7 @@ def validate_metric(raw, check_triangle: bool = True) -> Metric:
     np.fill_diagonal(mat, 0.0)
     mat[mat < 0] = 0.0
 
-    if check_triangle and _triangle_screen(mat, tol):
+    if _triangle_screen(mat, tol):
         _raise_triangle_witness(mat, tol)  # returns only on a false flag
     return Metric._adopt(mat)
 
@@ -238,9 +236,7 @@ def format_metric(m: Metric) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_metric(
-    text: str, check_triangle: bool = True, tokens: Optional[Sequence[str]] = None
-) -> Metric:
+def parse_metric(text: str, tokens: Optional[Sequence[str]] = None) -> Metric:
     """Parse ``n`` followed by the n * n matrix entries, then validate.
 
     ``tokens`` is ``text.split()``, for a caller that has split it already.
@@ -257,9 +253,7 @@ def parse_metric(
     if n < 1 or len(vals) != n * n:
         raise InputParse(f"expected n >= 1 and n * n matrix entries, got n={n} "
                          f"and {len(vals)} entries")
-    return validate_metric(
-        np.array(vals).reshape(n, n), check_triangle=check_triangle
-    )
+    return validate_metric(np.array(vals).reshape(n, n))
 
 
 def format_point_cloud(points: np.ndarray) -> str:

@@ -9,7 +9,6 @@ HC optimum uses the root-split recursion: a tree on S contributes
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 

@@ -5,7 +5,9 @@ crossing-weight bounds (fractions of n^2 * D_V), find a k-partition meeting
 every bound within an additive slack ``eps_err``.  Small instances are solved
 by exhaustive enumeration over all k^n assignments (no false negatives);
 larger ones by randomized-restart single-point-move local search over a
-penalty function, where a miss only means "not found within budget".
+penalty function, where a miss only means "not found within budget".  The
+faithful grids of both dense solvers drive the search through
+:func:`grid_partitions`.
 """
 
 from __future__ import annotations
@@ -13,35 +15,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidSpec, SpecInfeasibleTrivially
+from .local_search import SearchBudget, scan_argmax, single_moves
 from .metric import Metric
 
 _INF = math.inf
 
-
-@dataclass(frozen=True)
-class SearchBudget:
-    exhaustive_n: int = 12
-    restarts: int = 32
-    moves_per_restart: Optional[int] = None  # None -> 200 * n
-    exhaustive_assignments: int = 200_000
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if value is not None and value < 0:
-                raise InvalidSpec(f"{name} must be >= 0, got {value}")
-
-    def exhaustive(self, n: int, k: int) -> bool:
-        """Whether a k-part search on n points enumerates all k^n assignments."""
-        return n <= self.exhaustive_n and k**n <= self.exhaustive_assignments
-
-    def moves(self, n: int) -> int:
-        return self.moves_per_restart if self.moves_per_restart is not None else 200 * n
+# Most cells a faithful grid may enumerate before it is refused.
+MAX_GRID_CELLS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -50,7 +36,8 @@ class PartitionSpec:
 
     ``size_bounds[j]`` is (lb, ub) on |V_j| / n; ``weight_bounds[j][j']`` is
     (lb, ub) on W_{V_j, V_j'} / (n^2 * D_V), with the diagonal bounding the
-    intra-part weight.  Unset bounds default to (0, inf).
+    intra-part weight.  Each bound has 0 <= lb <= ub and a finite lb; unset
+    bounds default to (0, inf).
     """
 
     k: int
@@ -66,13 +53,11 @@ class PartitionSpec:
             wb = [[tuple(b) for b in row] for row in weight_bounds]
         if len(sb) != k or len(wb) != k or any(len(row) != k for row in wb):
             raise InvalidSpec(f"bounds do not match k={k}")
-        for lb, ub in sb:
-            if lb < 0 or ub < lb:
-                raise InvalidSpec(f"bad size bound ({lb}, {ub})")
-        for row in wb:
-            for lb, ub in row:
-                if lb < 0 or ub < lb:
-                    raise InvalidSpec(f"bad weight bound ({lb}, {ub})")
+        # written so that a NaN bound fails too
+        for kind, bounds in (("size", sb), ("weight", [b for row in wb for b in row])):
+            for lb, ub in bounds:
+                if not (0 <= lb <= ub and math.isfinite(lb)):
+                    raise InvalidSpec(f"bad {kind} bound ({lb}, {ub})")
         return cls(k=k, size_bounds=tuple(sb), weight_bounds=tuple(map(tuple, wb)))
 
     def to_json(self) -> str:
@@ -193,8 +178,8 @@ def search_partition(
     ``enumerated`` is ``enumerate_assignments(m, spec.k)``, for a caller that
     has it; it changes no result.
     """
-    if eps_err < 0:
-        raise InvalidSpec("eps_err must be nonnegative")
+    if not eps_err >= 0:  # NaN fails too
+        raise InvalidSpec(f"eps_err must be nonnegative, got {eps_err}")
     budget = budget or SearchBudget()
     n, k = m.n, spec.k
     if k > n:
@@ -245,59 +230,33 @@ def _search_local(m, spec, eps_err, budget, seed):
     slack = max(eps_err, 1e-12)
 
     def penalty(sizes, cross):
+        """Penalties of (C, k) part sizes and (C, k, k) crossing matrices."""
         sfrac = sizes / n
         wfrac = cross / norm
         v = np.maximum(0.0, slb - eps_err - sfrac) + np.maximum(0.0, sfrac - sub - eps_err)
         w = np.maximum(0.0, wlb - eps_err - wfrac) + np.maximum(0.0, wfrac - wub - eps_err)
-        return float(v.sum() + w[np.isfinite(w)].sum()) / slack
+        return (v.sum(axis=1) + w.reshape(len(w), k * k).sum(axis=1)) / slack
 
     found = []
-    seeds = np.random.SeedSequence(seed).spawn(budget.restarts)
-    for restart, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        assign = _greedy_seed(rng, n, k, slb, sub)
+    for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
+        assign = _greedy_seed(np.random.default_rng(ss), n, k, slb, sub)
         onehot = np.eye(k)[assign]
         part_dist = m.dist @ onehot  # part_dist[p, j] = W(p, part j)
         sizes = onehot.sum(axis=0)
         cross = crossing_matrix(m, assign, k)
-        pen = penalty(sizes, cross)
-        for _ in range(budget.moves(n)):
+        pen = penalty(sizes[None], cross[None])[0]
+        for _ in range(budget.moves(n) if k > 1 else 0):  # one part allows no move
             if pen <= 0.0:
                 break
-            best = None  # (new_pen, point, target)
-            for p in range(n):
-                a = assign[p]
-                for b in range(k):
-                    if b == a:
-                        continue
-                    sz = sizes.copy()
-                    sz[a] -= 1
-                    sz[b] += 1
-                    cr = cross.copy()
-                    cr[a, :] -= part_dist[p]
-                    cr[:, a] -= part_dist[p]
-                    cr[b, :] += part_dist[p]
-                    cr[:, b] += part_dist[p]
-                    cr[a, a] += part_dist[p, a]
-                    cr[b, b] -= part_dist[p, b]
-                    cand = penalty(sz, cr)
-                    if best is None or cand < best[0] - 1e-15:
-                        best = (cand, p, b)
-            if best is None or best[0] >= pen - 1e-15:
+            points, targets, sz, cr = _moved_states(assign, sizes, cross, part_dist)
+            cands = penalty(sz, cr)
+            pick = scan_argmax(-cands, tol=1e-15)  # the lowest, earliest on near-ties
+            if cands[pick] >= pen - 1e-15:
                 break
-            pen, p, b = best
-            a = assign[p]
-            assign[p] = b
-            sizes[a] -= 1
-            sizes[b] += 1
-            cross[a, :] -= part_dist[p]
-            cross[:, a] -= part_dist[p]
-            cross[b, :] += part_dist[p]
-            cross[:, b] += part_dist[p]
-            cross[a, a] += part_dist[p, a]
-            cross[b, b] -= part_dist[p, b]
-            part_dist[:, a] -= m.dist[:, p]
+            p, b = points[pick], targets[pick]
+            part_dist[:, assign[p]] -= m.dist[:, p]
             part_dist[:, b] += m.dist[:, p]
+            assign[p], sizes, cross, pen = b, sz[pick], cr[pick], cands[pick]
         if pen <= 0.0:
             cand = tuple(int(x) for x in assign)
             if partition_feasible(m, spec, eps_err, cand):
@@ -305,6 +264,25 @@ def _search_local(m, spec, eps_err, budget, seed):
     if not found:
         return None
     return min(found)  # deterministic regardless of restart evaluation order
+
+
+def _moved_states(assign, sizes, cross, part_dist):
+    """Points, targets, (C, k) part sizes and (C, k, k) crossing matrices of
+    every single-point move in scan order; ``part_dist[p, j]`` = W(p, part j)."""
+    points, targets = single_moves(assign, len(sizes))
+    rows, a, b = np.arange(len(points)), assign[points], targets
+    moved = part_dist[points]
+    sz = np.repeat(sizes[None], len(points), axis=0)
+    sz[rows, a] -= 1
+    sz[rows, b] += 1
+    cr = np.repeat(cross[None], len(points), axis=0)
+    cr[rows, a, :] -= moved
+    cr[rows, :, a] -= moved
+    cr[rows, b, :] += moved
+    cr[rows, :, b] += moved
+    cr[rows, a, a] += moved[rows, a]
+    cr[rows, b, b] -= moved[rows, b]
+    return points, targets, sz, cr
 
 
 def _greedy_seed(rng, n, k, slb, sub):
@@ -320,3 +298,34 @@ def _greedy_seed(rng, n, k, slb, sub):
     if pos < n:
         assign[order[pos:]] = rng.integers(0, k, size=n - pos)
     return assign
+
+
+def grid_cells(levels: int, step: float, count: int, keep):
+    """Faithful-grid cells: lists [i_1 * step, ..., i_count * step] with
+    0 <= i < levels, in lexicographic order, whose sum ``keep`` accepts."""
+    for cell in itertools.product(range(levels), repeat=count):
+        values = [i * step for i in cell]
+        if keep(sum(values)):
+            yield values
+
+
+def grid_partitions(m, parts: int, size_cells, mu_cells, eps_err: float,
+                    budget: SearchBudget, seed: int):
+    """Yield each new assignment the bounded-partition search finds for a grid
+    cell: part-size fractions from ``size_cells`` (outer loop) times crossing
+    weights of the pairs a < b, row-major, from ``mu_cells`` (inner loop)."""
+    pairs = [(a, b) for a in range(parts) for b in range(a + 1, parts)]
+    enumerated = enumerate_assignments(m, parts) if budget.exhaustive(m.n, parts) else None
+    seen = set()
+    for lam in size_cells:
+        for mu in mu_cells:
+            wb = [[(0.0, _INF)] * parts for _ in range(parts)]
+            for (a, b), target in zip(pairs, mu):
+                wb[a][b] = wb[b][a] = (target, target)
+            spec = PartitionSpec.build(parts, size_bounds=[(v, v) for v in lam],
+                                       weight_bounds=wb)
+            part = search_partition(m, spec, eps_err=eps_err, budget=budget, seed=seed,
+                                    enumerated=enumerated)
+            if part is not None and part.assignment not in seen:
+                seen.add(part.assignment)
+                yield part.assignment

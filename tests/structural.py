@@ -3,9 +3,9 @@
 Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
 ladder payoff floor and the telescoping accounting on realized runs, and
-holding the per-candidate reference loops of the dense solvers, the per-k
-triangle scan of metric validation and the evaluators and metric builders
-that faster code replaced.
+holding the per-candidate reference loops of the dense solvers and the
+partition search, the per-k triangle scan of metric validation and the
+evaluators and metric builders that faster code replaced.
 """
 
 import numpy as np
@@ -20,6 +20,12 @@ from peelembed.objectives import (
     evaluate_hc,
     evaluate_la,
     ladder_tree,
+)
+from peelembed.partition_search import (
+    _greedy_seed,
+    _spec_arrays,
+    crossing_matrix,
+    partition_feasible,
 )
 
 
@@ -173,9 +179,10 @@ def hc_ladder_payoff(m, tree, a_ids):
 
 
 # ---------------------------------------------------------------------------
-# Reference loops of the dense solvers' reduced local search.  They rebuild
-# and score every candidate from scratch; the solvers score a whole sweep in
-# one numpy pass, and the differential tests compare the two.
+# Reference loops of the dense solvers' reduced local search and of the
+# partition search.  They rebuild and score every candidate from scratch; the
+# searches score a whole sweep in one numpy pass, and the differential tests
+# compare the two.
 
 
 def reference_hc_move_values(m, assign, slots):
@@ -303,3 +310,72 @@ def reference_la_reduced(m, cfg, seed):
         arr = reference_swap_hill_climb(m, _embed_assignment(assign), cfg.swap_sweeps)
         best = best_of([arr], lambda arr: evaluate_la(m, arr), _position, best)
     return best[0]
+
+
+def reference_move(sizes, cross, part_dist, p, a, b):
+    """Copies of the part sizes and the crossing matrix after point p moves
+    from part a to part b; ``part_dist[p, j]`` is p's weight to part j."""
+    sz = sizes.copy()
+    sz[a] -= 1
+    sz[b] += 1
+    cr = cross.copy()
+    cr[a, :] -= part_dist[p]
+    cr[:, a] -= part_dist[p]
+    cr[b, :] += part_dist[p]
+    cr[:, b] += part_dist[p]
+    cr[a, a] += part_dist[p, a]
+    cr[b, b] -= part_dist[p, b]
+    return sz, cr
+
+
+def reference_search_local(m, spec, eps_err, budget, seed):
+    """Assignment found by the partition search's local regime, or None, as
+    it was: every candidate move copies the sizes and the crossing matrix and
+    is scored on its own; the lowest penalty wins, the earliest within 1e-15."""
+    n, k = m.n, spec.k
+    diam = m.diameter()
+    norm = n * n * diam if diam > 0 else 1.0
+    slb, sub, wlb, wub = _spec_arrays(spec)
+    slack = max(eps_err, 1e-12)
+
+    def penalty(sizes, cross):
+        sfrac = sizes / n
+        wfrac = cross / norm
+        v = np.maximum(0.0, slb - eps_err - sfrac) + np.maximum(0.0, sfrac - sub - eps_err)
+        w = np.maximum(0.0, wlb - eps_err - wfrac) + np.maximum(0.0, wfrac - wub - eps_err)
+        return float(v.sum() + w[np.isfinite(w)].sum()) / slack
+
+    found = []
+    for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
+        rng = np.random.default_rng(ss)
+        assign = _greedy_seed(rng, n, k, slb, sub)
+        onehot = np.eye(k)[assign]
+        part_dist = m.dist @ onehot  # part_dist[p, j] = W(p, part j)
+        sizes = onehot.sum(axis=0)
+        cross = crossing_matrix(m, assign, k)
+        pen = penalty(sizes, cross)
+        for _ in range(budget.moves(n)):
+            if pen <= 0.0:
+                break
+            best = None  # (new_pen, point, target)
+            for p in range(n):
+                a = assign[p]
+                for b in range(k):
+                    if b == a:
+                        continue
+                    cand = penalty(*reference_move(sizes, cross, part_dist, p, a, b))
+                    if best is None or cand < best[0] - 1e-15:
+                        best = (cand, p, b)
+            if best is None or best[0] >= pen - 1e-15:
+                break
+            pen, p, b = best
+            a = assign[p]
+            assign[p] = b
+            sizes, cross = reference_move(sizes, cross, part_dist, p, a, b)
+            part_dist[:, a] -= m.dist[:, p]
+            part_dist[:, b] += m.dist[:, p]
+        if pen <= 0.0:
+            cand = tuple(int(x) for x in assign)
+            if partition_feasible(m, spec, eps_err, cand):
+                found.append(cand)
+    return min(found) if found else None

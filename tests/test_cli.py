@@ -281,6 +281,22 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "oracle guarded" in captured.err
 
+    @pytest.mark.parametrize("config", [
+        {"eps": 0.5},
+        {"eps": "0.5"},
+        {"instances": [5]},
+        {"restarts": "x"},
+        {"instances": {"family": "uniform_metric", "n": 4}},
+    ], ids=["scalar-eps", "string-eps", "number-instance", "string-restarts",
+            "object-instances"])
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**BENCH_CONFIG, **config}))
+        assert main(["bench", "--config", str(cfg)]) == 2  # raises on a traceback
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config field ")
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

@@ -1,7 +1,8 @@
-"""Batched move scoring of the dense solvers against the reference loops.
+"""Batched move scoring of the local searches against the reference loops.
 
-The reduced searches score every move of a sweep in one numpy pass; the
-loops in ``structural.py`` rebuild and score each candidate from scratch.
+The reduced searches and the partition search score every move of a sweep in
+one numpy pass; the loops in ``structural.py`` rebuild and score each
+candidate from scratch.
 """
 
 import tracemalloc
@@ -14,10 +15,13 @@ from structural import (
     reference_hc_reduced,
     reference_la_move_values,
     reference_la_reduced,
+    reference_move,
+    reference_search_local,
     reference_swap_gain,
     reference_swap_hill_climb,
 )
 from peelembed.hc_dense import DenseHcConfig, _caterpillar_values, solve_hc_dense
+from peelembed.instances import FAMILIES as ALL_FAMILIES
 from peelembed.instances import GeneratorSpec, generate
 from peelembed.la_dense import (
     DenseLaConfig,
@@ -29,7 +33,13 @@ from peelembed.la_dense import (
 from peelembed.local_search import TIE_TOL, scan_argmax, score_moves, single_moves
 from peelembed.metric import validate_metric
 from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la
-from peelembed.partition_search import SearchBudget
+from peelembed.partition_search import (
+    PartitionSpec,
+    SearchBudget,
+    _moved_states,
+    crossing_matrix,
+    search_partition,
+)
 
 FAMILIES = (
     "euclidean_gaussian",
@@ -48,25 +58,27 @@ def _metrics(sizes):
     ]
 
 
-def _sequential_argmax(gains):
+def _sequential_argmax(gains, tol):
     best = None
     for idx, gain in enumerate(gains):
-        if best is None or gain > gains[best] + TIE_TOL:
+        if best is None or gain > gains[best] + tol:
             best = idx
     return best
 
 
 def test_scan_argmax_matches_sequential_scan():
     rng = np.random.default_rng(0)
-    for trial in range(300):
+    for trial in range(600):
+        # the dense solvers' tolerance, then the partition search's
+        tol = TIE_TOL if trial < 300 else 1e-15
         size = int(rng.integers(1, 60))
         # few distinct levels plus offsets around the tolerance make ties,
         # near-ties and chains of sub-tolerance steps
         levels = rng.integers(0, 4, size=size).astype(float)
-        gains = levels + rng.choice([0.0, 0.4e-12, 0.9e-12, 1.1e-12, 3e-12], size=size)
+        gains = levels + tol * rng.choice([0.0, 0.4, 0.9, 1.1, 3.0], size=size)
         if trial % 3 == 0:
             gains = np.sort(gains)
-        assert scan_argmax(gains) == _sequential_argmax(list(gains)), gains
+        assert scan_argmax(gains, tol) == _sequential_argmax(list(gains), tol), (tol, gains)
 
 
 def test_single_moves_scan_order():
@@ -150,6 +162,55 @@ def test_dense_witnesses_match_reference_loops(eps):
             assert solve_la_dense(m, la_cfg, seed=seed)[0] == reference_la_reduced(
                 m, la_cfg, seed
             ), (label, seed)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_moved_states_match_reference_updates(k):
+    # bit for bit: the six updates keep their order, and a near-tie in the
+    # penalty scan is decided by the last bits of these sums
+    rng = np.random.default_rng(k)
+    for label, m in _metrics((5, 12, 20)):
+        assign = rng.integers(0, k, size=m.n)
+        onehot = np.eye(k)[assign]
+        part_dist, sizes = m.dist @ onehot, onehot.sum(axis=0)
+        cross = crossing_matrix(m, assign, k)
+        points, targets, sz, cr = _moved_states(assign, sizes, cross, part_dist)
+        want = [(p, b) for p in range(m.n) for b in range(k) if b != assign[p]]
+        assert list(zip(points, targets)) == want, label
+        for c, (p, b) in enumerate(want):
+            want_sz, want_cr = reference_move(sizes, cross, part_dist, p, assign[p], b)
+            np.testing.assert_array_equal(sz[c], want_sz, err_msg=label)
+            np.testing.assert_array_equal(cr[c], want_cr, err_msg=label)
+
+
+def test_partition_search_matches_reference_loop():
+    # One restart per search, so each restart's outcome is compared on its
+    # own.  A random planted assignment meets each spec: its part sizes are
+    # the upper bounds, and its crossing weights either exact bounds or none.
+    rng = np.random.default_rng(17)
+    budget = SearchBudget(exhaustive_n=0, restarts=1)
+    found = cases = 0
+    for family in ALL_FAMILIES:
+        for case in range(6):
+            n = int(rng.integers(5, 31))
+            k = int(rng.integers(2, min(6, n) + 1))
+            # two_scale needs weight_ratio < n / 12
+            m = generate(GeneratorSpec(family=family, n=n, seed=case, weight_ratio=0.25))
+            eps_err = float(rng.choice([1e-3, 0.01, 0.05]))
+            planted = rng.integers(0, k, size=n)
+            sizes = [(0.0, f) for f in np.bincount(planted, minlength=k) / n]
+            wb = None
+            if case % 2:
+                cross = crossing_matrix(m, planted, k) / (n * n * m.diameter())
+                wb = [[(w, w) for w in row] for row in cross]
+            spec = PartitionSpec.build(k, size_bounds=sizes, weight_bounds=wb)
+            for seed in (0, 1):
+                got = search_partition(m, spec, eps_err, budget=budget, seed=seed)
+                want = reference_search_local(m, spec, eps_err, budget, seed)
+                assert (None if got is None else got.assignment) == want, (family, n, k, seed)
+                found += want is not None
+                cases += 1
+    assert found >= cases / 3, (found, cases)
 
 
 @pytest.mark.parametrize("grid_mode", ["reduced", "faithful"])

@@ -73,8 +73,27 @@ def test_invalid_specs_rejected():
         PartitionSpec.build(2, size_bounds=[(0.5, 0.5)])
     with pytest.raises(InvalidSpec):
         search_partition(U4, PartitionSpec.build(5), eps_err=0.1)
-    with pytest.raises(InvalidSpec):
-        search_partition(U4, PartitionSpec.build(2), eps_err=-0.1)
+    for eps_err in (-0.1, math.nan):
+        with pytest.raises(InvalidSpec, match="eps_err must be nonnegative"):
+            search_partition(U4, PartitionSpec.build(2), eps_err=eps_err)
+    for bound in [(math.nan, math.nan), (math.nan, 1.0), (0.0, math.nan),
+                  (math.inf, math.inf), (-math.inf, 1.0), (-0.1, 1.0), (0.6, 0.5)]:
+        with pytest.raises(InvalidSpec, match="bad size bound"):
+            PartitionSpec.build(2, size_bounds=[bound, (0, 1)])
+        wb = [[(0.0, math.inf)] * 2 for _ in range(2)]
+        wb[1][0] = bound
+        with pytest.raises(InvalidSpec, match="bad weight bound"):
+            PartitionSpec.build(2, weight_bounds=wb)
+
+
+def test_spec_json_non_finite_bounds():
+    text = ('{"k": 2, "size_bounds": [[%s, %s], [0, null]], '
+            '"weight_bounds": [[[0, null], [0, null]], [[0, null], [0, null]]]}')
+    for lb, ub in [("NaN", "null"), ("Infinity", "null"), ("-Infinity", "1"), ("0", "NaN")]:
+        with pytest.raises(InvalidSpec, match="bad size bound"):
+            PartitionSpec.from_json(text % (lb, ub))
+    # an infinite upper bound is an open one, as null is
+    assert PartitionSpec.from_json(text % ("0", "Infinity")) == PartitionSpec.build(2)
 
 
 @pytest.mark.parametrize(
