@@ -79,16 +79,17 @@ def _caterpillar_values(dist: np.ndarray, assigns: np.ndarray, slots: int) -> np
     id, holding t_a - rank(min id) leaves (t_a the slot size, rank 0-based
     by id within the slot).  The LCA of a pair in different slots is the
     spine node of the lower slot, holding every point in that slot or later.
+    Both counts fall as the id, or the slot, rises, so each is the larger of
+    the two points' own counts and the LCA matrix is built by broadcasting.
     """
     c, n = assigns.shape
     sizes, rank = sizes_and_ranks(assigns, slots)
     from_slot = np.cumsum(sizes[:, ::-1], axis=1)[:, ::-1]
+    spine = np.take_along_axis(from_slot, assigns, 1)
     ladder = np.take_along_axis(sizes, assigns, 1) - rank
-    low = np.minimum(assigns[:, :, None], assigns[:, None, :]).reshape(c, n * n)
-    lca = np.take_along_axis(from_slot, low, 1).reshape(c, n, n)
     same = assigns[:, :, None] == assigns[:, None, :]
-    first = np.minimum.outer(np.arange(n), np.arange(n))
-    lca = np.where(same, ladder[:, first], lca)
+    lca = np.where(same, np.maximum(ladder[:, :, None], ladder[:, None, :]),
+                   np.maximum(spine[:, :, None], spine[:, None, :]))
     return (lca * dist).reshape(c, n * n).sum(axis=1) / 2.0
 
 

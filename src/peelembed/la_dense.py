@@ -54,8 +54,12 @@ def _arrangement_values(dist: np.ndarray, assigns: np.ndarray, k: int) -> np.nda
     sizes, rank = sizes_and_ranks(assigns, k)
     before = np.cumsum(sizes, axis=1) - sizes
     pos = (np.take_along_axis(before, assigns, 1) + rank + 1).astype(float)
-    gaps = np.abs(pos[:, :, None] - pos[:, None, :])
-    return (dist * gaps).reshape(c, n * n).sum(axis=1) / 2.0
+    # in place: at n ~ 100 a fresh (c, n, n) temporary per step costs more than
+    # the step itself
+    gaps = pos[:, :, None] - pos[:, None, :]
+    np.abs(gaps, out=gaps)
+    gaps *= dist
+    return gaps.reshape(c, n * n).sum(axis=1) / 2.0
 
 
 def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ and keeps the first move that no later move beats by more than a tolerance.
 A whole sweep is scored at once: ``single_moves`` lists the moves,
 ``score_moves`` scores the moved assignments in bounded batches and
 ``scan_argmax`` returns the index that the sequential scan would have kept.
+Each of the three takes one assignment row or a stack of them, so the
+reduced search sweeps all its restarts in lockstep.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .errors import InvalidSpec
 TIE_TOL = 1e-12
 
 # Most n x n entries one batch of candidates may hold.  Each entry costs a few
-# dozen bytes of temporaries, so a sweep stays within tens of MB whatever n
-# and the number of parts are.
-BATCH_ENTRIES = 1 << 19
+# dozen bytes of temporaries, so a sweep stays within a few MB whatever n, the
+# number of parts and the number of restarts sweeping together are.
+BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,46 +81,79 @@ def best_of(candidates, value, key, best=None):
     return best
 
 
-def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget, score):
-    """Yield the final assignment of each seeded restart of the reduced search.
+def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
+                     score) -> np.ndarray:
+    """Final assignments of the seeded restarts of the reduced search, one
+    (restarts, n) row per restart in seed order.
 
-    ``score`` maps a (C, n) array of assignments to their C values.  Gains
-    are taken against the score of the current assignment, so a move that
-    rebuilds it gains exactly 0.
+    ``score`` maps a (C, n) array of assignments to their C values.  The
+    restarts sweep in lockstep: each sweep scores the moves of every restart
+    still gaining at once, and a restart whose best move gains at most
+    ``TIE_TOL`` stops.  Gains are taken against the score of the current
+    assignment, so a move that rebuilds it gains exactly 0.
     """
-    for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
-        assign = np.random.default_rng(ss).integers(0, parts, size=n)
-        value = score(assign[None, :])[0]
-        for _ in range(budget.moves(n)):
-            points, targets = single_moves(assign, parts)
-            values = score_moves(assign, points, targets, score)
-            gains = values - value
-            pick = scan_argmax(gains)
-            if gains[pick] <= TIE_TOL:
-                break
-            assign[points[pick]] = targets[pick]
-            value = values[pick]
-        yield assign
+    seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
+    assigns = np.array([np.random.default_rng(ss).integers(0, parts, size=n) for ss in seqs],
+                       dtype=np.int64).reshape(len(seqs), n)
+    # moving point 0 to its own part leaves a row as it is: this scores the
+    # start rows in bounded batches
+    values = score_moves(assigns, np.zeros(1, dtype=np.int64), assigns[:, :1], score)[:, 0]
+    live = np.arange(len(seqs))
+    for _ in range(budget.moves(n)):
+        if not len(live):
+            break
+        current = assigns[live]
+        points, targets = single_moves(current, parts)
+        moved = score_moves(current, points, targets, score)
+        gains = moved - values[live, None]
+        picks = scan_argmax(gains)
+        rows = np.arange(len(live))
+        go = gains[rows, picks] > TIE_TOL
+        live, rows, picks = live[go], rows[go], picks[go]
+        assigns[live, points[picks]] = targets[rows, picks]
+        values[live] = moved[rows, picks]
+    return assigns
 
 
-def scan_argmax(gains, tol: float = TIE_TOL) -> int:
-    """Index kept by a left-to-right scan that replaces its incumbent only on
-    ``gain > incumbent + tol`` (the first entry starts as incumbent).
+def scan_argmax(gains, tol: float = TIE_TOL):
+    """Index kept by a left-to-right scan of each row of ``gains`` that
+    replaces its incumbent only on ``gain > incumbent + tol`` (the row's first
+    entry starts as incumbent): an int for one (M,) row, an (L,) array for
+    (L, M) rows.
 
-    Every replacement is larger than all entries before it, so only strict
-    running maxima can be kept; their values ascend, which lets each jump to
-    the next replacement be a binary search.
+    Every replacement is larger than all entries before it, so only a row's
+    strict running maxima, its records, can be kept, and their values ascend.
+    The record that replaces record r is its row's first record above
+    value(r) + tol.  One stable sort of every row's records and thresholds
+    finds it for all records at once; the scan then jumps from record to
+    record in every row together.
     """
-    g = np.asarray(gains, dtype=float)
-    running = np.maximum.accumulate(g)
-    records = np.flatnonzero(np.concatenate(([True], g[1:] > running[:-1])))
-    values = g[records]
-    k = 0
+    g = np.atleast_2d(np.asarray(gains, dtype=float))
+    width = g.shape[1]
+    is_record = np.empty(g.shape, dtype=bool)
+    is_record[:, 0] = True
+    np.greater(g[:, 1:], np.maximum.accumulate(g, axis=1)[:, :-1], out=is_record[:, 1:])
+    records = np.flatnonzero(is_record)  # row by row, ascending in each row
+    row = records // width
+    values = g.take(records)
+    count = len(records)
+    # Sorted by (row, value), a record ahead of an equal threshold, the
+    # thresholds keep their own order, so a threshold's place minus its index
+    # counts the records up to it: the index of the first record past it.
+    order = np.lexsort((np.concatenate((values, values + tol)), np.concatenate((row, row))))
+    after = np.flatnonzero(order >= count) - np.arange(count)
+    per_row = np.bincount(row)
+    ends = np.cumsum(per_row)
+    # a record with none past it in its row is where the scan stops
+    after = np.where(after < ends[row], after, np.arange(count))
+    kept = ends - per_row  # each row's first entry
     while True:
-        nxt = int(np.searchsorted(values, values[k] + tol, side="right"))
-        if nxt == len(values):
-            return int(records[k])
-        k = nxt
+        nxt = after[kept]
+        if (nxt == kept).all():
+            break
+        kept = nxt
+    cols = records[kept] - width * np.arange(len(kept))
+    return int(cols[0]) if np.ndim(gains) == 1 else cols
 
 
 def sizes_and_ranks(assigns: np.ndarray, parts: int):
@@ -128,26 +163,34 @@ def sizes_and_ranks(assigns: np.ndarray, parts: int):
     return onehot.sum(axis=1), ranks - 1
 
 
-def single_moves(assign: np.ndarray, parts: int):
-    """(points, targets) of every single-point move, in scan order."""
-    n = len(assign)
+def single_moves(assigns: np.ndarray, parts: int):
+    """(points, targets) of every single-point move, in scan order: ``points``
+    is (M,), ``targets`` (L, M) for (L, n) assignment rows or (M,) for one."""
+    n = np.shape(assigns)[-1]
     points = np.repeat(np.arange(n), parts - 1)
     offset = np.tile(np.arange(parts - 1), n)
-    targets = offset + (offset >= assign[points])
+    targets = offset + (offset >= assigns[..., points])
     return points, targets
 
 
-def score_moves(assign: np.ndarray, points, targets, score) -> np.ndarray:
-    """``score`` of each moved copy of ``assign``, in batches.
+def score_moves(assigns: np.ndarray, points, targets, score) -> np.ndarray:
+    """``score`` of each moved copy of each assignment row, in batches.
 
-    ``score`` maps a (C, n) array of assignments to their C values.
+    ``assigns``, ``points`` and ``targets`` are as ``single_moves`` takes and
+    gives them; the result has the shape of ``targets``.  Candidate (l, j) is
+    row l with point ``points[j]`` moved to part ``targets[l, j]``.  A batch
+    holds at most ``BATCH_ENTRIES`` n x n entries and builds only its own
+    moved rows.  ``score`` maps a (C, n) array of assignments to their C
+    values, each independent of the other rows.
     """
-    n = len(assign)
+    rows = np.atleast_2d(assigns)
+    flat = np.reshape(targets, -1)
+    n, width = rows.shape[1], len(points)
     step = max(1, BATCH_ENTRIES // (n * n))
-    out = np.empty(len(points))
-    for start in range(0, len(points), step):
-        p = points[start : start + step]
-        rows = np.repeat(assign[None, :], len(p), axis=0)
-        rows[np.arange(len(p)), p] = targets[start : start + step]
-        out[start : start + len(p)] = score(rows)
-    return out
+    out = np.empty(len(flat))
+    for start in range(0, len(flat), step):
+        cand = np.arange(start, min(start + step, len(flat)))
+        batch = rows[cand // width]
+        batch[np.arange(len(cand)), points[cand % width]] = flat[cand]
+        out[cand] = score(batch)
+    return out.reshape(np.shape(targets))

@@ -103,13 +103,17 @@ class Partition:
         return "\n".join(lines) + "\n"
 
 
-def _spec_arrays(spec: PartitionSpec):
+def _bounds(m: Metric, spec: PartitionSpec):
+    """(norm, slb, sub, wlb, wub): the weight normaliser n^2 * D_V (1 when
+    D_V = 0) and the spec's size and weight lower and upper bound arrays."""
     k = spec.k
+    diam = m.diameter()
+    norm = m.n * m.n * diam if diam > 0 else 1.0
     slb = np.array([b[0] for b in spec.size_bounds])
     sub = np.array([b[1] for b in spec.size_bounds])
     wlb = np.array([[spec.weight_bounds[j][j2][0] for j2 in range(k)] for j in range(k)])
     wub = np.array([[spec.weight_bounds[j][j2][1] for j2 in range(k)] for j in range(k)])
-    return slb, sub, wlb, wub
+    return norm, slb, sub, wlb, wub
 
 
 def crossing_matrix(m: Metric, assignment: Sequence[int], k: int) -> np.ndarray:
@@ -136,14 +140,16 @@ def partition_feasible(
     m: Metric, spec: PartitionSpec, eps_err: float, assignment: Sequence[int]
 ) -> bool:
     """Exact feasibility recomputation; the only check trusted before returning."""
-    n = m.n
-    diam = m.diameter()
-    norm = n * n * diam if diam > 0 else 1.0
-    slb, sub, wlb, wub = _spec_arrays(spec)
-    sizes = np.bincount(np.asarray(assignment, dtype=int), minlength=spec.k) / n
+    return _feasible(m, _bounds(m, spec), eps_err, assignment)
+
+
+def _feasible(m: Metric, bounds, eps_err: float, assignment: Sequence[int]) -> bool:
+    """``partition_feasible`` against ``_bounds(m, spec)``."""
+    norm, slb, sub, wlb, wub = bounds
+    sizes = np.bincount(np.asarray(assignment, dtype=int), minlength=len(slb)) / m.n
     if (sizes < slb - eps_err - 1e-12).any() or (sizes > sub + eps_err + 1e-12).any():
         return False
-    cross = crossing_matrix(m, assignment, spec.k) / norm
+    cross = crossing_matrix(m, assignment, len(slb)) / norm
     return not (
         (cross < wlb - eps_err - 1e-12).any() or (cross > wub + eps_err + 1e-12).any()
     )
@@ -184,7 +190,8 @@ def search_partition(
     n, k = m.n, spec.k
     if k > n:
         raise InvalidSpec(f"k={k} exceeds n={n}")
-    slb, sub, wlb, wub = _spec_arrays(spec)
+    bounds = _bounds(m, spec)
+    _, slb, sub, _, _ = bounds
     # each part gets eps_err of slack, so only a k * eps_err gap in the size
     # sums rules out every assignment outright
     slack = k * eps_err + 1e-12
@@ -194,21 +201,19 @@ def search_partition(
         )
 
     if budget.exhaustive(n, k):
-        assignment = _search_exhaustive(m, spec, eps_err,
+        assignment = _search_exhaustive(m, bounds, eps_err,
                                         enumerated or enumerate_assignments(m, k))
     else:
-        assignment = _search_local(m, spec, eps_err, budget, seed)
+        assignment = _search_local(m, bounds, eps_err, budget, seed)
     if assignment is None:
         return None
-    assert partition_feasible(m, spec, eps_err, assignment)
+    assert _feasible(m, bounds, eps_err, assignment)
     return make_partition(m, assignment, k)
 
 
-def _search_exhaustive(m, spec, eps_err, enumerated):
+def _search_exhaustive(m, bounds, eps_err, enumerated):
     n = m.n
-    diam = m.diameter()
-    norm = n * n * diam if diam > 0 else 1.0
-    slb, sub, wlb, wub = _spec_arrays(spec)
+    norm, slb, sub, wlb, wub = bounds
     digits, sizes, cross = enumerated
     ok = (
         (sizes / n >= slb - eps_err - 1e-12).all(axis=1)
@@ -222,11 +227,9 @@ def _search_exhaustive(m, spec, eps_err, enumerated):
     return tuple(int(a) for a in digits[hits[0]])  # lexicographically smallest
 
 
-def _search_local(m, spec, eps_err, budget, seed):
-    n, k = m.n, spec.k
-    diam = m.diameter()
-    norm = n * n * diam if diam > 0 else 1.0
-    slb, sub, wlb, wub = _spec_arrays(spec)
+def _search_local(m, bounds, eps_err, budget, seed):
+    norm, slb, sub, wlb, wub = bounds
+    n, k = m.n, len(slb)
     slack = max(eps_err, 1e-12)
 
     def penalty(sizes, cross):
@@ -259,7 +262,7 @@ def _search_local(m, spec, eps_err, budget, seed):
             assign[p], sizes, cross, pen = b, sz[pick], cr[pick], cands[pick]
         if pen <= 0.0:
             cand = tuple(int(x) for x in assign)
-            if partition_feasible(m, spec, eps_err, cand):
+            if _feasible(m, bounds, eps_err, cand):
                 found.append(cand)
     if not found:
         return None

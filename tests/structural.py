@@ -4,15 +4,23 @@ Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
 ladder payoff floor and the telescoping accounting on realized runs, and
 holding the per-candidate reference loops of the dense solvers and the
-partition search, the per-k triangle scan of metric validation and the
-evaluators and metric builders that faster code replaced.
+partition search, the per-restart loop of the reduced search, the per-k
+triangle scan of metric validation and the evaluators, scorers and metric
+builders that faster code replaced.
 """
 
 import numpy as np
 
 from peelembed.hc_dense import _caterpillar_skeleton, _parts_of, _skeleton_tree
 from peelembed.la_dense import _embed_assignment, _position
-from peelembed.local_search import best_of
+from peelembed.local_search import (
+    TIE_TOL,
+    best_of,
+    scan_argmax,
+    score_moves,
+    single_moves,
+    sizes_and_ranks,
+)
 from peelembed.metric import DENSE_BY_CONVENTION, SubsetStats, subset_stats
 from peelembed.objectives import (
     HcTree,
@@ -22,8 +30,8 @@ from peelembed.objectives import (
     ladder_tree,
 )
 from peelembed.partition_search import (
+    _bounds,
     _greedy_seed,
-    _spec_arrays,
     crossing_matrix,
     partition_feasible,
 )
@@ -180,9 +188,43 @@ def hc_ladder_payoff(m, tree, a_ids):
 
 # ---------------------------------------------------------------------------
 # Reference loops of the dense solvers' reduced local search and of the
-# partition search.  They rebuild and score every candidate from scratch; the
-# searches score a whole sweep in one numpy pass, and the differential tests
-# compare the two.
+# partition search.  They rebuild and score every candidate from scratch, or
+# run one restart at a time; the searches score a whole sweep of every restart
+# in one numpy pass, and the differential tests compare the two.
+
+
+def reference_reduced_restarts(n, parts, seed, budget, score):
+    """``reduced_restarts`` as it was: each restart runs all its sweeps before
+    the next one starts; yields each final assignment."""
+    for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
+        assign = np.random.default_rng(ss).integers(0, parts, size=n)
+        value = score(assign[None, :])[0]
+        for _ in range(budget.moves(n)):
+            points, targets = single_moves(assign, parts)
+            values = score_moves(assign, points, targets, score)
+            gains = values - value
+            pick = scan_argmax(gains)
+            if gains[pick] <= TIE_TOL:
+                break
+            assign[points[pick]] = targets[pick]
+            value = values[pick]
+        yield assign
+
+
+def reference_caterpillar_values(dist, assigns, slots):
+    """``hc_dense._caterpillar_values`` as it was: the spine LCA gathered from
+    ``from_slot`` at the lower slot of every pair, the ladder LCA at the
+    smaller id."""
+    c, n = assigns.shape
+    sizes, rank = sizes_and_ranks(assigns, slots)
+    from_slot = np.cumsum(sizes[:, ::-1], axis=1)[:, ::-1]
+    ladder = np.take_along_axis(sizes, assigns, 1) - rank
+    low = np.minimum(assigns[:, :, None], assigns[:, None, :]).reshape(c, n * n)
+    lca = np.take_along_axis(from_slot, low, 1).reshape(c, n, n)
+    same = assigns[:, :, None] == assigns[:, None, :]
+    first = np.minimum.outer(np.arange(n), np.arange(n))
+    lca = np.where(same, ladder[:, first], lca)
+    return (lca * dist).reshape(c, n * n).sum(axis=1) / 2.0
 
 
 def reference_hc_move_values(m, assign, slots):
@@ -333,9 +375,7 @@ def reference_search_local(m, spec, eps_err, budget, seed):
     it was: every candidate move copies the sizes and the crossing matrix and
     is scored on its own; the lowest penalty wins, the earliest within 1e-15."""
     n, k = m.n, spec.k
-    diam = m.diameter()
-    norm = n * n * diam if diam > 0 else 1.0
-    slb, sub, wlb, wub = _spec_arrays(spec)
+    norm, slb, sub, wlb, wub = _bounds(m, spec)
     slack = max(eps_err, 1e-12)
 
     def penalty(sizes, cross):

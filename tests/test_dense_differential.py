@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from structural import (
+    reference_caterpillar_values,
     reference_hc_move_values,
     reference_hc_reduced,
     reference_la_move_values,
     reference_la_reduced,
     reference_move,
+    reference_reduced_restarts,
     reference_search_local,
     reference_swap_gain,
     reference_swap_hill_climb,
@@ -30,7 +32,14 @@ from peelembed.la_dense import (
     _swap_hill_climb,
     solve_la_dense,
 )
-from peelembed.local_search import TIE_TOL, scan_argmax, score_moves, single_moves
+from peelembed import local_search
+from peelembed.local_search import (
+    TIE_TOL,
+    reduced_restarts,
+    scan_argmax,
+    score_moves,
+    single_moves,
+)
 from peelembed.metric import validate_metric
 from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la
 from peelembed.partition_search import (
@@ -66,19 +75,38 @@ def _sequential_argmax(gains, tol):
     return best
 
 
+def _scan_cases(rng, tol, rows, size):
+    # few distinct levels plus offsets around the tolerance make ties,
+    # near-ties and chains of sub-tolerance steps
+    levels = rng.integers(0, 4, size=(rows, size)).astype(float)
+    return levels + tol * rng.choice([0.0, 0.4, 0.9, 1.1, 3.0], size=(rows, size))
+
+
 def test_scan_argmax_matches_sequential_scan():
     rng = np.random.default_rng(0)
     for trial in range(600):
         # the dense solvers' tolerance, then the partition search's
         tol = TIE_TOL if trial < 300 else 1e-15
-        size = int(rng.integers(1, 60))
-        # few distinct levels plus offsets around the tolerance make ties,
-        # near-ties and chains of sub-tolerance steps
-        levels = rng.integers(0, 4, size=size).astype(float)
-        gains = levels + tol * rng.choice([0.0, 0.4, 0.9, 1.1, 3.0], size=size)
+        gains = _scan_cases(rng, tol, 1, int(rng.integers(1, 60)))[0]
         if trial % 3 == 0:
             gains = np.sort(gains)
         assert scan_argmax(gains, tol) == _sequential_argmax(list(gains), tol), (tol, gains)
+    for trial in range(200):
+        # row-wise: rows of one stack differ in their records and their chains
+        tol = TIE_TOL if trial < 100 else 1e-15
+        gains = _scan_cases(rng, tol, int(rng.integers(1, 8)), int(rng.integers(1, 40)))
+        gains[::2] = np.sort(gains[::2], axis=1)
+        picks = scan_argmax(gains, tol)
+        assert picks.shape == (len(gains),)
+        for row, pick in zip(gains, picks):
+            assert pick == _sequential_argmax(list(row), tol), (tol, row)
+
+
+def test_scan_argmax_long_ascending_row():
+    # every entry a record, each within the tolerance of the one before: the
+    # chain jumps every 3 entries; the partition search's tolerance
+    gains = np.arange(78_000) * 0.4e-15
+    assert scan_argmax(gains, 1e-15) == _sequential_argmax(list(gains), 1e-15)
 
 
 def test_single_moves_scan_order():
@@ -147,6 +175,54 @@ def test_swap_hill_climb_matches_reference():
         for start in (range(m.n), rng.permutation(m.n)):
             arr = LinearArrangement.from_order(start)
             assert _swap_hill_climb(m, arr, 40) == reference_swap_hill_climb(m, arr, 40), label
+
+
+def _restart_cases():
+    rng = np.random.default_rng(23)
+    for i, family in enumerate(ALL_FAMILIES):
+        for case in range(2):
+            n = int(rng.integers(5, 31))
+            parts = int(rng.integers(2, 7))
+            # two_scale needs weight_ratio < n / 12
+            m = generate(GeneratorSpec(family=family, n=n, seed=case, weight_ratio=0.25))
+            restarts = (0, 1, 3, 32)[(i + case) % 4]
+            # a budget of 2 sweeps cuts most restarts off mid-run
+            moves = (None, 2)[case]
+            yield f"{family}-n{n}-k{parts}-r{restarts}", m, parts, restarts, moves
+
+
+@pytest.mark.parametrize("batch", ["default", "one row", "split"])
+def test_lockstep_restarts_match_per_restart_loop(batch, monkeypatch):
+    # Bit for bit, for both scorers; batches of one row, or batches that split
+    # a restart's candidates, show that a row's score does not depend on its
+    # batch.
+    for label, m, parts, restarts, moves in _restart_cases():
+        budget = SearchBudget(restarts=restarts, moves_per_restart=moves)
+        width = m.n * (parts - 1)  # candidates per restart and sweep
+        rows = {"default": None, "one row": 1, "split": width // 2 + 1}[batch]
+        for scorer in (_caterpillar_values, _arrangement_values):
+            def score(assigns):
+                return scorer(m.dist, assigns, parts)
+
+            want = list(reference_reduced_restarts(m.n, parts, 3, budget, score))
+            with monkeypatch.context() as patch:
+                if rows is not None:
+                    patch.setattr(local_search, "BATCH_ENTRIES", m.n * m.n * rows)
+                got = reduced_restarts(m.n, parts, 3, budget, score)
+            assert got.shape == (restarts, m.n), label
+            for row, (g, w) in enumerate(zip(got, want)):
+                assert g.tobytes() == w.tobytes(), (label, scorer.__name__, row)
+
+
+@pytest.mark.parametrize("slots", [2, 3, 5, 7])
+def test_caterpillar_values_match_gather_formula(slots):
+    rng = np.random.default_rng(slots)
+    for label, m in _metrics((5, 12, 30)):
+        assigns = rng.integers(0, slots, size=(40, m.n))
+        assigns[0] = slots - 1  # one slot holds every point
+        got = _caterpillar_values(m.dist, assigns, slots)
+        want = reference_caterpillar_values(m.dist, assigns, slots)
+        assert got.tobytes() == want.tobytes(), label
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.25])
@@ -234,11 +310,9 @@ def test_dense_value_is_the_witness_value(grid_mode):
             assert value == evaluate(m, witness), (solve.__name__, label)
 
 
-def test_one_restart_memory_is_bounded():
-    # Unbatched, one HC sweep at n=300 would hold 600 candidates x 300^2
-    # entries (over 400 MB per temporary); batches keep it to a few MB each.
-    m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
-    budget = SearchBudget(restarts=1, moves_per_restart=1)
+def _solve_peak(m, restarts):
+    """tracemalloc peak of each dense solver at eps 0.5, one sweep per restart."""
+    budget = SearchBudget(restarts=restarts, moves_per_restart=1)
     for solve, cfg in (
         (solve_hc_dense, DenseHcConfig(eps=0.5, budget=budget)),
         (solve_la_dense, DenseLaConfig(eps=0.5, budget=budget)),
@@ -249,4 +323,20 @@ def test_one_restart_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        yield cfg, peak
+
+
+def test_one_restart_memory_is_bounded():
+    # Unbatched, one HC sweep at n=300 would hold 600 candidates x 300^2
+    # entries (over 400 MB per temporary); batches keep it to a few MB each.
+    m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
+    for cfg, peak in _solve_peak(m, 1):
+        assert peak < 32e6, (cfg, peak)
+
+
+def test_lockstep_restart_memory_is_bounded():
+    # 32 restarts sweep together: all their moved rows at once would be
+    # 32 x 600 rows of 300 ids for HC (46 MB); each batch builds only its own.
+    m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
+    for cfg, peak in _solve_peak(m, 32):
         assert peak < 32e6, (cfg, peak)

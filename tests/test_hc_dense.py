@@ -5,7 +5,7 @@ from conftest import random_metric
 from peelembed.errors import InvalidSpec
 from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
 from peelembed.metric import subset_stats, validate_metric
-from peelembed.objectives import HcTree, evaluate_hc, ladder_tree
+from peelembed.objectives import evaluate_hc, ladder_tree
 from peelembed.oracles import brute_force_hc
 from structural import has_not_all_small_weights
 

@@ -15,7 +15,7 @@ from peelembed.errors import DepthExceeded, InvalidSpec
 from peelembed.instances import GeneratorSpec, generate, la_case_c_spec
 from peelembed.la_dense import DenseLaConfig
 from peelembed.la_peeling import LaPeelConfig, solve_la
-from peelembed.metric import Metric, subset_stats
+from peelembed.metric import Metric
 from peelembed.objectives import evaluate_la
 from peelembed.oracles import brute_force_la
 from peelembed.partition_search import SearchBudget
