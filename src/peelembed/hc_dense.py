@@ -5,7 +5,8 @@ as an ascending-id ladder off a leaf slot of a small skeleton tree.  In
 ``faithful`` mode the skeletons are all leaf-labeled binary trees on the
 slots and a grid of size / crossing-weight targets drives the bounded
 partition search; ``reduced`` mode local-searches slot assignments against a
-caterpillar skeleton.  Both modes always consider the single ascending-id
+caterpillar skeleton, screening large sweeps with an incremental estimate and
+scoring only the near-best moves exactly.  Both modes always consider the single ascending-id
 ladder over all points, so the output never scores below it.
 """
 
@@ -19,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import FaithfulGridTooLarge
-from .local_search import DenseConfig, best_of, reduced_restarts, sizes_and_ranks
+from .local_search import (TIE_TOL, DenseConfig, Screen, best_of, reduced_restarts,
+                           sizes_and_ranks)
 from .metric import Metric, subset_stats
 from .objectives import HcTree, evaluate_hc, ladder_tree
 from .oracles import all_binary_trees
@@ -85,19 +87,115 @@ def _caterpillar_values(dist: np.ndarray, assigns: np.ndarray, slots: int) -> np
     c, n = assigns.shape
     sizes, rank = sizes_and_ranks(assigns, slots)
     from_slot = np.cumsum(sizes[:, ::-1], axis=1)[:, ::-1]
-    spine = np.take_along_axis(from_slot, assigns, 1)
-    ladder = np.take_along_axis(sizes, assigns, 1) - rank
-    same = assigns[:, :, None] == assigns[:, None, :]
-    lca = np.where(same, np.maximum(ladder[:, :, None], ladder[:, None, :]),
-                   np.maximum(spine[:, :, None], spine[:, None, :]))
-    return (lca * dist).reshape(c, n * n).sum(axis=1) / 2.0
+    spine = np.take_along_axis(from_slot, assigns, 1).astype(float)
+    ladder = (np.take_along_axis(sizes, assigns, 1) - rank).astype(float)
+    lca = np.maximum(spine[:, :, None], spine[:, None, :])
+    np.copyto(lca, np.maximum(ladder[:, :, None], ladder[:, None, :]),
+              where=assigns[:, :, None] == assigns[:, None, :])
+    lca *= dist
+    return lca.reshape(c, n * n).sum(axis=1) / 2.0
+
+
+def _screen_delta(dist: np.ndarray, slots: int) -> float:
+    """Bound on |``_caterpillar_screen`` - ``_caterpillar_values``| for any
+    move, with room for the rounding of the gains and of the scan's
+    comparisons (see ``local_search.near_best``).
+
+    Let u = eps / 2 and W be the weight of all pairs.  Each value below is a
+    sum of terms, each a product of distances and small exact integers; if
+    every term passes through at most k roundings, the value is off by at
+    most gamma_k = k u / (1 - k u) times the same sum with every sign made
+    positive.  ``_caterpillar_values`` sums n^2 nonnegative terms, each
+    rounded once, to the true value V <= n W, so it is off by at most
+    gamma_{n^2} n W.  In the screen, the entries of P, Hi and LoR are sums
+    of at most n products (at most n roundings), W_ab sums n entries of P
+    (2n), and R's suffix sums, G and the rank term stay within 2n + 3.
+    <K', W> adds a product and a sum of slots^2 terms, the slope term a
+    product and a sum of slots terms, and the value three more additions:
+    k = 2n + slots^2 + 6 bounds every path.  With signs made positive,
+    <K', W> <= n W (2 K' <= n), the slope term <= n deg(p) <= n W, the rank
+    term <= n W and G(p, a) + G(p, b) <= (4n + 2) W: 9 n W in all.  The
+    two bounds sum to under 1.01 u (n^2 + 9k) n W while n^2 u < 0.01.
+    Doubling that (eps for u) and adding eps TIE_TOL leaves room for the
+    rounding of the gains, of the gap test and of ``gain + TIE_TOL``, each
+    at most u (n W + TIE_TOL + 2 delta).  A product that underflows is off
+    by at most half the smallest subnormal, and a value takes fewer than
+    n^2 + 9k of them.
+    """
+    n = len(dist)
+    count = n * n + 9 * (2 * n + slots * slots + 6)
+    weight = float(dist.sum()) / 2.0
+    info = np.finfo(float)
+    return info.eps * (count * n * weight + TIE_TOL) + count * info.smallest_subnormal
+
+
+def _caterpillar_screen(dist: np.ndarray, assigns: np.ndarray, points: np.ndarray,
+                        targets: np.ndarray, slots: int) -> np.ndarray:
+    """Caterpillar value of every moved copy of each assignment row, as
+    ``local_search.score_moves`` lists them, from per-row tables in O(slots)
+    per move; within ``_screen_delta`` of ``_caterpillar_values``.
+
+    With W_ab the weight between slots a and b, F_a the points in slots a
+    and later, t_a the slot sizes and R(i) the weight from i to the higher
+    ids of its own slot, the value is
+
+        <K, W> - sum_i rank(i) R(i),   K_ab = F_min(a, b) / 2, K_aa = t_a / 2.
+
+    Moving p from a to b adds e q^T + q e^T to W (e = 1_b - 1_a, q = p's
+    weight to each slot) and turns K into K' of the moved sizes, so the
+    first term becomes <K', W> + 2 (K'_b - K'_a) . q: a table over (a, b)
+    per row, plus O(slots) per move.  The rank term changes by
+    G(p, b) - G(p, a), where G(p, s) is p's rank among s's lower ids times
+    its weight to s's higher ids, plus its rank-weighted weight to s's lower
+    ids, plus the R of s's higher ids, whose ranks p's arrival (or leaving)
+    shifts by one.
+    """
+    c, n = assigns.shape
+    upper = np.triu(dist, 1)
+    onehot = (assigns[:, :, None] == np.arange(slots)).astype(float)
+    sizes = onehot.sum(axis=1)
+    below = np.cumsum(onehot, axis=1) - onehot  # lower ids of each slot
+    rank = np.take_along_axis(below, assigns[:, :, None], 2)
+
+    def times(mat, cols):  # mat @ cols[l] for every row l, as one product
+        out = mat @ cols.transpose(1, 0, 2).reshape(n, c * slots)
+        return out.reshape(n, c, slots).transpose(1, 0, 2)
+
+    part = times(dist, onehot)
+    higher = times(upper, onehot)
+    lower_ranked = times(upper.T, onehot * rank)
+    cross = onehot.transpose(0, 2, 1) @ part
+    own = np.take_along_axis(higher, assigns[:, :, None], 2)  # R
+    rank_term = (rank * own).sum(axis=(1, 2))
+    above = np.zeros_like(onehot)  # R summed over each slot's higher ids
+    above[:, :-1] = np.cumsum((onehot * own)[:, :0:-1], axis=1)[:, ::-1]
+    join = below * higher + lower_ranked + above
+
+    # 2 K' for every move a -> b of every row: (row, a, b, s, t)
+    slot = np.arange(slots)
+    moved_sizes = sizes[:, None, None] + (np.eye(slots) - np.eye(slots)[:, None])
+    from_slot = np.cumsum(moved_sizes[..., ::-1], axis=-1)[..., ::-1]
+    weights = from_slot[..., np.minimum.outer(slot, slot)]
+    weights[..., slot, slot] = moved_sizes
+    base = np.einsum("labst,lst->lab", weights, cross) / 2.0
+    col, row = slot[None, :], slot[:, None]
+    slope = weights[:, row, col, col] - weights[:, row, col, row]  # 2 (K'_b - K'_a)
+    rows = np.arange(c)[:, None]
+    cross_term = base[rows, assigns] + (slope[rows, assigns] @ part[..., None])[..., 0]
+    own_join = np.take_along_axis(join, assigns[:, :, None], 2)
+    value = cross_term - (rank_term[:, None, None] - own_join + join)  # (row, p, b)
+    return np.take_along_axis(value.reshape(c, n * slots), points * slots + targets, 1)
 
 
 def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
     n, slots = m.n, cfg.slots
     skeleton = _caterpillar_skeleton(slots)
+    screen = None
+    if cfg.budget.restarts:  # the bound reads every distance; a zero budget needs none
+        screen = Screen(lambda *moves: _caterpillar_screen(m.dist, *moves, slots),
+                        _screen_delta(m.dist, slots))
     restarts = reduced_restarts(
-        n, slots, seed, cfg.budget, lambda rows: _caterpillar_values(m.dist, rows, slots)
+        n, slots, seed, cfg.budget, lambda rows: _caterpillar_values(m.dist, rows, slots), screen
     )
     trees = (_skeleton_tree(skeleton, _parts_of(assign, slots)) for assign in restarts)
     return best_of(itertools.chain([ladder_tree(range(n))], trees),

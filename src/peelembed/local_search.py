@@ -9,13 +9,16 @@ A whole sweep is scored at once: ``single_moves`` lists the moves,
 ``score_moves`` scores the moved assignments in bounded batches and
 ``scan_argmax`` returns the index that the sequential scan would have kept.
 Each of the three takes one assignment row or a stack of them, so the
-reduced search sweeps all its restarts in lockstep.
+reduced search sweeps all its restarts in lockstep.  A search may pass a
+``Screen``, a cheap estimate of every move's score with a proven error bound;
+a sweep too large for one batch then scores exactly only each row's
+``near_best`` moves, which decide the scan on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,8 +84,21 @@ def best_of(candidates, value, key, best=None):
     return best
 
 
+@dataclass(frozen=True)
+class Screen:
+    """An estimate of the score of every single-point move.
+
+    ``estimate(assigns, points, targets)`` takes what ``score_moves`` takes
+    and gives a (C, M) array, each entry within ``delta`` of the value that
+    the search's exact ``score`` gives the same moved assignment.
+    """
+
+    estimate: Callable
+    delta: float
+
+
 def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
-                     score) -> np.ndarray:
+                     score, screen: Optional[Screen] = None) -> np.ndarray:
     """Final assignments of the seeded restarts of the reduced search, one
     (restarts, n) row per restart in seed order.
 
@@ -91,6 +107,11 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
     still gaining at once, and a restart whose best move gains at most
     ``TIE_TOL`` stops.  Gains are taken against the score of the current
     assignment, so a move that rebuilds it gains exactly 0.
+
+    With a ``screen``, a sweep whose exact scoring would overflow one batch
+    of ``BATCH_ENTRIES`` scores exactly only the ``near_best`` moves of each
+    row, by a gap of ``TIE_TOL + 2 delta``; the others read -inf, which
+    leaves every pick as it was (see ``near_best``).
     """
     seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
     assigns = np.array([np.random.default_rng(ss).integers(0, parts, size=n) for ss in seqs],
@@ -104,7 +125,11 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
             break
         current = assigns[live]
         points, targets = single_moves(current, parts)
-        moved = score_moves(current, points, targets, score)
+        keep = None
+        if screen is not None and targets.size * n * n > BATCH_ENTRIES:
+            estimate = screen_moves(current, points, targets, parts, screen.estimate)
+            keep = near_best(estimate, TIE_TOL + 2.0 * screen.delta)
+        moved = score_moves(current, points, targets, score, keep)
         gains = moved - values[live, None]
         picks = scan_argmax(gains)
         rows = np.arange(len(live))
@@ -173,7 +198,7 @@ def single_moves(assigns: np.ndarray, parts: int):
     return points, targets
 
 
-def score_moves(assigns: np.ndarray, points, targets, score) -> np.ndarray:
+def score_moves(assigns: np.ndarray, points, targets, score, keep=None) -> np.ndarray:
     """``score`` of each moved copy of each assignment row, in batches.
 
     ``assigns``, ``points`` and ``targets`` are as ``single_moves`` takes and
@@ -181,16 +206,57 @@ def score_moves(assigns: np.ndarray, points, targets, score) -> np.ndarray:
     row l with point ``points[j]`` moved to part ``targets[l, j]``.  A batch
     holds at most ``BATCH_ENTRIES`` n x n entries and builds only its own
     moved rows.  ``score`` maps a (C, n) array of assignments to their C
-    values, each independent of the other rows.
+    values, each independent of the other rows.  With ``keep``, a bool array
+    shaped like ``targets``, only the kept candidates are scored and the
+    others read -inf.
     """
     rows = np.atleast_2d(assigns)
     flat = np.reshape(targets, -1)
     n, width = rows.shape[1], len(points)
     step = max(1, BATCH_ENTRIES // (n * n))
-    out = np.empty(len(flat))
-    for start in range(0, len(flat), step):
-        cand = np.arange(start, min(start + step, len(flat)))
+    if keep is None:
+        out, todo = np.empty(len(flat)), np.arange(len(flat))
+    else:
+        out, todo = np.full(len(flat), -np.inf), np.flatnonzero(keep)
+    for start in range(0, len(todo), step):
+        cand = todo[start:start + step]
         batch = rows[cand // width]
         batch[np.arange(len(cand)), points[cand % width]] = flat[cand]
         out[cand] = score(batch)
     return out.reshape(np.shape(targets))
+
+
+def screen_moves(assigns: np.ndarray, points, targets, parts: int, estimate) -> np.ndarray:
+    """``estimate`` of every move of every row, as ``score_moves`` scores
+    them, in batches of rows whose move tables (moves x parts x parts) hold
+    at most ``BATCH_ENTRIES`` entries in all."""
+    rows, width = np.atleast_2d(assigns), np.shape(targets)[-1]
+    step = max(1, BATCH_ENTRIES // (width * parts * parts))
+    out = np.empty((len(rows), width))
+    for start in range(0, len(rows), step):
+        out[start:start + step] = estimate(rows[start:start + step], points,
+                                           targets[start:start + step])
+    return out
+
+
+def near_best(values, gap: float) -> np.ndarray:
+    """Which entries of each (L, M) row lie above its first gap wider than
+    ``gap``, going down from its largest entry.
+
+    Let ``values`` be within delta of the exact scores that a row's gains
+    are taken from, ``gap`` be ``TIE_TOL + 2 delta``, and delta also cover
+    the rounding of the gains and of the scan's ``+ TIE_TOL``.  Then every
+    gain above the gap beats every gain below it by more than ``TIE_TOL``,
+    and the left-to-right scan of ``scan_argmax`` keeps the same index
+    whether the entries below are present or -inf.  Until the scan meets
+    the row's first entry above the gap its incumbent is below the gap, and
+    that entry replaces it; from then on the incumbent is above the gap, and
+    no entry below it can replace the incumbent.  Keeping only the entries
+    within some bound of the best would not do: one left out just below the
+    cut could be within ``TIE_TOL`` of a kept one and so be the scan's pick.
+    """
+    ordered = -np.sort(-values, axis=1)
+    wide = np.ones(ordered.shape, dtype=bool)  # the last entry ends the row
+    wide[:, :-1] = ordered[:, :-1] - ordered[:, 1:] > gap
+    cut = ordered[np.arange(len(ordered)), wide.argmax(axis=1)]
+    return values >= cut[:, None]

@@ -247,13 +247,13 @@ def parse_metric(text: str, tokens: Optional[Sequence[str]] = None) -> Metric:
         raise InputParse("empty metric file")
     try:
         n = int(tokens[0])
-        vals = [float(t) for t in tokens[1:]]
+        vals = np.fromiter(map(float, tokens[1:]), dtype=float, count=len(tokens) - 1)
     except ValueError as exc:
         raise InputParse(f"metric file: {exc}") from None
     if n < 1 or len(vals) != n * n:
         raise InputParse(f"expected n >= 1 and n * n matrix entries, got n={n} "
                          f"and {len(vals)} entries")
-    return validate_metric(np.array(vals).reshape(n, n))
+    return validate_metric(vals.reshape(n, n))
 
 
 def format_point_cloud(points: np.ndarray) -> str:

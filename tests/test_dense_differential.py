@@ -2,13 +2,17 @@
 
 The reduced searches and the partition search score every move of a sweep in
 one numpy pass; the loops in ``structural.py`` rebuild and score each
-candidate from scratch.
+candidate from scratch.  The HC search screens large sweeps with an estimate
+and rescores only each row's near-best moves exactly; the screen's error
+bound and the cut it allows are checked here too.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structural import (
     reference_caterpillar_values,
@@ -22,7 +26,13 @@ from structural import (
     reference_swap_gain,
     reference_swap_hill_climb,
 )
-from peelembed.hc_dense import DenseHcConfig, _caterpillar_values, solve_hc_dense
+from peelembed.hc_dense import (
+    DenseHcConfig,
+    _caterpillar_screen,
+    _caterpillar_values,
+    _screen_delta,
+    solve_hc_dense,
+)
 from peelembed.instances import FAMILIES as ALL_FAMILIES
 from peelembed.instances import GeneratorSpec, generate
 from peelembed.la_dense import (
@@ -35,6 +45,8 @@ from peelembed.la_dense import (
 from peelembed import local_search
 from peelembed.local_search import (
     TIE_TOL,
+    Screen,
+    near_best,
     reduced_restarts,
     scan_argmax,
     score_moves,
@@ -212,6 +224,123 @@ def test_lockstep_restarts_match_per_restart_loop(batch, monkeypatch):
             assert got.shape == (restarts, m.n), label
             for row, (g, w) in enumerate(zip(got, want)):
                 assert g.tobytes() == w.tobytes(), (label, scorer.__name__, row)
+
+
+def _hc_score(m, slots):
+    return lambda rows: _caterpillar_values(m.dist, rows, slots)
+
+
+def _hc_screen(m, slots):
+    return Screen(lambda *moves: _caterpillar_screen(m.dist, *moves, slots),
+                  _screen_delta(m.dist, slots))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from([2, 5, 12, 20, 30]),
+    st.integers(2, 6),
+    st.sampled_from([1e-150, 1e-9, 1.0, 1e9, 1e150]),
+    st.integers(0, 2**32 - 1),
+)
+def test_caterpillar_screen_within_delta(family, n, slots, scale, seed):
+    # uniform_metric and path_metric tie many moves exactly; the scales
+    # check that delta scales with the weights and TIE_TOL does not hide it
+    m = validate_metric(generate(GeneratorSpec(family=family, n=n, seed=seed % 97)).dist * scale)
+    assigns = np.random.default_rng(seed).integers(0, slots, size=(3, n))
+    points, targets = single_moves(assigns, slots)
+    got = _caterpillar_screen(m.dist, assigns, points, targets, slots)
+    delta = _screen_delta(m.dist, slots)
+    exact = score_moves(assigns, points, targets, _hc_score(m, slots))
+    assert np.abs(got - exact).max() <= delta, (np.abs(got - exact).max(), delta)
+    want = reference_hc_move_values(m, assigns[0], slots)
+    assert np.abs(got[0] - want).max() <= delta
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(0, 8), st.sampled_from([0.0, 0.4, -0.4, 0.9])),
+             min_size=1, max_size=40),
+    st.sampled_from([0.0, 1.0, -3.0]),
+    st.sampled_from([0.0, 0.3, 1.0, 4.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_near_best_keeps_the_scan_pick(cells, base, noise, seed):
+    # Exact gains on a grid of half the cut's gap, so that neighbouring
+    # levels are never cut apart and levels two apart sit on the edge, with
+    # sub-tolerance offsets that make chains of near-ties.  The screen is
+    # off by up to ``noise`` TIE_TOL; delta also covers the rounding of the
+    # gains and of ``gain + TIE_TOL``.
+    err = noise * TIE_TOL
+    step = (TIE_TOL + 2.0 * err) / 2.0
+    gains = np.array([base + level * step + off * TIE_TOL for level, off in cells])
+    delta = err + 2.0 * np.finfo(float).eps * (np.abs(gains).max() + TIE_TOL)
+    screen = gains + np.random.default_rng(seed).uniform(-err, err, size=len(gains))
+    keep = near_best(screen[None, :], TIE_TOL + 2.0 * delta)[0]
+    cut = np.where(keep, gains, -np.inf)
+    want = _sequential_argmax(list(gains), TIE_TOL)
+    assert keep[want]
+    assert _sequential_argmax(list(cut), TIE_TOL) == want
+    assert scan_argmax(cut) == want
+
+
+def _noisy_screen(m, slots, spread, seed):
+    """A screen that is the exact score plus noise of up to ``spread``."""
+    rng = np.random.default_rng(seed)
+
+    def estimate(assigns, points, targets):
+        moved = np.repeat(assigns, len(points), axis=0)
+        moved[np.arange(len(moved)), np.tile(points, len(assigns))] = targets.reshape(-1)
+        exact = _caterpillar_values(m.dist, moved, slots).reshape(targets.shape)
+        return exact + rng.uniform(-spread, spread, size=exact.shape)
+
+    return Screen(estimate, spread + _screen_delta(m.dist, slots))
+
+
+@pytest.mark.parametrize("n", [9, 12, 20, 40])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(2, 5),
+    st.sampled_from([1, 3, 8]),
+    st.sampled_from(["default", "every sweep", "noisy"]),
+)
+def test_screened_restarts_match_per_restart_loop(n, family, slots, restarts, mode):
+    # At these sizes only the widest lockstep sweeps overflow a batch; with
+    # one-row batches every sweep takes the screen.  The noisy screen is off
+    # by up to 100 TIE_TOL, so that the exact ties of uniform_metric and
+    # path_metric come to the cut as near-ties.
+    m = generate(GeneratorSpec(family=family, n=n, seed=n + slots))
+    budget = SearchBudget(restarts=restarts)
+    score = _hc_score(m, slots)
+    want = list(reference_reduced_restarts(n, slots, 3, budget, score))
+    screen = _noisy_screen(m, slots, 100 * TIE_TOL, n) if mode == "noisy" else _hc_screen(m, slots)
+    with pytest.MonkeyPatch.context() as patch:
+        if mode != "default":
+            patch.setattr(local_search, "BATCH_ENTRIES", n * n)
+        got = reduced_restarts(n, slots, 3, budget, score, screen)
+    for row, (g, w) in enumerate(zip(got, want)):
+        assert g.tobytes() == w.tobytes(), row
+
+
+def test_screen_rescores_few_candidates():
+    # The fast path must not decay into rescoring most moves exactly.
+    m = generate(GeneratorSpec(family="clustered", n=60, seed=0))
+    slots, budget = 3, SearchBudget()
+    exact, screened = [0], [0]
+
+    def score(rows):
+        exact[0] += len(rows)
+        return _caterpillar_values(m.dist, rows, slots)
+
+    def estimate(assigns, points, targets):
+        screened[0] += targets.size
+        return _caterpillar_screen(m.dist, assigns, points, targets, slots)
+
+    reduced_restarts(m.n, slots, 0, budget, score, Screen(estimate, _screen_delta(m.dist, slots)))
+    rescored = exact[0] - budget.restarts  # the start rows are scored exactly
+    assert screened[0] > 0
+    assert rescored < 0.1 * screened[0], (rescored, screened[0])
 
 
 @pytest.mark.parametrize("slots", [2, 3, 5, 7])
