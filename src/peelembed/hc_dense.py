@@ -6,8 +6,9 @@ as an ascending-id ladder off a leaf slot of a small skeleton tree.  In
 slots and a grid of size / crossing-weight targets drives the bounded
 partition search; ``reduced`` mode local-searches slot assignments against a
 caterpillar skeleton, screening large sweeps with an incremental estimate and
-scoring only the near-best moves exactly.  Both modes always consider the single ascending-id
-ladder over all points, so the output never scores below it.
+scoring only the near-best moves exactly.  Both modes always consider the
+single ascending-id ladder over all points, so the output never scores below
+it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import FaithfulGridTooLarge
-from .local_search import (TIE_TOL, DenseConfig, Screen, best_of, reduced_restarts,
-                           sizes_and_ranks)
+from .local_search import (BATCH_ENTRIES, TIE_TOL, DenseConfig, Screen, best_of,
+                           reduced_restarts, sizes_and_ranks)
 from .metric import Metric, subset_stats
 from .objectives import HcTree, evaluate_hc, ladder_tree
 from .oracles import all_binary_trees
@@ -97,9 +98,9 @@ def _caterpillar_values(dist: np.ndarray, assigns: np.ndarray, slots: int) -> np
 
 
 def _screen_delta(dist: np.ndarray, slots: int) -> float:
-    """Bound on |``_caterpillar_screen`` - ``_caterpillar_values``| for any
-    move, with room for the rounding of the gains and of the scan's
-    comparisons (see ``local_search.near_best``).
+    """Bound on |screen - ``_caterpillar_values``| for any move (see
+    ``_caterpillar_screen``), with room for the rounding of the gains and of
+    the scan's comparisons (see ``local_search.near_best``).
 
     Let u = eps / 2 and W be the weight of all pairs.  Each value below is a
     sum of terms, each a product of distances and small exact integers; if
@@ -109,50 +110,72 @@ def _screen_delta(dist: np.ndarray, slots: int) -> float:
     rounded once, to the true value V <= n W, so it is off by at most
     gamma_{n^2} n W.  In the screen, the entries of P, Hi and LoR are sums
     of at most n products (at most n roundings), W_ab sums n entries of P
-    (2n), and R's suffix sums, G and the rank term stay within 2n + 3.
-    <K', W> adds a product and a sum of slots^2 terms, the slope term a
-    product and a sum of slots terms, and the value three more additions:
-    k = 2n + slots^2 + 6 bounds every path.  With signs made positive,
-    <K', W> <= n W (2 K' <= n), the slope term <= n deg(p) <= n W, the rank
-    term <= n W and G(p, a) + G(p, b) <= (4n + 2) W: 9 n W in all.  The
-    two bounds sum to under 1.01 u (n^2 + 9k) n W while n^2 u < 0.01.
-    Doubling that (eps for u) and adding eps TIE_TOL leaves room for the
-    rounding of the gains, of the gap test and of ``gain + TIE_TOL``, each
-    at most u (n W + TIE_TOL + 2 delta).  A product that underflows is off
-    by at most half the smallest subnormal, and a value takes fewer than
-    n^2 + 9k of them.
+    (2n) and C_b sums at most 2 slots of them (2n + 2 slots); <K, W> adds a
+    product and a sum of slots^2 terms, (2 K q)_b a product and a sum of
+    slots terms, the suffix sums of R and G at most 2n + 2, the rank term
+    2n + 1, and the value at most six more additions:
+    k = 2n + slots^2 + 2 slots + 8 bounds every path.  With signs made
+    positive, <K, W> <= n W (2 K <= n), the rank term <= n W, each of the
+    two C + W_bb / 2 <= 2 W, each of the two (2 K q) <= n deg(p) <= n W,
+    the suffix sum of q <= W and G(p, a) + G(p, b) <= (4n + 2) W: at most
+    15 n W in all.  The two bounds sum to at most 1.02 u (n^2 + 15k) n W
+    while (n^2 + 15k) u < 0.01.  Doubling that (eps for u) and adding
+    eps TIE_TOL leaves room for the rounding of the gains, of the gap test
+    and of ``gain + TIE_TOL``, each at most u (n W + TIE_TOL + 2 delta).  A
+    product or halving that underflows is off by at most half the smallest
+    subnormal, and a value takes fewer than n^2 + 15k of them.
     """
     n = len(dist)
-    count = n * n + 9 * (2 * n + slots * slots + 6)
+    count = n * n + 15 * (2 * n + slots * slots + 2 * slots + 8)
     weight = float(dist.sum()) / 2.0
     info = np.finfo(float)
     return info.eps * (count * n * weight + TIE_TOL) + count * info.smallest_subnormal
 
 
-def _caterpillar_screen(dist: np.ndarray, assigns: np.ndarray, points: np.ndarray,
-                        targets: np.ndarray, slots: int) -> np.ndarray:
-    """Caterpillar value of every moved copy of each assignment row, as
-    ``local_search.score_moves`` lists them, from per-row tables in O(slots)
-    per move; within ``_screen_delta`` of ``_caterpillar_values``.
+def _caterpillar_screen(dist: np.ndarray, slots: int) -> Screen:
+    """Screen of the reduced search: the caterpillar value of every moved
+    copy of each assignment row, as ``local_search.score_moves`` lists them,
+    within ``_screen_delta`` of ``_caterpillar_values`` and O(1) per move
+    from per-row tables of O(n slots + slots^2) entries.
 
     With W_ab the weight between slots a and b, F_a the points in slots a
     and later, t_a the slot sizes and R(i) the weight from i to the higher
     ids of its own slot, the value is
 
-        <K, W> - sum_i rank(i) R(i),   K_ab = F_min(a, b) / 2, K_aa = t_a / 2.
+        <K, W> - sum_i rank(i) R(i),   2 K_ab = F_min(a, b), 2 K_aa = t_a.
 
     Moving p from a to b adds e q^T + q e^T to W (e = 1_b - 1_a, q = p's
-    weight to each slot) and turns K into K' of the moved sizes, so the
-    first term becomes <K', W> + 2 (K'_b - K'_a) . q: a table over (a, b)
-    per row, plus O(slots) per move.  The rank term changes by
-    G(p, b) - G(p, a), where G(p, s) is p's rank among s's lower ids times
-    its weight to s's higher ids, plus its rank-weighted weight to s's lower
-    ids, plus the R of s's higher ids, whose ranks p's arrival (or leaving)
-    shifts by one.
+    weight to each slot) and turns K into K' of the moved sizes.  F gains 1
+    on the slots after a up to b (loses 1 after b up to a), so with
+    C_b = sum_{s <= b} sum_{t > s} W_st the first term becomes
+    <K, W> + C_b - C_a + (W_bb - W_aa) / 2 + (2 K q)_b - (2 K q)_a +
+    sum_{s >= min(a, b)} q_s.  The rank term changes by G(p, b) - G(p, a),
+    where G(p, s) is p's rank among s's lower ids times its weight to s's
+    higher ids, plus its rank-weighted weight to s's lower ids, plus the R
+    of s's higher ids, whose ranks p's arrival (or leaving) shifts by one.
+
+    Rows go through in batches whose (n, slots) tables hold at most
+    ``BATCH_ENTRIES`` entries each.
     """
-    c, n = assigns.shape
+    n = len(dist)
     upper = np.triu(dist, 1)
-    onehot = (assigns[:, :, None] == np.arange(slots)).astype(float)
+    step = max(1, BATCH_ENTRIES // (n * slots + slots * slots))
+
+    def estimate(assigns, points, targets):
+        out = np.empty(np.shape(targets))
+        for start in range(0, len(assigns), step):
+            rows = slice(start, start + step)
+            out[rows] = _screen_rows(dist, upper, assigns[rows], points, targets[rows], slots)
+        return out
+
+    return Screen(estimate, _screen_delta(dist, slots))
+
+
+def _screen_rows(dist, upper, assigns, points, targets, slots):
+    """``_caterpillar_screen``'s estimate for one batch of rows."""
+    c, n = assigns.shape
+    slot = np.arange(slots)
+    onehot = (assigns[:, :, None] == slot).astype(float)
     sizes = onehot.sum(axis=1)
     below = np.cumsum(onehot, axis=1) - onehot  # lower ids of each slot
     rank = np.take_along_axis(below, assigns[:, :, None], 2)
@@ -171,29 +194,25 @@ def _caterpillar_screen(dist: np.ndarray, assigns: np.ndarray, points: np.ndarra
     above[:, :-1] = np.cumsum((onehot * own)[:, :0:-1], axis=1)[:, ::-1]
     join = below * higher + lower_ranked + above
 
-    # 2 K' for every move a -> b of every row: (row, a, b, s, t)
-    slot = np.arange(slots)
-    moved_sizes = sizes[:, None, None] + (np.eye(slots) - np.eye(slots)[:, None])
-    from_slot = np.cumsum(moved_sizes[..., ::-1], axis=-1)[..., ::-1]
-    weights = from_slot[..., np.minimum.outer(slot, slot)]
-    weights[..., slot, slot] = moved_sizes
-    base = np.einsum("labst,lst->lab", weights, cross) / 2.0
-    col, row = slot[None, :], slot[:, None]
-    slope = weights[:, row, col, col] - weights[:, row, col, row]  # 2 (K'_b - K'_a)
-    rows = np.arange(c)[:, None]
-    cross_term = base[rows, assigns] + (slope[rows, assigns] @ part[..., None])[..., 0]
-    own_join = np.take_along_axis(join, assigns[:, :, None], 2)
-    value = cross_term - (rank_term[:, None, None] - own_join + join)  # (row, p, b)
+    from_slot = np.cumsum(sizes[:, ::-1], axis=1)[:, ::-1]
+    twice_k = from_slot[:, np.minimum.outer(slot, slot)]  # 2 K
+    twice_k[:, slot, slot] = sizes
+    shift = np.cumsum(np.triu(cross, 1).sum(axis=2), axis=1)  # C
+    by_slot = shift + np.diagonal(cross, axis1=1, axis2=2) / 2.0
+    to_slot = by_slot[:, None, :] + part @ twice_k - join  # the terms of b
+    suffix = np.cumsum(part[..., ::-1], axis=2)[..., ::-1]
+    start = (twice_k * cross).sum(axis=(1, 2)) / 2.0 - rank_term
+    here = assigns[:, :, None]
+    value = (start[:, None, None] - np.take_along_axis(to_slot, here, 2) + to_slot
+             + np.take_along_axis(suffix, np.minimum(here, slot), 2))  # (row, p, b)
     return np.take_along_axis(value.reshape(c, n * slots), points * slots + targets, 1)
 
 
 def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
     n, slots = m.n, cfg.slots
     skeleton = _caterpillar_skeleton(slots)
-    screen = None
-    if cfg.budget.restarts:  # the bound reads every distance; a zero budget needs none
-        screen = Screen(lambda *moves: _caterpillar_screen(m.dist, *moves, slots),
-                        _screen_delta(m.dist, slots))
+    # the screen reads every distance; a zero budget needs none
+    screen = _caterpillar_screen(m.dist, slots) if cfg.budget.restarts else None
     restarts = reduced_restarts(
         n, slots, seed, cfg.budget, lambda rows: _caterpillar_values(m.dist, rows, slots), screen
     )

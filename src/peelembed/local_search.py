@@ -11,8 +11,8 @@ A whole sweep is scored at once: ``single_moves`` lists the moves,
 Each of the three takes one assignment row or a stack of them, so the
 reduced search sweeps all its restarts in lockstep.  A search may pass a
 ``Screen``, a cheap estimate of every move's score with a proven error bound;
-a sweep too large for one batch then scores exactly only each row's
-``near_best`` moves, which decide the scan on their own.
+a sweep of more than ``SCREEN_ENTRIES`` n x n entries then scores exactly
+only each row's ``near_best`` moves, which decide the scan on their own.
 """
 
 from __future__ import annotations
@@ -31,6 +31,13 @@ TIE_TOL = 1e-12
 # dozen bytes of temporaries, so a sweep stays within a few MB whatever n, the
 # number of parts and the number of restarts sweeping together are.
 BATCH_ENTRIES = 1 << 16
+
+# A sweep whose exact scoring holds more n x n entries than this takes the
+# search's screen, if it has one.  Timed on one HC sweep (n 6-30, 3 and 5
+# slots, 1-32 restarts), screening and rescoring the near-best moves breaks
+# even with exact scoring at 7-8 thousand entries: it is 2x slower at 1000
+# and 4-5x faster at 64000.
+SCREEN_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,8 @@ class Screen:
 
     ``estimate(assigns, points, targets)`` takes what ``score_moves`` takes
     and gives a (C, M) array, each entry within ``delta`` of the value that
-    the search's exact ``score`` gives the same moved assignment.
+    the search's exact ``score`` gives the same moved assignment.  It bounds
+    the memory of its own tables.
     """
 
     estimate: Callable
@@ -108,10 +116,10 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
     ``TIE_TOL`` stops.  Gains are taken against the score of the current
     assignment, so a move that rebuilds it gains exactly 0.
 
-    With a ``screen``, a sweep whose exact scoring would overflow one batch
-    of ``BATCH_ENTRIES`` scores exactly only the ``near_best`` moves of each
-    row, by a gap of ``TIE_TOL + 2 delta``; the others read -inf, which
-    leaves every pick as it was (see ``near_best``).
+    With a ``screen``, a sweep whose exact scoring would hold more than
+    ``SCREEN_ENTRIES`` n x n entries scores exactly only the ``near_best``
+    moves of each row, by a gap of ``TIE_TOL + 2 delta``; the others read
+    -inf, which leaves every pick as it was (see ``near_best``).
     """
     seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
     assigns = np.array([np.random.default_rng(ss).integers(0, parts, size=n) for ss in seqs],
@@ -126,8 +134,8 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
         current = assigns[live]
         points, targets = single_moves(current, parts)
         keep = None
-        if screen is not None and targets.size * n * n > BATCH_ENTRIES:
-            estimate = screen_moves(current, points, targets, parts, screen.estimate)
+        if screen is not None and targets.size * n * n > SCREEN_ENTRIES:
+            estimate = screen.estimate(current, points, targets)
             keep = near_best(estimate, TIE_TOL + 2.0 * screen.delta)
         moved = score_moves(current, points, targets, score, keep)
         gains = moved - values[live, None]
@@ -224,19 +232,6 @@ def score_moves(assigns: np.ndarray, points, targets, score, keep=None) -> np.nd
         batch[np.arange(len(cand)), points[cand % width]] = flat[cand]
         out[cand] = score(batch)
     return out.reshape(np.shape(targets))
-
-
-def screen_moves(assigns: np.ndarray, points, targets, parts: int, estimate) -> np.ndarray:
-    """``estimate`` of every move of every row, as ``score_moves`` scores
-    them, in batches of rows whose move tables (moves x parts x parts) hold
-    at most ``BATCH_ENTRIES`` entries in all."""
-    rows, width = np.atleast_2d(assigns), np.shape(targets)[-1]
-    step = max(1, BATCH_ENTRIES // (width * parts * parts))
-    out = np.empty((len(rows), width))
-    for start in range(0, len(rows), step):
-        out[start:start + step] = estimate(rows[start:start + step], points,
-                                           targets[start:start + step])
-    return out
 
 
 def near_best(values, gap: float) -> np.ndarray:

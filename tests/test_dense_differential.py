@@ -26,6 +26,7 @@ from structural import (
     reference_swap_gain,
     reference_swap_hill_climb,
 )
+from peelembed import hc_dense
 from peelembed.hc_dense import (
     DenseHcConfig,
     _caterpillar_screen,
@@ -230,11 +231,6 @@ def _hc_score(m, slots):
     return lambda rows: _caterpillar_values(m.dist, rows, slots)
 
 
-def _hc_screen(m, slots):
-    return Screen(lambda *moves: _caterpillar_screen(m.dist, *moves, slots),
-                  _screen_delta(m.dist, slots))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.sampled_from(FAMILIES),
@@ -249,10 +245,14 @@ def test_caterpillar_screen_within_delta(family, n, slots, scale, seed):
     m = validate_metric(generate(GeneratorSpec(family=family, n=n, seed=seed % 97)).dist * scale)
     assigns = np.random.default_rng(seed).integers(0, slots, size=(3, n))
     points, targets = single_moves(assigns, slots)
-    got = _caterpillar_screen(m.dist, assigns, points, targets, slots)
-    delta = _screen_delta(m.dist, slots)
+    screen = _caterpillar_screen(m.dist, slots)
+    got, delta = screen.estimate(assigns, points, targets), screen.delta
+    with pytest.MonkeyPatch.context() as patch:  # one row per batch
+        patch.setattr(hc_dense, "BATCH_ENTRIES", 1)
+        rowwise = _caterpillar_screen(m.dist, slots).estimate(assigns, points, targets)
     exact = score_moves(assigns, points, targets, _hc_score(m, slots))
-    assert np.abs(got - exact).max() <= delta, (np.abs(got - exact).max(), delta)
+    for est in (got, rowwise):  # the products round differently by shape
+        assert np.abs(est - exact).max() <= delta, (np.abs(est - exact).max(), delta)
     want = reference_hc_move_values(m, assigns[0], slots)
     assert np.abs(got[0] - want).max() <= delta
 
@@ -306,17 +306,22 @@ def _noisy_screen(m, slots, spread, seed):
     st.sampled_from(["default", "every sweep", "noisy"]),
 )
 def test_screened_restarts_match_per_restart_loop(n, family, slots, restarts, mode):
-    # At these sizes only the widest lockstep sweeps overflow a batch; with
-    # one-row batches every sweep takes the screen.  The noisy screen is off
+    # At these sizes only the wider lockstep sweeps take the screen; with
+    # SCREEN_ENTRIES at 0 every sweep does, and one-candidate batches rescore
+    # the kept moves one at a time.  The noisy screen is off
     # by up to 100 TIE_TOL, so that the exact ties of uniform_metric and
     # path_metric come to the cut as near-ties.
     m = generate(GeneratorSpec(family=family, n=n, seed=n + slots))
     budget = SearchBudget(restarts=restarts)
     score = _hc_score(m, slots)
     want = list(reference_reduced_restarts(n, slots, 3, budget, score))
-    screen = _noisy_screen(m, slots, 100 * TIE_TOL, n) if mode == "noisy" else _hc_screen(m, slots)
+    if mode == "noisy":
+        screen = _noisy_screen(m, slots, 100 * TIE_TOL, n)
+    else:
+        screen = _caterpillar_screen(m.dist, slots)
     with pytest.MonkeyPatch.context() as patch:
         if mode != "default":
+            patch.setattr(local_search, "SCREEN_ENTRIES", 0)
             patch.setattr(local_search, "BATCH_ENTRIES", n * n)
         got = reduced_restarts(n, slots, 3, budget, score, screen)
     for row, (g, w) in enumerate(zip(got, want)):
@@ -328,6 +333,7 @@ def test_screen_rescores_few_candidates():
     m = generate(GeneratorSpec(family="clustered", n=60, seed=0))
     slots, budget = 3, SearchBudget()
     exact, screened = [0], [0]
+    screen = _caterpillar_screen(m.dist, slots)
 
     def score(rows):
         exact[0] += len(rows)
@@ -335,9 +341,9 @@ def test_screen_rescores_few_candidates():
 
     def estimate(assigns, points, targets):
         screened[0] += targets.size
-        return _caterpillar_screen(m.dist, assigns, points, targets, slots)
+        return screen.estimate(assigns, points, targets)
 
-    reduced_restarts(m.n, slots, 0, budget, score, Screen(estimate, _screen_delta(m.dist, slots)))
+    reduced_restarts(m.n, slots, 0, budget, score, Screen(estimate, screen.delta))
     rescored = exact[0] - budget.restarts  # the start rows are scored exactly
     assert screened[0] > 0
     assert rescored < 0.1 * screened[0], (rescored, screened[0])
@@ -439,12 +445,12 @@ def test_dense_value_is_the_witness_value(grid_mode):
             assert value == evaluate(m, witness), (solve.__name__, label)
 
 
-def _solve_peak(m, restarts):
-    """tracemalloc peak of each dense solver at eps 0.5, one sweep per restart."""
+def _solve_peak(m, restarts, eps=0.5):
+    """tracemalloc peak of each dense solver, one sweep per restart."""
     budget = SearchBudget(restarts=restarts, moves_per_restart=1)
     for solve, cfg in (
-        (solve_hc_dense, DenseHcConfig(eps=0.5, budget=budget)),
-        (solve_la_dense, DenseLaConfig(eps=0.5, budget=budget)),
+        (solve_hc_dense, DenseHcConfig(eps=eps, budget=budget)),
+        (solve_la_dense, DenseLaConfig(eps=eps, budget=budget)),
     ):
         tracemalloc.start()
         try:
@@ -469,3 +475,12 @@ def test_lockstep_restart_memory_is_bounded():
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
     for cfg, peak in _solve_peak(m, 32):
         assert peak < 32e6, (cfg, peak)
+
+
+def test_small_eps_memory_is_bounded():
+    # eps 0.02 gives HC 51 slots: a sweep at n=60 lists 3000 moves per
+    # restart, and the screen's per-restart tables grow with n x slots and
+    # slots^2; batches of restarts keep them to a few MB.
+    m = generate(GeneratorSpec(family="euclidean_gaussian", n=60, seed=0))
+    for cfg, peak in _solve_peak(m, 32, eps=0.02):
+        assert peak < 16e6, (cfg, peak)
