@@ -4,22 +4,24 @@ Partitions the points into k = round(1/eps) parts and embeds the parts
 consecutively on the line (ascending part id, ascending point id inside each
 part).  Two modes: ``faithful`` enumerates a grid of pairwise crossing-weight
 targets and asks the bounded-partition search for each cell; ``reduced`` runs
-a direct local search over part assignments.  Faithful always also considers
-the reduced candidate, so it never scores below it.
+a direct local search over part assignments, screening large sweeps with a
+prefix-cut estimate of every move and scoring only the near-best moves
+exactly.  The identity and every restart's arrangement are then polished by
+one swap hill-climb that steps all of them in lockstep.  Faithful always
+also considers the reduced candidate, so it never scores below it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import FaithfulGridTooLarge
-from .local_search import (TIE_TOL, DenseConfig, best_of, reduced_restarts, scan_argmax,
-                           sizes_and_ranks)
+from .errors import FaithfulGridTooLarge, InvalidSpec
+from .local_search import (BATCH_ENTRIES, TIE_TOL, DenseConfig, Screen, best_of, gaining_picks,
+                           reduced_restarts, sizes_and_ranks)
 from .metric import Metric, subset_stats
 from .objectives import LinearArrangement, evaluate_la
 from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
@@ -27,10 +29,23 @@ from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
 
 _position = attrgetter("position")  # the tie-break key of arrangements
 
+# A reduced-search sweep whose exact scoring holds more n x n entries than
+# this takes the prefix-cut screen.  Timed on one LA sweep (n 6-30, 2 and 4
+# parts, 1-32 restarts), screening and rescoring the near-best moves takes
+# 1.4-1.9x the time of exact scoring at 8000 entries, where an HC sweep
+# breaks even, 1.05-1.3x at 16000, mostly 0.7-0.95x at 20000-33000 and
+# 0.05-0.3x at 2.5 * 10^5 and more: it breaks even between 16000 and 21000.
+SCREEN_ENTRIES = 20_000
+
 
 @dataclass(frozen=True)
 class DenseLaConfig(DenseConfig):
     swap_sweeps: int = 40
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.swap_sweeps < 0:
+            raise InvalidSpec(f"swap_sweeps must be >= 0, got {self.swap_sweeps}")
 
     @property
     def k(self) -> int:
@@ -62,47 +77,167 @@ def _arrangement_values(dist: np.ndarray, assigns: np.ndarray, k: int) -> np.nda
     return gaps.reshape(c, n * n).sum(axis=1) / 2.0
 
 
+def _screen_delta(dist: np.ndarray) -> float:
+    """Bound on |screen - ``_arrangement_values``| for any move (see
+    ``_prefix_cut_screen``), with room for the rounding of the gains and of
+    the scan's comparisons (see ``local_search.near_best``).
+
+    Let u = eps / 2 and W be the weight of all pairs.  Each value below is a
+    sum of terms, each a product of distances and small exact integers; if
+    every term passes through at most k roundings, the value is off by at
+    most gamma_k = k u / (1 - k u) times the same sum with every sign made
+    positive.  ``_arrangement_values`` sums n^2 nonnegative terms, each
+    rounded once, to twice the true value V <= n W and halves it, so it is
+    off by at most gamma_{n^2 + 1} n W.  In the screen, deg(p) and the
+    entries of P sum at most n distances (n roundings), a cut adds two of
+    them and sums at most n such increments (2n + 1), the value V sums
+    n - 1 cuts (3n + 1), the entries of T sum at most n entries of P (2n),
+    the slope term is one product more (n + 1), and the estimate adds at
+    most six terms: k = 3n + 8 bounds every path.  With signs made
+    positive, each cut is at most 4 W (the degrees of its left side plus
+    twice the weight inside it), so V is at most 4 n W, the two cuts 8 W,
+    the four entries of T 4 n W and the slope term n W: at most 17 n W in
+    all.  The two bounds sum to at most 1.02 u (n^2 + 1 + 17k) n W while
+    (n^2 + 1 + 17k) u < 0.01.  Doubling that (eps for u) and adding
+    eps TIE_TOL leaves room for the rounding of the gains, of the gap test
+    and of ``gain + TIE_TOL``, each at most u (n W + TIE_TOL + 2 delta).  A
+    product or halving that underflows is off by at most half the smallest
+    subnormal, and a value takes fewer than n^2 + 1 + 17k of them.
+    """
+    n = len(dist)
+    count = n * n + 1 + 17 * (3 * n + 8)
+    weight = float(dist.sum()) / 2.0
+    info = np.finfo(float)
+    return info.eps * (count * n * weight + TIE_TOL) + count * info.smallest_subnormal
+
+
+def _prefix_cut_screen(dist: np.ndarray, k: int) -> Screen:
+    """Screen of the reduced search: the value of the consecutive-parts
+    embedding of every moved copy of each assignment row, as
+    ``local_search.score_moves`` lists them, within ``_screen_delta`` of
+    ``_arrangement_values`` and O(1) per move from per-row tables of O(n^2)
+    entries.
+
+    The value is the sum of cut(t), the weight across the cut after the
+    first t slots.  Moving p from part a to part b takes p out of its slot
+    x and puts it in slot y, shifting the points between by one.  With
+    P[p, t] p's weight to the first t slots, T[p, t] = sum_{s <= t} P[p, s]
+    and deg(p) p's weight to all points, the value changes for x < y by
+
+        cut(y) - cut(x) + 2 (T[p, y] - T[p, x]) - (y - x) deg(p),
+
+    as each cut t in [x, y) becomes cut(t + 1) + 2 P[p, t + 1] - deg(p).
+    For y < x, each cut t in [y, x) becomes cut(t - 1) + deg(p) -
+    2 P[p, t - 1], the same sum with the sign turned and (y - 1, x - 1)
+    for (x, y), over T shifted by one slot.
+
+    Rows go through in batches whose (n + 1, n) tables hold at most
+    ``BATCH_ENTRIES`` entries each.
+    """
+    n = len(dist)
+    deg = dist.sum(axis=1)
+    step = max(1, BATCH_ENTRIES // (n * (n + 1)))
+
+    def estimate(assigns, points, targets):
+        out = np.empty(np.shape(targets))
+        for start in range(0, len(assigns), step):
+            rows = slice(start, start + step)
+            out[rows] = _screen_rows(dist, deg, assigns[rows], points, targets[rows], k)
+        return out
+
+    return Screen(estimate, _screen_delta(dist), SCREEN_ENTRIES)
+
+
+def _screen_rows(dist, deg, assigns, points, targets, k):
+    """``_prefix_cut_screen``'s estimate for one batch of rows."""
+    c, n = assigns.shape
+    row, ids = np.arange(c)[:, None], np.arange(n)
+    onehot = assigns[:, :, None] == np.arange(k)
+    sizes = onehot.sum(axis=1)
+    before = np.cumsum(sizes, axis=1) - sizes
+    below = np.cumsum(onehot, axis=1) - onehot  # lower ids in each part
+    slot = before[row, assigns] + below[row, ids, assigns]  # 0-based
+    order = np.empty_like(assigns)  # the point in each slot
+    order[row, slot] = ids
+    prefix = np.zeros((c, n + 1, n))  # P, indexed [row, t, p]
+    np.cumsum(dist.take(order, axis=0), axis=1, out=prefix[:, 1:])
+    sums = np.cumsum(prefix, axis=1)  # T
+    cut = np.zeros((c, n + 1))  # cut(0) = cut(n) = 0
+    np.cumsum((deg[order] - 2.0 * prefix[row, ids, order])[:, :-1], axis=1, out=cut[:, 1:n])
+
+    right = assigns[:, points] < targets
+    x = slot[:, points] + 1
+    y = before[row, targets] + below[row, points, targets] + ~right
+    lo, hi = np.where(right, x, y - 1), np.where(right, y, x - 1)
+    inner = (sums[row, np.maximum(hi - ~right, 0), points]
+             - sums[row, np.maximum(lo - ~right, 0), points])
+    change = cut[row, hi] - cut[row, lo] + 2.0 * inner - (hi - lo) * deg[points]
+    return cut[:, 1:n].sum(axis=1)[:, None] + np.where(right, change, -change)
+
+
 def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """n x n matrix of the LA value change when points i and j trade slots.
+    """n x n matrices of the LA value change when points i and j trade
+    slots, one per row of ``pos`` (positions of shape (n,) or (C, n)).
 
     With A = |pos_i - pos_j| and S = D A, the gain is
     S_ij + S_ji - S_ii - S_jj + 2 D_ij A_ij.
     """
-    gaps = np.abs(pos[:, None] - pos[None, :])
+    gaps = np.abs(pos[..., :, None] - pos[..., None, :])
     s = dist @ gaps
-    diag = np.diag(s)
-    return s + s.T - diag[:, None] - diag[None, :] + 2.0 * dist * gaps
+    diag = np.diagonal(s, axis1=-2, axis2=-1)
+    # in place, in the order of the formula: this rounds as the one-line form
+    gains = s + np.swapaxes(s, -1, -2)
+    gains -= diag[..., :, None]
+    gains -= diag[..., None, :]
+    gaps *= 2.0 * dist
+    gains += gaps
+    return gains
 
 
-def _swap_hill_climb(m: Metric, arr: LinearArrangement, sweeps: int) -> LinearArrangement:
-    """Steepest-descent slot swaps until a local maximum (deterministic);
-    ``arr`` itself when no swap gains, so that ``best_of`` skips rescoring it.
+def _swap_hill_climb(m: Metric, starts, sweeps: int) -> list:
+    """Steepest-ascent slot swaps from each start arrangement until a local
+    maximum (deterministic), every start in lockstep; a start comes back as
+    itself when no swap gains, so that ``best_of`` skips rescoring it.
 
-    Each sweep scans the pairs i < j row-major for the best swap.
+    Each sweep scans the pairs i < j row-major for each live start's best
+    swap.  The live starts go through in batches of at most
+    ``BATCH_ENTRIES`` n x n entries, each scanned at once (at n <= 44 one
+    batch holds 33 starts); a start whose best swap gains at most
+    ``TIE_TOL`` stops.
     """
-    pos = np.array(arr.position, dtype=float)
-    upper = np.triu_indices(m.n, 1)
+    n = m.n
+    pos = np.array([arr.position for arr in starts], dtype=float)
+    upper = np.triu_indices(n, 1)
+    flat = upper[0] * n + upper[1]
+    step = max(1, BATCH_ENTRIES // (n * n))
+    live = np.arange(len(starts))
     for _ in range(sweeps):
-        gains = _swap_gains(m.dist, pos)[upper]
-        pick = scan_argmax(gains)
-        if gains[pick] <= TIE_TOL:
+        if not len(live):
             break
-        i, j = upper[0][pick], upper[1][pick]
-        pos[i], pos[j] = pos[j], pos[i]
-    climbed = LinearArrangement.from_positions(int(p) for p in pos)
-    return arr if climbed == arr else climbed
+        going = []
+        for start in range(0, len(live), step):
+            batch = live[start:start + step]
+            gains = _swap_gains(m.dist, pos[batch]).reshape(len(batch), n * n)[:, flat]
+            batch, _, picks = gaining_picks(batch, gains)
+            i, j = upper[0][picks], upper[1][picks]
+            pos[batch, i], pos[batch, j] = pos[batch, j], pos[batch, i]
+            going.append(batch)
+        live = np.concatenate(going)
+    climbed = (LinearArrangement.from_positions(int(p) for p in row) for row in pos)
+    return [arr if new == arr else new for arr, new in zip(starts, climbed)]
 
 
 def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):
     n, k = m.n, cfg.k
     identity = LinearArrangement.from_order(range(n))
+    # the screen reads every distance; a zero budget needs none
+    screen = _prefix_cut_screen(m.dist, k) if cfg.budget.restarts else None
     restarts = reduced_restarts(
-        n, k, seed, cfg.budget, lambda rows: _arrangement_values(m.dist, rows, k)
+        n, k, seed, cfg.budget, lambda rows: _arrangement_values(m.dist, rows, k), screen
     )
-    starts = itertools.chain([identity], map(_embed_assignment, restarts))
-    climbed = (_swap_hill_climb(m, arr, cfg.swap_sweeps) for arr in starts)
-    return best_of(itertools.chain([identity], climbed), lambda arr: evaluate_la(m, arr),
-                   _position)
+    starts = [identity, *map(_embed_assignment, restarts)]
+    climbed = _swap_hill_climb(m, starts, cfg.swap_sweeps)
+    return best_of([identity, *climbed], lambda arr: evaluate_la(m, arr), _position)
 
 
 def _solve_faithful(m: Metric, cfg: DenseLaConfig, seed: int, best):

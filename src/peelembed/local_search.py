@@ -9,10 +9,12 @@ A whole sweep is scored at once: ``single_moves`` lists the moves,
 ``score_moves`` scores the moved assignments in bounded batches and
 ``scan_argmax`` returns the index that the sequential scan would have kept.
 Each of the three takes one assignment row or a stack of them, so the
-reduced search sweeps all its restarts in lockstep.  A search may pass a
-``Screen``, a cheap estimate of every move's score with a proven error bound;
-a sweep of more than ``SCREEN_ENTRIES`` n x n entries then scores exactly
-only each row's ``near_best`` moves, which decide the scan on their own.
+reduced search sweeps all its restarts in lockstep, and ``gaining_picks``
+keeps the restarts that still gain; the LA swap climb steps its starts the
+same way.  A search may pass a ``Screen``, a cheap estimate of every move's
+score with a proven error bound; a sweep of more n x n entries than the
+screen's threshold then scores exactly only each row's ``near_best`` moves,
+which decide the scan on their own.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ TIE_TOL = 1e-12
 BATCH_ENTRIES = 1 << 16
 
 # A sweep whose exact scoring holds more n x n entries than this takes the
-# search's screen, if it has one.  Timed on one HC sweep (n 6-30, 3 and 5
-# slots, 1-32 restarts), screening and rescoring the near-best moves breaks
-# even with exact scoring at 7-8 thousand entries: it is 2x slower at 1000
-# and 4-5x faster at 64000.
+# search's screen, if it has one and the screen sets no threshold of its own.
+# Timed on one HC sweep (n 6-30, 3 and 5 slots, 1-32 restarts), screening and
+# rescoring the near-best moves breaks even with exact scoring at 7-8
+# thousand entries: it is 2x slower at 1000 and 4-5x faster at 64000.
 SCREEN_ENTRIES = 1 << 13
 
 
@@ -98,11 +100,14 @@ class Screen:
     ``estimate(assigns, points, targets)`` takes what ``score_moves`` takes
     and gives a (C, M) array, each entry within ``delta`` of the value that
     the search's exact ``score`` gives the same moved assignment.  It bounds
-    the memory of its own tables.
+    the memory of its own tables.  A sweep takes the screen when its exact
+    scoring would hold more than ``entries`` n x n entries (None:
+    ``SCREEN_ENTRIES``).
     """
 
     estimate: Callable
     delta: float
+    entries: Optional[int] = None
 
 
 def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
@@ -116,8 +121,8 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
     ``TIE_TOL`` stops.  Gains are taken against the score of the current
     assignment, so a move that rebuilds it gains exactly 0.
 
-    With a ``screen``, a sweep whose exact scoring would hold more than
-    ``SCREEN_ENTRIES`` n x n entries scores exactly only the ``near_best``
+    With a ``screen``, a sweep whose exact scoring would hold more than the
+    screen's ``entries`` n x n entries scores exactly only the ``near_best``
     moves of each row, by a gap of ``TIE_TOL + 2 delta``; the others read
     -inf, which leaves every pick as it was (see ``near_best``).
     """
@@ -128,24 +133,33 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
     # start rows in bounded batches
     values = score_moves(assigns, np.zeros(1, dtype=np.int64), assigns[:, :1], score)[:, 0]
     live = np.arange(len(seqs))
+    if screen is not None:
+        limit = SCREEN_ENTRIES if screen.entries is None else screen.entries
     for _ in range(budget.moves(n)):
         if not len(live):
             break
         current = assigns[live]
         points, targets = single_moves(current, parts)
         keep = None
-        if screen is not None and targets.size * n * n > SCREEN_ENTRIES:
+        if screen is not None and targets.size * n * n > limit:
             estimate = screen.estimate(current, points, targets)
             keep = near_best(estimate, TIE_TOL + 2.0 * screen.delta)
         moved = score_moves(current, points, targets, score, keep)
-        gains = moved - values[live, None]
-        picks = scan_argmax(gains)
-        rows = np.arange(len(live))
-        go = gains[rows, picks] > TIE_TOL
-        live, rows, picks = live[go], rows[go], picks[go]
+        live, rows, picks = gaining_picks(live, moved - values[live, None])
         assigns[live, points[picks]] = targets[rows, picks]
         values[live] = moved[rows, picks]
     return assigns
+
+
+def gaining_picks(live: np.ndarray, gains: np.ndarray):
+    """One lockstep step of steepest ascent: ``gains`` holds a row of move
+    gains for each search in ``live``.  Gives (live, rows, picks) of the
+    searches whose ``scan_argmax`` pick gains more than ``TIE_TOL``: their
+    ids, their rows in ``gains`` and their picks.  The others stop."""
+    picks = scan_argmax(gains)
+    rows = np.arange(len(live))
+    go = gains[rows, picks] > TIE_TOL
+    return live[go], rows[go], picks[go]
 
 
 def scan_argmax(gains, tol: float = TIE_TOL):
@@ -160,12 +174,24 @@ def scan_argmax(gains, tol: float = TIE_TOL):
     value(r) + tol.  One stable sort of every row's records and thresholds
     finds it for all records at once; the scan then jumps from record to
     record in every row together.
+
+    Usually no sort is needed: when every entry ahead of a row's first
+    largest entry is below it by more than tol (``ahead + tol < top``,
+    rounded as the scan rounds it), the scan reaches that entry with a
+    smaller incumbent, takes it, and no later entry can beat it.  If every
+    row is such a row, those entries are returned at once.
     """
     g = np.atleast_2d(np.asarray(gains, dtype=float))
     width = g.shape[1]
+    running = np.maximum.accumulate(g, axis=1)
+    first = g.argmax(axis=1)
+    at = np.arange(len(g))
+    top, ahead = g[at, first], np.where(first > 0, running[at, first - 1], -np.inf)
+    if (ahead + tol < top).all():
+        return int(first[0]) if np.ndim(gains) == 1 else first
     is_record = np.empty(g.shape, dtype=bool)
     is_record[:, 0] = True
-    np.greater(g[:, 1:], np.maximum.accumulate(g, axis=1)[:, :-1], out=is_record[:, 1:])
+    np.greater(g[:, 1:], running[:, :-1], out=is_record[:, 1:])
     records = np.flatnonzero(is_record)  # row by row, ascending in each row
     row = records // width
     values = g.take(records)

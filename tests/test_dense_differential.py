@@ -36,9 +36,11 @@ from peelembed.hc_dense import (
 )
 from peelembed.instances import FAMILIES as ALL_FAMILIES
 from peelembed.instances import GeneratorSpec, generate
+from peelembed import la_dense
 from peelembed.la_dense import (
     DenseLaConfig,
     _arrangement_values,
+    _prefix_cut_screen,
     _swap_gains,
     _swap_hill_climb,
     solve_la_dense,
@@ -115,6 +117,23 @@ def test_scan_argmax_matches_sequential_scan():
             assert pick == _sequential_argmax(list(row), tol), (tol, row)
 
 
+def test_scan_argmax_threshold_edges():
+    # An entry equal to incumbent + tol, as rounded, does not replace it; a
+    # row's largest entry after such an entry, or after -inf, is still found.
+    for tol in (TIE_TOL, 1e-15):
+        for base in (0.0, 1.0, -3.0, 1e6):
+            edge = base + tol
+            rows = [[base, edge], [base, edge, edge], [base, np.nextafter(edge, np.inf)],
+                    [-np.inf, base, edge], [-np.inf, -np.inf], [edge, base, edge],
+                    [base, base, np.nextafter(edge, np.inf), edge]]
+            for row in rows:
+                want = _sequential_argmax(row, tol)
+                assert scan_argmax(np.array(row), tol) == want, (tol, row)
+                pair = np.array([row, row[::-1]])
+                got = scan_argmax(pair, tol)
+                assert list(got) == [want, _sequential_argmax(row[::-1], tol)], (tol, row)
+
+
 def test_scan_argmax_long_ascending_row():
     # every entry a record, each within the tolerance of the one before: the
     # chain jumps every 3 entries; the partition search's tolerance
@@ -182,12 +201,27 @@ def test_swap_gains_match_per_pair_delta():
                 assert gains[j, i] == pytest.approx(want, rel=1e-9, abs=1e-9), label
 
 
-def test_swap_hill_climb_matches_reference():
+def test_swap_hill_climb_matches_reference(monkeypatch):
+    # All starts climb in lockstep; batches of one row, and one batch of
+    # every row, show that a row's climb does not depend on its batch.  A
+    # start at a local maximum comes back as itself, so best_of skips it.
     rng = np.random.default_rng(8)
     for label, m in _metrics((7, 40)):
-        for start in (range(m.n), rng.permutation(m.n)):
-            arr = LinearArrangement.from_order(start)
-            assert _swap_hill_climb(m, arr, 40) == reference_swap_hill_climb(m, arr, 40), label
+        identity = LinearArrangement.from_order(range(m.n))
+        starts = [identity] + [LinearArrangement.from_order(rng.permutation(m.n))
+                               for _ in range(2)]
+        want = [reference_swap_hill_climb(m, arr, 40) for arr in starts]
+        for rows in (None, 1, len(starts) + 1):
+            with monkeypatch.context() as patch:
+                if rows is not None:
+                    patch.setattr(la_dense, "BATCH_ENTRIES", m.n * m.n * rows)
+                got = _swap_hill_climb(m, starts, 40)
+            assert got == want, (label, rows)
+        # a start climbed to the top cannot gain, and no sweeps change none
+        top = _swap_hill_climb(m, starts[1:2], 10_000)[0]
+        got = _swap_hill_climb(m, [top, starts[2], top], 40)
+        assert got[0] is top and got[2] is top and got[1] == want[2], label
+        assert all(a is b for a, b in zip(_swap_hill_climb(m, starts, 0), starts)), label
 
 
 def _restart_cases():
@@ -284,17 +318,19 @@ def test_near_best_keeps_the_scan_pick(cells, base, noise, seed):
     assert scan_argmax(cut) == want
 
 
-def _noisy_screen(m, slots, spread, seed):
+def _noisy_screen(m, slots, spread, seed, scorer=_caterpillar_values, delta=None):
     """A screen that is the exact score plus noise of up to ``spread``."""
     rng = np.random.default_rng(seed)
 
     def estimate(assigns, points, targets):
         moved = np.repeat(assigns, len(points), axis=0)
         moved[np.arange(len(moved)), np.tile(points, len(assigns))] = targets.reshape(-1)
-        exact = _caterpillar_values(m.dist, moved, slots).reshape(targets.shape)
+        exact = scorer(m.dist, moved, slots).reshape(targets.shape)
         return exact + rng.uniform(-spread, spread, size=exact.shape)
 
-    return Screen(estimate, spread + _screen_delta(m.dist, slots))
+    if delta is None:
+        delta = _screen_delta(m.dist, slots)
+    return Screen(estimate, spread + delta)
 
 
 @pytest.mark.parametrize("n", [9, 12, 20, 40])
@@ -328,25 +364,127 @@ def test_screened_restarts_match_per_restart_loop(n, family, slots, restarts, mo
         assert g.tobytes() == w.tobytes(), row
 
 
-def test_screen_rescores_few_candidates():
-    # The fast path must not decay into rescoring most moves exactly.
-    m = generate(GeneratorSpec(family="clustered", n=60, seed=0))
-    slots, budget = 3, SearchBudget()
+def _rescored_share(m, parts, screen, scorer):
+    """Candidates rescored exactly per screened candidate, over one default
+    budget reduced search."""
+    budget = SearchBudget()
     exact, screened = [0], [0]
-    screen = _caterpillar_screen(m.dist, slots)
 
     def score(rows):
         exact[0] += len(rows)
-        return _caterpillar_values(m.dist, rows, slots)
+        return scorer(m.dist, rows, parts)
 
     def estimate(assigns, points, targets):
         screened[0] += targets.size
         return screen.estimate(assigns, points, targets)
 
-    reduced_restarts(m.n, slots, 0, budget, score, Screen(estimate, screen.delta))
+    reduced_restarts(m.n, parts, 0, budget, score,
+                     Screen(estimate, screen.delta, screen.entries))
     rescored = exact[0] - budget.restarts  # the start rows are scored exactly
     assert screened[0] > 0
-    assert rescored < 0.1 * screened[0], (rescored, screened[0])
+    return rescored / screened[0]
+
+
+def test_screen_rescores_few_candidates():
+    # The fast path must not decay into rescoring most moves exactly.
+    m = generate(GeneratorSpec(family="clustered", n=60, seed=0))
+    share = _rescored_share(m, 3, _caterpillar_screen(m.dist, 3), _caterpillar_values)
+    assert share < 0.1, share
+
+
+def test_la_screen_rescores_few_candidates():
+    m = generate(GeneratorSpec(family="clustered", n=60, seed=0))
+    share = _rescored_share(m, 2, _prefix_cut_screen(m.dist, 2), _arrangement_values)
+    assert share < 0.1, share
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from([2, 3, 5, 12, 20, 30]),
+    st.integers(2, 6),
+    st.sampled_from([1e-150, 1e-9, 1.0, 1e9, 1e150]),
+    st.integers(0, 2**32 - 1),
+)
+def test_prefix_cut_screen_within_delta(family, n, k, scale, seed):
+    # as test_caterpillar_screen_within_delta: exact ties, and delta scaling
+    # with the weights
+    m = validate_metric(generate(GeneratorSpec(family=family, n=n, seed=seed % 97)).dist * scale)
+    assigns = np.random.default_rng(seed).integers(0, k, size=(3, n))
+    points, targets = single_moves(assigns, k)
+    screen = _prefix_cut_screen(m.dist, k)
+    got, delta = screen.estimate(assigns, points, targets), screen.delta
+    with pytest.MonkeyPatch.context() as patch:  # one row per batch
+        patch.setattr(la_dense, "BATCH_ENTRIES", 1)
+        rowwise = _prefix_cut_screen(m.dist, k).estimate(assigns, points, targets)
+    exact = score_moves(assigns, points, targets,
+                        lambda rows: _arrangement_values(m.dist, rows, k))
+    for est in (got, rowwise):
+        assert np.abs(est - exact).max() <= delta, (np.abs(est - exact).max(), delta)
+    want = reference_la_move_values(m, assigns[0], k)
+    assert np.abs(got[0] - want).max() <= delta
+
+
+@pytest.mark.parametrize("n", [9, 12, 20, 40])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(2, 5),
+    st.sampled_from([1, 3, 8]),
+    st.sampled_from(["default", "every sweep", "noisy"]),
+)
+def test_screened_la_restarts_match_per_restart_loop(n, family, k, restarts, mode):
+    # as test_screened_restarts_match_per_restart_loop, with the LA screen;
+    # the default mode screens by the LA threshold
+    m = generate(GeneratorSpec(family=family, n=n, seed=n + k))
+    budget = SearchBudget(restarts=restarts)
+
+    def score(rows):
+        return _arrangement_values(m.dist, rows, k)
+
+    want = list(reference_reduced_restarts(n, k, 3, budget, score))
+    with pytest.MonkeyPatch.context() as patch:
+        if mode != "default":
+            patch.setattr(la_dense, "SCREEN_ENTRIES", 0)
+            patch.setattr(local_search, "SCREEN_ENTRIES", 0)  # the noisy screen's
+            patch.setattr(local_search, "BATCH_ENTRIES", n * n)
+        if mode == "noisy":
+            screen = _noisy_screen(m, k, 100 * TIE_TOL, n, _arrangement_values,
+                                   la_dense._screen_delta(m.dist))
+        else:
+            screen = _prefix_cut_screen(m.dist, k)
+        got = reduced_restarts(n, k, 3, budget, score, screen)
+    for row, (g, w) in enumerate(zip(got, want)):
+        assert g.tobytes() == w.tobytes(), row
+
+
+def test_la_screen_keeps_its_own_threshold(monkeypatch):
+    # the LA screen is taken by la_dense.SCREEN_ENTRIES, not by the default
+    m = generate(GeneratorSpec(family="clustered", n=9, seed=0))
+    budget = SearchBudget(restarts=1)
+    for la_entries, default_entries, want in ((0, 1 << 30, True), (1 << 30, 0, False)):
+        monkeypatch.setattr(la_dense, "SCREEN_ENTRIES", la_entries)
+        monkeypatch.setattr(local_search, "SCREEN_ENTRIES", default_entries)
+        screen, taken = _prefix_cut_screen(m.dist, 2), []
+
+        def estimate(assigns, points, targets):
+            taken.append(len(assigns))
+            return screen.estimate(assigns, points, targets)
+
+        reduced_restarts(m.n, 2, 0, budget, lambda rows: _arrangement_values(m.dist, rows, 2),
+                         Screen(estimate, screen.delta, screen.entries))
+        assert bool(taken) == want, (la_entries, default_entries)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_screened_la_witnesses_match_reference_loop(eps, monkeypatch):
+    # every sweep of the solver's reduced search takes the screen
+    monkeypatch.setattr(la_dense, "SCREEN_ENTRIES", 0)
+    cfg = DenseLaConfig(eps=eps, budget=SearchBudget(restarts=3))
+    for label, m in _metrics((7, 10)):
+        for seed in (0, 1):
+            got = solve_la_dense(m, cfg, seed=seed)[0]
+            assert got == reference_la_reduced(m, cfg, seed), (label, seed)
 
 
 @pytest.mark.parametrize("slots", [2, 3, 5, 7])
@@ -475,6 +613,44 @@ def test_lockstep_restart_memory_is_bounded():
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
     for cfg, peak in _solve_peak(m, 32):
         assert peak < 32e6, (cfg, peak)
+
+
+def test_lockstep_climb_memory_is_bounded():
+    # 33 starts climb together: one unbatched sweep would hold several
+    # (33, 300, 300) gap and product temporaries (24 MB each) and gains of
+    # every pair of every start (12 MB); each batch scans its own rows.
+    m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
+    rng = np.random.default_rng(0)
+    starts = [LinearArrangement.from_order(rng.permutation(m.n)) for _ in range(33)]
+    tracemalloc.start()
+    try:
+        _swap_hill_climb(m, starts, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+
+
+def test_screened_la_sweep_memory_is_bounded():
+    # One screened sweep of 32 restarts at n=300: the screen's (n + 1, n)
+    # tables go through a row at a time.
+    m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
+    screen, screened = _prefix_cut_screen(m.dist, 2), [0]
+
+    def estimate(assigns, points, targets):
+        screened[0] += len(assigns)
+        return screen.estimate(assigns, points, targets)
+
+    budget = SearchBudget(restarts=32, moves_per_restart=1)
+    tracemalloc.start()
+    try:
+        reduced_restarts(m.n, 2, 0, budget, lambda rows: _arrangement_values(m.dist, rows, 2),
+                         Screen(estimate, screen.delta, screen.entries))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert screened[0] == 32
+    assert peak < 16e6, peak
 
 
 def test_small_eps_memory_is_bounded():

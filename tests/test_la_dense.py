@@ -22,6 +22,15 @@ def test_config_validation():
         DenseLaConfig(eps=0.5, grid_mode="exact")
 
 
+def test_negative_swap_sweeps_rejected():
+    # range(-3) would run no sweeps without a word
+    with pytest.raises(InvalidSpec, match="swap_sweeps"):
+        DenseLaConfig(eps=0.5, swap_sweeps=-3)
+    with pytest.raises(InvalidSpec):
+        DenseLaConfig(eps=0.0, swap_sweeps=-1)
+    assert DenseLaConfig(eps=0.5, swap_sweeps=0).swap_sweeps == 0
+
+
 def test_uniform_any_mode_scores_ten():
     for mode in ("reduced", "faithful"):
         arr, _ = solve_la_dense(U4, DenseLaConfig(eps=0.5, grid_mode=mode))
