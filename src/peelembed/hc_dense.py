@@ -5,8 +5,10 @@ as an ascending-id ladder off a leaf slot of a small skeleton tree.  In
 ``faithful`` mode the skeletons are all leaf-labeled binary trees on the
 slots and a grid of size / crossing-weight targets drives the bounded
 partition search; ``reduced`` mode local-searches slot assignments against a
-caterpillar skeleton, screening large sweeps with an incremental estimate and
-scoring only the near-best moves exactly.  Both modes always consider the
+caterpillar skeleton on the integer copy of the metric that
+``local_search.quantize`` makes, scoring large sweeps with an incremental
+screen that gives the exact caterpillar values in O(1) per move; the final
+candidates are scored on the true metric.  Both modes always consider the
 single ascending-id ladder over all points, so the output never scores below
 it.
 """
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FaithfulGridTooLarge
-from .local_search import (BATCH_ENTRIES, TIE_TOL, DenseConfig, Screen, best_of,
+from .local_search import (BATCH_ENTRIES, DenseConfig, Screen, best_of, quantize,
                            reduced_restarts, sizes_and_ranks)
 from .metric import Metric, subset_stats
 from .objectives import HcTree, evaluate_hc, ladder_tree
@@ -97,46 +99,19 @@ def _caterpillar_values(dist: np.ndarray, assigns: np.ndarray, slots: int) -> np
     return lca.reshape(c, n * n).sum(axis=1) / 2.0
 
 
-def _screen_delta(dist: np.ndarray, slots: int) -> float:
-    """Bound on |screen - ``_caterpillar_values``| for any move (see
-    ``_caterpillar_screen``), with room for the rounding of the gains and of
-    the scan's comparisons (see ``local_search.near_best``).
-
-    Let u = eps / 2 and W be the weight of all pairs.  Each value below is a
-    sum of terms, each a product of distances and small exact integers; if
-    every term passes through at most k roundings, the value is off by at
-    most gamma_k = k u / (1 - k u) times the same sum with every sign made
-    positive.  ``_caterpillar_values`` sums n^2 nonnegative terms, each
-    rounded once, to the true value V <= n W, so it is off by at most
-    gamma_{n^2} n W.  In the screen, the entries of P, Hi and LoR are sums
-    of at most n products (at most n roundings), W_ab sums n entries of P
-    (2n) and C_b sums at most 2 slots of them (2n + 2 slots); <K, W> adds a
-    product and a sum of slots^2 terms, (2 K q)_b a product and a sum of
-    slots terms, the suffix sums of R and G at most 2n + 2, the rank term
-    2n + 1, and the value at most six more additions:
-    k = 2n + slots^2 + 2 slots + 8 bounds every path.  With signs made
-    positive, <K, W> <= n W (2 K <= n), the rank term <= n W, each of the
-    two C + W_bb / 2 <= 2 W, each of the two (2 K q) <= n deg(p) <= n W,
-    the suffix sum of q <= W and G(p, a) + G(p, b) <= (4n + 2) W: at most
-    15 n W in all.  The two bounds sum to at most 1.02 u (n^2 + 15k) n W
-    while (n^2 + 15k) u < 0.01.  Doubling that (eps for u) and adding
-    eps TIE_TOL leaves room for the rounding of the gains, of the gap test
-    and of ``gain + TIE_TOL``, each at most u (n W + TIE_TOL + 2 delta).  A
-    product or halving that underflows is off by at most half the smallest
-    subnormal, and a value takes fewer than n^2 + 15k of them.
-    """
-    n = len(dist)
-    count = n * n + 15 * (2 * n + slots * slots + 2 * slots + 8)
-    weight = float(dist.sum()) / 2.0
-    info = np.finfo(float)
-    return info.eps * (count * n * weight + TIE_TOL) + count * info.smallest_subnormal
+# A reduced-search sweep whose batched scoring holds more n x n entries than
+# this takes the caterpillar screen.  Timed on one HC sweep (n 6-30, 3 and 5
+# slots, 1-32 restarts), the screen takes 0.85-1.45x the time of batched
+# scoring at 2000-4100 entries, 0.55-1.15x at 6900-8200 and 0.1-0.2x at
+# 64000: it breaks even between 4000 and 7000.
+SCREEN_ENTRIES = 1 << 13
 
 
 def _caterpillar_screen(dist: np.ndarray, slots: int) -> Screen:
     """Screen of the reduced search: the caterpillar value of every moved
     copy of each assignment row, as ``local_search.score_moves`` lists them,
-    within ``_screen_delta`` of ``_caterpillar_values`` and O(1) per move
-    from per-row tables of O(n slots + slots^2) entries.
+    in O(1) per move from per-row tables of O(n slots + slots^2) entries.
+    On a ``quantize``d metric it equals ``_caterpillar_values`` bit for bit.
 
     With W_ab the weight between slots a and b, F_a the points in slots a
     and later, t_a the slot sizes and R(i) the weight from i to the higher
@@ -154,6 +129,11 @@ def _caterpillar_screen(dist: np.ndarray, slots: int) -> Screen:
     higher ids, plus its rank-weighted weight to s's lower ids, plus the R
     of s's higher ids, whose ranks p's arrival (or leaving) shifts by one.
 
+    With W the weight of all pairs, the magnitudes of these terms sum to at
+    most 15 n W: <K, W> <= n W (2 K <= n), the rank term <= n W, each of the
+    two C + W_bb / 2 <= 2 W, each of the two (2 K q) <= n deg(p) <= n W, the
+    suffix sum of q <= W and G(p, a) + G(p, b) <= (4n + 2) W.
+
     Rows go through in batches whose (n, slots) tables hold at most
     ``BATCH_ENTRIES`` entries each.
     """
@@ -168,7 +148,7 @@ def _caterpillar_screen(dist: np.ndarray, slots: int) -> Screen:
             out[rows] = _screen_rows(dist, upper, assigns[rows], points, targets[rows], slots)
         return out
 
-    return Screen(estimate, _screen_delta(dist, slots))
+    return Screen(estimate, SCREEN_ENTRIES)
 
 
 def _screen_rows(dist, upper, assigns, points, targets, slots):
@@ -211,11 +191,12 @@ def _screen_rows(dist, upper, assigns, points, targets, slots):
 def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
     n, slots = m.n, cfg.slots
     skeleton = _caterpillar_skeleton(slots)
-    # the screen reads every distance; a zero budget needs none
-    screen = _caterpillar_screen(m.dist, slots) if cfg.budget.restarts else None
-    restarts = reduced_restarts(
-        n, slots, seed, cfg.budget, lambda rows: _caterpillar_values(m.dist, rows, slots), screen
-    )
+    restarts = []
+    if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
+        dist = quantize(m.dist)
+        restarts = reduced_restarts(n, slots, seed, cfg.budget,
+                                    lambda rows: _caterpillar_values(dist, rows, slots),
+                                    _caterpillar_screen(dist, slots))
     trees = (_skeleton_tree(skeleton, _parts_of(assign, slots)) for assign in restarts)
     return best_of(itertools.chain([ladder_tree(range(n))], trees),
                    lambda tree: evaluate_hc(m, tree), HcTree.serialize)

@@ -4,11 +4,12 @@ Partitions the points into k = round(1/eps) parts and embeds the parts
 consecutively on the line (ascending part id, ascending point id inside each
 part).  Two modes: ``faithful`` enumerates a grid of pairwise crossing-weight
 targets and asks the bounded-partition search for each cell; ``reduced`` runs
-a direct local search over part assignments, screening large sweeps with a
-prefix-cut estimate of every move and scoring only the near-best moves
-exactly.  The identity and every restart's arrangement are then polished by
-one swap hill-climb that steps all of them in lockstep.  Faithful always
-also considers the reduced candidate, so it never scores below it.
+a direct local search over part assignments on the integer copy of the
+metric that ``local_search.quantize`` makes, scoring large sweeps with a
+prefix-cut screen that gives the exact value of every move in O(1).  The
+identity and every restart's arrangement are then polished on the true
+metric by one swap hill-climb that steps all of them in lockstep.  Faithful
+always also considers the reduced candidate, so it never scores below it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec
-from .local_search import (BATCH_ENTRIES, TIE_TOL, DenseConfig, Screen, best_of, gaining_picks,
+from .local_search import (BATCH_ENTRIES, DenseConfig, Screen, best_of, gaining_picks, quantize,
                            reduced_restarts, sizes_and_ranks)
 from .metric import Metric, subset_stats
 from .objectives import LinearArrangement, evaluate_la
@@ -29,13 +30,12 @@ from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
 
 _position = attrgetter("position")  # the tie-break key of arrangements
 
-# A reduced-search sweep whose exact scoring holds more n x n entries than
+# A reduced-search sweep whose batched scoring holds more n x n entries than
 # this takes the prefix-cut screen.  Timed on one LA sweep (n 6-30, 2 and 4
-# parts, 1-32 restarts), screening and rescoring the near-best moves takes
-# 1.4-1.9x the time of exact scoring at 8000 entries, where an HC sweep
-# breaks even, 1.05-1.3x at 16000, mostly 0.7-0.95x at 20000-33000 and
-# 0.05-0.3x at 2.5 * 10^5 and more: it breaks even between 16000 and 21000.
-SCREEN_ENTRIES = 20_000
+# parts, 1-32 restarts), the screen takes 0.8-2.1x the time of batched
+# scoring at 500-3500 entries, 0.95x at 4096, 0.45-0.9x at 5000-16000 and
+# 0.05-0.2x from 10^5: it breaks even at about 4000.
+SCREEN_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,7 @@ class DenseLaConfig(DenseConfig):
 
 def _embed_assignment(assignment) -> LinearArrangement:
     """Parts laid out consecutively: ascending part id, ascending point id."""
-    n = len(assignment)
-    order = sorted(range(n), key=lambda v: (assignment[v], v))
-    return LinearArrangement.from_order(order)
+    return LinearArrangement.from_order(np.argsort(assignment, kind="stable").tolist())
 
 
 def _arrangement_values(dist: np.ndarray, assigns: np.ndarray, k: int) -> np.ndarray:
@@ -77,46 +75,12 @@ def _arrangement_values(dist: np.ndarray, assigns: np.ndarray, k: int) -> np.nda
     return gaps.reshape(c, n * n).sum(axis=1) / 2.0
 
 
-def _screen_delta(dist: np.ndarray) -> float:
-    """Bound on |screen - ``_arrangement_values``| for any move (see
-    ``_prefix_cut_screen``), with room for the rounding of the gains and of
-    the scan's comparisons (see ``local_search.near_best``).
-
-    Let u = eps / 2 and W be the weight of all pairs.  Each value below is a
-    sum of terms, each a product of distances and small exact integers; if
-    every term passes through at most k roundings, the value is off by at
-    most gamma_k = k u / (1 - k u) times the same sum with every sign made
-    positive.  ``_arrangement_values`` sums n^2 nonnegative terms, each
-    rounded once, to twice the true value V <= n W and halves it, so it is
-    off by at most gamma_{n^2 + 1} n W.  In the screen, deg(p) and the
-    entries of P sum at most n distances (n roundings), a cut adds two of
-    them and sums at most n such increments (2n + 1), the value V sums
-    n - 1 cuts (3n + 1), the entries of T sum at most n entries of P (2n),
-    the slope term is one product more (n + 1), and the estimate adds at
-    most six terms: k = 3n + 8 bounds every path.  With signs made
-    positive, each cut is at most 4 W (the degrees of its left side plus
-    twice the weight inside it), so V is at most 4 n W, the two cuts 8 W,
-    the four entries of T 4 n W and the slope term n W: at most 17 n W in
-    all.  The two bounds sum to at most 1.02 u (n^2 + 1 + 17k) n W while
-    (n^2 + 1 + 17k) u < 0.01.  Doubling that (eps for u) and adding
-    eps TIE_TOL leaves room for the rounding of the gains, of the gap test
-    and of ``gain + TIE_TOL``, each at most u (n W + TIE_TOL + 2 delta).  A
-    product or halving that underflows is off by at most half the smallest
-    subnormal, and a value takes fewer than n^2 + 1 + 17k of them.
-    """
-    n = len(dist)
-    count = n * n + 1 + 17 * (3 * n + 8)
-    weight = float(dist.sum()) / 2.0
-    info = np.finfo(float)
-    return info.eps * (count * n * weight + TIE_TOL) + count * info.smallest_subnormal
-
-
 def _prefix_cut_screen(dist: np.ndarray, k: int) -> Screen:
     """Screen of the reduced search: the value of the consecutive-parts
     embedding of every moved copy of each assignment row, as
-    ``local_search.score_moves`` lists them, within ``_screen_delta`` of
-    ``_arrangement_values`` and O(1) per move from per-row tables of O(n^2)
-    entries.
+    ``local_search.score_moves`` lists them, in O(1) per move from per-row
+    tables of O(n^2) entries.  On a ``quantize``d metric it equals
+    ``_arrangement_values`` bit for bit.
 
     The value is the sum of cut(t), the weight across the cut after the
     first t slots.  Moving p from part a to part b takes p out of its slot
@@ -130,6 +94,11 @@ def _prefix_cut_screen(dist: np.ndarray, k: int) -> Screen:
     For y < x, each cut t in [y, x) becomes cut(t - 1) + deg(p) -
     2 P[p, t - 1], the same sum with the sign turned and (y - 1, x - 1)
     for (x, y), over T shifted by one slot.
+
+    With W the weight of all pairs, the magnitudes of these terms sum to at
+    most 17 n W: each cut is at most 4 W (the degrees of its left side plus
+    twice the weight inside it), so the value is at most 4 n W, the two cuts
+    8 W, the four entries of T 4 n W and the slope term n W.
 
     Rows go through in batches whose (n + 1, n) tables hold at most
     ``BATCH_ENTRIES`` entries each.
@@ -145,7 +114,7 @@ def _prefix_cut_screen(dist: np.ndarray, k: int) -> Screen:
             out[rows] = _screen_rows(dist, deg, assigns[rows], points, targets[rows], k)
         return out
 
-    return Screen(estimate, _screen_delta(dist), SCREEN_ENTRIES)
+    return Screen(estimate, SCREEN_ENTRIES)
 
 
 def _screen_rows(dist, deg, assigns, points, targets, k):
@@ -230,11 +199,12 @@ def _swap_hill_climb(m: Metric, starts, sweeps: int) -> list:
 def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):
     n, k = m.n, cfg.k
     identity = LinearArrangement.from_order(range(n))
-    # the screen reads every distance; a zero budget needs none
-    screen = _prefix_cut_screen(m.dist, k) if cfg.budget.restarts else None
-    restarts = reduced_restarts(
-        n, k, seed, cfg.budget, lambda rows: _arrangement_values(m.dist, rows, k), screen
-    )
+    restarts = []
+    if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
+        dist = quantize(m.dist)
+        restarts = reduced_restarts(n, k, seed, cfg.budget,
+                                    lambda rows: _arrangement_values(dist, rows, k),
+                                    _prefix_cut_screen(dist, k))
     starts = [identity, *map(_embed_assignment, restarts)]
     climbed = _swap_hill_climb(m, starts, cfg.swap_sweeps)
     return best_of([identity, *climbed], lambda arr: evaluate_la(m, arr), _position)

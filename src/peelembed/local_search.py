@@ -11,10 +11,16 @@ A whole sweep is scored at once: ``single_moves`` lists the moves,
 Each of the three takes one assignment row or a stack of them, so the
 reduced search sweeps all its restarts in lockstep, and ``gaining_picks``
 keeps the restarts that still gain; the LA swap climb steps its starts the
-same way.  A search may pass a ``Screen``, a cheap estimate of every move's
-score with a proven error bound; a sweep of more n x n entries than the
-screen's threshold then scores exactly only each row's ``near_best`` moves,
-which decide the scan on their own.
+same way.
+
+The reduced search runs on ``quantize``'s integer copy of the metric, on
+which every score is an exact integer whatever the order of its sums.  A
+search may pass a ``Screen``, which scores every move in O(1) from per-row
+tables; it gives the same values as the batched scorer, so a sweep of more
+n x n entries than the screen's threshold takes the screen's values as they
+are, and nothing is rescored.  On integer scores the tolerance only breaks
+exact ties: a move gains when it gains at least 1, and a sweep keeps its
+first best move.
 """
 
 from __future__ import annotations
@@ -33,13 +39,6 @@ TIE_TOL = 1e-12
 # dozen bytes of temporaries, so a sweep stays within a few MB whatever n, the
 # number of parts and the number of restarts sweeping together are.
 BATCH_ENTRIES = 1 << 16
-
-# A sweep whose exact scoring holds more n x n entries than this takes the
-# search's screen, if it has one and the screen sets no threshold of its own.
-# Timed on one HC sweep (n 6-30, 3 and 5 slots, 1-32 restarts), screening and
-# rescoring the near-best moves breaks even with exact scoring at 7-8
-# thousand entries: it is 2x slower at 1000 and 4-5x faster at 64000.
-SCREEN_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -93,21 +92,42 @@ def best_of(candidates, value, key, best=None):
     return best
 
 
+def quantize(dist: np.ndarray) -> np.ndarray:
+    """The metric that the reduced search runs on: ``dist`` over its largest
+    entry D, times 2^s, rounded to integers, with
+    s = floor(log2(2^53 / (16 n^3))).
+
+    Each entry is then an integer in [0, 2^s], and the weight W of all pairs
+    is below n^2 2^s / 2.  A batched scorer sums n^2 products of an entry and
+    a count of at most n (an LCA's leaves, a gap between slots), so its sums
+    stay below n^3 2^s <= 2^49.  A screen's value is a signed sum of products
+    of entries and small integers whose magnitudes sum to at most 15 n W for
+    HC and 17 n W for LA (see the screens); every table entry and partial sum
+    is bounded by the same sum, so stays below 17 n^3 2^s / 2 < 2^53.  Below
+    2^53 every product and sum of integers is exact, and HC's halved terms
+    are multiples of 1/2 below 15 n^3 2^s / 2 < 2^52, which are exact too.
+    So every score is the exact integer value, in any order of summation,
+    and a screen equals its batched scorer bit for bit.  Dividing by D
+    before scaling keeps a tiny D from overflowing the scale factor.
+    """
+    s = 49 - (len(dist) ** 3 - 1).bit_length()  # 49 - ceil(log2 n^3)
+    return np.rint(dist / dist.max() * 2.0**s)
+
+
 @dataclass(frozen=True)
 class Screen:
-    """An estimate of the score of every single-point move.
+    """The score of every single-point move, O(1) per move.
 
     ``estimate(assigns, points, targets)`` takes what ``score_moves`` takes
-    and gives a (C, M) array, each entry within ``delta`` of the value that
-    the search's exact ``score`` gives the same moved assignment.  It bounds
-    the memory of its own tables.  A sweep takes the screen when its exact
-    scoring would hold more than ``entries`` n x n entries (None:
-    ``SCREEN_ENTRIES``).
+    and gives the (C, M) array of the values that the search's ``score``
+    gives the same moved assignments, equal to them bit for bit on a
+    ``quantize``d metric.  It bounds the memory of its own tables.  A sweep
+    takes the screen when its batched scoring would hold more than
+    ``entries`` n x n entries, which is a speed setting only.
     """
 
     estimate: Callable
-    delta: float
-    entries: Optional[int] = None
+    entries: int
 
 
 def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
@@ -119,12 +139,9 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
     restarts sweep in lockstep: each sweep scores the moves of every restart
     still gaining at once, and a restart whose best move gains at most
     ``TIE_TOL`` stops.  Gains are taken against the score of the current
-    assignment, so a move that rebuilds it gains exactly 0.
-
-    With a ``screen``, a sweep whose exact scoring would hold more than the
-    screen's ``entries`` n x n entries scores exactly only the ``near_best``
-    moves of each row, by a gap of ``TIE_TOL + 2 delta``; the others read
-    -inf, which leaves every pick as it was (see ``near_best``).
+    assignment, so a move that rebuilds it gains exactly 0.  With a
+    ``screen``, a sweep whose batched scoring would hold more than the
+    screen's ``entries`` n x n entries takes the screen's values instead.
     """
     seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
     assigns = np.array([np.random.default_rng(ss).integers(0, parts, size=n) for ss in seqs],
@@ -133,18 +150,15 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
     # start rows in bounded batches
     values = score_moves(assigns, np.zeros(1, dtype=np.int64), assigns[:, :1], score)[:, 0]
     live = np.arange(len(seqs))
-    if screen is not None:
-        limit = SCREEN_ENTRIES if screen.entries is None else screen.entries
     for _ in range(budget.moves(n)):
         if not len(live):
             break
         current = assigns[live]
         points, targets = single_moves(current, parts)
-        keep = None
-        if screen is not None and targets.size * n * n > limit:
-            estimate = screen.estimate(current, points, targets)
-            keep = near_best(estimate, TIE_TOL + 2.0 * screen.delta)
-        moved = score_moves(current, points, targets, score, keep)
+        if screen is not None and targets.size * n * n > screen.entries:
+            moved = screen.estimate(current, points, targets)
+        else:
+            moved = score_moves(current, points, targets, score)
         live, rows, picks = gaining_picks(live, moved - values[live, None])
         assigns[live, points[picks]] = targets[rows, picks]
         values[live] = moved[rows, picks]
@@ -232,7 +246,7 @@ def single_moves(assigns: np.ndarray, parts: int):
     return points, targets
 
 
-def score_moves(assigns: np.ndarray, points, targets, score, keep=None) -> np.ndarray:
+def score_moves(assigns: np.ndarray, points, targets, score) -> np.ndarray:
     """``score`` of each moved copy of each assignment row, in batches.
 
     ``assigns``, ``points`` and ``targets`` are as ``single_moves`` takes and
@@ -240,44 +254,16 @@ def score_moves(assigns: np.ndarray, points, targets, score, keep=None) -> np.nd
     row l with point ``points[j]`` moved to part ``targets[l, j]``.  A batch
     holds at most ``BATCH_ENTRIES`` n x n entries and builds only its own
     moved rows.  ``score`` maps a (C, n) array of assignments to their C
-    values, each independent of the other rows.  With ``keep``, a bool array
-    shaped like ``targets``, only the kept candidates are scored and the
-    others read -inf.
+    values, each independent of the other rows.
     """
     rows = np.atleast_2d(assigns)
     flat = np.reshape(targets, -1)
     n, width = rows.shape[1], len(points)
     step = max(1, BATCH_ENTRIES // (n * n))
-    if keep is None:
-        out, todo = np.empty(len(flat)), np.arange(len(flat))
-    else:
-        out, todo = np.full(len(flat), -np.inf), np.flatnonzero(keep)
-    for start in range(0, len(todo), step):
-        cand = todo[start:start + step]
+    out = np.empty(len(flat))
+    for start in range(0, len(flat), step):
+        cand = np.arange(start, min(start + step, len(flat)))
         batch = rows[cand // width]
         batch[np.arange(len(cand)), points[cand % width]] = flat[cand]
         out[cand] = score(batch)
     return out.reshape(np.shape(targets))
-
-
-def near_best(values, gap: float) -> np.ndarray:
-    """Which entries of each (L, M) row lie above its first gap wider than
-    ``gap``, going down from its largest entry.
-
-    Let ``values`` be within delta of the exact scores that a row's gains
-    are taken from, ``gap`` be ``TIE_TOL + 2 delta``, and delta also cover
-    the rounding of the gains and of the scan's ``+ TIE_TOL``.  Then every
-    gain above the gap beats every gain below it by more than ``TIE_TOL``,
-    and the left-to-right scan of ``scan_argmax`` keeps the same index
-    whether the entries below are present or -inf.  Until the scan meets
-    the row's first entry above the gap its incumbent is below the gap, and
-    that entry replaces it; from then on the incumbent is above the gap, and
-    no entry below it can replace the incumbent.  Keeping only the entries
-    within some bound of the best would not do: one left out just below the
-    cut could be within ``TIE_TOL`` of a kept one and so be the scan's pick.
-    """
-    ordered = -np.sort(-values, axis=1)
-    wide = np.ones(ordered.shape, dtype=bool)  # the last entry ends the row
-    wide[:, :-1] = ordered[:, :-1] - ordered[:, 1:] > gap
-    cut = ordered[np.arange(len(ordered)), wide.argmax(axis=1)]
-    return values >= cut[:, None]

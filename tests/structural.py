@@ -16,12 +16,13 @@ from peelembed.la_dense import _embed_assignment, _position
 from peelembed.local_search import (
     TIE_TOL,
     best_of,
+    quantize,
     scan_argmax,
     score_moves,
     single_moves,
     sizes_and_ranks,
 )
-from peelembed.metric import DENSE_BY_CONVENTION, SubsetStats, subset_stats
+from peelembed.metric import DENSE_BY_CONVENTION, Metric, SubsetStats, subset_stats
 from peelembed.objectives import (
     HcTree,
     LinearArrangement,
@@ -284,15 +285,17 @@ def reference_swap_hill_climb(m, arr, sweeps):
 
 
 def reference_hc_reduced(m, cfg, seed):
-    """Tree of the reduced HC search, one full evaluation per candidate."""
+    """Tree of the reduced HC search, one full evaluation per candidate: the
+    restarts search the quantized metric, the final pick scores the true one."""
     n, slots = m.n, cfg.slots
+    q = Metric(quantize(m.dist))
     skeleton = _caterpillar_skeleton(slots)
     ladder = ladder_tree(range(n))
     best = (ladder, evaluate_hc(m, ladder))
 
     def score(a):
         tree = _skeleton_tree(skeleton, _parts_of(a, slots))
-        return evaluate_hc(m, tree), tree
+        return evaluate_hc(q, tree), tree
 
     for ss in np.random.SeedSequence(seed).spawn(cfg.budget.restarts):
         rng = np.random.default_rng(ss)
@@ -316,13 +319,16 @@ def reference_hc_reduced(m, cfg, seed):
             _, p, b = move
             assign[p] = b
             value, tree = score(assign)
-        best = best_of([tree], lambda _: value, HcTree.serialize, best)
+        best = best_of([tree], lambda tree: evaluate_hc(m, tree), HcTree.serialize, best)
     return best[0]
 
 
 def reference_la_reduced(m, cfg, seed):
-    """Arrangement of the reduced LA search, one full evaluation per candidate."""
+    """Arrangement of the reduced LA search, one full evaluation per candidate:
+    the restarts search the quantized metric, the swap climb and the final
+    pick the true one."""
     n, k = m.n, cfg.k
+    q = Metric(quantize(m.dist))
     identity = LinearArrangement.from_order(range(n))
     best = best_of([identity, reference_swap_hill_climb(m, identity, cfg.swap_sweeps)],
                    lambda arr: evaluate_la(m, arr), _position)
@@ -330,7 +336,7 @@ def reference_la_reduced(m, cfg, seed):
     for ss in np.random.SeedSequence(seed).spawn(cfg.budget.restarts):
         rng = np.random.default_rng(ss)
         assign = rng.integers(0, k, size=n)
-        value = evaluate_la(m, _embed_assignment(assign))
+        value = evaluate_la(q, _embed_assignment(assign))
         for _ in range(cfg.budget.moves(n)):
             move = None  # (gain, point, target)
             for p in range(n):
@@ -339,7 +345,7 @@ def reference_la_reduced(m, cfg, seed):
                     if b == a:
                         continue
                     assign[p] = b
-                    cand_val = evaluate_la(m, _embed_assignment(assign))
+                    cand_val = evaluate_la(q, _embed_assignment(assign))
                     assign[p] = a
                     gain = cand_val - value
                     if move is None or gain > move[0] + 1e-12:
@@ -348,7 +354,7 @@ def reference_la_reduced(m, cfg, seed):
                 break
             _, p, b = move
             assign[p] = b
-            value = evaluate_la(m, _embed_assignment(assign))
+            value = evaluate_la(q, _embed_assignment(assign))
         arr = reference_swap_hill_climb(m, _embed_assignment(assign), cfg.swap_sweeps)
         best = best_of([arr], lambda arr: evaluate_la(m, arr), _position, best)
     return best[0]

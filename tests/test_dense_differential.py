@@ -2,9 +2,9 @@
 
 The reduced searches and the partition search score every move of a sweep in
 one numpy pass; the loops in ``structural.py`` rebuild and score each
-candidate from scratch.  The HC search screens large sweeps with an estimate
-and rescores only each row's near-best moves exactly; the screen's error
-bound and the cut it allows are checked here too.
+candidate from scratch.  The reduced searches run on the quantized metric
+and take large sweeps' values from a screen, O(1) per move; the screens are
+checked to equal the batched scorers bit for bit there.
 """
 
 import tracemalloc
@@ -31,7 +31,6 @@ from peelembed.hc_dense import (
     DenseHcConfig,
     _caterpillar_screen,
     _caterpillar_values,
-    _screen_delta,
     solve_hc_dense,
 )
 from peelembed.instances import FAMILIES as ALL_FAMILIES
@@ -49,13 +48,13 @@ from peelembed import local_search
 from peelembed.local_search import (
     TIE_TOL,
     Screen,
-    near_best,
+    quantize,
     reduced_restarts,
     scan_argmax,
     score_moves,
     single_moves,
 )
-from peelembed.metric import validate_metric
+from peelembed.metric import Metric, validate_metric
 from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la
 from peelembed.partition_search import (
     PartitionSpec,
@@ -261,76 +260,103 @@ def test_lockstep_restarts_match_per_restart_loop(batch, monkeypatch):
                 assert g.tobytes() == w.tobytes(), (label, scorer.__name__, row)
 
 
-def _hc_score(m, slots):
-    return lambda rows: _caterpillar_values(m.dist, rows, slots)
+def test_quantize_takes_the_scale_to_its_bound():
+    # s = floor(log2(2^53 / (16 n^3))): integers in [0, 2^s], the largest
+    # entry at 2^s, and a tiny or huge diameter does not overflow the scale
+    for n in (3, 7, 16, 240, 2000):
+        s = int(np.floor(np.log2(2.0**53 / (16.0 * n**3))))
+        dist = np.ones((n, n)) - np.eye(n)
+        dist[0, 2:] = dist[2:, 0] = 0.75
+        for scale in (1e-300, 1.0, 1e300):
+            q = quantize(dist * scale)
+            assert q.max() == 2.0**s and q[0, 2] == 0.75 * 2.0**s, (n, scale)
+            assert q.min() == 0.0 and np.all(q == np.rint(q)), (n, scale)
+
+
+def _screen_cases(sizes):
+    # uniform_metric and path_metric tie many moves exactly; the scales
+    # check that quantizing takes out the size of the weights
+    return given(
+        st.sampled_from(FAMILIES),
+        st.sampled_from(sizes),
+        st.integers(2, 6),
+        st.sampled_from([1e-150, 1e-9, 1.0, 1e9, 1e150]),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+def _quantized(family, n, scale, seed):
+    m = validate_metric(generate(GeneratorSpec(family=family, n=n, seed=seed % 97)).dist * scale)
+    return quantize(m.dist)
+
+
+def _check_screen(module, make_screen, scorer, reference, dist, parts, assigns, moves=None):
+    """The screen's values equal the batched scorer's, and the reference
+    loop's for the first row, bit for bit; ``moves`` picks some of them."""
+    points, targets = single_moves(assigns, parts)
+    if moves is not None:
+        points, targets = points[moves], targets[:, moves]
+    got = make_screen(dist, parts).estimate(assigns, points, targets)
+    with pytest.MonkeyPatch.context() as patch:  # one row per batch
+        patch.setattr(module, "BATCH_ENTRIES", 1)
+        rowwise = make_screen(dist, parts).estimate(assigns, points, targets)
+    exact = score_moves(assigns, points, targets, lambda rows: scorer(dist, rows, parts))
+    assert got.tobytes() == rowwise.tobytes() == exact.tobytes()
+    if reference is not None:
+        want = reference(Metric(dist), assigns[0], parts)
+        assert got[0].tobytes() == np.array(want).tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    st.sampled_from(FAMILIES),
-    st.sampled_from([2, 5, 12, 20, 30]),
-    st.integers(2, 6),
-    st.sampled_from([1e-150, 1e-9, 1.0, 1e9, 1e150]),
-    st.integers(0, 2**32 - 1),
-)
-def test_caterpillar_screen_within_delta(family, n, slots, scale, seed):
-    # uniform_metric and path_metric tie many moves exactly; the scales
-    # check that delta scales with the weights and TIE_TOL does not hide it
-    m = validate_metric(generate(GeneratorSpec(family=family, n=n, seed=seed % 97)).dist * scale)
+@_screen_cases([2, 5, 12, 20, 30])
+def test_caterpillar_screen_equals_scorer_on_quantized(family, n, slots, scale, seed):
     assigns = np.random.default_rng(seed).integers(0, slots, size=(3, n))
-    points, targets = single_moves(assigns, slots)
-    screen = _caterpillar_screen(m.dist, slots)
-    got, delta = screen.estimate(assigns, points, targets), screen.delta
-    with pytest.MonkeyPatch.context() as patch:  # one row per batch
-        patch.setattr(hc_dense, "BATCH_ENTRIES", 1)
-        rowwise = _caterpillar_screen(m.dist, slots).estimate(assigns, points, targets)
-    exact = score_moves(assigns, points, targets, _hc_score(m, slots))
-    for est in (got, rowwise):  # the products round differently by shape
-        assert np.abs(est - exact).max() <= delta, (np.abs(est - exact).max(), delta)
-    want = reference_hc_move_values(m, assigns[0], slots)
-    assert np.abs(got[0] - want).max() <= delta
+    _check_screen(hc_dense, _caterpillar_screen, _caterpillar_values, reference_hc_move_values,
+                  _quantized(family, n, scale, seed), slots, assigns)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(
-    st.lists(st.tuples(st.integers(0, 8), st.sampled_from([0.0, 0.4, -0.4, 0.9])),
-             min_size=1, max_size=40),
-    st.sampled_from([0.0, 1.0, -3.0]),
-    st.sampled_from([0.0, 0.3, 1.0, 4.0]),
-    st.integers(0, 2**32 - 1),
-)
-def test_near_best_keeps_the_scan_pick(cells, base, noise, seed):
-    # Exact gains on a grid of half the cut's gap, so that neighbouring
-    # levels are never cut apart and levels two apart sit on the edge, with
-    # sub-tolerance offsets that make chains of near-ties.  The screen is
-    # off by up to ``noise`` TIE_TOL; delta also covers the rounding of the
-    # gains and of ``gain + TIE_TOL``.
-    err = noise * TIE_TOL
-    step = (TIE_TOL + 2.0 * err) / 2.0
-    gains = np.array([base + level * step + off * TIE_TOL for level, off in cells])
-    delta = err + 2.0 * np.finfo(float).eps * (np.abs(gains).max() + TIE_TOL)
-    screen = gains + np.random.default_rng(seed).uniform(-err, err, size=len(gains))
-    keep = near_best(screen[None, :], TIE_TOL + 2.0 * delta)[0]
-    cut = np.where(keep, gains, -np.inf)
-    want = _sequential_argmax(list(gains), TIE_TOL)
-    assert keep[want]
-    assert _sequential_argmax(list(cut), TIE_TOL) == want
-    assert scan_argmax(cut) == want
+@settings(max_examples=60, deadline=None, derandomize=True)
+@_screen_cases([2, 3, 5, 12, 20, 30])
+def test_prefix_cut_screen_equals_scorer_on_quantized(family, n, k, scale, seed):
+    assigns = np.random.default_rng(seed).integers(0, k, size=(3, n))
+    _check_screen(la_dense, _prefix_cut_screen, _arrangement_values, reference_la_move_values,
+                  _quantized(family, n, scale, seed), k, assigns)
 
 
-def _noisy_screen(m, slots, spread, seed, scorer=_caterpillar_values, delta=None):
-    """A screen that is the exact score plus noise of up to ``spread``."""
-    rng = np.random.default_rng(seed)
+def test_screens_equal_scorers_at_the_largest_n():
+    # n = 2000, the ladder's largest, on uniform_metric: every entry is 2^s,
+    # the heaviest weights the bound allows; one row, a handful of moves
+    q = quantize(generate(GeneratorSpec(family="uniform_metric", n=2000, seed=1)).dist)
+    assert q.max() == q[0, 1] == 2.0**16
+    rng = np.random.default_rng(0)
+    for module, make_screen, scorer, parts in ((hc_dense, _caterpillar_screen,
+                                                _caterpillar_values, 3),
+                                               (la_dense, _prefix_cut_screen,
+                                                _arrangement_values, 4)):
+        assigns = rng.integers(0, parts, size=(1, 2000))
+        moves = rng.choice(2000 * (parts - 1), size=4, replace=False)
+        _check_screen(module, make_screen, scorer, None, q, parts, assigns, moves)
 
-    def estimate(assigns, points, targets):
-        moved = np.repeat(assigns, len(points), axis=0)
-        moved[np.arange(len(moved)), np.tile(points, len(assigns))] = targets.reshape(-1)
-        exact = scorer(m.dist, moved, slots).reshape(targets.shape)
-        return exact + rng.uniform(-spread, spread, size=exact.shape)
 
-    if delta is None:
-        delta = _screen_delta(m.dist, slots)
-    return Screen(estimate, spread + delta)
+def _restarts_case(n, family, parts, restarts, mode, module, make_screen, scorer):
+    """Bit for bit against the per-restart loop on the quantized metric: at
+    these sizes only the wider lockstep sweeps take the screen by default;
+    with the threshold at 0 every sweep does, and one-candidate batches
+    score the start rows one at a time."""
+    q = quantize(generate(GeneratorSpec(family=family, n=n, seed=n + parts)).dist)
+    budget = SearchBudget(restarts=restarts)
+
+    def score(rows):
+        return scorer(q, rows, parts)
+
+    want = list(reference_reduced_restarts(n, parts, 3, budget, score))
+    with pytest.MonkeyPatch.context() as patch:
+        if mode == "every sweep":
+            patch.setattr(module, "SCREEN_ENTRIES", 0)
+            patch.setattr(local_search, "BATCH_ENTRIES", n * n)
+        got = reduced_restarts(n, parts, 3, budget, score, make_screen(q, parts))
+    for row, (g, w) in enumerate(zip(got, want)):
+        assert g.tobytes() == w.tobytes(), row
 
 
 @pytest.mark.parametrize("n", [9, 12, 20, 40])
@@ -339,90 +365,11 @@ def _noisy_screen(m, slots, spread, seed, scorer=_caterpillar_values, delta=None
     st.sampled_from(FAMILIES),
     st.integers(2, 5),
     st.sampled_from([1, 3, 8]),
-    st.sampled_from(["default", "every sweep", "noisy"]),
+    st.sampled_from(["default", "every sweep"]),
 )
 def test_screened_restarts_match_per_restart_loop(n, family, slots, restarts, mode):
-    # At these sizes only the wider lockstep sweeps take the screen; with
-    # SCREEN_ENTRIES at 0 every sweep does, and one-candidate batches rescore
-    # the kept moves one at a time.  The noisy screen is off
-    # by up to 100 TIE_TOL, so that the exact ties of uniform_metric and
-    # path_metric come to the cut as near-ties.
-    m = generate(GeneratorSpec(family=family, n=n, seed=n + slots))
-    budget = SearchBudget(restarts=restarts)
-    score = _hc_score(m, slots)
-    want = list(reference_reduced_restarts(n, slots, 3, budget, score))
-    if mode == "noisy":
-        screen = _noisy_screen(m, slots, 100 * TIE_TOL, n)
-    else:
-        screen = _caterpillar_screen(m.dist, slots)
-    with pytest.MonkeyPatch.context() as patch:
-        if mode != "default":
-            patch.setattr(local_search, "SCREEN_ENTRIES", 0)
-            patch.setattr(local_search, "BATCH_ENTRIES", n * n)
-        got = reduced_restarts(n, slots, 3, budget, score, screen)
-    for row, (g, w) in enumerate(zip(got, want)):
-        assert g.tobytes() == w.tobytes(), row
-
-
-def _rescored_share(m, parts, screen, scorer):
-    """Candidates rescored exactly per screened candidate, over one default
-    budget reduced search."""
-    budget = SearchBudget()
-    exact, screened = [0], [0]
-
-    def score(rows):
-        exact[0] += len(rows)
-        return scorer(m.dist, rows, parts)
-
-    def estimate(assigns, points, targets):
-        screened[0] += targets.size
-        return screen.estimate(assigns, points, targets)
-
-    reduced_restarts(m.n, parts, 0, budget, score,
-                     Screen(estimate, screen.delta, screen.entries))
-    rescored = exact[0] - budget.restarts  # the start rows are scored exactly
-    assert screened[0] > 0
-    return rescored / screened[0]
-
-
-def test_screen_rescores_few_candidates():
-    # The fast path must not decay into rescoring most moves exactly.
-    m = generate(GeneratorSpec(family="clustered", n=60, seed=0))
-    share = _rescored_share(m, 3, _caterpillar_screen(m.dist, 3), _caterpillar_values)
-    assert share < 0.1, share
-
-
-def test_la_screen_rescores_few_candidates():
-    m = generate(GeneratorSpec(family="clustered", n=60, seed=0))
-    share = _rescored_share(m, 2, _prefix_cut_screen(m.dist, 2), _arrangement_values)
-    assert share < 0.1, share
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    st.sampled_from(FAMILIES),
-    st.sampled_from([2, 3, 5, 12, 20, 30]),
-    st.integers(2, 6),
-    st.sampled_from([1e-150, 1e-9, 1.0, 1e9, 1e150]),
-    st.integers(0, 2**32 - 1),
-)
-def test_prefix_cut_screen_within_delta(family, n, k, scale, seed):
-    # as test_caterpillar_screen_within_delta: exact ties, and delta scaling
-    # with the weights
-    m = validate_metric(generate(GeneratorSpec(family=family, n=n, seed=seed % 97)).dist * scale)
-    assigns = np.random.default_rng(seed).integers(0, k, size=(3, n))
-    points, targets = single_moves(assigns, k)
-    screen = _prefix_cut_screen(m.dist, k)
-    got, delta = screen.estimate(assigns, points, targets), screen.delta
-    with pytest.MonkeyPatch.context() as patch:  # one row per batch
-        patch.setattr(la_dense, "BATCH_ENTRIES", 1)
-        rowwise = _prefix_cut_screen(m.dist, k).estimate(assigns, points, targets)
-    exact = score_moves(assigns, points, targets,
-                        lambda rows: _arrangement_values(m.dist, rows, k))
-    for est in (got, rowwise):
-        assert np.abs(est - exact).max() <= delta, (np.abs(est - exact).max(), delta)
-    want = reference_la_move_values(m, assigns[0], k)
-    assert np.abs(got[0] - want).max() <= delta
+    _restarts_case(n, family, slots, restarts, mode, hc_dense, _caterpillar_screen,
+                   _caterpillar_values)
 
 
 @pytest.mark.parametrize("n", [9, 12, 20, 40])
@@ -431,49 +378,29 @@ def test_prefix_cut_screen_within_delta(family, n, k, scale, seed):
     st.sampled_from(FAMILIES),
     st.integers(2, 5),
     st.sampled_from([1, 3, 8]),
-    st.sampled_from(["default", "every sweep", "noisy"]),
+    st.sampled_from(["default", "every sweep"]),
 )
 def test_screened_la_restarts_match_per_restart_loop(n, family, k, restarts, mode):
-    # as test_screened_restarts_match_per_restart_loop, with the LA screen;
-    # the default mode screens by the LA threshold
-    m = generate(GeneratorSpec(family=family, n=n, seed=n + k))
-    budget = SearchBudget(restarts=restarts)
-
-    def score(rows):
-        return _arrangement_values(m.dist, rows, k)
-
-    want = list(reference_reduced_restarts(n, k, 3, budget, score))
-    with pytest.MonkeyPatch.context() as patch:
-        if mode != "default":
-            patch.setattr(la_dense, "SCREEN_ENTRIES", 0)
-            patch.setattr(local_search, "SCREEN_ENTRIES", 0)  # the noisy screen's
-            patch.setattr(local_search, "BATCH_ENTRIES", n * n)
-        if mode == "noisy":
-            screen = _noisy_screen(m, k, 100 * TIE_TOL, n, _arrangement_values,
-                                   la_dense._screen_delta(m.dist))
-        else:
-            screen = _prefix_cut_screen(m.dist, k)
-        got = reduced_restarts(n, k, 3, budget, score, screen)
-    for row, (g, w) in enumerate(zip(got, want)):
-        assert g.tobytes() == w.tobytes(), row
+    _restarts_case(n, family, k, restarts, mode, la_dense, _prefix_cut_screen,
+                   _arrangement_values)
 
 
 def test_la_screen_keeps_its_own_threshold(monkeypatch):
-    # the LA screen is taken by la_dense.SCREEN_ENTRIES, not by the default
-    m = generate(GeneratorSpec(family="clustered", n=9, seed=0))
+    # the LA screen is taken by la_dense.SCREEN_ENTRIES, not by HC's
+    q = quantize(generate(GeneratorSpec(family="clustered", n=9, seed=0)).dist)
     budget = SearchBudget(restarts=1)
-    for la_entries, default_entries, want in ((0, 1 << 30, True), (1 << 30, 0, False)):
+    for la_entries, hc_entries, want in ((0, 1 << 30, True), (1 << 30, 0, False)):
         monkeypatch.setattr(la_dense, "SCREEN_ENTRIES", la_entries)
-        monkeypatch.setattr(local_search, "SCREEN_ENTRIES", default_entries)
-        screen, taken = _prefix_cut_screen(m.dist, 2), []
+        monkeypatch.setattr(hc_dense, "SCREEN_ENTRIES", hc_entries)
+        screen, taken = _prefix_cut_screen(q, 2), []
 
         def estimate(assigns, points, targets):
             taken.append(len(assigns))
             return screen.estimate(assigns, points, targets)
 
-        reduced_restarts(m.n, 2, 0, budget, lambda rows: _arrangement_values(m.dist, rows, 2),
-                         Screen(estimate, screen.delta, screen.entries))
-        assert bool(taken) == want, (la_entries, default_entries)
+        reduced_restarts(len(q), 2, 0, budget, lambda rows: _arrangement_values(q, rows, 2),
+                         Screen(estimate, screen.entries))
+        assert bool(taken) == want, (la_entries, hc_entries)
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.25])
@@ -511,6 +438,26 @@ def test_dense_witnesses_match_reference_loops(eps):
             assert solve_la_dense(m, la_cfg, seed=seed)[0] == reference_la_reduced(
                 m, la_cfg, seed
             ), (label, seed)
+
+
+def test_reduced_search_scores_the_quantized_metric(monkeypatch):
+    # a solve with restarts quantizes once and its scorer sees only that
+    # copy; a zero budget quantizes nothing
+    m = _metrics((12,))[0][1]
+    for module, solve, cfg_type, scorer in (
+        (hc_dense, solve_hc_dense, DenseHcConfig, "_caterpillar_values"),
+        (la_dense, solve_la_dense, DenseLaConfig, "_arrangement_values"),
+    ):
+        made, seen = [], []
+        real_quantize, real_scorer = module.quantize, getattr(module, scorer)
+        monkeypatch.setattr(module, "quantize", lambda d: made.append(real_quantize(d)) or made[-1])
+        monkeypatch.setattr(module, scorer, lambda d, *rest: seen.append(d) or real_scorer(d, *rest))
+        for restarts in (0, 2):
+            made.clear()
+            seen.clear()
+            solve(m, cfg_type(eps=0.5, budget=SearchBudget(restarts=restarts)), seed=0)
+            assert len(made) == (restarts > 0), (scorer, restarts)
+            assert bool(seen) == (restarts > 0) and all(d is made[0] for d in seen), scorer
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
@@ -645,7 +592,7 @@ def test_screened_la_sweep_memory_is_bounded():
     tracemalloc.start()
     try:
         reduced_restarts(m.n, 2, 0, budget, lambda rows: _arrangement_values(m.dist, rows, 2),
-                         Screen(estimate, screen.delta, screen.entries))
+                         Screen(estimate, screen.entries))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
