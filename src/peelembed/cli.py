@@ -338,6 +338,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy's seeding would reject it later, without naming the flag
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     try:
         return _COMMANDS[args.command](args)
     except (ConfigParse, InputParse) as exc:

@@ -6,11 +6,10 @@ as an ascending-id ladder off a leaf slot of a small skeleton tree.  In
 slots and a grid of size / crossing-weight targets drives the bounded
 partition search; ``reduced`` mode local-searches slot assignments against a
 caterpillar skeleton on the integer copy of the metric that
-``local_search.quantize`` makes, scoring large sweeps with an incremental
-screen that gives the exact caterpillar values in O(1) per move; the final
-candidates are scored on the true metric.  Both modes always consider the
-single ascending-id ladder over all points, so the output never scores below
-it.
+``local_search.quantize`` makes, taking the exact gain of every move in O(1)
+from per-row tables; the final candidates are scored on the true metric.
+Both modes always consider the single ascending-id ladder over all points,
+so the output never scores below it.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FaithfulGridTooLarge
-from .local_search import (BATCH_ENTRIES, DenseConfig, Screen, best_of, quantize,
-                           reduced_restarts, sizes_and_ranks)
+from .local_search import BATCH_ENTRIES, DenseConfig, best_of, quantize, reduced_restarts
 from .metric import Metric, subset_stats
 from .objectives import HcTree, evaluate_hc, ladder_tree
 from .oracles import all_binary_trees
@@ -77,41 +75,11 @@ def _caterpillar_skeleton(slots: int):
     return node
 
 
-def _caterpillar_values(dist: np.ndarray, assigns: np.ndarray, slots: int) -> np.ndarray:
-    """Value of the caterpillar-of-ladders tree of each assignment row.
-
-    The LCA of a pair in one slot is the ladder node that peels the smaller
-    id, holding t_a - rank(min id) leaves (t_a the slot size, rank 0-based
-    by id within the slot).  The LCA of a pair in different slots is the
-    spine node of the lower slot, holding every point in that slot or later.
-    Both counts fall as the id, or the slot, rises, so each is the larger of
-    the two points' own counts and the LCA matrix is built by broadcasting.
-    """
-    c, n = assigns.shape
-    sizes, rank = sizes_and_ranks(assigns, slots)
-    from_slot = np.cumsum(sizes[:, ::-1], axis=1)[:, ::-1]
-    spine = np.take_along_axis(from_slot, assigns, 1).astype(float)
-    ladder = (np.take_along_axis(sizes, assigns, 1) - rank).astype(float)
-    lca = np.maximum(spine[:, :, None], spine[:, None, :])
-    np.copyto(lca, np.maximum(ladder[:, :, None], ladder[:, None, :]),
-              where=assigns[:, :, None] == assigns[:, None, :])
-    lca *= dist
-    return lca.reshape(c, n * n).sum(axis=1) / 2.0
-
-
-# A reduced-search sweep whose batched scoring holds more n x n entries than
-# this takes the caterpillar screen.  Timed on one HC sweep (n 6-30, 3 and 5
-# slots, 1-32 restarts), the screen takes 0.85-1.45x the time of batched
-# scoring at 2000-4100 entries, 0.55-1.15x at 6900-8200 and 0.1-0.2x at
-# 64000: it breaks even between 4000 and 7000.
-SCREEN_ENTRIES = 1 << 13
-
-
-def _caterpillar_screen(dist: np.ndarray, slots: int) -> Screen:
-    """Screen of the reduced search: the caterpillar value of every moved
-    copy of each assignment row, as ``local_search.score_moves`` lists them,
-    in O(1) per move from per-row tables of O(n slots + slots^2) entries.
-    On a ``quantize``d metric it equals ``_caterpillar_values`` bit for bit.
+def _caterpillar_gains(dist: np.ndarray, slots: int):
+    """Gain function of the reduced search: the change of the value of the
+    caterpillar-of-ladders tree under every move of each assignment row, as
+    ``local_search.single_moves`` lists them, in O(1) per move from per-row
+    tables of O(n slots + slots^2) entries.
 
     With W_ab the weight between slots a and b, F_a the points in slots a
     and later, t_a the slot sizes and R(i) the weight from i to the higher
@@ -122,17 +90,18 @@ def _caterpillar_screen(dist: np.ndarray, slots: int) -> Screen:
     Moving p from a to b adds e q^T + q e^T to W (e = 1_b - 1_a, q = p's
     weight to each slot) and turns K into K' of the moved sizes.  F gains 1
     on the slots after a up to b (loses 1 after b up to a), so with
-    C_b = sum_{s <= b} sum_{t > s} W_st the first term becomes
-    <K, W> + C_b - C_a + (W_bb - W_aa) / 2 + (2 K q)_b - (2 K q)_a +
+    C_b = sum_{s <= b} sum_{t > s} W_st the first term gains
+    C_b - C_a + (W_bb - W_aa) / 2 + (2 K q)_b - (2 K q)_a +
     sum_{s >= min(a, b)} q_s.  The rank term changes by G(p, b) - G(p, a),
     where G(p, s) is p's rank among s's lower ids times its weight to s's
     higher ids, plus its rank-weighted weight to s's lower ids, plus the R
     of s's higher ids, whose ranks p's arrival (or leaving) shifts by one.
+    The gain is the first change less the second.
 
     With W the weight of all pairs, the magnitudes of these terms sum to at
-    most 15 n W: <K, W> <= n W (2 K <= n), the rank term <= n W, each of the
-    two C + W_bb / 2 <= 2 W, each of the two (2 K q) <= n deg(p) <= n W, the
-    suffix sum of q <= W and G(p, a) + G(p, b) <= (4n + 2) W.
+    most (6n + 7) W <= 13 n W: each of the two C + W_bb / 2 <= 2 W, each of
+    the two (2 K q) <= n deg(p) <= n W, the suffix sum of q <= W and
+    G(p, a) + G(p, b) <= (4n + 2) W.
 
     Rows go through in batches whose (n, slots) tables hold at most
     ``BATCH_ENTRIES`` entries each.
@@ -141,18 +110,18 @@ def _caterpillar_screen(dist: np.ndarray, slots: int) -> Screen:
     upper = np.triu(dist, 1)
     step = max(1, BATCH_ENTRIES // (n * slots + slots * slots))
 
-    def estimate(assigns, points, targets):
+    def gains(assigns, points, targets):
         out = np.empty(np.shape(targets))
         for start in range(0, len(assigns), step):
             rows = slice(start, start + step)
-            out[rows] = _screen_rows(dist, upper, assigns[rows], points, targets[rows], slots)
+            out[rows] = _gain_rows(dist, upper, assigns[rows], points, targets[rows], slots)
         return out
 
-    return Screen(estimate, SCREEN_ENTRIES)
+    return gains
 
 
-def _screen_rows(dist, upper, assigns, points, targets, slots):
-    """``_caterpillar_screen``'s estimate for one batch of rows."""
+def _gain_rows(dist, upper, assigns, points, targets, slots):
+    """``_caterpillar_gains``'s gains for one batch of rows."""
     c, n = assigns.shape
     slot = np.arange(slots)
     onehot = (assigns[:, :, None] == slot).astype(float)
@@ -169,7 +138,6 @@ def _screen_rows(dist, upper, assigns, points, targets, slots):
     lower_ranked = times(upper.T, onehot * rank)
     cross = onehot.transpose(0, 2, 1) @ part
     own = np.take_along_axis(higher, assigns[:, :, None], 2)  # R
-    rank_term = (rank * own).sum(axis=(1, 2))
     above = np.zeros_like(onehot)  # R summed over each slot's higher ids
     above[:, :-1] = np.cumsum((onehot * own)[:, :0:-1], axis=1)[:, ::-1]
     join = below * higher + lower_ranked + above
@@ -181,11 +149,10 @@ def _screen_rows(dist, upper, assigns, points, targets, slots):
     by_slot = shift + np.diagonal(cross, axis1=1, axis2=2) / 2.0
     to_slot = by_slot[:, None, :] + part @ twice_k - join  # the terms of b
     suffix = np.cumsum(part[..., ::-1], axis=2)[..., ::-1]
-    start = (twice_k * cross).sum(axis=(1, 2)) / 2.0 - rank_term
     here = assigns[:, :, None]
-    value = (start[:, None, None] - np.take_along_axis(to_slot, here, 2) + to_slot
-             + np.take_along_axis(suffix, np.minimum(here, slot), 2))  # (row, p, b)
-    return np.take_along_axis(value.reshape(c, n * slots), points * slots + targets, 1)
+    gain = (to_slot - np.take_along_axis(to_slot, here, 2)
+            + np.take_along_axis(suffix, np.minimum(here, slot), 2))  # (row, p, b)
+    return np.take_along_axis(gain.reshape(c, n * slots), points * slots + targets, 1)
 
 
 def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
@@ -193,10 +160,8 @@ def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
     skeleton = _caterpillar_skeleton(slots)
     restarts = []
     if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
-        dist = quantize(m.dist)
         restarts = reduced_restarts(n, slots, seed, cfg.budget,
-                                    lambda rows: _caterpillar_values(dist, rows, slots),
-                                    _caterpillar_screen(dist, slots))
+                                    _caterpillar_gains(quantize(m.dist), slots))
     trees = (_skeleton_tree(skeleton, _parts_of(assign, slots)) for assign in restarts)
     return best_of(itertools.chain([ladder_tree(range(n))], trees),
                    lambda tree: evaluate_hc(m, tree), HcTree.serialize)

@@ -46,6 +46,8 @@ class GeneratorSpec:
             raise InvalidSpec(f"unknown family {self.family!r}")
         if self.n < 1:
             raise InvalidSpec(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.dim < 1 or self.m_clusters < 1 or self.outlier_n < 0:
             raise InvalidSpec("dim, m_clusters and outlier_n must be positive")
         if self.ratio <= 0 or self.inter_scale <= 0 or self.weight_ratio <= 0:

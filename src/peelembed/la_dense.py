@@ -5,11 +5,11 @@ consecutively on the line (ascending part id, ascending point id inside each
 part).  Two modes: ``faithful`` enumerates a grid of pairwise crossing-weight
 targets and asks the bounded-partition search for each cell; ``reduced`` runs
 a direct local search over part assignments on the integer copy of the
-metric that ``local_search.quantize`` makes, scoring large sweeps with a
-prefix-cut screen that gives the exact value of every move in O(1).  The
-identity and every restart's arrangement are then polished on the true
-metric by one swap hill-climb that steps all of them in lockstep.  Faithful
-always also considers the reduced candidate, so it never scores below it.
+metric that ``local_search.quantize`` makes, taking the exact gain of every
+move in O(1) from per-row prefix-cut tables.  The identity and every
+restart's arrangement are then polished on the true metric by one swap
+hill-climb that steps all of them in lockstep.  Faithful always also
+considers the reduced candidate, so it never scores below it.
 """
 
 from __future__ import annotations
@@ -21,21 +21,14 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec
-from .local_search import (BATCH_ENTRIES, DenseConfig, Screen, best_of, gaining_picks, quantize,
-                           reduced_restarts, sizes_and_ranks)
+from .local_search import (BATCH_ENTRIES, DenseConfig, best_of, gaining_picks, quantize,
+                           reduced_restarts)
 from .metric import Metric, subset_stats
 from .objectives import LinearArrangement, evaluate_la
 from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
 
 
 _position = attrgetter("position")  # the tie-break key of arrangements
-
-# A reduced-search sweep whose batched scoring holds more n x n entries than
-# this takes the prefix-cut screen.  Timed on one LA sweep (n 6-30, 2 and 4
-# parts, 1-32 restarts), the screen takes 0.8-2.1x the time of batched
-# scoring at 500-3500 entries, 0.95x at 4096, 0.45-0.9x at 5000-16000 and
-# 0.05-0.2x from 10^5: it breaks even at about 4000.
-SCREEN_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -57,30 +50,11 @@ def _embed_assignment(assignment) -> LinearArrangement:
     return LinearArrangement.from_order(np.argsort(assignment, kind="stable").tolist())
 
 
-def _arrangement_values(dist: np.ndarray, assigns: np.ndarray, k: int) -> np.ndarray:
-    """``evaluate_la`` of the consecutive-parts embedding of each assignment row.
-
-    Point i sits at slot (points in lower parts) + (rank of i by id in its
-    part) + 1; the pair sum is taken exactly as ``evaluate_la`` takes it.
-    """
-    c, n = assigns.shape
-    sizes, rank = sizes_and_ranks(assigns, k)
-    before = np.cumsum(sizes, axis=1) - sizes
-    pos = (np.take_along_axis(before, assigns, 1) + rank + 1).astype(float)
-    # in place: at n ~ 100 a fresh (c, n, n) temporary per step costs more than
-    # the step itself
-    gaps = pos[:, :, None] - pos[:, None, :]
-    np.abs(gaps, out=gaps)
-    gaps *= dist
-    return gaps.reshape(c, n * n).sum(axis=1) / 2.0
-
-
-def _prefix_cut_screen(dist: np.ndarray, k: int) -> Screen:
-    """Screen of the reduced search: the value of the consecutive-parts
-    embedding of every moved copy of each assignment row, as
-    ``local_search.score_moves`` lists them, in O(1) per move from per-row
-    tables of O(n^2) entries.  On a ``quantize``d metric it equals
-    ``_arrangement_values`` bit for bit.
+def _prefix_cut_gains(dist: np.ndarray, k: int):
+    """Gain function of the reduced search: the change of the value of the
+    consecutive-parts embedding under every move of each assignment row, as
+    ``local_search.single_moves`` lists them, in O(1) per move from per-row
+    tables of O(n^2) entries.
 
     The value is the sum of cut(t), the weight across the cut after the
     first t slots.  Moving p from part a to part b takes p out of its slot
@@ -96,9 +70,9 @@ def _prefix_cut_screen(dist: np.ndarray, k: int) -> Screen:
     for (x, y), over T shifted by one slot.
 
     With W the weight of all pairs, the magnitudes of these terms sum to at
-    most 17 n W: each cut is at most 4 W (the degrees of its left side plus
-    twice the weight inside it), so the value is at most 4 n W, the two cuts
-    8 W, the four entries of T 4 n W and the slope term n W.
+    most (5n + 8) W <= 13 n W: each cut is at most 4 W (the degrees of its
+    left side plus twice the weight inside it), so the two cuts 8 W, the four
+    entries of T 4 n W and the slope term n W.
 
     Rows go through in batches whose (n + 1, n) tables hold at most
     ``BATCH_ENTRIES`` entries each.
@@ -107,18 +81,18 @@ def _prefix_cut_screen(dist: np.ndarray, k: int) -> Screen:
     deg = dist.sum(axis=1)
     step = max(1, BATCH_ENTRIES // (n * (n + 1)))
 
-    def estimate(assigns, points, targets):
+    def gains(assigns, points, targets):
         out = np.empty(np.shape(targets))
         for start in range(0, len(assigns), step):
             rows = slice(start, start + step)
-            out[rows] = _screen_rows(dist, deg, assigns[rows], points, targets[rows], k)
+            out[rows] = _gain_rows(dist, deg, assigns[rows], points, targets[rows], k)
         return out
 
-    return Screen(estimate, SCREEN_ENTRIES)
+    return gains
 
 
-def _screen_rows(dist, deg, assigns, points, targets, k):
-    """``_prefix_cut_screen``'s estimate for one batch of rows."""
+def _gain_rows(dist, deg, assigns, points, targets, k):
+    """``_prefix_cut_gains``'s gains for one batch of rows."""
     c, n = assigns.shape
     row, ids = np.arange(c)[:, None], np.arange(n)
     onehot = assigns[:, :, None] == np.arange(k)
@@ -141,7 +115,7 @@ def _screen_rows(dist, deg, assigns, points, targets, k):
     inner = (sums[row, np.maximum(hi - ~right, 0), points]
              - sums[row, np.maximum(lo - ~right, 0), points])
     change = cut[row, hi] - cut[row, lo] + 2.0 * inner - (hi - lo) * deg[points]
-    return cut[:, 1:n].sum(axis=1)[:, None] + np.where(right, change, -change)
+    return np.where(right, change, -change)
 
 
 def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -201,10 +175,7 @@ def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):
     identity = LinearArrangement.from_order(range(n))
     restarts = []
     if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
-        dist = quantize(m.dist)
-        restarts = reduced_restarts(n, k, seed, cfg.budget,
-                                    lambda rows: _arrangement_values(dist, rows, k),
-                                    _prefix_cut_screen(dist, k))
+        restarts = reduced_restarts(n, k, seed, cfg.budget, _prefix_cut_gains(quantize(m.dist), k))
     starts = [identity, *map(_embed_assignment, restarts)]
     climbed = _swap_hill_climb(m, starts, cfg.swap_sweeps)
     return best_of([identity, *climbed], lambda arr: evaluate_la(m, arr), _position)

@@ -5,28 +5,24 @@ Each restart starts from a seeded assignment of the points to parts and runs
 sweeps of single-point moves.  A sweep looks at every move "point p to part
 b" in a fixed order (ascending p, then ascending b, skipping p's own part)
 and keeps the first move that no later move beats by more than a tolerance.
-A whole sweep is scored at once: ``single_moves`` lists the moves,
-``score_moves`` scores the moved assignments in bounded batches and
-``scan_argmax`` returns the index that the sequential scan would have kept.
-Each of the three takes one assignment row or a stack of them, so the
-reduced search sweeps all its restarts in lockstep, and ``gaining_picks``
-keeps the restarts that still gain; the LA swap climb steps its starts the
-same way.
+A whole sweep is scored at once: ``single_moves`` lists the moves, the
+search's gain function gives the gain of each from per-row tables in O(1)
+per move, and ``scan_argmax`` returns the index that the sequential scan
+would have kept.  Each of them takes one assignment row or a stack of them,
+so the reduced search sweeps all its restarts in lockstep, and
+``gaining_picks`` keeps the restarts that still gain; the LA swap climb
+steps its starts the same way.
 
 The reduced search runs on ``quantize``'s integer copy of the metric, on
-which every score is an exact integer whatever the order of its sums.  A
-search may pass a ``Screen``, which scores every move in O(1) from per-row
-tables; it gives the same values as the batched scorer, so a sweep of more
-n x n entries than the screen's threshold takes the screen's values as they
-are, and nothing is rescored.  On integer scores the tolerance only breaks
-exact ties: a move gains when it gains at least 1, and a sweep keeps its
-first best move.
+which every gain is exact whatever the order of its sums.  So the tolerance
+only breaks exact ties: a move gains when its gain is positive, and a sweep
+keeps its first best move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,9 +31,10 @@ from .errors import InvalidSpec
 # A candidate replaces the incumbent only when it is better by more than this.
 TIE_TOL = 1e-12
 
-# Most n x n entries one batch of candidates may hold.  Each entry costs a few
-# dozen bytes of temporaries, so a sweep stays within a few MB whatever n, the
-# number of parts and the number of restarts sweeping together are.
+# Most table entries one batch of rows may hold: the gain tables of the
+# reduced searches and the n x n gains of the LA swap climb.  Each entry costs
+# a few dozen bytes of temporaries, so a sweep stays within a few MB whatever
+# n, the number of parts and the number of rows sweeping together are.
 BATCH_ENTRIES = 1 << 16
 
 
@@ -98,70 +95,41 @@ def quantize(dist: np.ndarray) -> np.ndarray:
     s = floor(log2(2^53 / (16 n^3))).
 
     Each entry is then an integer in [0, 2^s], and the weight W of all pairs
-    is below n^2 2^s / 2.  A batched scorer sums n^2 products of an entry and
-    a count of at most n (an LCA's leaves, a gap between slots), so its sums
-    stay below n^3 2^s <= 2^49.  A screen's value is a signed sum of products
-    of entries and small integers whose magnitudes sum to at most 15 n W for
-    HC and 17 n W for LA (see the screens); every table entry and partial sum
-    is bounded by the same sum, so stays below 17 n^3 2^s / 2 < 2^53.  Below
-    2^53 every product and sum of integers is exact, and HC's halved terms
-    are multiples of 1/2 below 15 n^3 2^s / 2 < 2^52, which are exact too.
-    So every score is the exact integer value, in any order of summation,
-    and a screen equals its batched scorer bit for bit.  Dividing by D
-    before scaling keeps a tiny D from overflowing the scale factor.
+    is below n^2 2^s / 2 <= 2^48 / n.  A move's gain is a signed sum of
+    products of entries and small integers whose magnitudes sum to at most
+    13 n W (see the gain tables of both dense solvers); every table entry and
+    partial sum is bounded by the same sum, so stays below 13 * 2^48 < 2^52.
+    Below 2^53 every product and sum of integers is exact, and so is every
+    multiple of 1/2 below 2^52, as HC's halved terms are.  So every gain is
+    exact, in any order of summation, BLAS's included.  Dividing by D before
+    scaling keeps a tiny D from overflowing the scale factor.
     """
     s = 49 - (len(dist) ** 3 - 1).bit_length()  # 49 - ceil(log2 n^3)
     return np.rint(dist / dist.max() * 2.0**s)
 
 
-@dataclass(frozen=True)
-class Screen:
-    """The score of every single-point move, O(1) per move.
-
-    ``estimate(assigns, points, targets)`` takes what ``score_moves`` takes
-    and gives the (C, M) array of the values that the search's ``score``
-    gives the same moved assignments, equal to them bit for bit on a
-    ``quantize``d metric.  It bounds the memory of its own tables.  A sweep
-    takes the screen when its batched scoring would hold more than
-    ``entries`` n x n entries, which is a speed setting only.
-    """
-
-    estimate: Callable
-    entries: int
-
-
 def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
-                     score, screen: Optional[Screen] = None) -> np.ndarray:
+                     gains) -> np.ndarray:
     """Final assignments of the seeded restarts of the reduced search, one
     (restarts, n) row per restart in seed order.
 
-    ``score`` maps a (C, n) array of assignments to their C values.  The
-    restarts sweep in lockstep: each sweep scores the moves of every restart
-    still gaining at once, and a restart whose best move gains at most
-    ``TIE_TOL`` stops.  Gains are taken against the score of the current
-    assignment, so a move that rebuilds it gains exactly 0.  With a
-    ``screen``, a sweep whose batched scoring would hold more than the
-    screen's ``entries`` n x n entries takes the screen's values instead.
+    ``gains(assigns, points, targets)`` takes (C, n) assignment rows and the
+    moves that ``single_moves`` lists for them, and gives the (C, M) gains of
+    the moves.  The restarts sweep in lockstep: each sweep scores the moves
+    of every restart still gaining at once, and a restart whose best move
+    gains at most ``TIE_TOL`` stops.
     """
     seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
     assigns = np.array([np.random.default_rng(ss).integers(0, parts, size=n) for ss in seqs],
                        dtype=np.int64).reshape(len(seqs), n)
-    # moving point 0 to its own part leaves a row as it is: this scores the
-    # start rows in bounded batches
-    values = score_moves(assigns, np.zeros(1, dtype=np.int64), assigns[:, :1], score)[:, 0]
     live = np.arange(len(seqs))
     for _ in range(budget.moves(n)):
         if not len(live):
             break
         current = assigns[live]
         points, targets = single_moves(current, parts)
-        if screen is not None and targets.size * n * n > screen.entries:
-            moved = screen.estimate(current, points, targets)
-        else:
-            moved = score_moves(current, points, targets, score)
-        live, rows, picks = gaining_picks(live, moved - values[live, None])
+        live, rows, picks = gaining_picks(live, gains(current, points, targets))
         assigns[live, points[picks]] = targets[rows, picks]
-        values[live] = moved[rows, picks]
     return assigns
 
 
@@ -229,13 +197,6 @@ def scan_argmax(gains, tol: float = TIE_TOL):
     return int(cols[0]) if np.ndim(gains) == 1 else cols
 
 
-def sizes_and_ranks(assigns: np.ndarray, parts: int):
-    """Part sizes (C, parts) and each point's 0-based id rank in its part (C, n)."""
-    onehot = assigns[:, :, None] == np.arange(parts)
-    ranks = np.take_along_axis(np.cumsum(onehot, axis=1), assigns[:, :, None], 2)[..., 0]
-    return onehot.sum(axis=1), ranks - 1
-
-
 def single_moves(assigns: np.ndarray, parts: int):
     """(points, targets) of every single-point move, in scan order: ``points``
     is (M,), ``targets`` (L, M) for (L, n) assignment rows or (M,) for one."""
@@ -244,26 +205,3 @@ def single_moves(assigns: np.ndarray, parts: int):
     offset = np.tile(np.arange(parts - 1), n)
     targets = offset + (offset >= assigns[..., points])
     return points, targets
-
-
-def score_moves(assigns: np.ndarray, points, targets, score) -> np.ndarray:
-    """``score`` of each moved copy of each assignment row, in batches.
-
-    ``assigns``, ``points`` and ``targets`` are as ``single_moves`` takes and
-    gives them; the result has the shape of ``targets``.  Candidate (l, j) is
-    row l with point ``points[j]`` moved to part ``targets[l, j]``.  A batch
-    holds at most ``BATCH_ENTRIES`` n x n entries and builds only its own
-    moved rows.  ``score`` maps a (C, n) array of assignments to their C
-    values, each independent of the other rows.
-    """
-    rows = np.atleast_2d(assigns)
-    flat = np.reshape(targets, -1)
-    n, width = rows.shape[1], len(points)
-    step = max(1, BATCH_ENTRIES // (n * n))
-    out = np.empty(len(flat))
-    for start in range(0, len(flat), step):
-        cand = np.arange(start, min(start + step, len(flat)))
-        batch = rows[cand // width]
-        batch[np.arange(len(cand)), points[cand % width]] = flat[cand]
-        out[cand] = score(batch)
-    return out.reshape(np.shape(targets))

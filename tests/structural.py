@@ -4,9 +4,9 @@ Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
 ladder payoff floor and the telescoping accounting on realized runs, and
 holding the per-candidate reference loops of the dense solvers and the
-partition search, the per-restart loop of the reduced search, the per-k
-triangle scan of metric validation and the evaluators, scorers and metric
-builders that faster code replaced.
+partition search, the per-restart loop of the reduced search with its
+batched scorers, the per-k triangle scan of metric validation and the
+evaluators, scorers and metric builders that faster code replaced.
 """
 
 import numpy as np
@@ -14,13 +14,12 @@ import numpy as np
 from peelembed.hc_dense import _caterpillar_skeleton, _parts_of, _skeleton_tree
 from peelembed.la_dense import _embed_assignment, _position
 from peelembed.local_search import (
+    BATCH_ENTRIES,
     TIE_TOL,
     best_of,
     quantize,
     scan_argmax,
-    score_moves,
     single_moves,
-    sizes_and_ranks,
 )
 from peelembed.metric import DENSE_BY_CONVENTION, Metric, SubsetStats, subset_stats
 from peelembed.objectives import (
@@ -194,9 +193,42 @@ def hc_ladder_payoff(m, tree, a_ids):
 # in one numpy pass, and the differential tests compare the two.
 
 
+def score_moves(assigns, points, targets, score):
+    """``score`` of each moved copy of each assignment row, in batches: the
+    batched scoring that the reduced search ran before it took each move's
+    gain from per-row tables.
+
+    ``assigns``, ``points`` and ``targets`` are as ``single_moves`` takes and
+    gives them; the result has the shape of ``targets``.  Candidate (l, j) is
+    row l with point ``points[j]`` moved to part ``targets[l, j]``.  A batch
+    holds at most ``BATCH_ENTRIES`` n x n entries.  ``score`` maps a (C, n)
+    array of assignments to their C values.
+    """
+    rows = np.atleast_2d(assigns)
+    flat = np.reshape(targets, -1)
+    n, width = rows.shape[1], len(points)
+    step = max(1, BATCH_ENTRIES // (n * n))
+    out = np.empty(len(flat))
+    for start in range(0, len(flat), step):
+        cand = np.arange(start, min(start + step, len(flat)))
+        batch = rows[cand // width]
+        batch[np.arange(len(cand)), points[cand % width]] = flat[cand]
+        out[cand] = score(batch)
+    return out.reshape(np.shape(targets))
+
+
+def sizes_and_ranks(assigns, parts):
+    """Part sizes (C, parts) and each point's 0-based id rank in its part (C, n)."""
+    onehot = assigns[:, :, None] == np.arange(parts)
+    ranks = np.take_along_axis(np.cumsum(onehot, axis=1), assigns[:, :, None], 2)[..., 0]
+    return onehot.sum(axis=1), ranks - 1
+
+
 def reference_reduced_restarts(n, parts, seed, budget, score):
     """``reduced_restarts`` as it was: each restart runs all its sweeps before
-    the next one starts; yields each final assignment."""
+    the next one starts, and scores every moved copy of its assignment with
+    ``score``, a gain being the moved value less the current one; yields each
+    final assignment."""
     for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
         assign = np.random.default_rng(ss).integers(0, parts, size=n)
         value = score(assign[None, :])[0]
@@ -213,9 +245,11 @@ def reference_reduced_restarts(n, parts, seed, budget, score):
 
 
 def reference_caterpillar_values(dist, assigns, slots):
-    """``hc_dense._caterpillar_values`` as it was: the spine LCA gathered from
-    ``from_slot`` at the lower slot of every pair, the ladder LCA at the
-    smaller id."""
+    """Value of the caterpillar-of-ladders tree of each assignment row, as
+    the reduced HC search once scored it: the LCA of a pair in one slot is
+    the ladder node that peels the smaller id, holding the slot's points from
+    that id on; the LCA of a pair in different slots is the spine node of the
+    lower slot, holding every point in that slot or later."""
     c, n = assigns.shape
     sizes, rank = sizes_and_ranks(assigns, slots)
     from_slot = np.cumsum(sizes[:, ::-1], axis=1)[:, ::-1]
@@ -228,35 +262,43 @@ def reference_caterpillar_values(dist, assigns, slots):
     return (lca * dist).reshape(c, n * n).sum(axis=1) / 2.0
 
 
-def reference_hc_move_values(m, assign, slots):
-    """Score of every single-point move via _skeleton_tree + evaluate_hc."""
-    skeleton = _caterpillar_skeleton(slots)
-    assign = [int(a) for a in assign]
-    out = []
-    for p in range(len(assign)):
-        a = assign[p]
-        for b in range(slots):
-            if b == a:
-                continue
-            assign[p] = b
-            out.append(evaluate_hc(m, _skeleton_tree(skeleton, _parts_of(assign, slots))))
-            assign[p] = a
-    return out
+def reference_arrangement_values(dist, assigns, k):
+    """``evaluate_la`` of the consecutive-parts embedding of each assignment
+    row, as the reduced LA search once scored it: point i sits at slot
+    (points in lower parts) + (rank of i by id in its part) + 1."""
+    c, n = assigns.shape
+    sizes, rank = sizes_and_ranks(assigns, k)
+    before = np.cumsum(sizes, axis=1) - sizes
+    pos = (np.take_along_axis(before, assigns, 1) + rank + 1).astype(float)
+    gaps = np.abs(pos[:, :, None] - pos[:, None, :]) * dist
+    return gaps.reshape(c, n * n).sum(axis=1) / 2.0
 
 
-def reference_la_move_values(m, assign, k):
-    """Score of every single-point move via _embed_assignment + evaluate_la."""
+def reference_hc_value(m, assign, slots):
+    """``evaluate_hc`` of the caterpillar-of-ladders tree of one assignment."""
+    return evaluate_hc(m, _skeleton_tree(_caterpillar_skeleton(slots), _parts_of(assign, slots)))
+
+
+def reference_la_value(m, assign, k):
+    """``evaluate_la`` of the consecutive-parts embedding of one assignment."""
+    return evaluate_la(m, _embed_assignment(assign))
+
+
+def reference_move_gains(value, m, assign, parts, moves=None):
+    """Gain of every single-point move of one assignment in scan order, or of
+    the (point, target) pairs ``moves``: the ``value`` (``reference_hc_value``
+    or ``reference_la_value``) of the moved assignment less the value of
+    ``assign``."""
     assign = [int(a) for a in assign]
+    if moves is None:
+        moves = [(p, b) for p in range(len(assign)) for b in range(parts) if b != assign[p]]
+    base = value(m, assign, parts)
     out = []
-    for p in range(len(assign)):
-        a = assign[p]
-        for b in range(k):
-            if b == a:
-                continue
-            assign[p] = b
-            out.append(evaluate_la(m, _embed_assignment(assign)))
-            assign[p] = a
-    return out
+    for p, b in moves:
+        moved = list(assign)
+        moved[p] = int(b)
+        out.append(value(m, moved, parts) - base)
+    return np.array(out)
 
 
 def reference_swap_gain(m, pos, i, j):

@@ -167,6 +167,25 @@ class TestSolveAndOracle:
         assert "argument --trace: not allowed with argument --dense-only" in captured.err
         assert not trace_path.exists()
 
+    @pytest.mark.parametrize("budget", [[], ["--budget-restarts", "0"]])
+    def test_negative_seed_is_a_usage_error(self, matrix_file, capsys, budget):
+        # with or without a search that would seed numpy with it
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1", "solve-la", "--input", matrix_file, "--eps", "0.5", *budget])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be >= 0, got -1" in captured.err
+
+    def test_negative_instance_seed_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [{"family": "uniform_metric", "n": 4,
+                                                  "seed": -1}]}))
+        assert main(["bench", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("command", ["solve-la", "solve-hc", "bench"])
     def test_negative_budget_exits_1_without_traceback(self, matrix_file, tmp_path, capsys,
                                                        command):

@@ -3,10 +3,11 @@
 The reduced searches and the partition search score every move of a sweep in
 one numpy pass; the loops in ``structural.py`` rebuild and score each
 candidate from scratch.  The reduced searches run on the quantized metric
-and take large sweeps' values from a screen, O(1) per move; the screens are
-checked to equal the batched scorers bit for bit there.
+and take each move's gain from per-row tables, O(1) per move; the gains are
+checked to equal the reference values' changes bit for bit there.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,43 +16,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structural import (
+    reference_arrangement_values,
     reference_caterpillar_values,
-    reference_hc_move_values,
     reference_hc_reduced,
-    reference_la_move_values,
+    reference_hc_value,
     reference_la_reduced,
+    reference_la_value,
     reference_move,
+    reference_move_gains,
     reference_reduced_restarts,
     reference_search_local,
     reference_swap_gain,
     reference_swap_hill_climb,
+    score_moves,
 )
 from peelembed import hc_dense
-from peelembed.hc_dense import (
-    DenseHcConfig,
-    _caterpillar_screen,
-    _caterpillar_values,
-    solve_hc_dense,
-)
+from peelembed.hc_dense import DenseHcConfig, _caterpillar_gains, solve_hc_dense
 from peelembed.instances import FAMILIES as ALL_FAMILIES
 from peelembed.instances import GeneratorSpec, generate
 from peelembed import la_dense
 from peelembed.la_dense import (
     DenseLaConfig,
-    _arrangement_values,
-    _prefix_cut_screen,
+    _prefix_cut_gains,
     _swap_gains,
     _swap_hill_climb,
     solve_la_dense,
 )
-from peelembed import local_search
 from peelembed.local_search import (
     TIE_TOL,
-    Screen,
     quantize,
     reduced_restarts,
     scan_argmax,
-    score_moves,
     single_moves,
 )
 from peelembed.metric import Metric, validate_metric
@@ -71,6 +66,13 @@ FAMILIES = (
     "path_metric",
     "cluster_plus_outliers",
 )
+
+# (module, gain function, reference scorer, reference value, table entries
+# of one row) of each reduced search
+HC = (hc_dense, _caterpillar_gains, reference_caterpillar_values, reference_hc_value,
+      lambda n, slots: n * slots + slots * slots)
+LA = (la_dense, _prefix_cut_gains, reference_arrangement_values, reference_la_value,
+      lambda n, k: n * (n + 1))
 
 
 def _metrics(sizes):
@@ -147,45 +149,45 @@ def test_single_moves_scan_order():
     ]
 
 
+def _check_float_gains(objective, parts):
+    # On the float metric each gain is the reference's up to the rounding of
+    # its terms, whose magnitudes sum to at most 13 n W.
+    _, gains, _, value, _ = objective
+    rng = np.random.default_rng(parts)
+    for label, m in _metrics((5, 12, 20)):
+        assign = rng.integers(0, parts, size=m.n)
+        points, targets = single_moves(assign, parts)
+        got = gains(m.dist, parts)(assign[None], points, targets[None])[0]
+        want = reference_move_gains(value, m, assign, parts)
+        weight = m.dist.sum() / 2.0
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * 13 * m.n * weight,
+                                   err_msg=label)
+
+
 @pytest.mark.parametrize("slots", [2, 3, 5])
 def test_hc_move_values_match_reference(slots):
-    rng = np.random.default_rng(slots)
-    for label, m in _metrics((5, 12, 20)):
-        assign = rng.integers(0, slots, size=m.n)
-        points, targets = single_moves(assign, slots)
-        got = score_moves(
-            assign, points, targets, lambda rows: _caterpillar_values(m.dist, rows, slots)
-        )
-        want = reference_hc_move_values(m, assign, slots)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=label)
+    _check_float_gains(HC, slots)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_la_move_values_match_reference(k):
-    rng = np.random.default_rng(k)
-    for label, m in _metrics((5, 12, 20)):
-        assign = rng.integers(0, k, size=m.n)
-        points, targets = single_moves(assign, k)
-        got = score_moves(
-            assign, points, targets, lambda rows: _arrangement_values(m.dist, rows, k)
-        )
-        want = reference_la_move_values(m, assign, k)
-        # the pair sum is taken as evaluate_la takes it, so equal bit for bit:
-        # the solver carries a running value built from these gains
-        np.testing.assert_array_equal(got, want, err_msg=label)
+    _check_float_gains(LA, k)
 
 
 def test_identical_trees_score_identically():
     # Point 0 alone ahead of a single ladder is the ladder over all points,
-    # whichever slot 0 sits in; the scores must agree exactly so that such a
-    # move has gain 0 and is never taken.
-    m = generate(GeneratorSpec(family="euclidean_gaussian", n=9, seed=3))
+    # whichever slot 0 sits in: moving it between those slots rebuilds the
+    # same tree, so the move gains exactly 0 and is never taken.
+    q = quantize(generate(GeneratorSpec(family="euclidean_gaussian", n=9, seed=3)).dist)
     rows = np.full((3, 9), 2)
     rows[0, 0], rows[1, 0] = 0, 1
-    values = _caterpillar_values(m.dist, rows, 3)
-    assert values[0] == values[1] == values[2]
-    # batch position does not change a row's score
-    assert _caterpillar_values(m.dist, rows[1:2], 3)[0] == values[1]
+    points, targets = single_moves(rows, 3)
+    gains = _caterpillar_gains(q, 3)(rows, points, targets)
+    assert list(points[:2]) == [0, 0] and np.all(gains[:, :2] == 0.0)
+    assert np.any(gains[:, 2:] != 0.0)
+    # batch position does not change a row's gains
+    alone = _caterpillar_gains(q, 3)(rows[1:2], points, targets[1:2])
+    assert alone.tobytes() == gains[1:2].tobytes()
 
 
 def test_swap_gains_match_per_pair_delta():
@@ -239,25 +241,24 @@ def _restart_cases():
 
 @pytest.mark.parametrize("batch", ["default", "one row", "split"])
 def test_lockstep_restarts_match_per_restart_loop(batch, monkeypatch):
-    # Bit for bit, for both scorers; batches of one row, or batches that split
-    # a restart's candidates, show that a row's score does not depend on its
-    # batch.
+    # Bit for bit on the quantized metric, for both objectives, against the
+    # per-restart loop scoring every moved copy with the reference scorer;
+    # batches of one row, or of two rows that split the restarts, show that a
+    # row's gains do not depend on its batch.
     for label, m, parts, restarts, moves in _restart_cases():
+        q = quantize(m.dist)
         budget = SearchBudget(restarts=restarts, moves_per_restart=moves)
-        width = m.n * (parts - 1)  # candidates per restart and sweep
-        rows = {"default": None, "one row": 1, "split": width // 2 + 1}[batch]
-        for scorer in (_caterpillar_values, _arrangement_values):
-            def score(assigns):
-                return scorer(m.dist, assigns, parts)
-
-            want = list(reference_reduced_restarts(m.n, parts, 3, budget, score))
+        for module, gains, scorer, _, entries in (HC, LA):
+            want = list(reference_reduced_restarts(m.n, parts, 3, budget,
+                                                   lambda rows: scorer(q, rows, parts)))
             with monkeypatch.context() as patch:
-                if rows is not None:
-                    patch.setattr(local_search, "BATCH_ENTRIES", m.n * m.n * rows)
-                got = reduced_restarts(m.n, parts, 3, budget, score)
+                if batch != "default":
+                    rows = {"one row": 1, "split": 2}[batch]
+                    patch.setattr(module, "BATCH_ENTRIES", entries(m.n, parts) * rows)
+                got = reduced_restarts(m.n, parts, 3, budget, gains(q, parts))
             assert got.shape == (restarts, m.n), label
             for row, (g, w) in enumerate(zip(got, want)):
-                assert g.tobytes() == w.tobytes(), (label, scorer.__name__, row)
+                assert g.tobytes() == w.tobytes(), (label, module.__name__, row)
 
 
 def test_quantize_takes_the_scale_to_its_bound():
@@ -273,7 +274,7 @@ def test_quantize_takes_the_scale_to_its_bound():
             assert q.min() == 0.0 and np.all(q == np.rint(q)), (n, scale)
 
 
-def _screen_cases(sizes):
+def _gain_cases(sizes):
     # uniform_metric and path_metric tie many moves exactly; the scales
     # check that quantizing takes out the size of the weights
     return given(
@@ -290,37 +291,38 @@ def _quantized(family, n, scale, seed):
     return quantize(m.dist)
 
 
-def _check_screen(module, make_screen, scorer, reference, dist, parts, assigns, moves=None):
-    """The screen's values equal the batched scorer's, and the reference
-    loop's for the first row, bit for bit; ``moves`` picks some of them."""
+def _check_gains(objective, dist, parts, assigns, moves=None):
+    """The gains, taken in default batches and a row at a time, equal the
+    reference value of each moved assignment less that of the assignment on
+    ``Metric(dist)``, bit for bit; ``moves`` picks some of the moves."""
+    module, gains, _, value, _ = objective
     points, targets = single_moves(assigns, parts)
     if moves is not None:
         points, targets = points[moves], targets[:, moves]
-    got = make_screen(dist, parts).estimate(assigns, points, targets)
+    got = gains(dist, parts)(assigns, points, targets)
     with pytest.MonkeyPatch.context() as patch:  # one row per batch
         patch.setattr(module, "BATCH_ENTRIES", 1)
-        rowwise = make_screen(dist, parts).estimate(assigns, points, targets)
-    exact = score_moves(assigns, points, targets, lambda rows: scorer(dist, rows, parts))
-    assert got.tobytes() == rowwise.tobytes() == exact.tobytes()
-    if reference is not None:
-        want = reference(Metric(dist), assigns[0], parts)
-        assert got[0].tobytes() == np.array(want).tobytes()
+        rowwise = gains(dist, parts)(assigns, points, targets)
+    assert got.tobytes() == rowwise.tobytes()
+    m = Metric(dist)
+    for assign, row_targets, row_gains in zip(assigns, targets, got):
+        want = reference_move_gains(value, m, assign, parts, zip(points, row_targets))
+        # == rather than bytes: LA turns the sign of a zero change
+        np.testing.assert_array_equal(row_gains, want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@_screen_cases([2, 5, 12, 20, 30])
+@_gain_cases([2, 5, 12, 20, 30])
 def test_caterpillar_screen_equals_scorer_on_quantized(family, n, slots, scale, seed):
     assigns = np.random.default_rng(seed).integers(0, slots, size=(3, n))
-    _check_screen(hc_dense, _caterpillar_screen, _caterpillar_values, reference_hc_move_values,
-                  _quantized(family, n, scale, seed), slots, assigns)
+    _check_gains(HC, _quantized(family, n, scale, seed), slots, assigns)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@_screen_cases([2, 3, 5, 12, 20, 30])
+@_gain_cases([2, 3, 5, 12, 20, 30])
 def test_prefix_cut_screen_equals_scorer_on_quantized(family, n, k, scale, seed):
     assigns = np.random.default_rng(seed).integers(0, k, size=(3, n))
-    _check_screen(la_dense, _prefix_cut_screen, _arrangement_values, reference_la_move_values,
-                  _quantized(family, n, scale, seed), k, assigns)
+    _check_gains(LA, _quantized(family, n, scale, seed), k, assigns)
 
 
 def test_screens_equal_scorers_at_the_largest_n():
@@ -329,32 +331,25 @@ def test_screens_equal_scorers_at_the_largest_n():
     q = quantize(generate(GeneratorSpec(family="uniform_metric", n=2000, seed=1)).dist)
     assert q.max() == q[0, 1] == 2.0**16
     rng = np.random.default_rng(0)
-    for module, make_screen, scorer, parts in ((hc_dense, _caterpillar_screen,
-                                                _caterpillar_values, 3),
-                                               (la_dense, _prefix_cut_screen,
-                                                _arrangement_values, 4)):
+    for objective, parts in ((HC, 3), (LA, 4)):
         assigns = rng.integers(0, parts, size=(1, 2000))
         moves = rng.choice(2000 * (parts - 1), size=4, replace=False)
-        _check_screen(module, make_screen, scorer, None, q, parts, assigns, moves)
+        _check_gains(objective, q, parts, assigns, moves)
 
 
-def _restarts_case(n, family, parts, restarts, mode, module, make_screen, scorer):
-    """Bit for bit against the per-restart loop on the quantized metric: at
-    these sizes only the wider lockstep sweeps take the screen by default;
-    with the threshold at 0 every sweep does, and one-candidate batches
-    score the start rows one at a time."""
+def _restarts_case(n, family, parts, restarts, batch, objective):
+    """Bit for bit against the per-restart loop scoring every moved copy with
+    the reference scorer, on the quantized metric; batches of one row take
+    each row's gains on its own."""
+    module, gains, scorer, _, _ = objective
     q = quantize(generate(GeneratorSpec(family=family, n=n, seed=n + parts)).dist)
     budget = SearchBudget(restarts=restarts)
-
-    def score(rows):
-        return scorer(q, rows, parts)
-
-    want = list(reference_reduced_restarts(n, parts, 3, budget, score))
+    want = list(reference_reduced_restarts(n, parts, 3, budget,
+                                           lambda rows: scorer(q, rows, parts)))
     with pytest.MonkeyPatch.context() as patch:
-        if mode == "every sweep":
-            patch.setattr(module, "SCREEN_ENTRIES", 0)
-            patch.setattr(local_search, "BATCH_ENTRIES", n * n)
-        got = reduced_restarts(n, parts, 3, budget, score, make_screen(q, parts))
+        if batch == "one row":
+            patch.setattr(module, "BATCH_ENTRIES", 1)
+        got = reduced_restarts(n, parts, 3, budget, gains(q, parts))
     for row, (g, w) in enumerate(zip(got, want)):
         assert g.tobytes() == w.tobytes(), row
 
@@ -365,11 +360,10 @@ def _restarts_case(n, family, parts, restarts, mode, module, make_screen, scorer
     st.sampled_from(FAMILIES),
     st.integers(2, 5),
     st.sampled_from([1, 3, 8]),
-    st.sampled_from(["default", "every sweep"]),
+    st.sampled_from(["default", "one row"]),
 )
-def test_screened_restarts_match_per_restart_loop(n, family, slots, restarts, mode):
-    _restarts_case(n, family, slots, restarts, mode, hc_dense, _caterpillar_screen,
-                   _caterpillar_values)
+def test_screened_restarts_match_per_restart_loop(n, family, slots, restarts, batch):
+    _restarts_case(n, family, slots, restarts, batch, HC)
 
 
 @pytest.mark.parametrize("n", [9, 12, 20, 40])
@@ -378,55 +372,34 @@ def test_screened_restarts_match_per_restart_loop(n, family, slots, restarts, mo
     st.sampled_from(FAMILIES),
     st.integers(2, 5),
     st.sampled_from([1, 3, 8]),
-    st.sampled_from(["default", "every sweep"]),
+    st.sampled_from(["default", "one row"]),
 )
-def test_screened_la_restarts_match_per_restart_loop(n, family, k, restarts, mode):
-    _restarts_case(n, family, k, restarts, mode, la_dense, _prefix_cut_screen,
-                   _arrangement_values)
-
-
-def test_la_screen_keeps_its_own_threshold(monkeypatch):
-    # the LA screen is taken by la_dense.SCREEN_ENTRIES, not by HC's
-    q = quantize(generate(GeneratorSpec(family="clustered", n=9, seed=0)).dist)
-    budget = SearchBudget(restarts=1)
-    for la_entries, hc_entries, want in ((0, 1 << 30, True), (1 << 30, 0, False)):
-        monkeypatch.setattr(la_dense, "SCREEN_ENTRIES", la_entries)
-        monkeypatch.setattr(hc_dense, "SCREEN_ENTRIES", hc_entries)
-        screen, taken = _prefix_cut_screen(q, 2), []
-
-        def estimate(assigns, points, targets):
-            taken.append(len(assigns))
-            return screen.estimate(assigns, points, targets)
-
-        reduced_restarts(len(q), 2, 0, budget, lambda rows: _arrangement_values(q, rows, 2),
-                         Screen(estimate, screen.entries))
-        assert bool(taken) == want, (la_entries, hc_entries)
-
-
-@pytest.mark.parametrize("eps", [0.5, 0.25])
-def test_screened_la_witnesses_match_reference_loop(eps, monkeypatch):
-    # every sweep of the solver's reduced search takes the screen
-    monkeypatch.setattr(la_dense, "SCREEN_ENTRIES", 0)
-    cfg = DenseLaConfig(eps=eps, budget=SearchBudget(restarts=3))
-    for label, m in _metrics((7, 10)):
-        for seed in (0, 1):
-            got = solve_la_dense(m, cfg, seed=seed)[0]
-            assert got == reference_la_reduced(m, cfg, seed), (label, seed)
+def test_screened_la_restarts_match_per_restart_loop(n, family, k, restarts, batch):
+    _restarts_case(n, family, k, restarts, batch, LA)
 
 
 @pytest.mark.parametrize("slots", [2, 3, 5, 7])
 def test_caterpillar_values_match_gather_formula(slots):
+    # Whole stacks of rows, the first with one slot holding every point: each
+    # gain is the change of the gather formula's value, bit for bit.
     rng = np.random.default_rng(slots)
     for label, m in _metrics((5, 12, 30)):
+        q = quantize(m.dist)
         assigns = rng.integers(0, slots, size=(40, m.n))
-        assigns[0] = slots - 1  # one slot holds every point
-        got = _caterpillar_values(m.dist, assigns, slots)
-        want = reference_caterpillar_values(m.dist, assigns, slots)
+        assigns[0] = slots - 1
+        points, targets = single_moves(assigns, slots)
+        got = _caterpillar_gains(q, slots)(assigns, points, targets)
+
+        def score(rows):
+            return reference_caterpillar_values(q, rows, slots)
+
+        want = score_moves(assigns, points, targets, score) - score(assigns)[:, None]
         assert got.tobytes() == want.tobytes(), label
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_dense_witnesses_match_reference_loops(eps):
+    # every sweep of either reduced search takes the gain tables
     budget = SearchBudget(restarts=3)
     hc_cfg = DenseHcConfig(eps=eps, budget=budget)
     la_cfg = DenseLaConfig(eps=eps, budget=budget)
@@ -440,24 +413,47 @@ def test_dense_witnesses_match_reference_loops(eps):
             ), (label, seed)
 
 
+# sha256 of the serialized witness of each default-budget dense solve at
+# n=60, eps 0.5, seed 0, recorded from the search that still scored each
+# move's full value, so that taking gains alone changed no witness
+PINNED_WITNESSES = {
+    ("clustered", "hc"): "46c9194312ee51376d3b3488069f1d81e5c9a77b90cb05a04009a800e6a2372a",
+    ("clustered", "la"): "adb8adbee9344008aa2bda044d36d0e283841b43c60d5f0560a5a822f81f8cdd",
+    ("uniform_metric", "hc"): "fd6cf2567dd8cd9f6ce6257c780f95d190f583dd4c922dc587cd6a040323f3c3",
+    ("uniform_metric", "la"): "bb07d88f2280961af684c5760ca5ff9c42d2b7832bcf65a9c0eca3becdf5eab9",
+}
+
+
+@pytest.mark.parametrize("family, objective", sorted(PINNED_WITNESSES))
+def test_default_budget_witnesses_are_pinned(family, objective):
+    # the reference loops run at n <= 10; this pins the full search, 32
+    # restarts sweeping in lockstep and the LA swap climb, at a larger n
+    m = generate(GeneratorSpec(family=family, n=60, seed=0))
+    solve, cfg = {"hc": (solve_hc_dense, DenseHcConfig(eps=0.5)),
+                  "la": (solve_la_dense, DenseLaConfig(eps=0.5))}[objective]
+    witness = solve(m, cfg, seed=0)[0].serialize()
+    assert hashlib.sha256(witness.encode()).hexdigest() == PINNED_WITNESSES[family, objective]
+
+
 def test_reduced_search_scores_the_quantized_metric(monkeypatch):
-    # a solve with restarts quantizes once and its scorer sees only that
+    # a solve with restarts quantizes once and its gain tables see only that
     # copy; a zero budget quantizes nothing
     m = _metrics((12,))[0][1]
-    for module, solve, cfg_type, scorer in (
-        (hc_dense, solve_hc_dense, DenseHcConfig, "_caterpillar_values"),
-        (la_dense, solve_la_dense, DenseLaConfig, "_arrangement_values"),
+    for module, solve, cfg_type, factory in (
+        (hc_dense, solve_hc_dense, DenseHcConfig, "_caterpillar_gains"),
+        (la_dense, solve_la_dense, DenseLaConfig, "_prefix_cut_gains"),
     ):
         made, seen = [], []
-        real_quantize, real_scorer = module.quantize, getattr(module, scorer)
+        real_quantize, real_factory = module.quantize, getattr(module, factory)
         monkeypatch.setattr(module, "quantize", lambda d: made.append(real_quantize(d)) or made[-1])
-        monkeypatch.setattr(module, scorer, lambda d, *rest: seen.append(d) or real_scorer(d, *rest))
+        monkeypatch.setattr(module, factory,
+                            lambda d, *rest: seen.append(d) or real_factory(d, *rest))
         for restarts in (0, 2):
             made.clear()
             seen.clear()
             solve(m, cfg_type(eps=0.5, budget=SearchBudget(restarts=restarts)), seed=0)
-            assert len(made) == (restarts > 0), (scorer, restarts)
-            assert bool(seen) == (restarts > 0) and all(d is made[0] for d in seen), scorer
+            assert len(made) == (restarts > 0), (factory, restarts)
+            assert bool(seen) == (restarts > 0) and all(d is made[0] for d in seen), factory
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
@@ -579,30 +575,29 @@ def test_lockstep_climb_memory_is_bounded():
 
 
 def test_screened_la_sweep_memory_is_bounded():
-    # One screened sweep of 32 restarts at n=300: the screen's (n + 1, n)
-    # tables go through a row at a time.
+    # One sweep of 32 restarts at n=300: the gain tables, (n + 1, n) per
+    # row, go through a row at a time.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
-    screen, screened = _prefix_cut_screen(m.dist, 2), [0]
+    gains, swept = _prefix_cut_gains(m.dist, 2), [0]
 
-    def estimate(assigns, points, targets):
-        screened[0] += len(assigns)
-        return screen.estimate(assigns, points, targets)
+    def counted(assigns, points, targets):
+        swept[0] += len(assigns)
+        return gains(assigns, points, targets)
 
     budget = SearchBudget(restarts=32, moves_per_restart=1)
     tracemalloc.start()
     try:
-        reduced_restarts(m.n, 2, 0, budget, lambda rows: _arrangement_values(m.dist, rows, 2),
-                         Screen(estimate, screen.entries))
+        reduced_restarts(m.n, 2, 0, budget, counted)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert screened[0] == 32
+    assert swept[0] == 32
     assert peak < 16e6, peak
 
 
 def test_small_eps_memory_is_bounded():
     # eps 0.02 gives HC 51 slots: a sweep at n=60 lists 3000 moves per
-    # restart, and the screen's per-restart tables grow with n x slots and
+    # restart, and the gain tables of each restart grow with n x slots and
     # slots^2; batches of restarts keep them to a few MB.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=60, seed=0))
     for cfg, peak in _solve_peak(m, 32, eps=0.02):

@@ -25,6 +25,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             GeneratorSpec(family="uniform_metric", n=0)
 
+    def test_bad_seed(self):
+        with pytest.raises(InvalidSpec, match=r"^seed must be >= 0, got -1$"):
+            GeneratorSpec(family="uniform_metric", n=5, seed=-1)
+        assert GeneratorSpec(family="uniform_metric", n=5, seed=0).seed == 0
+
     def test_core_split_must_cover_n(self):
         spec = GeneratorSpec(
             family="cluster_plus_outliers", n=6, core_n=3, outlier_n=1
