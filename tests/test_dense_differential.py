@@ -413,6 +413,17 @@ def test_dense_witnesses_match_reference_loops(eps):
             ), (label, seed)
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_screened_la_witnesses_match_reference_loop(eps, monkeypatch):
+    # every LA gain table and swap climb takes one row at a time
+    monkeypatch.setattr(la_dense, "BATCH_ENTRIES", 1)
+    cfg = DenseLaConfig(eps=eps, budget=SearchBudget(restarts=3))
+    for label, m in _metrics((7, 10)):
+        for seed in (0, 1):
+            got = solve_la_dense(m, cfg, seed=seed)[0]
+            assert got == reference_la_reduced(m, cfg, seed), (label, seed)
+
+
 # sha256 of the serialized witness of each default-budget dense solve at
 # n=60, eps 0.5, seed 0, recorded from the search that still scored each
 # move's full value, so that taking gains alone changed no witness
