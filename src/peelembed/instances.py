@@ -9,6 +9,7 @@ recursive case at the top level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -44,6 +45,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
+        for name in ("n", "seed", "dim", "m_clusters", "core_n", "outlier_n"):
+            value = getattr(self, name)
+            unset = name == "core_n" and value is None
+            if isinstance(value, bool) or not (isinstance(value, Integral) or unset):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise InvalidSpec(f"n must be >= 1, got {self.n}")
         if self.seed < 0:

@@ -37,13 +37,15 @@ TIE_TOL = 1e-12
 # n, the number of parts and the number of rows sweeping together are.
 BATCH_ENTRIES = 1 << 16
 
+# Largest n and k^n at which a k-part partition search enumerates every assignment.
+EXHAUSTIVE_N = 12
+EXHAUSTIVE_ASSIGNMENTS = 200_000
+
 
 @dataclass(frozen=True)
 class SearchBudget:
-    exhaustive_n: int = 12
     restarts: int = 32
     moves_per_restart: Optional[int] = None  # None -> 200 * n
-    exhaustive_assignments: int = 200_000
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -52,7 +54,7 @@ class SearchBudget:
 
     def exhaustive(self, n: int, k: int) -> bool:
         """Whether a k-part search on n points enumerates all k^n assignments."""
-        return n <= self.exhaustive_n and k**n <= self.exhaustive_assignments
+        return n <= EXHAUSTIVE_N and k**n <= EXHAUSTIVE_ASSIGNMENTS
 
     def moves(self, n: int) -> int:
         return self.moves_per_restart if self.moves_per_restart is not None else 200 * n

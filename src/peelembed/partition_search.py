@@ -6,14 +6,15 @@ every bound within an additive slack ``eps_err``.  Small instances are solved
 by exhaustive enumeration over all k^n assignments (no false negatives);
 larger ones by randomized-restart single-point-move local search over a
 penalty function, where a miss only means "not found within budget".  The
-faithful grids of both dense solvers drive the search through
-:func:`grid_partitions`.
+faithful grids of both dense solvers ask this of every cell of a grid, and
+:func:`grid_partitions` searches each grid once: one enumeration per grid,
+or every (cell, restart) row of a chunk of cells sweeping in lockstep.
+:func:`search_partition` is the one-cell case.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidSpec, SpecInfeasibleTrivially
-from .local_search import SearchBudget, scan_argmax, single_moves
+from .local_search import BATCH_ENTRIES, SearchBudget, scan_argmax, single_moves
 from .metric import Metric
 
 _INF = math.inf
@@ -60,31 +61,6 @@ class PartitionSpec:
                     raise InvalidSpec(f"bad {kind} bound ({lb}, {ub})")
         return cls(k=k, size_bounds=tuple(sb), weight_bounds=tuple(map(tuple, wb)))
 
-    def to_json(self) -> str:
-        def enc(b):
-            return [b[0], None if math.isinf(b[1]) else b[1]]
-
-        return json.dumps(
-            {
-                "k": self.k,
-                "size_bounds": [enc(b) for b in self.size_bounds],
-                "weight_bounds": [[enc(b) for b in row] for row in self.weight_bounds],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionSpec":
-        doc = json.loads(text)
-
-        def dec(b):
-            return (float(b[0]), _INF if b[1] is None else float(b[1]))
-
-        return cls.build(
-            int(doc["k"]),
-            [dec(b) for b in doc["size_bounds"]],
-            [[dec(b) for b in row] for row in doc["weight_bounds"]],
-        )
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -96,24 +72,18 @@ class Partition:
     def k(self) -> int:
         return len(self.part_sizes)
 
-    def dump(self) -> str:
-        lines = ["assignment " + " ".join(str(a) for a in self.assignment)]
-        for row in self.crossing_weights:
-            lines.append(" ".join(repr(float(w)) for w in row))
-        return "\n".join(lines) + "\n"
+
+def _norm(m: Metric) -> float:
+    """The weight normaliser n^2 * D_V, 1 when D_V = 0."""
+    return m.n * m.n * m.diameter() or 1.0
 
 
 def _bounds(m: Metric, spec: PartitionSpec):
-    """(norm, slb, sub, wlb, wub): the weight normaliser n^2 * D_V (1 when
-    D_V = 0) and the spec's size and weight lower and upper bound arrays."""
+    """(norm, slb, sub, wlb, wub): ``_norm(m)`` and the spec's size and
+    weight lower and upper bound arrays."""
     k = spec.k
-    diam = m.diameter()
-    norm = m.n * m.n * diam if diam > 0 else 1.0
-    slb = np.array([b[0] for b in spec.size_bounds])
-    sub = np.array([b[1] for b in spec.size_bounds])
-    wlb = np.array([[spec.weight_bounds[j][j2][0] for j2 in range(k)] for j in range(k)])
-    wub = np.array([[spec.weight_bounds[j][j2][1] for j2 in range(k)] for j in range(k)])
-    return norm, slb, sub, wlb, wub
+    sb, wb = np.reshape(spec.size_bounds, (k, 2)), np.reshape(spec.weight_bounds, (k, k, 2))
+    return _norm(m), sb[:, 0], sb[:, 1], wb[..., 0], wb[..., 1]
 
 
 def crossing_matrix(m: Metric, assignment: Sequence[int], k: int) -> np.ndarray:
@@ -136,9 +106,8 @@ def make_partition(m: Metric, assignment: Sequence[int], k: int) -> Partition:
     )
 
 
-def partition_feasible(
-    m: Metric, spec: PartitionSpec, eps_err: float, assignment: Sequence[int]
-) -> bool:
+def partition_feasible(m: Metric, spec: PartitionSpec, eps_err: float,
+                       assignment: Sequence[int]) -> bool:
     """Exact feasibility recomputation; the only check trusted before returning."""
     return _feasible(m, _bounds(m, spec), eps_err, assignment)
 
@@ -157,8 +126,7 @@ def _feasible(m: Metric, bounds, eps_err: float, assignment: Sequence[int]) -> b
 
 def enumerate_assignments(m: Metric, k: int):
     """All k^n assignments with their size and weight statistics, the input of
-    the exhaustive regime; a caller searching many specs on one metric builds
-    it once and passes it to :func:`search_partition`."""
+    the exhaustive regime."""
     digits = np.array(list(itertools.product(range(k), repeat=m.n)), dtype=np.int8)
     onehot = np.eye(k)[digits]  # (A, n, k)
     sizes = onehot.sum(axis=1)
@@ -169,29 +137,19 @@ def enumerate_assignments(m: Metric, k: int):
     return digits, sizes, cross
 
 
-def search_partition(
-    m: Metric,
-    spec: PartitionSpec,
-    eps_err: float,
-    budget: Optional[SearchBudget] = None,
-    seed: int = 0,
-    enumerated=None,
-) -> Optional[Partition]:
+def search_partition(m: Metric, spec: PartitionSpec, eps_err: float,
+                     budget: Optional[SearchBudget] = None, seed: int = 0) -> Optional[Partition]:
     """Find a partition meeting ``spec`` within additive slack ``eps_err``.
 
     Returns None when nothing is found; in the exhaustive regime that means
     no feasible partition exists, otherwise only that the budget ran out.
-    ``enumerated`` is ``enumerate_assignments(m, spec.k)``, for a caller that
-    has it; it changes no result.
     """
     if not eps_err >= 0:  # NaN fails too
         raise InvalidSpec(f"eps_err must be nonnegative, got {eps_err}")
-    budget = budget or SearchBudget()
     n, k = m.n, spec.k
     if k > n:
         raise InvalidSpec(f"k={k} exceeds n={n}")
-    bounds = _bounds(m, spec)
-    _, slb, sub, _, _ = bounds
+    bounds = norm, slb, sub, wlb, wub = _bounds(m, spec)
     # each part gets eps_err of slack, so only a k * eps_err gap in the size
     # sums rules out every assignment outright
     slack = k * eps_err + 1e-12
@@ -199,96 +157,133 @@ def search_partition(
         raise SpecInfeasibleTrivially(
             f"size fractions cannot sum to 1: lb={slb.sum():g}, ub={sub.sum():g}"
         )
-
-    if budget.exhaustive(n, k):
-        assignment = _search_exhaustive(m, bounds, eps_err,
-                                        enumerated or enumerate_assignments(m, k))
-    else:
-        assignment = _search_local(m, bounds, eps_err, budget, seed)
+    cell = (norm, slb[None], sub[None], wlb[None], wub[None])
+    assignment = next(_search_cells(m, cell, eps_err, budget or SearchBudget(), seed))
     if assignment is None:
         return None
     assert _feasible(m, bounds, eps_err, assignment)
     return make_partition(m, assignment, k)
 
 
-def _search_exhaustive(m, bounds, eps_err, enumerated):
-    n = m.n
-    norm, slb, sub, wlb, wub = bounds
-    digits, sizes, cross = enumerated
-    ok = (
-        (sizes / n >= slb - eps_err - 1e-12).all(axis=1)
-        & (sizes / n <= sub + eps_err + 1e-12).all(axis=1)
-        & (cross / norm >= wlb - eps_err - 1e-12).all(axis=(1, 2))
-        & (cross / norm <= wub + eps_err + 1e-12).all(axis=(1, 2))
-    )
-    hits = np.flatnonzero(ok)
-    if len(hits) == 0:
-        return None
-    return tuple(int(a) for a in digits[hits[0]])  # lexicographically smallest
+def _search_cells(m, bounds, eps_err, budget, seed):
+    """Each cell's hit, an assignment tuple or None, size cell outer: ``bounds``
+    is ``_bounds``'s tuple stacked over L size cells (L, k) and U weight cells (U, k, k)."""
+    if budget.exhaustive(m.n, bounds[1].shape[1]):
+        return _exhaustive_hits(m, bounds, eps_err)
+    return _local_hits(m, bounds, eps_err, budget, seed)
 
 
-def _search_local(m, bounds, eps_err, budget, seed):
+def _exhaustive_hits(m, bounds, eps_err):
+    """Each cell's lexicographically smallest hit: each size cell and each
+    weight cell is tested once against the grid's one enumeration."""
     norm, slb, sub, wlb, wub = bounds
-    n, k = m.n, len(slb)
+    digits, sizes, cross = enumerate_assignments(m, slb.shape[1])
+    sfrac, wfrac = sizes / m.n, cross / norm
+    fits = [np.flatnonzero((sfrac >= lo - eps_err - 1e-12).all(axis=1)
+                           & (sfrac <= hi + eps_err + 1e-12).all(axis=1))
+            for lo, hi in zip(slb, sub)]
+    first = np.full((len(slb), len(wlb)), -1, dtype=np.int32)  # -1: no hit
+    chunk = max(1, BATCH_ENTRIES // len(digits))  # weight cells per BATCH_ENTRIES tests
+    for u in range(0, len(wlb), chunk):
+        lo, hi = wlb[u : u + chunk, None], wub[u : u + chunk, None]
+        ok = ((wfrac >= lo - eps_err - 1e-12) & (wfrac <= hi + eps_err + 1e-12)).all(axis=(2, 3))
+        for cells, fit in zip(first, fits):
+            if len(fit):
+                hit = ok[:, fit]
+                cells[u : u + chunk] = np.where(hit.any(axis=1), fit[hit.argmax(axis=1)], -1)
+    for i in first.ravel():
+        yield None if i < 0 else tuple(digits[i].tolist())
+
+
+def _local_hits(m, bounds, eps_err, budget, seed):
+    """Each cell's lexicographically smallest feasible restart result.
+
+    A restart starts from ``_greedy_seed`` of its size cell, so each size
+    cell has ``budget.restarts`` starts, shared by its weight cells.  Chunks
+    of whole weight cells sweep all their (cell, restart) rows in lockstep,
+    as many cells as keep a sweep's moved crossing matrices within
+    ``BATCH_ENTRIES`` entries.  A sweep moves each row still above penalty 0
+    to its lowest-penalty single-point move, the earliest within 1e-15, and
+    stops a row that this would not lower by more than 1e-15.
+    """
+    norm, slb, sub, wlb, wub = bounds
+    n, k = m.n, slb.shape[1]
     slack = max(eps_err, 1e-12)
+    seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
+    starts = len(seqs)
+    sweeps = budget.moves(n) if k > 1 else 0  # one part allows no move
+    chunk = max(1, BATCH_ENTRIES // max(1, starts * n * max(1, k - 1) * k * k))
 
-    def penalty(sizes, cross):
-        """Penalties of (C, k) part sizes and (C, k, k) crossing matrices."""
-        sfrac = sizes / n
-        wfrac = cross / norm
-        v = np.maximum(0.0, slb - eps_err - sfrac) + np.maximum(0.0, sfrac - sub - eps_err)
-        w = np.maximum(0.0, wlb - eps_err - wfrac) + np.maximum(0.0, wfrac - wub - eps_err)
-        return (v.sum(axis=1) + w.reshape(len(w), k * k).sum(axis=1)) / slack
+    def penalty(sizes, cross, lo, hi, wlo, whi):
+        """(L, C) penalties of (L, C, k) part sizes and (L, C, k, k) crossing
+        matrices, with (L, 1, k, k) weight bounds per row."""
+        sfrac, wfrac = sizes / n, cross / norm
+        v = np.maximum(0.0, lo - eps_err - sfrac) + np.maximum(0.0, sfrac - hi - eps_err)
+        w = np.maximum(0.0, wlo - eps_err - wfrac) + np.maximum(0.0, wfrac - whi - eps_err)
+        return (v.sum(axis=-1) + w.reshape(*w.shape[:-2], k * k).sum(axis=-1)) / slack
 
-    found = []
-    for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
-        assign = _greedy_seed(np.random.default_rng(ss), n, k, slb, sub)
-        onehot = np.eye(k)[assign]
-        part_dist = m.dist @ onehot  # part_dist[p, j] = W(p, part j)
-        sizes = onehot.sum(axis=0)
-        cross = crossing_matrix(m, assign, k)
-        pen = penalty(sizes[None], cross[None])[0]
-        for _ in range(budget.moves(n) if k > 1 else 0):  # one part allows no move
-            if pen <= 0.0:
-                break
-            points, targets, sz, cr = _moved_states(assign, sizes, cross, part_dist)
-            cands = penalty(sz, cr)
-            pick = scan_argmax(-cands, tol=1e-15)  # the lowest, earliest on near-ties
-            if cands[pick] >= pen - 1e-15:
-                break
-            p, b = points[pick], targets[pick]
-            part_dist[:, assign[p]] -= m.dist[:, p]
-            part_dist[:, b] += m.dist[:, p]
-            assign[p], sizes, cross, pen = b, sz[pick], cr[pick], cands[pick]
-        if pen <= 0.0:
-            cand = tuple(int(x) for x in assign)
-            if _feasible(m, bounds, eps_err, cand):
-                found.append(cand)
-    if not found:
-        return None
-    return min(found)  # deterministic regardless of restart evaluation order
+    for lo, hi in zip(slb, sub):
+        start = np.array([_greedy_seed(np.random.default_rng(ss), n, k, lo) for ss in seqs],
+                         dtype=int).reshape(starts, n)
+        onehot = np.eye(k)[start]
+        state = (start, onehot.sum(axis=1),
+                 np.array([crossing_matrix(m, row, k) for row in start]).reshape(starts, k, k),
+                 np.array([m.dist @ row for row in onehot]).reshape(starts, n, k))
+        for u in range(0, len(wlb), chunk):
+            cells = len(wlb[u : u + chunk])
+            # rows cell by cell, each cell's in seed order; part_dist[r, p, j] = W(p, part j)
+            assign, sizes, cross, part_dist = (np.concatenate([x] * cells) for x in state)
+            wlo, whi = (np.repeat(w[u : u + chunk], starts, axis=0)[:, None] for w in (wlb, wub))
+            pen = penalty(sizes[:, None], cross[:, None], lo, hi, wlo, whi)[:, 0]
+            live = np.arange(len(assign))
+            for _ in range(sweeps):
+                live = live[pen[live] > 0.0]
+                if not len(live):
+                    break
+                points, targets, sz, cr = _moved_states(assign[live], sizes[live], cross[live],
+                                                        part_dist[live])
+                cands = penalty(sz, cr, lo, hi, wlo[live], whi[live])
+                rows = np.arange(len(live))
+                picks = scan_argmax(-cands, tol=1e-15)  # the lowest, earliest on near-ties
+                best = cands[rows, picks]
+                go = best < pen[live] - 1e-15
+                live, rows, picks = live[go], rows[go], picks[go]
+                p, b = points[picks], targets[rows, picks]
+                moved = m.dist[:, p].T
+                part_dist[live, :, assign[live, p]] -= moved
+                part_dist[live, :, b] += moved
+                assign[live, p] = b
+                sizes[live], cross[live], pen[live] = sz[rows, picks], cr[rows, picks], best[go]
+            for c in range(cells):
+                own = slice(c * starts, (c + 1) * starts)
+                done = assign[own][pen[own] <= 0.0].tolist()
+                cell = (norm, lo, hi, wlb[u + c], wub[u + c])
+                yield next((hit for hit in sorted(map(tuple, done))
+                            if _feasible(m, cell, eps_err, hit)), None)
 
 
 def _moved_states(assign, sizes, cross, part_dist):
-    """Points, targets, (C, k) part sizes and (C, k, k) crossing matrices of
-    every single-point move in scan order; ``part_dist[p, j]`` = W(p, part j)."""
-    points, targets = single_moves(assign, len(sizes))
-    rows, a, b = np.arange(len(points)), assign[points], targets
-    moved = part_dist[points]
-    sz = np.repeat(sizes[None], len(points), axis=0)
-    sz[rows, a] -= 1
-    sz[rows, b] += 1
-    cr = np.repeat(cross[None], len(points), axis=0)
-    cr[rows, a, :] -= moved
-    cr[rows, :, a] -= moved
-    cr[rows, b, :] += moved
-    cr[rows, :, b] += moved
-    cr[rows, a, a] += moved[rows, a]
-    cr[rows, b, b] -= moved[rows, b]
+    """Points, targets, (L, C, k) part sizes and (L, C, k, k) crossing
+    matrices of every single-point move of each of L rows, in scan order;
+    ``part_dist[r, p, j]`` = W(p, part j) in row r."""
+    points, targets = single_moves(assign, sizes.shape[1])
+    rows, cols = np.arange(len(assign))[:, None], np.arange(len(points))
+    a, b = assign[:, points], targets
+    moved = part_dist[:, points]
+    sz = np.repeat(sizes[:, None], len(points), axis=1)
+    sz[rows, cols, a] -= 1
+    sz[rows, cols, b] += 1
+    cr = np.repeat(cross[:, None], len(points), axis=1)
+    cr[rows, cols, a, :] -= moved
+    cr[rows, cols, :, a] -= moved
+    cr[rows, cols, b, :] += moved
+    cr[rows, cols, :, b] += moved
+    cr[rows, cols, a, a] += moved[rows, cols, a]
+    cr[rows, cols, b, b] -= moved[rows, cols, b]
     return points, targets, sz, cr
 
 
-def _greedy_seed(rng, n, k, slb, sub):
+def _greedy_seed(rng, n, k, slb):
     """Random assignment biased toward the size lower bounds."""
     order = rng.permutation(n)
     assign = np.zeros(n, dtype=int)
@@ -316,19 +311,16 @@ def grid_partitions(m, parts: int, size_cells, mu_cells, eps_err: float,
                     budget: SearchBudget, seed: int):
     """Yield each new assignment the bounded-partition search finds for a grid
     cell: part-size fractions from ``size_cells`` (outer loop) times crossing
-    weights of the pairs a < b, row-major, from ``mu_cells`` (inner loop)."""
-    pairs = [(a, b) for a in range(parts) for b in range(a + 1, parts)]
-    enumerated = enumerate_assignments(m, parts) if budget.exhaustive(m.n, parts) else None
+    weights of the pairs a < b, row-major, from ``mu_cells`` (inner loop).
+    Each cell asks for its sizes and crossing weights exactly, within
+    ``eps_err``, and bounds no intra-part weight."""
+    sizes = np.array(list(size_cells), dtype=float).reshape(-1, parts)
+    mu = np.array(list(mu_cells), dtype=float).reshape(-1, parts * (parts - 1) // 2)
+    a, b = np.triu_indices(parts, 1)
+    wlb, wub = np.zeros((len(mu), parts, parts)), np.full((len(mu), parts, parts), _INF)
+    wlb[:, a, b] = wlb[:, b, a] = wub[:, a, b] = wub[:, b, a] = mu
     seen = set()
-    for lam in size_cells:
-        for mu in mu_cells:
-            wb = [[(0.0, _INF)] * parts for _ in range(parts)]
-            for (a, b), target in zip(pairs, mu):
-                wb[a][b] = wb[b][a] = (target, target)
-            spec = PartitionSpec.build(parts, size_bounds=[(v, v) for v in lam],
-                                       weight_bounds=wb)
-            part = search_partition(m, spec, eps_err=eps_err, budget=budget, seed=seed,
-                                    enumerated=enumerated)
-            if part is not None and part.assignment not in seen:
-                seen.add(part.assignment)
-                yield part.assignment
+    for hit in _search_cells(m, (_norm(m), sizes, sizes, wlb, wub), eps_err, budget, seed):
+        if hit is not None and hit not in seen:
+            seen.add(hit)
+            yield hit

@@ -4,9 +4,10 @@ Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
 ladder payoff floor and the telescoping accounting on realized runs, and
 holding the per-candidate reference loops of the dense solvers and the
-partition search, the per-restart loop of the reduced search with its
-batched scorers, the per-k triangle scan of metric validation and the
-evaluators, scorers and metric builders that faster code replaced.
+partition search, the per-cell loop of the faithful grids, the
+per-restart loop of the reduced search with its batched scorers, the per-k
+triangle scan of metric validation and the evaluators, scorers and metric
+builders that faster code replaced.
 """
 
 import numpy as np
@@ -30,9 +31,11 @@ from peelembed.objectives import (
     ladder_tree,
 )
 from peelembed.partition_search import (
+    PartitionSpec,
     _bounds,
     _greedy_seed,
     crossing_matrix,
+    enumerate_assignments,
     partition_feasible,
 )
 
@@ -436,7 +439,7 @@ def reference_search_local(m, spec, eps_err, budget, seed):
     found = []
     for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
         rng = np.random.default_rng(ss)
-        assign = _greedy_seed(rng, n, k, slb, sub)
+        assign = _greedy_seed(rng, n, k, slb)
         onehot = np.eye(k)[assign]
         part_dist = m.dist @ onehot  # part_dist[p, j] = W(p, part j)
         sizes = onehot.sum(axis=0)
@@ -467,3 +470,46 @@ def reference_search_local(m, spec, eps_err, budget, seed):
             if partition_feasible(m, spec, eps_err, cand):
                 found.append(cand)
     return min(found) if found else None
+
+
+def reference_search_exhaustive(m, spec, eps_err, enumerated):
+    """Lexicographically smallest assignment of ``enumerated``, the output of
+    ``enumerate_assignments``, that meets ``spec``, or None: one spec tested
+    against every assignment."""
+    n = m.n
+    norm, slb, sub, wlb, wub = _bounds(m, spec)
+    digits, sizes, cross = enumerated
+    ok = (
+        (sizes / n >= slb - eps_err - 1e-12).all(axis=1)
+        & (sizes / n <= sub + eps_err + 1e-12).all(axis=1)
+        & (cross / norm >= wlb - eps_err - 1e-12).all(axis=(1, 2))
+        & (cross / norm <= wub + eps_err + 1e-12).all(axis=(1, 2))
+    )
+    hits = np.flatnonzero(ok)
+    if len(hits) == 0:
+        return None
+    return tuple(int(a) for a in digits[hits[0]])
+
+
+def reference_grid_partitions(m, parts, size_cells, mu_cells, eps_err, budget, seed):
+    """The assignments ``grid_partitions`` yields, in order, as its per-cell
+    loop found them: one spec per cell, searched on its own, against the
+    grid's one enumeration in the exhaustive regime and by
+    ``reference_search_local`` in the local one."""
+    pairs = [(a, b) for a in range(parts) for b in range(a + 1, parts)]
+    enumerated = enumerate_assignments(m, parts) if budget.exhaustive(m.n, parts) else None
+    found = []
+    for lam in size_cells:
+        for mu in mu_cells:
+            wb = [[(0.0, np.inf)] * parts for _ in range(parts)]
+            for (a, b), target in zip(pairs, mu):
+                wb[a][b] = wb[b][a] = (target, target)
+            spec = PartitionSpec.build(parts, size_bounds=[(v, v) for v in lam],
+                                       weight_bounds=wb)
+            if enumerated is not None:
+                hit = reference_search_exhaustive(m, spec, eps_err, enumerated)
+            else:
+                hit = reference_search_local(m, spec, eps_err, budget, seed)
+            if hit is not None and hit not in found:
+                found.append(hit)
+    return found

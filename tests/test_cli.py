@@ -186,6 +186,21 @@ class TestSolveAndOracle:
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("instance", [
+        {"family": "uniform_metric", "n": 4, "seed": 1.5},
+        {"family": "uniform_metric", "n": 4.5},
+        {"family": "clustered", "n": 6, "dim": 1.5},
+        {"family": "uniform_metric", "n": True},
+    ], ids=["float-seed", "float-n", "float-dim", "bool-n"])
+    def test_non_integer_instance_field_exits_2(self, tmp_path, capsys, instance):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [instance]}))
+        assert main(["bench", "--config", str(cfg)]) == 2  # raises on a traceback
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad instance entry 0: ")
+        assert "must be an integer" in captured.err
+
     @pytest.mark.parametrize("command", ["solve-la", "solve-hc", "bench"])
     def test_negative_budget_exits_1_without_traceback(self, matrix_file, tmp_path, capsys,
                                                        command):

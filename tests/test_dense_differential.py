@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from structural import (
     reference_arrangement_values,
     reference_caterpillar_values,
+    reference_grid_partitions,
     reference_hc_reduced,
     reference_hc_value,
     reference_la_reduced,
@@ -34,7 +35,7 @@ from peelembed import hc_dense
 from peelembed.hc_dense import DenseHcConfig, _caterpillar_gains, solve_hc_dense
 from peelembed.instances import FAMILIES as ALL_FAMILIES
 from peelembed.instances import GeneratorSpec, generate
-from peelembed import la_dense
+from peelembed import la_dense, local_search, partition_search
 from peelembed.la_dense import (
     DenseLaConfig,
     _prefix_cut_gains,
@@ -56,6 +57,7 @@ from peelembed.partition_search import (
     SearchBudget,
     _moved_states,
     crossing_matrix,
+    grid_partitions,
     search_partition,
 )
 
@@ -446,6 +448,57 @@ def test_default_budget_witnesses_are_pinned(family, objective):
     assert hashlib.sha256(witness.encode()).hexdigest() == PINNED_WITNESSES[family, objective]
 
 
+# sha256 of the serialized witness of each default-budget faithful solve on
+# clustered at eps 0.5, seed 0, recorded from the grid search that ran one
+# search_partition call per cell: LA n=13 and HC n=13 search their grids in
+# the local regime, the others in the exhaustive one
+PINNED_FAITHFUL_WITNESSES = {
+    ("hc", 7): "090d467c4cc3ff08ce6c54ee41a1dc62780e77b25cbe00e3c7d00e49254f9f71",
+    ("hc", 13): "8173ee1be115db33bcf0543c211e73baec0783107c75d833f53193991ed5b05c",
+    ("la", 10): "86a3a2845e0e7148152e602fee4ad14c94a21ecde89b683117ff481c89282a53",
+    ("la", 13): "b28021295cc7222ee882c6a155c59a8ddb36800aaff37e54fe48bbbac2c5a5a0",
+}
+
+
+@pytest.mark.parametrize("objective, n", sorted(PINNED_FAITHFUL_WITNESSES))
+def test_default_budget_faithful_witnesses_are_pinned(objective, n):
+    m = generate(GeneratorSpec(family="clustered", n=n, seed=0))
+    solve, cfg = {"hc": (solve_hc_dense, DenseHcConfig(eps=0.5, grid_mode="faithful")),
+                  "la": (solve_la_dense, DenseLaConfig(eps=0.5, grid_mode="faithful"))}[objective]
+    witness = solve(m, cfg, seed=0)[0].serialize()
+    assert hashlib.sha256(witness.encode()).hexdigest() == PINNED_FAITHFUL_WITNESSES[objective, n]
+
+
+@pytest.mark.parametrize("regime", ["exhaustive", "local"])
+def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
+    # The grids of faithful HC and LA solves with 1-4 restarts: one search per
+    # grid yields the assignments that one search per cell found, in order,
+    # in chunks of the default size and of a single cell.
+    if regime == "local":
+        monkeypatch.setattr(local_search, "EXHAUSTIVE_N", 0)
+    grids = []
+    for module in (hc_dense, la_dense):
+        def record(m, parts, size_cells, mu_cells, *rest, real=module.grid_partitions):
+            grids.append((m, parts, list(size_cells), list(mu_cells), *rest))
+            return real(*grids[-1])
+
+        monkeypatch.setattr(module, "grid_partitions", record)
+    for restarts, (_, m) in zip((4, 3, 1, 2, 1), _metrics((7,))):
+        budget = SearchBudget(restarts=restarts)
+        solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful", budget=budget), seed=1)
+        solve_la_dense(m, DenseLaConfig(eps=0.45, grid_mode="faithful", budget=budget), seed=1)
+    assert len(grids) == 10 and all(len(sizes) * len(mu) > 50 for _, _, sizes, mu, *_ in grids)
+    hits = 0
+    for args in grids:
+        want = reference_grid_partitions(*args)
+        assert list(grid_partitions(*args)) == want, (args[0], args[1])
+        with monkeypatch.context() as patch:
+            patch.setattr(partition_search, "BATCH_ENTRIES", 1)
+            assert list(grid_partitions(*args)) == want, (args[0], args[1])
+        hits += len(want)
+    assert hits >= 20, hits
+
+
 def test_reduced_search_scores_the_quantized_metric(monkeypatch):
     # a solve with restarts quantizes once and its gain tables see only that
     # copy; a zero budget quantizes nothing
@@ -477,21 +530,23 @@ def test_moved_states_match_reference_updates(k):
         onehot = np.eye(k)[assign]
         part_dist, sizes = m.dist @ onehot, onehot.sum(axis=0)
         cross = crossing_matrix(m, assign, k)
-        points, targets, sz, cr = _moved_states(assign, sizes, cross, part_dist)
+        points, targets, sz, cr = _moved_states(assign[None], sizes[None], cross[None],
+                                                part_dist[None])
         want = [(p, b) for p in range(m.n) for b in range(k) if b != assign[p]]
-        assert list(zip(points, targets)) == want, label
+        assert list(zip(points, targets[0])) == want, label
         for c, (p, b) in enumerate(want):
             want_sz, want_cr = reference_move(sizes, cross, part_dist, p, assign[p], b)
-            np.testing.assert_array_equal(sz[c], want_sz, err_msg=label)
-            np.testing.assert_array_equal(cr[c], want_cr, err_msg=label)
+            np.testing.assert_array_equal(sz[0, c], want_sz, err_msg=label)
+            np.testing.assert_array_equal(cr[0, c], want_cr, err_msg=label)
 
 
-def test_partition_search_matches_reference_loop():
+def test_partition_search_matches_reference_loop(monkeypatch):
     # One restart per search, so each restart's outcome is compared on its
     # own.  A random planted assignment meets each spec: its part sizes are
     # the upper bounds, and its crossing weights either exact bounds or none.
+    monkeypatch.setattr(local_search, "EXHAUSTIVE_N", 0)  # the local regime at every n
     rng = np.random.default_rng(17)
-    budget = SearchBudget(exhaustive_n=0, restarts=1)
+    budget = SearchBudget(restarts=1)
     found = cases = 0
     for family in ALL_FAMILIES:
         for case in range(6):
@@ -567,6 +622,23 @@ def test_lockstep_restart_memory_is_bounded():
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
     for cfg, peak in _solve_peak(m, 32):
         assert peak < 32e6, (cfg, peak)
+
+
+def test_faithful_grid_memory_is_bounded():
+    # Default-budget faithful grids in the local regime: HC at n=13 sweeps 32
+    # restarts of each of its 525 cells.  One sweep of all 16800 rows at once
+    # would hold (16800, 26, 3, 3) crossing temporaries of 31 MB each; each
+    # chunk of cells builds only its own, and LA at n=30 likewise.
+    for solve, cfg, n in ((solve_hc_dense, DenseHcConfig(eps=0.5, grid_mode="faithful"), 13),
+                          (solve_la_dense, DenseLaConfig(eps=0.5, grid_mode="faithful"), 30)):
+        m = generate(GeneratorSpec(family="clustered", n=n, seed=0))
+        tracemalloc.start()
+        try:
+            solve(m, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, (solve.__name__, peak)
 
 
 def test_lockstep_climb_memory_is_bounded():

@@ -30,6 +30,17 @@ class TestSpecValidation:
             GeneratorSpec(family="uniform_metric", n=5, seed=-1)
         assert GeneratorSpec(family="uniform_metric", n=5, seed=0).seed == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 4.5), ("n", True), ("seed", 1.5), ("dim", 1.5), ("m_clusters", 2.0),
+        ("core_n", 3.0), ("outlier_n", False), ("seed", "1"),
+    ])
+    def test_non_integer_field_rejected(self, field, value):
+        # a float or bool would reach numpy, which fails on it with a
+        # TypeError of its own; the spec names the field instead
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            GeneratorSpec(**{"family": "cluster_plus_outliers", "n": 4, field: value})
+        assert GeneratorSpec(family="clustered", n=np.int64(4), seed=np.int64(1)).n == 4
+
     def test_core_split_must_cover_n(self):
         spec = GeneratorSpec(
             family="cluster_plus_outliers", n=6, core_n=3, outlier_n=1

@@ -15,7 +15,6 @@ from peelembed.partition_search import (
     PartitionSpec,
     SearchBudget,
     crossing_matrix,
-    enumerate_assignments,
     make_partition,
     partition_feasible,
     search_partition,
@@ -84,33 +83,15 @@ def test_invalid_specs_rejected():
         wb[1][0] = bound
         with pytest.raises(InvalidSpec, match="bad weight bound"):
             PartitionSpec.build(2, weight_bounds=wb)
+    # an infinite upper bound is an open one, as an unset bound is
+    assert PartitionSpec.build(2, size_bounds=[(0, math.inf)] * 2) == PartitionSpec.build(2)
 
 
-def test_spec_json_non_finite_bounds():
-    text = ('{"k": 2, "size_bounds": [[%s, %s], [0, null]], '
-            '"weight_bounds": [[[0, null], [0, null]], [[0, null], [0, null]]]}')
-    for lb, ub in [("NaN", "null"), ("Infinity", "null"), ("-Infinity", "1"), ("0", "NaN")]:
-        with pytest.raises(InvalidSpec, match="bad size bound"):
-            PartitionSpec.from_json(text % (lb, ub))
-    # an infinite upper bound is an open one, as null is
-    assert PartitionSpec.from_json(text % ("0", "Infinity")) == PartitionSpec.build(2)
-
-
-@pytest.mark.parametrize(
-    "field", ["exhaustive_n", "restarts", "moves_per_restart", "exhaustive_assignments"]
-)
+@pytest.mark.parametrize("field", ["restarts", "moves_per_restart"])
 def test_negative_budget_rejected(field):
     with pytest.raises(InvalidSpec, match=f"{field} must be >= 0, got -1"):
         SearchBudget(**{field: -1})
     assert getattr(SearchBudget(**{field: 0}), field) == 0
-
-
-def test_spec_json_roundtrip():
-    spec = PartitionSpec.build(
-        2, size_bounds=[(0.25, 0.75), (0.25, 0.75)],
-        weight_bounds=[[(0.0, math.inf), (0.1, 0.2)], [(0.1, 0.2), (0.0, math.inf)]],
-    )
-    assert PartitionSpec.from_json(spec.to_json()) == spec
 
 
 def test_partition_dump_and_crossing_consistency(two_cluster_6):
@@ -118,7 +99,7 @@ def test_partition_dump_and_crossing_consistency(two_cluster_6):
     cross = crossing_matrix(two_cluster_6, part.assignment, 2)
     assert cross[0, 1] == pytest.approx(9.0)
     assert cross[0, 0] == pytest.approx(0.3)  # intra weight of one triangle
-    assert "assignment 0 0 0 1 1 1" in part.dump()
+    assert part.part_sizes == (3, 3) and part.crossing_weights[0][1] == cross[0, 1]
 
 
 def test_exhaustive_matches_brute_force_oracle():
@@ -143,9 +124,6 @@ def test_exhaustive_matches_brute_force_oracle():
             assert brute_force_feasible(m, spec, eps_err) is None
             continue
         ref = brute_force_feasible(m, spec, eps_err)
-        # a caller's own enumeration changes no result
-        assert search_partition(m, spec, eps_err=eps_err, seed=trial,
-                                enumerated=enumerate_assignments(m, k)) == got
         if got is None:
             assert ref is None
             checked_missing += 1
@@ -163,7 +141,7 @@ def test_local_search_regime_finds_balanced_split():
 
     m = metric_from_points(pts[:, None])
     spec = PartitionSpec.build(2, size_bounds=[(0.5, 0.5), (0.5, 0.5)])
-    budget = SearchBudget(exhaustive_n=12, restarts=8)
+    budget = SearchBudget(restarts=8)
     part = search_partition(m, spec, eps_err=0.01, budget=budget, seed=0)
     assert part is not None and part.part_sizes == (20, 20)
     again = search_partition(m, spec, eps_err=0.01, budget=budget, seed=0)
