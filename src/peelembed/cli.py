@@ -106,23 +106,15 @@ OBJECTIVES = {
 
 def _load_metric(path: str, fmt: str) -> Metric:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParse(f"cannot read input {path}: {exc}") from None
-    if fmt == "matrix":
-        return parse_metric(text)
     if fmt == "points":
         return parse_point_cloud(text)
-    # auto: a matrix file starts with a bare count followed by n*n floats
-    tokens = text.split()
-    try:
-        n = int(tokens[0])
-        if len(tokens) == 1 + n * n:
-            return parse_metric(text, tokens=tokens)
-    except (ValueError, IndexError):
-        pass
-    return parse_point_cloud(text)
+    # auto: a matrix file starts with a bare count followed by n*n floats;
+    # parse_metric tells it from a point cloud in the same pass
+    return parse_metric(text, auto=fmt == "auto")
 
 
 def _write_out(out: str, text: str) -> None:
@@ -267,9 +259,9 @@ def run_bench(config: dict, seed: int = 0, timing: bool = False) -> str:
 
 def _cmd_bench(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigParse(f"cannot read config {args.config}: {exc}") from None
     if not isinstance(config, dict) or "instances" not in config:
         raise ConfigParse("config must be a JSON object with an 'instances' list")

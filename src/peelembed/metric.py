@@ -8,9 +8,10 @@ points by enumerating balls around every candidate center.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,10 @@ TRIANGLE_TOL = 1e-9
 # Rounding margin of the triangle screen, in machine epsilons of max(D, 1);
 # see _triangle_screen for why 8 keeps the screen conservative.
 SCREEN_MARGIN_EPS = 8
+
+# Most slab entries one block of ``_triangle_screen`` holds (whole rows, at
+# least one), so its reused buffer is 512 KB for any n up to 2^16 + 1.
+SCREEN_BLOCK_ENTRIES = 1 << 16
 
 # Most coordinate differences (n x d per row) one block of
 # ``metric_from_points`` holds, so its temporaries stay a few MB for any n.
@@ -146,7 +151,11 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
     inequality with the pair {i, k} as one side.  Columns j > i suffice: a
     triple a < b < c meets its three inequalities in the pairs {a, b}
     (column c) and {a, c} (column b).  So row i's slab covers every triple
-    whose smallest point is i, each unordered pair once, in one reused buffer.
+    whose smallest point is i, each unordered pair once.  The slab is taken
+    in blocks of whole rows, at most ``SCREEN_BLOCK_ENTRIES`` entries each,
+    copied into one reused contiguous buffer and differenced in place there:
+    the same entries and comparisons as the whole slab at once, in a buffer
+    that stays in cache.
 
     Rounding, with u = eps / 2 and M = max(D) >= every entry: if the witness
     test fl(d_ij - fl(d_ik + d_kj)) > tol rejects, then exactly
@@ -161,14 +170,19 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
     n = mat.shape[0]
     margin = SCREEN_MARGIN_EPS * np.finfo(float).eps * max(float(mat.max()), 1.0)
     allowed = tol - margin
-    buf = np.empty((n - 1) * (n - 1))
+    buf = np.empty(max(SCREEN_BLOCK_ENTRIES, n - 1))
     for i in range(n - 2):  # the last two rows hold no triple with i smallest
         rest = mat[i, i + 1 :]
-        slab = buf[: rest.size * rest.size].reshape(rest.size, rest.size)
-        np.subtract(mat[i + 1 :, i + 1 :], rest, out=slab)
-        np.abs(slab, out=slab)
-        if (slab.max(axis=1) > rest + allowed).any():
-            return True
+        bound = rest + allowed
+        step = max(1, SCREEN_BLOCK_ENTRIES // rest.size)
+        for lo in range(0, rest.size, step):
+            block = mat[i + 1 + lo : i + 1 + lo + step, i + 1 :]
+            slab = buf[: block.size].reshape(block.shape)
+            np.copyto(slab, block)
+            slab -= rest
+            np.abs(slab, out=slab)
+            if (slab.max(axis=1) > bound[lo : lo + step]).any():
+                return True
     return False
 
 
@@ -236,24 +250,79 @@ def format_metric(m: Metric) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_metric(text: str, tokens: Optional[Sequence[str]] = None) -> Metric:
+def parse_metric(text: str, auto: bool = False) -> Metric:
     """Parse ``n`` followed by the n * n matrix entries, then validate.
 
-    ``tokens`` is ``text.split()``, for a caller that has split it already.
+    Tokens are whitespace-separated, as by ``text.split()``, and the entries
+    are read one line at a time with ``float`` into one n * n array.  That
+    array is allocated only if the text is long enough to hold n * n entries
+    (each takes a character and a separator), so a huge header costs
+    nothing.  Every token is converted, so a bad token is reported before a
+    wrong entry count, as the first bad token.
+
+    With ``auto``, a text that is not a matrix file (no first token that is
+    an integer n, or not exactly n * n tokens after it) is parsed by
+    :func:`parse_point_cloud` instead; counting stops once it passes n * n,
+    so a point cloud is told apart within its first lines.
     """
-    if tokens is None:
-        tokens = text.split()
-    if not tokens:
+    lines = _line_tokens(text)
+    first = next(lines, None)
+    if first is None:
+        if auto:
+            return parse_point_cloud(text)
         raise InputParse("empty metric file")
     try:
-        n = int(tokens[0])
-        vals = np.fromiter(map(float, tokens[1:]), dtype=float, count=len(tokens) - 1)
+        n = int(first[0])
     except ValueError as exc:
+        if auto:
+            return parse_point_cloud(text)
         raise InputParse(f"metric file: {exc}") from None
-    if n < 1 or len(vals) != n * n:
+    size = n * n
+    fits = 2 * size < len(text)
+    if auto and not fits:
+        return parse_point_cloud(text)
+    vals = np.empty(size) if n >= 1 and fits else None
+    count, error = 0, None
+    for tokens in itertools.chain([first[1:]], lines):
+        k = len(tokens)
+        if auto and count + k > size:
+            return parse_point_cloud(text)
+        if error is None:
+            try:
+                if vals is not None and count + k <= size:
+                    vals[count : count + k] = np.fromiter(map(float, tokens), float, k)
+                else:  # nowhere to store them: converted only to find a bad token
+                    for token in tokens:
+                        float(token)
+            except ValueError as exc:
+                error = exc
+                if not auto:
+                    break
+        count += k
+    if auto and count != size:
+        return parse_point_cloud(text)
+    if error is not None:
+        raise InputParse(f"metric file: {error}") from None
+    if n < 1 or count != size:
         raise InputParse(f"expected n >= 1 and n * n matrix entries, got n={n} "
-                         f"and {len(vals)} entries")
+                         f"and {count} entries")
     return validate_metric(vals.reshape(n, n))
+
+
+def _line_tokens(text: str) -> Iterator[list]:
+    """The tokens of each line of ``text`` that has any, one line at a time.
+
+    Lines end at "\\n" only; every other whitespace character separates
+    tokens within a line, so the tokens are those of ``text.split()``.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        tokens = text[start:end].split()
+        if tokens:
+            yield tokens
+        start = end + 1
 
 
 def format_point_cloud(points: np.ndarray) -> str:

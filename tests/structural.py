@@ -6,7 +6,8 @@ ladder payoff floor and the telescoping accounting on realized runs, and
 holding the per-candidate reference loops of the dense solvers and the
 partition search, the per-cell loop of the faithful grids, the
 per-restart loop of the reduced search with its batched scorers, the per-k
-triangle scan of metric validation and the evaluators, scorers and metric
+triangle scan and whole-slab screen of metric validation, the all-token
+matrix parse with its format sniff, and the evaluators, scorers and metric
 builders that faster code replaced.
 """
 
@@ -22,7 +23,15 @@ from peelembed.local_search import (
     scan_argmax,
     single_moves,
 )
-from peelembed.metric import DENSE_BY_CONVENTION, Metric, SubsetStats, subset_stats
+from peelembed.errors import InputParse
+from peelembed.metric import (
+    DENSE_BY_CONVENTION,
+    SCREEN_MARGIN_EPS,
+    Metric,
+    SubsetStats,
+    subset_stats,
+    validate_metric,
+)
 from peelembed.objectives import (
     HcTree,
     LinearArrangement,
@@ -115,6 +124,53 @@ def reference_triangle_scan(mat, tol):
             i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
             return int(i), int(j), k, worst
     return None
+
+
+def reference_triangle_screen(mat, tol):
+    """``metric._triangle_screen`` as it was: each row's whole slab
+    differenced out of place in one (n - 1)^2 buffer."""
+    n = mat.shape[0]
+    margin = SCREEN_MARGIN_EPS * np.finfo(float).eps * max(float(mat.max()), 1.0)
+    allowed = tol - margin
+    buf = np.empty((n - 1) * (n - 1))
+    for i in range(n - 2):
+        rest = mat[i, i + 1 :]
+        slab = buf[: rest.size * rest.size].reshape(rest.size, rest.size)
+        np.subtract(mat[i + 1 :, i + 1 :], rest, out=slab)
+        np.abs(slab, out=slab)
+        if (slab.max(axis=1) > rest + allowed).any():
+            return True
+    return False
+
+
+def reference_parse_metric(text):
+    """``metric.parse_metric`` as it was: every token of ``text.split()``
+    held at once, then converted with ``float``."""
+    tokens = text.split()
+    if not tokens:
+        raise InputParse("empty metric file")
+    try:
+        n = int(tokens[0])
+        vals = np.fromiter(map(float, tokens[1:]), dtype=float, count=len(tokens) - 1)
+    except ValueError as exc:
+        raise InputParse(f"metric file: {exc}") from None
+    if n < 1 or len(vals) != n * n:
+        raise InputParse(f"expected n >= 1 and n * n matrix entries, got n={n} "
+                         f"and {len(vals)} entries")
+    return validate_metric(vals.reshape(n, n))
+
+
+def reference_sniff(text):
+    """The ``--format auto`` rule as it was: "matrix" if the first token is
+    an integer n and exactly 1 + n * n tokens follow, else "points"."""
+    tokens = text.split()
+    try:
+        n = int(tokens[0])
+        if len(tokens) == 1 + n * n:
+            return "matrix"
+    except (ValueError, IndexError):
+        pass
+    return "points"
 
 
 def reference_evaluate_hc(m, tree):

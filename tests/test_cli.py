@@ -19,10 +19,13 @@ def matrix_file(tmp_path, two_cluster_6):
     return str(path)
 
 
+POINTS_TEXT = "0 0.0 0.0\n1 1.0 0.0\n2 0.0 1.0\n3 2.0 2.0\n"
+
+
 @pytest.fixture
 def points_file(tmp_path):
     path = tmp_path / "pts.txt"
-    path.write_text("0 0.0 0.0\n1 1.0 0.0\n2 0.0 1.0\n3 2.0 2.0\n")
+    path.write_text(POINTS_TEXT)
     return str(path)
 
 
@@ -126,6 +129,18 @@ class TestValidateAndGen:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fmt", ["auto", "matrix", "points"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, two_cluster_6, fmt):
+        text = format_metric(two_cluster_6) if fmt != "points" else POINTS_TEXT
+        outs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "input.txt"
+            path.write_bytes(prefix + text.encode("utf-8"))
+            for argv in (["validate"], ["solve-hc", "--eps", "0.5"]):
+                assert main(argv + ["--input", str(path), "--format", fmt]) == 0
+                outs.append(capsys.readouterr().out)
+        assert outs[:2] == outs[2:]
 
     @pytest.mark.parametrize("command", ["validate", "solve-la", "oracle"])
     def test_missing_input_exits_2(self, tmp_path, capsys, command):
@@ -305,6 +320,15 @@ class TestBench:
         assert rc == 0
         assert out.read_text() == run_bench(BENCH_CONFIG)
 
+    def test_bench_config_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        outs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            cfg.write_bytes(prefix + json.dumps(BENCH_CONFIG).encode("utf-8"))
+            assert main(["bench", "--config", str(cfg)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("algorithm, n", [("oracle-la", 11), ("oracle-hc", 9)])
     def test_oracle_row_too_large_exits_1(self, tmp_path, capsys, algorithm, n):
         cfg = tmp_path / "big.json"
@@ -340,3 +364,6 @@ class TestBench:
         cfg.write_text(json.dumps({"instances": [{"family": "uniform_metric",
                                                   "n": 4, "bogus": 1}]}))
         assert main(["bench", "--config", str(cfg)]) == 2
+        cfg.write_bytes(json.dumps(BENCH_CONFIG).encode("utf-8") + b"\xff")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config ")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from peelembed.errors import (
     NegativeDistance,
     NonFiniteDistance,
     NonzeroDiagonal,
+    PeelEmbedError,
     TriangleViolation,
     ZeroDiameter,
 )
@@ -32,8 +34,11 @@ from peelembed.metric import (
 )
 from structural import (
     reference_metric_from_points,
+    reference_parse_metric,
+    reference_sniff,
     reference_subset_stats,
     reference_triangle_scan,
+    reference_triangle_screen,
 )
 
 
@@ -134,6 +139,192 @@ def test_triangle_witness_scan_skipped_on_metrics(monkeypatch, kind, scale):
 
     monkeypatch.setattr(metric_module, "_raise_triangle_witness", fail)
     validate_metric(_triangle_base(kind, 60, np.random.default_rng(4), scale))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["closure", "euclid", "path", "uniform"]),
+    st.integers(3, 40),
+    st.sampled_from([1e-3, 1.0, 1e4]),
+    st.lists(st.sampled_from([-3, -1, 0, 1, 3, "10tol", "half"]), max_size=2),
+    st.sampled_from([1, 2, 3, 7]),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocked_triangle_screen_matches_whole_slab(kind, n, scale, plants, rows, seed):
+    rng = np.random.default_rng(seed)
+    mat = _triangle_base(kind, n, rng, scale)
+    for excess in plants:
+        _plant_violation(mat, rng, excess)
+    tol = TRIANGLE_TOL * max(float(mat.max()), 1.0)
+    # one row per block, or blocks of `rows` rows in row 0 and more below
+    entries = 1 if rows == 1 else rows * (n - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", entries)
+        flag = metric_module._triangle_screen(mat, tol)
+    assert flag == reference_triangle_screen(mat, tol)
+
+
+def test_triangle_screen_flags_a_violation_in_a_rows_last_block():
+    n = 400
+    mat = _triangle_base("uniform", n, None, 1.0)
+    a, b = n - 10, n - 5
+    mat[a, b] = mat[b, a] = 2.0 + 1e-6
+    # row 0 meets the violating triples (0, a, b) and (0, b, a) in slab rows
+    # a - 1 and b - 1 only, both in its last block
+    step = metric_module.SCREEN_BLOCK_ENTRIES // (n - 1)
+    assert 0 < (n - 2) // step * step <= a - 1
+    tol = TRIANGLE_TOL * float(mat.max())
+    assert metric_module._triangle_screen(mat, tol)
+    assert reference_triangle_screen(mat, tol)
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(mat)
+    assert (*exc.value.triple, exc.value.slack) == reference_triangle_scan(mat, tol)
+
+
+def test_triangle_screen_peak_memory():
+    mat = _triangle_base("path", 600, None, 1.0)
+    tracemalloc.start()
+    try:
+        assert not metric_module._triangle_screen(mat, TRIANGLE_TOL * float(mat.max()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_parse_metric_peak_memory():
+    n = 600
+    text = format_metric(Metric(_triangle_base("euclid", n, np.random.default_rng(5), 1.0)))
+    tracemalloc.start()
+    try:
+        parse_metric(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n * n * 8
+
+
+def _outcome(parse, text):
+    """The parsed matrix's bytes, or the error's class and message (the class
+    sets the exit code)."""
+    try:
+        m = parse(text)
+    except PeelEmbedError as exc:
+        return type(exc), str(exc)
+    return m.n, m.dist.tobytes()
+
+
+def _check_parse_like_reference(text):
+    assert _outcome(parse_metric, text) == _outcome(reference_parse_metric, text)
+    chosen = []
+
+    def cloud(t):
+        chosen.append("points")
+        return parse_point_cloud(t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_module, "parse_point_cloud", cloud)
+        got = _outcome(lambda t: parse_metric(t, auto=True), text)
+    sniff = reference_sniff(text)
+    assert (chosen or ["matrix"]) == [sniff]
+    expected = reference_parse_metric if sniff == "matrix" else parse_point_cloud
+    assert got == _outcome(expected, text)
+
+
+SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\n\n", " \n\t", "\x0b", "\x0c",
+              "\x1c", "\x85", "\u2028", "\xa0"]
+BAD_TOKENS = ["x", "nan", "inf", "-Infinity", "1_0", "1e999", "0x1", "1,5", "--1", "\ufeff1"]
+
+
+@st.composite
+def matrix_like_texts(draw):
+    """A small metric, or point cloud, written out in some layout, with a
+    header, count or token that may be wrong."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["closure", "euclid", "path", "uniform"]))
+        dist = _triangle_base(kind, n, np.random.default_rng(draw(st.integers(0, 99))), 1.0)
+        rows = [[repr(float(x)) for x in row] for row in dist]
+        header = draw(st.sampled_from([str(n)] * 20 + [str(n + 1), str(n - 1), "3.0", "0",
+                                       "-2", "x", "4000000000", "1_0", "+2"]))
+        rows = [[header]] + rows
+    else:  # point cloud rows "id x y", ids possibly out of order
+        ids = draw(st.permutations(range(n)))
+        rows = [[str(i), draw(st.sampled_from(["0", "1.5", "-2", "3e1"])), "1"] for i in ids]
+    tokens = [t for row in rows for t in row]
+    ends = set(itertools.accumulate(len(row) for row in rows))
+    cut = draw(st.sampled_from([0] * 12 + [-2, -1, 1, 2]))
+    tokens = tokens[:-cut] if cut > 0 else tokens + ["0.5"] * -cut
+    bad = draw(st.sampled_from([None] * 24 + BAD_TOKENS))
+    if bad is not None:
+        tokens.insert(draw(st.integers(0, len(tokens))), bad)
+    layout = draw(st.sampled_from(["rows", "line", "token", "random"]))
+    if layout == "rows":
+        gaps = ["\n" if i + 1 in ends else " " for i in range(len(tokens) - 1)]
+    elif layout == "line":
+        gaps = [" "] * max(len(tokens) - 1, 0)
+    elif layout == "token":
+        gaps = ["\n"] * max(len(tokens) - 1, 0)
+    else:
+        gaps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=max(len(tokens) - 1, 0),
+                             max_size=max(len(tokens) - 1, 0)))
+    lead = draw(st.sampled_from(["", " ", "\n", "\r\n", "\t\x0c"]))
+    trail = draw(st.sampled_from(["", "\n", " \n", "\r\n", "\n\n\x85"]))
+    body = "".join(t + g for t, g in zip(tokens, gaps + [""]))
+    return lead + body + trail
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(matrix_like_texts())
+def test_streamed_parse_matches_token_parse(text):
+    _check_parse_like_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        " \n\t\r\n\x0b",
+        "3",
+        "3\n",
+        "3.0\n0 1 1\n1 0 1\n1 1 0\n",
+        "0",
+        "0\n",
+        "-1\n5\n",
+        "-2\n0 1\n1 0\n",
+        "2\n0 1\n1\n",
+        "2\n0 1\n1 0 7\n",
+        "2\n0 1\n1 0\n7 8 9\n",
+        "2\n0 x\n1 0\n",
+        "2\n0 1\n1 0 x\n",
+        "2\nx 1\n1 0 0\n",
+        "2\n0 1\n1 0\n5 x\n",
+        "2\n0 nan\nnan 0\n",
+        "2\n0 inf\ninf 0\n",
+        "2\n0 1_0\n1_0 0\n",
+        "1_0\n" + "0 " * 100,
+        "4000000000\n0 1\n1 0\n",
+        "4000000000",
+        "2 0 1 1 0",
+        "0 1.5 2\n1 3 4\n",
+        "1 5\n",
+        "2\n0 1\n1 0\n\n\n",
+    ],
+)
+def test_streamed_parse_matches_token_parse_on_malformed_text(text):
+    _check_parse_like_reference(text)
+
+
+def test_huge_header_allocates_nothing():
+    tracemalloc.start()
+    try:
+        for auto in (False, True):
+            with pytest.raises(InputParse):
+                parse_metric("4000000000\n0 1\n1 0\n", auto=auto)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_metric_copies_the_callers_array():
