@@ -36,6 +36,23 @@ def _terms(n, root, w_a, w_ac, eps):
     return beta * (1.0 - root), beta, 1.0 + 2.0 * root
 
 
+def _join(layer, kept, inner):
+    """The layer's ladder over the kept points' tree, without a walk: the
+    layer and the kept points are disjoint, and the kept tree is valid."""
+    node = relabel(inner.root, kept)
+    for point in reversed(layer):
+        node = (point, node)
+    return HcTree._unchecked(node)
+
+
+def _value(sub, tree, layer, below):
+    """Case (b) scores the whole tree; case (c) adds the layer's ladder nodes
+    to the kept tree's value."""
+    if below is None:
+        return evaluate_hc(sub, tree)
+    return evaluate_hc(sub, tree, top=len(layer), below=below)
+
+
 _POLICY = Policy(
     dense_power=2,
     case_b_factor=16.0,
@@ -43,8 +60,8 @@ _POLICY = Policy(
     terms=_terms,
     dense=lambda sub, cfg, seed: solve_hc_dense(sub, cfg, seed),
     canonical=lambda k: ladder_tree(range(k)),
-    join=lambda layer, kept, inner: ladder_tree(layer, tail=HcTree(relabel(inner.root, kept))),
-    value=lambda m, tree: evaluate_hc(m, tree),
+    join=_join,
+    value=_value,
 )
 
 

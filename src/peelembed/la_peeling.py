@@ -49,7 +49,7 @@ _POLICY = Policy(
     join=lambda layer, kept, inner: LinearArrangement.from_order(
         layer + [kept[i] for i in inner.order()]
     ),
-    value=lambda m, arr: evaluate_la(m, arr),
+    value=lambda m, arr, layer, below: evaluate_la(m, arr),
 )
 
 

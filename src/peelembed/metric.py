@@ -38,6 +38,15 @@ SCREEN_MARGIN_EPS = 8
 # least one), so its reused buffer is 512 KB for any n up to 2^16 + 1.
 SCREEN_BLOCK_ENTRIES = 1 << 16
 
+# Most entries of a subset's block that ``subset_stats`` holds at once, in one
+# reused 512 KB buffer, so its weight sum needs no copy of the block.
+STATS_BLOCK_ENTRIES = 1 << 16
+
+# NumPy sums a contiguous float array pairwise: a run of at most this many
+# entries in one unrolled loop, a longer one as the sum of its two halves,
+# split at a multiple of 8.
+PAIRWISE_BLOCK = 128
+
 # Most coordinate differences (n x d per row) one block of
 # ``metric_from_points`` holds, so its temporaries stay a few MB for any n.
 POINT_BLOCK_ENTRIES = 1 << 18
@@ -74,7 +83,8 @@ class Metric:
         self.dist = dist
 
     def submetric(self, indices: Sequence[int]) -> "Metric":
-        """Induced metric on ``indices`` (order defines the new point ids)."""
+        """Induced metric on ``indices``; point ``i`` of the result is the
+        ``i``-th smallest of them, whatever order they come in."""
         idx = np.asarray(sorted(indices), dtype=int)
         return Metric._adopt(self.dist[np.ix_(idx, idx)])
 
@@ -203,7 +213,9 @@ def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
 
     The weight sum counts each unordered pair once; density is
     W / (size^2 * diameter), reported as :data:`DENSE_BY_CONVENTION` when the
-    diameter is zero.
+    diameter is zero.  Both are bit for bit those of the gathered block
+    ``B = m.dist[np.ix_(idx, idx)]``: ``B.max()`` and ``np.triu(B, 1).sum()``,
+    computed by :func:`_block_max_and_upper_sum` without a copy of ``B``.
     """
     idx = sorted(set(int(i) for i in subset))
     if not idx:
@@ -211,14 +223,49 @@ def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
     if idx[0] < 0 or idx[-1] >= m.n:
         raise IndexError(f"subset out of range for n={m.n}")
     size = len(idx)
-    sub = m.dist.copy() if size == m.n else m.dist[np.ix_(idx, idx)]
-    diameter = float(sub.max())
-    # np.triu(sub, 1) in place: the same C-ordered array, so the same sum
-    for i in range(size):
-        sub[i, : i + 1] = 0.0
-    weight = float(sub.sum())
+    diameter, weight = _block_max_and_upper_sum(m.dist, None if size == m.n else idx)
     density = weight / (size * size * diameter) if diameter > 0.0 else DENSE_BY_CONVENTION
     return SubsetStats(diameter=diameter, weight_sum=weight, size=size, density=density)
+
+
+def _block_max_and_upper_sum(dist: np.ndarray, idx: Optional[list]) -> tuple:
+    """(max entry, strict-upper-triangle sum) of the block of ``dist`` on the
+    ascending ids ``idx`` (all of ``dist`` when None), in C order.
+
+    NumPy sums the C-ordered block with its lower triangle zeroed as one
+    pairwise reduction over its k^2 entries (see :data:`PAIRWISE_BLOCK`).
+    This takes the same halves recursively, and materialises only runs of at
+    most ``max(STATS_BLOCK_ENTRIES, PAIRWISE_BLOCK)`` entries, in one reused
+    buffer where their lower-triangle entries are zeroed.  NumPy sums each run
+    with the same pairwise steps, so the halves add up to the same bits.
+    """
+    k = dist.shape[0] if idx is None else len(idx)
+    leaf = max(STATS_BLOCK_ENTRIES, PAIRWISE_BLOCK)
+    buf = np.empty(min(k * k, leaf))
+    ids = None if idx is None else np.asarray(idx)
+    largest = np.float64(-math.inf)
+
+    def run_sum(lo, hi):  # entries [lo, hi) of the block, flattened
+        nonlocal largest
+        r0, r1 = lo // k, (hi - 1) // k + 1
+        rows = dist[r0:r1] if ids is None else dist[np.ix_(ids[r0:r1], ids)]
+        out = buf[: hi - lo]
+        np.copyto(out, rows.reshape(-1)[lo - r0 * k : hi - r0 * k])
+        largest = np.maximum(largest, out.max())  # NaN propagates, as in B.max()
+        for r in range(r0, r1):  # row r's lower triangle: flat r k + [0, r]
+            start = r * k - lo
+            out[max(start, 0) : max(start + r + 1, 0)] = 0.0
+        return out.sum()
+
+    def pairwise(lo, count):
+        if count <= leaf:
+            return run_sum(lo, lo + count)
+        half = count // 2
+        half -= half % 8
+        return pairwise(lo, half) + pairwise(lo + half, count - half)
+
+    weight = float(pairwise(0, k * k))
+    return float(largest), weight
 
 
 def find_core(m: Metric, stats: Optional[SubsetStats] = None) -> CoreResult:

@@ -161,14 +161,22 @@ def evaluate_la(m: Metric, arrangement: LinearArrangement) -> float:
     return float((m.dist * gaps).sum() / 2.0)
 
 
-def evaluate_hc(m: Metric, tree: HcTree) -> float:
-    """Sum over unordered pairs of dist[i][j] * (leaves under LCA(i, j))."""
+def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float = 0.0) -> float:
+    """Sum over unordered pairs of dist[i][j] * (leaves under LCA(i, j)).
+
+    The pairs are summed node by node in post-order.  With ``top``, only the
+    last ``top`` nodes are summed, onto ``below``.  A ladder of ``top`` cuts
+    over a tail comes after the tail's nodes in post-order, and each tail
+    node sums the same block as in the tail alone.  So with ``below`` the
+    tail's value on its own points, this is the whole tree's value, bit for
+    bit.
+    """
     order, spans = _leaf_spans(tree.root)
     if sorted(order) != list(range(m.n)):
         raise SizeMismatch(f"tree leaves do not cover 0..{m.n - 1}")
     idx = np.asarray(order, dtype=int)
-    total = 0.0
-    for lo, mid, hi in spans:
+    total = below
+    for lo, mid, hi in spans if top is None else spans[len(spans) - top :]:
         if mid - lo == 1:
             block = m.dist[idx[lo], idx[mid:hi]]
         else:

@@ -57,15 +57,18 @@ class Policy:
     dense: Callable  # (sub, dense config, seed) -> (solution, its value on sub)
     canonical: Callable  # k -> the solution case (b) gives k kept points
     join: Callable  # (layer, kept, solution of kept in ids local to kept) -> solution
-    value: Callable  # (metric, solution) -> objective value of a case (b)/(c) solution
+    # (sub, joined solution, layer, value of the kept points' solution on
+    # their own metric in case (c), None in case (b)) -> value of the solution
+    value: Callable
 
 
 def peel(policy: Policy, m: Metric, cfg: PeelConfig, seed: int):
     """Peel all of ``m``; returns (solution, RecursionTrace)."""
     trace = RecursionTrace()
-    solution = _level(policy, m, cfg, seed, list(range(m.n)), None, 0, trace)
+    cap = cfg.depth_cap(m.n)
+    stats = subset_stats(m, range(m.n))
+    solution, trace.value = _level(policy, cfg, seed, cap, m, list(range(m.n)), stats, 0, trace)
     trace.levels.reverse()  # each level is recorded after the levels below it
-    trace.value = trace.levels[0].alg_value  # level 0 scored the solution on m
     trace.validate()
     return solution, trace
 
@@ -74,17 +77,14 @@ def _weight(sub: Metric, ids: list) -> float:
     return subset_stats(sub, ids).weight_sum if len(ids) > 1 else 0.0
 
 
-def _level(policy, m, cfg, seed, ids, stats, level, trace):
-    """Solution on the ascending point ids ``ids`` of ``m``, in local ids.
+def _level(policy, cfg, seed, cap, sub, ids, stats, level, trace):
+    """(solution, its value on ``sub``), the solution in ids local to ``sub``.
 
-    ``stats`` are the subset stats of ``ids``, from the level above, or None.
+    ``sub`` is the metric the root induces on its ascending point ids
+    ``ids``, and ``stats`` are its subset stats, both from the level above.
     """
-    cap = cfg.depth_cap(m.n)
     if level > cap:
         raise DepthExceeded(f"peeling depth exceeded {cap} levels")
-    sub = m if len(ids) == m.n else m.submetric(ids)
-    if stats is None:
-        stats = subset_stats(sub, range(sub.n))
     rho, eps = stats.density, cfg.eps
     layer = []
     if rho < eps**policy.dense_power:  # a single point has infinite density
@@ -93,15 +93,17 @@ def _level(policy, m, cfg, seed, ids, stats, level, trace):
     if layer:
         w_a = _weight(sub, layer)
         w_ac = float(sub.dist[np.ix_(layer, core)].sum())
-        kept_stats = subset_stats(sub, kept)  # also the next level's stats
+        kept_sub = sub.submetric(kept)  # the one copy of the next level's block
+        kept_stats = subset_stats(kept_sub, range(kept_sub.n))
         if kept_stats.weight_sum < policy.case_b_factor * eps * stats.weight_sum:
-            case, inner = "b", policy.canonical(len(kept))
+            case, inner, below = "b", policy.canonical(len(kept)), None
         else:
             case = "c"
-            inner = _level(policy, m, cfg, seed, [ids[i] for i in kept], kept_stats,
-                           level + 1, trace)
+            inner, below = _level(policy, cfg, seed, cap, kept_sub, [ids[i] for i in kept],
+                                  kept_stats, level + 1, trace)
+        del kept_sub  # not alive while this level is scored
         solution = policy.join(layer, kept, inner)
-        value = policy.value(sub, solution)
+        value = policy.value(sub, solution, layer, below)
         terms = policy.terms(sub.n, math.sqrt(rho), w_a, w_ac, eps)
     else:
         # Dense, or every point sits in or near the core: recursing would not
@@ -126,4 +128,4 @@ def _level(policy, m, cfg, seed, ids, stats, level, trace):
             alg_value=value,
         )
     )
-    return solution
+    return solution, value

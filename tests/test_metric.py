@@ -401,6 +401,40 @@ def test_subset_stats_and_find_core_bit_equal_to_reference():
         assert find_core(m, subset_stats(m, range(m.n))) == find_core(m)
 
 
+def _stats_inputs(n):
+    """A Euclidean metric, an unchecked asymmetric one and a Fortran-ordered
+    matrix adopted as is, on n points."""
+    rng = np.random.default_rng(n)
+    cloud = metric_from_points(rng.normal(size=(n, 2)))
+    asymmetric = Metric(rng.random((n, n)))
+    fortran = Metric._adopt(np.asfortranarray(cloud.dist))
+    return rng, (cloud, asymmetric, fortran)
+
+
+@pytest.mark.parametrize("block", [8, 64, 1000, metric_module.STATS_BLOCK_ENTRIES])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 600, 1860])
+def test_subset_stats_copy_free_sum_is_bit_equal(monkeypatch, n, block):
+    # runs of 8 to 2^16 entries; below 128 the runs are NumPy's own blocks
+    monkeypatch.setattr(metric_module, "STATS_BLOCK_ENTRIES", block)
+    rng, metrics = _stats_inputs(n)
+    for m in metrics:
+        subsets = [range(n), sorted(rng.choice(n, size=max(n // 2, 1), replace=False))]
+        for subset in subsets:
+            assert subset_stats(m, subset) == reference_subset_stats(m, subset)
+
+
+def test_subset_stats_peak_memory():
+    n = 1860
+    _, (m, _, _) = _stats_inputs(n)
+    tracemalloc.start()
+    try:
+        subset_stats(m, range(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one 512 KB run buffer; the n x n copy was 27.7 MB
+
+
 def test_find_core_cluster_outlier(cluster_outlier_5):
     res = find_core(cluster_outlier_5)
     assert res.core == (0, 1, 2, 3)

@@ -1,12 +1,14 @@
 """Every level of a peel, recomputed without the recursion's shortcuts.
 
-The recursion scores level 0 on the root metric itself and hands each
-level's subset stats down to the next level.  These tests rebuild every
+The recursion scores level 0 on the root metric itself, hands each level
+its kept block and its subset stats from the level above, and scores an HC
+case-(c) level as the level below plus its ladder.  These tests rebuild every
 ``LevelRecord`` from ``m.submetric(ids)``, fresh ``subset_stats``, the full
 ``find_core`` and the reference evaluators, and require bit-equal numbers on
 runs of depth 3 and more for both objectives.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -131,28 +133,52 @@ def test_level_zero_copies_nothing_and_stats_are_computed_once(monkeypatch, name
         return original_submetric(self, indices)
 
     def counted_stats(m, subset):
-        stats_calls.append(m.n)
+        stats_calls.append((m.n, len(subset)))
         return original_stats(m, subset)
 
     monkeypatch.setattr(Metric, "submetric", counted_submetric)
     monkeypatch.setattr(metric, "subset_stats", counted_stats)
     monkeypatch.setattr(peeling, "subset_stats", counted_stats)
     for evaluate in ("evaluate_la", "evaluate_hc"):
-        def counted_evaluate(m, solution, original=getattr(objectives, evaluate)):
-            evaluate_calls.append(m.n)
-            return original(m, solution)
+        def counted_evaluate(m, solution, original=getattr(objectives, evaluate), **kwargs):
+            evaluate_calls.append((m.n, kwargs.get("top")))
+            return original(m, solution, **kwargs)
 
         for module in (objectives, la_dense, hc_dense, la_peeling, hc_peeling):
             if hasattr(module, evaluate):
                 monkeypatch.setattr(module, evaluate, counted_evaluate)
     _, m, _, _, trace = run(name)
-    # one copy per level below level 0, none of the whole root
-    assert submetric_sizes == [rec.n for rec in trace.levels[1:]]
+    levels = trace.levels
+    # one copy of its kept block per peeled level, none of the whole root:
+    # the block of every level below 0, and the kept points of a case (b)
+    assert submetric_sizes == [rec.n - rec.n_a for rec in levels if rec.case != "a"]
     # the whole root once; then per peeled level its kept points and its
     # layer when it has two points or more; none from find_core
-    expected = 1 + sum(1 + (rec.n_a > 1) for rec in trace.levels if rec.case != "a")
+    expected = 1 + sum(1 + (rec.n_a > 1) for rec in levels if rec.case != "a")
     assert len(stats_calls) == expected
-    # each level's solution is scored once, a case-(a) one by the dense solver
-    assert evaluate_calls == [rec.n for rec in reversed(trace.levels)]
+    # the kept points' stats are those of the whole copied block, with no
+    # gather of their own
+    whole_sets = [(k, k) for k in [m.n] + submetric_sizes]
+    assert [call for call in stats_calls if call[0] == call[1]] == whole_sets
+    # each level's solution is scored once, a case-(a) one by the dense
+    # solver; only the level that ends the recursion scores a whole tree, an
+    # HC case-(c) level only its layer's ladder nodes, onto the level below
+    whole = name.startswith("la")
+    assert evaluate_calls == [
+        (rec.n, None if whole or rec is levels[-1] else rec.n_a) for rec in reversed(levels)
+    ]
     if name.startswith("hc"):  # one-point layers: at most two per level
         assert len(stats_calls) <= 2 * trace.depth
+
+
+def test_hc_peel_holds_one_copy_of_the_matrix():
+    """A zero-budget HC peel on 1860 points keeps at most one n x n block
+    alive beyond the root matrix: the kept block of the level it is in."""
+    policy, m, cfg = hc_calibrated_case()
+    tracemalloc.start()
+    try:
+        peeling.peel(policy, m, cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * m.n * m.n * 8  # a second live copy would read about 2
