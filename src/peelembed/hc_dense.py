@@ -14,7 +14,6 @@ so the output never scores below it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import FaithfulGridTooLarge
-from .local_search import BATCH_ENTRIES, DenseConfig, best_of, quantize, reduced_restarts
+from .local_search import (BATCH_ENTRIES, DenseConfig, best_of, first_copies, quantize,
+                           reduced_restarts)
 from .metric import Metric, subset_stats
 from .objectives import HcTree, evaluate_hc, ladder_tree
 from .oracles import all_binary_trees
@@ -162,9 +162,12 @@ def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
     if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
         restarts = reduced_restarts(n, slots, seed, cfg.budget,
                                     _caterpillar_gains(quantize(m.dist), slots))
-    trees = (_skeleton_tree(skeleton, _parts_of(assign, slots)) for assign in restarts)
-    return best_of(itertools.chain([ladder_tree(range(n))], trees),
-                   lambda tree: evaluate_hc(m, tree), HcTree.serialize)
+    ladder = ladder_tree(range(n))
+    rows, which = first_copies(restarts, np.ndarray.tobytes)
+    trees = [_skeleton_tree(skeleton, _parts_of(row, slots)) for row in rows]
+    values = {id(tree): evaluate_hc(m, tree) for tree in [ladder, *trees]}
+    return best_of([ladder, *(trees[i] for i in which)], lambda tree: values[id(tree)],
+                   HcTree.serialize)
 
 
 def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):

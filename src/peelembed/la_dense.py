@@ -7,8 +7,8 @@ targets and asks the bounded-partition search for each cell; ``reduced`` runs
 a direct local search over part assignments on the integer copy of the
 metric that ``local_search.quantize`` makes, taking the exact gain of every
 move in O(1) from per-row prefix-cut tables.  The identity and every
-restart's arrangement are then polished on the true metric by one swap
-hill-climb that steps all of them in lockstep.  Faithful always also
+distinct restart arrangement are then polished on the true metric by one
+swap hill-climb that steps all of them in lockstep.  Faithful always also
 considers the reduced candidate, so it never scores below it.
 """
 
@@ -21,8 +21,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec
-from .local_search import (BATCH_ENTRIES, DenseConfig, best_of, gaining_picks, quantize,
-                           reduced_restarts)
+from .local_search import (BATCH_ENTRIES, DenseConfig, best_of, first_copies, gaining_picks,
+                           quantize, reduced_restarts)
 from .metric import Metric, subset_stats
 from .objectives import LinearArrangement, evaluate_la
 from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
@@ -176,9 +176,13 @@ def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):
     restarts = []
     if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
         restarts = reduced_restarts(n, k, seed, cfg.budget, _prefix_cut_gains(quantize(m.dist), k))
-    starts = [identity, *map(_embed_assignment, restarts)]
+    # a start's climb does not depend on the other starts: each distinct
+    # start climbs once, and each distinct arrangement is scored once
+    starts, which = first_copies([identity, *map(_embed_assignment, restarts)], _position)
     climbed = _swap_hill_climb(m, starts, cfg.swap_sweeps)
-    return best_of([identity, *climbed], lambda arr: evaluate_la(m, arr), _position)
+    arrs, which = first_copies([identity, *(climbed[i] for i in which)], _position)
+    values = {id(arr): evaluate_la(m, arr) for arr in arrs}
+    return best_of([arrs[i] for i in which], lambda arr: values[id(arr)], _position)
 
 
 def _solve_faithful(m: Metric, cfg: DenseLaConfig, seed: int, best):

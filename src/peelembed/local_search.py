@@ -91,6 +91,27 @@ def best_of(candidates, value, key, best=None):
     return best
 
 
+def first_copies(items, key):
+    """(firsts, which): the first item of each distinct ``key(item)``, in
+    order, and for each item the index in ``firsts`` of its first copy.
+
+    The reduced searches' restarts often end in equal rows.  A solver builds
+    and scores each distinct one once and hands ``best_of`` the first copy's
+    object for every repeat: ``best_of`` still meets every candidate in order,
+    skips a repeat of the incumbent, and compares any other repeat with the
+    value its first copy scored, the bits that scoring it again would give.
+    So the pick is the one of the candidates built one by one.
+    """
+    index, firsts, which = {}, [], []
+    for item in items:
+        k = key(item)
+        if k not in index:
+            index[k] = len(firsts)
+            firsts.append(item)
+        which.append(index[k])
+    return firsts, which
+
+
 def quantize(dist: np.ndarray) -> np.ndarray:
     """The metric that the reduced search runs on: ``dist`` over its largest
     entry D, times 2^s, rounded to integers, with

@@ -47,9 +47,16 @@ STATS_BLOCK_ENTRIES = 1 << 16
 # split at a multiple of 8.
 PAIRWISE_BLOCK = 128
 
-# Most coordinate differences (n x d per row) one block of
-# ``metric_from_points`` holds, so its temporaries stay a few MB for any n.
-POINT_BLOCK_ENTRIES = 1 << 18
+# Most distances (whole rows, at least one) one block of ``metric_from_points``
+# builds at once, so each of its reused scratch blocks is 512 KB for any n up
+# to 2^16.
+POINT_BLOCK_ENTRIES = 1 << 16
+
+# ``Metric.submetric`` copies the blocks between runs of consecutive ids as
+# slices when the runs hold at least this many ids on average, and gathers
+# with ``np.ix_`` otherwise: R runs cost R^2 slice copies, and on k ids a
+# slice copy beats the gather only while R stays below about k / 20.
+SUBMETRIC_RUN_IDS = 32
 
 # Density reported for zero-diameter subsets.  Compares >= any threshold, which
 # routes degenerate instances into the dense branch of the solvers.
@@ -84,9 +91,26 @@ class Metric:
 
     def submetric(self, indices: Sequence[int]) -> "Metric":
         """Induced metric on ``indices``; point ``i`` of the result is the
-        ``i``-th smallest of them, whatever order they come in."""
+        ``i``-th smallest of them, whatever order they come in.
+
+        The ids left after peeling a few points form a few runs of
+        consecutive ids, and the block of each pair of runs is one slice of
+        ``dist``; see :data:`SUBMETRIC_RUN_IDS` for when slices are copied.
+        """
         idx = np.asarray(sorted(indices), dtype=int)
-        return Metric._adopt(self.dist[np.ix_(idx, idx)])
+        k = len(idx)
+        if k and (idx[0] < 0 or idx[-1] >= self.n):
+            raise IndexError(f"submetric ids out of range for n={self.n}")
+        breaks = np.flatnonzero(np.diff(idx) != 1) + 1  # where each later run starts
+        if (len(breaks) + 1) * SUBMETRIC_RUN_IDS > k:
+            return Metric._adopt(self.dist[np.ix_(idx, idx)])
+        starts = [0, *breaks.tolist()]
+        runs = list(zip(starts, starts[1:] + [k], idx[starts].tolist()))
+        out = np.empty((k, k))
+        for r0, r1, row in runs:
+            for c0, c1, col in runs:
+                out[r0:r1, c0:c1] = self.dist[row : row + r1 - r0, col : col + c1 - c0]
+        return Metric._adopt(out)
 
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
@@ -260,8 +284,7 @@ def _block_max_and_upper_sum(dist: np.ndarray, idx: Optional[list]) -> tuple:
     def pairwise(lo, count):
         if count <= leaf:
             return run_sum(lo, lo + count)
-        half = count // 2
-        half -= half % 8
+        half = _pairwise_half(count)
         return pairwise(lo, half) + pairwise(lo + half, count - half)
 
     weight = float(pairwise(0, k * k))
@@ -410,12 +433,15 @@ def metric_from_points(points: np.ndarray) -> Metric:
     """Euclidean metric of the rows of an n x d array of finite coordinates;
     raises :class:`NonFiniteDistance` if a distance overflows.
 
-    Rows are computed in blocks of at most ``POINT_BLOCK_ENTRIES`` coordinate
-    differences, each entry by the same ``sqrt(sum(diff * diff))`` over its d
-    coordinates, into one n x n array.  It is exactly symmetric with a zero
-    diagonal without a further pass: fl(a - b) = -fl(b - a) and a - a = +0,
-    so entries (i, j) and (j, i) square and sum the same d values in the
-    same order.
+    Each entry is ``sqrt(sum(diff * diff))`` over its d coordinate
+    differences, bit for bit as NumPy sums the last axis of an n x n x d
+    tensor, but no such tensor is built.  Rows are computed in blocks of at
+    most ``POINT_BLOCK_ENTRIES`` entries, in place in the n x n result: each
+    coordinate's squared differences are added into the block in NumPy's
+    pairwise order (see :func:`_add_squares`), with a few reused scratch
+    blocks.  The result is exactly symmetric with a zero diagonal without a
+    further pass: fl(a - b) = -fl(b - a) and a - a = +0, so entries (i, j)
+    and (j, i) add the same d squares in the same order.
     """
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
@@ -423,12 +449,76 @@ def metric_from_points(points: np.ndarray) -> Metric:
         raise NonFiniteDistance(f"point {i} coordinate {j} = {pts[i, j]:g} is not finite")
     n, d = pts.shape
     dist = np.empty((n, n))
-    step = max(1, POINT_BLOCK_ENTRIES // max(n * d, 1))
+    cols = np.ascontiguousarray(pts.T)  # one row per coordinate
+    step = max(1, POINT_BLOCK_ENTRIES // max(n, 1))
+    scratch = np.empty((_add_squares_scratch(d), min(step, n) * n))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
-            diff = pts[lo : lo + step, None, :] - pts[None, :, :]
-            np.sqrt((diff * diff).sum(axis=-1), out=dist[lo : lo + step])
+            block = dist[lo : lo + step]
+            rows = cols[:, lo : lo + step, None]
+
+            def square(c, into):  # the squared differences of coordinate c
+                np.subtract(rows[c], cols[c], out=into)
+                np.multiply(into, into, out=into)
+
+            free = [buf[: block.size].reshape(block.shape) for buf in scratch]
+            _add_squares(block, square, 0, d, free)
+            np.sqrt(block, out=block)
     if dist.size and not np.isfinite(dist.max()):
         i, j = np.unravel_index(int(np.argmin(np.isfinite(dist))), dist.shape)
         raise NonFiniteDistance(f"distance between points {i} and {j} overflows")
     return Metric._adopt(dist)
+
+
+def _add_squares(out, square, lo, count, free):
+    """Set ``out`` to the sum of the terms ``square(c, into)`` writes for c in
+    [lo, lo + count), added as NumPy's pairwise sum adds a contiguous run of
+    ``count`` entries: left to right below 8 entries; up to
+    :data:`PAIRWISE_BLOCK` in eight lanes, lane j summing entries j, j + 8,
+    ... of the largest multiple of 8, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)) and followed by the rest left to right; and
+    beyond, as the sums of two halves split at a multiple of 8.  Every term
+    is at least +0, so NumPy's starting 0 changes no sum.
+
+    ``free`` holds scratch arrays of ``out``'s shape, as many as
+    :func:`_add_squares_scratch` gives for ``count``.
+    """
+    if count > PAIRWISE_BLOCK:
+        half = _pairwise_half(count)
+        _add_squares(out, square, lo, half, free)
+        _add_squares(free[0], square, lo + half, count - half, free[1:])
+        out += free[0]
+        return
+    term, body = free[0], count - count % 8
+    if body:
+        lanes = [out, *free[1:8]]
+        for c in range(8):
+            square(lo + c, lanes[c])
+        for c in range(8, body):
+            square(lo + c, term)
+            lanes[c % 8] += term
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            lanes[a] += lanes[b]
+    elif count:
+        square(lo, out)
+        body = 1
+    else:
+        out.fill(0.0)
+    for c in range(body, count):
+        square(lo + c, term)
+        out += term
+
+
+def _add_squares_scratch(count: int) -> int:
+    """How many scratch arrays :func:`_add_squares` takes for ``count`` terms."""
+    if count <= PAIRWISE_BLOCK:
+        return 8 if count >= 8 else 1
+    half = _pairwise_half(count)
+    return max(_add_squares_scratch(half), 1 + _add_squares_scratch(count - half))
+
+
+def _pairwise_half(count: int) -> int:
+    """Where NumPy's pairwise sum splits a run of more than
+    :data:`PAIRWISE_BLOCK` entries: about halfway, at a multiple of 8."""
+    half = count // 2
+    return half - half % 8

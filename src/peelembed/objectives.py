@@ -170,17 +170,28 @@ def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float
     node sums the same block as in the tail alone.  So with ``below`` the
     tail's value on its own points, this is the whole tree's value, bit for
     bit.
+
+    A node with one leaf on its left sums a row of ``dist``.  When its right
+    leaves are consecutive ascending ids, as in a ladder over ascending ids,
+    that row is summed as a slice of ``dist``: the same entries in the same
+    contiguous order as the gathered row, so the same pairwise sum.
     """
     order, spans = _leaf_spans(tree.root)
     if sorted(order) != list(range(m.n)):
         raise SizeMismatch(f"tree leaves do not cover 0..{m.n - 1}")
     idx = np.asarray(order, dtype=int)
+    run = [1] * len(order)  # run[i]: how many of order[i], order[i] + 1, ... follow in order
+    for i in range(len(order) - 2, -1, -1):
+        if order[i + 1] == order[i] + 1:
+            run[i] += run[i + 1]
     total = below
     for lo, mid, hi in spans if top is None else spans[len(spans) - top :]:
-        if mid - lo == 1:
-            block = m.dist[idx[lo], idx[mid:hi]]
-        else:
+        if mid - lo > 1:
             block = m.dist[np.ix_(idx[lo:mid], idx[mid:hi])]
+        elif run[mid] >= hi - mid:
+            block = m.dist[order[lo], order[mid] : order[mid] + hi - mid]
+        else:
+            block = m.dist[idx[lo], idx[mid:hi]]
         total += (hi - lo) * float(block.sum())
     return total
 

@@ -7,8 +7,8 @@ holding the per-candidate reference loops of the dense solvers and the
 partition search, the per-cell loop of the faithful grids, the
 per-restart loop of the reduced search with its batched scorers, the per-k
 triangle scan and whole-slab screen of metric validation, the all-token
-matrix parse with its format sniff, and the evaluators, scorers and metric
-builders that faster code replaced.
+matrix parse with its format sniff, and the evaluators, scorers, metric
+builders and the submetric gather that faster code replaced.
 """
 
 import numpy as np
@@ -206,6 +206,13 @@ def reference_subset_stats(m, subset):
     weight = float(np.triu(sub, 1).sum())
     density = weight / (size * size * diameter) if diameter > 0.0 else DENSE_BY_CONVENTION
     return SubsetStats(diameter, weight, size, density)
+
+
+def reference_submetric(m, indices):
+    """Distance matrix of ``Metric.submetric`` as it was: one ``np.ix_``
+    gather of the sorted ids."""
+    idx = np.asarray(sorted(indices), dtype=int)
+    return m.dist[np.ix_(idx, idx)]
 
 
 def reference_metric_from_points(points):

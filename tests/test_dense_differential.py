@@ -520,6 +520,49 @@ def test_reduced_search_scores_the_quantized_metric(monkeypatch):
             assert bool(seen) == (restarts > 0) and all(d is made[0] for d in seen), factory
 
 
+@pytest.mark.parametrize("family", ["clustered", "euclidean_gaussian"])
+def test_dense_solvers_build_and_score_each_distinct_restart_once(family, monkeypatch):
+    # 32 restarts end in far fewer distinct rows on these families; each
+    # distinct row is built, climbed and scored once, and the pick is the
+    # reference loop's, which builds and scores every restart
+    m = generate(GeneratorSpec(family=family, n=12, seed=1))
+    calls = {}
+
+    def record(module, name):  # calls[name] gets (args, result) of each call
+        real, log = getattr(module, name), calls.setdefault(name, [])
+
+        def wrapped(*args):
+            log.append((args, real(*args)))
+            return log[-1][1]
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, names in ((hc_dense, ("reduced_restarts", "evaluate_hc")),
+                          (la_dense, ("reduced_restarts", "evaluate_la", "_swap_hill_climb"))):
+        for name in names:
+            record(module, name)
+
+    cfg = DenseHcConfig(eps=0.5)
+    tree, _ = solve_hc_dense(m, cfg, seed=0)
+    rows = {row.tobytes() for row in calls["reduced_restarts"][0][1]}
+    scored = [args[1] for args, _ in calls["evaluate_hc"]]
+    assert len(rows) < cfg.budget.restarts
+    assert len(scored) == len(rows) + 1  # the ladder and each distinct row
+    assert len({id(t) for t in scored}) == len(scored)
+    assert tree.serialize() == reference_hc_reduced(m, cfg, 0).serialize()
+
+    cfg = DenseLaConfig(eps=0.5)
+    arr, _ = solve_la_dense(m, cfg, seed=0)
+    identity = LinearArrangement.from_order(range(m.n)).position
+    rows = calls["reduced_restarts"][1][1]
+    embedded = {identity, *(la_dense._embed_assignment(row).position for row in rows)}
+    [((_, starts, _), climbed)] = calls["_swap_hill_climb"]
+    assert len(embedded) < cfg.budget.restarts + 1
+    assert sorted(s.position for s in starts) == sorted(embedded)
+    scored = [args[1].position for args, _ in calls["evaluate_la"]]
+    assert sorted(scored) == sorted({identity, *(a.position for a in climbed)})
+    assert arr == reference_la_reduced(m, cfg, 0)
+
+
 @pytest.mark.parametrize("k", [2, 3, 6])
 def test_moved_states_match_reference_updates(k):
     # bit for bit: the six updates keep their order, and a near-tie in the

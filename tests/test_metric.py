@@ -36,6 +36,7 @@ from structural import (
     reference_metric_from_points,
     reference_parse_metric,
     reference_sniff,
+    reference_submetric,
     reference_subset_stats,
     reference_triangle_scan,
     reference_triangle_screen,
@@ -497,20 +498,44 @@ def test_point_cloud_rejects_overflowing_distances():
         metric_from_points(np.array([[1e308], [-1e308]]))
 
 
-@pytest.mark.parametrize("d", range(1, 11))
-def test_metric_from_points_bit_equal_to_tensor_formula(d):
+# left to right below 8 coordinates, eight lanes up to 128, halves beyond
+@pytest.mark.parametrize("d", [*range(1, 11), 15, 16, 17, 64, 127, 128, 129, 200])
+def test_metric_from_points_bit_equal_to_tensor_formula(monkeypatch, d):
     rng = np.random.default_rng(d)
-    n = 600
-    assert n > metric_module.POINT_BLOCK_ENTRIES // (n * d)  # more than one row block
+    n = 600 if d < 64 else 120
+    if d >= 64:  # the reference's n x n x d tensors stay small: 7 rows a block
+        monkeypatch.setattr(metric_module, "POINT_BLOCK_ENTRIES", 7 * n)
+    assert n > metric_module.POINT_BLOCK_ENTRIES // n  # more than one row block
     pts = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
     pts[n // 2] = pts[0]  # a repeated point
     assert metric_from_points(pts).dist.tobytes() == reference_metric_from_points(pts).tobytes()
 
 
 def test_metric_from_points_one_row_per_block(monkeypatch):
-    pts = np.random.default_rng(3).normal(size=(40, 3))
     monkeypatch.setattr(metric_module, "POINT_BLOCK_ENTRIES", 1)
+    for d in (1, 3, 9, 130):
+        pts = np.random.default_rng(3).normal(size=(40, d))
+        assert metric_from_points(pts).dist.tobytes() == reference_metric_from_points(pts).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 9, 130])
+@pytest.mark.parametrize("scale", [1e-160, 1e150])
+def test_metric_from_points_extreme_scales(d, scale):
+    # squares that underflow to subnormals and zeros, and sums near the top
+    # of the range
+    pts = np.random.default_rng(d).normal(size=(50, d)) * scale
     assert metric_from_points(pts).dist.tobytes() == reference_metric_from_points(pts).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [7, 9, 130])
+def test_point_cloud_rejects_overflowing_sums(d):
+    # every square is finite; their sum overflows
+    pts = np.zeros((3, d))
+    pts[1] = 1e154
+    with pytest.raises(NonFiniteDistance, match="points 0 and 1 overflows"):
+        metric_from_points(pts)
 
 
 def test_metric_from_points_peak_memory():
@@ -555,6 +580,43 @@ def test_submetric_induces_sorted_ids(cluster_outlier_5):
     assert sub.n == 3
     assert sub.dist[0, 1] == 0.1  # points 0 and 2
     assert sub.dist[0, 2] == 1.0  # points 0 and 4
+
+
+def _ids_in_runs(k, runs):
+    """k ascending ids in ``runs`` runs of near-equal length, one id missing
+    between runs."""
+    ids, start = [], 0
+    for r in range(runs):
+        size = k // runs + (r < k % runs)
+        ids.extend(range(start, start + size))
+        start += size + 1
+    return ids
+
+
+@pytest.mark.parametrize("run_ids", [1, metric_module.SUBMETRIC_RUN_IDS])
+def test_submetric_bit_equal_to_gather(monkeypatch, run_ids):
+    n, k, cut = 400, 320, metric_module.SUBMETRIC_RUN_IDS
+    _, (cloud, asymmetric, fortran) = _stats_inputs(n)
+    rng = np.random.default_rng(1)
+    two_runs = [p for p in range(n) if p != 200]
+    id_sets = [
+        [7], range(n), range(0, 300), range(100, n), range(50, 350), two_runs,
+        _ids_in_runs(k, k // cut), _ids_in_runs(k, k // cut + 1),  # at and past the cut-off
+        sorted(rng.choice(n, size=150, replace=False)),
+        rng.permutation(two_runs).tolist(),  # unsorted
+    ]
+    # with the cut-off at 1 id per run every id set is copied by slices
+    monkeypatch.setattr(metric_module, "SUBMETRIC_RUN_IDS", run_ids)
+    for m in (cloud, asymmetric, fortran):
+        for ids in id_sets:
+            sub = m.submetric(ids)
+            want = reference_submetric(m, ids)
+            assert sub.n == len(want) and sub.dist.flags.c_contiguous
+            assert not sub.dist.flags.writeable
+            assert sub.dist.tobytes() == np.ascontiguousarray(want).tobytes()
+        for ids in ([-1, 0], [n - 1, n]):
+            with pytest.raises(IndexError):
+                m.submetric(ids)
 
 
 @settings(max_examples=60, deadline=None)

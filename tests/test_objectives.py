@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_metric
+from peelembed import hc_peeling
 from peelembed.errors import DuplicateLeaf, EmptyInput, MalformedTree, SizeMismatch
 from peelembed.metric import Metric, metric_from_points, validate_metric
 from peelembed.objectives import (
@@ -153,8 +154,9 @@ def test_hc_matches_pair_loop_and_child_swap(n, seed):
 
 
 def random_tree(rng, leaves):
-    """Random binary tree: merge two random subtrees until one is left."""
-    nodes = [int(p) for p in leaves]
+    """Random binary tree: merge two random subtrees until one is left.  The
+    leaves may be raw subtrees."""
+    nodes = [p if isinstance(p, tuple) else int(p) for p in leaves]
     while len(nodes) > 1:
         i, j = sorted(rng.choice(len(nodes), size=2, replace=False))
         right, left = nodes.pop(j), nodes.pop(i)
@@ -203,6 +205,49 @@ def test_evaluate_hc_bit_equal_to_reference(n):
     for m in hc_metrics(rng, n):
         for tree in hc_trees(rng, n):
             assert evaluate_hc(m, tree) == reference_evaluate_hc(m, tree)
+
+
+def run_trees(rng, n):
+    """Trees whose one-leaf nodes hang over runs of consecutive ids: ascending
+    ladders, a ladder over a shuffled order, and trees mixing ladders over
+    runs, descending runs and scattered leaves."""
+    perm = [int(p) for p in rng.permutation(n)]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=min(n - 1, 6), replace=False))
+    chunks = [list(range(a, b)) for a, b in zip([0, *cuts], [*cuts, n])]
+    mixed = []  # the chunks in shuffled order, every third one descending
+    for i in rng.permutation(len(chunks)):
+        mixed += chunks[i][::-1] if i % 3 == 2 else chunks[i]
+    return [
+        ladder_tree(range(n)),
+        ladder_tree(perm),
+        ladder_tree(mixed),
+        HcTree(random_tree(rng, [ladder_tree(chunk).root for chunk in chunks])),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 64, 300])
+def test_evaluate_hc_row_slices_bit_equal_to_reference(n):
+    rng = np.random.default_rng(n + 1)
+    for m in hc_metrics(rng, n):
+        for tree in run_trees(rng, n):
+            assert evaluate_hc(m, tree) == reference_evaluate_hc(m, tree)
+
+
+def test_evaluate_hc_of_a_join_bit_equal_to_reference():
+    # the HC peel's case-(c) value: the layer's ladder over the kept tree,
+    # relabelled, scored onto the kept tree's value on its own metric
+    n = 300
+    rng = np.random.default_rng(3)
+    for m in hc_metrics(rng, n):
+        for layer in ([n - 1], [0], [5, 17, 200], sorted(rng.choice(n, 30, replace=False))):
+            layer = [int(p) for p in layer]
+            kept = [p for p in range(n) if p not in set(layer)]
+            sub = m.submetric(kept)
+            for inner in (ladder_tree(range(len(kept))), HcTree(random_tree(rng, range(len(kept))))):
+                joined = hc_peeling._join(layer, kept, inner)
+                want = reference_evaluate_hc(m, joined)
+                assert evaluate_hc(m, joined) == want
+                assert evaluate_hc(m, joined, top=len(layer), below=evaluate_hc(sub, inner)) == want
 
 
 def test_ladder_tree_checks_its_parts():
