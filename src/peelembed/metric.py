@@ -34,8 +34,10 @@ TRIANGLE_TOL = 1e-9
 # see _triangle_screen for why 8 keeps the screen conservative.
 SCREEN_MARGIN_EPS = 8
 
-# Most slab entries one block of ``_triangle_screen`` holds (whole rows, at
-# least one), so its reused buffer is 512 KB for any n up to 2^16 + 1.
+# Most entries one block of ``validate_metric``'s passes holds (whole rows, at
+# least one): ``_symmetrize``, ``_triangle_screen`` and
+# ``_raise_triangle_witness``, so each reused buffer is 512 KB for any n up to
+# 2^16 + 1.
 SCREEN_BLOCK_ENTRIES = 1 << 16
 
 # Most entries of a subset's block that ``subset_stats`` holds at once, in one
@@ -141,9 +143,15 @@ def validate_metric(raw) -> Metric:
 
     Raises :class:`NonFiniteDistance` (checked first), :class:`NegativeDistance`,
     :class:`NonzeroDiagonal`, :class:`AsymmetricMatrix` or
-    :class:`TriangleViolation` (with the witnessing triple).
+    :class:`TriangleViolation` (with the witnessing triple).  The caller's
+    array is left alone.
     """
-    mat = np.array(raw, dtype=float)
+    return _validate(np.array(raw, dtype=float, order="C"))
+
+
+def _validate(mat: np.ndarray) -> Metric:
+    """:func:`validate_metric` on a fresh C-ordered float array that no
+    caller holds: it is checked, symmetrised in place and adopted."""
     # min and max propagate NaN, so together they see every non-finite entry
     # without an n x n mask
     if mat.size and not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
@@ -163,19 +171,50 @@ def validate_metric(raw) -> Metric:
     if bad_diag.any():
         i = int(np.argmax(bad_diag))
         raise NonzeroDiagonal(f"dist[{i}][{i}] = {mat[i, i]:g} != 0")
-    asym = np.abs(mat - mat.T)
-    if asym.max() > tol:
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-        raise AsymmetricMatrix(f"dist[{i}][{j}] != dist[{j}][{i}]")
-
-    # Symmetrize exactly and clamp the diagonal so round-trips are bit-stable.
-    mat = (mat + mat.T) / 2.0
+    _symmetrize(mat, tol)
+    # Clamp the diagonal so round-trips are bit-stable.
     np.fill_diagonal(mat, 0.0)
-    mat[mat < 0] = 0.0
 
     if _triangle_screen(mat, tol):
         _raise_triangle_witness(mat, tol)  # returns only on a false flag
     return Metric._adopt(mat)
+
+
+def _symmetrize(mat: np.ndarray, tol: float) -> None:
+    """Raise :class:`AsymmetricMatrix` at the first (i, j) of largest
+    ``|d_ij - d_ji|`` if that exceeds ``tol``; else set both entries to
+    ``(d_ij + d_ji) / 2``, or +0 where that is negative.
+
+    Works in blocks of whole rows, at most ``SCREEN_BLOCK_ENTRIES`` entries,
+    on the upper triangle of each block and its mirror below the diagonal,
+    in two reused buffers: a block reads only entries no earlier block
+    wrote.  The mismatch is symmetric, so the first (i, j) of the largest
+    one, which is positive, lies in the upper triangle, where the blocks meet
+    it in C order.  The mean takes the same two operands either way round,
+    so it is the same on both sides, as in ``(mat + mat.T) / 2``.
+    """
+    n = mat.shape[0]
+    step = max(1, SCREEN_BLOCK_ENTRIES // n)
+    bufs = np.empty((2, min(step, n) * n))
+    worst, at = -math.inf, None
+    for lo in range(0, n, step):
+        upper = mat[lo : lo + step, lo:]
+        lower = mat[lo:, lo : lo + step].T
+        gap, mean = (buf[: upper.size].reshape(upper.shape) for buf in bufs)
+        np.subtract(upper, lower, out=gap)
+        np.abs(gap, out=gap)
+        top = float(gap.max())
+        if top > worst:
+            r, c = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            worst, at = top, (lo + int(r), lo + int(c))
+        np.add(upper, lower, out=mean)
+        mean /= 2.0
+        mean[mean < 0] = 0.0
+        upper[...] = mean
+        lower[...] = mean
+    if worst > tol:
+        i, j = at
+        raise AsymmetricMatrix(f"dist[{i}][{j}] != dist[{j}][{i}]")
 
 
 def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
@@ -222,14 +261,42 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
 
 def _raise_triangle_witness(mat: np.ndarray, tol: float) -> None:
     """Raise :class:`TriangleViolation` at the smallest violating k, with the
-    first (i, j) of largest slack; return if no triple violates by > tol."""
-    for k in range(mat.shape[0]):
-        via_k = mat[:, k, None] + mat[None, k, :]
-        slack = mat - via_k
-        worst = float(slack.max())
-        if worst > tol:
-            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-            raise TriangleViolation(int(i), int(j), k, worst)
+    first (i, j) of largest slack; return if no triple violates by > tol.
+
+    The slack of (i, j) via k is fl(d_ij - fl(d_ik + d_kj)), as in the
+    n x n form ``mat - (mat[:, k, None] + mat[None, k, :])``.  Each block of
+    whole rows, at most ``SCREEN_BLOCK_ENTRIES`` entries, is scanned over k
+    below the smallest violating k found so far, in one reused buffer while
+    the rows stay in cache; the rows at the smallest k are then scanned again
+    for the first (i, j) of largest slack.
+    """
+    n = mat.shape[0]
+    step = max(1, SCREEN_BLOCK_ENTRIES // n)
+    buf = np.empty(min(step, n) * n)
+
+    def slack(lo, k):  # rows [lo, lo + step) via k
+        rows = mat[lo : lo + step]
+        out = buf[: rows.size].reshape(rows.shape)
+        np.add(rows[:, k, None], mat[k], out=out)
+        np.subtract(rows, out, out=out)
+        return out
+
+    first = n
+    for lo in range(0, n, step):
+        for k in range(first):
+            if slack(lo, k).max() > tol:
+                first = k
+                break
+    if first == n:
+        return
+    worst, at = -math.inf, None
+    for lo in range(0, n, step):
+        out = slack(lo, first)
+        top = float(out.max())
+        if top > worst:
+            r, c = np.unravel_index(int(np.argmax(out)), out.shape)
+            worst, at = top, (lo + int(r), int(c))
+    raise TriangleViolation(*at, first, worst)
 
 
 def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
@@ -376,7 +443,7 @@ def parse_metric(text: str, auto: bool = False) -> Metric:
     if n < 1 or count != size:
         raise InputParse(f"expected n >= 1 and n * n matrix entries, got n={n} "
                          f"and {count} entries")
-    return validate_metric(vals.reshape(n, n))
+    return _validate(vals.reshape(n, n))
 
 
 def _line_tokens(text: str) -> Iterator[list]:
@@ -442,6 +509,10 @@ def metric_from_points(points: np.ndarray) -> Metric:
     blocks.  The result is exactly symmetric with a zero diagonal without a
     further pass: fl(a - b) = -fl(b - a) and a - a = +0, so entries (i, j)
     and (j, i) add the same d squares in the same order.
+
+    A 1-D cloud whose coordinates pass :func:`_abs_differences_exact` takes
+    each block as ``|x_i - x_j|``: one subtraction and one ``abs``, the same
+    bits as the square root of the square.
     """
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
@@ -451,6 +522,12 @@ def metric_from_points(points: np.ndarray) -> Metric:
     dist = np.empty((n, n))
     cols = np.ascontiguousarray(pts.T)  # one row per coordinate
     step = max(1, POINT_BLOCK_ENTRIES // max(n, 1))
+    if d == 1 and _abs_differences_exact(cols[0]):
+        for lo in range(0, n, step):
+            block = dist[lo : lo + step]
+            np.subtract(cols[0, lo : lo + step, None], cols[0], out=block)
+            np.abs(block, out=block)
+        return Metric._adopt(dist)  # every entry is below 2^511: no overflow
     scratch = np.empty((_add_squares_scratch(d), min(step, n) * n))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
@@ -468,6 +545,33 @@ def metric_from_points(points: np.ndarray) -> Metric:
         i, j = np.unravel_index(int(np.argmin(np.isfinite(dist))), dist.shape)
         raise NonFiniteDistance(f"distance between points {i} and {j} overflows")
     return Metric._adopt(dist)
+
+
+def _abs_differences_exact(x: np.ndarray) -> bool:
+    """True if ``|fl(x_i - x_j)|`` equals ``sqrt(fl(x_i - x_j) ** 2)`` as
+    computed (every operation rounded to nearest) for all i, j: if the
+    smallest nonzero difference between sorted neighbours is at least
+    2^-511 and fl(max - min) < 2^511.  O(n log n).
+
+    Let δ = fl(x_i - x_j).  δ = ±0 gives +0 both ways.  Else, as rounding is
+    monotone and x_i - x_j spans a nonzero neighbour gap and lies within
+    max - min, 2^-511 <= |δ| < 2^511, so δ² is a normal number below 2^1022.
+    In radix 2 that makes RN(sqrt(RN(δ²))) = |δ| (cf. Muller et al.,
+    *Handbook of Floating-Point Arithmetic*): write |δ| = m 2^q, 2^52 <= m <
+    2^53.  If m = 2^52, δ² is exact.  Else both neighbours of |δ| are 2^q
+    away, so sqrt(s) rounds to |δ| when (|δ| - 2^(q-1))² < s < (|δ| +
+    2^(q-1))², i.e. when |s - δ²| < 2^(2q) (m - 1/4).  The error of s =
+    RN(δ²) is at most half its ulp: 2^(2q+51) < 2^(2q) (m - 1/4) if m² <
+    2^105, and 2^(2q+52) < 2^(2q) (m - 1/4) otherwise, as then m > 2^52.5.
+    """
+    if x.size < 2:
+        return True
+    xs = np.sort(x)
+    with np.errstate(over="ignore"):
+        gaps = np.diff(xs)
+        span = xs[-1] - xs[0]
+    smallest = np.min(gaps, where=gaps > 0.0, initial=math.inf)
+    return bool(smallest >= 2.0**-511 and span < 2.0**511)
 
 
 def _add_squares(out, square, lo, count, free):

@@ -84,16 +84,13 @@ class HcTree:
         return tree
 
     def leaves(self) -> list:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, tuple):
-                if len(node) != 2:
-                    raise MalformedTree("internal node with != 2 children")
-                stack.extend(node)
-            else:
-                out.append(int(node))
+        """Leaf ids left to right, in the order ``serialize`` writes them.
+
+        Raises :class:`MalformedTree` at an internal node without two
+        children, and :class:`DuplicateLeaf` naming the first leaf, left to
+        right, that repeats an earlier one.
+        """
+        out = _leaf_spans(self.root)[0]
         seen = set()
         for leaf in out:
             if leaf in seen:
@@ -106,7 +103,9 @@ class HcTree:
         return len(self.leaves())
 
     def serialize(self) -> str:
-        # Iterative so deep ladders do not hit the interpreter stack limit.
+        # Iterative so deep ladders do not hit the interpreter stack limit; a
+        # spine (see _leaf_spans) is written as its "(a," pieces and one run
+        # of ")"
         parts = []
         stack = [self.root]
         while stack:
@@ -114,7 +113,21 @@ class HcTree:
             if isinstance(node, str):
                 parts.append(node)
             elif isinstance(node, tuple):
-                stack.extend((")", node[1], ",", node[0], "("))
+                left, right = node
+                if isinstance(left, tuple):
+                    stack.extend((")", right, ",", left, "("))
+                    continue
+                parts.append(f"({left},")
+                depth = 1
+                while isinstance(right, tuple) and not isinstance(right[0], tuple):
+                    parts.append(f"({right[0]},")
+                    right = right[1]
+                    depth += 1
+                stack.append(")" * depth)
+                if isinstance(right, tuple):
+                    stack.append(right)
+                else:
+                    parts.append(str(right))
             else:
                 parts.append(str(node))
         return "".join(parts)
@@ -196,29 +209,67 @@ def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float
     return total
 
 
-_MID, _END = object(), object()  # markers of _leaf_spans' walk
+_MID, _END, _SPINE = object(), object(), object()  # markers of _leaf_spans' walk
+_JOIN = object()  # relabel's marker: pair the last two finished subtrees
+_NOT_BINARY = "internal node with != 2 children"
 
 
 def _leaf_spans(root: TreeNode):
     """Leaves of a raw tree left to right, and (lo, mid, hi) of each internal
     node in post-order: its left subtree holds leaves [lo, mid), its right
-    subtree [mid, hi).  Iterative, so deep ladders are safe."""
+    subtree [mid, hi).  Iterative, so deep ladders are safe.
+
+    A spine is a run of internal nodes whose left child is a leaf, followed
+    down through right children; every ladder is one.  It is taken in one
+    loop: its left leaves t = lo, ..., mid - 1 are appended in turn, and once
+    the node below it ends at hi, its spans (t, t + 1, hi) follow, deepest
+    first.  Only an internal node whose left child is internal takes stack
+    steps of its own.
+    """
     order, spans, open_spans = [], [], []
     stack = [root]
     while stack:
         node = stack.pop()
-        if node is _MID:
-            open_spans[-1].append(len(order))
-        elif node is _END:
-            lo, mid = open_spans.pop()
-            spans.append((lo, mid, len(order)))
-        elif isinstance(node, tuple):
-            if len(node) != 2:
-                raise MalformedTree("internal node with != 2 children")
+        if not isinstance(node, tuple):
+            if node is _MID:
+                open_spans[-1].append(len(order))
+            elif node is _END:
+                lo, mid = open_spans.pop()
+                spans.append((lo, mid, len(order)))
+            elif node is _SPINE:
+                lo, mid = open_spans.pop()
+                hi = len(order)
+                for t in range(mid - 1, lo - 1, -1):
+                    spans.append((t, t + 1, hi))
+            else:
+                order.append(int(node))
+            continue
+        if len(node) != 2:
+            raise MalformedTree(_NOT_BINARY)
+        left, right = node
+        if isinstance(left, tuple):
             open_spans.append([len(order)])
-            stack.extend((_END, node[1], _MID, node[0]))
+            stack.extend((_END, right, _MID, left))
+            continue
+        lo = len(order)
+        order.append(int(left))
+        while isinstance(right, tuple):  # down the spine
+            if len(right) != 2:
+                raise MalformedTree(_NOT_BINARY)
+            left, below = right
+            if isinstance(left, tuple):
+                break
+            order.append(int(left))
+            right = below
+        mid = len(order)
+        if isinstance(right, tuple):  # its spans follow once `right` ends
+            open_spans.append([lo, mid])
+            stack.extend((_SPINE, right))
         else:
-            order.append(int(node))
+            order.append(int(right))
+            hi = mid + 1
+            for t in range(mid - 1, lo - 1, -1):
+                spans.append((t, t + 1, hi))
     return order, spans
 
 
@@ -248,18 +299,40 @@ def ladder_tree(order: Sequence[int], tail: Optional[HcTree] = None) -> HcTree:
 
 
 def relabel(node: TreeNode, mapping) -> TreeNode:
-    """Apply an id mapping to every leaf of a raw tree node (iterative)."""
-    stack = [(node, False)]
-    done = []
+    """Apply an id mapping to every leaf of a raw tree node (iterative).
+
+    A spine (see :func:`_leaf_spans`) has its ids mapped in one loop and its
+    chain of tuples rebuilt over its relabelled lower node; only an internal
+    node whose left child is internal takes stack steps of its own.
+    """
+    stack, done = [node], []
     while stack:
-        nd, expanded = stack.pop()
-        if not isinstance(nd, tuple):
-            done.append(int(mapping[nd]))
-            continue
-        if expanded:
+        node = stack.pop()
+        if node is _JOIN:
             right = done.pop()
-            left = done.pop()
-            done.append((left, right))
+            done[-1] = (done[-1], right)
+        elif isinstance(node, list):  # a spine's mapped ids, to hang over done[-1]
+            chain = done[-1]
+            for point in reversed(node):
+                chain = (point, chain)
+            done[-1] = chain
+        elif isinstance(node, tuple):
+            left, right = node
+            if isinstance(left, tuple):
+                stack.extend((_JOIN, right, left))
+                continue
+            ids = [left]
+            while isinstance(right, tuple) and not isinstance(right[0], tuple):
+                ids.append(right[0])
+                right = right[1]
+            if isinstance(right, tuple):
+                stack.extend(([int(mapping[p]) for p in ids], right))
+                continue
+            chain = int(mapping[right])
+            for point in reversed(ids):
+                chain = (int(mapping[point]), chain)
+            done.append(chain)
         else:
-            stack.extend(((nd, True), (nd[1], False), (nd[0], False)))
+            done.append(int(mapping[node]))
     return done[0]
+

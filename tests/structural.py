@@ -6,9 +6,10 @@ ladder payoff floor and the telescoping accounting on realized runs, and
 holding the per-candidate reference loops of the dense solvers and the
 partition search, the per-cell loop of the faithful grids, the
 per-restart loop of the reduced search with its batched scorers, the per-k
-triangle scan and whole-slab screen of metric validation, the all-token
-matrix parse with its format sniff, and the evaluators, scorers, metric
-builders and the submetric gather that faster code replaced.
+triangle scan, whole-slab screen and whole-matrix symmetrising of metric
+validation, the all-token matrix parse with its format sniff, the
+node-at-a-time tree walks, and the evaluators, scorers, metric builders and
+the submetric gather that faster code replaced.
 """
 
 import numpy as np
@@ -23,10 +24,19 @@ from peelembed.local_search import (
     scan_argmax,
     single_moves,
 )
-from peelembed.errors import InputParse
+from peelembed.errors import (
+    AsymmetricMatrix,
+    InputParse,
+    MalformedTree,
+    NegativeDistance,
+    NonFiniteDistance,
+    NonzeroDiagonal,
+    TriangleViolation,
+)
 from peelembed.metric import (
     DENSE_BY_CONVENTION,
     SCREEN_MARGIN_EPS,
+    TRIANGLE_TOL,
     Metric,
     SubsetStats,
     subset_stats,
@@ -114,9 +124,10 @@ def has_not_all_small_weights(m, c0, c1):
 
 def reference_triangle_scan(mat, tol):
     """The per-k triangle scan ``validate_metric`` ran over every matrix
-    before its pair screen: (i, j, k, worst) at the smallest k whose worst
+    before its pair screen, and ``metric._raise_triangle_witness`` before it
+    worked in row blocks: (i, j, k, worst) at the smallest k whose worst
     slack d_ij - (d_ik + d_kj) exceeds tol, first (i, j) of that slack, or
-    None."""
+    None.  Two n x n temporaries for every k."""
     for k in range(mat.shape[0]):
         slack = mat - (mat[:, k, None] + mat[None, k, :])
         worst = float(slack.max())
@@ -141,6 +152,37 @@ def reference_triangle_screen(mat, tol):
         if (slab.max(axis=1) > rest + allowed).any():
             return True
     return False
+
+
+def reference_validate_metric(raw):
+    """``validate_metric`` as it was before its symmetry check and its
+    symmetrising worked in row blocks: a copy of ``raw``, then
+    ``np.abs(mat - mat.T)`` and ``(mat + mat.T) / 2`` over the whole matrix,
+    and the per-k triangle scan.  Returns the validated matrix."""
+    mat = np.array(raw, dtype=float)
+    if mat.size and not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
+        idx = np.unravel_index(int(np.argmin(np.isfinite(mat))), mat.shape)
+        where = "".join(f"[{i}]" for i in idx)
+        raise NonFiniteDistance(f"dist{where} = {mat[idx]:g} is not finite")
+    tol = TRIANGLE_TOL * max(float(mat.max()), 1.0)
+    if mat.min() < -tol:
+        i, j = np.unravel_index(int(np.argmin(mat)), mat.shape)
+        raise NegativeDistance(f"dist[{i}][{j}] = {mat[i, j]:g} < 0")
+    bad_diag = np.abs(np.diag(mat)) > tol
+    if bad_diag.any():
+        i = int(np.argmax(bad_diag))
+        raise NonzeroDiagonal(f"dist[{i}][{i}] = {mat[i, i]:g} != 0")
+    asym = np.abs(mat - mat.T)
+    if asym.max() > tol:
+        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+        raise AsymmetricMatrix(f"dist[{i}][{j}] != dist[{j}][{i}]")
+    mat = (mat + mat.T) / 2.0
+    np.fill_diagonal(mat, 0.0)
+    mat[mat < 0] = 0.0
+    witness = reference_triangle_scan(mat, tol)
+    if witness is not None:
+        raise TriangleViolation(*witness)
+    return mat
 
 
 def reference_parse_metric(text):
@@ -225,6 +267,63 @@ def reference_metric_from_points(points):
         dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+_MID, _END = object(), object()  # markers of reference_leaf_spans' walk
+
+
+def reference_leaf_spans(root):
+    """``objectives._leaf_spans`` as it was: one stack step per node."""
+    order, spans, open_spans = [], [], []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is _MID:
+            open_spans[-1].append(len(order))
+        elif node is _END:
+            lo, mid = open_spans.pop()
+            spans.append((lo, mid, len(order)))
+        elif isinstance(node, tuple):
+            if len(node) != 2:
+                raise MalformedTree("internal node with != 2 children")
+            open_spans.append([len(order)])
+            stack.extend((_END, node[1], _MID, node[0]))
+        else:
+            order.append(int(node))
+    return order, spans
+
+
+def reference_serialize(root):
+    """``HcTree.serialize`` as it was: five stack pushes per internal node."""
+    parts = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, tuple):
+            stack.extend((")", node[1], ",", node[0], "("))
+        else:
+            parts.append(str(node))
+    return "".join(parts)
+
+
+def reference_relabel(node, mapping):
+    """``objectives.relabel`` as it was: two stack steps per internal node."""
+    stack = [(node, False)]
+    done = []
+    while stack:
+        nd, expanded = stack.pop()
+        if not isinstance(nd, tuple):
+            done.append(int(mapping[nd]))
+            continue
+        if expanded:
+            right = done.pop()
+            left = done.pop()
+            done.append((left, right))
+        else:
+            stack.extend(((nd, True), (nd[1], False), (nd[0], False)))
+    return done[0]
 
 
 def hc_ladder_payoff(m, tree, a_ids):

@@ -40,6 +40,7 @@ from structural import (
     reference_subset_stats,
     reference_triangle_scan,
     reference_triangle_screen,
+    reference_validate_metric,
 )
 
 
@@ -202,7 +203,138 @@ def test_parse_metric_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * n * n * 8
+    # the parsed array, adopted without a copy, and a few 512 KB blocks
+    assert peak <= 1.5 * n * n * 8
+
+
+def _triangle_outcome(mat, tol):
+    try:
+        metric_module._raise_triangle_witness(mat, tol)
+    except TriangleViolation as exc:
+        return (*exc.triple, exc.slack)
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["closure", "euclid", "path", "uniform"]),
+    st.integers(3, 40),
+    st.sampled_from([1e-3, 1.0, 1e4]),
+    st.lists(st.sampled_from([-3, -1, 0, 1, 3, "10tol", "half"]), max_size=3),
+    st.sampled_from([1, 2, 3, 7, None]),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocked_triangle_witness_matches_reference_scan(kind, n, scale, plants, rows, seed):
+    rng = np.random.default_rng(seed)
+    mat = _triangle_base(kind, n, rng, scale)
+    for excess in plants:
+        _plant_violation(mat, rng, excess)
+    tol = TRIANGLE_TOL * max(float(mat.max()), 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:  # blocks of `rows` whole rows
+            mp.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", rows * n)
+        assert _triangle_outcome(mat, tol) == reference_triangle_scan(mat, tol)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4, None])
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(3, 9), (5, 6)],  # equal slack at k = 0 in two rows: the first is named
+        [(1, 2), (8, 9)],
+        [(8, 9)],  # only in the last rows
+    ],
+)
+def test_triangle_witness_slack_ties(monkeypatch, rows, pairs):
+    n = 10
+    mat = _triangle_base("uniform", n, None, 1.0)
+    for a, b in pairs:
+        mat[a, b] = mat[b, a] = 2.5
+    if rows is not None:
+        monkeypatch.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", rows * n)
+    tol = TRIANGLE_TOL * 2.5
+    want = reference_triangle_scan(mat, tol)
+    assert want[2] == 0 and want[3] == 0.5
+    assert _triangle_outcome(mat, tol) == want
+
+
+def test_triangle_witness_late_violation(monkeypatch):
+    # only the last rows violate: every earlier block scans all k and finds
+    # none, and the last block finds k = n - 2
+    n = 200
+    mat = _triangle_base("path", n, None, 1.0)
+    mat[n - 3, n - 1] = mat[n - 1, n - 3] = 2.5
+    monkeypatch.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", 7 * n)
+    tol = TRIANGLE_TOL * float(mat.max())
+    want = reference_triangle_scan(mat, tol)
+    assert want == (n - 3, n - 1, n - 2, 0.5)
+    assert _triangle_outcome(mat, tol) == want
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(mat)
+    assert (*exc.value.triple, exc.value.slack) == want
+
+
+def _validate_outcome(validate, raw):
+    try:
+        return np.asarray(validate(raw)).tobytes()
+    except PeelEmbedError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["closure", "euclid", "path", "uniform"]),
+    st.integers(1, 30),
+    st.sampled_from([1e-3, 1.0, 1e4]),
+    st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
+        ["tie", "within", "beyond", "negative", "-0"])), max_size=3),
+    st.sampled_from([1, 2, 3, 7, None]),
+)
+def test_blocked_symmetrize_matches_whole_matrix(kind, n, scale, edits, rows):
+    mat = _triangle_base(kind, n, np.random.default_rng(n), scale)
+    tol = TRIANGLE_TOL * max(float(mat.max()), 1.0)
+    for at, edit in edits:
+        i, j = divmod(at % (n * n), n)
+        if edit == "tie":  # two mismatches, of the same size on equal entries
+            mat[i, j] += 3.0 * tol
+            mat[(i + 1) % n, j] += 3.0 * tol
+        elif edit == "within":  # symmetrised away
+            mat[i, j] = mat[i, j] + 0.5 * tol
+        elif edit == "beyond":
+            mat[i, j] = mat[i, j] + 2.0 * tol
+        elif edit == "negative":  # clamped to +0
+            mat[i, j] = mat[j, i] = -0.25 * tol
+        else:
+            mat[i, j] = mat[j, i] = -0.0
+    raw = mat.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", rows * n)
+        got = _validate_outcome(lambda m: validate_metric(m).dist, mat)
+    assert got == _validate_outcome(reference_validate_metric, mat)
+    assert mat.tobytes() == raw.tobytes()  # the caller's array is left alone
+
+
+def test_asymmetry_names_the_first_pair_of_largest_mismatch(monkeypatch):
+    mat = _triangle_base("uniform", 12, None, 1.0)
+    mat[7, 2] += 0.25
+    mat[3, 9] -= 0.25  # as large, and first in C order on the upper side
+    mat[10, 11] += 0.125
+    monkeypatch.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", 3 * 12)
+    with pytest.raises(AsymmetricMatrix, match=r"dist\[2\]\[7\] != dist\[7\]\[2\]"):
+        validate_metric(mat)
+    assert _validate_outcome(validate_metric, mat) == _validate_outcome(
+        reference_validate_metric, mat)
+
+
+def test_parse_metric_adopts_its_array(monkeypatch):
+    seen = []
+    real = metric_module._validate
+    monkeypatch.setattr(metric_module, "_validate", lambda mat: seen.append(mat) or real(mat))
+    m = parse_metric("2\n0 1\n1 0\n")
+    assert len(seen) == 1 and np.shares_memory(seen[0], m.dist)
+    raw = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert not np.shares_memory(validate_metric(raw).dist, raw)
 
 
 def _outcome(parse, text):
@@ -536,6 +668,88 @@ def test_point_cloud_rejects_overflowing_sums(d):
     pts[1] = 1e154
     with pytest.raises(NonFiniteDistance, match="points 0 and 1 overflows"):
         metric_from_points(pts)
+
+
+TINY, HUGE = 2.0**-511, 2.0**511  # the 1-D path's bounds on gaps and range
+
+
+def _below(x):
+    return float(np.nextafter(x, 0.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "xs, exact",
+    [
+        ([3.0], True),
+        ([0.0, -0.0, 1.0, 1.0, -0.0, 3.5, 0.0, -2.25], True),  # duplicates, +-0
+        ([0.0, TINY, 2.0 * TINY, 1.0], True),  # the smallest gap allowed
+        ([0.0, _below(TINY), 1.0], False),
+        ([5.0, 5.0 + 2.0**-50, 0.0, -TINY], True),
+        ([0.0, 1e-170, 1.0], False),  # the square underflows to 0
+        ([-1e-160, 1e-160, 0.0], False),
+        ([0.0, _below(HUGE)], True),  # the largest range allowed
+        ([0.0, HUGE], False),
+        ([-0.5 * HUGE, 0.5 * HUGE], False),  # fl(max - min) = 2^511
+        ([-1e150, 1e150, 3.0, -7.0], True),
+        ([1e153, -1e153, 0.0], True),
+        ([0.0, 1e154], False),
+    ],
+)
+def test_one_dim_distances_bit_equal_to_square_root(monkeypatch, xs, exact):
+    pts = np.array(xs)[:, None]
+    assert metric_module._abs_differences_exact(pts[:, 0]) is exact
+    got = metric_from_points(pts).dist
+    assert got.tobytes() == reference_metric_from_points(pts).tobytes()
+    monkeypatch.setattr(metric_module, "_abs_differences_exact", lambda x: False)
+    assert got.tobytes() == metric_from_points(pts).dist.tobytes()
+
+
+def test_one_dim_path_needs_its_rule():
+    # below 2^-511 the square loses bits: sqrt(fl(d * d)) != |d|
+    pts = np.array([[0.0], [1e-170], [3e-155], [1.0]])
+    general = metric_from_points(pts).dist
+    assert general[0, 1] == 0.0 and general[0, 2] != 3e-155
+    assert np.array_equal(general, reference_metric_from_points(pts))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("low, high", [(-150, 150), (-150, -100), (100, 150), (-20, 20)])
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_one_dim_path_on_wide_magnitudes(monkeypatch, low, high, rows):
+    rng = np.random.default_rng([low + 200, high + 200])
+    n = 300
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, high, n)
+    x[:20] = x[20:40]  # repeated points
+    x[40], x[41] = 0.0, -0.0
+    pts = x[:, None]
+    if rows is not None:
+        monkeypatch.setattr(metric_module, "POINT_BLOCK_ENTRIES", rows * n)
+    assert metric_module._abs_differences_exact(x)
+    got = metric_from_points(pts).dist
+    assert got.tobytes() == reference_metric_from_points(pts).tobytes()
+    monkeypatch.setattr(metric_module, "_abs_differences_exact", lambda x: False)
+    assert got.tobytes() == metric_from_points(pts).dist.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_dim_overflow_takes_the_general_path():
+    # every square but that of the named pair's difference is finite
+    for text, pair in (("0 1e200\n1 -1e200\n", "0 and 1"),
+                       ("0 1\n1 2\n2 1e154\n3 -1e154\n", "2 and 3")):
+        with pytest.raises(NonFiniteDistance) as exc:
+            parse_point_cloud(text)
+        assert str(exc.value) == f"distance between points {pair} overflows"
+        pts = np.array([[float(line.split()[1])] for line in text.splitlines()])
+        assert not metric_module._abs_differences_exact(pts[:, 0])
+
+
+def test_case_c_clouds_take_the_one_dim_path():
+    from peelembed.instances import generate, hc_case_c_spec, la_case_c_spec
+
+    for spec in (hc_case_c_spec(1860)[0], la_case_c_spec(250)[0]):
+        x = generate(spec).dist[0]
+        assert metric_module._abs_differences_exact(x)
 
 
 def test_metric_from_points_peak_memory():

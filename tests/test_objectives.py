@@ -15,7 +15,14 @@ from peelembed.objectives import (
     ladder_tree,
     relabel,
 )
-from structural import reference_evaluate_hc
+from peelembed.hc_dense import _caterpillar_skeleton, _parts_of, _skeleton_tree
+from peelembed.objectives import _leaf_spans
+from structural import (
+    reference_evaluate_hc,
+    reference_leaf_spans,
+    reference_relabel,
+    reference_serialize,
+)
 
 M3 = validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])  # w01=1, w02=2, w12=1
 U4 = validate_metric(np.ones((4, 4)) - np.eye(4))
@@ -259,3 +266,97 @@ def test_ladder_tree_checks_its_parts():
         ladder_tree([0, 4], tail=tail)
     with pytest.raises(DuplicateLeaf):
         ladder_tree([0, 1, 0])
+
+
+def _random_tree(rng, ids):
+    """A random binary tree over ``ids`` (at most a few hundred): runs of
+    single leaves on the left (spines), bushy nodes, and spines ending in a
+    leaf or in a bushy node."""
+    if len(ids) == 1:
+        return ids[0]
+    cut = 1 if rng.random() < 0.6 else int(rng.integers(1, len(ids)))
+    return (_random_tree(rng, ids[:cut]), _random_tree(rng, ids[cut:]))
+
+
+def _assert_walks_match_reference(root, mapping):
+    order, spans = _leaf_spans(root)
+    assert (order, spans) == reference_leaf_spans(root)
+    assert all(type(leaf) is int for leaf in order)
+    assert HcTree._unchecked(root).serialize() == reference_serialize(root)
+    got, want = relabel(root, mapping), reference_relabel(root, mapping)
+    # deep tuples compare recursively, so compare their texts and leaves
+    assert reference_serialize(got) == reference_serialize(want)
+    assert all(type(leaf) is int for leaf in reference_leaf_spans(got)[0])
+    assert HcTree(root).leaves() == order
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_spine_walks_match_reference_on_random_trees(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    ids = rng.permutation(n).tolist()
+    root = _random_tree(rng, ids)
+    perm = rng.permutation(n)
+    for mapping in (perm.tolist(), tuple(perm.tolist()), dict(enumerate(perm.tolist())), perm):
+        _assert_walks_match_reference(root, mapping)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 2999, 3000])
+def test_spine_walks_match_reference_on_ladders(n):
+    rng = np.random.default_rng(n)
+    for order in (list(range(n)), rng.permutation(n).tolist()):
+        _assert_walks_match_reference(ladder_tree(order).root, rng.permutation(n).tolist())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_spine_walks_match_reference_on_ladders_over_tails(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    ids = rng.permutation(n).tolist()
+    cut = int(rng.integers(0, n - 1))
+    tail = HcTree(_random_tree(rng, ids[cut:]))
+    root = ladder_tree(ids[:cut], tail=tail).root
+    # a ladder over a ladder over a bushy node, as peeled levels nest
+    _assert_walks_match_reference(root, rng.permutation(n).tolist())
+    inner = ladder_tree(ids[cut // 2 : cut], tail=tail)
+    _assert_walks_match_reference(ladder_tree(ids[: cut // 2], tail=inner).root, list(range(n)))
+
+
+@pytest.mark.parametrize("slots", [2, 3, 5, 9])
+def test_spine_walks_match_reference_on_caterpillars(slots):
+    rng = np.random.default_rng(slots)
+    for n in (slots, 40, 300):
+        assignment = rng.integers(0, slots, n)
+        assignment[rng.integers(0, n)] = slots - 1  # the deepest slot is never empty
+        tree = _skeleton_tree(_caterpillar_skeleton(slots), _parts_of(assignment, slots))
+        _assert_walks_match_reference(tree.root, rng.permutation(n).tolist())
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        (0, 1, 2),
+        (0, (1, 2, 3)),
+        ((0,), 1),
+        (0, (1, ())),
+        ((0, 1), ((2, 3, 4), 5)),
+        (0, (1, (2, (3,)))),
+        ((0, (1, (2, 3, 4))), 5),
+    ],
+)
+def test_spine_walks_reject_malformed_nodes(root):
+    with pytest.raises(MalformedTree) as want:
+        reference_leaf_spans(root)
+    with pytest.raises(MalformedTree) as got:
+        _leaf_spans(root)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(MalformedTree):
+        HcTree(root)
+
+
+def test_leaves_run_left_to_right():
+    tree = HcTree(((0, 1), (2, (3, 4))))
+    assert tree.leaves() == [0, 1, 2, 3, 4]
+    assert HcTree((4, ((2, 0), (3, 1)))).leaves() == [4, 2, 0, 3, 1]
+    with pytest.raises(DuplicateLeaf, match="leaf 1 appears twice"):
+        HcTree(((2, 1), (1, 2)))
