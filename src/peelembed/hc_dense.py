@@ -55,7 +55,10 @@ def _skeleton_tree(skeleton, parts) -> Optional[HcTree]:
         members = parts[node]
         if not members:
             return None
-        return ladder_tree(members).root
+        ladder = members[-1]
+        for point in reversed(members[:-1]):
+            ladder = (point, ladder)
+        return ladder
 
     root = build(skeleton)
     return None if root is None else HcTree(root)

@@ -9,7 +9,7 @@ import math
 
 from .hc_dense import DenseHcConfig, solve_hc_dense
 from .metric import Metric
-from .objectives import HcTree, evaluate_hc, ladder_tree, relabel
+from .objectives import HcTree, evaluate_hc, ladder_tree
 from .peeling import PeelConfig, Policy, peel
 from .trace import RecursionTrace
 
@@ -37,12 +37,8 @@ def _terms(n, root, w_a, w_ac, eps):
 
 
 def _join(layer, kept, inner):
-    """The layer's ladder over the kept points' tree, without a walk: the
-    layer and the kept points are disjoint, and the kept tree is valid."""
-    node = relabel(inner.root, kept)
-    for point in reversed(layer):
-        node = (point, node)
-    return HcTree._unchecked(node)
+    """The layer's ladder over the kept points' tree, in their ids."""
+    return ladder_tree(layer, tail=inner.relabel(kept))
 
 
 def _value(sub, tree, layer, below):

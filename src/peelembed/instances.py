@@ -8,6 +8,7 @@ recursive case at the top level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional
@@ -56,8 +57,12 @@ class GeneratorSpec:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.dim < 1 or self.m_clusters < 1 or self.outlier_n < 0:
             raise InvalidSpec("dim, m_clusters and outlier_n must be positive")
-        if self.ratio <= 0 or self.inter_scale <= 0 or self.weight_ratio <= 0:
-            raise InvalidSpec("scales must be positive")
+        for name in ("ratio", "inter_scale", "weight_ratio"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails it too
+                raise InvalidSpec(f"{name} must be finite and > 0, got {value!r}")
+        if not 0 <= self.intra_scale < math.inf:
+            raise InvalidSpec(f"intra_scale must be finite and >= 0, got {self.intra_scale!r}")
 
 
 def generate(spec: GeneratorSpec) -> Metric:

@@ -34,25 +34,17 @@ TRIANGLE_TOL = 1e-9
 # see _triangle_screen for why 8 keeps the screen conservative.
 SCREEN_MARGIN_EPS = 8
 
-# Most entries one block of ``validate_metric``'s passes holds (whole rows, at
-# least one): ``_symmetrize``, ``_triangle_screen`` and
-# ``_raise_triangle_witness``, so each reused buffer is 512 KB for any n up to
-# 2^16 + 1.
-SCREEN_BLOCK_ENTRIES = 1 << 16
-
-# Most entries of a subset's block that ``subset_stats`` holds at once, in one
-# reused 512 KB buffer, so its weight sum needs no copy of the block.
-STATS_BLOCK_ENTRIES = 1 << 16
+# Most float64 entries one reused buffer holds, 512 KB: a block of whole rows
+# (at least one) of ``validate_metric``'s passes (``_symmetrize``,
+# ``_triangle_screen``, ``_raise_triangle_witness``) and of
+# ``metric_from_points``, for any n up to 2^16; and a run of a subset's block
+# that ``subset_stats`` sums, so its weight sum needs no copy of the block.
+BLOCK_ENTRIES = 1 << 16
 
 # NumPy sums a contiguous float array pairwise: a run of at most this many
 # entries in one unrolled loop, a longer one as the sum of its two halves,
 # split at a multiple of 8.
 PAIRWISE_BLOCK = 128
-
-# Most distances (whole rows, at least one) one block of ``metric_from_points``
-# builds at once, so each of its reused scratch blocks is 512 KB for any n up
-# to 2^16.
-POINT_BLOCK_ENTRIES = 1 << 16
 
 # ``Metric.submetric`` copies the blocks between runs of consecutive ids as
 # slices when the runs hold at least this many ids on average, and gathers
@@ -185,7 +177,7 @@ def _symmetrize(mat: np.ndarray, tol: float) -> None:
     ``|d_ij - d_ji|`` if that exceeds ``tol``; else set both entries to
     ``(d_ij + d_ji) / 2``, or +0 where that is negative.
 
-    Works in blocks of whole rows, at most ``SCREEN_BLOCK_ENTRIES`` entries,
+    Works in blocks of whole rows, at most ``BLOCK_ENTRIES`` entries,
     on the upper triangle of each block and its mirror below the diagonal,
     in two reused buffers: a block reads only entries no earlier block
     wrote.  The mismatch is symmetric, so the first (i, j) of the largest
@@ -194,7 +186,7 @@ def _symmetrize(mat: np.ndarray, tol: float) -> None:
     so it is the same on both sides, as in ``(mat + mat.T) / 2``.
     """
     n = mat.shape[0]
-    step = max(1, SCREEN_BLOCK_ENTRIES // n)
+    step = max(1, BLOCK_ENTRIES // n)
     bufs = np.empty((2, min(step, n) * n))
     worst, at = -math.inf, None
     for lo in range(0, n, step):
@@ -225,7 +217,7 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
     triple a < b < c meets its three inequalities in the pairs {a, b}
     (column c) and {a, c} (column b).  So row i's slab covers every triple
     whose smallest point is i, each unordered pair once.  The slab is taken
-    in blocks of whole rows, at most ``SCREEN_BLOCK_ENTRIES`` entries each,
+    in blocks of whole rows, at most ``BLOCK_ENTRIES`` entries each,
     copied into one reused contiguous buffer and differenced in place there:
     the same entries and comparisons as the whole slab at once, in a buffer
     that stays in cache.
@@ -243,11 +235,11 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
     n = mat.shape[0]
     margin = SCREEN_MARGIN_EPS * np.finfo(float).eps * max(float(mat.max()), 1.0)
     allowed = tol - margin
-    buf = np.empty(max(SCREEN_BLOCK_ENTRIES, n - 1))
+    buf = np.empty(max(BLOCK_ENTRIES, n - 1))
     for i in range(n - 2):  # the last two rows hold no triple with i smallest
         rest = mat[i, i + 1 :]
         bound = rest + allowed
-        step = max(1, SCREEN_BLOCK_ENTRIES // rest.size)
+        step = max(1, BLOCK_ENTRIES // rest.size)
         for lo in range(0, rest.size, step):
             block = mat[i + 1 + lo : i + 1 + lo + step, i + 1 :]
             slab = buf[: block.size].reshape(block.shape)
@@ -265,13 +257,13 @@ def _raise_triangle_witness(mat: np.ndarray, tol: float) -> None:
 
     The slack of (i, j) via k is fl(d_ij - fl(d_ik + d_kj)), as in the
     n x n form ``mat - (mat[:, k, None] + mat[None, k, :])``.  Each block of
-    whole rows, at most ``SCREEN_BLOCK_ENTRIES`` entries, is scanned over k
+    whole rows, at most ``BLOCK_ENTRIES`` entries, is scanned over k
     below the smallest violating k found so far, in one reused buffer while
     the rows stay in cache; the rows at the smallest k are then scanned again
     for the first (i, j) of largest slack.
     """
     n = mat.shape[0]
-    step = max(1, SCREEN_BLOCK_ENTRIES // n)
+    step = max(1, BLOCK_ENTRIES // n)
     buf = np.empty(min(step, n) * n)
 
     def slack(lo, k):  # rows [lo, lo + step) via k
@@ -326,12 +318,12 @@ def _block_max_and_upper_sum(dist: np.ndarray, idx: Optional[list]) -> tuple:
     NumPy sums the C-ordered block with its lower triangle zeroed as one
     pairwise reduction over its k^2 entries (see :data:`PAIRWISE_BLOCK`).
     This takes the same halves recursively, and materialises only runs of at
-    most ``max(STATS_BLOCK_ENTRIES, PAIRWISE_BLOCK)`` entries, in one reused
+    most ``max(BLOCK_ENTRIES, PAIRWISE_BLOCK)`` entries, in one reused
     buffer where their lower-triangle entries are zeroed.  NumPy sums each run
     with the same pairwise steps, so the halves add up to the same bits.
     """
     k = dist.shape[0] if idx is None else len(idx)
-    leaf = max(STATS_BLOCK_ENTRIES, PAIRWISE_BLOCK)
+    leaf = max(BLOCK_ENTRIES, PAIRWISE_BLOCK)
     buf = np.empty(min(k * k, leaf))
     ids = None if idx is None else np.asarray(idx)
     largest = np.float64(-math.inf)
@@ -503,7 +495,7 @@ def metric_from_points(points: np.ndarray) -> Metric:
     Each entry is ``sqrt(sum(diff * diff))`` over its d coordinate
     differences, bit for bit as NumPy sums the last axis of an n x n x d
     tensor, but no such tensor is built.  Rows are computed in blocks of at
-    most ``POINT_BLOCK_ENTRIES`` entries, in place in the n x n result: each
+    most ``BLOCK_ENTRIES`` entries, in place in the n x n result: each
     coordinate's squared differences are added into the block in NumPy's
     pairwise order (see :func:`_add_squares`), with a few reused scratch
     blocks.  The result is exactly symmetric with a zero diagonal without a
@@ -521,7 +513,7 @@ def metric_from_points(points: np.ndarray) -> Metric:
     n, d = pts.shape
     dist = np.empty((n, n))
     cols = np.ascontiguousarray(pts.T)  # one row per coordinate
-    step = max(1, POINT_BLOCK_ENTRIES // max(n, 1))
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
     if d == 1 and _abs_differences_exact(cols[0]):
         for lo in range(0, n, step):
             block = dist[lo : lo + step]

@@ -67,102 +67,118 @@ class LinearArrangement:
         return cls.from_positions([int(t) for t in line.split()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HcTree:
-    """Rooted binary tree over leaves 0..n-1 (a bare int for n = 1)."""
+    """Rooted binary tree over distinct leaves (a bare int for n = 1), held
+    as its leaves left to right and the (lo, mid, hi) span of each internal
+    node in post-order: its left subtree holds the leaves ``order[lo:mid]``,
+    its right subtree ``order[mid:hi]``.  Two trees are equal when they have
+    the same shape and leaves.
+    """
 
-    root: TreeNode
+    order: tuple
+    spans: tuple
 
-    def __post_init__(self):
-        self.leaves()  # checks binarity and distinctness; partial trees allowed
+    def __init__(self, root: TreeNode):
+        """Walk a nested-tuple root once; raises :class:`MalformedTree` at an
+        internal node without two children, and :class:`DuplicateLeaf`
+        naming the first leaf, left to right, that repeats an earlier one.
+        Partial trees (leaves other than 0..n-1) are allowed."""
+        order, spans = _leaf_spans(root)
+        object.__setattr__(self, "order", _distinct(order))
+        object.__setattr__(self, "spans", tuple(spans))
 
-    @classmethod
-    def _unchecked(cls, root: TreeNode) -> "HcTree":
-        """Wrap a root that is valid by construction, without walking it."""
-        tree = cls.__new__(cls)
-        object.__setattr__(tree, "root", root)
-        return tree
+    @property
+    def root(self) -> TreeNode:
+        """The tree as nested 2-tuples, rebuilt in one pass over ``spans``: in
+        post-order an internal right child is finished last, and an internal
+        left child just before it."""
+        order, done = self.order, []
+        for lo, mid, hi in self.spans:
+            right = order[mid] if hi - mid == 1 else done.pop()
+            left = order[lo] if mid - lo == 1 else done.pop()
+            done.append((left, right))
+        return done[0] if done else order[0]
 
     def leaves(self) -> list:
-        """Leaf ids left to right, in the order ``serialize`` writes them.
-
-        Raises :class:`MalformedTree` at an internal node without two
-        children, and :class:`DuplicateLeaf` naming the first leaf, left to
-        right, that repeats an earlier one.
-        """
-        out = _leaf_spans(self.root)[0]
-        seen = set()
-        for leaf in out:
-            if leaf in seen:
-                raise DuplicateLeaf(f"leaf {leaf} appears twice")
-            seen.add(leaf)
-        return out
+        """Leaf ids left to right, in the order ``serialize`` writes them."""
+        return list(self.order)
 
     @property
     def n(self) -> int:
-        return len(self.leaves())
+        return len(self.order)
+
+    def relabel(self, mapping) -> "HcTree":
+        """The same shape with each leaf p replaced by ``mapping[p]``, which
+        must be one-to-one on the leaves."""
+        return _of(_distinct([int(mapping[p]) for p in self.order]), self.spans)
 
     def serialize(self) -> str:
-        # Iterative so deep ladders do not hit the interpreter stack limit; a
-        # spine (see _leaf_spans) is written as its "(a," pieces and one run
-        # of ")"
-        parts = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                parts.append(node)
-            elif isinstance(node, tuple):
-                left, right = node
-                if isinstance(left, tuple):
-                    stack.extend((")", right, ",", left, "("))
-                    continue
-                parts.append(f"({left},")
-                depth = 1
-                while isinstance(right, tuple) and not isinstance(right[0], tuple):
-                    parts.append(f"({right[0]},")
-                    right = right[1]
-                    depth += 1
-                stack.append(")" * depth)
-                if isinstance(right, tuple):
-                    stack.append(right)
-                else:
-                    parts.append(str(right))
-            else:
-                parts.append(str(node))
-        return "".join(parts)
+        # a node opens before its first leaf and closes after its last, and
+        # each of the n - 1 gaps between leaves is one node's comma
+        opens, closes = [0] * self.n, [0] * self.n
+        for lo, _, hi in self.spans:
+            opens[lo] += 1
+            closes[hi - 1] += 1
+        return ",".join("(" * a + str(leaf) + ")" * b
+                        for a, leaf, b in zip(opens, self.order, closes))
 
     @classmethod
     def parse(cls, text: str) -> "HcTree":
+        """Read ``tree := leaf | "(" tree "," tree ")"``, a leaf being ASCII
+        digits, straight into ``order`` and ``spans``: ``(`` opens a node at
+        the next leaf's index, its one ``,`` sets ``mid`` and ``)`` closes it
+        at ``hi``.  Raises :class:`MalformedTree` on any other text."""
         text = text.strip()
-        stack = []  # '(' markers, ints and finished tuples
+        order, spans, open_nodes = [], [], []  # open_nodes: [lo, mid], mid -1 before ","
         i, size = 0, len(text)
-        while i < size:
-            ch = text[i]
-            if ch == "(":
-                stack.append("(")
+        while True:  # a tree starts at offset i
+            while i < size and text[i] == "(":
+                open_nodes.append([len(order), -1])
                 i += 1
-            elif ch == ",":
-                i += 1
-            elif ch == ")":
-                if len(stack) < 3 or stack[-3] != "(" or "(" in stack[-2:]:
+            j = i
+            while j < size and "0" <= text[j] <= "9":
+                j += 1
+            if j == i:
+                raise MalformedTree(f"expected '(' or a leaf at offset {i}")
+            order.append(int(text[i:j]))
+            i = j
+            while i < size and text[i] == ")":
+                if not open_nodes or open_nodes[-1][1] < 0:
                     raise MalformedTree(f"unbalanced ')' at offset {i}")
-                right = stack.pop()
-                left = stack.pop()
-                stack.pop()
-                stack.append((left, right))
+                lo, mid = open_nodes.pop()
+                spans.append((lo, mid, len(order)))
                 i += 1
-            elif ch.isdigit():
-                j = i
-                while j < size and text[j].isdigit():
-                    j += 1
-                stack.append(int(text[i:j]))
-                i = j
-            else:
-                raise MalformedTree(f"unexpected {ch!r} at offset {i}")
-        if len(stack) != 1 or stack[0] == "(":
-            raise MalformedTree("tree text is not a single balanced node")
-        return cls(stack[0])
+            if not open_nodes:
+                break
+            if i == size or text[i] != "," or open_nodes[-1][1] >= 0:
+                raise MalformedTree(f"expected ',' or ')' at offset {i}")
+            open_nodes[-1][1] = len(order)
+            i += 1
+        if i != size:
+            raise MalformedTree(f"unexpected {text[i]!r} at offset {i}")
+        return _of(_distinct(order), tuple(spans))
+
+
+def _of(order: tuple, spans: tuple) -> HcTree:
+    """The tree with these fields, which the caller has made consistent."""
+    tree = object.__new__(HcTree)
+    object.__setattr__(tree, "order", order)
+    object.__setattr__(tree, "spans", spans)
+    return tree
+
+
+def _distinct(order) -> tuple:
+    """``order`` as a tuple; raises :class:`DuplicateLeaf` naming the first
+    leaf, left to right, that repeats an earlier one."""
+    order = tuple(order)
+    if len(set(order)) != len(order):
+        seen = set()
+        for leaf in order:
+            if leaf in seen:
+                raise DuplicateLeaf(f"leaf {leaf} appears twice")
+            seen.add(leaf)
+    return order
 
 
 def evaluate_la(m: Metric, arrangement: LinearArrangement) -> float:
@@ -177,19 +193,21 @@ def evaluate_la(m: Metric, arrangement: LinearArrangement) -> float:
 def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float = 0.0) -> float:
     """Sum over unordered pairs of dist[i][j] * (leaves under LCA(i, j)).
 
-    The pairs are summed node by node in post-order.  With ``top``, only the
-    last ``top`` nodes are summed, onto ``below``.  A ladder of ``top`` cuts
-    over a tail comes after the tail's nodes in post-order, and each tail
-    node sums the same block as in the tail alone.  So with ``below`` the
-    tail's value on its own points, this is the whole tree's value, bit for
-    bit.
+    The pairs are summed node by node over ``tree.spans``, in post-order: a
+    node (lo, mid, hi) splits the pairs between ``tree.order[lo:mid]`` and
+    ``tree.order[mid:hi]``, and each of them has hi - lo leaves under its
+    LCA.  With ``top``, only the last ``top`` nodes are summed, onto
+    ``below``.  A ladder of ``top`` cuts over a tail comes after the tail's
+    nodes in post-order, and each tail node sums the same block as in the
+    tail alone.  So with ``below`` the tail's value on its own points, this
+    is the whole tree's value, bit for bit.
 
     A node with one leaf on its left sums a row of ``dist``.  When its right
     leaves are consecutive ascending ids, as in a ladder over ascending ids,
     that row is summed as a slice of ``dist``: the same entries in the same
     contiguous order as the gathered row, so the same pairwise sum.
     """
-    order, spans = _leaf_spans(tree.root)
+    order, spans = tree.order, tree.spans
     if sorted(order) != list(range(m.n)):
         raise SizeMismatch(f"tree leaves do not cover 0..{m.n - 1}")
     idx = np.asarray(order, dtype=int)
@@ -210,7 +228,6 @@ def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float
 
 
 _MID, _END, _SPINE = object(), object(), object()  # markers of _leaf_spans' walk
-_JOIN = object()  # relabel's marker: pair the last two finished subtrees
 _NOT_BINARY = "internal node with != 2 children"
 
 
@@ -277,7 +294,9 @@ def ladder_tree(order: Sequence[int], tail: Optional[HcTree] = None) -> HcTree:
     """Caterpillar tree peeling order[0], order[1], ... one leaf per cut.
 
     When ``tail`` is given it takes the deepest spine slot, so the last peel
-    separates order[-1] from the whole tail subtree.
+    separates order[-1] from the whole tail subtree.  The spans are built in
+    closed form: the tail's, shifted past the spine's leaves, then the
+    spine's (t, t + 1, n) over all n leaves, deepest first.
     """
     order = [int(p) for p in order]
     if len(set(order)) != len(order):
@@ -285,54 +304,13 @@ def ladder_tree(order: Sequence[int], tail: Optional[HcTree] = None) -> HcTree:
     if tail is None:
         if not order:
             raise EmptyInput("ladder needs at least one point or a tail")
-        node: TreeNode = order[-1]
-        spine = order[:-1]
+        spine, tail = order[:-1], _of((order[-1],), ())
+    elif set(order).intersection(tail.order):
+        raise DuplicateLeaf("ladder order overlaps tail leaves")
     else:
-        if set(order).intersection(tail.leaves()):
-            raise DuplicateLeaf("ladder order overlaps tail leaves")
-        node = tail.root
         spine = order
-    for point in reversed(spine):
-        node = (point, node)
-    # distinct spine leaves over a checked tail: nothing left to check
-    return HcTree._unchecked(node)
-
-
-def relabel(node: TreeNode, mapping) -> TreeNode:
-    """Apply an id mapping to every leaf of a raw tree node (iterative).
-
-    A spine (see :func:`_leaf_spans`) has its ids mapped in one loop and its
-    chain of tuples rebuilt over its relabelled lower node; only an internal
-    node whose left child is internal takes stack steps of its own.
-    """
-    stack, done = [node], []
-    while stack:
-        node = stack.pop()
-        if node is _JOIN:
-            right = done.pop()
-            done[-1] = (done[-1], right)
-        elif isinstance(node, list):  # a spine's mapped ids, to hang over done[-1]
-            chain = done[-1]
-            for point in reversed(node):
-                chain = (point, chain)
-            done[-1] = chain
-        elif isinstance(node, tuple):
-            left, right = node
-            if isinstance(left, tuple):
-                stack.extend((_JOIN, right, left))
-                continue
-            ids = [left]
-            while isinstance(right, tuple) and not isinstance(right[0], tuple):
-                ids.append(right[0])
-                right = right[1]
-            if isinstance(right, tuple):
-                stack.extend(([int(mapping[p]) for p in ids], right))
-                continue
-            chain = int(mapping[right])
-            for point in reversed(ids):
-                chain = (int(mapping[point]), chain)
-            done.append(chain)
-        else:
-            done.append(int(mapping[node]))
-    return done[0]
-
+    s = len(spine)
+    n = s + tail.n
+    spans = [(lo + s, mid + s, hi + s) for lo, mid, hi in tail.spans]
+    spans += [(t, t + 1, n) for t in range(s - 1, -1, -1)]
+    return _of((*spine, *tail.order), tuple(spans))

@@ -294,7 +294,8 @@ def reference_leaf_spans(root):
 
 
 def reference_serialize(root):
-    """``HcTree.serialize`` as it was: five stack pushes per internal node."""
+    """``HcTree.serialize`` of a nested-tuple root as it was: five stack
+    pushes per internal node."""
     parts = []
     stack = [root]
     while stack:
@@ -309,7 +310,8 @@ def reference_serialize(root):
 
 
 def reference_relabel(node, mapping):
-    """``objectives.relabel`` as it was: two stack steps per internal node."""
+    """The nested-tuple ``relabel`` that ``HcTree.relabel`` replaced: two
+    stack steps per internal node."""
     stack = [(node, False)]
     done = []
     while stack:

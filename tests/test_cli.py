@@ -201,6 +201,26 @@ class TestSolveAndOracle:
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--family", "clustered", "--n", "5", "--inter-scale", "inf"],
+         "inter_scale must be finite and > 0, got inf"),
+        (["gen", "--family", "clustered", "--n", "5", "--inter-scale", "nan"],
+         "inter_scale must be finite and > 0, got nan"),
+        (["gen", "--family", "cluster_plus_outliers", "--n", "5", "--ratio", "inf"],
+         "ratio must be finite and > 0, got inf"),
+        (["gen", "--family", "clustered", "--n", "5", "--intra-scale", "-1"],
+         "intra_scale must be finite and >= 0, got -1.0"),
+        (["bench", "--config", "{cfg}"], "inter_scale must be finite and > 0, got inf"),
+    ], ids=["inf-inter", "nan-inter", "inf-ratio", "negative-intra", "bench-infinity"])
+    def test_non_finite_scale_exits_1(self, tmp_path, capsys, argv, message):
+        cfg = tmp_path / "cfg.json"
+        # Python's json reads Infinity
+        cfg.write_text('{"instances": [{"family": "clustered", "n": 5, "inter_scale": Infinity}]}')
+        assert main([a.replace("{cfg}", str(cfg)) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("instance", [
         {"family": "uniform_metric", "n": 4, "seed": 1.5},
         {"family": "uniform_metric", "n": 4.5},

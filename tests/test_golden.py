@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from peelembed import objectives
 from peelembed.cli import main
 from peelembed.hc_dense import DenseHcConfig
 from peelembed.hc_peeling import HcPeelConfig, solve_hc
@@ -177,6 +178,22 @@ def test_peeling_outputs_match_golden(name):
     witness, jsonl = render_peeling(name)
     assert witness == _golden(f"{name}.witness")
     assert jsonl == _golden(f"{name}.jsonl")
+
+
+def test_hc_case_c_peel_walks_no_tree(monkeypatch):
+    # the dense leaf's ladder is built from spans in closed form, and each
+    # level joins its layer by relabelling and shifting the spans below
+    walks = []
+    walk = objectives._leaf_spans
+
+    def counted(root):
+        walks.append(1)
+        return walk(root)
+
+    monkeypatch.setattr(objectives, "_leaf_spans", counted)
+    witness, _ = render_peeling("hc_case_c_n1860_s0")
+    assert len(walks) == 0
+    assert witness == _golden("hc_case_c_n1860_s0.witness")
 
 
 def test_bench_sweep_csv_matches_golden(tmp_path):

@@ -1,5 +1,7 @@
 """Instance generators: determinism, validity and frozen small examples."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,20 @@ class TestSpecValidation:
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
             GeneratorSpec(**{"family": "cluster_plus_outliers", "n": 4, field: value})
         assert GeneratorSpec(family="clustered", n=np.int64(4), seed=np.int64(1)).n == 4
+
+    @pytest.mark.parametrize("field", ["ratio", "inter_scale", "weight_ratio", "intra_scale"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_scale_rejected(self, field, value):
+        # numpy's uniform and normal draws raise OverflowError or ValueError
+        # on these; the spec names the field instead
+        with pytest.raises(InvalidSpec, match=f"^{field} must be finite and "):
+            GeneratorSpec(**{"family": "clustered", "n": 5, field: value})
+
+    def test_zero_scale(self):
+        with pytest.raises(InvalidSpec, match="^inter_scale must be finite and > 0, got 0.0$"):
+            GeneratorSpec(family="clustered", n=5, inter_scale=0.0)
+        m = generate(GeneratorSpec(family="clustered", n=5, intra_scale=0.0, m_clusters=5))
+        assert m.n == 5
 
     def test_core_split_must_cover_n(self):
         spec = GeneratorSpec(

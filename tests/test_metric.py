@@ -161,7 +161,7 @@ def test_blocked_triangle_screen_matches_whole_slab(kind, n, scale, plants, rows
     # one row per block, or blocks of `rows` rows in row 0 and more below
     entries = 1 if rows == 1 else rows * (n - 1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", entries)
+        mp.setattr(metric_module, "BLOCK_ENTRIES", entries)
         flag = metric_module._triangle_screen(mat, tol)
     assert flag == reference_triangle_screen(mat, tol)
 
@@ -173,7 +173,7 @@ def test_triangle_screen_flags_a_violation_in_a_rows_last_block():
     mat[a, b] = mat[b, a] = 2.0 + 1e-6
     # row 0 meets the violating triples (0, a, b) and (0, b, a) in slab rows
     # a - 1 and b - 1 only, both in its last block
-    step = metric_module.SCREEN_BLOCK_ENTRIES // (n - 1)
+    step = metric_module.BLOCK_ENTRIES // (n - 1)
     assert 0 < (n - 2) // step * step <= a - 1
     tol = TRIANGLE_TOL * float(mat.max())
     assert metric_module._triangle_screen(mat, tol)
@@ -232,7 +232,7 @@ def test_blocked_triangle_witness_matches_reference_scan(kind, n, scale, plants,
     tol = TRIANGLE_TOL * max(float(mat.max()), 1.0)
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:  # blocks of `rows` whole rows
-            mp.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", rows * n)
+            mp.setattr(metric_module, "BLOCK_ENTRIES", rows * n)
         assert _triangle_outcome(mat, tol) == reference_triangle_scan(mat, tol)
 
 
@@ -251,7 +251,7 @@ def test_triangle_witness_slack_ties(monkeypatch, rows, pairs):
     for a, b in pairs:
         mat[a, b] = mat[b, a] = 2.5
     if rows is not None:
-        monkeypatch.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", rows * n)
+        monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", rows * n)
     tol = TRIANGLE_TOL * 2.5
     want = reference_triangle_scan(mat, tol)
     assert want[2] == 0 and want[3] == 0.5
@@ -264,7 +264,7 @@ def test_triangle_witness_late_violation(monkeypatch):
     n = 200
     mat = _triangle_base("path", n, None, 1.0)
     mat[n - 3, n - 1] = mat[n - 1, n - 3] = 2.5
-    monkeypatch.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", 7 * n)
+    monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", 7 * n)
     tol = TRIANGLE_TOL * float(mat.max())
     want = reference_triangle_scan(mat, tol)
     assert want == (n - 3, n - 1, n - 2, 0.5)
@@ -309,7 +309,7 @@ def test_blocked_symmetrize_matches_whole_matrix(kind, n, scale, edits, rows):
     raw = mat.copy()
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", rows * n)
+            mp.setattr(metric_module, "BLOCK_ENTRIES", rows * n)
         got = _validate_outcome(lambda m: validate_metric(m).dist, mat)
     assert got == _validate_outcome(reference_validate_metric, mat)
     assert mat.tobytes() == raw.tobytes()  # the caller's array is left alone
@@ -320,7 +320,7 @@ def test_asymmetry_names_the_first_pair_of_largest_mismatch(monkeypatch):
     mat[7, 2] += 0.25
     mat[3, 9] -= 0.25  # as large, and first in C order on the upper side
     mat[10, 11] += 0.125
-    monkeypatch.setattr(metric_module, "SCREEN_BLOCK_ENTRIES", 3 * 12)
+    monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", 3 * 12)
     with pytest.raises(AsymmetricMatrix, match=r"dist\[2\]\[7\] != dist\[7\]\[2\]"):
         validate_metric(mat)
     assert _validate_outcome(validate_metric, mat) == _validate_outcome(
@@ -544,11 +544,11 @@ def _stats_inputs(n):
     return rng, (cloud, asymmetric, fortran)
 
 
-@pytest.mark.parametrize("block", [8, 64, 1000, metric_module.STATS_BLOCK_ENTRIES])
+@pytest.mark.parametrize("block", [8, 64, 1000, metric_module.BLOCK_ENTRIES])
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 600, 1860])
 def test_subset_stats_copy_free_sum_is_bit_equal(monkeypatch, n, block):
     # runs of 8 to 2^16 entries; below 128 the runs are NumPy's own blocks
-    monkeypatch.setattr(metric_module, "STATS_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", block)
     rng, metrics = _stats_inputs(n)
     for m in metrics:
         subsets = [range(n), sorted(rng.choice(n, size=max(n // 2, 1), replace=False))]
@@ -636,15 +636,15 @@ def test_metric_from_points_bit_equal_to_tensor_formula(monkeypatch, d):
     rng = np.random.default_rng(d)
     n = 600 if d < 64 else 120
     if d >= 64:  # the reference's n x n x d tensors stay small: 7 rows a block
-        monkeypatch.setattr(metric_module, "POINT_BLOCK_ENTRIES", 7 * n)
-    assert n > metric_module.POINT_BLOCK_ENTRIES // n  # more than one row block
+        monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", 7 * n)
+    assert n > metric_module.BLOCK_ENTRIES // n  # more than one row block
     pts = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
     pts[n // 2] = pts[0]  # a repeated point
     assert metric_from_points(pts).dist.tobytes() == reference_metric_from_points(pts).tobytes()
 
 
 def test_metric_from_points_one_row_per_block(monkeypatch):
-    monkeypatch.setattr(metric_module, "POINT_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", 1)
     for d in (1, 3, 9, 130):
         pts = np.random.default_rng(3).normal(size=(40, d))
         assert metric_from_points(pts).dist.tobytes() == reference_metric_from_points(pts).tobytes()
@@ -724,7 +724,7 @@ def test_one_dim_path_on_wide_magnitudes(monkeypatch, low, high, rows):
     x[40], x[41] = 0.0, -0.0
     pts = x[:, None]
     if rows is not None:
-        monkeypatch.setattr(metric_module, "POINT_BLOCK_ENTRIES", rows * n)
+        monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", rows * n)
     assert metric_module._abs_differences_exact(x)
     got = metric_from_points(pts).dist
     assert got.tobytes() == reference_metric_from_points(pts).tobytes()

@@ -13,7 +13,6 @@ from peelembed.objectives import (
     evaluate_hc,
     evaluate_la,
     ladder_tree,
-    relabel,
 )
 from peelembed.hc_dense import _caterpillar_skeleton, _parts_of, _skeleton_tree
 from peelembed.objectives import _leaf_spans
@@ -110,7 +109,7 @@ def test_deep_ladder_no_recursion_limit():
     text = tree.serialize()
     # deep tuple == would itself recurse, so compare serializations
     assert HcTree.parse(text).serialize() == text
-    assert HcTree(relabel(tree.root, {i: i for i in range(n)})).serialize() == text
+    assert tree.relabel({i: i for i in range(n)}).serialize() == text
     idx = np.arange(n, dtype=float)
     metric = Metric(np.abs(idx[:, None] - idx[None, :]))
     assert evaluate_hc(metric, tree) > 0
@@ -192,7 +191,7 @@ def hc_trees(rng, n):
         ladder_tree(perm[:cut], tail=HcTree(random_tree(rng, perm[cut:]))),
         HcTree(caterpillar(rng, perm)),
         HcTree(random_tree(rng, perm)),
-        ladder_tree(layer, tail=HcTree(relabel(inner.root, kept))),
+        ladder_tree(layer, tail=inner.relabel(kept)),
     ]
 
 
@@ -278,16 +277,32 @@ def _random_tree(rng, ids):
     return (_random_tree(rng, ids[:cut]), _random_tree(rng, ids[cut:]))
 
 
+def _assert_same_node(got, want):
+    """Raw trees compare recursively, which deep ladders overflow, so compare
+    their texts, and check that every leaf of ``got`` is an int."""
+    assert reference_serialize(got) == reference_serialize(want)
+    stack = [got]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend(node)
+        else:
+            assert type(node) is int
+
+
 def _assert_walks_match_reference(root, mapping):
     order, spans = _leaf_spans(root)
     assert (order, spans) == reference_leaf_spans(root)
     assert all(type(leaf) is int for leaf in order)
-    assert HcTree._unchecked(root).serialize() == reference_serialize(root)
-    got, want = relabel(root, mapping), reference_relabel(root, mapping)
-    # deep tuples compare recursively, so compare their texts and leaves
-    assert reference_serialize(got) == reference_serialize(want)
-    assert all(type(leaf) is int for leaf in reference_leaf_spans(got)[0])
-    assert HcTree(root).leaves() == order
+    tree = HcTree(root)
+    assert (tree.order, tree.spans) == (tuple(order), tuple(spans))
+    assert tree.leaves() == order
+    _assert_same_node(tree.root, root)
+    assert tree.serialize() == reference_serialize(root)
+    got, want = tree.relabel(mapping), reference_relabel(root, mapping)
+    _assert_same_node(got.root, want)
+    assert got.serialize() == reference_serialize(want)
+    assert all(type(leaf) is int for leaf in got.order)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -360,3 +375,81 @@ def test_leaves_run_left_to_right():
     assert HcTree((4, ((2, 0), (3, 1)))).leaves() == [4, 2, 0, 3, 1]
     with pytest.raises(DuplicateLeaf, match="leaf 1 appears twice"):
         HcTree(((2, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tree_fields_match_reference_walks_on_bushy_trees(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = 1 if seed == 0 else int(rng.integers(2, 200))
+    root = random_tree(rng, rng.permutation(n))
+    _assert_walks_match_reference(root, rng.permutation(n).tolist())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ladder_tree_spans_equal_a_walk_of_its_root(seed):
+    rng = np.random.default_rng(200 + seed)
+    n = int(rng.integers(2, 300))
+    ids = rng.permutation(n).tolist()
+    cut = int(rng.integers(0, n))
+    tail = HcTree(random_tree(rng, ids[cut:]))
+    for tree in (
+        ladder_tree(ids),
+        ladder_tree(ids[:cut], tail=tail),
+        ladder_tree(ids[: cut // 2], tail=ladder_tree(ids[cut // 2 : cut], tail=tail)),
+        ladder_tree(range(3000)) if seed == 0 else ladder_tree([n], tail=tail),
+    ):
+        assert _leaf_spans(tree.root) == (list(tree.order), list(tree.spans))
+        assert HcTree(tree.root) == tree
+
+
+def test_equal_roots_give_equal_trees_with_equal_hashes():
+    root = ((0, 1), (2, (3, 4)))
+    tree, again = HcTree(root), HcTree(((0, 1), (2, (3, 4))))
+    assert tree == again and hash(tree) == hash(again)
+    assert tree.root == root
+    assert ladder_tree([0, 1, 2]) == HcTree((0, (1, 2)))
+    assert hash(ladder_tree([0, 1, 2])) == hash(HcTree((0, (1, 2))))
+    swapped = HcTree(((2, (3, 4)), (0, 1)))
+    assert swapped != tree and HcTree((1, 0)) != HcTree((0, 1))
+    # the same leaf order, a different shape
+    assert HcTree(((0, 1), 2)) != HcTree((0, (1, 2)))
+    assert len({tree, again, swapped}) == 2
+
+
+@st.composite
+def trees(draw, max_n=40):
+    """A tree over a drawn permutation of 0..n-1, split at drawn cuts."""
+    ids = draw(st.permutations(range(draw(st.integers(1, max_n)))))
+
+    def build(part):
+        if len(part) == 1:
+            return part[0]
+        cut = draw(st.integers(1, len(part) - 1))
+        return (build(part[:cut]), build(part[cut:]))
+
+    return HcTree(build(ids))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(trees())
+def test_parse_inverts_serialize(tree):
+    text = tree.serialize()
+    assert HcTree.parse(text) == tree
+    assert HcTree.parse(text).root == tree.root
+
+
+@pytest.mark.parametrize("text", ["((0,1)2)", "(0,,1)", "(,0,1)", "(0,1),", ",0",
+                                  "", "(0", "(0,1", "(0)", "0 1", "(0,1)(2,3)", "(0,1²)"])
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(MalformedTree):
+        HcTree.parse(text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.text(alphabet="(),0123 9x", max_size=24))
+def test_parse_gives_a_tree_or_a_typed_error(text):
+    try:
+        tree = HcTree.parse(text)
+    except (MalformedTree, DuplicateLeaf):
+        return
+    assert HcTree.parse(tree.serialize()) == tree

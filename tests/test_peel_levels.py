@@ -21,7 +21,7 @@ from peelembed.instances import generate, hc_case_c_spec
 from peelembed.la_dense import DenseLaConfig
 from peelembed.la_peeling import LaPeelConfig
 from peelembed.metric import Metric, find_core, metric_from_points, subset_stats
-from peelembed.objectives import HcTree, LinearArrangement, evaluate_la, relabel
+from peelembed.objectives import HcTree, LinearArrangement, evaluate_la
 from peelembed.partition_search import SearchBudget
 
 from structural import reference_evaluate_hc, set_weight
@@ -89,7 +89,7 @@ def level_solutions(m, witness, trace):
             order = [p for p in witness.order() if p in local]
             solution = LinearArrangement.from_order([local[p] for p in order])
         else:
-            solution = HcTree(relabel(node, local))
+            solution = HcTree(node).relabel(local)
         out.append((ids, solution))
         for _ in rec.a_ids:
             node = None if node is None else node[1]
