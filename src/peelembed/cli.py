@@ -317,6 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: each parse_args call makes a fresh Namespace and keeps its
+# mutually-exclusive and subparser state to that call, so ``main`` may be
+# called any number of times in one process.
+PARSER = build_parser()
+
 _COMMANDS = {
     "validate": _cmd_validate,
     "gen": _cmd_gen,
@@ -328,10 +333,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.seed < 0:  # numpy's seeding would reject it later, without naming the flag
-        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
+        PARSER.error(f"argument --seed: must be >= 0, got {args.seed}")
     try:
         return _COMMANDS[args.command](args)
     except (ConfigParse, InputParse) as exc:

@@ -8,6 +8,7 @@ points by enumerating balls around every candidate center.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,7 +63,9 @@ class Metric:
 
     Construct through :func:`validate_metric` (checked) or ``Metric(dist)``
     (unchecked, for matrices valid by construction); the constructor keeps a
-    read-only copy of ``dist`` and leaves the caller's array alone.
+    read-only copy of ``dist`` and leaves the caller's array alone.  A
+    :meth:`submetric` on one run of consecutive ids shares its parent's
+    matrix, and keeps it alive, as a NumPy slice does.
     """
 
     __slots__ = ("n", "dist")
@@ -72,8 +75,9 @@ class Metric:
 
     @classmethod
     def _adopt(cls, dist: np.ndarray) -> "Metric":
-        """Wrap a fresh C-ordered float array that no caller holds, without
-        copying it."""
+        """Wrap, without copying it, a fresh C-ordered float array that no
+        caller holds, or a square view of another metric's matrix along its
+        diagonal, which it then shares and keeps alive."""
         m = cls.__new__(cls)
         m._own(dist)
         return m
@@ -89,13 +93,18 @@ class Metric:
 
         The ids left after peeling a few points form a few runs of
         consecutive ids, and the block of each pair of runs is one slice of
-        ``dist``; see :data:`SUBMETRIC_RUN_IDS` for when slices are copied.
+        ``dist``.  On one run the result is that slice, a read-only view
+        that shares, and keeps alive, this metric's matrix; on more runs it
+        is a copy, see :data:`SUBMETRIC_RUN_IDS` for when by slices.
         """
         idx = np.asarray(sorted(indices), dtype=int)
         k = len(idx)
         if k and (idx[0] < 0 or idx[-1] >= self.n):
             raise IndexError(f"submetric ids out of range for n={self.n}")
         breaks = np.flatnonzero(np.diff(idx) != 1) + 1  # where each later run starts
+        if k and not len(breaks):
+            a = int(idx[0])
+            return Metric._adopt(self.dist[a : a + k, a : a + k])
         if (len(breaks) + 1) * SUBMETRIC_RUN_IDS > k:
             return Metric._adopt(self.dist[np.ix_(idx, idx)])
         starts = [0, *breaks.tolist()]
@@ -167,8 +176,7 @@ def _validate(mat: np.ndarray) -> Metric:
     # Clamp the diagonal so round-trips are bit-stable.
     np.fill_diagonal(mat, 0.0)
 
-    if _triangle_screen(mat, tol):
-        _raise_triangle_witness(mat, tol)  # returns only on a false flag
+    _raise_triangle_witness(mat, tol)  # on a metric it only screens
     return Metric._adopt(mat)
 
 
@@ -209,8 +217,11 @@ def _symmetrize(mat: np.ndarray, tol: float) -> None:
         raise AsymmetricMatrix(f"dist[{i}][{j}] != dist[{j}][{i}]")
 
 
-def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
-    """False only if no triple fails the test of :func:`_raise_triangle_witness`.
+def _triangle_screen(mat: np.ndarray, tol: float) -> Iterator[list]:
+    """Screen the pairs {i, k}, i < k, one row i at a time; once row i is
+    done, yield the points of its flagged pairs: i and each flagged k, or []
+    if none.  A triple that fails the test of
+    :func:`_raise_triangle_witness` is always flagged.
 
     For i < k, ``|d(k,j) - d(i,j)| <= d(i,k)`` over all j is the triangle
     inequality with the pair {i, k} as one side.  Columns j > i suffice: a
@@ -220,7 +231,9 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
     in blocks of whole rows, at most ``BLOCK_ENTRIES`` entries each,
     copied into one reused contiguous buffer and differenced in place there:
     the same entries and comparisons as the whole slab at once, in a buffer
-    that stays in cache.
+    that stays in cache.  The pair that sees a triple's violation holds its
+    via point k, as its one side is {i, k} or {k, j}, and its smaller point
+    is at most k.
 
     Rounding, with u = eps / 2 and M = max(D) >= every entry: if the witness
     test fl(d_ij - fl(d_ik + d_kj)) > tol rejects, then exactly
@@ -240,15 +253,17 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> bool:
         rest = mat[i, i + 1 :]
         bound = rest + allowed
         step = max(1, BLOCK_ENTRIES // rest.size)
+        flagged = []
         for lo in range(0, rest.size, step):
             block = mat[i + 1 + lo : i + 1 + lo + step, i + 1 :]
             slab = buf[: block.size].reshape(block.shape)
             np.copyto(slab, block)
             slab -= rest
             np.abs(slab, out=slab)
-            if (slab.max(axis=1) > bound[lo : lo + step]).any():
-                return True
-    return False
+            over = slab.max(axis=1) > bound[lo : lo + step]
+            if over.any():
+                flagged += (i + 1 + lo + np.flatnonzero(over)).tolist()
+        yield [i, *flagged] if flagged else flagged
 
 
 def _raise_triangle_witness(mat: np.ndarray, tol: float) -> None:
@@ -256,11 +271,14 @@ def _raise_triangle_witness(mat: np.ndarray, tol: float) -> None:
     first (i, j) of largest slack; return if no triple violates by > tol.
 
     The slack of (i, j) via k is fl(d_ij - fl(d_ik + d_kj)), as in the
-    n x n form ``mat - (mat[:, k, None] + mat[None, k, :])``.  Each block of
-    whole rows, at most ``BLOCK_ENTRIES`` entries, is scanned over k
-    below the smallest violating k found so far, in one reused buffer while
-    the rows stay in cache; the rows at the smallest k are then scanned again
-    for the first (i, j) of largest slack.
+    n x n form ``mat - (mat[:, k, None] + mat[None, k, :])``.  Only points
+    that :func:`_triangle_screen` flags can violate, and once it is past row
+    c every violating k <= c is flagged.  So each flagged c is checked
+    exactly, in ascending order, as soon as the screen is past row c, and
+    the first that violates is the smallest violating k; on a metric only
+    the screen runs.  A check scans blocks of whole rows, at most
+    ``BLOCK_ENTRIES`` entries, in one reused buffer; the rows at the
+    smallest k are then scanned again for the first (i, j) of largest slack.
     """
     n = mat.shape[0]
     step = max(1, BLOCK_ENTRIES // n)
@@ -273,13 +291,20 @@ def _raise_triangle_witness(mat: np.ndarray, tol: float) -> None:
         np.subtract(rows, out, out=out)
         return out
 
-    first = n
-    for lo in range(0, n, step):
-        for k in range(first):
-            if slack(lo, k).max() > tol:
-                first = k
-                break
-    if first == n:
+    def screened():  # each flagged point once, ascending, as the screen passes it
+        flagged, pending = set(), []  # pending: a heap of those not yet given
+        # rows n - 2 and n - 1, which the screen skips, flag nothing
+        for row, points in enumerate(itertools.chain(_triangle_screen(mat, tol), [[], []])):
+            for c in set(points) - flagged:
+                flagged.add(c)
+                heapq.heappush(pending, c)
+            while pending and pending[0] <= row:
+                yield heapq.heappop(pending)
+
+    violating = (k for k in screened()
+                 if any(slack(lo, k).max() > tol for lo in range(0, n, step)))
+    first = next(violating, None)
+    if first is None:
         return
     worst, at = -math.inf, None
     for lo in range(0, n, step):
@@ -321,6 +346,9 @@ def _block_max_and_upper_sum(dist: np.ndarray, idx: Optional[list]) -> tuple:
     most ``max(BLOCK_ENTRIES, PAIRWISE_BLOCK)`` entries, in one reused
     buffer where their lower-triangle entries are zeroed.  NumPy sums each run
     with the same pairwise steps, so the halves add up to the same bits.
+    A run is copied from its rows piece by piece (the tail of its first row,
+    its whole middle rows, the head of its last row), so ``dist`` may be a
+    view with rows apart in memory without a copy of the rows.
     """
     k = dist.shape[0] if idx is None else len(idx)
     leaf = max(BLOCK_ENTRIES, PAIRWISE_BLOCK)
@@ -333,7 +361,14 @@ def _block_max_and_upper_sum(dist: np.ndarray, idx: Optional[list]) -> tuple:
         r0, r1 = lo // k, (hi - 1) // k + 1
         rows = dist[r0:r1] if ids is None else dist[np.ix_(ids[r0:r1], ids)]
         out = buf[: hi - lo]
-        np.copyto(out, rows.reshape(-1)[lo - r0 * k : hi - r0 * k])
+        c0, c1 = lo - r0 * k, hi - (r1 - 1) * k  # the run's first and past-last column
+        if r1 - r0 == 1:
+            np.copyto(out, rows[0, c0:c1])
+        else:
+            head, body = k - c0, (r1 - r0 - 2) * k
+            np.copyto(out[:head], rows[0, c0:])
+            np.copyto(out[head : head + body].reshape(-1, k), rows[1:-1])
+            np.copyto(out[head + body :], rows[-1, :c1])
         largest = np.maximum(largest, out.max())  # NaN propagates, as in B.max()
         for r in range(r0, r1):  # row r's lower triangle: flat r k + [0, r]
             start = r * k - lo

@@ -93,7 +93,9 @@ def _level(policy, cfg, seed, cap, sub, ids, stats, level, trace):
     if layer:
         w_a = _weight(sub, layer)
         w_ac = float(sub.dist[np.ix_(layer, core)].sum())
-        kept_sub = sub.submetric(kept)  # the one copy of the next level's block
+        # the next level's block: a view when the kept ids are one run, as the
+        # outliers a case-(c) level peels come last; else its one copy
+        kept_sub = sub.submetric(kept)
         kept_stats = subset_stats(kept_sub, range(kept_sub.n))
         if kept_stats.weight_sum < policy.case_b_factor * eps * stats.weight_sum:
             case, inner, below = "b", policy.canonical(len(kept)), None

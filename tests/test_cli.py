@@ -1,10 +1,16 @@
 """Command-line interface: subcommand roundtrips, exit codes, bench CSV."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from peelembed import cli
 from peelembed.cli import CSV_COLUMNS, OBJECTIVES, main, run_bench
 from peelembed.instances import GeneratorSpec, generate, la_case_c_spec
 from peelembed.metric import Metric, format_metric, parse_metric
@@ -387,3 +393,58 @@ class TestBench:
         cfg.write_bytes(json.dumps(BENCH_CONFIG).encode("utf-8") + b"\xff")
         assert main(["bench", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read config ")
+
+
+class TestRepeatedMain:
+    def test_calls_share_one_parser_and_no_state(self, matrix_file, tmp_path, capsys,
+                                                  monkeypatch):
+        solve = ["solve-la", "--input", matrix_file, "--eps", "0.5"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        lone = subprocess.run([sys.executable, "-m", "peelembed.cli", *solve], env=env,
+                              capture_output=True, text=True, check=True).stdout
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        refused = tmp_path / "refused.jsonl"
+        for argv in ([*solve, "--dense-only", "--trace", str(refused)], ["--seed", "-1", *solve]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert main([*solve, "--budget-restarts", "0"]) == 0
+        trace = tmp_path / "t.jsonl"
+        assert main(["--seed", "3", *solve, "--trace", str(trace)]) == 0
+        assert [json.loads(line) for line in trace.read_text().splitlines()]
+        trace.unlink()
+        capsys.readouterr()
+        assert main(solve) == 0
+        assert capsys.readouterr().out == lone
+        assert not trace.exists() and not refused.exists()
+        cfg, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+        cfg.write_text(json.dumps(BENCH_CONFIG))
+        assert main(["--out", str(out), "bench", "--config", str(cfg)]) == 0
+        assert out.read_text() == run_bench(BENCH_CONFIG)
+        assert built == []
+
+    @pytest.mark.parametrize("dense_only", [False, True])
+    @pytest.mark.parametrize("objective", list(OBJECTIVES))
+    @pytest.mark.parametrize("k", [40, 300])
+    @pytest.mark.parametrize("family", ["clustered", "two_scale"])
+    def test_solve_on_a_view_prints_what_a_copy_prints(self, tmp_path, capsys, monkeypatch,
+                                                       family, k, objective, dense_only):
+        big = generate(GeneratorSpec(family=family, n=k + 11, seed=1))
+        view = Metric._adopt(big.dist[:k, :k])  # rows k + 11 entries apart
+        # the default budget's restarts read a quantized copy of the matrix, and
+        # cost seconds for LA at k = 300; the swap climb reads the view either way
+        budget = "0" if (objective, k) == ("la", 300) else "32"
+        argv = [f"solve-{objective}", "--input", "-", "--eps", "0.5", "--budget-restarts", budget]
+        argv += ["--dense-only"] if dense_only else ["--trace", str(tmp_path / "t.jsonl")]
+        outs = []
+        for m in (view, Metric(view.dist)):
+            monkeypatch.setattr(cli, "_load_metric", lambda path, fmt, m=m: m)
+            assert main(argv) == 0
+            trace = "" if dense_only else (tmp_path / "t.jsonl").read_text()
+            outs.append((capsys.readouterr().out, trace))
+        assert outs[0] == outs[1]

@@ -135,12 +135,14 @@ def test_triangle_screen_matches_reference_scan(kind, n, scale, plants, seed):
 
 @pytest.mark.parametrize("kind", ["closure", "euclid", "path", "uniform"])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
-def test_triangle_witness_scan_skipped_on_metrics(monkeypatch, kind, scale):
-    def fail(mat, tol):
-        raise AssertionError("the screen flagged a metric")
+def test_triangle_witness_scan_skipped_on_metrics(kind, scale):
+    # the screen flags no point of a metric, so no point is checked exactly
+    m = validate_metric(_triangle_base(kind, 60, np.random.default_rng(4), scale))
+    assert not _screen_flags(m.dist, TRIANGLE_TOL * max(m.diameter(), 1.0))
 
-    monkeypatch.setattr(metric_module, "_raise_triangle_witness", fail)
-    validate_metric(_triangle_base(kind, 60, np.random.default_rng(4), scale))
+
+def _screen_flags(mat, tol):
+    return any(metric_module._triangle_screen(mat, tol))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -162,7 +164,7 @@ def test_blocked_triangle_screen_matches_whole_slab(kind, n, scale, plants, rows
     entries = 1 if rows == 1 else rows * (n - 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric_module, "BLOCK_ENTRIES", entries)
-        flag = metric_module._triangle_screen(mat, tol)
+        flag = _screen_flags(mat, tol)
     assert flag == reference_triangle_screen(mat, tol)
 
 
@@ -176,7 +178,7 @@ def test_triangle_screen_flags_a_violation_in_a_rows_last_block():
     step = metric_module.BLOCK_ENTRIES // (n - 1)
     assert 0 < (n - 2) // step * step <= a - 1
     tol = TRIANGLE_TOL * float(mat.max())
-    assert metric_module._triangle_screen(mat, tol)
+    assert _screen_flags(mat, tol)
     assert reference_triangle_screen(mat, tol)
     with pytest.raises(TriangleViolation) as exc:
         validate_metric(mat)
@@ -187,7 +189,7 @@ def test_triangle_screen_peak_memory():
     mat = _triangle_base("path", 600, None, 1.0)
     tracemalloc.start()
     try:
-        assert not metric_module._triangle_screen(mat, TRIANGLE_TOL * float(mat.max()))
+        assert not _screen_flags(mat, TRIANGLE_TOL * float(mat.max()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -269,6 +271,36 @@ def test_triangle_witness_late_violation(monkeypatch):
     want = reference_triangle_scan(mat, tol)
     assert want == (n - 3, n - 1, n - 2, 0.5)
     assert _triangle_outcome(mat, tol) == want
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(mat)
+    assert (*exc.value.triple, exc.value.slack) == want
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize(
+    "gadgets",
+    [
+        [(0, 2, 1)],  # early k
+        [(90, 110, 100)],
+        [(197, 199, 198)],  # late k
+        # k = 150 is flagged in screen row 0, k = 100 only in row 100
+        [(0, 199, 150), (120, 130, 100)],
+        [(3, 7, 180), (50, 60, 40), (170, 190, 185)],
+    ],
+)
+def test_triangle_witness_at_the_smallest_planted_k(monkeypatch, rows, gadgets):
+    # every distance 2, but d(i, k) = d(k, j) = 1 < d(i, j) = 2.5 for each
+    # gadget (i, j, k): its only violating triple is (i, j) via k
+    n = 200
+    mat = np.full((n, n), 2.0)
+    np.fill_diagonal(mat, 0.0)
+    for i, j, k in gadgets:
+        mat[i, k] = mat[k, i] = mat[k, j] = mat[j, k] = 1.0
+        mat[i, j] = mat[j, i] = 2.5
+    if rows is not None:
+        monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", rows * n)
+    want = reference_triangle_scan(mat, TRIANGLE_TOL * 2.5)
+    assert want[2] == min(k for _, _, k in gadgets)
     with pytest.raises(TriangleViolation) as exc:
         validate_metric(mat)
     assert (*exc.value.triple, exc.value.slack) == want
@@ -550,7 +582,10 @@ def test_subset_stats_copy_free_sum_is_bit_equal(monkeypatch, n, block):
     # runs of 8 to 2^16 entries; below 128 the runs are NumPy's own blocks
     monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", block)
     rng, metrics = _stats_inputs(n)
-    for m in metrics:
+    # a one-run submetric is a view whose rows lie n + 5 entries apart
+    cloud = np.random.default_rng(n + 5).normal(size=(n + 5, 2))
+    view = metric_from_points(cloud).submetric(range(3, n + 3))
+    for m in (*metrics, view):
         subsets = [range(n), sorted(rng.choice(n, size=max(n // 2, 1), replace=False))]
         for subset in subsets:
             assert subset_stats(m, subset) == reference_subset_stats(m, subset)
@@ -825,7 +860,11 @@ def test_submetric_bit_equal_to_gather(monkeypatch, run_ids):
         for ids in id_sets:
             sub = m.submetric(ids)
             want = reference_submetric(m, ids)
-            assert sub.n == len(want) and sub.dist.flags.c_contiguous
+            assert sub.n == len(want)
+            if np.all(np.diff(sorted(ids)) == 1):  # one run: a view of m's matrix
+                assert np.shares_memory(sub.dist, m.dist)
+            else:
+                assert sub.dist.flags.c_contiguous
             assert not sub.dist.flags.writeable
             assert sub.dist.tobytes() == np.ascontiguousarray(want).tobytes()
         for ids in ([-1, 0], [n - 1, n]):
