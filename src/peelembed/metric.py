@@ -8,7 +8,6 @@ points by enumerating balls around every candidate center.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -270,50 +269,52 @@ def _raise_triangle_witness(mat: np.ndarray, tol: float) -> None:
     """Raise :class:`TriangleViolation` at the smallest violating k, with the
     first (i, j) of largest slack; return if no triple violates by > tol.
 
-    The slack of (i, j) via k is fl(d_ij - fl(d_ik + d_kj)), as in the
-    n x n form ``mat - (mat[:, k, None] + mat[None, k, :])``.  Only points
-    that :func:`_triangle_screen` flags can violate, and once it is past row
-    c every violating k <= c is flagged.  So each flagged c is checked
-    exactly, in ascending order, as soon as the screen is past row c, and
-    the first that violates is the smallest violating k; on a metric only
-    the screen runs.  A check scans blocks of whole rows, at most
-    ``BLOCK_ENTRIES`` entries, in one reused buffer; the rows at the
-    smallest k are then scanned again for the first (i, j) of largest slack.
+    Only points that :func:`_triangle_screen` flags can violate, and row r
+    of the screen flags only r and points above it, so once it is past row c
+    every violating k <= c is flagged.  So right after row c, c is checked
+    exactly by :func:`_violates` if it is flagged, and the first that
+    violates is the smallest violating k; on a metric only the screen runs.
+    The rows at the smallest k are then scanned again for the first (i, j)
+    of largest slack.
     """
     n = mat.shape[0]
-    step = max(1, BLOCK_ENTRIES // n)
-    buf = np.empty(min(step, n) * n)
-
-    def slack(lo, k):  # rows [lo, lo + step) via k
-        rows = mat[lo : lo + step]
-        out = buf[: rows.size].reshape(rows.shape)
-        np.add(rows[:, k, None], mat[k], out=out)
-        np.subtract(rows, out, out=out)
-        return out
-
-    def screened():  # each flagged point once, ascending, as the screen passes it
-        flagged, pending = set(), []  # pending: a heap of those not yet given
-        # rows n - 2 and n - 1, which the screen skips, flag nothing
-        for row, points in enumerate(itertools.chain(_triangle_screen(mat, tol), [[], []])):
-            for c in set(points) - flagged:
-                flagged.add(c)
-                heapq.heappush(pending, c)
-            while pending and pending[0] <= row:
-                yield heapq.heappop(pending)
-
-    violating = (k for k in screened()
-                 if any(slack(lo, k).max() > tol for lo in range(0, n, step)))
-    first = next(violating, None)
+    buf = np.empty(min(max(1, BLOCK_ENTRIES // n), n) * n)
+    marks, first = np.zeros(n, dtype=bool), None
+    # rows n - 2 and n - 1, which the screen skips, flag nothing
+    rows = itertools.chain(_triangle_screen(mat, tol), itertools.repeat([]))
+    for k, points in zip(range(n), rows):
+        marks[points] = True
+        if marks[k] and _violates(mat, k, tol, buf):
+            first = k
+            break
     if first is None:
         return
     worst, at = -math.inf, None
-    for lo in range(0, n, step):
-        out = slack(lo, first)
+    for lo in range(0, n, buf.size // n):
+        out = _slack(mat, lo, first, buf)
         top = float(out.max())
         if top > worst:
             r, c = np.unravel_index(int(np.argmax(out)), out.shape)
             worst, at = top, (lo + int(r), int(c))
     raise TriangleViolation(*at, first, worst)
+
+
+def _violates(mat: np.ndarray, k: int, tol: float, buf: np.ndarray) -> bool:
+    """Whether some (i, j) has slack above ``tol`` via k, scanned in blocks
+    of ``buf.size // n`` whole rows (see :func:`_slack`)."""
+    n = mat.shape[0]
+    return any(_slack(mat, lo, k, buf).max() > tol for lo in range(0, n, buf.size // n))
+
+
+def _slack(mat: np.ndarray, lo: int, k: int, buf: np.ndarray) -> np.ndarray:
+    """The slack fl(d_ij - fl(d_ik + d_kj)) of rows [lo, lo + buf.size // n)
+    via k, written into ``buf``: those rows of the n x n form
+    ``mat - (mat[:, k, None] + mat[None, k, :])``."""
+    rows = mat[lo : lo + buf.size // mat.shape[0]]
+    out = buf[: rows.size].reshape(rows.shape)
+    np.add(rows[:, k, None], mat[k], out=out)
+    np.subtract(rows, out, out=out)
+    return out
 
 
 def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
@@ -346,9 +347,6 @@ def _block_max_and_upper_sum(dist: np.ndarray, idx: Optional[list]) -> tuple:
     most ``max(BLOCK_ENTRIES, PAIRWISE_BLOCK)`` entries, in one reused
     buffer where their lower-triangle entries are zeroed.  NumPy sums each run
     with the same pairwise steps, so the halves add up to the same bits.
-    A run is copied from its rows piece by piece (the tail of its first row,
-    its whole middle rows, the head of its last row), so ``dist`` may be a
-    view with rows apart in memory without a copy of the rows.
     """
     k = dist.shape[0] if idx is None else len(idx)
     leaf = max(BLOCK_ENTRIES, PAIRWISE_BLOCK)
@@ -361,14 +359,7 @@ def _block_max_and_upper_sum(dist: np.ndarray, idx: Optional[list]) -> tuple:
         r0, r1 = lo // k, (hi - 1) // k + 1
         rows = dist[r0:r1] if ids is None else dist[np.ix_(ids[r0:r1], ids)]
         out = buf[: hi - lo]
-        c0, c1 = lo - r0 * k, hi - (r1 - 1) * k  # the run's first and past-last column
-        if r1 - r0 == 1:
-            np.copyto(out, rows[0, c0:c1])
-        else:
-            head, body = k - c0, (r1 - r0 - 2) * k
-            np.copyto(out[:head], rows[0, c0:])
-            np.copyto(out[head : head + body].reshape(-1, k), rows[1:-1])
-            np.copyto(out[head + body :], rows[-1, :c1])
+        np.copyto(out, rows.reshape(-1)[lo - r0 * k : hi - r0 * k])
         largest = np.maximum(largest, out.max())  # NaN propagates, as in B.max()
         for r in range(r0, r1):  # row r's lower triangle: flat r k + [0, r]
             start = r * k - lo
