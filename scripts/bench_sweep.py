@@ -3,7 +3,8 @@
 
 Writes a CSV (same columns as `peelembed bench`) plus a per-algorithm summary
 of mean approximation ratios against the exact oracles.  All rows are
-deterministic under --seed; add --timing for wall times.
+deterministic under --seed; add --timing for wall times (a dense row that
+reuses the solve of a case-(a) peel root reports that peel's wall time).
 
 Usage:
     python3 scripts/bench_sweep.py --out bench.csv

@@ -126,11 +126,11 @@ def _caterpillar_gains(dist: np.ndarray, slots: int):
 def _gain_rows(dist, upper, assigns, points, targets, slots):
     """``_caterpillar_gains``'s gains for one batch of rows."""
     c, n = assigns.shape
-    slot = np.arange(slots)
+    row, ids, slot = np.arange(c)[:, None], np.arange(n), np.arange(slots)
     onehot = (assigns[:, :, None] == slot).astype(float)
     sizes = onehot.sum(axis=1)
     below = np.cumsum(onehot, axis=1) - onehot  # lower ids of each slot
-    rank = np.take_along_axis(below, assigns[:, :, None], 2)
+    rank = below[row, ids, assigns][:, :, None]
 
     def times(mat, cols):  # mat @ cols[l] for every row l, as one product
         out = mat @ cols.transpose(1, 0, 2).reshape(n, c * slots)
@@ -140,7 +140,7 @@ def _gain_rows(dist, upper, assigns, points, targets, slots):
     higher = times(upper, onehot)
     lower_ranked = times(upper.T, onehot * rank)
     cross = onehot.transpose(0, 2, 1) @ part
-    own = np.take_along_axis(higher, assigns[:, :, None], 2)  # R
+    own = higher[row, ids, assigns][:, :, None]  # R
     above = np.zeros_like(onehot)  # R summed over each slot's higher ids
     above[:, :-1] = np.cumsum((onehot * own)[:, :0:-1], axis=1)[:, ::-1]
     join = below * higher + lower_ranked + above
@@ -153,9 +153,9 @@ def _gain_rows(dist, upper, assigns, points, targets, slots):
     to_slot = by_slot[:, None, :] + part @ twice_k - join  # the terms of b
     suffix = np.cumsum(part[..., ::-1], axis=2)[..., ::-1]
     here = assigns[:, :, None]
-    gain = (to_slot - np.take_along_axis(to_slot, here, 2)
-            + np.take_along_axis(suffix, np.minimum(here, slot), 2))  # (row, p, b)
-    return np.take_along_axis(gain.reshape(c, n * slots), points * slots + targets, 1)
+    gain = (to_slot - to_slot[row, ids, assigns][:, :, None]
+            + suffix[row[:, :, None], ids[:, None], np.minimum(here, slot)])  # (row, p, b)
+    return gain.reshape(c, n * slots)[row, points * slots + targets]
 
 
 def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):

@@ -166,7 +166,8 @@ def _swap_hill_climb(m: Metric, starts, sweeps: int) -> list:
             pos[batch, i], pos[batch, j] = pos[batch, j], pos[batch, i]
             going.append(batch)
         live = np.concatenate(going)
-    climbed = (LinearArrangement.from_positions(int(p) for p in row) for row in pos)
+    # slot swaps of a permutation: each row is one, so no bijection check
+    climbed = (LinearArrangement(tuple(row)) for row in pos.astype(int).tolist())
     return [arr if new == arr else new for arr, new in zip(starts, climbed)]
 
 

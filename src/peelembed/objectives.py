@@ -218,7 +218,7 @@ def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float
     total = below
     for lo, mid, hi in spans if top is None else spans[len(spans) - top :]:
         if mid - lo > 1:
-            block = m.dist[np.ix_(idx[lo:mid], idx[mid:hi])]
+            block = m.dist[idx[lo:mid, None], idx[mid:hi]]
         elif run[mid] >= hi - mid:
             block = m.dist[order[lo], order[mid] : order[mid] + hi - mid]
         else:

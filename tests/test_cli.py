@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peelembed import cli
+from peelembed import cli, hc_peeling, la_peeling
 from peelembed.cli import CSV_COLUMNS, OBJECTIVES, main, run_bench
 from peelembed.instances import GeneratorSpec, generate, la_case_c_spec
 from peelembed.metric import Metric, format_metric, parse_metric
@@ -316,6 +316,12 @@ BENCH_CONFIG = {
 }
 
 
+# an instance every peel solves at its root in case (a), and one whose HC
+# peel at eps 0.5 takes case (b) there
+ROOT_A = {"family": "clustered", "n": 6, "seed": 2, "label": "root-a"}
+ROOT_B = {"family": "cluster_plus_outliers", "n": 6, "label": "root-b"}
+
+
 class TestBench:
     def test_csv_shape_and_ratios(self):
         text = run_bench(BENCH_CONFIG)
@@ -393,6 +399,67 @@ class TestBench:
         cfg.write_bytes(json.dumps(BENCH_CONFIG).encode("utf-8") + b"\xff")
         assert main(["bench", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read config ")
+
+
+def _bench_table(algorithms, timing=False, instances=(ROOT_A,)):
+    text = run_bench({"eps": [0.25, 0.5], "algorithms": algorithms,
+                      "instances": list(instances)}, timing=timing)
+    return [dict(zip(CSV_COLUMNS, line.split(","))) for line in text.splitlines()[1:]]
+
+
+class TestBenchDenseReuse:
+    """A dense row after a peel row whose root level was case (a) takes that
+    root's dense solve instead of running it again."""
+
+    def test_dense_rows_equal_whatever_the_order(self):
+        instances = (ROOT_A, ROOT_B)
+        after = _bench_table(["peel-la", "dense-la", "peel-hc", "dense-hc"],
+                             instances=instances)
+        alone = _bench_table(["dense-la", "dense-hc"], instances=instances)
+        before = _bench_table(["dense-la", "peel-la", "dense-hc", "peel-hc"],
+                              instances=instances)
+        # the case-(b) root keeps a dense row that is solved, not reused
+        cases = {(r["instance"], r["algorithm"], r["eps"]): r["cases"]
+                 for r in after if r["algorithm"].startswith("peel")}
+        assert cases == {(label, f"peel-{objective}", eps): "a"
+                         for label in ("root-a", "root-b")
+                         for objective in OBJECTIVES for eps in ("0.25", "0.5")
+                         } | {("root-b", "peel-hc", "0.5"): "b"}
+
+        def dense(rows):
+            return [r for r in rows if r["algorithm"].startswith("dense")]
+
+        assert dense(after) == dense(alone) == dense(before)
+        assert all(r["depth"] == r["cases"] == "" for r in dense(after))
+        assert [r for r in after if r not in dense(after)] == [
+            r for r in before if r not in dense(before)]
+
+    @pytest.mark.parametrize("algorithms, calls", [
+        (["peel-la", "dense-la", "peel-hc", "dense-hc"], 2),
+        (["dense-la", "peel-la", "dense-hc", "peel-hc"], 4),  # a peel reuses nothing
+    ], ids=["peel-first", "dense-first"])
+    def test_each_dense_solve_runs_once(self, monkeypatch, algorithms, calls):
+        counts = {"la": 0, "hc": 0}
+        for objective, modules in (("la", (cli, la_peeling)), ("hc", (cli, hc_peeling))):
+            name = f"solve_{objective}_dense"
+            solve = getattr(cli, name)
+
+            def counted(*args, objective=objective, solve=solve):
+                counts[objective] += 1
+                return solve(*args)
+
+            for module in modules:
+                monkeypatch.setattr(module, name, counted)
+        _bench_table(algorithms)
+        assert counts == {"la": calls, "hc": calls}
+
+    def test_reused_row_reports_the_shared_wall_time(self):
+        rows = _bench_table(["peel-la", "dense-la", "peel-hc", "dense-hc"], timing=True)
+        times = {(r["algorithm"], r["eps"]): r["wall_time"] for r in rows}
+        assert all(t != "" for t in times.values())
+        for objective in OBJECTIVES:
+            for eps in ("0.25", "0.5"):
+                assert times[f"dense-{objective}", eps] == times[f"peel-{objective}", eps]
 
 
 class TestRepeatedMain:
