@@ -36,15 +36,10 @@ SCREEN_MARGIN_EPS = 8
 
 # Most float64 entries one reused buffer holds, 512 KB: a block of whole rows
 # (at least one) of ``validate_metric``'s passes (``_symmetrize``,
-# ``_triangle_screen``, ``_raise_triangle_witness``) and of
-# ``metric_from_points``, for any n up to 2^16; and a run of a subset's block
-# that ``subset_stats`` sums, so its weight sum needs no copy of the block.
+# ``_triangle_screen``, ``_raise_triangle_witness``), of
+# ``metric_from_points`` and of a subset's block that ``subset_stats``
+# gathers, for any n up to 2^16.
 BLOCK_ENTRIES = 1 << 16
-
-# NumPy sums a contiguous float array pairwise: a run of at most this many
-# entries in one unrolled loop, a longer one as the sum of its two halves,
-# split at a multiple of 8.
-PAIRWISE_BLOCK = 128
 
 # ``Metric.submetric`` copies the blocks between runs of consecutive ids as
 # slices when the runs hold at least this many ids on average, and gathers
@@ -62,7 +57,10 @@ class Metric:
 
     Construct through :func:`validate_metric` (checked) or ``Metric(dist)``
     (unchecked, for matrices valid by construction); the constructor keeps a
-    read-only copy of ``dist`` and leaves the caller's array alone.  A
+    read-only copy of ``dist`` and leaves the caller's array alone.  An
+    unchecked ``dist`` must equal ``dist.T`` bit for bit, with a +0
+    diagonal, as every checked one does: :func:`subset_stats` takes the
+    weight of a block as half the sum of its rows.  A
     :meth:`submetric` on one run of consecutive ids shares its parent's
     matrix, and keeps it alive, as a NumPy slice does.
     """
@@ -118,7 +116,8 @@ class Metric:
         return float(self.dist.max()) if self.n else 0.0
 
     def total_weight(self) -> float:
-        return float(np.triu(self.dist, 1).sum())
+        """``subset_stats(self, range(self.n)).weight_sum``."""
+        return _block_max_and_weight(self.dist, range(self.n))[1]
 
     def __repr__(self):
         return f"Metric(n={self.n})"
@@ -322,9 +321,11 @@ def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
 
     The weight sum counts each unordered pair once; density is
     W / (size^2 * diameter), reported as :data:`DENSE_BY_CONVENTION` when the
-    diameter is zero.  Both are bit for bit those of the gathered block
-    ``B = m.dist[np.ix_(idx, idx)]``: ``B.max()`` and ``np.triu(B, 1).sum()``,
-    computed by :func:`_block_max_and_upper_sum` without a copy of ``B``.
+    diameter is zero.  Of the gathered block ``B = m.dist[np.ix_(idx, idx)]``
+    they are ``B.max()`` and ``B.sum(axis=1).sum() / 2`` bit for bit, computed
+    by :func:`_block_max_and_weight` without a copy of ``B``: the strict
+    upper triangle's sum in real arithmetic, as ``B`` is symmetric with a
+    zero diagonal.
     """
     idx = sorted(set(int(i) for i in subset))
     if not idx:
@@ -332,48 +333,33 @@ def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
     if idx[0] < 0 or idx[-1] >= m.n:
         raise IndexError(f"subset out of range for n={m.n}")
     size = len(idx)
-    diameter, weight = _block_max_and_upper_sum(m.dist, None if size == m.n else idx)
+    diameter, weight = _block_max_and_weight(m.dist, idx)
     density = weight / (size * size * diameter) if diameter > 0.0 else DENSE_BY_CONVENTION
     return SubsetStats(diameter=diameter, weight_sum=weight, size=size, density=density)
 
 
-def _block_max_and_upper_sum(dist: np.ndarray, idx: Optional[list]) -> tuple:
-    """(max entry, strict-upper-triangle sum) of the block of ``dist`` on the
-    ascending ids ``idx`` (all of ``dist`` when None), in C order.
+def _block_max_and_weight(dist: np.ndarray, idx: list) -> tuple:
+    """(max entry, weight) of the block of ``dist`` on the ascending ids
+    ``idx``: the weight is half of one NumPy sum over the block's row sums.
 
-    NumPy sums the C-ordered block with its lower triangle zeroed as one
-    pairwise reduction over its k^2 entries (see :data:`PAIRWISE_BLOCK`).
-    This takes the same halves recursively, and materialises only runs of at
-    most ``max(BLOCK_ENTRIES, PAIRWISE_BLOCK)`` entries, in one reused
-    buffer where their lower-triangle entries are zeroed.  NumPy sums each run
-    with the same pairwise steps, so the halves add up to the same bits.
+    Rows are summed whole by ``rows.sum(axis=1)``, in blocks of at most
+    ``BLOCK_ENTRIES`` entries: all of ``dist``'s rows are sliced when ``idx``
+    covers them and each row is contiguous, as in a :class:`Metric` or its
+    view, and gathered with ``np.ix_`` otherwise.  NumPy sums a contiguous
+    row the same way whatever its neighbours, so a view, a copy and any
+    block size give the same bits.
     """
-    k = dist.shape[0] if idx is None else len(idx)
-    leaf = max(BLOCK_ENTRIES, PAIRWISE_BLOCK)
-    buf = np.empty(min(k * k, leaf))
-    ids = None if idx is None else np.asarray(idx)
+    k = len(idx)
+    step = max(1, BLOCK_ENTRIES // max(k, 1))
+    whole = k == dist.shape[0] and dist.strides[1] == dist.itemsize
+    ids = None if whole else np.asarray(idx)
+    sums = np.empty(k)
     largest = np.float64(-math.inf)
-
-    def run_sum(lo, hi):  # entries [lo, hi) of the block, flattened
-        nonlocal largest
-        r0, r1 = lo // k, (hi - 1) // k + 1
-        rows = dist[r0:r1] if ids is None else dist[np.ix_(ids[r0:r1], ids)]
-        out = buf[: hi - lo]
-        np.copyto(out, rows.reshape(-1)[lo - r0 * k : hi - r0 * k])
-        largest = np.maximum(largest, out.max())  # NaN propagates, as in B.max()
-        for r in range(r0, r1):  # row r's lower triangle: flat r k + [0, r]
-            start = r * k - lo
-            out[max(start, 0) : max(start + r + 1, 0)] = 0.0
-        return out.sum()
-
-    def pairwise(lo, count):
-        if count <= leaf:
-            return run_sum(lo, lo + count)
-        half = _pairwise_half(count)
-        return pairwise(lo, half) + pairwise(lo + half, count - half)
-
-    weight = float(pairwise(0, k * k))
-    return float(largest), weight
+    for lo in range(0, k, step):
+        rows = dist[lo : lo + step] if whole else dist[np.ix_(ids[lo : lo + step], ids)]
+        largest = np.maximum(largest, rows.max())  # NaN propagates, as in B.max()
+        rows.sum(axis=1, out=sums[lo : lo + step])
+    return float(largest), float(sums.sum()) / 2.0
 
 
 def find_core(m: Metric, stats: Optional[SubsetStats] = None) -> CoreResult:
@@ -518,13 +504,12 @@ def metric_from_points(points: np.ndarray) -> Metric:
     """Euclidean metric of the rows of an n x d array of finite coordinates;
     raises :class:`NonFiniteDistance` if a distance overflows.
 
-    Each entry is ``sqrt(sum(diff * diff))`` over its d coordinate
-    differences, bit for bit as NumPy sums the last axis of an n x n x d
-    tensor, but no such tensor is built.  Rows are computed in blocks of at
-    most ``BLOCK_ENTRIES`` entries, in place in the n x n result: each
-    coordinate's squared differences are added into the block in NumPy's
-    pairwise order (see :func:`_add_squares`), with a few reused scratch
-    blocks.  The result is exactly symmetric with a zero diagonal without a
+    Each entry is ``sqrt(sq_1 + sq_2 + ... + sq_d)``, its coordinates'
+    squared differences added left to right, but no n x n x d tensor is
+    built.  Rows are computed in blocks of at most ``BLOCK_ENTRIES`` entries,
+    in place in the n x n result: the first coordinate's squares are written
+    into the block and each later one's are added from one reused scratch
+    block.  The result is exactly symmetric with a zero diagonal without a
     further pass: fl(a - b) = -fl(b - a) and a - a = +0, so entries (i, j)
     and (j, i) add the same d squares in the same order.
 
@@ -537,7 +522,7 @@ def metric_from_points(points: np.ndarray) -> Metric:
         i, j = np.argwhere(~np.isfinite(pts))[0]
         raise NonFiniteDistance(f"point {i} coordinate {j} = {pts[i, j]:g} is not finite")
     n, d = pts.shape
-    dist = np.empty((n, n))
+    dist = np.empty((n, n)) if d else np.zeros((n, n))
     cols = np.ascontiguousarray(pts.T)  # one row per coordinate
     step = max(1, BLOCK_ENTRIES // max(n, 1))
     if d == 1 and _abs_differences_exact(cols[0]):
@@ -546,18 +531,17 @@ def metric_from_points(points: np.ndarray) -> Metric:
             np.subtract(cols[0, lo : lo + step, None], cols[0], out=block)
             np.abs(block, out=block)
         return Metric._adopt(dist)  # every entry is below 2^511: no overflow
-    scratch = np.empty((_add_squares_scratch(d), min(step, n) * n))
+    scratch = np.empty(min(step, n) * n)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
             block = dist[lo : lo + step]
-            rows = cols[:, lo : lo + step, None]
-
-            def square(c, into):  # the squared differences of coordinate c
-                np.subtract(rows[c], cols[c], out=into)
+            term = scratch[: block.size].reshape(block.shape)
+            for c in range(d):
+                into = term if c else block
+                np.subtract(cols[c, lo : lo + step, None], cols[c], out=into)
                 np.multiply(into, into, out=into)
-
-            free = [buf[: block.size].reshape(block.shape) for buf in scratch]
-            _add_squares(block, square, 0, d, free)
+                if c:
+                    block += term
             np.sqrt(block, out=block)
     if dist.size and not np.isfinite(dist.max()):
         i, j = np.unravel_index(int(np.argmin(np.isfinite(dist))), dist.shape)
@@ -590,57 +574,3 @@ def _abs_differences_exact(x: np.ndarray) -> bool:
         span = xs[-1] - xs[0]
     smallest = np.min(gaps, where=gaps > 0.0, initial=math.inf)
     return bool(smallest >= 2.0**-511 and span < 2.0**511)
-
-
-def _add_squares(out, square, lo, count, free):
-    """Set ``out`` to the sum of the terms ``square(c, into)`` writes for c in
-    [lo, lo + count), added as NumPy's pairwise sum adds a contiguous run of
-    ``count`` entries: left to right below 8 entries; up to
-    :data:`PAIRWISE_BLOCK` in eight lanes, lane j summing entries j, j + 8,
-    ... of the largest multiple of 8, combined as ((r0 + r1) + (r2 + r3)) +
-    ((r4 + r5) + (r6 + r7)) and followed by the rest left to right; and
-    beyond, as the sums of two halves split at a multiple of 8.  Every term
-    is at least +0, so NumPy's starting 0 changes no sum.
-
-    ``free`` holds scratch arrays of ``out``'s shape, as many as
-    :func:`_add_squares_scratch` gives for ``count``.
-    """
-    if count > PAIRWISE_BLOCK:
-        half = _pairwise_half(count)
-        _add_squares(out, square, lo, half, free)
-        _add_squares(free[0], square, lo + half, count - half, free[1:])
-        out += free[0]
-        return
-    term, body = free[0], count - count % 8
-    if body:
-        lanes = [out, *free[1:8]]
-        for c in range(8):
-            square(lo + c, lanes[c])
-        for c in range(8, body):
-            square(lo + c, term)
-            lanes[c % 8] += term
-        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            lanes[a] += lanes[b]
-    elif count:
-        square(lo, out)
-        body = 1
-    else:
-        out.fill(0.0)
-    for c in range(body, count):
-        square(lo + c, term)
-        out += term
-
-
-def _add_squares_scratch(count: int) -> int:
-    """How many scratch arrays :func:`_add_squares` takes for ``count`` terms."""
-    if count <= PAIRWISE_BLOCK:
-        return 8 if count >= 8 else 1
-    half = _pairwise_half(count)
-    return max(_add_squares_scratch(half), 1 + _add_squares_scratch(count - half))
-
-
-def _pairwise_half(count: int) -> int:
-    """Where NumPy's pairwise sum splits a run of more than
-    :data:`PAIRWISE_BLOCK` entries: about halfway, at a multiple of 8."""
-    half = count // 2
-    return half - half % 8

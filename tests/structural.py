@@ -241,11 +241,12 @@ def reference_evaluate_hc(m, tree):
 
 
 def reference_subset_stats(m, subset):
-    """``subset_stats`` as it was: an ``np.ix_`` gather and ``np.triu``."""
+    """``subset_stats`` by its definition: an ``np.ix_`` gather, whose row
+    sums are summed once and halved."""
     idx = sorted(set(int(i) for i in subset))
     sub = m.dist[np.ix_(idx, idx)]
     size, diameter = len(idx), float(sub.max())
-    weight = float(np.triu(sub, 1).sum())
+    weight = float(sub.sum(axis=1).sum()) / 2.0
     density = weight / (size * size * diameter) if diameter > 0.0 else DENSE_BY_CONVENTION
     return SubsetStats(diameter, weight, size, density)
 
@@ -258,15 +259,17 @@ def reference_submetric(m, indices):
 
 
 def reference_metric_from_points(points):
-    """Distance matrix of ``metric_from_points`` as it was, from n x n x d
-    tensors (no checks)."""
+    """Distance matrix of ``metric_from_points`` by its definition, from an
+    n x n x d tensor of squared differences added left to right (no
+    checks)."""
     pts = np.asarray(points, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        dist = (dist + dist.T) / 2.0
-    np.fill_diagonal(dist, 0.0)
-    return dist
+        squares = diff * diff
+        total = np.zeros(squares.shape[:2])
+        for c in range(squares.shape[2]):
+            total += squares[:, :, c]
+        return np.sqrt(total)
 
 
 _MID, _END = object(), object()  # markers of reference_leaf_spans' walk

@@ -19,6 +19,7 @@ from peelembed.errors import (
     TriangleViolation,
     ZeroDiameter,
 )
+from peelembed.instances import FAMILIES, GeneratorSpec, generate
 from peelembed.metric import (
     DENSE_BY_CONVENTION,
     TRIANGLE_TOL,
@@ -578,19 +579,23 @@ def _stats_inputs(n):
     return rng, (cloud, asymmetric, fortran)
 
 
-@pytest.mark.parametrize("block", [8, 64, 1000, metric_module.BLOCK_ENTRIES])
+@pytest.mark.parametrize("block", [1, 8, 64, 1000, metric_module.BLOCK_ENTRIES])
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 600, 1860])
 def test_subset_stats_copy_free_sum_is_bit_equal(monkeypatch, n, block):
-    # runs of 8 to 2^16 entries; below 128 the runs are NumPy's own blocks
+    # blocks of one row up to 2^16 entries of rows
     monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", block)
-    rng, metrics = _stats_inputs(n)
+    rng, (cloud, asymmetric, fortran) = _stats_inputs(n)
     # a one-run submetric is a view whose rows lie n + 5 entries apart
-    cloud = np.random.default_rng(n + 5).normal(size=(n + 5, 2))
-    view = metric_from_points(cloud).submetric(range(3, n + 3))
-    for m in (*metrics, view):
+    points = np.random.default_rng(n + 5).normal(size=(n + 5, 2))
+    view = metric_from_points(points).submetric(range(3, n + 3))
+    for m in (cloud, asymmetric, fortran, view):
         subsets = [range(n), sorted(rng.choice(n, size=max(n // 2, 1), replace=False))]
         for subset in subsets:
-            assert subset_stats(m, subset) == reference_subset_stats(m, subset)
+            stats = subset_stats(m, subset)
+            assert stats == reference_subset_stats(m, subset)
+            if m is not asymmetric:  # the strict upper sum, up to rounding
+                upper = np.triu(m.dist[np.ix_(subset, subset)], 1).sum()
+                assert stats.weight_sum == pytest.approx(upper, rel=1e-12, abs=0.0)
 
 
 def test_subset_stats_peak_memory():
@@ -602,7 +607,36 @@ def test_subset_stats_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # one 512 KB run buffer; the n x n copy was 27.7 MB
+    assert peak < 1 << 20  # n row sums; the n x n copy was 27.7 MB
+
+
+def _assert_exactly_symmetric(m, label):
+    """``dist`` equals ``dist.T`` bit for bit and its diagonal is +0, as the
+    weight of ``subset_stats`` (half the sum of the rows) needs."""
+    dist = m.dist
+    assert dist.tobytes() == np.ascontiguousarray(dist.T).tobytes(), label
+    assert np.diag(dist).tobytes() == np.zeros(m.n).tobytes(), label
+
+
+def test_every_metric_is_exactly_symmetric():
+    rng = np.random.default_rng(17)
+    raw = metric_from_points(rng.normal(size=(30, 3))).dist
+    raw = raw + rng.uniform(0.0, 1e-12, size=raw.shape)  # asymmetric within tolerance
+    np.fill_diagonal(raw, -0.0)
+    cases = [("validate_metric", validate_metric(raw)),
+             ("parse_metric", parse_metric(f"30\n{' '.join(map(repr, raw.ravel().tolist()))}\n"))]
+    for d in (1, 2, 9, 130):
+        pts = rng.normal(size=(40, d)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
+        cases.append((f"metric_from_points d={d}", metric_from_points(pts)))
+        cases.append((f"parse_point_cloud d={d}", parse_point_cloud(format_point_cloud(pts))))
+    for family in FAMILIES:
+        cases.append((family, generate(GeneratorSpec(family=family, n=40, seed=3))))
+    cloud = cases[-1][1]
+    for ids, kind in ((range(5, 35), "view"), ([*range(0, 16), *range(20, 40)], "run copy"),
+                      (range(0, 40, 3), "gather")):
+        cases.append((f"submetric {kind}", cloud.submetric(ids)))
+    for label, m in cases:
+        _assert_exactly_symmetric(m, label)
 
 
 def test_find_core_cluster_outlier(cluster_outlier_5):
@@ -667,7 +701,6 @@ def test_point_cloud_rejects_overflowing_distances():
         metric_from_points(np.array([[1e308], [-1e308]]))
 
 
-# left to right below 8 coordinates, eight lanes up to 128, halves beyond
 @pytest.mark.parametrize("d", [*range(1, 11), 15, 16, 17, 64, 127, 128, 129, 200])
 def test_metric_from_points_bit_equal_to_tensor_formula(monkeypatch, d):
     rng = np.random.default_rng(d)
@@ -677,7 +710,11 @@ def test_metric_from_points_bit_equal_to_tensor_formula(monkeypatch, d):
     assert n > metric_module.BLOCK_ENTRIES // n  # more than one row block
     pts = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
     pts[n // 2] = pts[0]  # a repeated point
-    assert metric_from_points(pts).dist.tobytes() == reference_metric_from_points(pts).tobytes()
+    got = metric_from_points(pts).dist
+    assert got.tobytes() == reference_metric_from_points(pts).tobytes()
+    # NumPy's pairwise sum over the tensor's last axis, up to rounding
+    diff = pts[:, None, :] - pts[None, :, :]
+    np.testing.assert_allclose(got, np.sqrt((diff * diff).sum(axis=-1)), rtol=1e-12, atol=0.0)
 
 
 def test_metric_from_points_one_row_per_block(monkeypatch):
