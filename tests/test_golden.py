@@ -1,8 +1,13 @@
 """Byte-level referee: solver, bench and CLI outputs against tests/golden/.
 
-The golden files were written once, before the two peeling recursions, the
-two CLI solve paths and the two dense restart loops were merged, and are
-never regenerated: a mismatch means an output changed.  They hold
+The golden files were written before the two peeling recursions, the two
+CLI solve paths and the two dense restart loops were merged, and a mismatch
+means an output changed.  They were regenerated once since, when a block's
+weight became half the sum of its row sums: only trace floats moved in their
+last bits (``rho`` in six of the seven peeling traces and in the la, hc and
+la250 trace files of the CLI transcript, ``alpha``, ``beta`` and ``gamma``
+in some of them), while every witness, value, case sequence, id list,
+stdout line and the bench CSV stayed byte-identical.  They hold
 
 - the CSV of ``scripts/bench_sweep.py`` with its default arguments;
 - witness, value and trace JSONL of zero-budget case-(c) peeling runs
