@@ -38,7 +38,7 @@ SCREEN_MARGIN_EPS = 8
 # (at least one) of ``validate_metric``'s passes (``_symmetrize``,
 # ``_triangle_screen``, ``_raise_triangle_witness``), of
 # ``metric_from_points`` and of a subset's block that ``subset_stats``
-# gathers, for any n up to 2^16.
+# sums, for any n up to 2^16.
 BLOCK_ENTRIES = 1 << 16
 
 # ``Metric.submetric`` copies the blocks between runs of consecutive ids as

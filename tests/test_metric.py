@@ -582,7 +582,7 @@ def _stats_inputs(n):
 @pytest.mark.parametrize("block", [1, 8, 64, 1000, metric_module.BLOCK_ENTRIES])
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 600, 1860])
 def test_subset_stats_copy_free_sum_is_bit_equal(monkeypatch, n, block):
-    # blocks of one row up to 2^16 entries of rows
+    # blocks of one row up to 2^16 entries
     monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", block)
     rng, (cloud, asymmetric, fortran) = _stats_inputs(n)
     # a one-run submetric is a view whose rows lie n + 5 entries apart
@@ -610,15 +610,8 @@ def test_subset_stats_peak_memory():
     assert peak < 1 << 20  # n row sums; the n x n copy was 27.7 MB
 
 
-def _assert_exactly_symmetric(m, label):
-    """``dist`` equals ``dist.T`` bit for bit and its diagonal is +0, as the
-    weight of ``subset_stats`` (half the sum of the rows) needs."""
-    dist = m.dist
-    assert dist.tobytes() == np.ascontiguousarray(dist.T).tobytes(), label
-    assert np.diag(dist).tobytes() == np.zeros(m.n).tobytes(), label
-
-
 def test_every_metric_is_exactly_symmetric():
+    # subset_stats takes a block's weight as half the sum of its rows
     rng = np.random.default_rng(17)
     raw = metric_from_points(rng.normal(size=(30, 3))).dist
     raw = raw + rng.uniform(0.0, 1e-12, size=raw.shape)  # asymmetric within tolerance
@@ -631,12 +624,14 @@ def test_every_metric_is_exactly_symmetric():
         cases.append((f"parse_point_cloud d={d}", parse_point_cloud(format_point_cloud(pts))))
     for family in FAMILIES:
         cases.append((family, generate(GeneratorSpec(family=family, n=40, seed=3))))
-    cloud = cases[-1][1]
-    for ids, kind in ((range(5, 35), "view"), ([*range(0, 16), *range(20, 40)], "run copy"),
-                      (range(0, 40, 3), "gather")):
+    cloud = metric_from_points(rng.normal(size=(100, 2)))
+    # one run, two runs of 45 ids on average (>= SUBMETRIC_RUN_IDS), scattered ids
+    for ids, kind in ((range(5, 95), "view"), ([*range(0, 40), *range(50, 100)], "run copy"),
+                      (range(0, 100, 3), "gather")):
         cases.append((f"submetric {kind}", cloud.submetric(ids)))
     for label, m in cases:
-        _assert_exactly_symmetric(m, label)
+        assert m.dist.tobytes() == np.ascontiguousarray(m.dist.T).tobytes(), label
+        assert np.diag(m.dist).tobytes() == np.zeros(m.n).tobytes(), label  # +0, not -0
 
 
 def test_find_core_cluster_outlier(cluster_outlier_5):
@@ -719,7 +714,7 @@ def test_metric_from_points_bit_equal_to_tensor_formula(monkeypatch, d):
 
 def test_metric_from_points_one_row_per_block(monkeypatch):
     monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", 1)
-    for d in (1, 3, 9, 130):
+    for d in (0, 1, 3, 9, 130):
         pts = np.random.default_rng(3).normal(size=(40, d))
         assert metric_from_points(pts).dist.tobytes() == reference_metric_from_points(pts).tobytes()
 
