@@ -1,13 +1,15 @@
 """Dense-case hierarchical clustering solver.
 
 Partitions the points into k + 1 parts (k = round(1/eps)) and hangs each part
-as an ascending-id ladder off a leaf slot of a small skeleton tree.  In
-``faithful`` mode the skeletons are all leaf-labeled binary trees on the
-slots and a grid of size / crossing-weight targets drives the bounded
-partition search; ``reduced`` mode local-searches slot assignments against a
-caterpillar skeleton on the integer copy of the metric that
-``local_search.quantize`` makes, taking the exact gain of every move in O(1)
-from per-row tables; the final candidates are scored on the true metric.
+as an ascending-id ladder off a leaf slot of a small skeleton tree, building
+each candidate straight into its leaf order and spans
+(``objectives.ladders_on``).  In ``faithful`` mode the skeletons are all
+leaf-labeled binary trees on the slots and a grid of size / crossing-weight
+targets drives the bounded partition search; ``reduced`` mode local-searches
+slot assignments against the ladder over the slots (slot 0 cut off first) on
+the integer copy of the metric that ``local_search.quantize`` makes, taking
+the exact gain of every move in O(1) from per-row tables; the final
+candidates are scored on the true metric.
 Both modes always consider the single ascending-id ladder over all points,
 so the output never scores below it.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import FaithfulGridTooLarge
 from .local_search import (BATCH_ENTRIES, DenseConfig, best_of, first_copies, quantize,
                            reduced_restarts)
 from .metric import Metric, subset_stats
-from .objectives import HcTree, evaluate_hc, ladder_tree
+from .objectives import HcTree, evaluate_hc, ladder_tree, ladders_on
 from .oracles import all_binary_trees
 from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
 
@@ -40,42 +41,11 @@ class DenseHcConfig(DenseConfig):
         return self.k + 1
 
 
-def _skeleton_tree(skeleton, parts) -> Optional[HcTree]:
-    """Replace skeleton slot leaves by ascending-id ladders; drop empty slots."""
-
-    def build(node):
-        if isinstance(node, tuple):
-            left = build(node[0])
-            right = build(node[1])
-            if left is None:
-                return right
-            if right is None:
-                return left
-            return (left, right)
-        members = parts[node]
-        if not members:
-            return None
-        ladder = members[-1]
-        for point in reversed(members[:-1]):
-            ladder = (point, ladder)
-        return ladder
-
-    root = build(skeleton)
-    return None if root is None else HcTree(root)
-
-
 def _parts_of(assignment, slots: int) -> list:
     parts = [[] for _ in range(slots)]
     for point, slot in enumerate(assignment):
         parts[slot].append(point)
     return parts
-
-
-def _caterpillar_skeleton(slots: int):
-    node = slots - 1
-    for s in range(slots - 2, -1, -1):
-        node = (s, node)
-    return node
 
 
 def _caterpillar_gains(dist: np.ndarray, slots: int):
@@ -160,14 +130,14 @@ def _gain_rows(dist, upper, assigns, points, targets, slots):
 
 def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
     n, slots = m.n, cfg.slots
-    skeleton = _caterpillar_skeleton(slots)
+    skeleton = ladder_tree(range(slots))
     restarts = []
     if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
         restarts = reduced_restarts(n, slots, seed, cfg.budget,
                                     _caterpillar_gains(quantize(m.dist), slots))
     ladder = ladder_tree(range(n))
     rows, which = first_copies(restarts, np.ndarray.tobytes)
-    trees = [_skeleton_tree(skeleton, _parts_of(row, slots)) for row in rows]
+    trees = [ladders_on(skeleton, _parts_of(row, slots)) for row in rows]
     values = {id(tree): evaluate_hc(m, tree) for tree in [ladder, *trees]}
     return best_of([ladder, *(trees[i] for i in which)], lambda tree: values[id(tree)],
                    HcTree.serialize)
@@ -177,7 +147,7 @@ def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
     n, slots, eps = m.n, cfg.slots, cfg.eps
     eps_err = eps**3
     rho = subset_stats(m, range(n)).density
-    skeletons = list(all_binary_trees(list(range(slots))))
+    skeletons = [HcTree(root) for root in all_binary_trees(range(slots))]
 
     size_levels = int(math.floor(3.0 / eps + 1e-9)) + 1  # lambda in {i * eps^2}
     weight_levels = int(math.floor(9.0 / eps + 1e-9)) + 1  # mu in {i * eps^3}
@@ -201,7 +171,7 @@ def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
 
     for assignment in grid_partitions(m, slots, lam_cells, mu_cells, eps_err, cfg.budget, seed):
         parts = _parts_of(assignment, slots)
-        trees = (_skeleton_tree(skeleton, parts) for skeleton in skeletons)
+        trees = (ladders_on(skeleton, parts) for skeleton in skeletons)
         best = best_of(trees, lambda tree: evaluate_hc(m, tree), HcTree.serialize, best)
     return best
 

@@ -227,66 +227,29 @@ def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float
     return total
 
 
-_MID, _END, _SPINE = object(), object(), object()  # markers of _leaf_spans' walk
-_NOT_BINARY = "internal node with != 2 children"
+_MID, _END = object(), object()  # markers of _leaf_spans' walk
 
 
 def _leaf_spans(root: TreeNode):
-    """Leaves of a raw tree left to right, and (lo, mid, hi) of each internal
-    node in post-order: its left subtree holds leaves [lo, mid), its right
-    subtree [mid, hi).  Iterative, so deep ladders are safe.
-
-    A spine is a run of internal nodes whose left child is a leaf, followed
-    down through right children; every ladder is one.  It is taken in one
-    loop: its left leaves t = lo, ..., mid - 1 are appended in turn, and once
-    the node below it ends at hi, its spans (t, t + 1, hi) follow, deepest
-    first.  Only an internal node whose left child is internal takes stack
-    steps of its own.
-    """
+    """Leaves of a nested-tuple tree left to right and (lo, mid, hi) of each
+    internal node in post-order, one stack step per node: ``_MID`` sets a
+    node's mid, ``_END`` its hi.  Iterative, so deep ladders are safe."""
     order, spans, open_spans = [], [], []
     stack = [root]
     while stack:
         node = stack.pop()
-        if not isinstance(node, tuple):
-            if node is _MID:
-                open_spans[-1].append(len(order))
-            elif node is _END:
-                lo, mid = open_spans.pop()
-                spans.append((lo, mid, len(order)))
-            elif node is _SPINE:
-                lo, mid = open_spans.pop()
-                hi = len(order)
-                for t in range(mid - 1, lo - 1, -1):
-                    spans.append((t, t + 1, hi))
-            else:
-                order.append(int(node))
-            continue
-        if len(node) != 2:
-            raise MalformedTree(_NOT_BINARY)
-        left, right = node
-        if isinstance(left, tuple):
+        if node is _MID:
+            open_spans[-1].append(len(order))
+        elif node is _END:
+            lo, mid = open_spans.pop()
+            spans.append((lo, mid, len(order)))
+        elif isinstance(node, tuple):
+            if len(node) != 2:
+                raise MalformedTree("internal node with != 2 children")
             open_spans.append([len(order)])
-            stack.extend((_END, right, _MID, left))
-            continue
-        lo = len(order)
-        order.append(int(left))
-        while isinstance(right, tuple):  # down the spine
-            if len(right) != 2:
-                raise MalformedTree(_NOT_BINARY)
-            left, below = right
-            if isinstance(left, tuple):
-                break
-            order.append(int(left))
-            right = below
-        mid = len(order)
-        if isinstance(right, tuple):  # its spans follow once `right` ends
-            open_spans.append([lo, mid])
-            stack.extend((_SPINE, right))
+            stack.extend((_END, node[1], _MID, node[0]))
         else:
-            order.append(int(right))
-            hi = mid + 1
-            for t in range(mid - 1, lo - 1, -1):
-                spans.append((t, t + 1, hi))
+            order.append(int(node))
     return order, spans
 
 
@@ -314,3 +277,27 @@ def ladder_tree(order: Sequence[int], tail: Optional[HcTree] = None) -> HcTree:
     spans = [(lo + s, mid + s, hi + s) for lo, mid, hi in tail.spans]
     spans += [(t, t + 1, n) for t in range(s - 1, -1, -1)]
     return _of((*spine, *tail.order), tuple(spans))
+
+
+def ladders_on(skeleton: HcTree, parts) -> Optional[HcTree]:
+    """``skeleton`` with each slot leaf s replaced by the ladder peeling
+    ``parts[s]`` in order; a node with an empty side collapses to its other
+    side, and no part holding a point gives ``None``.  The parts are laid
+    out in ``skeleton.order``; in post-order a node follows every slot left
+    of its hi, so its span comes after the ladders of those slots."""
+    order, ends = [], [0]
+    for slot in skeleton.order:
+        order += parts[slot]
+        ends.append(len(order))
+    if not order:
+        return None
+    spans, done = [], 0
+    # the closing (0, 0, slots) adds no node, only the ladders of a one-slot skeleton
+    for lo, mid, hi in (*skeleton.spans, (0, 0, skeleton.n)):
+        for i in range(done, hi):
+            end = ends[i + 1]
+            spans += [(t, t + 1, end) for t in range(end - 2, ends[i] - 1, -1)]
+        done = hi
+        if ends[lo] < ends[mid] < ends[hi]:
+            spans.append((ends[lo], ends[mid], ends[hi]))
+    return _of(_distinct(order), tuple(spans))

@@ -8,13 +8,14 @@ partition search, the per-cell loop of the faithful grids, the
 per-restart loop of the reduced search with its batched scorers, the per-k
 triangle scan, whole-slab screen and whole-matrix symmetrising of metric
 validation, the all-token matrix parse with its format sniff, the
-node-at-a-time tree walks, and the evaluators, scorers, metric builders and
-the submetric gather that faster code replaced.
+node-at-a-time tree walks, the nested-tuple skeleton trees, and the
+evaluators, scorers, metric builders and the submetric gather that faster
+code replaced.
 """
 
 import numpy as np
 
-from peelembed.hc_dense import _caterpillar_skeleton, _parts_of, _skeleton_tree
+from peelembed.hc_dense import _parts_of
 from peelembed.la_dense import _embed_assignment, _position
 from peelembed.local_search import (
     BATCH_ENTRIES,
@@ -276,7 +277,9 @@ _MID, _END = object(), object()  # markers of reference_leaf_spans' walk
 
 
 def reference_leaf_spans(root):
-    """``objectives._leaf_spans`` as it was: one stack step per node."""
+    """Leaf order and post-order (lo, mid, hi) spans of a nested-tuple root,
+    one stack step per node: the referee of every ``HcTree`` built from
+    spans (``parse``, ``relabel``, ``ladder_tree``, ``ladders_on``)."""
     order, spans, open_spans = [], [], []
     stack = [root]
     while stack:
@@ -444,9 +447,44 @@ def reference_arrangement_values(dist, assigns, k):
     return gaps.reshape(c, n * n).sum(axis=1) / 2.0
 
 
+def reference_skeleton_tree(skeleton, parts):
+    """``objectives.ladders_on`` as it was: the nested-tuple ``skeleton`` with
+    its slot leaves replaced by ascending-id ladders, empty slots dropped,
+    walked into an ``HcTree`` (``None`` when every slot is empty)."""
+
+    def build(node):
+        if isinstance(node, tuple):
+            left = build(node[0])
+            right = build(node[1])
+            if left is None:
+                return right
+            if right is None:
+                return left
+            return (left, right)
+        members = parts[node]
+        if not members:
+            return None
+        ladder = members[-1]
+        for point in reversed(members[:-1]):
+            ladder = (point, ladder)
+        return ladder
+
+    root = build(skeleton)
+    return None if root is None else HcTree(root)
+
+
+def reference_caterpillar_skeleton(slots):
+    """The reduced HC search's skeleton as nested tuples: (0, (1, (..., slots - 1)))."""
+    node = slots - 1
+    for s in range(slots - 2, -1, -1):
+        node = (s, node)
+    return node
+
+
 def reference_hc_value(m, assign, slots):
     """``evaluate_hc`` of the caterpillar-of-ladders tree of one assignment."""
-    return evaluate_hc(m, _skeleton_tree(_caterpillar_skeleton(slots), _parts_of(assign, slots)))
+    skeleton = reference_caterpillar_skeleton(slots)
+    return evaluate_hc(m, reference_skeleton_tree(skeleton, _parts_of(assign, slots)))
 
 
 def reference_la_value(m, assign, k):
@@ -501,12 +539,12 @@ def reference_hc_reduced(m, cfg, seed):
     restarts search the quantized metric, the final pick scores the true one."""
     n, slots = m.n, cfg.slots
     q = Metric(quantize(m.dist))
-    skeleton = _caterpillar_skeleton(slots)
+    skeleton = reference_caterpillar_skeleton(slots)
     ladder = ladder_tree(range(n))
     best = (ladder, evaluate_hc(m, ladder))
 
     def score(a):
-        tree = _skeleton_tree(skeleton, _parts_of(a, slots))
+        tree = reference_skeleton_tree(skeleton, _parts_of(a, slots))
         return evaluate_hc(q, tree), tree
 
     for ss in np.random.SeedSequence(seed).spawn(cfg.budget.restarts):

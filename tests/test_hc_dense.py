@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import random_metric
+from peelembed import objectives
 from peelembed.errors import InvalidSpec
-from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
+from peelembed.hc_dense import DenseHcConfig, _parts_of, solve_hc_dense
 from peelembed.metric import subset_stats, validate_metric
-from peelembed.objectives import evaluate_hc, ladder_tree
-from peelembed.oracles import brute_force_hc
-from structural import has_not_all_small_weights
+from peelembed.objectives import HcTree, evaluate_hc, ladder_tree, ladders_on
+from peelembed.oracles import all_binary_trees, brute_force_hc
+from structural import (
+    has_not_all_small_weights,
+    reference_caterpillar_skeleton,
+    reference_skeleton_tree,
+)
 
 U4 = validate_metric(np.ones((4, 4)) - np.eye(4))
 
@@ -85,3 +90,40 @@ def test_has_not_all_small_weights_counterexample():
     np.fill_diagonal(dist, 0.0)
     m = validate_metric(dist)
     assert not has_not_all_small_weights(m, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("slots", range(1, 7))
+def test_ladders_on_matches_nested_skeleton_trees(slots):
+    # every skeleton on the slots, parts of 0-24 points with some slots left
+    # empty, and every slot empty (no tree)
+    rng = np.random.default_rng(slots)
+    for root in all_binary_trees(range(slots)):
+        skeleton = HcTree(root)
+        assert ladders_on(skeleton, [[] for _ in range(slots)]) is None
+        for _ in range(5):
+            n = int(rng.integers(0, 25))
+            used = rng.choice(slots, size=int(rng.integers(1, slots + 1)), replace=False)
+            parts = _parts_of(used[rng.integers(0, len(used), n)], slots)
+            got, want = ladders_on(skeleton, parts), reference_skeleton_tree(root, parts)
+            if want is None:
+                assert n == 0 and got is None
+            else:
+                assert (got.order, got.spans) == (want.order, want.spans)
+    assert ladder_tree(range(slots)) == HcTree(reference_caterpillar_skeleton(slots))
+
+
+@pytest.mark.parametrize("n", [12, 120])
+def test_reduced_search_walks_no_tree(monkeypatch, n):
+    # each distinct restart's tree is built straight into order and spans
+    walks = []
+    walk = objectives._leaf_spans
+
+    def counted(root):
+        walks.append(1)
+        return walk(root)
+
+    monkeypatch.setattr(objectives, "_leaf_spans", counted)
+    m = random_metric(np.random.default_rng(n), n)
+    tree, value = solve_hc_dense(m, DenseHcConfig(eps=0.5))
+    assert len(walks) == 0
+    assert value == evaluate_hc(m, tree)

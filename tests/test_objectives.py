@@ -13,8 +13,9 @@ from peelembed.objectives import (
     evaluate_hc,
     evaluate_la,
     ladder_tree,
+    ladders_on,
 )
-from peelembed.hc_dense import _caterpillar_skeleton, _parts_of, _skeleton_tree
+from peelembed.hc_dense import _parts_of
 from peelembed.objectives import _leaf_spans
 from structural import (
     reference_evaluate_hc,
@@ -343,7 +344,8 @@ def test_spine_walks_match_reference_on_caterpillars(slots):
     for n in (slots, 40, 300):
         assignment = rng.integers(0, slots, n)
         assignment[rng.integers(0, n)] = slots - 1  # the deepest slot is never empty
-        tree = _skeleton_tree(_caterpillar_skeleton(slots), _parts_of(assignment, slots))
+        tree = ladders_on(ladder_tree(range(slots)), _parts_of(assignment, slots))
+        assert HcTree(tree.root) == tree
         _assert_walks_match_reference(tree.root, rng.permutation(n).tolist())
 
 
