@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FaithfulGridTooLarge
-from .local_search import (BATCH_ENTRIES, DenseConfig, best_of, first_copies, quantize,
-                           reduced_restarts)
+from .local_search import DenseConfig, best_of, first_copies, quantize, reduced_restarts
 from .metric import Metric, subset_stats
 from .objectives import HcTree, evaluate_hc, ladder_tree, ladders_on
 from .oracles import all_binary_trees
@@ -75,26 +74,13 @@ def _caterpillar_gains(dist: np.ndarray, slots: int):
     most (6n + 7) W <= 13 n W: each of the two C + W_bb / 2 <= 2 W, each of
     the two (2 K q) <= n deg(p) <= n W, the suffix sum of q <= W and
     G(p, a) + G(p, b) <= (4n + 2) W.
-
-    Rows go through in batches whose (n, slots) tables hold at most
-    ``BATCH_ENTRIES`` entries each.
     """
-    n = len(dist)
     upper = np.triu(dist, 1)
-    step = max(1, BATCH_ENTRIES // (n * slots + slots * slots))
-
-    def gains(assigns, points, targets):
-        out = np.empty(np.shape(targets))
-        for start in range(0, len(assigns), step):
-            rows = slice(start, start + step)
-            out[rows] = _gain_rows(dist, upper, assigns[rows], points, targets[rows], slots)
-        return out
-
-    return gains
+    return lambda *args: _gain_rows(dist, upper, *args, slots)
 
 
 def _gain_rows(dist, upper, assigns, points, targets, slots):
-    """``_caterpillar_gains``'s gains for one batch of rows."""
+    """``_caterpillar_gains``'s gains of (C, n) assignment rows."""
     c, n = assigns.shape
     row, ids, slot = np.arange(c)[:, None], np.arange(n), np.arange(slots)
     onehot = (assigns[:, :, None] == slot).astype(float)
@@ -134,7 +120,8 @@ def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
     restarts = []
     if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
         restarts = reduced_restarts(n, slots, seed, cfg.budget,
-                                    _caterpillar_gains(quantize(m.dist), slots))
+                                    _caterpillar_gains(quantize(m.dist), slots),
+                                    n * slots + slots * slots)
     ladder = ladder_tree(range(n))
     rows, which = first_copies(restarts, np.ndarray.tobytes)
     trees = [ladders_on(skeleton, _parts_of(row, slots)) for row in rows]

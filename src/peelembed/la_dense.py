@@ -4,12 +4,13 @@ Partitions the points into k = round(1/eps) parts and embeds the parts
 consecutively on the line (ascending part id, ascending point id inside each
 part).  Two modes: ``faithful`` enumerates a grid of pairwise crossing-weight
 targets and asks the bounded-partition search for each cell; ``reduced`` runs
-a direct local search over part assignments on the integer copy of the
-metric that ``local_search.quantize`` makes, taking the exact gain of every
-move in O(1) from per-row prefix-cut tables.  The identity and every
-distinct restart arrangement are then polished on the true metric by one
-swap hill-climb that steps all of them in lockstep.  Faithful always also
-considers the reduced candidate, so it never scores below it.
+a direct local search over part assignments, taking the exact gain of every
+move in O(1) from per-row prefix-cut tables, and then polishes the identity
+and every distinct restart arrangement by one swap hill-climb that steps all
+of them in lockstep.  Both climb on the integer copy of the metric that
+``local_search.quantize`` makes, through ``local_search.ascend``; only the
+final pick scores the true metric.  Faithful always also considers the
+reduced candidate, so it never scores below it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec
-from .local_search import (BATCH_ENTRIES, DenseConfig, best_of, first_copies, gaining_picks,
-                           quantize, reduced_restarts)
+from .local_search import DenseConfig, ascend, best_of, first_copies, quantize, reduced_restarts
 from .metric import Metric, subset_stats
 from .objectives import LinearArrangement, evaluate_la
 from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
@@ -73,26 +73,13 @@ def _prefix_cut_gains(dist: np.ndarray, k: int):
     most (5n + 8) W <= 13 n W: each cut is at most 4 W (the degrees of its
     left side plus twice the weight inside it), so the two cuts 8 W, the four
     entries of T 4 n W and the slope term n W.
-
-    Rows go through in batches whose (n + 1, n) tables hold at most
-    ``BATCH_ENTRIES`` entries each.
     """
-    n = len(dist)
     deg = dist.sum(axis=1)
-    step = max(1, BATCH_ENTRIES // (n * (n + 1)))
-
-    def gains(assigns, points, targets):
-        out = np.empty(np.shape(targets))
-        for start in range(0, len(assigns), step):
-            rows = slice(start, start + step)
-            out[rows] = _gain_rows(dist, deg, assigns[rows], points, targets[rows], k)
-        return out
-
-    return gains
+    return lambda *args: _gain_rows(dist, deg, *args, k)
 
 
 def _gain_rows(dist, deg, assigns, points, targets, k):
-    """``_prefix_cut_gains``'s gains for one batch of rows."""
+    """``_prefix_cut_gains``'s gains of (C, n) assignment rows."""
     c, n = assigns.shape
     row, ids = np.arange(c)[:, None], np.arange(n)
     onehot = assigns[:, :, None] == np.arange(k)
@@ -123,7 +110,9 @@ def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
     slots, one per row of ``pos`` (positions of shape (n,) or (C, n)).
 
     With A = |pos_i - pos_j| and S = D A, the gain is
-    S_ij + S_ji - S_ii - S_jj + 2 D_ij A_ij.
+    S_ij + S_ji - S_ii - S_jj + 2 D_ij A_ij.  With W the weight of all
+    pairs, each partial sum of S_ij is at most n deg(i) <= n W, so the
+    magnitudes of these terms sum to at most 6 n W <= 13 n W.
     """
     gaps = np.abs(pos[..., :, None] - pos[..., None, :])
     s = dist @ gaps
@@ -137,35 +126,23 @@ def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return gains
 
 
-def _swap_hill_climb(m: Metric, starts, sweeps: int) -> list:
-    """Steepest-ascent slot swaps from each start arrangement until a local
-    maximum (deterministic), every start in lockstep; a start comes back as
-    itself when no swap gains, so that ``best_of`` skips rescoring it.
-
-    Each sweep scans the pairs i < j row-major for each live start's best
-    swap.  The live starts go through in batches of at most
-    ``BATCH_ENTRIES`` n x n entries, each scanned at once (at n <= 44 one
-    batch holds 33 starts); a start whose best swap gains at most
-    ``TIE_TOL`` stops.
-    """
-    n = m.n
+def _swap_hill_climb(q: np.ndarray, starts, sweeps: int) -> list:
+    """Steepest-ascent slot swaps on the quantized metric ``q`` from each
+    start arrangement until a local maximum, every start in lockstep through
+    ``ascend``, which takes each start's first best swap of the pairs i < j
+    in row-major order; a start comes back as itself when no swap gains, so
+    that ``best_of`` skips rescoring it."""
     pos = np.array([arr.position for arr in starts], dtype=float)
+    n = pos.shape[1]
     upper = np.triu_indices(n, 1)
     flat = upper[0] * n + upper[1]
-    step = max(1, BATCH_ENTRIES // (n * n))
-    live = np.arange(len(starts))
-    for _ in range(sweeps):
-        if not len(live):
-            break
-        going = []
-        for start in range(0, len(live), step):
-            batch = live[start:start + step]
-            gains = _swap_gains(m.dist, pos[batch]).reshape(len(batch), n * n)[:, flat]
-            batch, _, picks = gaining_picks(batch, gains)
-            i, j = upper[0][picks], upper[1][picks]
-            pos[batch, i], pos[batch, j] = pos[batch, j], pos[batch, i]
-            going.append(batch)
-        live = np.concatenate(going)
+
+    def swap(ids, picks):
+        i, j = upper[0][picks], upper[1][picks]
+        pos[ids, i], pos[ids, j] = pos[ids, j], pos[ids, i]
+
+    ascend(pos, sweeps, n * n,
+           lambda rows: _swap_gains(q, rows).reshape(len(rows), n * n)[:, flat], swap)
     # slot swaps of a permutation: each row is one, so no bijection check
     climbed = (LinearArrangement(tuple(row)) for row in pos.astype(int).tolist())
     return [arr if new == arr else new for arr, new in zip(starts, climbed)]
@@ -174,13 +151,15 @@ def _swap_hill_climb(m: Metric, starts, sweeps: int) -> list:
 def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):
     n, k = m.n, cfg.k
     identity = LinearArrangement.from_order(range(n))
+    # quantizing reads every distance; a zero budget with no climb needs none
+    q = quantize(m.dist) if cfg.budget.restarts or cfg.swap_sweeps else None
     restarts = []
-    if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
-        restarts = reduced_restarts(n, k, seed, cfg.budget, _prefix_cut_gains(quantize(m.dist), k))
+    if cfg.budget.restarts:
+        restarts = reduced_restarts(n, k, seed, cfg.budget, _prefix_cut_gains(q, k), n * (n + 1))
     # a start's climb does not depend on the other starts: each distinct
     # start climbs once, and each distinct arrangement is scored once
     starts, which = first_copies([identity, *map(_embed_assignment, restarts)], _position)
-    climbed = _swap_hill_climb(m, starts, cfg.swap_sweeps)
+    climbed = _swap_hill_climb(q, starts, cfg.swap_sweeps)
     arrs, which = first_copies([identity, *(climbed[i] for i in which)], _position)
     values = {id(arr): evaluate_la(m, arr) for arr in arrs}
     return best_of([arrs[i] for i in which], lambda arr: values[id(arr)], _position)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidSpec, SpecInfeasibleTrivially
-from .local_search import BATCH_ENTRIES, SearchBudget, scan_argmax, single_moves
+from .local_search import BATCH_ENTRIES, SearchBudget, single_moves
 from .metric import Metric
 
 _INF = math.inf
@@ -244,7 +244,7 @@ def _local_hits(m, bounds, eps_err, budget, seed):
                                                         part_dist[live])
                 cands = penalty(sz, cr, lo, hi, wlo[live], whi[live])
                 rows = np.arange(len(live))
-                picks = scan_argmax(-cands, tol=1e-15)  # the lowest, earliest on near-ties
+                picks = scan_argmax(-cands, 1e-15)  # the lowest, earliest on near-ties
                 best = cands[rows, picks]
                 go = best < pen[live] - 1e-15
                 live, rows, picks = live[go], rows[go], picks[go]
@@ -281,6 +281,59 @@ def _moved_states(assign, sizes, cross, part_dist):
     cr[rows, cols, a, a] += moved[rows, cols, a]
     cr[rows, cols, b, b] -= moved[rows, cols, b]
     return points, targets, sz, cr
+
+
+def scan_argmax(gains, tol: float):
+    """Index kept by a left-to-right scan of each row of ``gains`` that
+    replaces its incumbent only on ``gain > incumbent + tol`` (the row's first
+    entry starts as incumbent): an int for one (M,) row, an (L,) array for
+    (L, M) rows.  The local regime's sweep picks its moves with it.
+
+    Every replacement is larger than all entries before it, so only a row's
+    strict running maxima, its records, can be kept, and their values ascend.
+    The record that replaces record r is its row's first record above
+    value(r) + tol.  One stable sort of every row's records and thresholds
+    finds it for all records at once; the scan then jumps from record to
+    record in every row together.
+
+    Usually no sort is needed: when every entry ahead of a row's first
+    largest entry is below it by more than tol (``ahead + tol < top``,
+    rounded as the scan rounds it), the scan reaches that entry with a
+    smaller incumbent, takes it, and no later entry can beat it.  If every
+    row is such a row, those entries are returned at once.
+    """
+    g = np.atleast_2d(np.asarray(gains, dtype=float))
+    width = g.shape[1]
+    running = np.maximum.accumulate(g, axis=1)
+    first = g.argmax(axis=1)
+    at = np.arange(len(g))
+    top, ahead = g[at, first], np.where(first > 0, running[at, first - 1], -np.inf)
+    if (ahead + tol < top).all():
+        return int(first[0]) if np.ndim(gains) == 1 else first
+    is_record = np.empty(g.shape, dtype=bool)
+    is_record[:, 0] = True
+    np.greater(g[:, 1:], running[:, :-1], out=is_record[:, 1:])
+    records = np.flatnonzero(is_record)  # row by row, ascending in each row
+    row = records // width
+    values = g.take(records)
+    count = len(records)
+    # Sorted by (row, value), a record ahead of an equal threshold, the
+    # thresholds keep their own order, so a threshold's place minus its index
+    # counts the records up to it: the index of the first record past it.
+    order = np.lexsort((np.concatenate((values, values + tol)), np.concatenate((row, row))))
+    after = np.flatnonzero(order >= count) - np.arange(count)
+    per_row = np.bincount(row)
+    ends = np.cumsum(per_row)
+    # a record with none past it in its row is where the scan stops
+    after = np.where(after < ends[row], after, np.arange(count))
+    kept = ends - per_row  # each row's first entry
+    while True:
+        nxt = after[kept]
+        if (nxt == kept).all():
+            break
+        kept = nxt
+    cols = records[kept] - width * np.arange(len(kept))
+    return int(cols[0]) if np.ndim(gains) == 1 else cols
 
 
 def _greedy_seed(rng, n, k, slb):

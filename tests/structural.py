@@ -22,7 +22,6 @@ from peelembed.local_search import (
     TIE_TOL,
     best_of,
     quantize,
-    scan_argmax,
     single_moves,
 )
 from peelembed.errors import (
@@ -57,6 +56,7 @@ from peelembed.partition_search import (
     crossing_matrix,
     enumerate_assignments,
     partition_feasible,
+    scan_argmax,
 )
 
 
@@ -409,7 +409,7 @@ def reference_reduced_restarts(n, parts, seed, budget, score):
             points, targets = single_moves(assign, parts)
             values = score_moves(assign, points, targets, score)
             gains = values - value
-            pick = scan_argmax(gains)
+            pick = scan_argmax(gains, TIE_TOL)
             if gains[pick] <= TIE_TOL:
                 break
             assign[points[pick]] = targets[pick]
@@ -575,12 +575,12 @@ def reference_hc_reduced(m, cfg, seed):
 
 def reference_la_reduced(m, cfg, seed):
     """Arrangement of the reduced LA search, one full evaluation per candidate:
-    the restarts search the quantized metric, the swap climb and the final
-    pick the true one."""
+    the restarts and the swap climb search the quantized metric, the final
+    pick scores the true one."""
     n, k = m.n, cfg.k
     q = Metric(quantize(m.dist))
     identity = LinearArrangement.from_order(range(n))
-    best = best_of([identity, reference_swap_hill_climb(m, identity, cfg.swap_sweeps)],
+    best = best_of([identity, reference_swap_hill_climb(q, identity, cfg.swap_sweeps)],
                    lambda arr: evaluate_la(m, arr), _position)
 
     for ss in np.random.SeedSequence(seed).spawn(cfg.budget.restarts):
@@ -605,7 +605,7 @@ def reference_la_reduced(m, cfg, seed):
             _, p, b = move
             assign[p] = b
             value = evaluate_la(q, _embed_assignment(assign))
-        arr = reference_swap_hill_climb(m, _embed_assignment(assign), cfg.swap_sweeps)
+        arr = reference_swap_hill_climb(q, _embed_assignment(assign), cfg.swap_sweeps)
         best = best_of([arr], lambda arr: evaluate_la(m, arr), _position, best)
     return best[0]
 

@@ -503,8 +503,8 @@ class TestRepeatedMain:
                                                        family, k, objective, dense_only):
         big = generate(GeneratorSpec(family=family, n=k + 11, seed=1))
         view = Metric._adopt(big.dist[:k, :k])  # rows k + 11 entries apart
-        # the default budget's restarts read a quantized copy of the matrix, and
-        # cost seconds for LA at k = 300; the swap climb reads the view either way
+        # the default budget's restarts cost seconds for LA at k = 300; a zero
+        # budget still quantizes the view for the swap climb
         budget = "0" if (objective, k) == ("la", 300) else "32"
         argv = [f"solve-{objective}", "--input", "-", "--eps", "0.5", "--budget-restarts", budget]
         argv += ["--dense-only"] if dense_only else ["--trace", str(tmp_path / "t.jsonl")]

@@ -34,7 +34,7 @@ from structural import (
 from peelembed import hc_dense
 from peelembed.hc_dense import DenseHcConfig, _caterpillar_gains, solve_hc_dense
 from peelembed.instances import FAMILIES as ALL_FAMILIES
-from peelembed.instances import GeneratorSpec, generate
+from peelembed.instances import GeneratorSpec, generate, small_corpus
 from peelembed import la_dense, local_search, partition_search
 from peelembed.la_dense import (
     DenseLaConfig,
@@ -47,7 +47,6 @@ from peelembed.local_search import (
     TIE_TOL,
     quantize,
     reduced_restarts,
-    scan_argmax,
     single_moves,
 )
 from peelembed.metric import Metric, validate_metric
@@ -58,6 +57,7 @@ from peelembed.partition_search import (
     _moved_states,
     crossing_matrix,
     grid_partitions,
+    scan_argmax,
     search_partition,
 )
 
@@ -205,26 +205,28 @@ def test_swap_gains_match_per_pair_delta():
 
 
 def test_swap_hill_climb_matches_reference(monkeypatch):
-    # All starts climb in lockstep; batches of one row, and one batch of
-    # every row, show that a row's climb does not depend on its batch.  A
-    # start at a local maximum comes back as itself, so best_of skips it.
+    # All starts climb in lockstep on the quantized metric, as the per-pair
+    # reference climbs each; batches of one row, and one batch of every row,
+    # show that a row's climb does not depend on its batch.  A start at a
+    # local maximum comes back as itself, so best_of skips it.
     rng = np.random.default_rng(8)
     for label, m in _metrics((7, 40)):
+        q = quantize(m.dist)
         identity = LinearArrangement.from_order(range(m.n))
         starts = [identity] + [LinearArrangement.from_order(rng.permutation(m.n))
                                for _ in range(2)]
-        want = [reference_swap_hill_climb(m, arr, 40) for arr in starts]
+        want = [reference_swap_hill_climb(Metric(q), arr, 40) for arr in starts]
         for rows in (None, 1, len(starts) + 1):
             with monkeypatch.context() as patch:
                 if rows is not None:
-                    patch.setattr(la_dense, "BATCH_ENTRIES", m.n * m.n * rows)
-                got = _swap_hill_climb(m, starts, 40)
+                    patch.setattr(local_search, "BATCH_ENTRIES", m.n * m.n * rows)
+                got = _swap_hill_climb(q, starts, 40)
             assert got == want, (label, rows)
         # a start climbed to the top cannot gain, and no sweeps change none
-        top = _swap_hill_climb(m, starts[1:2], 10_000)[0]
-        got = _swap_hill_climb(m, [top, starts[2], top], 40)
+        top = _swap_hill_climb(q, starts[1:2], 10_000)[0]
+        got = _swap_hill_climb(q, [top, starts[2], top], 40)
         assert got[0] is top and got[2] is top and got[1] == want[2], label
-        assert all(a is b for a, b in zip(_swap_hill_climb(m, starts, 0), starts)), label
+        assert all(a is b for a, b in zip(_swap_hill_climb(q, starts, 0), starts)), label
 
 
 def _restart_cases():
@@ -256,8 +258,9 @@ def test_lockstep_restarts_match_per_restart_loop(batch, monkeypatch):
             with monkeypatch.context() as patch:
                 if batch != "default":
                     rows = {"one row": 1, "split": 2}[batch]
-                    patch.setattr(module, "BATCH_ENTRIES", entries(m.n, parts) * rows)
-                got = reduced_restarts(m.n, parts, 3, budget, gains(q, parts))
+                    patch.setattr(local_search, "BATCH_ENTRIES", entries(m.n, parts) * rows)
+                got = reduced_restarts(m.n, parts, 3, budget, gains(q, parts),
+                                       entries(m.n, parts))
             assert got.shape == (restarts, m.n), label
             for row, (g, w) in enumerate(zip(got, want)):
                 assert g.tobytes() == w.tobytes(), (label, module.__name__, row)
@@ -294,17 +297,16 @@ def _quantized(family, n, scale, seed):
 
 
 def _check_gains(objective, dist, parts, assigns, moves=None):
-    """The gains, taken in default batches and a row at a time, equal the
+    """The gains, taken for all rows at once and a row at a time, equal the
     reference value of each moved assignment less that of the assignment on
     ``Metric(dist)``, bit for bit; ``moves`` picks some of the moves."""
-    module, gains, _, value, _ = objective
+    _, gains, _, value, _ = objective
     points, targets = single_moves(assigns, parts)
     if moves is not None:
         points, targets = points[moves], targets[:, moves]
     got = gains(dist, parts)(assigns, points, targets)
-    with pytest.MonkeyPatch.context() as patch:  # one row per batch
-        patch.setattr(module, "BATCH_ENTRIES", 1)
-        rowwise = gains(dist, parts)(assigns, points, targets)
+    rowwise = np.concatenate([gains(dist, parts)(assigns[r:r + 1], points, targets[r:r + 1])
+                              for r in range(len(assigns))])
     assert got.tobytes() == rowwise.tobytes()
     m = Metric(dist)
     for assign, row_targets, row_gains in zip(assigns, targets, got):
@@ -343,15 +345,15 @@ def _restarts_case(n, family, parts, restarts, batch, objective):
     """Bit for bit against the per-restart loop scoring every moved copy with
     the reference scorer, on the quantized metric; batches of one row take
     each row's gains on its own."""
-    module, gains, scorer, _, _ = objective
+    _, gains, scorer, _, entries = objective
     q = quantize(generate(GeneratorSpec(family=family, n=n, seed=n + parts)).dist)
     budget = SearchBudget(restarts=restarts)
     want = list(reference_reduced_restarts(n, parts, 3, budget,
                                            lambda rows: scorer(q, rows, parts)))
     with pytest.MonkeyPatch.context() as patch:
         if batch == "one row":
-            patch.setattr(module, "BATCH_ENTRIES", 1)
-        got = reduced_restarts(n, parts, 3, budget, gains(q, parts))
+            patch.setattr(local_search, "BATCH_ENTRIES", 1)
+        got = reduced_restarts(n, parts, 3, budget, gains(q, parts), entries(n, parts))
     for row, (g, w) in enumerate(zip(got, want)):
         assert g.tobytes() == w.tobytes(), row
 
@@ -418,7 +420,7 @@ def test_dense_witnesses_match_reference_loops(eps):
 @pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_screened_la_witnesses_match_reference_loop(eps, monkeypatch):
     # every LA gain table and swap climb takes one row at a time
-    monkeypatch.setattr(la_dense, "BATCH_ENTRIES", 1)
+    monkeypatch.setattr(local_search, "BATCH_ENTRIES", 1)
     cfg = DenseLaConfig(eps=eps, budget=SearchBudget(restarts=3))
     for label, m in _metrics((7, 10)):
         for seed in (0, 1):
@@ -500,24 +502,68 @@ def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
 
 
 def test_reduced_search_scores_the_quantized_metric(monkeypatch):
-    # a solve with restarts quantizes once and its gain tables see only that
-    # copy; a zero budget quantizes nothing
+    # a solve quantizes once when it searches (both) or climbs (LA), and its
+    # gain tables and swap climb see only that copy; otherwise it quantizes
+    # nothing
     m = _metrics((12,))[0][1]
-    for module, solve, cfg_type, factory in (
-        (hc_dense, solve_hc_dense, DenseHcConfig, "_caterpillar_gains"),
-        (la_dense, solve_la_dense, DenseLaConfig, "_prefix_cut_gains"),
+    for module, solve, factories, cases in (
+        (hc_dense, solve_hc_dense, ("_caterpillar_gains",),
+         [(DenseHcConfig(eps=0.5, budget=SearchBudget(restarts=r)), r > 0) for r in (0, 2)]),
+        (la_dense, solve_la_dense, ("_prefix_cut_gains", "_swap_gains"),
+         [(DenseLaConfig(eps=0.5, budget=SearchBudget(restarts=r), swap_sweeps=w), r + w > 0)
+          for r in (0, 2) for w in (0, 40)]),
     ):
         made, seen = [], []
-        real_quantize, real_factory = module.quantize, getattr(module, factory)
+        real_quantize = module.quantize
         monkeypatch.setattr(module, "quantize", lambda d: made.append(real_quantize(d)) or made[-1])
-        monkeypatch.setattr(module, factory,
-                            lambda d, *rest: seen.append(d) or real_factory(d, *rest))
-        for restarts in (0, 2):
+        for factory in factories:
+            monkeypatch.setattr(module, factory, lambda d, *rest, real=getattr(module, factory):
+                                seen.append(d) or real(d, *rest))
+        for cfg, searches in cases:
             made.clear()
             seen.clear()
-            solve(m, cfg_type(eps=0.5, budget=SearchBudget(restarts=restarts)), seed=0)
-            assert len(made) == (restarts > 0), (factory, restarts)
-            assert bool(seen) == (restarts > 0) and all(d is made[0] for d in seen), factory
+            solve(m, cfg, seed=0)
+            assert len(made) == searches, cfg
+            assert bool(seen) == searches and all(d is made[0] for d in seen), cfg
+
+
+def _transposed_swap_gains(dist, pos):
+    """``_swap_gains`` with S = D A taken as (A D)^T, equal as A and D are
+    symmetric, but summed by BLAS in another order."""
+    gaps = np.abs(pos[..., :, None] - pos[..., None, :])
+    s = np.swapaxes(gaps @ dist, -1, -2)
+    diag = np.diagonal(s, axis1=-2, axis2=-1)
+    gains = s + np.swapaxes(s, -1, -2)
+    gains -= diag[..., :, None]
+    gains -= diag[..., None, :]
+    gains += 2.0 * dist * gaps
+    return gains
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5])
+def test_la_witness_does_not_depend_on_the_swap_product_order(eps, monkeypatch):
+    # The swap climb decides on exact gains of the quantized metric, so
+    # summing its product in another order changes no witness bit.
+    cfg = DenseLaConfig(eps=eps, budget=SearchBudget(restarts=8))
+    cases = small_corpus() + _metrics((40, 90))
+    want = [solve_la_dense(m, cfg, seed=1)[0].serialize() for _, m in cases]
+    monkeypatch.setattr(la_dense, "_swap_gains", _transposed_swap_gains)
+    for (label, m), witness in zip(cases, want):
+        assert solve_la_dense(m, cfg, seed=1)[0].serialize() == witness, label
+
+
+def test_quantize_is_the_one_line_form():
+    # in place on one copy, the same operations as the one-line form: the
+    # same bits, on a read-only matrix and a read-only view of it alike
+    for label, m in _metrics((5, 40)):
+        for dist in (m.dist, m.dist[1:, 1:]):
+            assert not dist.flags.writeable
+            before = dist.copy()
+            n = len(dist)
+            s = int(np.floor(np.log2(2.0**53 / (16.0 * n**3))))
+            want = np.rint(dist / dist.max() * 2.0**s)
+            assert quantize(dist).tobytes() == want.tobytes(), label
+            assert dist.tobytes() == before.tobytes(), label
 
 
 @pytest.mark.parametrize("family", ["clustered", "euclidean_gaussian"])
@@ -691,9 +737,10 @@ def test_lockstep_climb_memory_is_bounded():
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
     rng = np.random.default_rng(0)
     starts = [LinearArrangement.from_order(rng.permutation(m.n)) for _ in range(33)]
+    q = quantize(m.dist)
     tracemalloc.start()
     try:
-        _swap_hill_climb(m, starts, 2)
+        _swap_hill_climb(q, starts, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -713,7 +760,7 @@ def test_screened_la_sweep_memory_is_bounded():
     budget = SearchBudget(restarts=32, moves_per_restart=1)
     tracemalloc.start()
     try:
-        reduced_restarts(m.n, 2, 0, budget, counted)
+        reduced_restarts(m.n, 2, 0, budget, counted, m.n * (m.n + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
