@@ -24,9 +24,13 @@ import numpy as np
 from .errors import FaithfulGridTooLarge
 from .local_search import DenseConfig, best_of, first_copies, quantize, reduced_restarts
 from .metric import Metric, subset_stats
-from .objectives import HcTree, evaluate_hc, ladder_tree, ladders_on
-from .oracles import all_binary_trees
+from .objectives import HcTree, all_binary_trees, evaluate_hc, ladder_tree, ladders_on
 from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
+
+# solve_hc_dense's small-n branch (n <= slots) scores every tree when n is at
+# most this: (2n - 3)!! trees, 135135 at n = 8.  It bounds that enumeration's
+# cost and is not the HC oracle's cap.
+ENUMERATE_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
     n, slots, eps = m.n, cfg.slots, cfg.eps
     eps_err = eps**3
     rho = subset_stats(m, range(n)).density
-    skeletons = [HcTree(root) for root in all_binary_trees(range(slots))]
+    skeletons = list(all_binary_trees(range(slots)))
 
     size_levels = int(math.floor(3.0 / eps + 1e-9)) + 1  # lambda in {i * eps^2}
     weight_levels = int(math.floor(9.0 / eps + 1e-9)) + 1  # mu in {i * eps^3}
@@ -171,8 +175,8 @@ def solve_hc_dense(m: Metric, cfg: DenseHcConfig, seed: int = 0) -> tuple[HcTree
         # Too few points for the skeleton to matter; any tree with every split
         # nontrivial is fine, the ascending ladder is the canonical one.
         candidates = [ladder_tree(range(n))]
-        if n <= 8 and m.diameter() > 0.0:
-            candidates += map(HcTree, all_binary_trees(list(range(n))))
+        if n <= ENUMERATE_MAX_N and m.diameter() > 0.0:
+            candidates += all_binary_trees(range(n))
         return best_of(candidates, lambda tree: evaluate_hc(m, tree), HcTree.serialize)
     best = _solve_reduced(m, cfg, seed)
     if cfg.grid_mode == "faithful":

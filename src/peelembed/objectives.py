@@ -9,7 +9,7 @@ sum over pairs of w_ij * (leaf count of the subtree rooted at LCA(i, j)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -301,3 +301,54 @@ def ladders_on(skeleton: HcTree, parts) -> Optional[HcTree]:
         if ends[lo] < ends[mid] < ends[hi]:
             spans.append((ends[lo], ends[mid], ends[hi]))
     return _of(_distinct(order), tuple(spans))
+
+
+def all_binary_trees(leaves: Sequence[int]) -> Iterator[HcTree]:
+    """All (2m-3)!! leaf-labeled binary trees over the m given leaves, one
+    per child-swap class, built straight into order and spans.
+
+    The trees over the first j + 1 leaves are those over the first j with
+    leaf j hung as the right sibling of each node in turn, in pre-order.
+    Hanging it by a node that holds ``order[a:b]`` puts it at index b, adds
+    the span (a, b, b + 1) just after the node's own subtree in post-order,
+    and shifts each later span's bounds at or past b by one; the spans before
+    it, the node's subtree and everything left of it, stay as they are.
+    Raises :class:`DuplicateLeaf` naming the first leaf that repeats an
+    earlier one.
+    """
+    leaves = _distinct(int(p) for p in leaves)
+    if len(leaves) <= 1:
+        if leaves:
+            yield _of(leaves, ())
+        return
+
+    def grow(count):
+        if count == 2:
+            yield leaves[:2], ((0, 1, 2),)
+            return
+        leaf = (leaves[count - 1],)
+        for order, spans in grow(count - 1):
+            for a, b, after in _preorder(spans):
+                yield order[:b] + leaf + order[b:], (
+                    spans[:after] + ((a, b, b + 1),)
+                    + tuple((lo + (lo >= b), mid + (mid >= b), hi + 1)
+                            for lo, mid, hi in spans[after:]))
+
+    for order, spans in grow(len(leaves)):
+        yield _of(order, spans)
+
+
+def _preorder(spans: tuple):
+    """(lo, hi, after) of each node of a tree with these spans, in pre-order:
+    the node holds ``order[lo:hi]``, and ``after`` spans come before the end
+    of its subtree in post-order.  A subtree's spans are a run of post-order
+    whose last is its root's, its left subtree's run first."""
+    stack = [(0, len(spans) + 1, 0)]  # (lo, hi, start of the subtree's run)
+    while stack:
+        lo, hi, start = stack.pop()
+        after = start + hi - lo - 1
+        yield lo, hi, after
+        if hi - lo > 1:
+            mid = spans[after - 1][1]
+            stack.append((mid, hi, start + mid - lo - 1))
+            stack.append((lo, mid, start))

@@ -5,12 +5,24 @@ equals the sum over cut positions t of the weight crossing between the first
 t points and the rest, so the maximum over permutations is a subset DP.  The
 HC optimum uses the root-split recursion: a tree on S contributes
 |S| * W(T, S \\ T) at the root plus the optimal values of both sides.
+
+Both DPs walk the bitmasks of the points one popcount layer at a time, each
+layer a few NumPy operations over all of its masks, so every mask finds its
+subsets done.  They add as a loop over the masks would: the weight inside S
+is the weight inside S without its lowest point, plus the weights from that
+point to the rest of S summed from 0.0 in ascending id, and S's row sums are
+summed from 0.0 in ascending id.  Ties keep what that loop's scan keeps: LA
+the lowest last point among exact maxima, HC the smallest left side (the one
+holding S's lowest point) among exact maxima.  So the values, witnesses and
+``explored`` counts are those of the loop, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,20 +42,36 @@ class OracleResult:
 
 
 def _subset_weights(m: Metric) -> np.ndarray:
-    """intra[S] = sum of pairwise distances inside bitmask subset S."""
+    """intra[S], the weight inside bitmask S, summed as a loop over the masks
+    would: the weight inside S without its lowest point p, plus the weight
+    from p to the rest of S summed from 0.0 in ascending id.  That second sum
+    is the same sum for S without its highest point h plus the weight from p
+    to h, so it fills in blocks of one h, ascending; intra fills in blocks of
+    one p, descending."""
     n = m.n
-    intra = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        p = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        w = 0.0
-        r = rest
-        while r:
-            q = (r & -r).bit_length() - 1
-            w += m.dist[p, q]
-            r &= r - 1
-        intra[mask] = intra[rest] + w
+    masks = np.arange(1 << n)
+    low = np.frexp(masks & -masks)[1] - 1  # exact: the exponent of 2^p is p + 1
+    tail = np.zeros(1 << n)
+    for h in range(1, n):
+        half = 1 << h
+        tail[half + 1 : 2 * half] = tail[1:half] + m.dist[low[1:half], h]
+    # in place over tail: the masks whose lowest point is p sit at
+    # 2^p + i 2^(p+1), and without p at i 2^(p+1), which is done by then
+    intra = tail
+    for p in range(n - 2, -1, -1):
+        step = 2 << p
+        intra[1 << p :: step] += intra[::step]
     return intra
+
+
+def _layers(n: int) -> list:
+    """The nonempty bitmasks over n points, one array per popcount."""
+    count = np.zeros(1 << n, dtype=np.int8)
+    for h in range(n):
+        count[1 << h : 2 << h] = count[: 1 << h] + 1
+    masks = np.argsort(count, kind="stable")
+    ends = list(itertools.accumulate(math.comb(n, k) for k in range(n + 1)))
+    return [masks[ends[k - 1] : ends[k]] for k in range(1, n + 1)]
 
 
 def brute_force_la(m: Metric) -> OracleResult:
@@ -53,40 +81,26 @@ def brute_force_la(m: Metric) -> OracleResult:
         raise TooLarge(f"LA oracle guarded at n <= {LA_ORACLE_MAX_N}")
     if n == 1:
         return OracleResult(0.0, LinearArrangement.from_order([0]), 1)
-    intra = _subset_weights(m)
-    rowsum = m.dist.sum(axis=1)
-    full = (1 << n) - 1
 
     # cut(S) = W(S, V \ S); value of an order = sum of cut(prefix) over prefixes.
+    rowsum = m.dist.sum(axis=1)
+    cut = np.zeros(1 << n)  # first each mask's row sums, from 0.0 in ascending id
+    for h in range(n):
+        cut[1 << h : 2 << h] = cut[: 1 << h] + rowsum[h]
+    cut -= 2.0 * _subset_weights(m)
+    # A layer's masks see the layer above still at -inf, so over every point
+    # p the argmax of best[mask ^ p] is the lowest member p of the maximum.
     best = np.full(1 << n, -np.inf)
     best[0] = 0.0
-    choice = np.zeros(1 << n, dtype=int)
-    masks = sorted(range(1 << n), key=lambda s: s.bit_count())
-    for mask in masks:
-        if mask == 0:
-            continue
-        row = 0.0
-        r = mask
-        while r:
-            p = (r & -r).bit_length() - 1
-            row += rowsum[p]
-            r &= r - 1
-        cut = row - 2.0 * intra[mask]
-        cand_best = -np.inf
-        cand_p = -1
-        r = mask
-        while r:
-            p = (r & -r).bit_length() - 1
-            prev = best[mask ^ (1 << p)]
-            if prev > cand_best:
-                cand_best = prev
-                cand_p = p
-            r &= r - 1
-        best[mask] = cand_best + cut
-        choice[mask] = cand_p
+    choice = np.zeros(1 << n, dtype=np.int8)
+    points = 1 << np.arange(n)
+    for masks in _layers(n):
+        prev = best[masks[:, None] ^ points]
+        choice[masks] = p = prev.argmax(axis=1)
+        best[masks] = prev[np.arange(len(masks)), p] + cut[masks]
 
     order = [0] * n
-    mask = full
+    mask = (1 << n) - 1
     while mask:
         p = int(choice[mask])
         order[mask.bit_count() - 1] = p
@@ -109,32 +123,25 @@ def brute_force_hc(m: Metric) -> OracleResult:
     best = np.zeros(1 << n)
     choice = np.zeros(1 << n, dtype=int)
     explored = 0
-    masks = sorted(range(1 << n), key=lambda s: s.bit_count())
-    for mask in masks:
-        size = mask.bit_count()
-        if size < 2:
-            continue
-        low = mask & -mask
-        rest = mask ^ low
-        # Splits where the side holding the lowest point varies over subsets.
-        sub = rest
-        cand_best = -np.inf
-        cand_split = 0
-        while True:
-            left = low | sub
-            right = mask ^ left
-            if right:
-                explored += 1
-                cross = intra[mask] - intra[left] - intra[right]
-                val = best[left] + best[right] + size * cross
-                if val > cand_best or (val == cand_best and left < cand_split):
-                    cand_best = val
-                    cand_split = left
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        best[mask] = cand_best
-        choice[mask] = cand_split
+    points = 1 << np.arange(n)
+    for size, masks in enumerate(_layers(n)[1:], start=2):
+        # Splits where the side holding the lowest point varies over subsets
+        # of the rest, but not all of it; their left masks ascend along a row.
+        bits = masks[:, None] & points
+        bits = bits[bits != 0].reshape(len(masks), size)
+        left = np.empty((len(masks), 1 << (size - 1)), dtype=int)
+        left[:, 0] = bits[:, 0]
+        for col in range(1, size):
+            half = 1 << (col - 1)
+            left[:, half : 2 * half] = left[:, :half] | bits[:, col, None]
+        left = left[:, :-1]
+        right = masks[:, None] ^ left
+        cross = intra[masks, None] - intra[left] - intra[right]
+        val = best[left] + best[right] + size * cross
+        pick = (np.arange(len(masks)), val.argmax(axis=1))
+        best[masks] = val[pick]
+        choice[masks] = left[pick]
+        explored += left.size
 
     def build(mask):
         if mask.bit_count() == 1:
@@ -197,34 +204,3 @@ def average_linkage_hc(m: Metric) -> HcTree:
         next_id += 1
     (_, root) = clusters.popitem()[1]
     return HcTree(root)
-
-
-def all_binary_trees(leaves: Sequence[int]) -> Iterator:
-    """All (2m-3)!! leaf-labeled binary tree shapes over the given leaves.
-
-    Yields raw tree nodes (ints / nested 2-tuples), one representative per
-    child-swap equivalence class.
-    """
-    leaves = list(leaves)
-    if not leaves:
-        return
-    if len(leaves) == 1:
-        yield leaves[0]
-        return
-
-    def insert(node, leaf):
-        yield (node, leaf)
-        if isinstance(node, tuple):
-            for sub in insert(node[0], leaf):
-                yield (sub, node[1])
-            for sub in insert(node[1], leaf):
-                yield (node[0], sub)
-
-    def grow(prefix_len):
-        if prefix_len == 2:
-            yield (leaves[0], leaves[1])
-            return
-        for smaller in grow(prefix_len - 1):
-            yield from insert(smaller, leaves[prefix_len - 1])
-
-    yield from grow(len(leaves))

@@ -8,7 +8,8 @@ partition search, the per-cell loop of the faithful grids, the
 per-restart loop of the reduced search with its batched scorers, the per-k
 triangle scan, whole-slab screen and whole-matrix symmetrising of metric
 validation, the all-token matrix parse with its format sniff, the
-node-at-a-time tree walks, the nested-tuple skeleton trees, and the
+node-at-a-time tree walks, the nested-tuple skeleton trees and tree
+enumeration, the mask-at-a-time loops of the exact oracles, and the
 evaluators, scorers, metric builders and the submetric gather that faster
 code replaced.
 """
@@ -49,6 +50,7 @@ from peelembed.objectives import (
     evaluate_la,
     ladder_tree,
 )
+from peelembed.oracles import OracleResult
 from peelembed.partition_search import (
     PartitionSpec,
     _bounds,
@@ -718,3 +720,143 @@ def reference_grid_partitions(m, parts, size_cells, mu_cells, eps_err, budget, s
             if hit is not None and hit not in found:
                 found.append(hit)
     return found
+
+
+def reference_subset_weights(m):
+    """``oracles._subset_weights`` as a loop over the masks: intra[S], the
+    weight inside bitmask S, is the weight inside S without its lowest point
+    p plus the weights from p to the rest summed from 0.0 in ascending id."""
+    n = m.n
+    intra = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        p = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        w = 0.0
+        r = rest
+        while r:
+            q = (r & -r).bit_length() - 1
+            w += m.dist[p, q]
+            r &= r - 1
+        intra[mask] = intra[rest] + w
+    return intra
+
+
+def reference_brute_force_la(m):
+    """``oracles.brute_force_la`` as the loop DP it replaced, without its cap:
+    masks by popcount, each scanning its points p ascending with a strict
+    ``>``, so the lowest p among exact maxima is kept."""
+    n = m.n
+    if n == 1:
+        return OracleResult(0.0, LinearArrangement.from_order([0]), 1)
+    intra = reference_subset_weights(m)
+    rowsum = m.dist.sum(axis=1)
+    best = np.full(1 << n, -np.inf)
+    best[0] = 0.0
+    choice = np.zeros(1 << n, dtype=int)
+    for mask in sorted(range(1, 1 << n), key=lambda s: s.bit_count()):
+        row = 0.0
+        r = mask
+        while r:
+            p = (r & -r).bit_length() - 1
+            row += rowsum[p]
+            r &= r - 1
+        cut = row - 2.0 * intra[mask]
+        cand_best = -np.inf
+        cand_p = -1
+        r = mask
+        while r:
+            p = (r & -r).bit_length() - 1
+            prev = best[mask ^ (1 << p)]
+            if prev > cand_best:
+                cand_best = prev
+                cand_p = p
+            r &= r - 1
+        best[mask] = cand_best + cut
+        choice[mask] = cand_p
+    order = [0] * n
+    mask = (1 << n) - 1
+    while mask:
+        p = int(choice[mask])
+        order[mask.bit_count() - 1] = p
+        mask ^= 1 << p
+    witness = LinearArrangement.from_order(order)
+    rev = witness.reversed()
+    if rev.position < witness.position:
+        witness = rev
+    return OracleResult(evaluate_la(m, witness), witness, (1 << n) - 1)
+
+
+def reference_brute_force_hc(m):
+    """``oracles.brute_force_hc`` as the loop DP it replaced, without its cap:
+    masks by popcount, each scanning its splits with the left side (the one
+    holding the lowest point) descending, keeping the smallest left side
+    among exact maxima."""
+    n = m.n
+    if n == 1:
+        return OracleResult(0.0, HcTree(0), 1)
+    intra = reference_subset_weights(m)
+    best = np.zeros(1 << n)
+    choice = np.zeros(1 << n, dtype=int)
+    explored = 0
+    for mask in sorted(range(1 << n), key=lambda s: s.bit_count()):
+        size = mask.bit_count()
+        if size < 2:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        sub = rest
+        cand_best = -np.inf
+        cand_split = 0
+        while True:
+            left = low | sub
+            right = mask ^ left
+            if right:
+                explored += 1
+                cross = intra[mask] - intra[left] - intra[right]
+                val = best[left] + best[right] + size * cross
+                if val > cand_best or (val == cand_best and left < cand_split):
+                    cand_best = val
+                    cand_split = left
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        best[mask] = cand_best
+        choice[mask] = cand_split
+
+    def build(mask):
+        if mask.bit_count() == 1:
+            return (mask & -mask).bit_length() - 1
+        left = int(choice[mask])
+        return (build(left), build(mask ^ left))
+
+    witness = HcTree(build((1 << n) - 1))
+    return OracleResult(evaluate_hc(m, witness), witness, explored)
+
+
+def reference_all_binary_trees(leaves):
+    """``objectives.all_binary_trees`` as nested tuples, in its order: the
+    trees over the first j + 1 leaves are those over the first j with leaf j
+    inserted as the right sibling of each node, in pre-order."""
+    leaves = list(leaves)
+    if not leaves:
+        return
+    if len(leaves) == 1:
+        yield leaves[0]
+        return
+
+    def insert(node, leaf):
+        yield (node, leaf)
+        if isinstance(node, tuple):
+            for sub in insert(node[0], leaf):
+                yield (sub, node[1])
+            for sub in insert(node[1], leaf):
+                yield (node[0], sub)
+
+    def grow(prefix_len):
+        if prefix_len == 2:
+            yield (leaves[0], leaves[1])
+            return
+        for smaller in grow(prefix_len - 1):
+            yield from insert(smaller, leaves[prefix_len - 1])
+
+    yield from grow(len(leaves))

@@ -14,7 +14,7 @@ from peelembed import cli, hc_peeling, la_peeling
 from peelembed.cli import CSV_COLUMNS, OBJECTIVES, main, run_bench
 from peelembed.instances import GeneratorSpec, generate, la_case_c_spec
 from peelembed.metric import Metric, format_metric, parse_metric
-from peelembed.oracles import brute_force_la
+from peelembed.oracles import HC_ORACLE_MAX_N, LA_ORACLE_MAX_N, brute_force_la
 from peelembed.partition_search import SearchBudget
 
 
@@ -274,11 +274,12 @@ class TestSolveAndOracle:
             assert "explored" in out
 
     def test_oracle_too_large_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "big.txt"
-        n = 12
-        rows = [" ".join("0" if i == j else "1" for j in range(n)) for i in range(n)]
-        path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
-        assert main(["oracle", "--input", str(path), "--objective", "la"]) == 1
+        for objective, obj in OBJECTIVES.items():
+            path = tmp_path / f"big-{objective}.txt"
+            n = obj.oracle_max_n + 1
+            rows = [" ".join("0" if i == j else "1" for j in range(n)) for i in range(n)]
+            path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
+            assert main(["oracle", "--input", str(path), "--objective", objective]) == 1
 
     @pytest.mark.parametrize("objective", list(OBJECTIVES))
     def test_trace_value_is_the_witness_value(self, objective):
@@ -361,7 +362,8 @@ class TestBench:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("algorithm, n", [("oracle-la", 11), ("oracle-hc", 9)])
+    @pytest.mark.parametrize("algorithm, n", [("oracle-la", LA_ORACLE_MAX_N + 1),
+                                              ("oracle-hc", HC_ORACLE_MAX_N + 1)])
     def test_oracle_row_too_large_exits_1(self, tmp_path, capsys, algorithm, n):
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps({"algorithms": [algorithm],

@@ -5,11 +5,13 @@ from conftest import random_metric
 from peelembed import objectives
 from peelembed.errors import InvalidSpec
 from peelembed.hc_dense import DenseHcConfig, _parts_of, solve_hc_dense
+from peelembed.local_search import best_of
 from peelembed.metric import subset_stats, validate_metric
-from peelembed.objectives import HcTree, evaluate_hc, ladder_tree, ladders_on
-from peelembed.oracles import all_binary_trees, brute_force_hc
+from peelembed.objectives import HcTree, all_binary_trees, evaluate_hc, ladder_tree, ladders_on
+from peelembed.oracles import brute_force_hc
 from structural import (
     has_not_all_small_weights,
+    reference_all_binary_trees,
     reference_caterpillar_skeleton,
     reference_skeleton_tree,
 )
@@ -97,8 +99,8 @@ def test_ladders_on_matches_nested_skeleton_trees(slots):
     # every skeleton on the slots, parts of 0-24 points with some slots left
     # empty, and every slot empty (no tree)
     rng = np.random.default_rng(slots)
-    for root in all_binary_trees(range(slots)):
-        skeleton = HcTree(root)
+    for skeleton in all_binary_trees(range(slots)):
+        root = skeleton.root
         assert ladders_on(skeleton, [[] for _ in range(slots)]) is None
         for _ in range(5):
             n = int(rng.integers(0, 25))
@@ -110,6 +112,29 @@ def test_ladders_on_matches_nested_skeleton_trees(slots):
             else:
                 assert (got.order, got.spans) == (want.order, want.spans)
     assert ladder_tree(range(slots)) == HcTree(reference_caterpillar_skeleton(slots))
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_small_n_branch_walks_no_tree(monkeypatch, n):
+    # at n <= slots every tree is built straight into order and spans while
+    # it is enumerated, and the pick is that of the nested trees walked
+    walks = []
+    walk = objectives._leaf_spans
+
+    def counted(root):
+        walks.append(1)
+        return walk(root)
+
+    m = random_metric(np.random.default_rng(n), n)
+    cfg = DenseHcConfig(eps=0.25)
+    assert n <= cfg.slots
+    monkeypatch.setattr(objectives, "_leaf_spans", counted)
+    tree, value = solve_hc_dense(m, cfg)
+    assert len(walks) == 0
+    monkeypatch.undo()
+    nested = map(HcTree, reference_all_binary_trees(range(n)))
+    want = best_of([ladder_tree(range(n)), *nested], lambda t: evaluate_hc(m, t), HcTree.serialize)
+    assert (tree, value) == want
 
 
 @pytest.mark.parametrize("n", [12, 120])

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_metric
-from peelembed.errors import TooLarge
-from peelembed.metric import validate_metric
-from peelembed.objectives import HcTree, LinearArrangement, evaluate_hc, evaluate_la
-from peelembed.oracles import (
+from peelembed.errors import DuplicateLeaf, InvalidSpec, TooLarge
+from peelembed.instances import GeneratorSpec, generate
+from peelembed.metric import Metric, validate_metric
+from peelembed.objectives import (
+    HcTree,
+    LinearArrangement,
     all_binary_trees,
+    evaluate_hc,
+    evaluate_la,
+)
+from peelembed.oracles import (
+    HC_ORACLE_MAX_N,
+    LA_ORACLE_MAX_N,
+    _subset_weights,
     average_linkage_hc,
     brute_force_hc,
     brute_force_la,
     random_bisection_la,
+)
+from structural import (
+    reference_all_binary_trees,
+    reference_brute_force_hc,
+    reference_brute_force_la,
+    reference_subset_weights,
 )
 
 M3 = validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -30,8 +47,8 @@ def la_by_permutations(m):
 
 def hc_by_enumeration(m):
     best = -1.0
-    for node in all_binary_trees(list(range(m.n))):
-        best = max(best, evaluate_hc(m, HcTree(node)))
+    for tree in all_binary_trees(range(m.n)):
+        best = max(best, evaluate_hc(m, tree))
     return best
 
 
@@ -53,11 +70,73 @@ def test_hc_oracle_frozen():
 
 
 def test_oracle_guards():
-    big = validate_metric(np.ones((11, 11)) - np.eye(11))
     with pytest.raises(TooLarge):
-        brute_force_la(big)
+        brute_force_la(validate_metric(np.ones((LA_ORACLE_MAX_N + 1,) * 2) - np.eye(LA_ORACLE_MAX_N + 1)))
     with pytest.raises(TooLarge):
-        brute_force_hc(validate_metric(np.ones((9, 9)) - np.eye(9)))
+        brute_force_hc(validate_metric(np.ones((HC_ORACLE_MAX_N + 1,) * 2) - np.eye(HC_ORACLE_MAX_N + 1)))
+
+
+def _same_result(got, want):
+    return (got.value, got.witness.serialize(), got.explored) == (
+        want.value, want.witness.serialize(), want.explored)
+
+
+def _assert_matches_loops(m, label):
+    # value, witness bytes and explored count equal the loop DPs', bit for bit
+    assert _subset_weights(m).tobytes() == reference_subset_weights(m).tobytes(), label
+    if m.n <= LA_ORACLE_MAX_N:
+        assert _same_result(brute_force_la(m), reference_brute_force_la(m)), label
+    if m.n <= HC_ORACLE_MAX_N:
+        assert _same_result(brute_force_hc(m), reference_brute_force_hc(m)), label
+
+
+def test_oracles_match_loop_references_on_corpus(corpus):
+    for label, m in corpus:
+        _assert_matches_loops(m, label)
+
+
+def _bench_sweep_families():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_sweep.py"
+    spec = importlib.util.spec_from_file_location("bench_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FAMILIES
+
+
+@pytest.mark.parametrize("family", _bench_sweep_families())
+def test_oracles_match_loop_references_on_bench_families(family):
+    # n <= 10: the HC loop takes seconds at n = 12
+    for n in range(1, 11):
+        try:
+            m = generate(GeneratorSpec(family=family, n=n, seed=0))
+        except InvalidSpec:  # too few points for the family's outliers
+            continue
+        _assert_matches_loops(m, f"{family}-n{n}")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(0, 10**6), st.booleans())
+def test_oracles_match_loop_references_on_random_metrics(n, seed, ties):
+    # ties: distances of 1 and 2 only, a metric with many exactly equal values
+    rng = np.random.default_rng(seed)
+    if ties:
+        upper = np.triu(rng.integers(1, 3, size=(n, n)), 1).astype(float)
+        m = Metric(upper + upper.T)
+    else:
+        m = random_metric(rng, n)
+    _assert_matches_loops(m, f"n{n}-s{seed}-{ties}")
+
+
+@pytest.mark.parametrize("leaves", [[], [3], [0, 1], [2, 0, 1], [5, 1, 7, 3, 0], list(range(7))])
+def test_all_binary_trees_match_nested_reference(leaves):
+    got = [(t.order, t.spans) for t in all_binary_trees(leaves)]
+    want = [(t.order, t.spans) for t in map(HcTree, reference_all_binary_trees(leaves))]
+    assert got == want
+
+
+def test_all_binary_trees_rejects_repeated_leaves():
+    with pytest.raises(DuplicateLeaf, match="leaf 1"):
+        list(all_binary_trees([0, 1, 2, 1]))
 
 
 def test_witness_reevaluates_to_value(corpus):
@@ -85,7 +164,7 @@ def test_hc_dp_matches_tree_enumeration(n, seed):
 
 def test_all_binary_trees_double_factorial_counts():
     for n, count in [(2, 1), (3, 3), (4, 15), (5, 105), (6, 945)]:
-        trees = [HcTree(t).serialize() for t in all_binary_trees(list(range(n)))]
+        trees = [t.serialize() for t in all_binary_trees(range(n))]
         assert len(trees) == count
         assert len(set(trees)) == count  # no duplicates
 
