@@ -30,8 +30,8 @@ from .errors import TooLarge
 from .metric import Metric
 from .objectives import HcTree, LinearArrangement, evaluate_hc, evaluate_la
 
-LA_ORACLE_MAX_N = 10
-HC_ORACLE_MAX_N = 8
+LA_ORACLE_MAX_N = 20
+HC_ORACLE_MAX_N = 15
 
 
 @dataclass(frozen=True)
