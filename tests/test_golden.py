@@ -7,7 +7,10 @@ weight became half the sum of its row sums: only trace floats moved in their
 last bits (``rho`` in six of the seven peeling traces and in the la, hc and
 la250 trace files of the CLI transcript, ``alpha``, ``beta`` and ``gamma``
 in some of them), while every witness, value, case sequence, id list,
-stdout line and the bench CSV stayed byte-identical.  They hold
+stdout line and the bench CSV stayed byte-identical.  The CLI transcript was
+regenerated once more when the exact oracles' caps rose to n <= 20 (LA) and
+n <= 15 (HC): the HC oracle on the n=9 matrix now answers instead of exiting
+1, and a new n=16 case keeps the exit-1 path.  They hold
 
 - the CSV of ``scripts/bench_sweep.py`` with its default arguments;
 - witness, value and trace JSONL of zero-budget case-(c) peeling runs
@@ -92,6 +95,7 @@ def _write_inputs(tmp_dir):
     pts = np.random.default_rng(11).uniform(0.0, 1.0, size=(7, 2))
     inputs = {
         "m9.txt": format_metric(generate(GeneratorSpec(family="clustered", n=9, seed=3))),
+        "m16.txt": format_metric(generate(GeneratorSpec(family="clustered", n=16, seed=3))),
         "m8.txt": format_metric(generate(GeneratorSpec(family="euclidean_gaussian", n=8,
                                                        seed=2))),
         "outliers40.txt": format_metric(generate(GeneratorSpec(
@@ -147,6 +151,7 @@ CLI_COMMANDS = [
     ["oracle", "--input", "{dir}/m8.txt", "--objective", "la"],
     ["oracle", "--input", "{dir}/m8.txt", "--objective", "hc"],
     ["oracle", "--input", "{dir}/m9.txt", "--objective", "hc"],
+    ["oracle", "--input", "{dir}/m16.txt", "--objective", "hc"],
     ["--seed", "2", "bench", "--config", "{dir}/bench.json"],
     ["bench", "--config", "{dir}/bad.json"],
 ]
