@@ -96,8 +96,8 @@ def brute_force_la(m: Metric) -> OracleResult:
     points = 1 << np.arange(n)
     for masks in _layers(n):
         prev = best[masks[:, None] ^ points]
-        choice[masks] = p = prev.argmax(axis=1)
-        best[masks] = prev[np.arange(len(masks)), p] + cut[masks]
+        choice[masks] = prev.argmax(axis=1)
+        best[masks] = prev.max(axis=1) + cut[masks]
 
     order = [0] * n
     mask = (1 << n) - 1

@@ -70,10 +70,9 @@ def test_hc_oracle_frozen():
 
 
 def test_oracle_guards():
-    with pytest.raises(TooLarge):
-        brute_force_la(validate_metric(np.ones((LA_ORACLE_MAX_N + 1,) * 2) - np.eye(LA_ORACLE_MAX_N + 1)))
-    with pytest.raises(TooLarge):
-        brute_force_hc(validate_metric(np.ones((HC_ORACLE_MAX_N + 1,) * 2) - np.eye(HC_ORACLE_MAX_N + 1)))
+    for oracle, cap in ((brute_force_la, LA_ORACLE_MAX_N), (brute_force_hc, HC_ORACLE_MAX_N)):
+        with pytest.raises(TooLarge):
+            oracle(validate_metric(np.ones((cap + 1, cap + 1)) - np.eye(cap + 1)))
 
 
 def _same_result(got, want):
