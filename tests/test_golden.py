@@ -17,7 +17,9 @@ n <= 15 (HC): the HC oracle on the n=9 matrix now answers instead of exiting
   (``la_case_c_spec`` at n 250/300/440, ``hc_case_c_spec`` at n 1860/1900)
   and of the case-(b) outlier instances of the peeling tests;
 - a CLI transcript: argv, exit code, stdout, stderr and written files of
-  every command in ``CLI_COMMANDS``.
+  every command in ``CLI_COMMANDS``;
+- value and witness of default-budget faithful dense solves whose grids the
+  partition search takes in its local regime (n > 12), ``FAITHFUL_LOCAL``.
 """
 
 import contextlib
@@ -33,10 +35,10 @@ import pytest
 
 from peelembed import objectives
 from peelembed.cli import main
-from peelembed.hc_dense import DenseHcConfig
+from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
 from peelembed.hc_peeling import HcPeelConfig, solve_hc
 from peelembed.instances import GeneratorSpec, generate, hc_case_c_spec, la_case_c_spec
-from peelembed.la_dense import DenseLaConfig
+from peelembed.la_dense import DenseLaConfig, solve_la_dense
 from peelembed.la_peeling import LaPeelConfig, solve_la
 from peelembed.metric import format_metric, format_point_cloud
 from peelembed.partition_search import SearchBudget
@@ -78,6 +80,29 @@ def render_peeling(name):
     """(witness text, trace JSONL) of one peeling run."""
     witness, trace = PEELING_RUNS[name]()
     return f"value {trace.value!r}\n{witness.serialize()}\n", trace.to_json_lines()
+
+
+# (objective, family, n, seed) at eps 0.5: the LA grids pick every move by a
+# clear lead, the HC grids also through near-tied rows of the partition search
+FAITHFUL_LOCAL = [
+    ("la", "clustered", 13, 0),
+    ("la", "euclidean_uniform_box", 16, 0),
+    ("hc", "clustered", 13, 1),
+    ("hc", "uniform_metric", 13, 0),
+]
+
+
+def render_faithful_local():
+    """A header, value and witness line per solve of ``FAITHFUL_LOCAL``."""
+    solvers = {"la": (solve_la_dense, DenseLaConfig), "hc": (solve_hc_dense, DenseHcConfig)}
+    lines = []
+    for objective, family, n, seed in FAITHFUL_LOCAL:
+        solve, cfg = solvers[objective]
+        witness, value = solve(generate(GeneratorSpec(family=family, n=n, seed=seed)),
+                               cfg(eps=0.5, grid_mode="faithful"), seed=seed)
+        lines += [f"{objective} {family} n={n} seed={seed}", f"value {value!r}",
+                  witness.serialize()]
+    return "\n".join(lines) + "\n"
 
 
 def render_bench_sweep(tmp_dir):
@@ -204,6 +229,10 @@ def test_hc_case_c_peel_walks_no_tree(monkeypatch):
     witness, _ = render_peeling("hc_case_c_n1860_s0")
     assert len(walks) == 0
     assert witness == _golden("hc_case_c_n1860_s0.witness")
+
+
+def test_faithful_local_regime_matches_golden():
+    assert render_faithful_local() == _golden("faithful_local.txt")
 
 
 def test_bench_sweep_csv_matches_golden(tmp_path):
