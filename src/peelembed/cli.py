@@ -284,21 +284,23 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="peelembed")
+    # no prefix matching: ``gen ... --out X`` would read --out as --outlier-n
+    parser = argparse.ArgumentParser(prog="peelembed", allow_abbrev=False)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is sequential")
     parser.add_argument("--out", default="-")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name):
+        return sub.add_parser(name, allow_abbrev=False)
 
     def add_input(p):
         p.add_argument("--input", required=True)
         p.add_argument("--format", choices=["auto", "matrix", "points"], default="auto")
 
-    p = sub.add_parser("validate")
+    p = command("validate")
     add_input(p)
 
-    p = sub.add_parser("gen")
+    p = command("gen")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int)
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-ratio", dest="weight_ratio", type=float)
 
     for objective in OBJECTIVES:
-        p = sub.add_parser(f"solve-{objective}")
+        p = command(f"solve-{objective}")
         p.set_defaults(objective=objective)
         add_input(p)
         p.add_argument("--eps", type=float, required=True)
@@ -321,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
         only_or_trace.add_argument("--dense-only", action="store_true")
         only_or_trace.add_argument("--trace")
 
-    p = sub.add_parser("oracle")
+    p = command("oracle")
     add_input(p)
     p.add_argument("--objective", choices=list(OBJECTIVES), required=True)
 
-    p = sub.add_parser("bench")
+    p = command("bench")
     p.add_argument("--config", required=True)
     p.add_argument("--timing", action="store_true")
     return parser

@@ -36,10 +36,6 @@ TIE_TOL = 1e-12
 # n, the number of parts and the number of rows sweeping together are.
 BATCH_ENTRIES = 1 << 16
 
-# Largest n and k^n at which a k-part partition search enumerates every assignment.
-EXHAUSTIVE_N = 12
-EXHAUSTIVE_ASSIGNMENTS = 200_000
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -50,10 +46,6 @@ class SearchBudget:
         for name, value in vars(self).items():
             if value is not None and value < 0:
                 raise InvalidSpec(f"{name} must be >= 0, got {value}")
-
-    def exhaustive(self, n: int, k: int) -> bool:
-        """Whether a k-part search on n points enumerates all k^n assignments."""
-        return n <= EXHAUSTIVE_N and k**n <= EXHAUSTIVE_ASSIGNMENTS
 
     def moves(self, n: int) -> int:
         return self.moves_per_restart if self.moves_per_restart is not None else 200 * n

@@ -270,50 +270,40 @@ def _raise_triangle_witness(mat: np.ndarray, tol: float) -> None:
 
     Only points that :func:`_triangle_screen` flags can violate, and row r
     of the screen flags only r and points above it, so once it is past row c
-    every violating k <= c is flagged.  So right after row c, c is checked
-    exactly by :func:`_violates` if it is flagged, and the first that
-    violates is the smallest violating k; on a metric only the screen runs.
-    The rows at the smallest k are then scanned again for the first (i, j)
-    of largest slack.
+    every violating k <= c is flagged.  So right after row c, c's largest
+    slack is found by :func:`_largest_slack` if it is flagged, and the first
+    above tol is at the smallest violating k; on a metric only the screen runs.
     """
     n = mat.shape[0]
     buf = np.empty(min(max(1, BLOCK_ENTRIES // n), n) * n)
-    marks, first = np.zeros(n, dtype=bool), None
+    marks = np.zeros(n, dtype=bool)
     # rows n - 2 and n - 1, which the screen skips, flag nothing
     rows = itertools.chain(_triangle_screen(mat, tol), itertools.repeat([]))
     for k, points in zip(range(n), rows):
         marks[points] = True
-        if marks[k] and _violates(mat, k, tol, buf):
-            first = k
-            break
-    if first is None:
-        return
+        if marks[k]:
+            worst, (i, j) = _largest_slack(mat, k, buf)
+            if worst > tol:
+                raise TriangleViolation(i, j, k, worst)
+
+
+def _largest_slack(mat: np.ndarray, k: int, buf: np.ndarray) -> tuple:
+    """(slack, (i, j)): the largest slack fl(d_ij - fl(d_ik + d_kj)) via k
+    and the first (i, j) that has it, from the n x n form
+    ``mat - (mat[:, k, None] + mat[None, k, :])`` in blocks of
+    ``buf.size // n`` whole rows, each written into ``buf``."""
+    step = buf.size // mat.shape[0]
     worst, at = -math.inf, None
-    for lo in range(0, n, buf.size // n):
-        out = _slack(mat, lo, first, buf)
+    for lo in range(0, mat.shape[0], step):
+        rows = mat[lo : lo + step]
+        out = buf[: rows.size].reshape(rows.shape)
+        np.add(rows[:, k, None], mat[k], out=out)
+        np.subtract(rows, out, out=out)
         top = float(out.max())
         if top > worst:
             r, c = np.unravel_index(int(np.argmax(out)), out.shape)
             worst, at = top, (lo + int(r), int(c))
-    raise TriangleViolation(*at, first, worst)
-
-
-def _violates(mat: np.ndarray, k: int, tol: float, buf: np.ndarray) -> bool:
-    """Whether some (i, j) has slack above ``tol`` via k, scanned in blocks
-    of ``buf.size // n`` whole rows (see :func:`_slack`)."""
-    n = mat.shape[0]
-    return any(_slack(mat, lo, k, buf).max() > tol for lo in range(0, n, buf.size // n))
-
-
-def _slack(mat: np.ndarray, lo: int, k: int, buf: np.ndarray) -> np.ndarray:
-    """The slack fl(d_ij - fl(d_ik + d_kj)) of rows [lo, lo + buf.size // n)
-    via k, written into ``buf``: those rows of the n x n form
-    ``mat - (mat[:, k, None] + mat[None, k, :])``."""
-    rows = mat[lo : lo + buf.size // mat.shape[0]]
-    out = buf[: rows.size].reshape(rows.shape)
-    np.add(rows[:, k, None], mat[k], out=out)
-    np.subtract(rows, out, out=out)
-    return out
+    return worst, at
 
 
 def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:

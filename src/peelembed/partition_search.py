@@ -30,6 +30,10 @@ _INF = math.inf
 # Most cells a faithful grid may enumerate before it is refused.
 MAX_GRID_CELLS = 2_000_000
 
+# Largest n and k^n at which a k-part partition search enumerates every assignment.
+EXHAUSTIVE_N = 12
+EXHAUSTIVE_ASSIGNMENTS = 200_000
+
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -99,11 +103,8 @@ def make_partition(m: Metric, assignment: Sequence[int], k: int) -> Partition:
     assign = tuple(int(a) for a in assignment)
     sizes = tuple(int((np.asarray(assign) == j).sum()) for j in range(k))
     cross = crossing_matrix(m, assign, k)
-    return Partition(
-        assignment=assign,
-        part_sizes=sizes,
-        crossing_weights=tuple(tuple(float(x) for x in row) for row in cross),
-    )
+    return Partition(assignment=assign, part_sizes=sizes,
+                     crossing_weights=tuple(tuple(float(x) for x in row) for row in cross))
 
 
 def partition_feasible(m: Metric, spec: PartitionSpec, eps_err: float,
@@ -119,9 +120,7 @@ def _feasible(m: Metric, bounds, eps_err: float, assignment: Sequence[int]) -> b
     if (sizes < slb - eps_err - 1e-12).any() or (sizes > sub + eps_err + 1e-12).any():
         return False
     cross = crossing_matrix(m, assignment, len(slb)) / norm
-    return not (
-        (cross < wlb - eps_err - 1e-12).any() or (cross > wub + eps_err + 1e-12).any()
-    )
+    return not ((cross < wlb - eps_err - 1e-12).any() or (cross > wub + eps_err + 1e-12).any())
 
 
 def enumerate_assignments(m: Metric, k: int):
@@ -165,10 +164,15 @@ def search_partition(m: Metric, spec: PartitionSpec, eps_err: float,
     return make_partition(m, assignment, k)
 
 
+def exhaustive(n: int, k: int) -> bool:
+    """Whether a k-part search on n points enumerates all k^n assignments."""
+    return n <= EXHAUSTIVE_N and k**n <= EXHAUSTIVE_ASSIGNMENTS
+
+
 def _search_cells(m, bounds, eps_err, budget, seed):
     """Each cell's hit, an assignment tuple or None, size cell outer: ``bounds``
     is ``_bounds``'s tuple stacked over L size cells (L, k) and U weight cells (U, k, k)."""
-    if budget.exhaustive(m.n, bounds[1].shape[1]):
+    if exhaustive(m.n, bounds[1].shape[1]):
         return _exhaustive_hits(m, bounds, eps_err)
     return _local_hits(m, bounds, eps_err, budget, seed)
 
@@ -289,51 +293,22 @@ def scan_argmax(gains, tol: float):
     entry starts as incumbent): an int for one (M,) row, an (L,) array for
     (L, M) rows.  The local regime's sweep picks its moves with it.
 
-    Every replacement is larger than all entries before it, so only a row's
-    strict running maxima, its records, can be kept, and their values ascend.
-    The record that replaces record r is its row's first record above
-    value(r) + tol.  One stable sort of every row's records and thresholds
-    finds it for all records at once; the scan then jumps from record to
-    record in every row together.
-
-    Usually no sort is needed: when every entry ahead of a row's first
-    largest entry is below it by more than tol (``ahead + tol < top``,
-    rounded as the scan rounds it), the scan reaches that entry with a
-    smaller incumbent, takes it, and no later entry can beat it.  If every
-    row is such a row, those entries are returned at once.
+    Most rows need no scan: when every entry ahead of a row's first largest
+    entry is below it by more than tol (``ahead + tol < top``, rounded as the
+    scan rounds it), the scan reaches that entry with a smaller incumbent,
+    takes it, and no later entry can beat it.  Only the other rows, whose
+    top is near-tied with an earlier entry, are scanned entry by entry.
     """
     g = np.atleast_2d(np.asarray(gains, dtype=float))
-    width = g.shape[1]
-    running = np.maximum.accumulate(g, axis=1)
-    first = g.argmax(axis=1)
-    at = np.arange(len(g))
-    top, ahead = g[at, first], np.where(first > 0, running[at, first - 1], -np.inf)
-    if (ahead + tol < top).all():
-        return int(first[0]) if np.ndim(gains) == 1 else first
-    is_record = np.empty(g.shape, dtype=bool)
-    is_record[:, 0] = True
-    np.greater(g[:, 1:], running[:, :-1], out=is_record[:, 1:])
-    records = np.flatnonzero(is_record)  # row by row, ascending in each row
-    row = records // width
-    values = g.take(records)
-    count = len(records)
-    # Sorted by (row, value), a record ahead of an equal threshold, the
-    # thresholds keep their own order, so a threshold's place minus its index
-    # counts the records up to it: the index of the first record past it.
-    order = np.lexsort((np.concatenate((values, values + tol)), np.concatenate((row, row))))
-    after = np.flatnonzero(order >= count) - np.arange(count)
-    per_row = np.bincount(row)
-    ends = np.cumsum(per_row)
-    # a record with none past it in its row is where the scan stops
-    after = np.where(after < ends[row], after, np.arange(count))
-    kept = ends - per_row  # each row's first entry
-    while True:
-        nxt = after[kept]
-        if (nxt == kept).all():
-            break
-        kept = nxt
-    cols = records[kept] - width * np.arange(len(kept))
-    return int(cols[0]) if np.ndim(gains) == 1 else cols
+    picks = g.argmax(axis=1)
+    ahead = np.where(np.arange(g.shape[1]) < picks[:, None], g, -np.inf).max(axis=1)
+    for r in np.flatnonzero(~(ahead + tol < g.max(axis=1))):
+        row, kept = g[r].tolist(), 0
+        for c, gain in enumerate(row):
+            if gain > row[kept] + tol:
+                kept = c
+        picks[r] = kept
+    return int(picks[0]) if np.ndim(gains) == 1 else picks
 
 
 def _greedy_seed(rng, n, k, slb):

@@ -57,6 +57,7 @@ from peelembed.partition_search import (
     _greedy_seed,
     crossing_matrix,
     enumerate_assignments,
+    exhaustive,
     partition_feasible,
     scan_argmax,
 )
@@ -704,7 +705,7 @@ def reference_grid_partitions(m, parts, size_cells, mu_cells, eps_err, budget, s
     grid's one enumeration in the exhaustive regime and by
     ``reference_search_local`` in the local one."""
     pairs = [(a, b) for a in range(parts) for b in range(a + 1, parts)]
-    enumerated = enumerate_assignments(m, parts) if budget.exhaustive(m.n, parts) else None
+    enumerated = enumerate_assignments(m, parts) if exhaustive(m.n, parts) else None
     found = []
     for lam in size_cells:
         for mu in mu_cells:

@@ -65,6 +65,25 @@ class TestValidateAndGen:
             texts.append((tmp_path / f"g{seed}.txt").read_text())
         assert texts[0] != texts[1]
 
+    @pytest.mark.parametrize("argv, unknown", [
+        (["gen", "--family", "clustered", "--n", "5", "--out", "inst.txt"], "--out inst.txt"),
+        # a prefix of gen's --outlier-n, which prefix matching would set to 3
+        (["gen", "--family", "cluster_plus_outliers", "--n", "5", "--out", "3"], "--out 3"),
+        (["bench", "--config", "sweep.json", "--out", "results.csv"], "--out results.csv"),
+        (["--threads=2", "gen", "--family", "clustered", "--n", "5"], "--threads=2"),
+    ])
+    def test_misplaced_or_unknown_flag_exits_2(self, tmp_path, monkeypatch, capsys, argv,
+                                               unknown):
+        # --out is global, so it goes before the subcommand; there is no --threads
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {unknown}" in captured.err
+        assert not any(tmp_path.iterdir())
+
     def test_gen_bad_family_exits_1(self, capsys):
         assert main(["gen", "--family", "nope", "--n", "5"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -118,6 +118,19 @@ def test_scan_argmax_matches_sequential_scan():
         assert picks.shape == (len(gains),)
         for row, pick in zip(gains, picks):
             assert pick == _sequential_argmax(list(row), tol), (tol, row)
+    for trial in range(20):
+        # stacks of hundreds of rows: near-ties, clear leads of distinct random
+        # values, and -inf entries, up to whole rows of them
+        tol = TIE_TOL if trial < 10 else 1e-15
+        gains = _scan_cases(rng, tol, int(rng.integers(200, 600)), int(rng.integers(1, 40)))
+        gains[1::3] = rng.random(gains[1::3].shape)
+        gains[rng.random(gains.shape) < 0.1] = -np.inf
+        gains[::7] = np.sort(gains[::7], axis=1)
+        gains[::50] = -np.inf
+        picks = scan_argmax(gains, tol)
+        assert picks.shape == (len(gains),)
+        for row, pick in zip(gains, picks):
+            assert pick == _sequential_argmax(list(row), tol), (tol, row)
 
 
 def test_scan_argmax_threshold_edges():
@@ -477,7 +490,7 @@ def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
     # grid yields the assignments that one search per cell found, in order,
     # in chunks of the default size and of a single cell.
     if regime == "local":
-        monkeypatch.setattr(local_search, "EXHAUSTIVE_N", 0)
+        monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", 0)
     grids = []
     for module in (hc_dense, la_dense):
         def record(m, parts, size_cells, mu_cells, *rest, real=module.grid_partitions):
@@ -633,7 +646,7 @@ def test_partition_search_matches_reference_loop(monkeypatch):
     # One restart per search, so each restart's outcome is compared on its
     # own.  A random planted assignment meets each spec: its part sizes are
     # the upper bounds, and its crossing weights either exact bounds or none.
-    monkeypatch.setattr(local_search, "EXHAUSTIVE_N", 0)  # the local regime at every n
+    monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", 0)  # the local regime at every n
     rng = np.random.default_rng(17)
     budget = SearchBudget(restarts=1)
     found = cases = 0

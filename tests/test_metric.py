@@ -137,10 +137,10 @@ def test_triangle_screen_matches_reference_scan(kind, n, scale, plants, seed):
 @pytest.mark.parametrize("kind", ["closure", "euclid", "path", "uniform"])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
 def test_triangle_witness_scan_skipped_on_metrics(monkeypatch, kind, scale):
-    def fail(mat, k, tol, buf):
+    def fail(mat, k, buf):
         raise AssertionError("a point of a metric was checked exactly")
 
-    monkeypatch.setattr(metric_module, "_violates", fail)
+    monkeypatch.setattr(metric_module, "_largest_slack", fail)
     validate_metric(_triangle_base(kind, 60, np.random.default_rng(4), scale))
 
 
