@@ -169,13 +169,20 @@ def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
 
 def solve_hc_dense(m: Metric, cfg: DenseHcConfig, seed: int = 0) -> tuple[HcTree, float]:
     """(tree, its value) of the best tree found for a dense instance (a
-    single leaf when n = 1)."""
+    single leaf when n = 1).
+
+    With at most ``cfg.slots`` points the ascending ladder competes only
+    with every binary tree of up to ``ENUMERATE_MAX_N`` points; when all
+    points coincide (:meth:`Metric.coincident`, which reads row 0 before the
+    whole matrix) it is returned unsearched.
+    """
     n = m.n
-    if n <= cfg.slots or m.diameter() <= 0.0:
+    coincident = m.coincident()
+    if n <= cfg.slots or coincident:
         # Too few points for the skeleton to matter; any tree with every split
         # nontrivial is fine, the ascending ladder is the canonical one.
         candidates = [ladder_tree(range(n))]
-        if n <= ENUMERATE_MAX_N and m.diameter() > 0.0:
+        if n <= ENUMERATE_MAX_N and not coincident:
             candidates += all_binary_trees(range(n))
         return best_of(candidates, lambda tree: evaluate_hc(m, tree), HcTree.serialize)
     best = _solve_reduced(m, cfg, seed)

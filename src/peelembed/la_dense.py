@@ -189,9 +189,10 @@ def solve_la_dense(
     m: Metric, cfg: DenseLaConfig, seed: int = 0
 ) -> tuple[LinearArrangement, float]:
     """(arrangement, its value) of the best arrangement found for a dense
-    instance (identity when n < k)."""
+    instance: the identity when n < k or when all points coincide
+    (:meth:`Metric.coincident`, which reads row 0 before the whole matrix)."""
     n = m.n
-    if n < cfg.k or m.diameter() <= 0.0:
+    if n < cfg.k or m.coincident():
         identity = LinearArrangement.from_order(range(n))
         return identity, evaluate_la(m, identity)
     best = _solve_reduced(m, cfg, seed)

@@ -35,10 +35,8 @@ TRIANGLE_TOL = 1e-9
 SCREEN_MARGIN_EPS = 8
 
 # Most float64 entries one reused buffer holds, 512 KB: a block of whole rows
-# (at least one) of ``validate_metric``'s passes (``_symmetrize``,
-# ``_triangle_screen``, ``_raise_triangle_witness``), of
-# ``metric_from_points`` and of a subset's block that ``subset_stats``
-# sums, for any n up to 2^16.
+# (at least one) of the blocked passes of ``validate_metric``,
+# ``metric_from_points`` and ``subset_stats``, for any n up to 2^16.
 BLOCK_ENTRIES = 1 << 16
 
 # ``Metric.submetric`` copies the blocks between runs of consecutive ids as
@@ -115,6 +113,11 @@ class Metric:
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
 
+    def coincident(self) -> bool:
+        """``self.diameter() <= 0.0``: all points coincide.  A positive entry
+        in row 0 settles it, so the whole matrix is read only if none is."""
+        return not (self.n and self.dist[0].max() > 0.0) and self.diameter() <= 0.0
+
     def total_weight(self) -> float:
         """``subset_stats(self, range(self.n)).weight_sum``."""
         return _block_max_and_weight(self.dist, range(self.n))[1]
@@ -159,9 +162,7 @@ def _validate(mat: np.ndarray) -> Metric:
         raise NonFiniteDistance(f"dist{where} = {mat[idx]:g} is not finite")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValueError(f"expected a square n>=1 matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    diam = float(mat.max()) if n else 0.0
-    tol = TRIANGLE_TOL * max(diam, 1.0)
+    tol = TRIANGLE_TOL * max(float(mat.max()), 1.0)
 
     if mat.min() < -tol:
         i, j = np.unravel_index(int(np.argmin(mat)), mat.shape)
@@ -171,9 +172,7 @@ def _validate(mat: np.ndarray) -> Metric:
         i = int(np.argmax(bad_diag))
         raise NonzeroDiagonal(f"dist[{i}][{i}] = {mat[i, i]:g} != 0")
     _symmetrize(mat, tol)
-    # Clamp the diagonal so round-trips are bit-stable.
-    np.fill_diagonal(mat, 0.0)
-
+    np.fill_diagonal(mat, 0.0)  # clamped, so round-trips are bit-stable
     _raise_triangle_witness(mat, tol)  # on a metric it only screens
     return Metric._adopt(mat)
 
@@ -208,8 +207,7 @@ def _symmetrize(mat: np.ndarray, tol: float) -> None:
         np.add(upper, lower, out=mean)
         mean /= 2.0
         mean[mean < 0] = 0.0
-        upper[...] = mean
-        lower[...] = mean
+        upper[...] = lower[...] = mean
     if worst > tol:
         i, j = at
         raise AsymmetricMatrix(f"dist[{i}][{j}] != dist[{j}][{i}]")
@@ -357,7 +355,8 @@ def find_core(m: Metric, stats: Optional[SubsetStats] = None) -> CoreResult:
 
     ``stats`` are ``subset_stats(m, range(m.n))``, for a caller that has them.
     The returned subset has diameter <= 4 * D_V * sqrt(rho_V) and size
-    >= n * (1 - sqrt(rho_V)).
+    >= n * (1 - sqrt(rho_V)).  A ball's size is the int32 sum of its mask row
+    read as bytes, faster than ``np.count_nonzero``'s reduction to intp.
     """
     if stats is None:
         stats = subset_stats(m, range(m.n))
@@ -365,7 +364,7 @@ def find_core(m: Metric, stats: Optional[SubsetStats] = None) -> CoreResult:
         raise ZeroDiameter("all points coincide; instance is trivially dense")
     radius = 2.0 * stats.diameter * math.sqrt(stats.density)
     within = m.dist <= radius
-    sizes = np.count_nonzero(within, axis=1)
+    sizes = within.view(np.uint8).sum(axis=1, dtype=np.int32)
     center = int(np.argmax(sizes))  # argmax returns the smallest maximizer
     return CoreResult(core=tuple(np.flatnonzero(within[center]).tolist()), center=center)
 
@@ -375,10 +374,8 @@ def find_core(m: Metric, stats: Optional[SubsetStats] = None) -> CoreResult:
 
 
 def format_metric(m: Metric) -> str:
-    lines = [str(m.n)]
-    for row in m.dist:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(repr(float(x)) for x in row) for row in m.dist)
+    return "\n".join([str(m.n), *rows]) + "\n"
 
 
 def parse_metric(text: str, auto: bool = False) -> Metric:
@@ -457,10 +454,8 @@ def _line_tokens(text: str) -> Iterator[list]:
 
 
 def format_point_cloud(points: np.ndarray) -> str:
-    lines = []
-    for i, row in enumerate(np.asarray(points, dtype=float)):
-        lines.append(str(i) + " " + " ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    rows = enumerate(np.asarray(points, dtype=float))
+    return "\n".join(f"{i} {' '.join(repr(float(x)) for x in row)}" for i, row in rows) + "\n"
 
 
 def parse_point_cloud(text: str) -> Metric:
@@ -486,8 +481,7 @@ def parse_point_cloud(text: str) -> Metric:
         raise InputParse("empty point-cloud file")
     if sorted(rows) != list(range(len(rows))):
         raise InputParse("point ids must be 0..n-1")
-    pts = np.array([rows[i] for i in range(len(rows))])
-    return metric_from_points(pts)
+    return metric_from_points(np.array([rows[i] for i in range(len(rows))]))
 
 
 def metric_from_points(points: np.ndarray) -> Metric:
@@ -499,13 +493,15 @@ def metric_from_points(points: np.ndarray) -> Metric:
     built.  Rows are computed in blocks of at most ``BLOCK_ENTRIES`` entries,
     in place in the n x n result: the first coordinate's squares are written
     into the block and each later one's are added from one reused scratch
-    block.  The result is exactly symmetric with a zero diagonal without a
-    further pass: fl(a - b) = -fl(b - a) and a - a = +0, so entries (i, j)
-    and (j, i) add the same d squares in the same order.
+    block.  Each is made by copying the coordinate's row into its block and
+    subtracting the block's own coordinates in place, faster than an outer
+    subtraction: entry (i, j) squares fl(x_j - x_i) = -fl(x_i - x_j).  The
+    result is exactly symmetric with a zero diagonal without a further pass:
+    x_i - x_i = +0, and (i, j) and (j, i) add the same squares in one order.
 
     A 1-D cloud whose coordinates pass :func:`_abs_differences_exact` takes
-    each block as ``|x_i - x_j|``: one subtraction and one ``abs``, the same
-    bits as the square root of the square.
+    each block as ``|x_j - x_i|``: one subtraction and one ``abs``, the same
+    bits as the square root of the square, and no entry can overflow.
     """
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
@@ -515,25 +511,22 @@ def metric_from_points(points: np.ndarray) -> Metric:
     dist = np.empty((n, n)) if d else np.zeros((n, n))
     cols = np.ascontiguousarray(pts.T)  # one row per coordinate
     step = max(1, BLOCK_ENTRIES // max(n, 1))
-    if d == 1 and _abs_differences_exact(cols[0]):
-        for lo in range(0, n, step):
-            block = dist[lo : lo + step]
-            np.subtract(cols[0, lo : lo + step, None], cols[0], out=block)
-            np.abs(block, out=block)
-        return Metric._adopt(dist)  # every entry is below 2^511: no overflow
-    scratch = np.empty(min(step, n) * n)
+    plain = d == 1 and _abs_differences_exact(cols[0])
+    term = np.abs if plain else np.square  # np.square(x) is x * x
+    scratch = np.empty(min(step, n) * n if d > 1 else 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
             block = dist[lo : lo + step]
-            term = scratch[: block.size].reshape(block.shape)
             for c in range(d):
-                into = term if c else block
-                np.subtract(cols[c, lo : lo + step, None], cols[c], out=into)
-                np.multiply(into, into, out=into)
+                into = scratch[: block.size].reshape(block.shape) if c else block
+                np.copyto(into, cols[c])
+                into -= cols[c, lo : lo + step, None]
+                term(into, out=into)
                 if c:
-                    block += term
-            np.sqrt(block, out=block)
-    if dist.size and not np.isfinite(dist.max()):
+                    block += into
+            if not plain:
+                np.sqrt(block, out=block)
+    if not plain and dist.size and not np.isfinite(dist.max()):
         i, j = np.unravel_index(int(np.argmin(np.isfinite(dist))), dist.shape)
         raise NonFiniteDistance(f"distance between points {i} and {j} overflows")
     return Metric._adopt(dist)

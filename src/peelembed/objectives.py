@@ -205,7 +205,9 @@ def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float
     A node with one leaf on its left sums a row of ``dist``.  When its right
     leaves are consecutive ascending ids, as in a ladder over ascending ids,
     that row is summed as a slice of ``dist``: the same entries in the same
-    contiguous order as the gathered row, so the same pairwise sum.
+    contiguous order as the gathered row, so the same pairwise sum.  A row is
+    summed by ``np.add.reduce``, which is what ``row.sum()`` calls, without
+    that method's Python wrapper; a gathered block is summed by ``sum()``.
     """
     order, spans = tree.order, tree.spans
     if sorted(order) != list(range(m.n)):
@@ -215,15 +217,15 @@ def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float
     for i in range(len(order) - 2, -1, -1):
         if order[i + 1] == order[i] + 1:
             run[i] += run[i + 1]
-    total = below
+    total, row_sum = below, np.add.reduce
     for lo, mid, hi in spans if top is None else spans[len(spans) - top :]:
         if mid - lo > 1:
-            block = m.dist[idx[lo:mid, None], idx[mid:hi]]
+            part = m.dist[idx[lo:mid, None], idx[mid:hi]].sum()
         elif run[mid] >= hi - mid:
-            block = m.dist[order[lo], order[mid] : order[mid] + hi - mid]
+            part = row_sum(m.dist[order[lo], order[mid] : order[mid] + hi - mid])
         else:
-            block = m.dist[idx[lo], idx[mid:hi]]
-        total += (hi - lo) * float(block.sum())
+            part = row_sum(m.dist[idx[lo], idx[mid:hi]])
+        total += (hi - lo) * float(part)
     return total
 
 

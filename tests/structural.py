@@ -7,12 +7,14 @@ holding the per-candidate reference loops of the dense solvers and the
 partition search, the per-cell loop of the faithful grids, the
 per-restart loop of the reduced search with its batched scorers, the per-k
 triangle scan, whole-slab screen and whole-matrix symmetrising of metric
-validation, the all-token matrix parse with its format sniff, the
-node-at-a-time tree walks, the nested-tuple skeleton trees and tree
-enumeration, the mask-at-a-time loops of the exact oracles, and the
-evaluators, scorers, metric builders and the submetric gather that faster
-code replaced.
+validation, the whole-mask ball count of core detection, the all-token
+matrix parse with its format sniff, the node-at-a-time tree walks, the
+nested-tuple skeleton trees and tree enumeration, the mask-at-a-time loops
+of the exact oracles, and the evaluators, scorers, metric builders and the
+submetric gather that faster code replaced.
 """
+
+import math
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from peelembed.metric import (
     DENSE_BY_CONVENTION,
     SCREEN_MARGIN_EPS,
     TRIANGLE_TOL,
+    CoreResult,
     Metric,
     SubsetStats,
     subset_stats,
@@ -253,6 +256,16 @@ def reference_subset_stats(m, subset):
     weight = float(sub.sum(axis=1).sum()) / 2.0
     density = weight / (size * size * diameter) if diameter > 0.0 else DENSE_BY_CONVENTION
     return SubsetStats(diameter, weight, size, density)
+
+
+def reference_find_core(m):
+    """``find_core`` as it was: each ball counted by ``np.count_nonzero``
+    over the whole mask, ties to the smallest center."""
+    stats = subset_stats(m, range(m.n))
+    radius = 2.0 * stats.diameter * math.sqrt(stats.density)
+    within = m.dist <= radius
+    center = int(np.argmax(np.count_nonzero(within, axis=1)))
+    return CoreResult(core=tuple(np.flatnonzero(within[center]).tolist()), center=center)
 
 
 def reference_submetric(m, indices):

@@ -50,7 +50,7 @@ from peelembed.local_search import (
     single_moves,
 )
 from peelembed.metric import Metric, validate_metric
-from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la
+from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la, ladder_tree
 from peelembed.partition_search import (
     PartitionSpec,
     SearchBudget,
@@ -692,6 +692,39 @@ def test_dense_value_is_the_witness_value(grid_mode):
             cfg = cfg_type(eps=eps, grid_mode=grid_mode, budget=SearchBudget(restarts=2))
             witness, value = solve(m, cfg, seed=1)
             assert value == evaluate(m, witness), (solve.__name__, label)
+
+
+def test_coincidence_check_decides_as_the_diameter(monkeypatch):
+    near = np.zeros((6, 6))
+    near[1, 2] = near[2, 1] = 5e-10  # within the triangle tolerance of row 0's zeros
+    inputs = [("zeros 4x4", validate_metric(np.zeros((4, 4))), False),
+              ("one point", validate_metric([[0.0]]), False),
+              ("row 0 zero", validate_metric(near), True)]
+    cases = [  # (solver, config, module whose search must run on "row 0 zero")
+        (solve_la_dense, DenseLaConfig(eps=0.5), la_dense),
+        (solve_hc_dense, DenseHcConfig(eps=0.5), hc_dense),
+        (solve_hc_dense, DenseHcConfig(eps=0.2), None),  # n <= slots: enumerated
+    ]
+    searched = []
+    for module in (la_dense, hc_dense):
+        def spy(m, cfg, seed, search=module._solve_reduced):
+            searched.append(m)
+            return search(m, cfg, seed)
+
+        monkeypatch.setattr(module, "_solve_reduced", spy)
+    for label, m, positive in inputs:
+        assert m.coincident() is (m.diameter() <= 0.0) is not positive, label
+        for solve, cfg, module in cases:
+            searched.clear()
+            got = solve(m, cfg, seed=0)
+            assert len(searched) == (positive and module is not None), (label, cfg)
+            with monkeypatch.context() as mp:
+                mp.setattr(Metric, "coincident", lambda self: self.diameter() <= 0.0)
+                want = solve(m, cfg, seed=0)
+            assert got == want, (label, solve.__name__, cfg)
+    # the enumerated trees compete: some beat the ladder on "row 0 zero"
+    _, value = solve_hc_dense(inputs[2][1], DenseHcConfig(eps=0.2))
+    assert value > evaluate_hc(inputs[2][1], ladder_tree(range(6)))
 
 
 def _solve_peak(m, restarts, eps=0.5):

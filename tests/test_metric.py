@@ -19,7 +19,7 @@ from peelembed.errors import (
     TriangleViolation,
     ZeroDiameter,
 )
-from peelembed.instances import FAMILIES, GeneratorSpec, generate
+from peelembed.instances import FAMILIES, GeneratorSpec, generate, hc_case_c_spec
 from peelembed.metric import (
     DENSE_BY_CONVENTION,
     TRIANGLE_TOL,
@@ -34,6 +34,7 @@ from peelembed.metric import (
     validate_metric,
 )
 from structural import (
+    reference_find_core,
     reference_metric_from_points,
     reference_parse_metric,
     reference_sniff,
@@ -657,6 +658,27 @@ def test_find_core_zero_diameter_rejected():
         find_core(validate_metric(np.zeros((3, 3))))
 
 
+def _assert_core_as_reference(m, label):
+    got, want = find_core(m), reference_find_core(m)
+    assert (got.core, got.center) == (want.core, want.center), label
+
+
+def test_find_core_ball_count_matches_reference(corpus):
+    for label, m in corpus:
+        if m.diameter() > 0.0:
+            _assert_core_as_reference(m, label)
+    # every ball holds every point, so the smallest center must win
+    for n in range(2, 41):
+        m = generate(GeneratorSpec(family="uniform_metric", n=n, seed=0))
+        assert find_core(m).center == 0
+        _assert_core_as_reference(m, f"uniform_metric n={n}")
+    m = generate(hc_case_c_spec(1860)[0])
+    _assert_core_as_reference(m, "hc_case_c_spec(1860)")
+    # masks of a Fortran-ordered matrix and of a strided one-run view
+    _assert_core_as_reference(Metric._adopt(np.asfortranarray(m.dist[:300, :300])), "fortran")
+    _assert_core_as_reference(m.submetric(range(7, 607)), "view")
+
+
 def test_density_floor_all_corpus(corpus):
     # W >= D * (n - 1) forces rho >= 1/n - 1/n^2 >= 1/(2n) for n >= 2.
     for label, m in corpus:
@@ -819,6 +841,28 @@ def test_case_c_clouds_take_the_one_dim_path():
     for spec in (hc_case_c_spec(1860)[0], la_case_c_spec(250)[0]):
         x = generate(spec).dist[0]
         assert metric_module._abs_differences_exact(x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 2, 9])
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_row_minus_column_blocks_bit_equal_to_tensor_formula(monkeypatch, d, rows):
+    # entry (i, j) is built from x_j - x_i, the tensor's from x_i - x_j:
+    # unsorted, mixed-sign coordinates with repeats and both zeros
+    rng = np.random.default_rng(10 + d)
+    n = 250
+    pts = rng.choice([-1.0, 1.0], size=(n, d)) * rng.uniform(0.0, 50.0, size=(n, d))
+    pts[:30] = pts[60:90]
+    pts[100, 0], pts[101, 0] = 0.0, -0.0
+    pts[110:115] = pts[115]  # a point five times over
+    if rows is not None:
+        monkeypatch.setattr(metric_module, "BLOCK_ENTRIES", rows * n)
+    want = reference_metric_from_points(pts).tobytes()
+    assert metric_from_points(pts).dist.tobytes() == want
+    if d == 1:  # the square-root branch too
+        assert metric_module._abs_differences_exact(pts[:, 0])
+        monkeypatch.setattr(metric_module, "_abs_differences_exact", lambda x: False)
+        assert metric_from_points(pts).dist.tobytes() == want
 
 
 def test_metric_from_points_peak_memory():
