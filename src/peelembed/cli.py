@@ -198,6 +198,9 @@ def _bench_rows(config: dict, seed: int, timing: bool):
         cfg[name] = config.get(name, default)
         if not ok(cfg[name]):
             raise ConfigParse(f"config field {name!r} must be {kind}, got {cfg[name]!r}")
+    for algorithm in cfg["algorithms"]:
+        if algorithm not in _BENCH_ALGORITHMS:
+            raise ConfigParse(f"unknown algorithm {algorithm!r}")
     budget = SearchBudget(restarts=cfg["restarts"])
     for idx, inst in enumerate(cfg["instances"]):
         inst = dict(inst)
@@ -213,8 +216,6 @@ def _bench_rows(config: dict, seed: int, timing: bool):
         # case (a): it ran the dense solver on the whole instance
         root_dense = {}
         for algorithm in cfg["algorithms"]:
-            if algorithm not in _BENCH_ALGORITHMS:
-                raise ConfigParse(f"unknown algorithm {algorithm!r}")
             kind, objective = algorithm.split("-")[0], _BENCH_ALGORITHMS[algorithm]
             obj = OBJECTIVES[objective]
             if objective not in oracles:
@@ -290,17 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="-")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name):
-        return sub.add_parser(name, allow_abbrev=False)
+    def command(name, run, **defaults):  # ``main`` calls ``args.run(args)``
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.set_defaults(run=run, **defaults)
+        return p
 
     def add_input(p):
         p.add_argument("--input", required=True)
         p.add_argument("--format", choices=["auto", "matrix", "points"], default="auto")
 
-    p = command("validate")
+    p = command("validate", _cmd_validate)
     add_input(p)
 
-    p = command("gen")
+    p = command("gen", _cmd_gen)
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int)
@@ -313,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-ratio", dest="weight_ratio", type=float)
 
     for objective in OBJECTIVES:
-        p = command(f"solve-{objective}")
-        p.set_defaults(objective=objective)
+        p = command(f"solve-{objective}", _cmd_solve, objective=objective)
         add_input(p)
         p.add_argument("--eps", type=float, required=True)
         p.add_argument("--grid-mode", choices=["reduced", "faithful"], default="reduced")
@@ -323,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
         only_or_trace.add_argument("--dense-only", action="store_true")
         only_or_trace.add_argument("--trace")
 
-    p = command("oracle")
+    p = command("oracle", _cmd_oracle)
     add_input(p)
     p.add_argument("--objective", choices=list(OBJECTIVES), required=True)
 
-    p = command("bench")
+    p = command("bench", _cmd_bench)
     p.add_argument("--config", required=True)
     p.add_argument("--timing", action="store_true")
     return parser
@@ -338,22 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 # called any number of times in one process.
 PARSER = build_parser()
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "gen": _cmd_gen,
-    "solve-la": _cmd_solve,
-    "solve-hc": _cmd_solve,
-    "oracle": _cmd_oracle,
-    "bench": _cmd_bench,
-}
-
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     if args.seed < 0:  # numpy's seeding would reject it later, without naming the flag
         PARSER.error(f"argument --seed: must be >= 0, got {args.seed}")
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ConfigParse, InputParse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FaithfulGridTooLarge
 from .local_search import DenseConfig, best_of, first_copies, quantize, reduced_restarts
-from .metric import Metric, subset_stats
+from .metric import Metric
 from .objectives import HcTree, all_binary_trees, evaluate_hc, ladder_tree, ladders_on
-from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
+from .partition_search import grid_cells, grid_partitions
 
 # solve_hc_dense's small-n branch (n <= slots) scores every tree when n is at
 # most this: (2n - 3)!! trees, 135135 at n = 8.  It bounds that enumeration's
@@ -135,32 +134,16 @@ def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
 
 
 def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
-    n, slots, eps = m.n, cfg.slots, cfg.eps
+    slots, eps = cfg.slots, cfg.eps
     eps_err = eps**3
-    rho = subset_stats(m, range(n)).density
     skeletons = list(all_binary_trees(range(slots)))
-
-    size_levels = int(math.floor(3.0 / eps + 1e-9)) + 1  # lambda in {i * eps^2}
-    weight_levels = int(math.floor(9.0 / eps + 1e-9)) + 1  # mu in {i * eps^3}
-    pairs = slots * (slots - 1) // 2
-
-    raw = max(size_levels**slots, weight_levels**pairs)
-    if raw > 20_000_000:
-        raise FaithfulGridTooLarge(f"{raw} raw grid cells cannot be enumerated")
-
-    # Prune cells that are infeasible on their face: part sizes must be able
-    # to sum to n within the per-part slack, crossing weights cannot sum past
-    # the total weight fraction rho.
-    lam_cells = list(grid_cells(size_levels, eps**2, slots,
-                                lambda t: 1.0 - eps_err - 1e-12 <= t <= 1.0 + eps_err + 1e-12))
-    mu_cells = list(grid_cells(weight_levels, eps**3, pairs,
-                               lambda w: w - pairs * eps_err <= rho + 1e-12))
-    if len(lam_cells) * len(mu_cells) > MAX_GRID_CELLS:
-        raise FaithfulGridTooLarge(
-            f"{len(lam_cells)} * {len(mu_cells)} grid cells exceed the cap {MAX_GRID_CELLS}"
-        )
-
-    for assignment in grid_partitions(m, slots, lam_cells, mu_cells, eps_err, cfg.budget, seed):
+    # part sizes in {i * eps^2} that can sum to 1 within the per-part slack,
+    # crossing weights in {i * eps^3}
+    lam_cells = grid_cells(int(math.floor(3.0 / eps + 1e-9)) + 1, eps**2, slots,
+                           lambda t: 1.0 - eps_err - 1e-12 <= t <= 1.0 + eps_err + 1e-12)
+    weight_levels = int(math.floor(9.0 / eps + 1e-9)) + 1
+    grid = grid_partitions(m, slots, lam_cells, weight_levels, eps_err, cfg.budget, seed)
+    for assignment in grid:
         parts = _parts_of(assignment, slots)
         trees = (ladders_on(skeleton, parts) for skeleton in skeletons)
         best = best_of(trees, lambda tree: evaluate_hc(m, tree), HcTree.serialize, best)

@@ -21,11 +21,11 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import FaithfulGridTooLarge, InvalidSpec
+from .errors import InvalidSpec
 from .local_search import DenseConfig, ascend, best_of, first_copies, quantize, reduced_restarts
-from .metric import Metric, subset_stats
+from .metric import Metric
 from .objectives import LinearArrangement, evaluate_la
-from .partition_search import MAX_GRID_CELLS, grid_cells, grid_partitions
+from .partition_search import grid_partitions
 
 
 _position = attrgetter("position")  # the tie-break key of arrangements
@@ -171,16 +171,8 @@ def _solve_faithful(m: Metric, cfg: DenseLaConfig, seed: int, best):
     # (k - 1) * eps <= 1, the rest is never negative
     base = int(math.floor(eps * n))
     sizes = [base / n] * (k - 1) + [(n - base * (k - 1)) / n]
-    pairs = k * (k - 1) // 2
     levels = int(math.floor(1.0 / eps**7 + 1e-9)) + 1  # grid values 0..1/eps^7
-    if levels**pairs > MAX_GRID_CELLS:
-        raise FaithfulGridTooLarge(
-            f"{levels}^{pairs} grid cells exceed the cap {MAX_GRID_CELLS}"
-        )
-    rho = subset_stats(m, range(n)).density
-    # crossing weights cannot sum past the total weight fraction rho
-    mu_cells = grid_cells(levels, eps**9, pairs, lambda w: w - pairs * eps**9 <= rho + 1e-12)
-    assignments = grid_partitions(m, k, [sizes], mu_cells, eps**9, cfg.budget, seed)
+    assignments = grid_partitions(m, k, [sizes], levels, eps**9, cfg.budget, seed)
     arrangements = map(_embed_assignment, assignments)
     return best_of(arrangements, lambda arr: evaluate_la(m, arr), _position, best)
 

@@ -6,9 +6,10 @@ every bound within an additive slack ``eps_err``.  Small instances are solved
 by exhaustive enumeration over all k^n assignments (no false negatives);
 larger ones by randomized-restart single-point-move local search over a
 penalty function, where a miss only means "not found within budget".  The
-faithful grids of both dense solvers ask this of every cell of a grid, and
-:func:`grid_partitions` searches each grid once: one enumeration per grid,
-or every (cell, restart) row of a chunk of cells sweeping in lockstep.
+faithful grids of both dense solvers ask this of every cell of a grid:
+:func:`grid_partitions` builds a grid's crossing-weight cells, refuses a grid
+over ``MAX_GRID_CELLS`` and searches each grid once: one enumeration per
+grid, or every (cell, restart) row of a chunk of cells sweeping in lockstep.
 :func:`search_partition` is the one-cell case.
 """
 
@@ -21,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidSpec, SpecInfeasibleTrivially
+from .errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
 from .local_search import BATCH_ENTRIES, SearchBudget, single_moves
-from .metric import Metric
+from .metric import Metric, subset_stats
 
 _INF = math.inf
 
@@ -335,15 +336,30 @@ def grid_cells(levels: int, step: float, count: int, keep):
             yield values
 
 
-def grid_partitions(m, parts: int, size_cells, mu_cells, eps_err: float,
+def grid_partitions(m, parts: int, size_cells, levels: int, eps_err: float,
                     budget: SearchBudget, seed: int):
     """Yield each new assignment the bounded-partition search finds for a grid
     cell: part-size fractions from ``size_cells`` (outer loop) times crossing
-    weights of the pairs a < b, row-major, from ``mu_cells`` (inner loop).
-    Each cell asks for its sizes and crossing weights exactly, within
-    ``eps_err``, and bounds no intra-part weight."""
+    weights of the pairs a < b, row-major, from ``grid_cells(levels, eps_err,
+    pairs, ...)`` (inner loop).  Each cell asks for its sizes and crossing
+    weights exactly, within ``eps_err``, and bounds no intra-part weight.
+
+    Before any search, a grid of more than ``MAX_GRID_CELLS`` weight cells is
+    refused without reading ``size_cells``; weight cells whose sum less the
+    slack exceeds the density rho are pruned, as crossing weights cannot sum
+    past the total weight fraction; and a grid of more than
+    ``MAX_GRID_CELLS`` size times kept weight cells is refused.
+    """
+    pairs = parts * (parts - 1) // 2
+    if levels**pairs > MAX_GRID_CELLS:
+        raise FaithfulGridTooLarge(f"{levels}^{pairs} grid cells exceed the cap {MAX_GRID_CELLS}")
+    rho = subset_stats(m, range(m.n)).density
+    mu = list(grid_cells(levels, eps_err, pairs, lambda w: w - pairs * eps_err <= rho + 1e-12))
     sizes = np.array(list(size_cells), dtype=float).reshape(-1, parts)
-    mu = np.array(list(mu_cells), dtype=float).reshape(-1, parts * (parts - 1) // 2)
+    if len(sizes) * len(mu) > MAX_GRID_CELLS:
+        raise FaithfulGridTooLarge(
+            f"{len(sizes)} * {len(mu)} grid cells exceed the cap {MAX_GRID_CELLS}")
+    mu = np.array(mu, dtype=float).reshape(-1, pairs)
     a, b = np.triu_indices(parts, 1)
     wlb, wub = np.zeros((len(mu), parts, parts)), np.full((len(mu), parts, parts), _INF)
     wlb[:, a, b] = wlb[:, b, a] = wub[:, a, b] = wub[:, b, a] = mu

@@ -14,6 +14,7 @@ of the exact oracles, and the evaluators, scorers, metric builders and the
 submetric gather that faster code replaced.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -712,12 +713,25 @@ def reference_search_exhaustive(m, spec, eps_err, enumerated):
     return tuple(int(a) for a in digits[hits[0]])
 
 
-def reference_grid_partitions(m, parts, size_cells, mu_cells, eps_err, budget, seed):
+def reference_weight_cells(m, parts, levels, eps_err):
+    """The crossing-weight cells ``grid_partitions`` searches: each pair's
+    weight on the grid {i * eps_err : 0 <= i < levels}, pairs a < b
+    row-major, cells in lexicographic order, kept when their sum less
+    ``pairs * eps_err`` is at most the density rho."""
+    pairs = parts * (parts - 1) // 2
+    rho = reference_subset_stats(m, range(m.n)).density
+    cells = ([i * eps_err for i in cell]
+             for cell in itertools.product(range(levels), repeat=pairs))
+    return [mu for mu in cells if sum(mu) - pairs * eps_err <= rho + 1e-12]
+
+
+def reference_grid_partitions(m, parts, size_cells, levels, eps_err, budget, seed):
     """The assignments ``grid_partitions`` yields, in order, as its per-cell
-    loop found them: one spec per cell, searched on its own, against the
-    grid's one enumeration in the exhaustive regime and by
-    ``reference_search_local`` in the local one."""
+    loop found them: one spec per cell of ``reference_weight_cells``,
+    searched on its own, against the grid's one enumeration in the
+    exhaustive regime and by ``reference_search_local`` in the local one."""
     pairs = [(a, b) for a in range(parts) for b in range(a + 1, parts)]
+    mu_cells = reference_weight_cells(m, parts, levels, eps_err)
     enumerated = enumerate_assignments(m, parts) if exhaustive(m.n, parts) else None
     found = []
     for lam in size_cells:

@@ -408,6 +408,21 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.startswith("error: config field ")
 
+    @pytest.mark.parametrize("algorithms, instances", [
+        (["bogus"], []),
+        (["peel-la", "bogus"], [{"family": "uniform_metric", "n": 4}]),
+    ], ids=["no-instances", "after-a-known-one"])
+    def test_unknown_algorithm_exits_2_before_any_instance(self, tmp_path, capsys, monkeypatch,
+                                                           algorithms, instances):
+        generated = []
+        monkeypatch.setattr(cli, "generate", lambda spec: generated.append(spec) or generate(spec))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"algorithms": algorithms, "instances": instances}))
+        assert main(["bench", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: unknown algorithm 'bogus'\n"
+        assert generated == []
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

@@ -29,6 +29,7 @@ from structural import (
     reference_search_local,
     reference_swap_gain,
     reference_swap_hill_climb,
+    reference_weight_cells,
     score_moves,
 )
 from peelembed import hc_dense
@@ -493,8 +494,8 @@ def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
         monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", 0)
     grids = []
     for module in (hc_dense, la_dense):
-        def record(m, parts, size_cells, mu_cells, *rest, real=module.grid_partitions):
-            grids.append((m, parts, list(size_cells), list(mu_cells), *rest))
+        def record(m, parts, size_cells, levels, *rest, real=module.grid_partitions):
+            grids.append((m, parts, list(size_cells), levels, *rest))
             return real(*grids[-1])
 
         monkeypatch.setattr(module, "grid_partitions", record)
@@ -502,7 +503,9 @@ def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
         budget = SearchBudget(restarts=restarts)
         solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful", budget=budget), seed=1)
         solve_la_dense(m, DenseLaConfig(eps=0.45, grid_mode="faithful", budget=budget), seed=1)
-    assert len(grids) == 10 and all(len(sizes) * len(mu) > 50 for _, _, sizes, mu, *_ in grids)
+    assert len(grids) == 10 and all(
+        len(sizes) * len(reference_weight_cells(m, parts, levels, eps_err)) > 50
+        for m, parts, sizes, levels, eps_err, *_ in grids)
     hits = 0
     for args in grids:
         want = reference_grid_partitions(*args)

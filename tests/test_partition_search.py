@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_metric
-from peelembed.errors import InvalidSpec, SpecInfeasibleTrivially
-from peelembed.instances import two_cluster_metric
+from peelembed import hc_dense, partition_search
+from peelembed.errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
+from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
+from peelembed.instances import GeneratorSpec, generate, two_cluster_metric
+from peelembed.la_dense import DenseLaConfig, solve_la_dense
 from peelembed.metric import validate_metric
 from peelembed.partition_search import (
     Partition,
@@ -168,3 +171,47 @@ def test_exhaustive_no_false_notfound(n, seed, eps_err):
     got = search_partition(m, spec, eps_err=eps_err, seed=seed)
     ref = brute_force_feasible(m, spec, eps_err)
     assert (got is None) == (ref is None)
+
+
+class _Searched(Exception):
+    """Raised in place of the search of a grid that passed its caps."""
+
+
+@pytest.mark.parametrize("objective", ["la", "hc"])
+def test_faithful_grid_is_refused_exactly_below_eps_04(objective, monkeypatch):
+    # grid_partitions refuses both solvers' faithful grids for every eps below
+    # 0.4, before the density pass, HC's size grid or any search; from 0.4 on
+    # it reaches the search, after taking the density once
+    calls = []
+
+    def density(*args, real=partition_search.subset_stats):
+        calls.append("density")
+        return real(*args)
+
+    def size_cells(*args, real=hc_dense.grid_cells):
+        calls.append("sizes")  # on the generator's first step
+        yield from real(*args)
+
+    def search(*args):
+        calls.append("search")
+        raise _Searched
+
+    monkeypatch.setattr(partition_search, "subset_stats", density)
+    monkeypatch.setattr(hc_dense, "grid_cells", size_cells)
+    monkeypatch.setattr(partition_search, "_search_cells", search)
+    solve, config, passed = {"la": (solve_la_dense, DenseLaConfig, ["density", "search"]),
+                             "hc": (solve_hc_dense, DenseHcConfig,
+                                    ["density", "sizes", "search"])}[objective]
+    m = generate(GeneratorSpec(family="clustered", n=9))
+    for eps in (0.25, 0.3, 0.3999, 0.4, 0.5, 2 / 3, 0.7, 1.0):
+        calls.clear()
+        cfg = config(eps=eps, grid_mode="faithful", budget=SearchBudget(restarts=1))
+        if eps < 0.4:
+            with pytest.raises(FaithfulGridTooLarge,
+                               match=r"^\d+\^\d+ grid cells exceed the cap 2000000$"):
+                solve(m, cfg)
+            assert calls == [], eps
+        else:
+            with pytest.raises(_Searched):
+                solve(m, cfg)
+            assert calls == passed, eps
