@@ -51,10 +51,10 @@ def _parts_of(assignment, slots: int) -> list:
 
 
 def _caterpillar_gains(dist: np.ndarray, slots: int):
-    """Gain function of the reduced search: the change of the value of the
-    caterpillar-of-ladders tree under every move of each assignment row, as
-    ``local_search.single_moves`` lists them, in O(1) per move from per-row
-    tables of O(n slots + slots^2) entries.
+    """Gain function of the reduced search: the (C, n slots) table of the
+    value change of the caterpillar-of-ladders tree when a row moves p to
+    slot b, in cell p slots + b (0 when b is p's slot), in O(1) per move
+    from per-row tables of O(n slots + slots^2) entries.
 
     With W_ab the weight between slots a and b, F_a the points in slots a
     and later, t_a the slot sizes and R(i) the weight from i to the higher
@@ -79,10 +79,10 @@ def _caterpillar_gains(dist: np.ndarray, slots: int):
     G(p, a) + G(p, b) <= (4n + 2) W.
     """
     upper = np.triu(dist, 1)
-    return lambda *args: _gain_rows(dist, upper, *args, slots)
+    return lambda assigns: _gain_rows(dist, upper, assigns, slots)
 
 
-def _gain_rows(dist, upper, assigns, points, targets, slots):
+def _gain_rows(dist, upper, assigns, slots):
     """``_caterpillar_gains``'s gains of (C, n) assignment rows."""
     c, n = assigns.shape
     row, ids, slot = np.arange(c)[:, None], np.arange(n), np.arange(slots)
@@ -114,7 +114,8 @@ def _gain_rows(dist, upper, assigns, points, targets, slots):
     here = assigns[:, :, None]
     gain = (to_slot - to_slot[row, ids, assigns][:, :, None]
             + suffix[row[:, :, None], ids[:, None], np.minimum(here, slot)])  # (row, p, b)
-    return gain.reshape(c, n * slots)[row, points * slots + targets]
+    gain[row, ids, assigns] = 0.0  # the formula holds for b != a only
+    return gain.reshape(c, n * slots)
 
 
 def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):

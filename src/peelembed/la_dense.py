@@ -51,10 +51,10 @@ def _embed_assignment(assignment) -> LinearArrangement:
 
 
 def _prefix_cut_gains(dist: np.ndarray, k: int):
-    """Gain function of the reduced search: the change of the value of the
-    consecutive-parts embedding under every move of each assignment row, as
-    ``local_search.single_moves`` lists them, in O(1) per move from per-row
-    tables of O(n^2) entries.
+    """Gain function of the reduced search: the (C, n k) table of the change
+    of the value of the consecutive-parts embedding under every move of each
+    assignment row, cell p k + b for moving p to part b, in O(1) per move from
+    per-row tables of O(n^2) entries.
 
     The value is the sum of cut(t), the weight across the cut after the
     first t slots.  Moving p from part a to part b takes p out of its slot
@@ -67,7 +67,8 @@ def _prefix_cut_gains(dist: np.ndarray, k: int):
     as each cut t in [x, y) becomes cut(t + 1) + 2 P[p, t + 1] - deg(p).
     For y < x, each cut t in [y, x) becomes cut(t - 1) + deg(p) -
     2 P[p, t - 1], the same sum with the sign turned and (y - 1, x - 1)
-    for (x, y), over T shifted by one slot.
+    for (x, y), over T shifted by one slot.  For b = a both ends are x - 1,
+    so p's own part reads exactly 0.
 
     With W the weight of all pairs, the magnitudes of these terms sum to at
     most (5n + 8) W <= 13 n W: each cut is at most 4 W (the degrees of its
@@ -75,10 +76,10 @@ def _prefix_cut_gains(dist: np.ndarray, k: int):
     entries of T 4 n W and the slope term n W.
     """
     deg = dist.sum(axis=1)
-    return lambda *args: _gain_rows(dist, deg, *args, k)
+    return lambda assigns: _gain_rows(dist, deg, assigns, k)
 
 
-def _gain_rows(dist, deg, assigns, points, targets, k):
+def _gain_rows(dist, deg, assigns, k):
     """``_prefix_cut_gains``'s gains of (C, n) assignment rows."""
     c, n = assigns.shape
     row, ids = np.arange(c)[:, None], np.arange(n)
@@ -95,14 +96,15 @@ def _gain_rows(dist, deg, assigns, points, targets, k):
     cut = np.zeros((c, n + 1))  # cut(0) = cut(n) = 0
     np.cumsum((deg[order] - 2.0 * prefix[row, ids, order])[:, :-1], axis=1, out=cut[:, 1:n])
 
-    right = assigns[:, points] < targets
-    x = slot[:, points] + 1
-    y = before[row, targets] + below[row, points, targets] + ~right
+    right = assigns[:, :, None] < np.arange(k)  # (row, p, b)
+    x = slot[:, :, None] + 1
+    y = before[:, None, :] + below + ~right
     lo, hi = np.where(right, x, y - 1), np.where(right, y, x - 1)
-    inner = (sums[row, np.maximum(hi - ~right, 0), points]
-             - sums[row, np.maximum(lo - ~right, 0), points])
-    change = cut[row, hi] - cut[row, lo] + 2.0 * inner - (hi - lo) * deg[points]
-    return np.where(right, change, -change)
+    row, ids = row[:, :, None], ids[:, None]
+    inner = (sums[row, np.maximum(hi - ~right, 0), ids]
+             - sums[row, np.maximum(lo - ~right, 0), ids])
+    change = cut[row, hi] - cut[row, lo] + 2.0 * inner - (hi - lo) * deg[ids]
+    return np.where(right, change, -change).reshape(c, n * k)
 
 
 def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -129,23 +131,20 @@ def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
 def _swap_hill_climb(q: np.ndarray, starts, sweeps: int) -> list:
     """Steepest-ascent slot swaps on the quantized metric ``q`` from each
     start arrangement until a local maximum, every start in lockstep through
-    ``ascend``, which takes each start's first best swap of the pairs i < j
-    in row-major order; a start comes back as itself when no swap gains, so
-    that ``best_of`` skips rescoring it."""
+    ``ascend``, which reads each start's n x n swap table and takes its first
+    best swap in row-major order.  On ``quantize``'s integer metric the table
+    is exactly symmetric with a zero diagonal, so that swap is the first best
+    pair i < j, and no swap of a point with itself is ever taken."""
     pos = np.array([arr.position for arr in starts], dtype=float)
     n = pos.shape[1]
-    upper = np.triu_indices(n, 1)
-    flat = upper[0] * n + upper[1]
 
     def swap(ids, picks):
-        i, j = upper[0][picks], upper[1][picks]
+        i, j = divmod(picks, n)
         pos[ids, i], pos[ids, j] = pos[ids, j], pos[ids, i]
 
-    ascend(pos, sweeps, n * n,
-           lambda rows: _swap_gains(q, rows).reshape(len(rows), n * n)[:, flat], swap)
+    ascend(pos, sweeps, n * n, lambda rows: _swap_gains(q, rows).reshape(len(rows), n * n), swap)
     # slot swaps of a permutation: each row is one, so no bijection check
-    climbed = (LinearArrangement(tuple(row)) for row in pos.astype(int).tolist())
-    return [arr if new == arr else new for arr, new in zip(starts, climbed)]
+    return [LinearArrangement(tuple(row)) for row in pos.astype(int).tolist()]
 
 
 def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):

@@ -1,15 +1,14 @@
 """What every local search shares: the search budget, the dense solvers'
-config and tie-break, the steepest-ascent loop, the reduced search's restart
-loop and the move order.
+config and tie-break, the steepest-ascent loop and the reduced search's
+restart loop.
 
 Each restart of the reduced search starts from a seeded assignment of the
-points to parts and runs sweeps of single-point moves.  A sweep looks at
-every move "point p to part b" in a fixed order (ascending p, then ascending
-b, skipping p's own part), as ``single_moves`` lists them, and takes the
-first move of largest gain; the search's gain function gives the gain of
-each from per-row tables in O(1) per move.  ``ascend`` sweeps a stack of
-rows in lockstep: the reduced search's restarts, and the LA swap climb's
-starts.
+points to parts and runs sweeps of single-point moves.  A sweep reads the
+gain of every move "point p to part b" off the row's gain table, cell
+p * parts + b (ascending p, then ascending b), 0 in p's own part, and takes
+the first move of largest gain; the search's gain function builds the table
+from per-row tables in O(1) per move.  ``ascend`` sweeps a stack of rows in
+lockstep: the reduced search's restarts, and the LA swap climb's starts.
 
 Both run on ``quantize``'s integer copy of the metric, on which every gain
 is exact whatever the order of its sums.  So a move gains when its gain is
@@ -155,29 +154,19 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
     """Final assignments of the seeded restarts of the reduced search, one
     (restarts, n) row per restart in seed order.
 
-    ``gains(assigns, points, targets)`` takes (C, n) assignment rows and the
-    moves that ``single_moves`` lists for them, and gives the (C, M) gains of
-    the moves from ``entries`` table entries per row.  The restarts climb in
-    lockstep through ``ascend``, one sweep per move of the budget.
+    ``gains(assigns)`` takes (C, n) assignment rows and gives their
+    (C, n * parts) gain tables from ``entries`` table entries per row: cell
+    p * parts + b is the gain of moving point p to part b, 0 in p's own part,
+    so a stay is never a positive gain and never taken.  The restarts climb
+    in lockstep through ``ascend``, one sweep per move of the budget.
     """
     seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
     assigns = np.array([np.random.default_rng(ss).integers(0, parts, size=n) for ss in seqs],
                        dtype=np.int64).reshape(len(seqs), n)
 
     def move(ids, picks):
-        point, offset = divmod(picks, parts - 1)  # single_moves' order
-        assigns[ids, point] = offset + (offset >= assigns[ids, point])
+        point, part = divmod(picks, parts)
+        assigns[ids, point] = part
 
-    ascend(assigns, budget.moves(n), entries,
-           lambda rows: gains(rows, *single_moves(rows, parts)), move)
+    ascend(assigns, budget.moves(n), entries, gains, move)
     return assigns
-
-
-def single_moves(assigns: np.ndarray, parts: int):
-    """(points, targets) of every single-point move, in scan order: ``points``
-    is (M,), ``targets`` (L, M) for (L, n) assignment rows or (M,) for one."""
-    n = np.shape(assigns)[-1]
-    points = np.repeat(np.arange(n), parts - 1)
-    offset = np.tile(np.arange(parts - 1), n)
-    targets = offset + (offset >= assigns[..., points])
-    return points, targets

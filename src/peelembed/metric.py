@@ -315,7 +315,8 @@ def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
     upper triangle's sum in real arithmetic, as ``B`` is symmetric with a
     zero diagonal.
     """
-    idx = sorted(set(int(i) for i in subset))
+    ascending = isinstance(subset, range) and subset.step > 0  # distinct ids, in order
+    idx = subset if ascending else sorted(set(int(i) for i in subset))
     if not idx:
         raise EmptySubset("subset_stats requires a nonempty subset")
     if idx[0] < 0 or idx[-1] >= m.n:
@@ -326,7 +327,7 @@ def subset_stats(m: Metric, subset: Iterable[int]) -> SubsetStats:
     return SubsetStats(diameter=diameter, weight_sum=weight, size=size, density=density)
 
 
-def _block_max_and_weight(dist: np.ndarray, idx: list) -> tuple:
+def _block_max_and_weight(dist: np.ndarray, idx: Sequence[int]) -> tuple:
     """(max entry, weight) of the block of ``dist`` on the ascending ids
     ``idx``: the weight is half of one NumPy sum over the block's row sums.
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
-from .local_search import BATCH_ENTRIES, SearchBudget, single_moves
+from .local_search import BATCH_ENTRIES, SearchBudget
 from .metric import Metric, subset_stats
 
 _INF = math.inf
@@ -126,12 +126,17 @@ def _feasible(m: Metric, bounds, eps_err: float, assignment: Sequence[int]) -> b
 
 def enumerate_assignments(m: Metric, k: int):
     """All k^n assignments with their size and weight statistics, the input of
-    the exhaustive regime."""
+    the exhaustive regime.  The statistics are built in chunks of at most
+    ``BATCH_ENTRIES`` one-hot entries; each einsum sums an entry's products
+    in one C loop, so a chunk gives the bits of the whole."""
     digits = np.array(list(itertools.product(range(k), repeat=m.n)), dtype=np.int8)
-    onehot = np.eye(k)[digits]  # (A, n, k)
-    sizes = onehot.sum(axis=1)
-    inner = np.einsum("nm,amk->ank", m.dist, onehot)
-    cross = np.einsum("ank,anj->akj", onehot, inner)
+    sizes, cross = np.empty((len(digits), k)), np.empty((len(digits), k, k))
+    step = max(1, BATCH_ENTRIES // (m.n * k))
+    for lo in range(0, len(digits), step):
+        onehot = np.eye(k)[digits[lo : lo + step]]  # (A, n, k)
+        sizes[lo : lo + step] = onehot.sum(axis=1)
+        inner = np.einsum("nm,amk->ank", m.dist, onehot)
+        cross[lo : lo + step] = np.einsum("ank,anj->akj", onehot, inner)
     idx = np.arange(k)
     cross[:, idx, idx] /= 2.0
     return digits, sizes, cross
@@ -270,8 +275,13 @@ def _local_hits(m, bounds, eps_err, budget, seed):
 def _moved_states(assign, sizes, cross, part_dist):
     """Points, targets, (L, C, k) part sizes and (L, C, k, k) crossing
     matrices of every single-point move of each of L rows, in scan order;
-    ``part_dist[r, p, j]`` = W(p, part j) in row r."""
-    points, targets = single_moves(assign, sizes.shape[1])
+    ``part_dist[r, p, j]`` = W(p, part j) in row r.  Scan order is ascending
+    p, then ascending target, skipping p's own part: on these float sums a
+    move from a to a is not an exact no-op, so it is not listed."""
+    n, k = assign.shape[1], sizes.shape[1]
+    points = np.repeat(np.arange(n), k - 1)
+    offset = np.tile(np.arange(k - 1), n)
+    targets = offset + (offset >= assign[:, points])
     rows, cols = np.arange(len(assign))[:, None], np.arange(len(points))
     a, b = assign[:, points], targets
     moved = part_dist[:, points]

@@ -4,8 +4,9 @@ Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
 ladder payoff floor and the telescoping accounting on realized runs, and
 holding the per-candidate reference loops of the dense solvers and the
-partition search, the per-cell loop of the faithful grids, the
-per-restart loop of the reduced search with its batched scorers, the per-k
+partition search, the per-cell loop of the faithful grids and the
+all-at-once enumeration of the exhaustive regime, the per-restart loop of
+the reduced search with its move list and batched scorers, the per-k
 triangle scan, whole-slab screen and whole-matrix symmetrising of metric
 validation, the whole-mask ball count of core detection, the all-token
 matrix parse with its format sniff, the node-at-a-time tree walks, the
@@ -26,7 +27,6 @@ from peelembed.local_search import (
     TIE_TOL,
     best_of,
     quantize,
-    single_moves,
 )
 from peelembed.errors import (
     AsymmetricMatrix,
@@ -383,13 +383,25 @@ def hc_ladder_payoff(m, tree, a_ids):
 # in one numpy pass, and the differential tests compare the two.
 
 
+def reference_single_moves(assigns, parts):
+    """(points, targets) of every single-point move, in the scan order of the
+    gain tables less each point's own part: ``points`` is (M,), ``targets``
+    (L, M) for (L, n) assignment rows or (M,) for one.  The reduced search
+    listed its moves so before it read them off its gain tables."""
+    n = np.shape(assigns)[-1]
+    points = np.repeat(np.arange(n), parts - 1)
+    offset = np.tile(np.arange(parts - 1), n)
+    targets = offset + (offset >= assigns[..., points])
+    return points, targets
+
+
 def score_moves(assigns, points, targets, score):
     """``score`` of each moved copy of each assignment row, in batches: the
     batched scoring that the reduced search ran before it took each move's
     gain from per-row tables.
 
-    ``assigns``, ``points`` and ``targets`` are as ``single_moves`` takes and
-    gives them; the result has the shape of ``targets``.  Candidate (l, j) is
+    ``assigns``, ``points`` and ``targets`` are as ``reference_single_moves``
+    takes and gives them; the result has the shape of ``targets``.  Candidate (l, j) is
     row l with point ``points[j]`` moved to part ``targets[l, j]``.  A batch
     holds at most ``BATCH_ENTRIES`` n x n entries.  ``score`` maps a (C, n)
     array of assignments to their C values.
@@ -423,7 +435,7 @@ def reference_reduced_restarts(n, parts, seed, budget, score):
         assign = np.random.default_rng(ss).integers(0, parts, size=n)
         value = score(assign[None, :])[0]
         for _ in range(budget.moves(n)):
-            points, targets = single_moves(assign, parts)
+            points, targets = reference_single_moves(assign, parts)
             values = score_moves(assign, points, targets, score)
             gains = values - value
             pick = scan_argmax(gains, TIE_TOL)
@@ -711,6 +723,19 @@ def reference_search_exhaustive(m, spec, eps_err, enumerated):
     if len(hits) == 0:
         return None
     return tuple(int(a) for a in digits[hits[0]])
+
+
+def reference_enumerate_assignments(m, k):
+    """``enumerate_assignments`` as it was: the one-hot matrices and einsum
+    temporaries of all k^n assignments at once."""
+    digits = np.array(list(itertools.product(range(k), repeat=m.n)), dtype=np.int8)
+    onehot = np.eye(k)[digits]  # (A, n, k)
+    sizes = onehot.sum(axis=1)
+    inner = np.einsum("nm,amk->ank", m.dist, onehot)
+    cross = np.einsum("ank,anj->akj", onehot, inner)
+    idx = np.arange(k)
+    cross[:, idx, idx] /= 2.0
+    return digits, sizes, cross
 
 
 def reference_weight_cells(m, parts, levels, eps_err):

@@ -27,6 +27,7 @@ from structural import (
     reference_move_gains,
     reference_reduced_restarts,
     reference_search_local,
+    reference_single_moves,
     reference_swap_gain,
     reference_swap_hill_climb,
     reference_weight_cells,
@@ -44,12 +45,7 @@ from peelembed.la_dense import (
     _swap_hill_climb,
     solve_la_dense,
 )
-from peelembed.local_search import (
-    TIE_TOL,
-    quantize,
-    reduced_restarts,
-    single_moves,
-)
+from peelembed.local_search import TIE_TOL, quantize, reduced_restarts
 from peelembed.metric import Metric, validate_metric
 from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la, ladder_tree
 from peelembed.partition_search import (
@@ -159,10 +155,17 @@ def test_scan_argmax_long_ascending_row():
 
 
 def test_single_moves_scan_order():
-    points, targets = single_moves(np.array([1, 0, 2]), 3)
-    assert list(zip(points, targets)) == [
-        (0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)
-    ]
+    # the partition search's tolerance scan keeps the earliest of near-tied
+    # moves, so its moves keep this order, with no stay listed; the reduced
+    # searches' reference loop lists its moves in the same order
+    m, assign = _metrics((3,))[0][1], np.array([1, 0, 2])
+    onehot = np.eye(3)[assign]
+    points, targets, _, _ = _moved_states(assign[None], onehot.sum(axis=0)[None],
+                                          crossing_matrix(m, assign, 3)[None],
+                                          (m.dist @ onehot)[None])
+    want = [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)]
+    assert list(zip(points, targets[0])) == want
+    assert list(zip(*reference_single_moves(assign, 3))) == want
 
 
 def _check_float_gains(objective, parts):
@@ -172,8 +175,8 @@ def _check_float_gains(objective, parts):
     rng = np.random.default_rng(parts)
     for label, m in _metrics((5, 12, 20)):
         assign = rng.integers(0, parts, size=m.n)
-        points, targets = single_moves(assign, parts)
-        got = gains(m.dist, parts)(assign[None], points, targets[None])[0]
+        points, targets = reference_single_moves(assign, parts)
+        got = gains(m.dist, parts)(assign[None])[0, points * parts + targets]
         want = reference_move_gains(value, m, assign, parts)
         weight = m.dist.sum() / 2.0
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * 13 * m.n * weight,
@@ -197,12 +200,10 @@ def test_identical_trees_score_identically():
     q = quantize(generate(GeneratorSpec(family="euclidean_gaussian", n=9, seed=3)).dist)
     rows = np.full((3, 9), 2)
     rows[0, 0], rows[1, 0] = 0, 1
-    points, targets = single_moves(rows, 3)
-    gains = _caterpillar_gains(q, 3)(rows, points, targets)
-    assert list(points[:2]) == [0, 0] and np.all(gains[:, :2] == 0.0)
-    assert np.any(gains[:, 2:] != 0.0)
+    gains = _caterpillar_gains(q, 3)(rows)  # point 0's cells first
+    assert np.all(gains[:, :3] == 0.0) and np.any(gains[:, 3:] != 0.0)
     # batch position does not change a row's gains
-    alone = _caterpillar_gains(q, 3)(rows[1:2], points, targets[1:2])
+    alone = _caterpillar_gains(q, 3)(rows[1:2])
     assert alone.tobytes() == gains[1:2].tobytes()
 
 
@@ -222,7 +223,7 @@ def test_swap_hill_climb_matches_reference(monkeypatch):
     # All starts climb in lockstep on the quantized metric, as the per-pair
     # reference climbs each; batches of one row, and one batch of every row,
     # show that a row's climb does not depend on its batch.  A start at a
-    # local maximum comes back as itself, so best_of skips it.
+    # local maximum comes back unchanged.
     rng = np.random.default_rng(8)
     for label, m in _metrics((7, 40)):
         q = quantize(m.dist)
@@ -238,9 +239,8 @@ def test_swap_hill_climb_matches_reference(monkeypatch):
             assert got == want, (label, rows)
         # a start climbed to the top cannot gain, and no sweeps change none
         top = _swap_hill_climb(q, starts[1:2], 10_000)[0]
-        got = _swap_hill_climb(q, [top, starts[2], top], 40)
-        assert got[0] is top and got[2] is top and got[1] == want[2], label
-        assert all(a is b for a, b in zip(_swap_hill_climb(q, starts, 0), starts)), label
+        assert _swap_hill_climb(q, [top, starts[2], top], 40) == [top, want[2], top], label
+        assert _swap_hill_climb(q, starts, 0) == starts, label
 
 
 def _restart_cases():
@@ -315,18 +315,17 @@ def _check_gains(objective, dist, parts, assigns, moves=None):
     reference value of each moved assignment less that of the assignment on
     ``Metric(dist)``, bit for bit; ``moves`` picks some of the moves."""
     _, gains, _, value, _ = objective
-    points, targets = single_moves(assigns, parts)
+    points, targets = reference_single_moves(assigns, parts)
     if moves is not None:
         points, targets = points[moves], targets[:, moves]
-    got = gains(dist, parts)(assigns, points, targets)
-    rowwise = np.concatenate([gains(dist, parts)(assigns[r:r + 1], points, targets[r:r + 1])
-                              for r in range(len(assigns))])
+    got = gains(dist, parts)(assigns)
+    rowwise = np.concatenate([gains(dist, parts)(assigns[r:r + 1]) for r in range(len(assigns))])
     assert got.tobytes() == rowwise.tobytes()
     m = Metric(dist)
     for assign, row_targets, row_gains in zip(assigns, targets, got):
         want = reference_move_gains(value, m, assign, parts, zip(points, row_targets))
         # == rather than bytes: LA turns the sign of a zero change
-        np.testing.assert_array_equal(row_gains, want)
+        np.testing.assert_array_equal(row_gains[points * parts + row_targets], want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -405,14 +404,66 @@ def test_caterpillar_values_match_gather_formula(slots):
         q = quantize(m.dist)
         assigns = rng.integers(0, slots, size=(40, m.n))
         assigns[0] = slots - 1
-        points, targets = single_moves(assigns, slots)
-        got = _caterpillar_gains(q, slots)(assigns, points, targets)
+        points, targets = reference_single_moves(assigns, slots)
+        got = np.take_along_axis(_caterpillar_gains(q, slots)(assigns), points * slots + targets,
+                                 axis=1)
 
         def score(rows):
             return reference_caterpillar_values(q, rows, slots)
 
         want = score_moves(assigns, points, targets, score) - score(assigns)[:, None]
         assert got.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("parts", [2, 3, 5])
+def test_gain_tables_are_the_move_lists(parts):
+    # Both reduced searches read their moves straight off their gain tables,
+    # built for a stack of rows and a row at a time alike: own-part cells are
+    # exactly 0, the other cells, read in the old move order, are the
+    # reference scorer's gains (== rather than bytes: LA turns the sign of a
+    # zero change), and the first largest cell, when it gains, is the move
+    # that the old order's first largest gain named.
+    rng = np.random.default_rng(parts)
+    for label, m in _metrics((3, 4, 7, 13, 25, 40)):
+        q = quantize(m.dist)
+        assigns = rng.integers(0, parts, size=(6, m.n))
+        assigns[0] = parts - 1  # every point in one part
+        points, targets = reference_single_moves(assigns, parts)
+        for module, gains, scorer, _, _ in (HC, LA):
+            where = (label, module.__name__)
+            table = gains(q, parts)(assigns)
+            rowwise = np.concatenate([gains(q, parts)(row[None]) for row in assigns])
+            assert table.shape == (len(assigns), m.n * parts), where
+            assert table.tobytes() == rowwise.tobytes(), where
+            own = np.take_along_axis(table, np.arange(m.n) * parts + assigns, axis=1)
+            assert np.all(own == 0.0), where
+            want = (score_moves(assigns, points, targets, lambda rows: scorer(q, rows, parts))
+                    - scorer(q, assigns, parts)[:, None])
+            got = np.take_along_axis(table, points * parts + targets, axis=1)
+            np.testing.assert_array_equal(got, want, err_msg=str(where))
+            for row, old, old_targets in zip(table, want, targets):
+                pick, first = int(row.argmax()), int(old.argmax())
+                assert (row[pick] > 0.0) == (old[first] > 0.0), where
+                if row[pick] > 0.0:
+                    assert divmod(pick, parts) == (points[first], old_targets[first]), where
+
+
+def test_swap_tables_are_symmetric_with_a_zero_diagonal():
+    # On the quantized metric, so the swap climb's first largest gain in
+    # row-major order is the first largest of the pairs i < j.
+    rng = np.random.default_rng(2)
+    for label, m in _metrics((3, 4, 7, 13, 25, 40)):
+        pos = np.array([rng.permutation(m.n) + 1.0 for _ in range(6)])
+        pos[0] = np.arange(1.0, m.n + 1.0)
+        tables = _swap_gains(quantize(m.dist), pos)
+        assert tables.tobytes() == np.swapaxes(tables, 1, 2).copy().tobytes(), label
+        assert np.all(np.diagonal(tables, axis1=1, axis2=2) == 0.0), label
+        i, j = np.triu_indices(m.n, 1)
+        for table in tables:
+            pick, first = int(table.argmax()), int(table[i, j].argmax())
+            assert (table.flat[pick] > 0.0) == (table[i[first], j[first]] > 0.0), label
+            if table.flat[pick] > 0.0:
+                assert divmod(pick, m.n) == (i[first], j[first]), label
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.25])
@@ -802,9 +853,9 @@ def test_screened_la_sweep_memory_is_bounded():
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
     gains, swept = _prefix_cut_gains(m.dist, 2), [0]
 
-    def counted(assigns, points, targets):
+    def counted(assigns):
         swept[0] += len(assigns)
-        return gains(assigns, points, targets)
+        return gains(assigns)
 
     budget = SearchBudget(restarts=32, moves_per_restart=1)
     tracemalloc.start()

@@ -559,6 +559,19 @@ def test_subset_stats_empty_rejected(cluster_outlier_5):
         subset_stats(cluster_outlier_5, [])
 
 
+def test_subset_stats_takes_positive_ranges_as_ids():
+    # an ascending range is used as it is, with the bits and the errors of
+    # the sorted ids
+    m = metric_from_points(np.random.default_rng(3).normal(size=(40, 2)))
+    for subset in (range(m.n), range(2, m.n), range(0, m.n, 2), range(m.n - 1, -1, -3)):
+        assert subset_stats(m, subset) == reference_subset_stats(m, subset), subset
+    with pytest.raises(EmptySubset):
+        subset_stats(m, range(0))
+    for subset in (range(-1, 3), range(0, m.n + 1)):
+        with pytest.raises(IndexError):
+            subset_stats(m, subset)
+
+
 def test_subset_stats_and_find_core_bit_equal_to_reference():
     rng = np.random.default_rng(7)
     cloud = metric_from_points(rng.normal(size=(300, 2)))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_metric
+from structural import reference_enumerate_assignments
 from peelembed import hc_dense, partition_search
 from peelembed.errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
 from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
@@ -18,6 +20,7 @@ from peelembed.partition_search import (
     PartitionSpec,
     SearchBudget,
     crossing_matrix,
+    enumerate_assignments,
     make_partition,
     partition_feasible,
     search_partition,
@@ -135,6 +138,27 @@ def test_exhaustive_matches_brute_force_oracle():
             assert got.assignment == ref  # lexicographically smallest
             checked_found += 1
     assert checked_found >= 5 and checked_missing >= 5
+
+
+@pytest.mark.parametrize("n, k", [(11, 3), (12, 2), (8, 4)])
+def test_enumeration_in_chunks_is_bit_equal(n, k):
+    # each shape spans several chunks of BATCH_ENTRIES one-hot entries
+    m = generate(GeneratorSpec(family="clustered", n=n, seed=n))
+    got, want = enumerate_assignments(m, k), reference_enumerate_assignments(m, k)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_enumeration_memory_is_bounded():
+    # all 3^11 one-hot and einsum temporaries at once peaked at 117 MB
+    m = generate(GeneratorSpec(family="clustered", n=11, seed=0))
+    tracemalloc.start()
+    try:
+        enumerate_assignments(m, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, peak
 
 
 def test_local_search_regime_finds_balanced_split():
