@@ -19,7 +19,7 @@ from peelembed.hc_peeling import HcPeelConfig, solve_hc
 from peelembed.instances import generate, hc_case_c_spec, la_case_c_spec
 from peelembed.la_dense import DenseLaConfig
 from peelembed.la_peeling import LaPeelConfig, solve_la
-from peelembed.partition_search import SearchBudget
+from peelembed.local_search import SearchBudget
 
 
 def show(trace, n, depth_bound):
@@ -47,14 +47,14 @@ def main():
                         help="dense-leaf search restarts (0 = cheapest leaf)")
     args = parser.parse_args()
 
-    budget = SearchBudget(restarts=args.restarts,
-                          moves_per_restart=None if args.restarts else 0)
+    budget = SearchBudget(restarts=args.restarts)
     if args.objective == "la":
         n = args.n or 400
         spec, eps = la_case_c_spec(n, seed=args.seed)
         m = generate(spec)
         cfg = LaPeelConfig(eps=eps, dense=DenseLaConfig(
-            eps=eps, budget=budget, swap_sweeps=0 if not args.restarts else 40))
+            eps=eps, budget=budget,
+            swap_sweeps=DenseLaConfig.swap_sweeps if args.restarts else 0))
         _, trace = solve_la(m, cfg, seed=args.seed)
         show(trace, n, 2 * math.log2(n) + 4)
     else:

@@ -20,12 +20,13 @@ import time
 from dataclasses import dataclass, fields
 from typing import Callable
 
-from .errors import ConfigParse, InputParse, PeelEmbedError
+from .errors import ConfigParse, InputParse, PeelEmbedError, TooLarge
 from .hc_dense import solve_hc_dense
 from .hc_peeling import HcPeelConfig, solve_hc
 from .instances import GeneratorSpec, generate
 from .la_dense import solve_la_dense
 from .la_peeling import LaPeelConfig, solve_la
+from .local_search import SearchBudget
 from .metric import (
     Metric,
     format_metric,
@@ -34,15 +35,7 @@ from .metric import (
     subset_stats,
 )
 from .objectives import evaluate_hc, evaluate_la
-from .oracles import (
-    HC_ORACLE_MAX_N,
-    LA_ORACLE_MAX_N,
-    average_linkage_hc,
-    brute_force_hc,
-    brute_force_la,
-    random_bisection_la,
-)
-from .partition_search import SearchBudget
+from .oracles import average_linkage_hc, brute_force_hc, brute_force_la, random_bisection_la
 
 CSV_COLUMNS = [
     "instance",
@@ -71,8 +64,7 @@ class Objective:
     peel_config: type  # its dense_type is the dense solver's config
     dense: Callable  # (metric, dense config, seed) -> (witness, value)
     evaluate: Callable  # (metric, witness) -> value
-    oracle: Callable  # metric -> OracleResult; raises TooLarge above oracle_max_n
-    oracle_max_n: int
+    oracle: Callable  # metric -> OracleResult; raises TooLarge above the oracle's cap
     witness: str  # label of the printed witness line
 
     def solve(self, m, eps, budget, seed, grid_mode="reduced", dense_only=False):
@@ -92,7 +84,6 @@ OBJECTIVES = {
         dense=lambda m, cfg, seed: solve_la_dense(m, cfg, seed),
         evaluate=lambda m, arr: evaluate_la(m, arr),
         oracle=lambda m: brute_force_la(m),
-        oracle_max_n=LA_ORACLE_MAX_N,
         witness="arrangement",
     ),
     "hc": Objective(
@@ -101,7 +92,6 @@ OBJECTIVES = {
         dense=lambda m, cfg, seed: solve_hc_dense(m, cfg, seed),
         evaluate=lambda m, tree: evaluate_hc(m, tree),
         oracle=lambda m: brute_force_hc(m),
-        oracle_max_n=HC_ORACLE_MAX_N,
         witness="tree",
     ),
 }
@@ -187,7 +177,8 @@ def _list_of(*types):
 _BENCH_FIELDS = {
     "eps": ([0.25], _list_of(int, float), "a list of numbers"),
     "algorithms": (["peel-la", "peel-hc"], _list_of(str), "a list of strings"),
-    "restarts": (32, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "restarts": (SearchBudget.restarts,
+                 lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "instances": ([], _list_of(dict), "a list of objects"),
 }
 
@@ -219,7 +210,10 @@ def _bench_rows(config: dict, seed: int, timing: bool):
             kind, objective = algorithm.split("-")[0], _BENCH_ALGORITHMS[algorithm]
             obj = OBJECTIVES[objective]
             if objective not in oracles:
-                oracles[objective] = obj.oracle(m).value if m.n <= obj.oracle_max_n else None
+                try:
+                    oracles[objective] = obj.oracle(m).value
+                except TooLarge:
+                    oracles[objective] = None
             oracle = oracles[objective]
             for eps in cfg["eps"] if kind in ("peel", "dense") else [None]:
                 trace = None
@@ -320,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_input(p)
         p.add_argument("--eps", type=float, required=True)
         p.add_argument("--grid-mode", choices=["reduced", "faithful"], default="reduced")
-        p.add_argument("--budget-restarts", type=int, default=32)
+        p.add_argument("--budget-restarts", type=int, default=SearchBudget.restarts)
         only_or_trace = p.add_mutually_exclusive_group()  # the dense solver records no trace
         only_or_trace.add_argument("--dense-only", action="store_true")
         only_or_trace.add_argument("--trace")

@@ -15,8 +15,7 @@ from .trace import RecursionTrace
 
 
 class HcPeelConfig(PeelConfig):
-    """HC peeling parameters; the depth cap defaults to
-    2 * log2(log2(n) + 2) + 8."""
+    """HC peeling parameters; the depth cap is 2 * log2(log2(n) + 2) + 8."""
 
     dense_type = DenseHcConfig
 

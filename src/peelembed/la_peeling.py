@@ -17,7 +17,7 @@ from .trace import RecursionTrace
 
 
 class LaPeelConfig(PeelConfig):
-    """LA peeling parameters; the depth cap defaults to 4 * log2(n) + 8."""
+    """LA peeling parameters; the depth cap is 4 * log2(n) + 8."""
 
     dense_type = DenseLaConfig
 

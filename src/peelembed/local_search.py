@@ -20,7 +20,6 @@ metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -38,16 +37,14 @@ BATCH_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class SearchBudget:
-    restarts: int = 32
-    moves_per_restart: Optional[int] = None  # None -> 200 * n
+    restarts: int = 32  # seeded restarts, each of at most moves(n) sweeps
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if value is not None and value < 0:
-                raise InvalidSpec(f"{name} must be >= 0, got {value}")
+        if self.restarts < 0:
+            raise InvalidSpec(f"restarts must be >= 0, got {self.restarts}")
 
     def moves(self, n: int) -> int:
-        return self.moves_per_restart if self.moves_per_restart is not None else 200 * n
+        return 200 * n
 
 
 @dataclass(frozen=True)

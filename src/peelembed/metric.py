@@ -145,10 +145,15 @@ def validate_metric(raw) -> Metric:
 
     Raises :class:`NonFiniteDistance` (checked first), :class:`NegativeDistance`,
     :class:`NonzeroDiagonal`, :class:`AsymmetricMatrix` or
-    :class:`TriangleViolation` (with the witnessing triple).  The caller's
-    array is left alone.
+    :class:`TriangleViolation` (with the witnessing triple), and
+    :class:`InputParse` when ``raw`` is not a square numeric matrix.  The
+    caller's array is left alone.
     """
-    return _validate(np.array(raw, dtype=float, order="C"))
+    try:
+        mat = np.array(raw, dtype=float, order="C")
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+        raise InputParse(f"not a numeric matrix: {exc}") from None
+    return _validate(mat)
 
 
 def _validate(mat: np.ndarray) -> Metric:
@@ -161,7 +166,7 @@ def _validate(mat: np.ndarray) -> Metric:
         where = "".join(f"[{i}]" for i in idx)
         raise NonFiniteDistance(f"dist{where} = {mat[idx]:g} is not finite")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-        raise ValueError(f"expected a square n>=1 matrix, got shape {mat.shape}")
+        raise InputParse(f"expected a square n>=1 matrix, got shape {mat.shape}")
     tol = TRIANGLE_TOL * max(float(mat.max()), 1.0)
 
     if mat.min() < -tol:

@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DuplicateLeaf, EmptyInput, MalformedTree, SizeMismatch
+from .errors import DuplicateLeaf, EmptyInput, InputParse, MalformedTree, SizeMismatch
 from .metric import Metric
 
 # Tree nodes are nested 2-tuples with point ids (ints) at the leaves.
@@ -64,7 +64,11 @@ class LinearArrangement:
 
     @classmethod
     def parse(cls, line: str) -> "LinearArrangement":
-        return cls.from_positions([int(t) for t in line.split()])
+        try:
+            positions = [int(t) for t in line.split()]
+        except ValueError as exc:  # not an integer, or over int's digit limit
+            raise InputParse(f"arrangement: {exc}") from None
+        return cls.from_positions(positions)
 
 
 @dataclass(frozen=True, init=False)
@@ -141,7 +145,10 @@ class HcTree:
                 j += 1
             if j == i:
                 raise MalformedTree(f"expected '(' or a leaf at offset {i}")
-            order.append(int(text[i:j]))
+            try:
+                order.append(int(text[i:j]))
+            except ValueError:  # over int's digit limit
+                raise MalformedTree(f"leaf of {j - i} digits at offset {i}") from None
             i = j
             while i < size and text[i] == ")":
                 if not open_nodes or open_nodes[-1][1] < 0:

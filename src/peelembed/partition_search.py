@@ -129,7 +129,7 @@ def enumerate_assignments(m: Metric, k: int):
     the exhaustive regime.  The statistics are built in chunks of at most
     ``BATCH_ENTRIES`` one-hot entries; each einsum sums an entry's products
     in one C loop, so a chunk gives the bits of the whole."""
-    digits = np.array(list(itertools.product(range(k), repeat=m.n)), dtype=np.int8)
+    digits = np.indices((k,) * m.n, dtype=np.int8).reshape(m.n, -1).T  # lexicographic rows
     sizes, cross = np.empty((len(digits), k)), np.empty((len(digits), k, k))
     step = max(1, BATCH_ENTRIES // (m.n * k))
     for lo in range(0, len(digits), step):
@@ -188,15 +188,16 @@ def _exhaustive_hits(m, bounds, eps_err):
     weight cell is tested once against the grid's one enumeration."""
     norm, slb, sub, wlb, wub = bounds
     digits, sizes, cross = enumerate_assignments(m, slb.shape[1])
-    sfrac, wfrac = sizes / m.n, cross / norm
-    fits = [np.flatnonzero((sfrac >= lo - eps_err - 1e-12).all(axis=1)
-                           & (sfrac <= hi + eps_err + 1e-12).all(axis=1))
+    sizes /= m.n  # in place: the k^n statistics are held once
+    cross /= norm
+    fits = [np.flatnonzero((sizes >= lo - eps_err - 1e-12).all(axis=1)
+                           & (sizes <= hi + eps_err + 1e-12).all(axis=1))
             for lo, hi in zip(slb, sub)]
     first = np.full((len(slb), len(wlb)), -1, dtype=np.int32)  # -1: no hit
     chunk = max(1, BATCH_ENTRIES // len(digits))  # weight cells per BATCH_ENTRIES tests
     for u in range(0, len(wlb), chunk):
         lo, hi = wlb[u : u + chunk, None], wub[u : u + chunk, None]
-        ok = ((wfrac >= lo - eps_err - 1e-12) & (wfrac <= hi + eps_err + 1e-12)).all(axis=(2, 3))
+        ok = ((cross >= lo - eps_err - 1e-12) & (cross <= hi + eps_err + 1e-12)).all(axis=(2, 3))
         for cells, fit in zip(first, fits):
             if len(fit):
                 hit = ok[:, fit]

@@ -26,11 +26,10 @@ from .trace import LevelRecord, RecursionTrace
 class PeelConfig:
     """Peeling parameters.  Each objective's subclass sets ``dense_type``, the
     dense config class (built from ``eps`` when ``dense`` is None), and
-    ``default_depth(n)``, the depth cap when ``max_depth`` is None."""
+    ``default_depth(n)``, the depth cap of an n-point peel."""
 
     eps: float
     dense: Optional[object] = None
-    max_depth: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -38,9 +37,6 @@ class PeelConfig:
 
     def dense_config(self):
         return self.dense if self.dense is not None else self.dense_type(eps=self.eps)
-
-    def depth_cap(self, n: int) -> int:
-        return self.max_depth if self.max_depth is not None else self.default_depth(n)
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class Policy:
 def peel(policy: Policy, m: Metric, cfg: PeelConfig, seed: int):
     """Peel all of ``m``; returns (solution, RecursionTrace)."""
     trace = RecursionTrace()
-    cap = cfg.depth_cap(m.n)
+    cap = cfg.default_depth(m.n)
     stats = subset_stats(m, range(m.n))
     solution, trace.value = _level(policy, cfg, seed, cap, m, list(range(m.n)), stats, 0, trace)
     trace.levels.reverse()  # each level is recorded after the levels below it

@@ -73,7 +73,7 @@ def close_ceiling(lhs, rhs):
     return lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
 
 
-ZERO_BUDGET = SearchBudget(restarts=0, moves_per_restart=0)
+ZERO_BUDGET = SearchBudget(restarts=0)
 
 
 @pytest.fixture(scope="module")

@@ -293,9 +293,9 @@ class TestSolveAndOracle:
             assert "explored" in out
 
     def test_oracle_too_large_exits_1(self, tmp_path, capsys):
-        for objective, obj in OBJECTIVES.items():
+        for objective, cap in (("la", LA_ORACLE_MAX_N), ("hc", HC_ORACLE_MAX_N)):
             path = tmp_path / f"big-{objective}.txt"
-            n = obj.oracle_max_n + 1
+            n = cap + 1
             rows = [" ".join("0" if i == j else "1" for j in range(n)) for i in range(n)]
             path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
             assert main(["oracle", "--input", str(path), "--objective", objective]) == 1

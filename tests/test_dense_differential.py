@@ -265,11 +265,13 @@ def test_lockstep_restarts_match_per_restart_loop(batch, monkeypatch):
     # row's gains do not depend on its batch.
     for label, m, parts, restarts, moves in _restart_cases():
         q = quantize(m.dist)
-        budget = SearchBudget(restarts=restarts, moves_per_restart=moves)
+        budget = SearchBudget(restarts=restarts)
         for module, gains, scorer, _, entries in (HC, LA):
-            want = list(reference_reduced_restarts(m.n, parts, 3, budget,
-                                                   lambda rows: scorer(q, rows, parts)))
             with monkeypatch.context() as patch:
+                if moves is not None:
+                    patch.setattr(SearchBudget, "moves", lambda self, n: moves)
+                want = list(reference_reduced_restarts(m.n, parts, 3, budget,
+                                                       lambda rows: scorer(q, rows, parts)))
                 if batch != "default":
                     rows = {"one row": 1, "split": 2}[batch]
                     patch.setattr(local_search, "BATCH_ENTRIES", entries(m.n, parts) * rows)
@@ -781,9 +783,10 @@ def test_coincidence_check_decides_as_the_diameter(monkeypatch):
     assert value > evaluate_hc(inputs[2][1], ladder_tree(range(6)))
 
 
-def _solve_peak(m, restarts, eps=0.5):
+def _solve_peak(m, restarts, monkeypatch, eps=0.5):
     """tracemalloc peak of each dense solver, one sweep per restart."""
-    budget = SearchBudget(restarts=restarts, moves_per_restart=1)
+    monkeypatch.setattr(SearchBudget, "moves", lambda self, n: 1)
+    budget = SearchBudget(restarts=restarts)
     for solve, cfg in (
         (solve_hc_dense, DenseHcConfig(eps=eps, budget=budget)),
         (solve_la_dense, DenseLaConfig(eps=eps, budget=budget)),
@@ -797,19 +800,19 @@ def _solve_peak(m, restarts, eps=0.5):
         yield cfg, peak
 
 
-def test_one_restart_memory_is_bounded():
+def test_one_restart_memory_is_bounded(monkeypatch):
     # Unbatched, one HC sweep at n=300 would hold 600 candidates x 300^2
     # entries (over 400 MB per temporary); batches keep it to a few MB each.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
-    for cfg, peak in _solve_peak(m, 1):
+    for cfg, peak in _solve_peak(m, 1, monkeypatch):
         assert peak < 32e6, (cfg, peak)
 
 
-def test_lockstep_restart_memory_is_bounded():
+def test_lockstep_restart_memory_is_bounded(monkeypatch):
     # 32 restarts sweep together: all their moved rows at once would be
     # 32 x 600 rows of 300 ids for HC (46 MB); each batch builds only its own.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
-    for cfg, peak in _solve_peak(m, 32):
+    for cfg, peak in _solve_peak(m, 32, monkeypatch):
         assert peak < 32e6, (cfg, peak)
 
 
@@ -830,6 +833,20 @@ def test_faithful_grid_memory_is_bounded():
         assert peak < 16e6, (solve.__name__, peak)
 
 
+def test_exhaustive_grid_memory_is_bounded():
+    # HC's faithful grid at n=11 enumerates all 3^11 assignments once.  The
+    # assignments as Python tuples, or a scaled second copy of their sizes
+    # and crossing weights, took the peak to 40.7 MB; held once, 23.5 MB.
+    m = generate(GeneratorSpec(family="clustered", n=11, seed=0))
+    tracemalloc.start()
+    try:
+        solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
+
+
 def test_lockstep_climb_memory_is_bounded():
     # 33 starts climb together: one unbatched sweep would hold several
     # (33, 300, 300) gap and product temporaries (24 MB each) and gains of
@@ -847,7 +864,7 @@ def test_lockstep_climb_memory_is_bounded():
     assert peak < 16e6, peak
 
 
-def test_screened_la_sweep_memory_is_bounded():
+def test_screened_la_sweep_memory_is_bounded(monkeypatch):
     # One sweep of 32 restarts at n=300: the gain tables, (n + 1, n) per
     # row, go through a row at a time.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
@@ -857,7 +874,8 @@ def test_screened_la_sweep_memory_is_bounded():
         swept[0] += len(assigns)
         return gains(assigns)
 
-    budget = SearchBudget(restarts=32, moves_per_restart=1)
+    monkeypatch.setattr(SearchBudget, "moves", lambda self, n: 1)
+    budget = SearchBudget(restarts=32)
     tracemalloc.start()
     try:
         reduced_restarts(m.n, 2, 0, budget, counted, m.n * (m.n + 1))
@@ -868,10 +886,10 @@ def test_screened_la_sweep_memory_is_bounded():
     assert peak < 16e6, peak
 
 
-def test_small_eps_memory_is_bounded():
+def test_small_eps_memory_is_bounded(monkeypatch):
     # eps 0.02 gives HC 51 slots: a sweep at n=60 lists 3000 moves per
     # restart, and the gain tables of each restart grow with n x slots and
     # slots^2; batches of restarts keep them to a few MB.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=60, seed=0))
-    for cfg, peak in _solve_peak(m, 32, eps=0.02):
+    for cfg, peak in _solve_peak(m, 32, monkeypatch, eps=0.02):
         assert peak < 16e6, (cfg, peak)

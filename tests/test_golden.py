@@ -45,7 +45,7 @@ from peelembed.partition_search import SearchBudget
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-ZERO = SearchBudget(restarts=0, moves_per_restart=0)
+ZERO = SearchBudget(restarts=0)
 
 
 def _la_case_c(n, seed):

@@ -23,9 +23,7 @@ from peelembed.partition_search import SearchBudget
 from structural import cross_weight, hc_ladder_payoff, set_weight
 
 HC_EPS = 1.0 / 24.0
-CHEAP_DENSE = DenseHcConfig(
-    eps=HC_EPS, budget=SearchBudget(restarts=0, moves_per_restart=0)
-)
+CHEAP_DENSE = DenseHcConfig(eps=HC_EPS, budget=SearchBudget(restarts=0))
 CASE_C_CFG = HcPeelConfig(eps=HC_EPS, dense=CHEAP_DENSE)
 
 
@@ -57,11 +55,8 @@ class TestConfig:
     def test_depth_cap_default(self):
         cfg = HcPeelConfig(eps=0.5)
         # 2 * log2(log2(n) + 2) + 8, floored
-        assert cfg.depth_cap(2) == int(2 * math.log2(3)) + 8
-        assert cfg.depth_cap(1 << 14) == 16
-
-    def test_depth_cap_override(self):
-        assert HcPeelConfig(eps=0.5, max_depth=2).depth_cap(10**6) == 2
+        assert cfg.default_depth(2) == int(2 * math.log2(3)) + 8
+        assert cfg.default_depth(1 << 14) == 16
 
 
 class TestCaseRouting:
@@ -190,8 +185,9 @@ class TestSoundnessAndDeterminism:
             rec = json.loads(line)
             assert rec["case"] in "abc"
 
-    def test_depth_exceeded(self):
+    def test_depth_exceeded(self, monkeypatch):
         spec, eps = hc_case_c_spec(1860)
         m = generate(spec)
+        monkeypatch.setattr(HcPeelConfig, "default_depth", staticmethod(lambda n: 0))
         with pytest.raises(DepthExceeded):
-            solve_hc(m, HcPeelConfig(eps=eps, dense=CHEAP_DENSE, max_depth=0))
+            solve_hc(m, HcPeelConfig(eps=eps, dense=CHEAP_DENSE))

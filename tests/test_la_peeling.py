@@ -30,7 +30,7 @@ from structural import (
 
 CHEAP_DENSE = DenseLaConfig(
     eps=0.45,
-    budget=SearchBudget(restarts=0, moves_per_restart=0),
+    budget=SearchBudget(restarts=0),
     swap_sweeps=0,
 )
 CASE_C_CFG = LaPeelConfig(eps=0.45, dense=CHEAP_DENSE)
@@ -53,11 +53,8 @@ class TestConfig:
 
     def test_depth_cap_default(self):
         cfg = LaPeelConfig(eps=0.5)
-        assert cfg.depth_cap(2) == 12
-        assert cfg.depth_cap(1024) == 48
-
-    def test_depth_cap_override(self):
-        assert LaPeelConfig(eps=0.5, max_depth=3).depth_cap(10**6) == 3
+        assert cfg.default_depth(2) == 12
+        assert cfg.default_depth(1024) == 48
 
 
 class TestCaseRouting:
@@ -236,8 +233,9 @@ class TestSoundnessAndDeterminism:
             rec = json.loads(line)
             assert rec["case"] in "abc"
 
-    def test_depth_exceeded(self):
+    def test_depth_exceeded(self, monkeypatch):
         spec, eps = la_case_c_spec(300)
         m = generate(spec)
+        monkeypatch.setattr(LaPeelConfig, "default_depth", staticmethod(lambda n: 0))
         with pytest.raises(DepthExceeded):
-            solve_la(m, LaPeelConfig(eps=eps, dense=CHEAP_DENSE, max_depth=0))
+            solve_la(m, LaPeelConfig(eps=eps, dense=CHEAP_DENSE))

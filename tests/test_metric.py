@@ -519,6 +519,14 @@ def test_validate_rejects_negative_and_diagonal_and_asymmetry():
         validate_metric([[0, 1], [2, 0]])
 
 
+@pytest.mark.parametrize("raw", [[[0, 1]], [], [1, 2], np.zeros((2, 2, 2)),
+                                 [[0, 1], [1]], [[0, "a"], ["a", 0]]],
+                         ids=["1x2", "empty", "vector", "3-d", "ragged", "strings"])
+def test_validate_rejects_non_matrices_with_a_typed_error(raw):
+    with pytest.raises(InputParse):
+        validate_metric(raw)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_validate_rejects_non_finite_before_other_checks(bad):
     with pytest.raises(NonFiniteDistance):

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import random_metric
 from peelembed import hc_peeling
-from peelembed.errors import DuplicateLeaf, EmptyInput, MalformedTree, SizeMismatch
+from peelembed.errors import (
+    DuplicateLeaf,
+    EmptyInput,
+    InputParse,
+    MalformedTree,
+    PeelEmbedError,
+    SizeMismatch,
+)
 from peelembed.metric import Metric, metric_from_points, validate_metric
 from peelembed.objectives import (
     HcTree,
@@ -455,3 +462,31 @@ def test_parse_gives_a_tree_or_a_typed_error(text):
     except (MalformedTree, DuplicateLeaf):
         return
     assert HcTree.parse(tree.serialize()) == tree
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "(" + "1" * 5000 + ",0)"], ids=["leaf", "in-tree"])
+def test_parse_rejects_a_leaf_over_the_int_digit_limit(text):
+    with pytest.raises(MalformedTree):
+        HcTree.parse(text)
+
+
+@pytest.mark.parametrize("line", ["1 x", "1" * 5000, "2 1.0"],
+                         ids=["letter", "5000-digits", "decimal"])
+def test_arrangement_parse_rejects_non_integers(line):
+    with pytest.raises(InputParse):
+        LinearArrangement.parse(line)
+
+
+# small slots, which often make a bijection, stray text and an over-long number
+_TOKENS = st.one_of(st.integers(-1, 6).map(str), st.text("0123x-+_.\t", min_size=1, max_size=5),
+                    st.just("9" * 5000))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_TOKENS, max_size=8).map(" ".join))
+def test_arrangement_parse_gives_an_arrangement_or_a_typed_error(line):
+    try:
+        arr = LinearArrangement.parse(line)
+    except PeelEmbedError:
+        return
+    assert LinearArrangement.parse(arr.serialize()) == arr

@@ -26,7 +26,7 @@ from peelembed.partition_search import SearchBudget
 
 from structural import reference_evaluate_hc, set_weight
 
-ZERO = SearchBudget(restarts=0, moves_per_restart=0)
+ZERO = SearchBudget(restarts=0)
 
 # HC's case (b) test keeps a level in case (c) only while its core holds 16 eps
 # of the weight at density below eps^2, which takes n in the thousands per
