@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -137,14 +138,16 @@ def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
 def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
     slots, eps = cfg.slots, cfg.eps
     eps_err = eps**3
-    skeletons = list(all_binary_trees(range(slots)))
     # part sizes in {i * eps^2} that can sum to 1 within the per-part slack,
-    # crossing weights in {i * eps^3}
-    lam_cells = grid_cells(int(math.floor(3.0 / eps + 1e-9)) + 1, eps**2, slots,
-                           lambda t: 1.0 - eps_err - 1e-12 <= t <= 1.0 + eps_err + 1e-12)
+    # built only once the weight grid has passed its cap; crossing weights
+    # in {i * eps^3}
+    lam_cells = partial(grid_cells, int(math.floor(3.0 / eps + 1e-9)) + 1, eps**2, slots,
+                        lambda t: (1.0 - eps_err - 1e-12 <= t) & (t <= 1.0 + eps_err + 1e-12))
     weight_levels = int(math.floor(9.0 / eps + 1e-9)) + 1
     grid = grid_partitions(m, slots, lam_cells, weight_levels, eps_err, cfg.budget, seed)
+    skeletons = []  # the (2 slots - 3)!! trees, built at the first hit of a grid within its caps
     for assignment in grid:
+        skeletons = skeletons or list(all_binary_trees(range(slots)))
         parts = _parts_of(assignment, slots)
         trees = (ladders_on(skeleton, parts) for skeleton in skeletons)
         best = best_of(trees, lambda tree: evaluate_hc(m, tree), HcTree.serialize, best)

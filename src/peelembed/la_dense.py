@@ -171,7 +171,7 @@ def _solve_faithful(m: Metric, cfg: DenseLaConfig, seed: int, best):
     base = int(math.floor(eps * n))
     sizes = [base / n] * (k - 1) + [(n - base * (k - 1)) / n]
     levels = int(math.floor(1.0 / eps**7 + 1e-9)) + 1  # grid values 0..1/eps^7
-    assignments = grid_partitions(m, k, [sizes], levels, eps**9, cfg.budget, seed)
+    assignments = grid_partitions(m, k, lambda: [sizes], levels, eps**9, cfg.budget, seed)
     arrangements = map(_embed_assignment, assignments)
     return best_of(arrangements, lambda arr: evaluate_la(m, arr), _position, best)
 

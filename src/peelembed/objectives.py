@@ -64,9 +64,16 @@ class LinearArrangement:
 
     @classmethod
     def parse(cls, line: str) -> "LinearArrangement":
+        """Read whitespace-separated slots, each written as ``serialize``
+        writes one: ASCII digits without a leading zero.  Raises
+        :class:`InputParse` on any other token."""
+        tokens = line.split()
+        for t in tokens:
+            if not (t.isascii() and t.isdigit() and t[0] != "0"):
+                raise InputParse(f"arrangement: bad slot {t[:20]!r}")
         try:
-            positions = [int(t) for t in line.split()]
-        except ValueError as exc:  # not an integer, or over int's digit limit
+            positions = [int(t) for t in tokens]
+        except ValueError as exc:  # over int's digit limit
             raise InputParse(f"arrangement: {exc}") from None
         return cls.from_positions(positions)
 
@@ -217,18 +224,18 @@ def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float
     that method's Python wrapper; a gathered block is summed by ``sum()``.
     """
     order, spans = tree.order, tree.spans
-    if sorted(order) != list(range(m.n)):
+    # the leaves are distinct, so m.n of them in 0..m.n-1 cover it
+    if len(order) != m.n or min(order) < 0 or max(order) >= m.n:
         raise SizeMismatch(f"tree leaves do not cover 0..{m.n - 1}")
     idx = np.asarray(order, dtype=int)
-    run = [1] * len(order)  # run[i]: how many of order[i], order[i] + 1, ... follow in order
-    for i in range(len(order) - 2, -1, -1):
-        if order[i + 1] == order[i] + 1:
-            run[i] += run[i + 1]
+    # byte i is 1 where order[i + 1] != order[i] + 1: order[mid:hi] are
+    # consecutive ascending ids when no byte in [mid, hi - 1) is
+    breaks = (idx[1:] - idx[:-1] != 1).tobytes()
     total, row_sum = below, np.add.reduce
     for lo, mid, hi in spans if top is None else spans[len(spans) - top :]:
         if mid - lo > 1:
             part = m.dist[idx[lo:mid, None], idx[mid:hi]].sum()
-        elif run[mid] >= hi - mid:
+        elif breaks.find(1, mid, hi - 1) < 0:
             part = row_sum(m.dist[order[lo], order[mid] : order[mid] + hi - mid])
         else:
             part = row_sum(m.dist[idx[lo], idx[mid:hi]])

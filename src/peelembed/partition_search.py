@@ -11,11 +11,18 @@ faithful grids of both dense solvers ask this of every cell of a grid:
 over ``MAX_GRID_CELLS`` and searches each grid once: one enumeration per
 grid, or every (cell, restart) row of a chunk of cells sweeping in lockstep.
 :func:`search_partition` is the one-cell case.
+
+A grid's work is done once and in long NumPy loops.  :func:`grid_cells`
+builds a grid as one array.  The enumeration holds each part's sizes and
+each crossing-matrix entry of all assignments as one contiguous plane, and
+every cell test runs on these planes.  A local-regime sweep scores the moves
+of each distinct row state once: rows of one start that have made the same
+moves hold bit-identical states, whatever their cells, and only the weight
+terms of their penalties are taken row by row.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -128,9 +135,12 @@ def enumerate_assignments(m: Metric, k: int):
     """All k^n assignments with their size and weight statistics, the input of
     the exhaustive regime.  The statistics are built in chunks of at most
     ``BATCH_ENTRIES`` one-hot entries; each einsum sums an entry's products
-    in one C loop, so a chunk gives the bits of the whole."""
+    in one C loop, so a chunk gives the bits of the whole.  The (A, k) sizes
+    and (A, k, k) crossing matrices are views of (k, A) and (k, k, A)
+    planes, each entry's values of all assignments contiguous."""
     digits = np.indices((k,) * m.n, dtype=np.int8).reshape(m.n, -1).T  # lexicographic rows
-    sizes, cross = np.empty((len(digits), k)), np.empty((len(digits), k, k))
+    sizes = np.empty((k, len(digits))).T
+    cross = np.empty((k, k, len(digits))).transpose(2, 0, 1)
     step = max(1, BATCH_ENTRIES // (m.n * k))
     for lo in range(0, len(digits), step):
         onehot = np.eye(k)[digits[lo : lo + step]]  # (A, n, k)
@@ -185,19 +195,39 @@ def _search_cells(m, bounds, eps_err, budget, seed):
 
 def _exhaustive_hits(m, bounds, eps_err):
     """Each cell's lexicographically smallest hit: each size cell and each
-    weight cell is tested once against the grid's one enumeration."""
+    weight cell is tested once against the grid's one enumeration.
+
+    Each test runs on the contiguous planes of ``enumerate_assignments``,
+    one part's sizes or one matrix entry's weights of all assignments, so
+    that NumPy's inner loops run over the assignments.  A size cell is
+    tested one part at a time.  A chunk of weight cells is tested one matrix
+    entry at a time, each test a (cells, assignments) plane; an entry whose
+    bounds in the chunk admit its plane's least and largest value passes
+    every test and is skipped."""
     norm, slb, sub, wlb, wub = bounds
-    digits, sizes, cross = enumerate_assignments(m, slb.shape[1])
+    k = slb.shape[1]
+    digits, sizes, cross = enumerate_assignments(m, k)
     sizes /= m.n  # in place: the k^n statistics are held once
     cross /= norm
-    fits = [np.flatnonzero((sizes >= lo - eps_err - 1e-12).all(axis=1)
-                           & (sizes <= hi + eps_err + 1e-12).all(axis=1))
-            for lo, hi in zip(slb, sub)]
+    sizes, planes = sizes.T, cross.transpose(1, 2, 0)  # (k, A) and (k, k, A)
+    least, largest = planes.min(axis=2), planes.max(axis=2)
+    fits = []
+    for lo, hi in zip(slb - eps_err - 1e-12, sub + eps_err + 1e-12):
+        fit = np.ones(len(digits), dtype=bool)
+        for plane, a, b in zip(sizes, lo, hi):
+            fit &= plane >= a
+            fit &= plane <= b
+        fits.append(np.flatnonzero(fit))
     first = np.full((len(slb), len(wlb)), -1, dtype=np.int32)  # -1: no hit
     chunk = max(1, BATCH_ENTRIES // len(digits))  # weight cells per BATCH_ENTRIES tests
     for u in range(0, len(wlb), chunk):
-        lo, hi = wlb[u : u + chunk, None], wub[u : u + chunk, None]
-        ok = ((cross >= lo - eps_err - 1e-12) & (cross <= hi + eps_err + 1e-12)).all(axis=(2, 3))
+        lo, hi = wlb[u : u + chunk] - eps_err - 1e-12, wub[u : u + chunk] + eps_err + 1e-12
+        ok = np.ones((len(lo), len(digits)), dtype=bool)
+        for i, j in np.ndindex(k, k):
+            if not (lo[:, i, j] <= least[i, j]).all():
+                ok &= planes[i, j] >= lo[:, i, j, None]
+            if not (hi[:, i, j] >= largest[i, j]).all():
+                ok &= planes[i, j] <= hi[:, i, j, None]
         for cells, fit in zip(first, fits):
             if len(fit):
                 hit = ok[:, fit]
@@ -216,6 +246,13 @@ def _local_hits(m, bounds, eps_err, budget, seed):
     ``BATCH_ENTRIES`` entries.  A sweep moves each row still above penalty 0
     to its lowest-penalty single-point move, the earliest within 1e-15, and
     stops a row that this would not lower by more than 1e-15.
+
+    Rows that start alike and have made the same moves hold bit-identical
+    assignments, sizes, crossing matrices and point-to-part weights, whatever
+    their cells: each row keeps a group id, one per start when a chunk
+    begins and one per (group, move) after each sweep, and a sweep lists
+    and sizes the moves of each group once.  Only the weight terms of the
+    penalty, which read a row's own cell, are taken row by row.
     """
     norm, slb, sub, wlb, wub = bounds
     n, k = m.n, slb.shape[1]
@@ -225,13 +262,14 @@ def _local_hits(m, bounds, eps_err, budget, seed):
     sweeps = budget.moves(n) if k > 1 else 0  # one part allows no move
     chunk = max(1, BATCH_ENTRIES // max(1, starts * n * max(1, k - 1) * k * k))
 
-    def penalty(sizes, cross, lo, hi, wlo, whi):
-        """(L, C) penalties of (L, C, k) part sizes and (L, C, k, k) crossing
-        matrices, with (L, 1, k, k) weight bounds per row."""
-        sfrac, wfrac = sizes / n, cross / norm
+    def penalty(sizes, cross, lo, hi, group, wlo, whi):
+        """(L, C) penalties of L rows, row r with the (C, k) part sizes and
+        (C, k, k) crossing matrices ``sizes[group[r]]`` and
+        ``cross[group[r]]`` and the (1, k, k) weight bounds of its cell."""
+        sfrac, wfrac = sizes / n, (cross / norm)[group]
         v = np.maximum(0.0, lo - eps_err - sfrac) + np.maximum(0.0, sfrac - hi - eps_err)
         w = np.maximum(0.0, wlo - eps_err - wfrac) + np.maximum(0.0, wfrac - whi - eps_err)
-        return (v.sum(axis=-1) + w.reshape(*w.shape[:-2], k * k).sum(axis=-1)) / slack
+        return (v.sum(axis=-1)[group] + w.reshape(*w.shape[:-2], k * k).sum(axis=-1)) / slack
 
     for lo, hi in zip(slb, sub):
         start = np.array([_greedy_seed(np.random.default_rng(ss), n, k, lo) for ss in seqs],
@@ -244,27 +282,30 @@ def _local_hits(m, bounds, eps_err, budget, seed):
             cells = len(wlb[u : u + chunk])
             # rows cell by cell, each cell's in seed order; part_dist[r, p, j] = W(p, part j)
             assign, sizes, cross, part_dist = (np.concatenate([x] * cells) for x in state)
+            group = np.tile(np.arange(starts), cells)
             wlo, whi = (np.repeat(w[u : u + chunk], starts, axis=0)[:, None] for w in (wlb, wub))
-            pen = penalty(sizes[:, None], cross[:, None], lo, hi, wlo, whi)[:, 0]
+            pen = penalty(state[1][:, None], state[2][:, None], lo, hi, group, wlo, whi)[:, 0]
             live = np.arange(len(assign))
             for _ in range(sweeps):
                 live = live[pen[live] > 0.0]
                 if not len(live):
                     break
-                points, targets, sz, cr = _moved_states(assign[live], sizes[live], cross[live],
-                                                        part_dist[live])
-                cands = penalty(sz, cr, lo, hi, wlo[live], whi[live])
-                rows = np.arange(len(live))
+                heads, inverse = np.unique(group[live], return_index=True, return_inverse=True)[1:]
+                heads = live[heads]
+                points, targets, sz, cr = _moved_states(assign[heads], sizes[heads], cross[heads],
+                                                        part_dist[heads])
+                cands = penalty(sz, cr, lo, hi, inverse, wlo[live], whi[live])
                 picks = scan_argmax(-cands, 1e-15)  # the lowest, earliest on near-ties
-                best = cands[rows, picks]
+                best = cands[np.arange(len(live)), picks]
                 go = best < pen[live] - 1e-15
-                live, rows, picks = live[go], rows[go], picks[go]
-                p, b = points[picks], targets[rows, picks]
+                live, inverse, picks = live[go], inverse[go], picks[go]
+                p, b = points[picks], targets[inverse, picks]
                 moved = m.dist[:, p].T
                 part_dist[live, :, assign[live, p]] -= moved
                 part_dist[live, :, b] += moved
                 assign[live, p] = b
-                sizes[live], cross[live], pen[live] = sz[rows, picks], cr[rows, picks], best[go]
+                sizes[live], cross[live] = sz[inverse, picks], cr[inverse, picks]
+                pen[live], group[live] = best[go], inverse * len(points) + picks
             for c in range(cells):
                 own = slice(c * starts, (c + 1) * starts)
                 done = assign[own][pen[own] <= 0.0].tolist()
@@ -338,39 +379,43 @@ def _greedy_seed(rng, n, k, slb):
     return assign
 
 
-def grid_cells(levels: int, step: float, count: int, keep):
-    """Faithful-grid cells: lists [i_1 * step, ..., i_count * step] with
-    0 <= i < levels, in lexicographic order, whose sum ``keep`` accepts."""
-    for cell in itertools.product(range(levels), repeat=count):
-        values = [i * step for i in cell]
-        if keep(sum(values)):
-            yield values
+def grid_cells(levels: int, step: float, count: int, keep) -> np.ndarray:
+    """Faithful-grid cells: the (C, count) rows [i_1 * step, ..., i_count * step]
+    with 0 <= i < levels, in lexicographic order, whose sums ``keep`` accepts;
+    ``keep`` maps an array of sums to a mask.  Each sum adds its row's values
+    left to right."""
+    values = np.indices((levels,) * count).reshape(count, -1).T * step
+    total = np.zeros(len(values))
+    for column in values.T:
+        total += column
+    return values[keep(total)]
 
 
 def grid_partitions(m, parts: int, size_cells, levels: int, eps_err: float,
                     budget: SearchBudget, seed: int):
     """Yield each new assignment the bounded-partition search finds for a grid
-    cell: part-size fractions from ``size_cells`` (outer loop) times crossing
-    weights of the pairs a < b, row-major, from ``grid_cells(levels, eps_err,
-    pairs, ...)`` (inner loop).  Each cell asks for its sizes and crossing
-    weights exactly, within ``eps_err``, and bounds no intra-part weight.
+    cell: the part-size fractions of each row of ``size_cells()`` (outer
+    loop) times crossing weights of the pairs a < b, row-major, from
+    ``grid_cells(levels, eps_err, pairs, ...)`` (inner loop).  Each cell asks
+    for its sizes and crossing weights exactly, within ``eps_err``, and
+    bounds no intra-part weight.
 
     Before any search, a grid of more than ``MAX_GRID_CELLS`` weight cells is
-    refused without reading ``size_cells``; weight cells whose sum less the
-    slack exceeds the density rho are pruned, as crossing weights cannot sum
-    past the total weight fraction; and a grid of more than
-    ``MAX_GRID_CELLS`` size times kept weight cells is refused.
+    refused without calling ``size_cells``, so that no size grid is built
+    for it; weight cells whose sum less the slack exceeds the density rho
+    are pruned, as crossing weights cannot sum past the total weight
+    fraction; and a grid of more than ``MAX_GRID_CELLS`` size times kept
+    weight cells is refused.
     """
     pairs = parts * (parts - 1) // 2
     if levels**pairs > MAX_GRID_CELLS:
         raise FaithfulGridTooLarge(f"{levels}^{pairs} grid cells exceed the cap {MAX_GRID_CELLS}")
     rho = subset_stats(m, range(m.n)).density
-    mu = list(grid_cells(levels, eps_err, pairs, lambda w: w - pairs * eps_err <= rho + 1e-12))
-    sizes = np.array(list(size_cells), dtype=float).reshape(-1, parts)
+    mu = grid_cells(levels, eps_err, pairs, lambda w: w - pairs * eps_err <= rho + 1e-12)
+    sizes = np.array(size_cells(), dtype=float).reshape(-1, parts)
     if len(sizes) * len(mu) > MAX_GRID_CELLS:
         raise FaithfulGridTooLarge(
             f"{len(sizes)} * {len(mu)} grid cells exceed the cap {MAX_GRID_CELLS}")
-    mu = np.array(mu, dtype=float).reshape(-1, pairs)
     a, b = np.triu_indices(parts, 1)
     wlb, wub = np.zeros((len(mu), parts, parts)), np.full((len(mu), parts, parts), _INF)
     wlb[:, a, b] = wlb[:, b, a] = wub[:, a, b] = wub[:, b, a] = mu

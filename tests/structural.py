@@ -738,6 +738,16 @@ def reference_enumerate_assignments(m, k):
     return digits, sizes, cross
 
 
+def reference_grid_cells(levels, step, count, keep):
+    """``partition_search.grid_cells`` as it was: lists [i_1 * step, ...,
+    i_count * step] over ``itertools.product``, each kept when ``keep``
+    accepts its Python ``sum``."""
+    for cell in itertools.product(range(levels), repeat=count):
+        values = [i * step for i in cell]
+        if keep(sum(values)):
+            yield values
+
+
 def reference_weight_cells(m, parts, levels, eps_err):
     """The crossing-weight cells ``grid_partitions`` searches: each pair's
     weight on the grid {i * eps_err : 0 <= i < levels}, pairs a < b

@@ -542,14 +542,23 @@ def test_default_budget_faithful_witnesses_are_pinned(objective, n):
 def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
     # The grids of faithful HC and LA solves with 1-4 restarts: one search per
     # grid yields the assignments that one search per cell found, in order,
-    # in chunks of the default size and of a single cell.
+    # in chunks of the default size and of a single cell.  In the local
+    # regime some HC sweep scores more distinct row states than the grid has
+    # starts, so rows of one start took different moves in different cells.
     if regime == "local":
         monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", 0)
+    states = []  # rows of each _moved_states call
+
+    def moved_states(*rows, real=partition_search._moved_states):
+        states.append(len(rows[0]))
+        return real(*rows)
+
+    monkeypatch.setattr(partition_search, "_moved_states", moved_states)
     grids = []
     for module in (hc_dense, la_dense):
         def record(m, parts, size_cells, levels, *rest, real=module.grid_partitions):
-            grids.append((m, parts, list(size_cells), levels, *rest))
-            return real(*grids[-1])
+            grids.append((m, parts, size_cells(), levels, *rest))
+            return real(m, parts, size_cells, levels, *rest)
 
         monkeypatch.setattr(module, "grid_partitions", record)
     for restarts, (_, m) in zip((4, 3, 1, 2, 1), _metrics((7,))):
@@ -559,15 +568,38 @@ def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
     assert len(grids) == 10 and all(
         len(sizes) * len(reference_weight_cells(m, parts, levels, eps_err)) > 50
         for m, parts, sizes, levels, eps_err, *_ in grids)
-    hits = 0
-    for args in grids:
-        want = reference_grid_partitions(*args)
-        assert list(grid_partitions(*args)) == want, (args[0], args[1])
+    hits = splits = 0
+    for m, parts, sizes, levels, eps_err, budget, seed in grids:
+        args = (levels, eps_err, budget, seed)
+        want = reference_grid_partitions(m, parts, sizes, *args)
+        states.clear()
+        assert list(grid_partitions(m, parts, lambda: sizes, *args)) == want, (m, parts)
+        splits += max(states, default=0) > budget.restarts
         with monkeypatch.context() as patch:
             patch.setattr(partition_search, "BATCH_ENTRIES", 1)
-            assert list(grid_partitions(*args)) == want, (args[0], args[1])
+            assert list(grid_partitions(m, parts, lambda: sizes, *args)) == want, (m, parts)
         hits += len(want)
     assert hits >= 20, hits
+    assert (splits > 0) == (regime == "local"), splits
+
+
+def test_default_budget_faithful_hc_grid_matches_per_cell_reference(monkeypatch):
+    # The grid of a default-budget faithful HC solve at n=13, in the local
+    # regime: 525 cells of 32 restarts each, whose rows split into many
+    # groups, yield what one search per cell finds, in order.
+    grids = []
+
+    def record(m, parts, size_cells, *rest, real=hc_dense.grid_partitions):
+        grids.append((m, parts, size_cells(), *rest))
+        return real(m, parts, size_cells, *rest)
+
+    monkeypatch.setattr(hc_dense, "grid_partitions", record)
+    m = generate(GeneratorSpec(family="clustered", n=13, seed=0))
+    solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"), seed=0)
+    (m, parts, sizes, *rest), = grids
+    assert not partition_search.exhaustive(m.n, parts)
+    want = reference_grid_partitions(m, parts, sizes, *rest)
+    assert len(want) >= 20 and list(grid_partitions(m, parts, lambda: sizes, *rest)) == want
 
 
 def test_reduced_search_scores_the_quantized_metric(monkeypatch):

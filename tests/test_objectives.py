@@ -470,16 +470,19 @@ def test_parse_rejects_a_leaf_over_the_int_digit_limit(text):
         HcTree.parse(text)
 
 
-@pytest.mark.parametrize("line", ["1 x", "1" * 5000, "2 1.0"],
-                         ids=["letter", "5000-digits", "decimal"])
+@pytest.mark.parametrize("line", ["1 x", "1" * 5000, "2 1.0", "+2 \u0661",
+                                  "1_0 1 2 3 4 5 6 7 8 9", "2 01"],
+                         ids=["letter", "5000-digits", "decimal", "sign-and-arabic-indic-digit",
+                              "underscore", "leading-zero"])
 def test_arrangement_parse_rejects_non_integers(line):
     with pytest.raises(InputParse):
         LinearArrangement.parse(line)
 
 
-# small slots, which often make a bijection, stray text and an over-long number
-_TOKENS = st.one_of(st.integers(-1, 6).map(str), st.text("0123x-+_.\t", min_size=1, max_size=5),
-                    st.just("9" * 5000))
+# small slots, which often make a bijection, slots that int reads but
+# serialize never writes, stray text and an over-long number
+_TOKENS = st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["+1", "01", "1_0", "\u0661"]),
+                    st.text("0123x-+_.\t", min_size=1, max_size=5), st.just("9" * 5000))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -489,4 +492,5 @@ def test_arrangement_parse_gives_an_arrangement_or_a_typed_error(line):
         arr = LinearArrangement.parse(line)
     except PeelEmbedError:
         return
+    assert line.split() == arr.serialize().split()
     assert LinearArrangement.parse(arr.serialize()) == arr

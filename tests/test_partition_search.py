@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_metric
-from structural import reference_enumerate_assignments
+from structural import reference_enumerate_assignments, reference_grid_cells, reference_weight_cells
 from peelembed import hc_dense, partition_search
 from peelembed.errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
 from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
@@ -21,6 +21,7 @@ from peelembed.partition_search import (
     SearchBudget,
     crossing_matrix,
     enumerate_assignments,
+    grid_cells,
     make_partition,
     partition_feasible,
     search_partition,
@@ -204,8 +205,8 @@ class _Searched(Exception):
 @pytest.mark.parametrize("objective", ["la", "hc"])
 def test_faithful_grid_is_refused_exactly_below_eps_04(objective, monkeypatch):
     # grid_partitions refuses both solvers' faithful grids for every eps below
-    # 0.4, before the density pass, HC's size grid or any search; from 0.4 on
-    # it reaches the search, after taking the density once
+    # 0.4, before the density pass, HC's size grid and skeleton trees or any
+    # search; from 0.4 on it reaches the search, after taking the density once
     calls = []
 
     def density(*args, real=partition_search.subset_stats):
@@ -213,8 +214,12 @@ def test_faithful_grid_is_refused_exactly_below_eps_04(objective, monkeypatch):
         return real(*args)
 
     def size_cells(*args, real=hc_dense.grid_cells):
-        calls.append("sizes")  # on the generator's first step
-        yield from real(*args)
+        calls.append("sizes")
+        return real(*args)
+
+    def skeletons(*args, real=hc_dense.all_binary_trees):
+        calls.append("skeletons")
+        return real(*args)
 
     def search(*args):
         calls.append("search")
@@ -222,6 +227,7 @@ def test_faithful_grid_is_refused_exactly_below_eps_04(objective, monkeypatch):
 
     monkeypatch.setattr(partition_search, "subset_stats", density)
     monkeypatch.setattr(hc_dense, "grid_cells", size_cells)
+    monkeypatch.setattr(hc_dense, "all_binary_trees", skeletons)
     monkeypatch.setattr(partition_search, "_search_cells", search)
     solve, config, passed = {"la": (solve_la_dense, DenseLaConfig, ["density", "search"]),
                              "hc": (solve_hc_dense, DenseHcConfig,
@@ -239,3 +245,58 @@ def test_faithful_grid_is_refused_exactly_below_eps_04(objective, monkeypatch):
             with pytest.raises(_Searched):
                 solve(m, cfg)
             assert calls == passed, eps
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.45, 0.5, 2 / 3, 1.0])
+def test_grid_cells_match_the_loop(eps, monkeypatch):
+    # Each grid the faithful solves build, both solvers' crossing weights and
+    # HC's part sizes, is one array holding bit for bit and in order the
+    # cells that the loop over itertools.product kept, and for the weights
+    # the cells reference_weight_cells prunes by density.
+    calls = []
+
+    def record(kind):
+        def cells(*args):
+            calls.append((kind, args))
+            return grid_cells(*args)
+        return cells
+
+    def search(*args):
+        raise _Searched
+
+    monkeypatch.setattr(partition_search, "grid_cells", record("weights"))
+    monkeypatch.setattr(hc_dense, "grid_cells", record("sizes"))
+    monkeypatch.setattr(partition_search, "_search_cells", search)
+    m = generate(GeneratorSpec(family="clustered", n=9))
+    for solve, config, kinds in ((solve_hc_dense, DenseHcConfig, ["weights", "sizes"]),
+                                 (solve_la_dense, DenseLaConfig, ["weights"])):
+        calls.clear()
+        cfg = config(eps=eps, grid_mode="faithful", budget=SearchBudget(restarts=1))
+        with pytest.raises(_Searched):
+            solve(m, cfg)
+        assert [kind for kind, _ in calls] == kinds
+        for kind, (levels, step, count, keep) in calls:
+            got = grid_cells(levels, step, count, keep)
+            loop = list(reference_grid_cells(levels, step, count, keep))
+            assert len(loop) and got.shape == (len(loop), count), (kind, eps)
+            assert got.tobytes() == np.array(loop).tobytes(), (kind, eps)
+            if kind == "weights":
+                parts = getattr(cfg, "slots", cfg.k)
+                assert loop == reference_weight_cells(m, parts, levels, step), eps
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.2])
+def test_refused_faithful_hc_grid_builds_no_cells(eps):
+    # HC's size grid has 11^4 cells at eps 0.3 and 16^6 at eps 0.2, 0.8 GB
+    # as one array; the weight grid's cap refuses the grid before any cell
+    # of either grid is built.
+    m = generate(GeneratorSpec(family="clustered", n=9))
+    cfg = DenseHcConfig(eps=eps, grid_mode="faithful", budget=SearchBudget(restarts=1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FaithfulGridTooLarge):
+            solve_hc_dense(m, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
