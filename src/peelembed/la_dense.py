@@ -50,6 +50,16 @@ def _embed_assignment(assignment) -> LinearArrangement:
     return LinearArrangement.from_order(np.argsort(assignment, kind="stable").tolist())
 
 
+def _embed_rows(assigns: np.ndarray) -> list:
+    """``_embed_assignment`` of each (C, n) assignment row, from one argsort:
+    the point in each slot of every row, and slot s + 1 scattered to it."""
+    c, n = assigns.shape
+    slots = np.empty_like(assigns)
+    slots[np.arange(c)[:, None], np.argsort(assigns, axis=1, kind="stable")] = np.arange(1, n + 1)
+    # each row scatters 1..n once, so each is a bijection
+    return [LinearArrangement(tuple(row)) for row in slots.tolist()]
+
+
 def _prefix_cut_gains(dist: np.ndarray, k: int):
     """Gain function of the reduced search: the (C, n k) table of the change
     of the value of the consecutive-parts embedding under every move of each
@@ -112,20 +122,25 @@ def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
     slots, one per row of ``pos`` (positions of shape (n,) or (C, n)).
 
     With A = |pos_i - pos_j| and S = D A, the gain is
-    S_ij + S_ji - S_ii - S_jj + 2 D_ij A_ij.  With W the weight of all
+    (S_ij - S_ii) + (S_ji - S_jj) + 2 D_ij A_ij.  With W the weight of all
     pairs, each partial sum of S_ij is at most n deg(i) <= n W, so the
     magnitudes of these terms sum to at most 6 n W <= 13 n W.
+
+    Two n x n arrays per row: A, which becomes the table in place, and S,
+    from which its own diagonal is taken row by row.  The terms are added in
+    another order than the formula's, which is exact on ``quantize``'s
+    integer metric, the only one the climb sees: every term and partial sum
+    is an integer below 6 n W < 2^52.
     """
-    gaps = np.abs(pos[..., :, None] - pos[..., None, :])
+    gaps = pos[..., :, None] - pos[..., None, :]
+    np.abs(gaps, out=gaps)
     s = dist @ gaps
-    diag = np.diagonal(s, axis1=-2, axis2=-1)
-    # in place, in the order of the formula: this rounds as the one-line form
-    gains = s + np.swapaxes(s, -1, -2)
-    gains -= diag[..., :, None]
-    gains -= diag[..., None, :]
-    gaps *= 2.0 * dist
-    gains += gaps
-    return gains
+    s -= np.diagonal(s, axis1=-2, axis2=-1).copy()[..., :, None]  # S_ij - S_ii
+    gaps *= dist
+    gaps *= 2.0
+    gaps += s
+    gaps += np.swapaxes(s, -1, -2)
+    return gaps
 
 
 def _swap_hill_climb(q: np.ndarray, starts, sweeps: int) -> list:
@@ -154,10 +169,11 @@ def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):
     q = quantize(m.dist) if cfg.budget.restarts or cfg.swap_sweeps else None
     restarts = []
     if cfg.budget.restarts:
-        restarts = reduced_restarts(n, k, seed, cfg.budget, _prefix_cut_gains(q, k), n * (n + 1))
+        restarts = _embed_rows(
+            reduced_restarts(n, k, seed, cfg.budget, _prefix_cut_gains(q, k), n * (n + 1)))
     # a start's climb does not depend on the other starts: each distinct
     # start climbs once, and each distinct arrangement is scored once
-    starts, which = first_copies([identity, *map(_embed_assignment, restarts)], _position)
+    starts, which = first_copies([identity, *restarts], _position)
     climbed = _swap_hill_climb(q, starts, cfg.swap_sweeps)
     arrs, which = first_copies([identity, *(climbed[i] for i in which)], _position)
     values = {id(arr): evaluate_la(m, arr) for arr in arrs}

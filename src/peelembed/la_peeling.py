@@ -26,9 +26,17 @@ class LaPeelConfig(PeelConfig):
         return int(4 * math.log2(max(n, 2))) + 8
 
 
+def _core_distances(sub, core):
+    """Each point's distance to the core: the minimum of its row over the
+    core's columns, read in place rather than from an n x |core| copy."""
+    in_core = np.zeros(sub.n, dtype=bool)
+    in_core[list(core)] = True
+    return np.minimum.reduce(sub.dist, axis=1, where=in_core, initial=np.inf)
+
+
 def _split(sub, stats, core, eps):
     """The layer is every point at least eps^2 * D from the core."""
-    far = sub.dist[:, core].min(axis=1) >= eps**2 * stats.diameter
+    far = _core_distances(sub, core) >= eps**2 * stats.diameter
     kept = np.flatnonzero(~far).tolist()
     return np.flatnonzero(far).tolist(), sorted(set(kept).difference(core)), kept
 

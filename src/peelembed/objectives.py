@@ -196,12 +196,20 @@ def _distinct(order) -> tuple:
 
 
 def evaluate_la(m: Metric, arrangement: LinearArrangement) -> float:
-    """Sum over unordered pairs of dist[i][j] * |slot_i - slot_j|."""
+    """Sum over unordered pairs of dist[i][j] * |slot_i - slot_j|.
+
+    Built in one n x n array: the gaps, made absolute and multiplied by
+    ``dist`` in place.  These are the products of ``(dist * |gaps|)`` in the
+    same C-ordered array, so the sum has the same bits as
+    ``(dist * |gaps|).sum() / 2``.
+    """
     if arrangement.n != m.n:
         raise SizeMismatch(f"arrangement covers {arrangement.n} points, metric has {m.n}")
     pos = np.asarray(arrangement.position, dtype=float)
-    gaps = np.abs(pos[:, None] - pos[None, :])
-    return float((m.dist * gaps).sum() / 2.0)
+    gaps = pos[:, None] - pos[None, :]
+    np.abs(gaps, out=gaps)
+    gaps *= m.dist
+    return float(gaps.sum() / 2.0)
 
 
 def evaluate_hc(m: Metric, tree: HcTree, top: Optional[int] = None, below: float = 0.0) -> float:

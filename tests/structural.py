@@ -11,8 +11,9 @@ triangle scan, whole-slab screen and whole-matrix symmetrising of metric
 validation, the whole-mask ball count of core detection, the all-token
 matrix parse with its format sniff, the node-at-a-time tree walks, the
 nested-tuple skeleton trees and tree enumeration, the mask-at-a-time loops
-of the exact oracles, and the evaluators, scorers, metric builders and the
-submetric gather that faster code replaced.
+of the exact oracles, the four-array LA swap table, the core gather of the
+LA split, and the evaluators, scorers, metric builders and the submetric
+gather that faster code replaced.
 """
 
 import itertools
@@ -37,6 +38,7 @@ from peelembed.errors import (
     NonzeroDiagonal,
     TriangleViolation,
 )
+from peelembed.instances import FAMILIES, GeneratorSpec, generate
 from peelembed.metric import (
     DENSE_BY_CONVENTION,
     SCREEN_MARGIN_EPS,
@@ -65,6 +67,21 @@ from peelembed.partition_search import (
     partition_feasible,
     scan_argmax,
 )
+
+
+def family_metrics(sizes):
+    """(label, metric) of every generator family at each of ``sizes`` that
+    it can draw: two_scale needs n >= 3, and at its default weight ratio
+    n >= 13, so it is drawn at weight ratio 0.2."""
+    out = []
+    for family in FAMILIES:
+        for n in sizes:
+            if family == "two_scale" and n < 3:
+                continue
+            kwargs = {"weight_ratio": 0.2} if family == "two_scale" else {}
+            spec = GeneratorSpec(family=family, n=n, seed=n, **kwargs)
+            out.append((f"{family}-n{n}", generate(spec)))
+    return out
 
 
 def sub_positions(order, ids):
@@ -545,6 +562,41 @@ def reference_swap_gain(m, pos, i, j):
     gj = np.abs(pos - pos[i]) - np.abs(pos - pos[j])
     delta = float(m.dist[i] @ gi) + float(m.dist[j] @ gj)
     return delta - 2.0 * m.dist[i, j] * gi[j]  # i-j pair counted twice
+
+
+def reference_swap_table(dist, pos):
+    """The swap tables of ``la_dense._swap_gains`` with the terms added in
+    the order of the formula, S + S^T - diag_i - diag_j + 2 D A, from four
+    n x n arrays per row."""
+    gaps = np.abs(pos[..., :, None] - pos[..., None, :])
+    s = dist @ gaps
+    diag = np.diagonal(s, axis1=-2, axis2=-1)
+    gains = s + np.swapaxes(s, -1, -2)
+    gains -= diag[..., :, None]
+    gains -= diag[..., None, :]
+    gaps *= 2.0 * dist
+    gains += gaps
+    return gains
+
+
+def reference_evaluate_la(m, arrangement):
+    """``evaluate_la`` as one expression over two n x n arrays."""
+    pos = np.asarray(arrangement.position, dtype=float)
+    gaps = np.abs(pos[:, None] - pos[None, :])
+    return float((m.dist * gaps).sum() / 2.0)
+
+
+def reference_core_distances(sub, core):
+    """``la_peeling._core_distances`` as the minima of an n x |core| gather
+    of the core's columns."""
+    return sub.dist[:, core].min(axis=1)
+
+
+def reference_la_split(sub, stats, core, eps):
+    """``la_peeling._split`` on ``reference_core_distances``."""
+    far = reference_core_distances(sub, core) >= eps**2 * stats.diameter
+    kept = np.flatnonzero(~far).tolist()
+    return np.flatnonzero(far).tolist(), sorted(set(kept).difference(core)), kept
 
 
 def reference_swap_hill_climb(m, arr, sweeps):

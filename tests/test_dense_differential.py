@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structural import (
+    family_metrics,
     reference_arrangement_values,
     reference_caterpillar_values,
     reference_grid_partitions,
@@ -30,6 +31,7 @@ from structural import (
     reference_single_moves,
     reference_swap_gain,
     reference_swap_hill_climb,
+    reference_swap_table,
     reference_weight_cells,
     score_moves,
 )
@@ -40,6 +42,8 @@ from peelembed.instances import GeneratorSpec, generate, small_corpus
 from peelembed import la_dense, local_search, partition_search
 from peelembed.la_dense import (
     DenseLaConfig,
+    _embed_assignment,
+    _embed_rows,
     _prefix_cut_gains,
     _swap_gains,
     _swap_hill_climb,
@@ -217,6 +221,37 @@ def test_swap_gains_match_per_pair_delta():
                 want = reference_swap_gain(m, pos, i, j)
                 assert gains[i, j] == pytest.approx(want, rel=1e-9, abs=1e-9), label
                 assert gains[j, i] == pytest.approx(want, rel=1e-9, abs=1e-9), label
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 120])
+def test_swap_tables_match_the_formula_order(n):
+    # The table adds its terms in another order than the formula, from two
+    # arrays instead of four; on the quantized metric every term is exact,
+    # so every table has the same bits, one row or a stack of rows.
+    rng = np.random.default_rng(n)
+    for label, m in family_metrics((n,)):
+        q = quantize(m.dist)
+        stack = np.array([rng.permutation(n) + 1.0 for _ in range(33)])
+        stack[0] = np.arange(1.0, n + 1.0)
+        for pos in (stack[1], stack[:1], stack):
+            got = _swap_gains(q, pos)
+            assert got.shape == pos.shape + (n,), label
+            assert got.tobytes() == reference_swap_table(q, pos).tobytes(), (label, pos.shape)
+
+
+def test_embedded_rows_match_each_row_embedded():
+    # one argsort of all rows gives each row's consecutive-parts embedding
+    rng = np.random.default_rng(6)
+    for n, k in ((1, 2), (2, 2), (12, 2), (12, 3), (30, 6)):
+        rows = rng.integers(0, k, size=(33, n))
+        rows[0] = 0  # one part only
+        got = _embed_rows(rows)
+        assert got == [_embed_assignment(row) for row in rows], (n, k)
+        assert all(type(slot) is int for arr in got for slot in arr.position)
+    m = generate(GeneratorSpec(family="clustered", n=12, seed=1))
+    rows = reduced_restarts(12, 3, 0, SearchBudget(restarts=32),
+                            _prefix_cut_gains(quantize(m.dist), 3), 12 * 13)
+    assert _embed_rows(rows) == [_embed_assignment(row) for row in rows]
 
 
 def test_swap_hill_climb_matches_reference(monkeypatch):
@@ -894,6 +929,32 @@ def test_lockstep_climb_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6, peak
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_swap_table_and_la_value_memory_is_bounded():
+    # One swap table at n=400 holds two n x n arrays, the gaps that become
+    # the table and the product (2.05 n^2 doubles; four arrays, 4.00, when
+    # it summed the formula out of place).  The LA value holds one array of
+    # products (1.10; 2.00 with the gaps and their product apart).
+    n = 400
+    m = generate(GeneratorSpec(family="euclidean_gaussian", n=n, seed=0))
+    q = quantize(m.dist)
+    pos = np.random.default_rng(0).permutation(n) + 1.0
+    arr = LinearArrangement.from_positions(pos.astype(int).tolist())
+    square = n * n * 8
+    peak = _peak(lambda: _swap_gains(q, pos))
+    assert peak < 2.5 * square, peak / square
+    peak = _peak(lambda: evaluate_la(m, arr))
+    assert peak < 1.5 * square, peak / square
 
 
 def test_screened_la_sweep_memory_is_bounded(monkeypatch):

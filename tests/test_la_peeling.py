@@ -5,6 +5,7 @@ Covers case routing, trace structure, the per-level structural bounds
 the level-factor product bound and soundness against the exact oracle.
 """
 
+import dataclasses
 import json
 import math
 
@@ -14,7 +15,8 @@ import pytest
 from peelembed.errors import DepthExceeded, InvalidSpec
 from peelembed.instances import GeneratorSpec, generate, la_case_c_spec
 from peelembed.la_dense import DenseLaConfig
-from peelembed.la_peeling import LaPeelConfig, solve_la
+from peelembed import la_peeling
+from peelembed.la_peeling import LaPeelConfig, _core_distances, _split, solve_la
 from peelembed.metric import Metric
 from peelembed.objectives import evaluate_la
 from peelembed.oracles import brute_force_la
@@ -24,6 +26,8 @@ from structural import (
     la_cross_value,
     pair_set_upper_bound,
     point_set_upper_bound,
+    reference_core_distances,
+    reference_la_split,
     split_lower_bound,
     sub_positions,
 )
@@ -239,3 +243,23 @@ class TestSoundnessAndDeterminism:
         monkeypatch.setattr(LaPeelConfig, "default_depth", staticmethod(lambda n: 0))
         with pytest.raises(DepthExceeded):
             solve_la(m, LaPeelConfig(eps=eps, dense=CHEAP_DENSE))
+
+
+@pytest.mark.parametrize("n", [301, 350, 397])
+def test_split_matches_the_core_gather(n, monkeypatch):
+    # Each level's distances to the core are read in place: a minimum is
+    # exact, so they are the gathered block's minima bit for bit, and every
+    # level splits as the gather did.
+    calls = []
+
+    def split(*args):
+        calls.append(args)
+        return _split(*args)
+
+    monkeypatch.setattr(la_peeling, "_POLICY", dataclasses.replace(la_peeling._POLICY, split=split))
+    _, _, trace = case_c_run(n)
+    assert calls and trace.case_sequence()[0] == "c"
+    for sub, stats, core, eps in calls:
+        got, want = _core_distances(sub, core), reference_core_distances(sub, core)
+        assert got.tobytes() == want.tobytes(), (n, sub.n)
+        assert _split(sub, stats, core, eps) == reference_la_split(sub, stats, core, eps)

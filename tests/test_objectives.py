@@ -13,7 +13,14 @@ from peelembed.errors import (
     PeelEmbedError,
     SizeMismatch,
 )
-from peelembed.metric import Metric, metric_from_points, validate_metric
+from peelembed.instances import GeneratorSpec, generate
+from peelembed.metric import (
+    Metric,
+    format_point_cloud,
+    metric_from_points,
+    parse_point_cloud,
+    validate_metric,
+)
 from peelembed.objectives import (
     HcTree,
     LinearArrangement,
@@ -25,7 +32,9 @@ from peelembed.objectives import (
 from peelembed.hc_dense import _parts_of
 from peelembed.objectives import _leaf_spans
 from structural import (
+    family_metrics,
     reference_evaluate_hc,
+    reference_evaluate_la,
     reference_leaf_spans,
     reference_relabel,
     reference_serialize,
@@ -151,6 +160,26 @@ def test_la_matches_pair_loop_and_reversal(n, seed):
     assert val == pytest.approx(pair_loop_la(m, arr), rel=1e-12)
     assert evaluate_la(m, arr.reversed()) == pytest.approx(val, rel=1e-12)
     assert val <= m.n * m.total_weight() + 1e-9
+
+
+def test_la_is_the_one_expression_bit_for_bit():
+    # one array, multiplied in place, holds the same products in the same
+    # C order as dist * |gaps|, so the sum has the same bits: on every
+    # family, on a one-run submetric (a strided view of its parent) and on a
+    # 1-D point cloud
+    rng = np.random.default_rng(4)
+    cases = family_metrics((2, 3, 8, 41, 150))
+    parent = generate(GeneratorSpec(family="euclidean_gaussian", n=90, seed=1))
+    view = parent.submetric(range(7, 80))
+    assert view.dist.base is not None and not view.dist.flags.c_contiguous
+    cases.append(("one-run view", view))
+    cloud = parse_point_cloud(format_point_cloud(rng.normal(size=(120, 1))))
+    cases.append(("1-D cloud", cloud))
+    for label, m in cases:
+        for arr in (LinearArrangement.from_order(range(m.n)),
+                    LinearArrangement.from_order(rng.permutation(m.n).tolist())):
+            got, want = evaluate_la(m, arr), reference_evaluate_la(m, arr)
+            assert got.hex() == want.hex(), label
 
 
 @settings(max_examples=50, deadline=None)
