@@ -8,9 +8,10 @@ gain of every move "point p to part b" off the row's gain table, cell
 p * parts + b (ascending p, then ascending b), 0 in p's own part, and takes
 the first move of largest gain; the search's gain function builds the table
 from per-row tables in O(1) per move.  ``ascend`` sweeps a stack of rows in
-lockstep: the reduced search's restarts, and the LA swap climb's starts.
+lockstep: the reduced search's restarts, the LA swap climb's starts and the
+partition search's (cell, restart) rows, whose tables hold drops in penalty.
 
-Both run on ``quantize``'s integer copy of the metric, on which every gain
+All run on ``quantize``'s integer copy of the metric, on which every gain
 is exact whatever the order of its sums.  So a move gains when its gain is
 positive, the first largest gain is the same in any order of summation, and
 ``TIE_TOL`` only breaks near-ties of ``best_of``'s final pick on the true
@@ -113,10 +114,11 @@ def quantize(dist: np.ndarray) -> np.ndarray:
     Below 2^53 every product and sum of integers is exact, and so is every
     multiple of 1/2 below 2^52, as HC's halved terms are.  So every gain is
     exact, in any order of summation, BLAS's included.  Dividing by D before
-    scaling keeps a tiny D from overflowing the scale factor.
+    scaling keeps a tiny D from overflowing the scale factor; when D = 0 the
+    copy is all zeros.
     """
     s = 49 - (len(dist) ** 3 - 1).bit_length()  # 49 - ceil(log2 n^3)
-    q = dist / dist.max()
+    q = dist / (dist.max() or 1.0)
     q *= 2.0**s
     return np.rint(q, out=q)
 

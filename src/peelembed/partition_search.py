@@ -5,32 +5,31 @@ crossing-weight bounds (fractions of n^2 * D_V), find a k-partition meeting
 every bound within an additive slack ``eps_err``.  Small instances are solved
 by exhaustive enumeration over all k^n assignments (no false negatives);
 larger ones by randomized-restart single-point-move local search over a
-penalty function, where a miss only means "not found within budget".  The
-faithful grids of both dense solvers ask this of every cell of a grid:
-:func:`grid_partitions` builds a grid's crossing-weight cells, refuses a grid
-over ``MAX_GRID_CELLS`` and searches each grid once: one enumeration per
-grid, or every (cell, restart) row of a chunk of cells sweeping in lockstep.
+penalty function, where a miss only means "not found within budget".
+:func:`grid_partitions` asks this of every cell of a faithful grid, refuses
+a grid over ``MAX_GRID_CELLS`` and searches each grid once: one enumeration,
+or all (cell, restart) rows of a chunk of cells climbing in lockstep.
 :func:`search_partition` is the one-cell case.
 
-A grid's work is done once and in long NumPy loops.  :func:`grid_cells`
-builds a grid as one array.  The enumeration holds each part's sizes and
-each crossing-matrix entry of all assignments as one contiguous plane, and
-every cell test runs on these planes.  A local-regime sweep scores the moves
-of each distinct row state once: rows of one start that have made the same
-moves hold bit-identical states, whatever their cells, and only the weight
-terms of their penalties are taken row by row.
+Every decision runs on ``local_search.quantize``'s integer copy of the
+metric, on which D_V is 2^s.  :func:`_integer_cells` puts each bound once on
+the scale n^2 2^s, where a part of c points counts c n 2^s, so that every
+statistic, bound and penalty of up to 14 parts is an integer below 2^53.
+Every cell test and move pick is then an exact comparison in any order of
+summation, BLAS's included, and a row at penalty 0 is feasible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
-from .local_search import BATCH_ENTRIES, SearchBudget
+from .local_search import BATCH_ENTRIES, SearchBudget, ascend, quantize
 from .metric import Metric, subset_stats
 
 _INF = math.inf
@@ -85,17 +84,60 @@ class Partition:
         return len(self.part_sizes)
 
 
-def _norm(m: Metric) -> float:
-    """The weight normaliser n^2 * D_V, 1 when D_V = 0."""
-    return m.n * m.n * m.diameter() or 1.0
-
-
-def _bounds(m: Metric, spec: PartitionSpec):
-    """(norm, slb, sub, wlb, wub): ``_norm(m)`` and the spec's size and
-    weight lower and upper bound arrays."""
+def _bounds(spec: PartitionSpec):
+    """(slb, sub, wlb, wub): the spec's size and weight lower and upper
+    bounds as the (1, k) and (1, k * k) arrays of one cell, weights row-major."""
     k = spec.k
-    sb, wb = np.reshape(spec.size_bounds, (k, 2)), np.reshape(spec.weight_bounds, (k, k, 2))
-    return _norm(m), sb[:, 0], sb[:, 1], wb[..., 0], wb[..., 1]
+    sb, wb = np.reshape(spec.size_bounds, (1, k, 2)), np.reshape(spec.weight_bounds, (1, k * k, 2))
+    return sb[..., 0], sb[..., 1], wb[..., 0], wb[..., 1]
+
+
+def _integer_cells(m: Metric, eps_err: float, *bounds):
+    """(q, unit, cells): ``quantize``'s copy of the distances, the value n 2^s
+    of a point of a part (2^s read as 1 when D_V = 0), and ``bounds`` = (slb,
+    sub, wlb, wub), (L, k) size and (U, k * k) weight cells, as integers on
+    the scale n^2 2^s: widened by eps_err + 1e-12, rounded inward exactly, so
+    an integer meets a bound within the slack exactly when it meets the
+    result, and clipped to [0, scale + 1], which no statistic leaves."""
+    q = quantize(m.dist)
+    unit = m.n * (q.max() or 1.0)
+    whole = m.n * int(unit)
+    sp, sq = (Fraction(eps_err) + Fraction(1e-12)).as_integer_ratio()
+
+    def on_scale(b, sign):  # sign -1 for a lower bound, +1 for an upper one
+        if b == _INF:
+            return whole + 1
+        p, d = b.as_integer_ratio()
+        num = (p * sq + sign * sp * d) * whole
+        return min(max(sign * (sign * num // (d * sq)), 0), whole + 1)  # floor or ceiling
+
+    cells = []
+    for values, sign in zip(bounds, (-1, 1, -1, 1)):
+        distinct, inverse = np.unique(values, return_inverse=True)
+        put = np.array([on_scale(b, sign) for b in distinct.tolist()], dtype=float)
+        cells.append(put[inverse].reshape(np.shape(values)))
+    return q, unit, tuple(cells)
+
+
+def _stats(q: np.ndarray, assigns: np.ndarray, k: int):
+    """Part sizes (L, k), crossing matrices (L, k, k) and point-to-part
+    weights (L, n, k) of (L, n) assignment rows on the integer metric ``q``:
+    exact sums of integers times 0 or 1, in any order of summation."""
+    onehot = np.eye(k)[assigns]
+    part_dist = q @ onehot
+    cross = onehot.transpose(0, 2, 1) @ part_dist
+    cross[:, range(k), range(k)] /= 2.0
+    return onehot.sum(axis=1), cross, part_dist
+
+
+def _penalty(unit: float, cell, sizes, weights, inverse=slice(None)):
+    """Summed amounts by which the part sizes of state ``inverse[r]``, c
+    points counting c * ``unit``, and its crossing weights leave row r's
+    bounds ``cell`` = (lo, hi, wlo, whi): 0 exactly when it meets them all."""
+    lo, hi, wlo, whi = cell
+    sizes, weights = sizes * unit, weights[inverse]
+    return ((np.maximum(lo - sizes, 0.0) + np.maximum(sizes - hi, 0.0)).sum(axis=-1)[inverse]
+            + (np.maximum(wlo - weights, 0.0) + np.maximum(weights - whi, 0.0)).sum(axis=-1))
 
 
 def crossing_matrix(m: Metric, assignment: Sequence[int], k: int) -> np.ndarray:
@@ -117,38 +159,26 @@ def make_partition(m: Metric, assignment: Sequence[int], k: int) -> Partition:
 
 def partition_feasible(m: Metric, spec: PartitionSpec, eps_err: float,
                        assignment: Sequence[int]) -> bool:
-    """Exact feasibility recomputation; the only check trusted before returning."""
-    return _feasible(m, _bounds(m, spec), eps_err, assignment)
-
-
-def _feasible(m: Metric, bounds, eps_err: float, assignment: Sequence[int]) -> bool:
-    """``partition_feasible`` against ``_bounds(m, spec)``."""
-    norm, slb, sub, wlb, wub = bounds
-    sizes = np.bincount(np.asarray(assignment, dtype=int), minlength=len(slb)) / m.n
-    if (sizes < slb - eps_err - 1e-12).any() or (sizes > sub + eps_err + 1e-12).any():
-        return False
-    cross = crossing_matrix(m, assignment, len(slb)) / norm
-    return not ((cross < wlb - eps_err - 1e-12).any() or (cross > wub + eps_err + 1e-12).any())
+    """Exact feasibility recomputation on the integer metric; the only check
+    trusted before returning."""
+    q, unit, cell = _integer_cells(m, eps_err, *_bounds(spec))
+    sizes, cross, _ = _stats(q, np.asarray(assignment, dtype=int)[None], spec.k)
+    return bool(_penalty(unit, cell, sizes, cross.reshape(1, -1))[0] == 0.0)
 
 
 def enumerate_assignments(m: Metric, k: int):
-    """All k^n assignments with their size and weight statistics, the input of
-    the exhaustive regime.  The statistics are built in chunks of at most
-    ``BATCH_ENTRIES`` one-hot entries; each einsum sums an entry's products
-    in one C loop, so a chunk gives the bits of the whole.  The (A, k) sizes
-    and (A, k, k) crossing matrices are views of (k, A) and (k, k, A)
-    planes, each entry's values of all assignments contiguous."""
+    """All k^n assignments with their part sizes and crossing matrices on
+    ``quantize``'s copy of ``m``, the input of the exhaustive regime, built
+    by ``_stats`` in chunks of at most ``BATCH_ENTRIES`` one-hot entries, two
+    BLAS products each.  The (A, k) sizes and (A, k, k) crossing matrices
+    are views of (k, A) and (k, k, A) planes, each entry's values contiguous."""
+    q = quantize(m.dist)
     digits = np.indices((k,) * m.n, dtype=np.int8).reshape(m.n, -1).T  # lexicographic rows
     sizes = np.empty((k, len(digits))).T
     cross = np.empty((k, k, len(digits))).transpose(2, 0, 1)
     step = max(1, BATCH_ENTRIES // (m.n * k))
     for lo in range(0, len(digits), step):
-        onehot = np.eye(k)[digits[lo : lo + step]]  # (A, n, k)
-        sizes[lo : lo + step] = onehot.sum(axis=1)
-        inner = np.einsum("nm,amk->ank", m.dist, onehot)
-        cross[lo : lo + step] = np.einsum("ank,anj->akj", onehot, inner)
-    idx = np.arange(k)
-    cross[:, idx, idx] /= 2.0
+        sizes[lo : lo + step], cross[lo : lo + step], _ = _stats(q, digits[lo : lo + step], k)
     return digits, sizes, cross
 
 
@@ -164,7 +194,7 @@ def search_partition(m: Metric, spec: PartitionSpec, eps_err: float,
     n, k = m.n, spec.k
     if k > n:
         raise InvalidSpec(f"k={k} exceeds n={n}")
-    bounds = norm, slb, sub, wlb, wub = _bounds(m, spec)
+    slb, sub, _, _ = bounds = _bounds(spec)
     # each part gets eps_err of slack, so only a k * eps_err gap in the size
     # sums rules out every assignment outright
     slack = k * eps_err + 1e-12
@@ -172,11 +202,10 @@ def search_partition(m: Metric, spec: PartitionSpec, eps_err: float,
         raise SpecInfeasibleTrivially(
             f"size fractions cannot sum to 1: lb={slb.sum():g}, ub={sub.sum():g}"
         )
-    cell = (norm, slb[None], sub[None], wlb[None], wub[None])
-    assignment = next(_search_cells(m, cell, eps_err, budget or SearchBudget(), seed))
+    assignment = next(_search_cells(m, bounds, eps_err, budget or SearchBudget(), seed))
     if assignment is None:
         return None
-    assert _feasible(m, bounds, eps_err, assignment)
+    assert partition_feasible(m, spec, eps_err, assignment)
     return make_partition(m, assignment, k)
 
 
@@ -187,181 +216,122 @@ def exhaustive(n: int, k: int) -> bool:
 
 def _search_cells(m, bounds, eps_err, budget, seed):
     """Each cell's hit, an assignment tuple or None, size cell outer: ``bounds``
-    is ``_bounds``'s tuple stacked over L size cells (L, k) and U weight cells (U, k, k)."""
-    if exhaustive(m.n, bounds[1].shape[1]):
-        return _exhaustive_hits(m, bounds, eps_err)
-    return _local_hits(m, bounds, eps_err, budget, seed)
+    is (slb, sub, wlb, wub), fractions of (L, k) size and (U, k * k) weight cells."""
+    q, unit, cells = _integer_cells(m, eps_err, *bounds)
+    if exhaustive(m.n, cells[0].shape[1]):
+        return _exhaustive_hits(m, unit, cells)
+    return _local_hits(q, unit, cells, bounds[0], budget, seed)
 
 
-def _exhaustive_hits(m, bounds, eps_err):
+def _exhaustive_hits(m, unit, cells):
     """Each cell's lexicographically smallest hit: each size cell and each
-    weight cell is tested once against the grid's one enumeration.
-
-    Each test runs on the contiguous planes of ``enumerate_assignments``,
-    one part's sizes or one matrix entry's weights of all assignments, so
-    that NumPy's inner loops run over the assignments.  A size cell is
-    tested one part at a time.  A chunk of weight cells is tested one matrix
-    entry at a time, each test a (cells, assignments) plane; an entry whose
-    bounds in the chunk admit its plane's least and largest value passes
-    every test and is skipped."""
-    norm, slb, sub, wlb, wub = bounds
-    k = slb.shape[1]
-    digits, sizes, cross = enumerate_assignments(m, k)
-    sizes /= m.n  # in place: the k^n statistics are held once
-    cross /= norm
-    sizes, planes = sizes.T, cross.transpose(1, 2, 0)  # (k, A) and (k, k, A)
-    least, largest = planes.min(axis=2), planes.max(axis=2)
+    weight cell is tested once against the grid's one enumeration, one part
+    or matrix entry at a time on its contiguous plane of all assignments;
+    a chunk of weight cells is tested as a (cells, assignments) plane, and
+    an entry whose bounds in the chunk admit its plane's least and largest
+    value is skipped."""
+    lo, hi, wlo, whi = cells
+    digits, sizes, cross = enumerate_assignments(m, lo.shape[1])
+    sizes *= unit  # in place: the k^n statistics are held once
+    sizes, planes = sizes.T, cross.transpose(1, 2, 0).reshape(wlo.shape[1], -1)  # (k, A), (k k, A)
+    least, largest = planes.min(axis=1), planes.max(axis=1)
     fits = []
-    for lo, hi in zip(slb - eps_err - 1e-12, sub + eps_err + 1e-12):
+    for cell_lo, cell_hi in zip(lo, hi):
         fit = np.ones(len(digits), dtype=bool)
-        for plane, a, b in zip(sizes, lo, hi):
+        for plane, a, b in zip(sizes, cell_lo, cell_hi):
             fit &= plane >= a
             fit &= plane <= b
         fits.append(np.flatnonzero(fit))
-    first = np.full((len(slb), len(wlb)), -1, dtype=np.int32)  # -1: no hit
+    first = np.full((len(lo), len(wlo)), -1, dtype=np.int32)  # -1: no hit
     chunk = max(1, BATCH_ENTRIES // len(digits))  # weight cells per BATCH_ENTRIES tests
-    for u in range(0, len(wlb), chunk):
-        lo, hi = wlb[u : u + chunk] - eps_err - 1e-12, wub[u : u + chunk] + eps_err + 1e-12
-        ok = np.ones((len(lo), len(digits)), dtype=bool)
-        for i, j in np.ndindex(k, k):
-            if not (lo[:, i, j] <= least[i, j]).all():
-                ok &= planes[i, j] >= lo[:, i, j, None]
-            if not (hi[:, i, j] >= largest[i, j]).all():
-                ok &= planes[i, j] <= hi[:, i, j, None]
-        for cells, fit in zip(first, fits):
+    for u in range(0, len(wlo), chunk):
+        a, b = wlo[u : u + chunk], whi[u : u + chunk]
+        ok = np.ones((len(a), len(digits)), dtype=bool)
+        for e, plane in enumerate(planes):
+            if not (a[:, e] <= least[e]).all():
+                ok &= plane >= a[:, e, None]
+            if not (b[:, e] >= largest[e]).all():
+                ok &= plane <= b[:, e, None]
+        for row, fit in zip(first, fits):
             if len(fit):
                 hit = ok[:, fit]
-                cells[u : u + chunk] = np.where(hit.any(axis=1), fit[hit.argmax(axis=1)], -1)
+                row[u : u + chunk] = np.where(hit.any(axis=1), fit[hit.argmax(axis=1)], -1)
     for i in first.ravel():
         yield None if i < 0 else tuple(digits[i].tolist())
 
 
-def _local_hits(m, bounds, eps_err, budget, seed):
-    """Each cell's lexicographically smallest feasible restart result.
+def _local_hits(q, unit, cells, slb, budget, seed):
+    """Each cell's lexicographically smallest restart result at penalty 0.
 
-    A restart starts from ``_greedy_seed`` of its size cell, so each size
-    cell has ``budget.restarts`` starts, shared by its weight cells.  Chunks
-    of whole weight cells sweep all their (cell, restart) rows in lockstep,
-    as many cells as keep a sweep's moved crossing matrices within
-    ``BATCH_ENTRIES`` entries.  A sweep moves each row still above penalty 0
-    to its lowest-penalty single-point move, the earliest within 1e-15, and
-    stops a row that this would not lower by more than 1e-15.
-
-    Rows that start alike and have made the same moves hold bit-identical
-    assignments, sizes, crossing matrices and point-to-part weights, whatever
-    their cells: each row keeps a group id, one per start when a chunk
-    begins and one per (group, move) after each sweep, and a sweep lists
-    and sizes the moves of each group once.  Only the weight terms of the
-    penalty, which read a row's own cell, are taken row by row.
-    """
-    norm, slb, sub, wlb, wub = bounds
-    n, k = m.n, slb.shape[1]
-    slack = max(eps_err, 1e-12)
+    Each size cell's ``budget.restarts`` starts, from its ``_greedy_seed``,
+    are shared by its weight cells.  Chunks of whole weight cells climb all
+    their (cell, restart) rows in lockstep through ``ascend`` on ``_drops``'
+    tables, as many cells as keep a sweep's moved crossing weights within
+    ``BATCH_ENTRIES`` entries.  A matrix entry whose bounds admit every
+    weight in every cell adds 0 to every penalty and is left out."""
+    lo, hi, wlo, whi = cells
+    n, k = q.shape[0], lo.shape[1]
+    active = ((wlo > 0.0) | (whi < n * unit)).any(axis=0)  # every weight is below n * unit
+    wlo, whi = wlo[:, active], whi[:, active]
     seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
     starts = len(seqs)
-    sweeps = budget.moves(n) if k > 1 else 0  # one part allows no move
-    chunk = max(1, BATCH_ENTRIES // max(1, starts * n * max(1, k - 1) * k * k))
+    entries = n * k * max(1, active.sum())  # a row's moved crossing weights
+    chunk = max(1, BATCH_ENTRIES // (entries * max(1, starts)))
+    for size_lo, size_hi, fracs in zip(lo, hi, slb):
+        start = np.array([_greedy_seed(np.random.default_rng(ss), n, k, fracs) for ss in seqs],
+                         dtype=np.min_scalar_type(k)).reshape(starts, n)
+        for u in range(0, len(wlo), chunk):
+            cell_lo, cell_hi = wlo[u : u + chunk], whi[u : u + chunk]
+            assign = np.tile(start, (len(cell_lo), 1))  # rows cell by cell, each in seed order
+            row_lo, row_hi = (np.repeat(w, starts, axis=0) for w in (cell_lo, cell_hi))
 
-    def penalty(sizes, cross, lo, hi, group, wlo, whi):
-        """(L, C) penalties of L rows, row r with the (C, k) part sizes and
-        (C, k, k) crossing matrices ``sizes[group[r]]`` and
-        ``cross[group[r]]`` and the (1, k, k) weight bounds of its cell."""
-        sfrac, wfrac = sizes / n, (cross / norm)[group]
-        v = np.maximum(0.0, lo - eps_err - sfrac) + np.maximum(0.0, sfrac - hi - eps_err)
-        w = np.maximum(0.0, wlo - eps_err - wfrac) + np.maximum(0.0, wfrac - whi - eps_err)
-        return (v.sum(axis=-1)[group] + w.reshape(*w.shape[:-2], k * k).sum(axis=-1)) / slack
+            def drops(ids):
+                cell = size_lo, size_hi, row_lo[ids, None, None], row_hi[ids, None, None]
+                return _drops(q, unit, cell, assign[ids], active)
 
-    for lo, hi in zip(slb, sub):
-        start = np.array([_greedy_seed(np.random.default_rng(ss), n, k, lo) for ss in seqs],
-                         dtype=int).reshape(starts, n)
-        onehot = np.eye(k)[start]
-        state = (start, onehot.sum(axis=1),
-                 np.array([crossing_matrix(m, row, k) for row in start]).reshape(starts, k, k),
-                 np.array([m.dist @ row for row in onehot]).reshape(starts, n, k))
-        for u in range(0, len(wlb), chunk):
-            cells = len(wlb[u : u + chunk])
-            # rows cell by cell, each cell's in seed order; part_dist[r, p, j] = W(p, part j)
-            assign, sizes, cross, part_dist = (np.concatenate([x] * cells) for x in state)
-            group = np.tile(np.arange(starts), cells)
-            wlo, whi = (np.repeat(w[u : u + chunk], starts, axis=0)[:, None] for w in (wlb, wub))
-            pen = penalty(state[1][:, None], state[2][:, None], lo, hi, group, wlo, whi)[:, 0]
-            live = np.arange(len(assign))
-            for _ in range(sweeps):
-                live = live[pen[live] > 0.0]
-                if not len(live):
-                    break
-                heads, inverse = np.unique(group[live], return_index=True, return_inverse=True)[1:]
-                heads = live[heads]
-                points, targets, sz, cr = _moved_states(assign[heads], sizes[heads], cross[heads],
-                                                        part_dist[heads])
-                cands = penalty(sz, cr, lo, hi, inverse, wlo[live], whi[live])
-                picks = scan_argmax(-cands, 1e-15)  # the lowest, earliest on near-ties
-                best = cands[np.arange(len(live)), picks]
-                go = best < pen[live] - 1e-15
-                live, inverse, picks = live[go], inverse[go], picks[go]
-                p, b = points[picks], targets[inverse, picks]
-                moved = m.dist[:, p].T
-                part_dist[live, :, assign[live, p]] -= moved
-                part_dist[live, :, b] += moved
-                assign[live, p] = b
-                sizes[live], cross[live] = sz[inverse, picks], cr[inverse, picks]
-                pen[live], group[live] = best[go], inverse * len(points) + picks
-            for c in range(cells):
-                own = slice(c * starts, (c + 1) * starts)
-                done = assign[own][pen[own] <= 0.0].tolist()
-                cell = (norm, lo, hi, wlb[u + c], wub[u + c])
-                yield next((hit for hit in sorted(map(tuple, done))
-                            if _feasible(m, cell, eps_err, hit)), None)
+            def move(ids, picks):
+                point, part = divmod(picks, k)
+                assign[ids, point] = part
+
+            ascend(np.arange(len(assign)), budget.moves(n), entries, drops, move)
+            states, inverse = _distinct(assign)
+            sizes, cross, _ = _stats(q, states, k)
+            weights = cross.reshape(len(states), k * k)[:, active]
+            done = _penalty(unit, (size_lo, size_hi, row_lo, row_hi), sizes, weights, inverse) == 0
+            for rows, ok in zip(assign.reshape(len(cell_lo), starts, n),
+                                done.reshape(len(cell_lo), starts)):
+                yield min(map(tuple, rows[ok].tolist()), default=None)
 
 
-def _moved_states(assign, sizes, cross, part_dist):
-    """Points, targets, (L, C, k) part sizes and (L, C, k, k) crossing
-    matrices of every single-point move of each of L rows, in scan order;
-    ``part_dist[r, p, j]`` = W(p, part j) in row r.  Scan order is ascending
-    p, then ascending target, skipping p's own part: on these float sums a
-    move from a to a is not an exact no-op, so it is not listed."""
-    n, k = assign.shape[1], sizes.shape[1]
-    points = np.repeat(np.arange(n), k - 1)
-    offset = np.tile(np.arange(k - 1), n)
-    targets = offset + (offset >= assign[:, points])
-    rows, cols = np.arange(len(assign))[:, None], np.arange(len(points))
-    a, b = assign[:, points], targets
-    moved = part_dist[:, points]
-    sz = np.repeat(sizes[:, None], len(points), axis=1)
-    sz[rows, cols, a] -= 1
-    sz[rows, cols, b] += 1
-    cr = np.repeat(cross[:, None], len(points), axis=1)
-    cr[rows, cols, a, :] -= moved
-    cr[rows, cols, :, a] -= moved
-    cr[rows, cols, b, :] += moved
-    cr[rows, cols, :, b] += moved
-    cr[rows, cols, a, a] += moved[rows, cols, a]
-    cr[rows, cols, b, b] -= moved[rows, cols, b]
-    return points, targets, sz, cr
+def _drops(q, unit, cell, rows, active):
+    """(R, n * k) drops in ``_penalty`` of the moves of (R, n) assignment
+    rows against ``cell``, its weight bounds (R, 1, 1, A) over the ``active``
+    entries of the row-major k * k matrices: cell p * k + b for "point p to
+    part b", written 0 in p's own part.  The moved states of each distinct
+    row are built once."""
+    n, k = rows.shape[1], len(cell[0])
+    states, inverse = _distinct(rows)
+    sizes, cross, part_dist = _stats(q, states, k)
+    i, j = np.divmod(np.flatnonzero(active), k)
+    delta = np.eye(k) - np.eye(k)[states][:, :, None]  # [h, p, b, j]: change of part j's size
+    near = part_dist[:, :, None]  # [h, p, 0, j]: W(p, part j)
+    moved = delta[..., i] * near[..., j] + near[..., i] * delta[..., j]
+    moved[..., i == j] /= 2.0  # the diagonal counts each intra-part pair once
+    weights = cross.reshape(len(states), k * k)[:, active]
+    moved += weights[:, None, None]
+    now = _penalty(unit, cell, sizes[:, None, None], weights[:, None, None], inverse)
+    drop = now - _penalty(unit, cell, sizes[:, None, None] + delta, moved, inverse)
+    drop = drop.reshape(len(rows), n * k)
+    drop[np.arange(len(rows))[:, None], np.arange(n) * k + rows] = 0.0  # stays
+    return drop
 
 
-def scan_argmax(gains, tol: float):
-    """Index kept by a left-to-right scan of each row of ``gains`` that
-    replaces its incumbent only on ``gain > incumbent + tol`` (the row's first
-    entry starts as incumbent): an int for one (M,) row, an (L,) array for
-    (L, M) rows.  The local regime's sweep picks its moves with it.
-
-    Most rows need no scan: when every entry ahead of a row's first largest
-    entry is below it by more than tol (``ahead + tol < top``, rounded as the
-    scan rounds it), the scan reaches that entry with a smaller incumbent,
-    takes it, and no later entry can beat it.  Only the other rows, whose
-    top is near-tied with an earlier entry, are scanned entry by entry.
-    """
-    g = np.atleast_2d(np.asarray(gains, dtype=float))
-    picks = g.argmax(axis=1)
-    ahead = np.where(np.arange(g.shape[1]) < picks[:, None], g, -np.inf).max(axis=1)
-    for r in np.flatnonzero(~(ahead + tol < g.max(axis=1))):
-        row, kept = g[r].tolist(), 0
-        for c, gain in enumerate(row):
-            if gain > row[kept] + tol:
-                kept = c
-        picks[r] = kept
-    return int(picks[0]) if np.ndim(gains) == 1 else picks
+def _distinct(rows):
+    """(states, inverse): the distinct rows of an (L, n) array, and the
+    index of each row's state among them."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
 def _greedy_seed(rng, n, k, slb):
@@ -401,10 +371,9 @@ def grid_partitions(m, parts: int, size_cells, levels: int, eps_err: float,
     bounds no intra-part weight.
 
     Before any search, a grid of more than ``MAX_GRID_CELLS`` weight cells is
-    refused without calling ``size_cells``, so that no size grid is built
-    for it; weight cells whose sum less the slack exceeds the density rho
-    are pruned, as crossing weights cannot sum past the total weight
-    fraction; and a grid of more than ``MAX_GRID_CELLS`` size times kept
+    refused without calling ``size_cells``; weight cells whose sum less the
+    slack exceeds the density rho are pruned, as crossing weights cannot sum
+    past it; and a grid of more than ``MAX_GRID_CELLS`` size times kept
     weight cells is refused.
     """
     pairs = parts * (parts - 1) // 2
@@ -417,10 +386,11 @@ def grid_partitions(m, parts: int, size_cells, levels: int, eps_err: float,
         raise FaithfulGridTooLarge(
             f"{len(sizes)} * {len(mu)} grid cells exceed the cap {MAX_GRID_CELLS}")
     a, b = np.triu_indices(parts, 1)
-    wlb, wub = np.zeros((len(mu), parts, parts)), np.full((len(mu), parts, parts), _INF)
-    wlb[:, a, b] = wlb[:, b, a] = wub[:, a, b] = wub[:, b, a] = mu
+    pair, mirror = a * parts + b, b * parts + a  # row-major entries of the k x k matrix
+    wlb, wub = np.zeros((len(mu), parts * parts)), np.full((len(mu), parts * parts), _INF)
+    wlb[:, pair] = wlb[:, mirror] = wub[:, pair] = wub[:, mirror] = mu
     seen = set()
-    for hit in _search_cells(m, (_norm(m), sizes, sizes, wlb, wub), eps_err, budget, seed):
+    for hit in _search_cells(m, (sizes, sizes, wlb, wub), eps_err, budget, seed):
         if hit is not None and hit not in seen:
             seen.add(hit)
             yield hit

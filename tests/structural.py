@@ -4,9 +4,10 @@ Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
 ladder payoff floor and the telescoping accounting on realized runs, and
 holding the per-candidate reference loops of the dense solvers and the
-partition search, the per-cell loop of the faithful grids and the
-all-at-once enumeration of the exhaustive regime, the per-restart loop of
-the reduced search with its move list and batched scorers, the per-k
+partition search with its float decisions, the per-cell loop of the
+faithful grids and the einsum form of the exhaustive enumeration, the
+per-restart loop of the reduced search with its move list and batched
+scorers, the per-k
 triangle scan, whole-slab screen and whole-matrix symmetrising of metric
 validation, the whole-mask ball count of core detection, the all-token
 matrix parse with its format sniff, the node-at-a-time tree walks, the
@@ -62,10 +63,7 @@ from peelembed.partition_search import (
     _bounds,
     _greedy_seed,
     crossing_matrix,
-    enumerate_assignments,
     exhaustive,
-    partition_feasible,
-    scan_argmax,
 )
 
 
@@ -443,6 +441,17 @@ def sizes_and_ranks(assigns, parts):
     return onehot.sum(axis=1), ranks - 1
 
 
+def sequential_argmax(gains, tol):
+    """Index kept by a left-to-right scan of ``gains`` that replaces its
+    incumbent only on ``gain > incumbent + tol``, the first entry starting
+    as incumbent."""
+    best = None
+    for idx, gain in enumerate(gains):
+        if best is None or gain > gains[best] + tol:
+            best = idx
+    return best
+
+
 def reference_reduced_restarts(n, parts, seed, budget, score):
     """``reduced_restarts`` as it was: each restart runs all its sweeps before
     the next one starts, and scores every moved copy of its assignment with
@@ -455,7 +464,7 @@ def reference_reduced_restarts(n, parts, seed, budget, score):
             points, targets = reference_single_moves(assign, parts)
             values = score_moves(assign, points, targets, score)
             gains = values - value
-            pick = scan_argmax(gains, TIE_TOL)
+            pick = sequential_argmax(gains.tolist(), TIE_TOL)
             if gains[pick] <= TIE_TOL:
                 break
             assign[points[pick]] = targets[pick]
@@ -707,12 +716,31 @@ def reference_move(sizes, cross, part_dist, p, a, b):
     return sz, cr
 
 
+def float_bounds(m, spec):
+    """(norm, slb, sub, wlb, wub): the weight normaliser n^2 * D_V, 1 when
+    D_V = 0, and ``spec``'s bound arrays, as the float decisions of the
+    partition search read them."""
+    slb, sub, wlb, wub = (b[0] for b in _bounds(spec))
+    return (m.n * m.n * m.diameter() or 1.0, slb, sub, wlb.reshape(spec.k, spec.k),
+            wub.reshape(spec.k, spec.k))
+
+
+def reference_feasible(m, spec, eps_err, assignment):
+    """``partition_feasible`` on float sums, as it was: every size fraction
+    and normalised crossing weight within eps_err + 1e-12 of its bounds."""
+    norm, slb, sub, wlb, wub = float_bounds(m, spec)
+    sizes = np.bincount(np.asarray(assignment, dtype=int), minlength=spec.k) / m.n
+    cross = crossing_matrix(m, assignment, spec.k) / norm
+    return not ((sizes < slb - eps_err - 1e-12).any() or (sizes > sub + eps_err + 1e-12).any()
+                or (cross < wlb - eps_err - 1e-12).any() or (cross > wub + eps_err + 1e-12).any())
+
+
 def reference_search_local(m, spec, eps_err, budget, seed):
     """Assignment found by the partition search's local regime, or None, as
     it was: every candidate move copies the sizes and the crossing matrix and
     is scored on its own; the lowest penalty wins, the earliest within 1e-15."""
     n, k = m.n, spec.k
-    norm, slb, sub, wlb, wub = _bounds(m, spec)
+    norm, slb, sub, wlb, wub = float_bounds(m, spec)
     slack = max(eps_err, 1e-12)
 
     def penalty(sizes, cross):
@@ -753,7 +781,7 @@ def reference_search_local(m, spec, eps_err, budget, seed):
             part_dist[:, b] += m.dist[:, p]
         if pen <= 0.0:
             cand = tuple(int(x) for x in assign)
-            if partition_feasible(m, spec, eps_err, cand):
+            if reference_feasible(m, spec, eps_err, cand):
                 found.append(cand)
     return min(found) if found else None
 
@@ -763,7 +791,7 @@ def reference_search_exhaustive(m, spec, eps_err, enumerated):
     ``enumerate_assignments``, that meets ``spec``, or None: one spec tested
     against every assignment."""
     n = m.n
-    norm, slb, sub, wlb, wub = _bounds(m, spec)
+    norm, slb, sub, wlb, wub = float_bounds(m, spec)
     digits, sizes, cross = enumerated
     ok = (
         (sizes / n >= slb - eps_err - 1e-12).all(axis=1)
@@ -777,14 +805,20 @@ def reference_search_exhaustive(m, spec, eps_err, enumerated):
     return tuple(int(a) for a in digits[hits[0]])
 
 
-def reference_enumerate_assignments(m, k):
-    """``enumerate_assignments`` as it was: the one-hot matrices and einsum
-    temporaries of all k^n assignments at once."""
-    digits = np.array(list(itertools.product(range(k), repeat=m.n)), dtype=np.int8)
-    onehot = np.eye(k)[digits]  # (A, n, k)
-    sizes = onehot.sum(axis=1)
-    inner = np.einsum("nm,amk->ank", m.dist, onehot)
-    cross = np.einsum("ank,anj->akj", onehot, inner)
+def reference_enumerate_assignments(dist, k):
+    """``enumerate_assignments``'s digits, sizes and crossing matrices in the
+    einsum form it had, on the distances ``dist`` as given: the statistics of
+    chunks of at most ``BATCH_ENTRIES`` one-hot entries, each sum of an
+    entry's products in one C loop."""
+    n = len(dist)
+    digits = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.int8)
+    sizes, cross = np.empty((len(digits), k)), np.empty((len(digits), k, k))
+    step = max(1, BATCH_ENTRIES // (n * k))
+    for lo in range(0, len(digits), step):
+        onehot = np.eye(k)[digits[lo : lo + step]]  # (A, n, k)
+        sizes[lo : lo + step] = onehot.sum(axis=1)
+        inner = np.einsum("nm,amk->ank", dist, onehot)
+        cross[lo : lo + step] = np.einsum("ank,anj->akj", onehot, inner)
     idx = np.arange(k)
     cross[:, idx, idx] /= 2.0
     return digits, sizes, cross
@@ -819,7 +853,7 @@ def reference_grid_partitions(m, parts, size_cells, levels, eps_err, budget, see
     exhaustive regime and by ``reference_search_local`` in the local one."""
     pairs = [(a, b) for a in range(parts) for b in range(a + 1, parts)]
     mu_cells = reference_weight_cells(m, parts, levels, eps_err)
-    enumerated = enumerate_assignments(m, parts) if exhaustive(m.n, parts) else None
+    enumerated = reference_enumerate_assignments(m.dist, parts) if exhaustive(m.n, parts) else None
     found = []
     for lam in size_cells:
         for mu in mu_cells:

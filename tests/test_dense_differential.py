@@ -2,12 +2,15 @@
 
 The reduced searches and the partition search score every move of a sweep in
 one numpy pass; the loops in ``structural.py`` rebuild and score each
-candidate from scratch.  The reduced searches run on the quantized metric
-and take each move's gain from per-row tables, O(1) per move; the gains are
-checked to equal the reference values' changes bit for bit there.
+candidate from scratch.  Both run on the quantized metric.  The reduced
+searches take each move's gain from per-row tables, O(1) per move, and the
+partition search each move's drop in penalty; both are checked to equal the
+reference values' changes bit for bit there, and the partition search's
+decisions to equal the float decisions it made before.
 """
 
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -49,16 +52,18 @@ from peelembed.la_dense import (
     _swap_hill_climb,
     solve_la_dense,
 )
-from peelembed.local_search import TIE_TOL, quantize, reduced_restarts
+from peelembed.local_search import quantize, reduced_restarts
 from peelembed.metric import Metric, validate_metric
 from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la, ladder_tree
 from peelembed.partition_search import (
     PartitionSpec,
     SearchBudget,
-    _moved_states,
+    _drops,
+    _penalty,
+    _stats,
     crossing_matrix,
     grid_partitions,
-    scan_argmax,
+    partition_feasible,
     search_partition,
 )
 
@@ -86,89 +91,100 @@ def _metrics(sizes):
     ]
 
 
-def _sequential_argmax(gains, tol):
-    best = None
-    for idx, gain in enumerate(gains):
-        if best is None or gain > gains[best] + tol:
-            best = idx
-    return best
+def _drop_cases(k):
+    """(label, q, unit, cell, rows, active) of random rows of every family at
+    n = 5, 12 and 20, each row with its own weight bounds of random width
+    around its crossing weights, on the integer metric and its scale."""
+    rng = np.random.default_rng(k)
+    for label, m in _metrics((5, 12, 20)):
+        q = quantize(m.dist)
+        unit = m.n * q.max()
+        rows = rng.integers(0, k, size=(6, m.n)).astype(np.uint8)
+        rows[3:] = rows[:3]  # repeated states
+        weights = _stats(q, rows, k)[1].reshape(len(rows), k * k)
+        width = rng.choice([0.0, 1.0, 1e3, unit], size=weights.shape)
+        wlo, whi = weights - width, weights + width[::-1]
+        active = rng.random(k * k) < 0.7
+        lo, hi = np.full(k, unit), np.full(k, unit * m.n / 2)
+        cell = (lo, hi, wlo[:, None, None, active], whi[:, None, None, active])
+        yield label, q, unit, cell, rows, active
 
 
-def _scan_cases(rng, tol, rows, size):
-    # few distinct levels plus offsets around the tolerance make ties,
-    # near-ties and chains of sub-tolerance steps
-    levels = rng.integers(0, 4, size=(rows, size)).astype(float)
-    return levels + tol * rng.choice([0.0, 0.4, 0.9, 1.1, 3.0], size=(rows, size))
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_moved_states_match_reference_updates(k):
+    # bit for bit: on the integer metric each cell p * k + b is the drop in
+    # penalty of moving p to b, the moved sizes and crossing matrix rebuilt
+    # by the reference loop's updates, and each stay cell is 0
+    for label, q, unit, cell, rows, active in _drop_cases(k):
+        got = _drops(q, unit, cell, rows, active)
+        n = rows.shape[1]
+        assert got.shape == (len(rows), n * k), label
+        lo, hi, wlo, whi = cell
+        for r, assign in enumerate(rows):
+            sizes, cross, part_dist = (x[0] for x in _stats(q, assign[None], k))
+            own = (lo, hi, wlo[r, 0], whi[r, 0])
+
+            def penalty(sizes, cross):
+                return _penalty(unit, own, sizes[None], cross.ravel()[None, active])[0]
+
+            now = penalty(sizes, cross)
+            for p, b in itertools.product(range(n), range(k)):
+                if b == assign[p]:
+                    assert got[r, p * k + b] == 0.0, (label, r, p)
+                    continue
+                sz, cr = reference_move(sizes, cross, part_dist, p, assign[p], b)
+                want = now - penalty(sz, cr)
+                assert got[r, p * k + b] == want, (label, r, p, b)
 
 
-def test_scan_argmax_matches_sequential_scan():
-    rng = np.random.default_rng(0)
-    for trial in range(600):
-        # the dense solvers' tolerance, then the partition search's
-        tol = TIE_TOL if trial < 300 else 1e-15
-        gains = _scan_cases(rng, tol, 1, int(rng.integers(1, 60)))[0]
-        if trial % 3 == 0:
-            gains = np.sort(gains)
-        assert scan_argmax(gains, tol) == _sequential_argmax(list(gains), tol), (tol, gains)
-    for trial in range(200):
-        # row-wise: rows of one stack differ in their records and their chains
-        tol = TIE_TOL if trial < 100 else 1e-15
-        gains = _scan_cases(rng, tol, int(rng.integers(1, 8)), int(rng.integers(1, 40)))
-        gains[::2] = np.sort(gains[::2], axis=1)
-        picks = scan_argmax(gains, tol)
-        assert picks.shape == (len(gains),)
-        for row, pick in zip(gains, picks):
-            assert pick == _sequential_argmax(list(row), tol), (tol, row)
-    for trial in range(20):
-        # stacks of hundreds of rows: near-ties, clear leads of distinct random
-        # values, and -inf entries, up to whole rows of them
-        tol = TIE_TOL if trial < 10 else 1e-15
-        gains = _scan_cases(rng, tol, int(rng.integers(200, 600)), int(rng.integers(1, 40)))
-        gains[1::3] = rng.random(gains[1::3].shape)
-        gains[rng.random(gains.shape) < 0.1] = -np.inf
-        gains[::7] = np.sort(gains[::7], axis=1)
-        gains[::50] = -np.inf
-        picks = scan_argmax(gains, tol)
-        assert picks.shape == (len(gains),)
-        for row, pick in zip(gains, picks):
-            assert pick == _sequential_argmax(list(row), tol), (tol, row)
+def test_drop_table_stays_are_zero_and_exact_ties_take_the_earlier_cell(monkeypatch):
+    # Every table the local regime climbs holds 0 in each stay cell
+    # p * k + a, and each moving row takes its first largest drop; on
+    # uniform_metric and path_metric many drops tie exactly.
+    monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", 0)
+    seen = {"rows": 0, "ties": 0}
 
+    def ascend(rows, sweeps, entries, gains, move, real=partition_search.ascend):
+        tables = {}
 
-def test_scan_argmax_threshold_edges():
-    # An entry equal to incumbent + tol, as rounded, does not replace it; a
-    # row's largest entry after such an entry, or after -inf, is still found.
-    for tol in (TIE_TOL, 1e-15):
-        for base in (0.0, 1.0, -3.0, 1e6):
-            edge = base + tol
-            rows = [[base, edge], [base, edge, edge], [base, np.nextafter(edge, np.inf)],
-                    [-np.inf, base, edge], [-np.inf, -np.inf], [edge, base, edge],
-                    [base, base, np.nextafter(edge, np.inf), edge]]
-            for row in rows:
-                want = _sequential_argmax(row, tol)
-                assert scan_argmax(np.array(row), tol) == want, (tol, row)
-                pair = np.array([row, row[::-1]])
-                got = scan_argmax(pair, tol)
-                assert list(got) == [want, _sequential_argmax(row[::-1], tol)], (tol, row)
+        def recorded_gains(ids):
+            table = gains(ids)
+            tables.update(zip(ids.tolist(), table))
+            return table
 
+        def recorded_move(ids, picks):
+            for i, pick in zip(ids.tolist(), picks.tolist()):
+                table = tables[i]
+                assert table[pick] == table.max() > 0.0 and pick == table.argmax()
+                seen["rows"] += 1
+                seen["ties"] += (table == table.max()).sum() > 1
+            move(ids, picks)
 
-def test_scan_argmax_long_ascending_row():
-    # every entry a record, each within the tolerance of the one before: the
-    # chain jumps every 3 entries; the partition search's tolerance
-    gains = np.arange(78_000) * 0.4e-15
-    assert scan_argmax(gains, 1e-15) == _sequential_argmax(list(gains), 1e-15)
+        real(rows, sweeps, entries, recorded_gains, recorded_move)
+
+    def drops(q, unit, cell, rows, active, real=_drops):
+        table = real(q, unit, cell, rows, active)
+        k = table.shape[1] // rows.shape[1]
+        stays = table[np.arange(len(rows))[:, None], np.arange(rows.shape[1]) * k + rows]
+        assert not stays.any()
+        return table
+
+    monkeypatch.setattr(partition_search, "ascend", ascend)
+    monkeypatch.setattr(partition_search, "_drops", drops)
+    for family in ("uniform_metric", "path_metric", "clustered"):
+        m = generate(GeneratorSpec(family=family, n=9, seed=1))
+        solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful",
+                                        budget=SearchBudget(restarts=2)), seed=1)
+    assert seen["rows"] > 100 and seen["ties"] > 10, seen
 
 
 def test_single_moves_scan_order():
-    # the partition search's tolerance scan keeps the earliest of near-tied
-    # moves, so its moves keep this order, with no stay listed; the reduced
-    # searches' reference loop lists its moves in the same order
-    m, assign = _metrics((3,))[0][1], np.array([1, 0, 2])
-    onehot = np.eye(3)[assign]
-    points, targets, _, _ = _moved_states(assign[None], onehot.sum(axis=0)[None],
-                                          crossing_matrix(m, assign, 3)[None],
-                                          (m.dist @ onehot)[None])
+    # the drop table's move cells p * k + b run in ascending p, then
+    # ascending target, in the order the reduced searches' reference loop
+    # lists its moves, which skips stays
+    assign = np.array([1, 0, 2])
     want = [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)]
-    assert list(zip(points, targets[0])) == want
+    assert [divmod(c, 3) for c in range(9) if c % 3 != assign[c // 3]] == want
     assert list(zip(*reference_single_moves(assign, 3))) == want
 
 
@@ -582,13 +598,13 @@ def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
     # starts, so rows of one start took different moves in different cells.
     if regime == "local":
         monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", 0)
-    states = []  # rows of each _moved_states call
+    states = []  # distinct states of each set of rows the local regime scores
 
-    def moved_states(*rows, real=partition_search._moved_states):
-        states.append(len(rows[0]))
-        return real(*rows)
+    def distinct(rows, real=partition_search._distinct):
+        states.append(len(real(rows)[0]))
+        return real(rows)
 
-    monkeypatch.setattr(partition_search, "_moved_states", moved_states)
+    monkeypatch.setattr(partition_search, "_distinct", distinct)
     grids = []
     for module in (hc_dense, la_dense):
         def record(m, parts, size_cells, levels, *rest, real=module.grid_partitions):
@@ -616,6 +632,59 @@ def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
         hits += len(want)
     assert hits >= 20, hits
     assert (splits > 0) == (regime == "local"), splits
+
+
+# (objective, family, n, seed) of the faithful corpus: the solves of
+# tests/golden/faithful_local.txt and PINNED_FAITHFUL_WITNESSES, and each
+# size on uniform_metric and path_metric, whose weights sit on grid
+# boundaries
+FAITHFUL_CORPUS = sorted({
+    (objective, family, n, seed)
+    for objective, first, n, seed in [
+        ("la", "clustered", 13, 0), ("la", "euclidean_uniform_box", 16, 0),
+        ("hc", "clustered", 13, 1), ("hc", "uniform_metric", 13, 0),
+        ("hc", "clustered", 7, 0), ("hc", "clustered", 13, 0), ("la", "clustered", 10, 0)]
+    for family in (first, "uniform_metric", "path_metric")})
+
+
+class _Grid(Exception):
+    pass
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.5, 2 / 3, 1.0])
+def test_faithful_grids_decide_as_float_sums(eps, monkeypatch):
+    # No flips: every faithful grid of the corpus yields, in order, the hits
+    # of the per-cell float decisions of reference_grid_partitions, every
+    # exhaustive grid with the default budget and the local ones, where
+    # the per-cell loop is slow, at eps 1.0 with 2 restarts.  On a
+    # copy of the code before the integer metric, the default-budget solves
+    # of the corpus and of the search workload's faithful requests at seeds
+    # 1 and 7 flipped no hit at any of these eps.
+    grids = []
+
+    def record(m, parts, size_cells, *rest):
+        grids.append((m, parts, size_cells(), *rest))
+        raise _Grid
+
+    for module in (hc_dense, la_dense):
+        monkeypatch.setattr(module, "grid_partitions", record)
+    checked = 0
+    for objective, family, n, seed in FAITHFUL_CORPUS:
+        m = generate(GeneratorSpec(family=family, n=n, seed=seed))
+        solve, cfg = {"hc": (solve_hc_dense, DenseHcConfig),
+                      "la": (solve_la_dense, DenseLaConfig)}[objective]
+        with pytest.raises(_Grid):
+            solve(m, cfg(eps=eps, grid_mode="faithful"), seed=seed)
+        m, parts, sizes, levels, eps_err, budget, seed = grids.pop()
+        if not partition_search.exhaustive(m.n, parts):
+            if eps < 1.0:
+                continue
+            budget = SearchBudget(restarts=2)
+        args = (levels, eps_err, budget, seed)
+        want = reference_grid_partitions(m, parts, sizes, *args)
+        assert list(grid_partitions(m, parts, lambda: sizes, *args)) == want, (family, n)
+        checked += 1
+    assert checked >= 6, checked
 
 
 def test_default_budget_faithful_hc_grid_matches_per_cell_reference(monkeypatch):
@@ -745,26 +814,6 @@ def test_dense_solvers_build_and_score_each_distinct_restart_once(family, monkey
     assert arr == reference_la_reduced(m, cfg, 0)
 
 
-@pytest.mark.parametrize("k", [2, 3, 6])
-def test_moved_states_match_reference_updates(k):
-    # bit for bit: the six updates keep their order, and a near-tie in the
-    # penalty scan is decided by the last bits of these sums
-    rng = np.random.default_rng(k)
-    for label, m in _metrics((5, 12, 20)):
-        assign = rng.integers(0, k, size=m.n)
-        onehot = np.eye(k)[assign]
-        part_dist, sizes = m.dist @ onehot, onehot.sum(axis=0)
-        cross = crossing_matrix(m, assign, k)
-        points, targets, sz, cr = _moved_states(assign[None], sizes[None], cross[None],
-                                                part_dist[None])
-        want = [(p, b) for p in range(m.n) for b in range(k) if b != assign[p]]
-        assert list(zip(points, targets[0])) == want, label
-        for c, (p, b) in enumerate(want):
-            want_sz, want_cr = reference_move(sizes, cross, part_dist, p, assign[p], b)
-            np.testing.assert_array_equal(sz[0, c], want_sz, err_msg=label)
-            np.testing.assert_array_equal(cr[0, c], want_cr, err_msg=label)
-
-
 def test_partition_search_matches_reference_loop(monkeypatch):
     # One restart per search, so each restart's outcome is compared on its
     # own.  A random planted assignment meets each spec: its part sizes are
@@ -773,6 +822,7 @@ def test_partition_search_matches_reference_loop(monkeypatch):
     rng = np.random.default_rng(17)
     budget = SearchBudget(restarts=1)
     found = cases = 0
+    flips = []
     for family in ALL_FAMILIES:
         for case in range(6):
             n = int(rng.integers(5, 31))
@@ -790,10 +840,17 @@ def test_partition_search_matches_reference_loop(monkeypatch):
             for seed in (0, 1):
                 got = search_partition(m, spec, eps_err, budget=budget, seed=seed)
                 want = reference_search_local(m, spec, eps_err, budget, seed)
-                assert (None if got is None else got.assignment) == want, (family, n, k, seed)
+                if (None if got is None else got.assignment) != want:
+                    flips.append((family, n, k, seed))
+                    assert got is not None and partition_feasible(m, spec, eps_err, got.assignment)
                 found += want is not None
                 cases += 1
     assert found >= cases / 3, (found, cases)
+    # The one flip: at the first move, two moves to part 0 leave size
+    # vectors of exactly equal penalty, and their float penalties round
+    # 6e-14 apart, past the loop's 1e-15 tolerance, so the loop took the
+    # later one; the integer search takes the earlier, as on any exact tie.
+    assert flips == [("euclidean_gaussian", 24, 6, 1)], flips
 
 
 @pytest.mark.parametrize("grid_mode", ["reduced", "faithful"])

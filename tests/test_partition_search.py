@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from structural import reference_enumerate_assignments, reference_grid_cells, re
 from peelembed import hc_dense, partition_search
 from peelembed.errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
 from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
-from peelembed.instances import GeneratorSpec, generate, two_cluster_metric
+from peelembed.instances import FAMILIES, GeneratorSpec, generate, two_cluster_metric
 from peelembed.la_dense import DenseLaConfig, solve_la_dense
+from peelembed.local_search import quantize
 from peelembed.metric import validate_metric
 from peelembed.partition_search import (
     Partition,
@@ -141,13 +143,49 @@ def test_exhaustive_matches_brute_force_oracle():
     assert checked_found >= 5 and checked_missing >= 5
 
 
-@pytest.mark.parametrize("n, k", [(11, 3), (12, 2), (8, 4)])
+@pytest.mark.parametrize("n, k", [(n, k) for k in (2, 3, 4) for n in range(3, 13)
+                                  if partition_search.exhaustive(n, k)])
 def test_enumeration_in_chunks_is_bit_equal(n, k):
-    # each shape spans several chunks of BATCH_ENTRIES one-hot entries
-    m = generate(GeneratorSpec(family="clustered", n=n, seed=n))
-    got, want = enumerate_assignments(m, k), reference_enumerate_assignments(m, k)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    # Each chunk's two BLAS products give the einsum form's planes bit for
+    # bit: on the integer metric every sum is exact, so neither the order of
+    # summation nor the chunks of BATCH_ENTRIES one-hot entries change a bit.
+    for family, seed in itertools.product(FAMILIES, (1, 2)):
+        kwargs = {"weight_ratio": 0.2} if family == "two_scale" else {}
+        m = generate(GeneratorSpec(family=family, n=n, seed=seed, **kwargs))
+        got, want = enumerate_assignments(m, k), reference_enumerate_assignments(quantize(m.dist), k)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), (family, seed)
+
+
+def test_zero_diameter_metric_is_searched_as_before(monkeypatch):
+    # quantize's copy of an all-zero metric is all zeros: the search returns
+    # in both regimes what it returned when it divided by a weight normaliser
+    # of 1, with no NaN and no RuntimeWarning
+    m = validate_metric(np.zeros((4, 4)))
+    budget = SearchBudget(restarts=4)
+    cases = [  # (spec, exhaustive hit, local hit, feasible of the four assignments)
+        (PartitionSpec.build(2, size_bounds=[(0.5, 0.5)] * 2),
+         (0, 0, 1, 1), (0, 0, 1, 1), [True, False, False]),
+        (PartitionSpec.build(2, size_bounds=[(0.25, 0.25), (0.75, 0.75)],
+                             weight_bounds=[[(0, math.inf), (0, 0)], [(0, 0), (0, math.inf)]]),
+         (0, 1, 1, 1), (0, 1, 1, 1), [False, True, False]),
+        (PartitionSpec.build(2, weight_bounds=[[(0, math.inf), (0.1, 0.2)],
+                                               [(0.1, 0.2), (0, math.inf)]]),
+         None, None, [False, False, False]),
+        (PartitionSpec.build(3, size_bounds=[(0.25, 0.5)] * 3),
+         (0, 0, 1, 2), (0, 1, 1, 2), [False, False, False, True]),
+    ]
+    assignments = [(0, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0, 0), (0, 1, 2, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, exhaustive_hit, local_hit, feasible in cases:
+            for hit, cutoff in ((exhaustive_hit, 12), (local_hit, 0)):
+                monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", cutoff)
+                part = search_partition(m, spec, 0.0, budget=budget, seed=0)
+                assert (part and part.assignment) == hit, (spec, cutoff)
+                assert part is None or part.crossing_weights == ((0.0,) * spec.k,) * spec.k
+            assert [partition_feasible(m, spec, 0.0, a) for a in assignments
+                    if max(a) < spec.k] == feasible, spec
 
 
 def test_enumeration_memory_is_bounded():
