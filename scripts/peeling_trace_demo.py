@@ -14,12 +14,10 @@ import argparse
 import math
 import sys
 
-from peelembed.hc_dense import DenseHcConfig
-from peelembed.hc_peeling import HcPeelConfig, solve_hc
+from peelembed.hc_peeling import solve_hc
 from peelembed.instances import generate, hc_case_c_spec, la_case_c_spec
-from peelembed.la_dense import DenseLaConfig
-from peelembed.la_peeling import LaPeelConfig, solve_la
-from peelembed.local_search import SearchBudget
+from peelembed.la_peeling import solve_la
+from peelembed.local_search import SolveConfig
 
 
 def show(trace, n, depth_bound):
@@ -47,22 +45,17 @@ def main():
                         help="dense-leaf search restarts (0 = cheapest leaf)")
     args = parser.parse_args()
 
-    budget = SearchBudget(restarts=args.restarts)
     if args.objective == "la":
         n = args.n or 400
         spec, eps = la_case_c_spec(n, seed=args.seed)
         m = generate(spec)
-        cfg = LaPeelConfig(eps=eps, dense=DenseLaConfig(
-            eps=eps, budget=budget,
-            swap_sweeps=DenseLaConfig.swap_sweeps if args.restarts else 0))
-        _, trace = solve_la(m, cfg, seed=args.seed)
+        _, trace = solve_la(m, SolveConfig(eps, restarts=args.restarts), seed=args.seed)
         show(trace, n, 2 * math.log2(n) + 4)
     else:
         n = args.n or 1900
         spec, eps = hc_case_c_spec(n, seed=args.seed)
         m = generate(spec)
-        cfg = HcPeelConfig(eps=eps, dense=DenseHcConfig(eps=eps, budget=budget))
-        _, trace = solve_hc(m, cfg, seed=args.seed)
+        _, trace = solve_hc(m, SolveConfig(eps, restarts=args.restarts), seed=args.seed)
         show(trace, n, 2 * math.log2(math.log2(n) + 2) + 4)
     return 0
 

@@ -2,11 +2,12 @@
 and maximum hierarchical clustering on finite metric spaces."""
 
 from .errors import PeelEmbedError
-from .hc_dense import DenseHcConfig, solve_hc_dense
-from .hc_peeling import HcPeelConfig, solve_hc
+from .hc_dense import solve_hc_dense
+from .hc_peeling import solve_hc
 from .instances import GeneratorSpec, generate
-from .la_dense import DenseLaConfig, solve_la_dense
-from .la_peeling import LaPeelConfig, solve_la
+from .la_dense import solve_la_dense
+from .la_peeling import solve_la
+from .local_search import SolveConfig
 from .metric import Metric, find_core, metric_from_points, subset_stats, validate_metric
 from .objectives import HcTree, LinearArrangement, evaluate_hc, evaluate_la, ladder_tree
 from .oracles import (
@@ -15,18 +16,14 @@ from .oracles import (
     brute_force_la,
     random_bisection_la,
 )
-from .partition_search import Partition, PartitionSpec, SearchBudget, search_partition
+from .partition_search import Partition, PartitionSpec, search_partition
 from .trace import LevelRecord, RecursionTrace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DenseHcConfig",
-    "DenseLaConfig",
     "GeneratorSpec",
-    "HcPeelConfig",
     "HcTree",
-    "LaPeelConfig",
     "LevelRecord",
     "LinearArrangement",
     "Metric",
@@ -34,7 +31,7 @@ __all__ = [
     "PartitionSpec",
     "PeelEmbedError",
     "RecursionTrace",
-    "SearchBudget",
+    "SolveConfig",
     "average_linkage_hc",
     "brute_force_hc",
     "brute_force_la",

@@ -17,16 +17,16 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from .errors import ConfigParse, InputParse, PeelEmbedError, TooLarge
 from .hc_dense import solve_hc_dense
-from .hc_peeling import HcPeelConfig, solve_hc
+from .hc_peeling import solve_hc
 from .instances import GeneratorSpec, generate
 from .la_dense import solve_la_dense
-from .la_peeling import LaPeelConfig, solve_la
-from .local_search import SearchBudget
+from .la_peeling import solve_la
+from .local_search import SolveConfig
 from .metric import (
     Metric,
     format_metric,
@@ -56,31 +56,29 @@ CSV_COLUMNS = [
 class Objective:
     """What the solve, oracle and bench commands need of one objective.
 
-    Solvers are wrapped in lambdas, as in :class:`peeling.Policy`, so that
-    wrappers installed on their module-level names see the calls.
+    Both solvers take the one :class:`SolveConfig` of the solve.  They are
+    wrapped in lambdas, as in :class:`peeling.Policy`, so that wrappers
+    installed on their module-level names see the calls.
     """
 
-    peel: Callable  # (metric, peel config, seed) -> (witness, trace)
-    peel_config: type  # its dense_type is the dense solver's config
-    dense: Callable  # (metric, dense config, seed) -> (witness, value)
+    peel: Callable  # (metric, solve config, seed) -> (witness, trace)
+    dense: Callable  # (metric, solve config, seed) -> (witness, value)
     evaluate: Callable  # (metric, witness) -> value
     oracle: Callable  # metric -> OracleResult; raises TooLarge above the oracle's cap
     witness: str  # label of the printed witness line
 
-    def solve(self, m, eps, budget, seed, grid_mode="reduced", dense_only=False):
+    def solve(self, m, cfg, seed, dense_only=False):
         """(witness, value, trace) of the peeling solver; with ``dense_only``
         the dense solver's witness and value, and no trace."""
-        dense = self.peel_config.dense_type(eps=eps, grid_mode=grid_mode, budget=budget)
         if dense_only:
-            return (*self.dense(m, dense, seed), None)
-        witness, trace = self.peel(m, self.peel_config(eps=eps, dense=dense), seed)
+            return (*self.dense(m, cfg, seed), None)
+        witness, trace = self.peel(m, cfg, seed)
         return witness, trace.value, trace
 
 
 OBJECTIVES = {
     "la": Objective(
         peel=lambda m, cfg, seed: solve_la(m, cfg, seed),
-        peel_config=LaPeelConfig,
         dense=lambda m, cfg, seed: solve_la_dense(m, cfg, seed),
         evaluate=lambda m, arr: evaluate_la(m, arr),
         oracle=lambda m: brute_force_la(m),
@@ -88,7 +86,6 @@ OBJECTIVES = {
     ),
     "hc": Objective(
         peel=lambda m, cfg, seed: solve_hc(m, cfg, seed),
-        peel_config=HcPeelConfig,
         dense=lambda m, cfg, seed: solve_hc_dense(m, cfg, seed),
         evaluate=lambda m, tree: evaluate_hc(m, tree),
         oracle=lambda m: brute_force_hc(m),
@@ -138,9 +135,8 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     obj = OBJECTIVES[args.objective]
     m = _load_metric(args.input, args.format)
-    budget = SearchBudget(restarts=args.budget_restarts)
-    witness, value, trace = obj.solve(m, args.eps, budget, args.seed, args.grid_mode,
-                                      args.dense_only)
+    cfg = SolveConfig(eps=args.eps, grid_mode=args.grid_mode, restarts=args.budget_restarts)
+    witness, value, trace = obj.solve(m, cfg, args.seed, args.dense_only)
     print(f"value {value:.12g}")
     print(f"{obj.witness} {witness.serialize()}")
     if trace is not None:
@@ -177,7 +173,7 @@ def _list_of(*types):
 _BENCH_FIELDS = {
     "eps": ([0.25], _list_of(int, float), "a list of numbers"),
     "algorithms": (["peel-la", "peel-hc"], _list_of(str), "a list of strings"),
-    "restarts": (SearchBudget.restarts,
+    "restarts": (SolveConfig.restarts,
                  lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "instances": ([], _list_of(dict), "a list of objects"),
 }
@@ -192,7 +188,9 @@ def _bench_rows(config: dict, seed: int, timing: bool):
     for algorithm in cfg["algorithms"]:
         if algorithm not in _BENCH_ALGORITHMS:
             raise ConfigParse(f"unknown algorithm {algorithm!r}")
-    budget = SearchBudget(restarts=cfg["restarts"])
+    # restarts are checked here, before any instance is generated; each
+    # solve row replaces the eps
+    base = SolveConfig(eps=1.0, restarts=cfg["restarts"])
     for idx, inst in enumerate(cfg["instances"]):
         inst = dict(inst)
         label = inst.pop("label", None)
@@ -227,7 +225,7 @@ def _bench_rows(config: dict, seed: int, timing: bool):
                         # above the size limit this raises TooLarge, as `oracle` does
                         value = oracle if oracle is not None else obj.oracle(m).value
                     elif kind in ("peel", "dense"):
-                        _, value, trace = obj.solve(m, eps, budget, seed,
+                        _, value, trace = obj.solve(m, replace(base, eps=eps), seed,
                                                     dense_only=kind == "dense")
                     elif algorithm == "avg-link":
                         value = obj.evaluate(m, average_linkage_hc(m))
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_input(p)
         p.add_argument("--eps", type=float, required=True)
         p.add_argument("--grid-mode", choices=["reduced", "faithful"], default="reduced")
-        p.add_argument("--budget-restarts", type=int, default=SearchBudget.restarts)
+        p.add_argument("--budget-restarts", type=int, default=SolveConfig.restarts)
         only_or_trace = p.add_mutually_exclusive_group()  # the dense solver records no trace
         only_or_trace.add_argument("--dense-only", action="store_true")
         only_or_trace.add_argument("--trace")

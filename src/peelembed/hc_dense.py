@@ -17,12 +17,11 @@ so the output never scores below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .local_search import DenseConfig, best_of, first_copies, quantize, reduced_restarts
+from .local_search import SolveConfig, best_of, first_copies, quantize, reduced_restarts
 from .metric import Metric
 from .objectives import HcTree, all_binary_trees, evaluate_hc, ladder_tree, ladders_on
 from .partition_search import grid_cells, grid_partitions
@@ -33,15 +32,9 @@ from .partition_search import grid_cells, grid_partitions
 ENUMERATE_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class DenseHcConfig(DenseConfig):
-    @property
-    def k(self) -> int:
-        return max(1, round(1.0 / self.eps))
-
-    @property
-    def slots(self) -> int:
-        return self.k + 1
+def slot_count(eps: float) -> int:
+    """The k + 1 slots of the dense regime, k = round(1/eps) and at least 1."""
+    return max(1, round(1.0 / eps)) + 1
 
 
 def _parts_of(assignment, slots: int) -> list:
@@ -119,12 +112,12 @@ def _gain_rows(dist, upper, assigns, slots):
     return gain.reshape(c, n * slots)
 
 
-def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
-    n, slots = m.n, cfg.slots
+def _solve_reduced(m: Metric, cfg: SolveConfig, seed: int):
+    n, slots = m.n, slot_count(cfg.eps)
     skeleton = ladder_tree(range(slots))
     restarts = []
-    if cfg.budget.restarts:  # quantizing reads every distance; a zero budget needs none
-        restarts = reduced_restarts(n, slots, seed, cfg.budget,
+    if cfg.restarts:  # quantizing reads every distance; zero restarts need none
+        restarts = reduced_restarts(n, slots, seed, cfg.restarts,
                                     _caterpillar_gains(quantize(m.dist), slots),
                                     n * slots + slots * slots)
     ladder = ladder_tree(range(n))
@@ -135,8 +128,8 @@ def _solve_reduced(m: Metric, cfg: DenseHcConfig, seed: int):
                    HcTree.serialize)
 
 
-def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
-    slots, eps = cfg.slots, cfg.eps
+def _solve_faithful(m: Metric, cfg: SolveConfig, seed: int, best):
+    slots, eps = slot_count(cfg.eps), cfg.eps
     eps_err = eps**3
     # part sizes in {i * eps^2} that can sum to 1 within the per-part slack,
     # built only once the weight grid has passed its cap; crossing weights
@@ -144,7 +137,7 @@ def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
     lam_cells = partial(grid_cells, int(math.floor(3.0 / eps + 1e-9)) + 1, eps**2, slots,
                         lambda t: (1.0 - eps_err - 1e-12 <= t) & (t <= 1.0 + eps_err + 1e-12))
     weight_levels = int(math.floor(9.0 / eps + 1e-9)) + 1
-    grid = grid_partitions(m, slots, lam_cells, weight_levels, eps_err, cfg.budget, seed)
+    grid = grid_partitions(m, slots, lam_cells, weight_levels, eps_err, cfg.restarts, seed)
     skeletons = []  # the (2 slots - 3)!! trees, built at the first hit of a grid within its caps
     for assignment in grid:
         skeletons = skeletons or list(all_binary_trees(range(slots)))
@@ -154,18 +147,18 @@ def _solve_faithful(m: Metric, cfg: DenseHcConfig, seed: int, best):
     return best
 
 
-def solve_hc_dense(m: Metric, cfg: DenseHcConfig, seed: int = 0) -> tuple[HcTree, float]:
+def solve_hc_dense(m: Metric, cfg: SolveConfig, seed: int = 0) -> tuple[HcTree, float]:
     """(tree, its value) of the best tree found for a dense instance (a
     single leaf when n = 1).
 
-    With at most ``cfg.slots`` points the ascending ladder competes only
-    with every binary tree of up to ``ENUMERATE_MAX_N`` points; when all
-    points coincide (:meth:`Metric.coincident`, which reads row 0 before the
-    whole matrix) it is returned unsearched.
+    With at most ``slot_count(cfg.eps)`` points the ascending ladder
+    competes only with every binary tree of up to ``ENUMERATE_MAX_N``
+    points; when all points coincide (:meth:`Metric.coincident`, which reads
+    row 0 before the whole matrix) it is returned unsearched.
     """
     n = m.n
     coincident = m.coincident()
-    if n <= cfg.slots or coincident:
+    if n <= slot_count(cfg.eps) or coincident:
         # Too few points for the skeleton to matter; any tree with every split
         # nontrivial is fine, the ascending ladder is the canonical one.
         candidates = [ladder_tree(range(n))]

@@ -7,21 +7,17 @@ from __future__ import annotations
 
 import math
 
-from .hc_dense import DenseHcConfig, solve_hc_dense
+from .hc_dense import solve_hc_dense
+from .local_search import SolveConfig
 from .metric import Metric
 from .objectives import HcTree, evaluate_hc, ladder_tree
-from .peeling import PeelConfig, Policy, peel
+from .peeling import Policy, peel
 from .trace import RecursionTrace
 
 
-class HcPeelConfig(PeelConfig):
-    """HC peeling parameters; the depth cap is 2 * log2(log2(n) + 2) + 8."""
-
-    dense_type = DenseHcConfig
-
-    @staticmethod
-    def default_depth(n: int) -> int:
-        return int(2 * math.log2(math.log2(max(n, 2)) + 2)) + 8
+def default_depth(n: int) -> int:
+    """The depth cap of an n-point HC peel: 2 * log2(log2(n) + 2) + 8."""
+    return int(2 * math.log2(math.log2(max(n, 2)) + 2)) + 8
 
 
 def _split(sub, stats, core, eps):
@@ -49,6 +45,7 @@ def _value(sub, tree, layer, below):
 
 
 _POLICY = Policy(
+    depth=lambda n: default_depth(n),
     dense_power=2,
     case_b_factor=16.0,
     split=_split,
@@ -60,8 +57,8 @@ _POLICY = Policy(
 )
 
 
-def solve_hc(m: Metric, cfg: HcPeelConfig, seed: int = 0) -> tuple[HcTree, RecursionTrace]:
+def solve_hc(m: Metric, cfg: SolveConfig, seed: int = 0) -> tuple[HcTree, RecursionTrace]:
     return peel(_POLICY, m, cfg, seed)
 
 
-__all__ = ["HcPeelConfig", "solve_hc"]
+__all__ = ["solve_hc"]

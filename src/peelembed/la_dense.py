@@ -16,13 +16,11 @@ reduced candidate, so it never scores below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import InvalidSpec
-from .local_search import DenseConfig, ascend, best_of, first_copies, quantize, reduced_restarts
+from .local_search import SolveConfig, ascend, best_of, first_copies, quantize, reduced_restarts
 from .metric import Metric
 from .objectives import LinearArrangement, evaluate_la
 from .partition_search import grid_partitions
@@ -30,19 +28,13 @@ from .partition_search import grid_partitions
 
 _position = attrgetter("position")  # the tie-break key of arrangements
 
+# Most sweeps of the swap climb that polishes the reduced search's arrangements.
+CLIMB_SWEEPS = 40
 
-@dataclass(frozen=True)
-class DenseLaConfig(DenseConfig):
-    swap_sweeps: int = 40
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.swap_sweeps < 0:
-            raise InvalidSpec(f"swap_sweeps must be >= 0, got {self.swap_sweeps}")
-
-    @property
-    def k(self) -> int:
-        return max(2, round(1.0 / self.eps))
+def part_count(eps: float) -> int:
+    """The k = round(1/eps) parts of the dense regime, at least 2."""
+    return max(2, round(1.0 / eps))
 
 
 def _embed_assignment(assignment) -> LinearArrangement:
@@ -162,44 +154,43 @@ def _swap_hill_climb(q: np.ndarray, starts, sweeps: int) -> list:
     return [LinearArrangement(tuple(row)) for row in pos.astype(int).tolist()]
 
 
-def _solve_reduced(m: Metric, cfg: DenseLaConfig, seed: int):
-    n, k = m.n, cfg.k
+def _solve_reduced(m: Metric, cfg: SolveConfig, seed: int):
+    n, k = m.n, part_count(cfg.eps)
     identity = LinearArrangement.from_order(range(n))
-    # quantizing reads every distance; a zero budget with no climb needs none
-    q = quantize(m.dist) if cfg.budget.restarts or cfg.swap_sweeps else None
+    q = quantize(m.dist)
     restarts = []
-    if cfg.budget.restarts:
+    if cfg.restarts:
         restarts = _embed_rows(
-            reduced_restarts(n, k, seed, cfg.budget, _prefix_cut_gains(q, k), n * (n + 1)))
+            reduced_restarts(n, k, seed, cfg.restarts, _prefix_cut_gains(q, k), n * (n + 1)))
     # a start's climb does not depend on the other starts: each distinct
     # start climbs once, and each distinct arrangement is scored once
     starts, which = first_copies([identity, *restarts], _position)
-    climbed = _swap_hill_climb(q, starts, cfg.swap_sweeps)
+    climbed = _swap_hill_climb(q, starts, CLIMB_SWEEPS)
     arrs, which = first_copies([identity, *(climbed[i] for i in which)], _position)
     values = {id(arr): evaluate_la(m, arr) for arr in arrs}
     return best_of([arrs[i] for i in which], lambda arr: values[id(arr)], _position)
 
 
-def _solve_faithful(m: Metric, cfg: DenseLaConfig, seed: int, best):
-    n, k, eps = m.n, cfg.k, cfg.eps
+def _solve_faithful(m: Metric, cfg: SolveConfig, seed: int, best):
+    n, k, eps = m.n, part_count(cfg.eps), cfg.eps
     # floor(eps * n) points per part, the rest in the last part; as
     # (k - 1) * eps <= 1, the rest is never negative
     base = int(math.floor(eps * n))
     sizes = [base / n] * (k - 1) + [(n - base * (k - 1)) / n]
     levels = int(math.floor(1.0 / eps**7 + 1e-9)) + 1  # grid values 0..1/eps^7
-    assignments = grid_partitions(m, k, lambda: [sizes], levels, eps**9, cfg.budget, seed)
+    assignments = grid_partitions(m, k, lambda: [sizes], levels, eps**9, cfg.restarts, seed)
     arrangements = map(_embed_assignment, assignments)
     return best_of(arrangements, lambda arr: evaluate_la(m, arr), _position, best)
 
 
 def solve_la_dense(
-    m: Metric, cfg: DenseLaConfig, seed: int = 0
+    m: Metric, cfg: SolveConfig, seed: int = 0
 ) -> tuple[LinearArrangement, float]:
     """(arrangement, its value) of the best arrangement found for a dense
     instance: the identity when n < k or when all points coincide
     (:meth:`Metric.coincident`, which reads row 0 before the whole matrix)."""
     n = m.n
-    if n < cfg.k or m.coincident():
+    if n < part_count(cfg.eps) or m.coincident():
         identity = LinearArrangement.from_order(range(n))
         return identity, evaluate_la(m, identity)
     best = _solve_reduced(m, cfg, seed)

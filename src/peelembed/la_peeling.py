@@ -9,21 +9,17 @@ import math
 
 import numpy as np
 
-from .la_dense import DenseLaConfig, solve_la_dense
+from .la_dense import solve_la_dense
+from .local_search import SolveConfig
 from .metric import Metric
 from .objectives import LinearArrangement, evaluate_la
-from .peeling import PeelConfig, Policy, peel
+from .peeling import Policy, peel
 from .trace import RecursionTrace
 
 
-class LaPeelConfig(PeelConfig):
-    """LA peeling parameters; the depth cap is 4 * log2(n) + 8."""
-
-    dense_type = DenseLaConfig
-
-    @staticmethod
-    def default_depth(n: int) -> int:
-        return int(4 * math.log2(max(n, 2))) + 8
+def default_depth(n: int) -> int:
+    """The depth cap of an n-point LA peel: 4 * log2(n) + 8."""
+    return int(4 * math.log2(max(n, 2))) + 8
 
 
 def _core_distances(sub, core):
@@ -48,6 +44,7 @@ def _terms(n, root, w_a, w_ac, eps):
 
 
 _POLICY = Policy(
+    depth=lambda n: default_depth(n),
     dense_power=6,
     case_b_factor=1.0,
     split=_split,
@@ -62,9 +59,9 @@ _POLICY = Policy(
 
 
 def solve_la(
-    m: Metric, cfg: LaPeelConfig, seed: int = 0
+    m: Metric, cfg: SolveConfig, seed: int = 0
 ) -> tuple[LinearArrangement, RecursionTrace]:
     return peel(_POLICY, m, cfg, seed)
 
 
-__all__ = ["LaPeelConfig", "solve_la"]
+__all__ = ["solve_la"]

@@ -1,6 +1,6 @@
-"""What every local search shares: the search budget, the dense solvers'
-config and tie-break, the steepest-ascent loop and the reduced search's
-restart loop.
+"""What every local search shares: the one solve config, a restart's
+sweeps, the dense solvers' tie-break, the steepest-ascent loop and the
+reduced search's restart loop.
 
 Each restart of the reduced search starts from a seeded assignment of the
 points to parts and runs sweeps of single-point moves.  A sweep reads the
@@ -20,7 +20,8 @@ metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,30 +38,29 @@ BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    restarts: int = 32  # seeded restarts, each of at most moves(n) sweeps
+class SolveConfig:
+    """One solve's settings.  ``eps`` sets the peeling thresholds and the
+    dense solvers' parts; ``grid_mode`` is 'reduced' or 'faithful'; each
+    local search runs ``restarts`` seeded restarts of at most moves(n) sweeps."""
+
+    eps: float
+    grid_mode: str = "reduced"
+    restarts: int = 32
 
     def __post_init__(self):
         if self.restarts < 0:
             raise InvalidSpec(f"restarts must be >= 0, got {self.restarts}")
-
-    def moves(self, n: int) -> int:
-        return 200 * n
-
-
-@dataclass(frozen=True)
-class DenseConfig:
-    """Parameters of both dense solvers."""
-
-    eps: float
-    grid_mode: str = "reduced"  # 'reduced' or 'faithful'
-    budget: SearchBudget = field(default_factory=SearchBudget)
-
-    def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise InvalidSpec(f"eps must be in (0, 1], got {self.eps}")
+        if math.isinf(1.0 / self.eps):  # the dense solvers' round(1 / eps) parts
+            raise InvalidSpec(f"eps must have a finite 1/eps, got {self.eps}")
         if self.grid_mode not in ("reduced", "faithful"):
             raise InvalidSpec(f"unknown grid mode {self.grid_mode!r}")
+
+
+def moves(n: int) -> int:
+    """Most sweeps of one restart on n points."""
+    return 200 * n
 
 
 def best_of(candidates, value, key, best=None):
@@ -148,7 +148,7 @@ def ascend(rows: np.ndarray, sweeps: int, entries: int, gains, move) -> None:
         live = np.concatenate(going)
 
 
-def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
+def reduced_restarts(n: int, parts: int, seed: int, restarts: int,
                      gains, entries: int) -> np.ndarray:
     """Final assignments of the seeded restarts of the reduced search, one
     (restarts, n) row per restart in seed order.
@@ -157,9 +157,9 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
     (C, n * parts) gain tables from ``entries`` table entries per row: cell
     p * parts + b is the gain of moving point p to part b, 0 in p's own part,
     so a stay is never a positive gain and never taken.  The restarts climb
-    in lockstep through ``ascend``, one sweep per move of the budget.
+    in lockstep through ``ascend``, for at most ``moves(n)`` sweeps.
     """
-    seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
+    seqs = np.random.SeedSequence(seed).spawn(restarts)
     assigns = np.array([np.random.default_rng(ss).integers(0, parts, size=n) for ss in seqs],
                        dtype=np.int64).reshape(len(seqs), n)
 
@@ -167,5 +167,5 @@ def reduced_restarts(n: int, parts: int, seed: int, budget: SearchBudget,
         point, part = divmod(picks, parts)
         assigns[ids, point] = part
 
-    ascend(assigns, budget.moves(n), entries, gains, move)
+    ascend(assigns, moves(n), entries, gains, move)
     return assigns

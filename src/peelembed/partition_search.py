@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
-from .local_search import BATCH_ENTRIES, SearchBudget, ascend, quantize
+from .local_search import BATCH_ENTRIES, SolveConfig, ascend, moves, quantize
 from .metric import Metric, subset_stats
 
 _INF = math.inf
@@ -166,31 +166,35 @@ def partition_feasible(m: Metric, spec: PartitionSpec, eps_err: float,
     return bool(_penalty(unit, cell, sizes, cross.reshape(1, -1))[0] == 0.0)
 
 
-def enumerate_assignments(m: Metric, k: int):
-    """All k^n assignments with their part sizes and crossing matrices on
-    ``quantize``'s copy of ``m``, the input of the exhaustive regime, built
-    by ``_stats`` in chunks of at most ``BATCH_ENTRIES`` one-hot entries, two
-    BLAS products each.  The (A, k) sizes and (A, k, k) crossing matrices
-    are views of (k, A) and (k, k, A) planes, each entry's values contiguous."""
-    q = quantize(m.dist)
-    digits = np.indices((k,) * m.n, dtype=np.int8).reshape(m.n, -1).T  # lexicographic rows
+def enumerate_assignments(q: np.ndarray, k: int):
+    """All k^n assignments of the n points of the integer metric ``q``
+    (``quantize``'s copy) with their part sizes and crossing matrices, the
+    input of the exhaustive regime, built by ``_stats`` in chunks of at most
+    ``BATCH_ENTRIES`` one-hot entries, two BLAS products each.  The (A, k)
+    sizes and (A, k, k) crossing matrices are views of (k, A) and (k, k, A)
+    planes, each entry's values contiguous."""
+    n = len(q)
+    digits = np.indices((k,) * n, dtype=np.int8).reshape(n, -1).T  # lexicographic rows
     sizes = np.empty((k, len(digits))).T
     cross = np.empty((k, k, len(digits))).transpose(2, 0, 1)
-    step = max(1, BATCH_ENTRIES // (m.n * k))
+    step = max(1, BATCH_ENTRIES // (n * k))
     for lo in range(0, len(digits), step):
         sizes[lo : lo + step], cross[lo : lo + step], _ = _stats(q, digits[lo : lo + step], k)
     return digits, sizes, cross
 
 
 def search_partition(m: Metric, spec: PartitionSpec, eps_err: float,
-                     budget: Optional[SearchBudget] = None, seed: int = 0) -> Optional[Partition]:
+                     restarts: int = SolveConfig.restarts, seed: int = 0) -> Optional[Partition]:
     """Find a partition meeting ``spec`` within additive slack ``eps_err``.
 
     Returns None when nothing is found; in the exhaustive regime that means
-    no feasible partition exists, otherwise only that the budget ran out.
+    no feasible partition exists, otherwise only that ``restarts`` seeded
+    restarts found none.
     """
     if not eps_err >= 0:  # NaN fails too
         raise InvalidSpec(f"eps_err must be nonnegative, got {eps_err}")
+    if restarts < 0:
+        raise InvalidSpec(f"restarts must be >= 0, got {restarts}")
     n, k = m.n, spec.k
     if k > n:
         raise InvalidSpec(f"k={k} exceeds n={n}")
@@ -202,7 +206,7 @@ def search_partition(m: Metric, spec: PartitionSpec, eps_err: float,
         raise SpecInfeasibleTrivially(
             f"size fractions cannot sum to 1: lb={slb.sum():g}, ub={sub.sum():g}"
         )
-    assignment = next(_search_cells(m, bounds, eps_err, budget or SearchBudget(), seed))
+    assignment = next(_search_cells(m, bounds, eps_err, restarts, seed))
     if assignment is None:
         return None
     assert partition_feasible(m, spec, eps_err, assignment)
@@ -214,16 +218,16 @@ def exhaustive(n: int, k: int) -> bool:
     return n <= EXHAUSTIVE_N and k**n <= EXHAUSTIVE_ASSIGNMENTS
 
 
-def _search_cells(m, bounds, eps_err, budget, seed):
+def _search_cells(m, bounds, eps_err, restarts, seed):
     """Each cell's hit, an assignment tuple or None, size cell outer: ``bounds``
     is (slb, sub, wlb, wub), fractions of (L, k) size and (U, k * k) weight cells."""
     q, unit, cells = _integer_cells(m, eps_err, *bounds)
     if exhaustive(m.n, cells[0].shape[1]):
-        return _exhaustive_hits(m, unit, cells)
-    return _local_hits(q, unit, cells, bounds[0], budget, seed)
+        return _exhaustive_hits(q, unit, cells)
+    return _local_hits(q, unit, cells, bounds[0], restarts, seed)
 
 
-def _exhaustive_hits(m, unit, cells):
+def _exhaustive_hits(q, unit, cells):
     """Each cell's lexicographically smallest hit: each size cell and each
     weight cell is tested once against the grid's one enumeration, one part
     or matrix entry at a time on its contiguous plane of all assignments;
@@ -231,7 +235,7 @@ def _exhaustive_hits(m, unit, cells):
     an entry whose bounds in the chunk admit its plane's least and largest
     value is skipped."""
     lo, hi, wlo, whi = cells
-    digits, sizes, cross = enumerate_assignments(m, lo.shape[1])
+    digits, sizes, cross = enumerate_assignments(q, lo.shape[1])
     sizes *= unit  # in place: the k^n statistics are held once
     sizes, planes = sizes.T, cross.transpose(1, 2, 0).reshape(wlo.shape[1], -1)  # (k, A), (k k, A)
     least, largest = planes.min(axis=1), planes.max(axis=1)
@@ -260,10 +264,10 @@ def _exhaustive_hits(m, unit, cells):
         yield None if i < 0 else tuple(digits[i].tolist())
 
 
-def _local_hits(q, unit, cells, slb, budget, seed):
+def _local_hits(q, unit, cells, slb, restarts, seed):
     """Each cell's lexicographically smallest restart result at penalty 0.
 
-    Each size cell's ``budget.restarts`` starts, from its ``_greedy_seed``,
+    Each size cell's ``restarts`` starts, from its ``_greedy_seed``,
     are shared by its weight cells.  Chunks of whole weight cells climb all
     their (cell, restart) rows in lockstep through ``ascend`` on ``_drops``'
     tables, as many cells as keep a sweep's moved crossing weights within
@@ -273,7 +277,7 @@ def _local_hits(q, unit, cells, slb, budget, seed):
     n, k = q.shape[0], lo.shape[1]
     active = ((wlo > 0.0) | (whi < n * unit)).any(axis=0)  # every weight is below n * unit
     wlo, whi = wlo[:, active], whi[:, active]
-    seqs = np.random.SeedSequence(seed).spawn(budget.restarts)
+    seqs = np.random.SeedSequence(seed).spawn(restarts)
     starts = len(seqs)
     entries = n * k * max(1, active.sum())  # a row's moved crossing weights
     chunk = max(1, BATCH_ENTRIES // (entries * max(1, starts)))
@@ -293,7 +297,7 @@ def _local_hits(q, unit, cells, slb, budget, seed):
                 point, part = divmod(picks, k)
                 assign[ids, point] = part
 
-            ascend(np.arange(len(assign)), budget.moves(n), entries, drops, move)
+            ascend(np.arange(len(assign)), moves(n), entries, drops, move)
             states, inverse = _distinct(assign)
             sizes, cross, _ = _stats(q, states, k)
             weights = cross.reshape(len(states), k * k)[:, active]
@@ -362,7 +366,7 @@ def grid_cells(levels: int, step: float, count: int, keep) -> np.ndarray:
 
 
 def grid_partitions(m, parts: int, size_cells, levels: int, eps_err: float,
-                    budget: SearchBudget, seed: int):
+                    restarts: int, seed: int):
     """Yield each new assignment the bounded-partition search finds for a grid
     cell: the part-size fractions of each row of ``size_cells()`` (outer
     loop) times crossing weights of the pairs a < b, row-major, from
@@ -390,7 +394,7 @@ def grid_partitions(m, parts: int, size_cells, levels: int, eps_err: float,
     wlb, wub = np.zeros((len(mu), parts * parts)), np.full((len(mu), parts * parts), _INF)
     wlb[:, pair] = wlb[:, mirror] = wub[:, pair] = wub[:, mirror] = mu
     seen = set()
-    for hit in _search_cells(m, (sizes, sizes, wlb, wub), eps_err, budget, seed):
+    for hit in _search_cells(m, (sizes, sizes, wlb, wub), eps_err, restarts, seed):
         if hit is not None and hit not in seen:
             seen.add(hit)
             yield hit

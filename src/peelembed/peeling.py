@@ -4,53 +4,40 @@ Each level either hands the whole subinstance to the dense solver (case a:
 density at least eps^p, or no layer to peel), peels a layer and gives the
 kept points a canonical solution (case b: they carry less than an f * eps
 fraction of the weight) or peels the layer and recurses on the kept points
-(case c).  The objective's :class:`Policy` fixes p and f, the layer, the
-accounting terms, the dense solver and how a layer joins the solution of
-the kept points.
+(case c).  The objective's :class:`Policy` fixes p and f, the depth cap,
+the layer, the accounting terms, the dense solver and how a layer joins the
+solution of the kept points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import DepthExceeded, InvalidSpec
+from .errors import DepthExceeded
+from .local_search import SolveConfig
 from .metric import Metric, find_core, subset_stats
 from .trace import LevelRecord, RecursionTrace
 
 
 @dataclass(frozen=True)
-class PeelConfig:
-    """Peeling parameters.  Each objective's subclass sets ``dense_type``, the
-    dense config class (built from ``eps`` when ``dense`` is None), and
-    ``default_depth(n)``, the depth cap of an n-point peel."""
-
-    eps: float
-    dense: Optional[object] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.eps <= 1.0:
-            raise InvalidSpec(f"eps must be in (0, 1], got {self.eps}")
-
-    def dense_config(self):
-        return self.dense if self.dense is not None else self.dense_type(eps=self.eps)
-
-
-@dataclass(frozen=True)
 class Policy:
     """What one objective decides in the recursion; solutions are in local
-    ids 0..k-1 of a k-point subinstance.  Solvers are wrapped in lambdas so
-    that each call looks them up by module-level name, where profilers and
-    tracers install their wrappers."""
+    ids 0..k-1 of a k-point subinstance.  The depth cap and the solvers are
+    wrapped in lambdas so that each call looks them up by module-level name,
+    where tests patch the cap and profilers and tracers wrap the solvers.
+    Every solve's settings come in one :class:`SolveConfig`: its eps sets
+    the thresholds, and the dense solver takes it whole."""
 
+    depth: Callable  # n -> the depth cap of an n-point peel
     dense_power: int  # case (a) when the density is at least eps ** dense_power
     case_b_factor: float  # case (b) when the kept weight < case_b_factor * eps * W
     split: Callable  # (sub, stats, core, eps) -> ascending ids (layer, B, kept)
     terms: Callable  # (n, sqrt(rho), w_a, w_ac, eps) -> (alpha, beta, gamma)
-    dense: Callable  # (sub, dense config, seed) -> (solution, its value on sub)
+    dense: Callable  # (sub, solve config, seed) -> (solution, its value on sub)
     canonical: Callable  # k -> the solution case (b) gives k kept points
     join: Callable  # (layer, kept, solution of kept in ids local to kept) -> solution
     # (sub, joined solution, layer, value of the kept points' solution on
@@ -58,10 +45,10 @@ class Policy:
     value: Callable
 
 
-def peel(policy: Policy, m: Metric, cfg: PeelConfig, seed: int):
+def peel(policy: Policy, m: Metric, cfg: SolveConfig, seed: int):
     """Peel all of ``m``; returns (solution, RecursionTrace)."""
     trace = RecursionTrace()
-    cap = cfg.default_depth(m.n)
+    cap = policy.depth(m.n)
     stats = subset_stats(m, range(m.n))
     solution, trace.value = _level(policy, cfg, seed, cap, m, list(range(m.n)), stats, 0, trace)
     trace.levels.reverse()  # each level is recorded after the levels below it
@@ -107,7 +94,7 @@ def _level(policy, cfg, seed, cap, sub, ids, stats, level, trace):
         # Dense, or every point sits in or near the core: recursing would not
         # shrink the instance, so the dense solver takes it whole.
         case, b, core, w_a, w_ac, terms = "a", [], range(sub.n), 0.0, None, (None,) * 3
-        solution, value = policy.dense(sub, cfg.dense_config(), seed)
+        solution, value = policy.dense(sub, cfg, seed)
     alpha, beta, gamma = terms
     trace.levels.append(
         LevelRecord(

@@ -22,8 +22,9 @@ import math
 
 import numpy as np
 
-from peelembed.hc_dense import _parts_of
-from peelembed.la_dense import _embed_assignment, _position
+from peelembed import la_dense, local_search
+from peelembed.hc_dense import _parts_of, slot_count
+from peelembed.la_dense import _embed_assignment, _position, part_count
 from peelembed.local_search import (
     BATCH_ENTRIES,
     TIE_TOL,
@@ -452,15 +453,15 @@ def sequential_argmax(gains, tol):
     return best
 
 
-def reference_reduced_restarts(n, parts, seed, budget, score):
+def reference_reduced_restarts(n, parts, seed, restarts, score):
     """``reduced_restarts`` as it was: each restart runs all its sweeps before
     the next one starts, and scores every moved copy of its assignment with
     ``score``, a gain being the moved value less the current one; yields each
     final assignment."""
-    for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
+    for ss in np.random.SeedSequence(seed).spawn(restarts):
         assign = np.random.default_rng(ss).integers(0, parts, size=n)
         value = score(assign[None, :])[0]
-        for _ in range(budget.moves(n)):
+        for _ in range(local_search.moves(n)):
             points, targets = reference_single_moves(assign, parts)
             values = score_moves(assign, points, targets, score)
             gains = values - value
@@ -627,7 +628,7 @@ def reference_swap_hill_climb(m, arr, sweeps):
 def reference_hc_reduced(m, cfg, seed):
     """Tree of the reduced HC search, one full evaluation per candidate: the
     restarts search the quantized metric, the final pick scores the true one."""
-    n, slots = m.n, cfg.slots
+    n, slots = m.n, slot_count(cfg.eps)
     q = Metric(quantize(m.dist))
     skeleton = reference_caterpillar_skeleton(slots)
     ladder = ladder_tree(range(n))
@@ -637,11 +638,11 @@ def reference_hc_reduced(m, cfg, seed):
         tree = reference_skeleton_tree(skeleton, _parts_of(a, slots))
         return evaluate_hc(q, tree), tree
 
-    for ss in np.random.SeedSequence(seed).spawn(cfg.budget.restarts):
+    for ss in np.random.SeedSequence(seed).spawn(cfg.restarts):
         rng = np.random.default_rng(ss)
         assign = rng.integers(0, slots, size=n)
         value, tree = score(assign)
-        for _ in range(cfg.budget.moves(n)):
+        for _ in range(local_search.moves(n)):
             move = None  # (gain, point, target)
             for p in range(n):
                 a = int(assign[p])
@@ -667,17 +668,17 @@ def reference_la_reduced(m, cfg, seed):
     """Arrangement of the reduced LA search, one full evaluation per candidate:
     the restarts and the swap climb search the quantized metric, the final
     pick scores the true one."""
-    n, k = m.n, cfg.k
+    n, k, sweeps = m.n, part_count(cfg.eps), la_dense.CLIMB_SWEEPS
     q = Metric(quantize(m.dist))
     identity = LinearArrangement.from_order(range(n))
-    best = best_of([identity, reference_swap_hill_climb(q, identity, cfg.swap_sweeps)],
+    best = best_of([identity, reference_swap_hill_climb(q, identity, sweeps)],
                    lambda arr: evaluate_la(m, arr), _position)
 
-    for ss in np.random.SeedSequence(seed).spawn(cfg.budget.restarts):
+    for ss in np.random.SeedSequence(seed).spawn(cfg.restarts):
         rng = np.random.default_rng(ss)
         assign = rng.integers(0, k, size=n)
         value = evaluate_la(q, _embed_assignment(assign))
-        for _ in range(cfg.budget.moves(n)):
+        for _ in range(local_search.moves(n)):
             move = None  # (gain, point, target)
             for p in range(n):
                 a = int(assign[p])
@@ -695,7 +696,7 @@ def reference_la_reduced(m, cfg, seed):
             _, p, b = move
             assign[p] = b
             value = evaluate_la(q, _embed_assignment(assign))
-        arr = reference_swap_hill_climb(q, _embed_assignment(assign), cfg.swap_sweeps)
+        arr = reference_swap_hill_climb(q, _embed_assignment(assign), sweeps)
         best = best_of([arr], lambda arr: evaluate_la(m, arr), _position, best)
     return best[0]
 
@@ -735,7 +736,7 @@ def reference_feasible(m, spec, eps_err, assignment):
                 or (cross < wlb - eps_err - 1e-12).any() or (cross > wub + eps_err + 1e-12).any())
 
 
-def reference_search_local(m, spec, eps_err, budget, seed):
+def reference_search_local(m, spec, eps_err, restarts, seed):
     """Assignment found by the partition search's local regime, or None, as
     it was: every candidate move copies the sizes and the crossing matrix and
     is scored on its own; the lowest penalty wins, the earliest within 1e-15."""
@@ -751,7 +752,7 @@ def reference_search_local(m, spec, eps_err, budget, seed):
         return float(v.sum() + w[np.isfinite(w)].sum()) / slack
 
     found = []
-    for ss in np.random.SeedSequence(seed).spawn(budget.restarts):
+    for ss in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(ss)
         assign = _greedy_seed(rng, n, k, slb)
         onehot = np.eye(k)[assign]
@@ -759,7 +760,7 @@ def reference_search_local(m, spec, eps_err, budget, seed):
         sizes = onehot.sum(axis=0)
         cross = crossing_matrix(m, assign, k)
         pen = penalty(sizes, cross)
-        for _ in range(budget.moves(n)):
+        for _ in range(local_search.moves(n)):
             if pen <= 0.0:
                 break
             best = None  # (new_pen, point, target)
@@ -846,7 +847,7 @@ def reference_weight_cells(m, parts, levels, eps_err):
     return [mu for mu in cells if sum(mu) - pairs * eps_err <= rho + 1e-12]
 
 
-def reference_grid_partitions(m, parts, size_cells, levels, eps_err, budget, seed):
+def reference_grid_partitions(m, parts, size_cells, levels, eps_err, restarts, seed):
     """The assignments ``grid_partitions`` yields, in order, as its per-cell
     loop found them: one spec per cell of ``reference_weight_cells``,
     searched on its own, against the grid's one enumeration in the
@@ -865,7 +866,7 @@ def reference_grid_partitions(m, parts, size_cells, levels, eps_err, budget, see
             if enumerated is not None:
                 hit = reference_search_exhaustive(m, spec, eps_err, enumerated)
             else:
-                hit = reference_search_local(m, spec, eps_err, budget, seed)
+                hit = reference_search_local(m, spec, eps_err, restarts, seed)
             if hit is not None and hit not in found:
                 found.append(hit)
     return found

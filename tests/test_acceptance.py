@@ -17,8 +17,8 @@ import pytest
 
 from peelembed.cli import main, run_bench
 from peelembed.errors import SpecInfeasibleTrivially
-from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
-from peelembed.hc_peeling import HcPeelConfig, solve_hc
+from peelembed.hc_dense import solve_hc_dense
+from peelembed.hc_peeling import solve_hc
 from peelembed.instances import (
     FAMILIES,
     GeneratorSpec,
@@ -26,8 +26,9 @@ from peelembed.instances import (
     hc_case_c_spec,
     la_case_c_spec,
 )
-from peelembed.la_dense import DenseLaConfig, solve_la_dense
-from peelembed.la_peeling import LaPeelConfig, solve_la
+from peelembed.la_dense import solve_la_dense
+from peelembed.la_peeling import solve_la
+from peelembed.local_search import SolveConfig
 from peelembed.metric import find_core, subset_stats
 from peelembed.objectives import evaluate_hc, evaluate_la
 from peelembed.oracles import (
@@ -38,7 +39,6 @@ from peelembed.oracles import (
 )
 from peelembed.partition_search import (
     PartitionSpec,
-    SearchBudget,
     partition_feasible,
     search_partition,
 )
@@ -73,9 +73,6 @@ def close_ceiling(lhs, rhs):
     return lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
 
 
-ZERO_BUDGET = SearchBudget(restarts=0)
-
-
 @pytest.fixture(scope="module")
 def corpus_oracles(corpus):
     """(label, metric, la_opt, hc_opt) for every corpus instance."""
@@ -98,18 +95,13 @@ def case_c_pool():
     for i in range(96):
         spec, eps = la_case_c_spec(250 + 2 * i, seed=i)
         m = generate(spec)
-        cfg = LaPeelConfig(
-            eps=eps,
-            dense=DenseLaConfig(eps=eps, budget=ZERO_BUDGET, swap_sweeps=0),
-        )
-        arr, trace = solve_la(m, cfg, seed=i)
+        arr, trace = solve_la(m, SolveConfig(eps, restarts=0), seed=i)
         la_runs.append((m, eps, arr, trace))
     hc_runs = []
     for i in range(4):
         spec, eps = hc_case_c_spec(1860 + 4 * i, seed=i)
         m = generate(spec)
-        cfg = HcPeelConfig(eps=eps, dense=DenseHcConfig(eps=eps, budget=ZERO_BUDGET))
-        tree, trace = solve_hc(m, cfg, seed=i)
+        tree, trace = solve_hc(m, SolveConfig(eps, restarts=0), seed=i)
         hc_runs.append((m, eps, tree, trace))
     elapsed = time.process_time() - start
     return {"la": la_runs, "hc": hc_runs, "seconds": elapsed}
@@ -183,18 +175,16 @@ def test_oracle_cross_check(corpus_oracles):
 
 def test_soundness_sweep(corpus_oracles):
     with criterion("soundness-sweep (all solvers <= oracle on n<=8)"):
-        budget = SearchBudget(restarts=2)
-        la_dense = DenseLaConfig(eps=0.25, budget=budget)
-        hc_dense = DenseHcConfig(eps=0.25, budget=budget)
+        peel, dense = SolveConfig(0.25, restarts=2), SolveConfig(0.5, restarts=2)
         for label, m, la_opt, hc_opt in corpus_oracles:
             la_values = [
-                solve_la(m, LaPeelConfig(eps=0.25, dense=la_dense))[1].value,
-                evaluate_la(m, solve_la_dense(m, DenseLaConfig(eps=0.5, budget=budget))[0]),
+                solve_la(m, peel)[1].value,
+                evaluate_la(m, solve_la_dense(m, dense)[0]),
                 evaluate_la(m, random_bisection_la(m, seed=0)),
             ]
             hc_values = [
-                solve_hc(m, HcPeelConfig(eps=0.25, dense=hc_dense))[1].value,
-                evaluate_hc(m, solve_hc_dense(m, DenseHcConfig(eps=0.5, budget=budget))[0]),
+                solve_hc(m, peel)[1].value,
+                evaluate_hc(m, solve_hc_dense(m, dense)[0]),
                 evaluate_hc(m, average_linkage_hc(m)),
             ]
             for v in la_values:
@@ -233,7 +223,7 @@ def random_la_layer_run(rng):
     )
     m = generate(spec)
     eps = float(rng.uniform(0.7, 0.95))
-    arr, trace = solve_la(m, LaPeelConfig(eps=eps))
+    arr, trace = solve_la(m, SolveConfig(eps))
     rec = trace.levels[0]
     assert rec.case == "b", f"calibration drift: {rec.case} core_n={core_n}"
     return m, eps, arr, rec
@@ -253,7 +243,7 @@ def random_hc_layer_run(rng):
     )
     m = generate(spec)
     eps = float(rng.uniform(0.3, 0.45))
-    tree, trace = solve_hc(m, HcPeelConfig(eps=eps))
+    tree, trace = solve_hc(m, SolveConfig(eps))
     rec = trace.levels[0]
     assert rec.case == "b", f"calibration drift: {rec.case} core_n={core_n}"
     return m, eps, tree, rec
@@ -333,14 +323,14 @@ def test_dense_solver_equivalence():
             la_opt = brute_force_la(m).value
             hc_opt = brute_force_hc(m).value
 
-            arr, _ = solve_la_dense(m, DenseLaConfig(eps=0.5, grid_mode="faithful"))
+            arr, _ = solve_la_dense(m, SolveConfig(0.5, "faithful"))
             assert evaluate_la(m, arr) == pytest.approx(la_opt, rel=1e-12)
-            tree, _ = solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"))
+            tree, _ = solve_hc_dense(m, SolveConfig(0.5, "faithful"))
             assert evaluate_hc(m, tree) == pytest.approx(hc_opt, rel=1e-12)
 
-            arr, _ = solve_la_dense(m, DenseLaConfig(eps=0.5, grid_mode="reduced"))
+            arr, _ = solve_la_dense(m, SolveConfig(0.5, "reduced"))
             assert evaluate_la(m, arr) >= 0.95 * la_opt
-            tree, _ = solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="reduced"))
+            tree, _ = solve_hc_dense(m, SolveConfig(0.5, "reduced"))
             assert evaluate_hc(m, tree) >= 0.95 * hc_opt
         elapsed = time.process_time() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s CPU"
@@ -426,28 +416,18 @@ def test_bench_ratio_and_reproducibility():
 def test_determinism(tmp_path, case_c_pool):
     with criterion("determinism (identical witnesses, traces and reports)"):
         m, eps, arr0, trace0 = case_c_pool["la"][0]
-        arr1, trace1 = solve_la(
-            m,
-            LaPeelConfig(eps=eps, dense=DenseLaConfig(eps=eps, budget=ZERO_BUDGET,
-                                                      swap_sweeps=0)),
-            seed=0,
-        )
+        arr1, trace1 = solve_la(m, SolveConfig(eps, restarts=0), seed=0)
         assert arr1.position == arr0.position
         assert trace1.to_json_lines() == trace0.to_json_lines()
 
         m, eps, tree0, htrace0 = case_c_pool["hc"][0]
-        tree1, htrace1 = solve_hc(
-            m,
-            HcPeelConfig(eps=eps, dense=DenseHcConfig(eps=eps, budget=ZERO_BUDGET)),
-            seed=0,
-        )
+        tree1, htrace1 = solve_hc(m, SolveConfig(eps, restarts=0), seed=0)
         assert tree1.serialize() == tree0.serialize()
         assert htrace1.to_json_lines() == htrace0.to_json_lines()
 
         small = perturbed_two_cluster(0)
-        for cfg_cls, solver in ((DenseLaConfig, solve_la_dense),
-                                (DenseHcConfig, solve_hc_dense)):
-            (a, a_value), (b, b_value) = (solver(small, cfg_cls(eps=0.5), seed=3)
+        for solver in (solve_la_dense, solve_hc_dense):
+            (a, a_value), (b, b_value) = (solver(small, SolveConfig(0.5), seed=3)
                                           for _ in range(2))
             assert a.serialize() == b.serialize() and a_value == b_value
 

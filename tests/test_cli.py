@@ -13,9 +13,9 @@ import pytest
 from peelembed import cli, hc_peeling, la_peeling
 from peelembed.cli import CSV_COLUMNS, OBJECTIVES, main, run_bench
 from peelembed.instances import GeneratorSpec, generate, la_case_c_spec
+from peelembed.local_search import SolveConfig
 from peelembed.metric import Metric, format_metric, parse_metric
 from peelembed.oracles import HC_ORACLE_MAX_N, LA_ORACLE_MAX_N, brute_force_la
-from peelembed.partition_search import SearchBudget
 
 
 @pytest.fixture
@@ -236,12 +236,19 @@ class TestSolveAndOracle:
         (["gen", "--family", "clustered", "--n", "5", "--intra-scale", "-1"],
          "intra_scale must be finite and >= 0, got -1.0"),
         (["bench", "--config", "{cfg}"], "inter_scale must be finite and > 0, got inf"),
-    ], ids=["inf-inter", "nan-inter", "inf-ratio", "negative-intra", "bench-infinity"])
-    def test_non_finite_scale_exits_1(self, tmp_path, capsys, argv, message):
+        # 1/eps overflows: the dense solvers could not count their parts
+        (["solve-la", "--input", "{m}", "--eps", "1e-310", "--budget-restarts", "0"],
+         "eps must have a finite 1/eps, got 1e-310"),
+        (["solve-hc", "--input", "{m}", "--eps", "1e-310"],
+         "eps must have a finite 1/eps, got 1e-310"),
+    ], ids=["inf-inter", "nan-inter", "inf-ratio", "negative-intra", "bench-infinity",
+            "subnormal-eps-la", "subnormal-eps-hc"])
+    def test_non_finite_scale_exits_1(self, matrix_file, tmp_path, capsys, argv, message):
         cfg = tmp_path / "cfg.json"
         # Python's json reads Infinity
         cfg.write_text('{"instances": [{"family": "clustered", "n": 5, "inter_scale": Infinity}]}')
-        assert main([a.replace("{cfg}", str(cfg)) for a in argv]) == 1
+        argv = [a.replace("{cfg}", str(cfg)).replace("{m}", matrix_file) for a in argv]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
@@ -261,13 +268,24 @@ class TestSolveAndOracle:
         assert captured.err.startswith("error: bad instance entry 0: ")
         assert "must be an integer" in captured.err
 
-    @pytest.mark.parametrize("command", ["solve-la", "solve-hc", "bench"])
+    @pytest.mark.parametrize("command", ["solve-la", "solve-hc", "bench", "solve-la-eps-1.5",
+                                         "bench-avg-link", "bench-unknown-family"])
     def test_negative_budget_exits_1_without_traceback(self, matrix_file, tmp_path, capsys,
-                                                       command):
-        if command == "bench":
+                                                       monkeypatch, command):
+        # restarts are checked first: before the eps, and in a bench before
+        # any instance is generated, even when no algorithm searches
+        generated = []
+        monkeypatch.setattr(cli, "generate", lambda spec: generated.append(spec) or generate(spec))
+        configs = {"bench": {},
+                   "bench-avg-link": {"algorithms": ["avg-link"]},
+                   "bench-unknown-family": {"instances": [{"family": "bogus", "n": 4}]}}
+        if command in configs:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({**BENCH_CONFIG, "restarts": -2}))
+            cfg.write_text(json.dumps({**BENCH_CONFIG, **configs[command], "restarts": -2}))
             argv, shown = ["bench", "--config", str(cfg)], -2
+        elif command == "solve-la-eps-1.5":
+            argv = ["solve-la", "--input", matrix_file, "--eps", "1.5", "--budget-restarts", "-1"]
+            shown = -1
         else:
             argv = [command, "--input", matrix_file, "--eps", "0.5", "--budget-restarts", "-3"]
             shown = -3
@@ -275,6 +293,7 @@ class TestSolveAndOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: restarts must be >= 0, got {shown}\n"
+        assert generated == []
 
     def test_solve_hc_trace_file(self, matrix_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
@@ -310,10 +329,10 @@ class TestSolveAndOracle:
         # a Fortran-ordered matrix, whose own layout could change summation order
         metrics.append(Metric(np.asfortranarray(metrics[2].dist)))
         for m in metrics:
-            witness, value, trace = obj.solve(m, eps, SearchBudget(restarts=0), seed=1)
+            witness, value, trace = obj.solve(m, SolveConfig(eps, restarts=0), seed=1)
             assert value == trace.value == obj.evaluate(m, witness)
             if m.n < 100:  # the dense solver alone, as --dense-only runs it
-                witness, value, trace = obj.solve(m, eps, SearchBudget(restarts=0), seed=1,
+                witness, value, trace = obj.solve(m, SolveConfig(eps, restarts=0), seed=1,
                                                   dense_only=True)
                 assert trace is None and value == obj.evaluate(m, witness)
 

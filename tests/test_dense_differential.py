@@ -39,12 +39,11 @@ from structural import (
     score_moves,
 )
 from peelembed import hc_dense
-from peelembed.hc_dense import DenseHcConfig, _caterpillar_gains, solve_hc_dense
+from peelembed.hc_dense import _caterpillar_gains, solve_hc_dense
 from peelembed.instances import FAMILIES as ALL_FAMILIES
 from peelembed.instances import GeneratorSpec, generate, small_corpus
 from peelembed import la_dense, local_search, partition_search
 from peelembed.la_dense import (
-    DenseLaConfig,
     _embed_assignment,
     _embed_rows,
     _prefix_cut_gains,
@@ -52,12 +51,11 @@ from peelembed.la_dense import (
     _swap_hill_climb,
     solve_la_dense,
 )
-from peelembed.local_search import quantize, reduced_restarts
+from peelembed.local_search import SolveConfig, quantize, reduced_restarts
 from peelembed.metric import Metric, validate_metric
 from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la, ladder_tree
 from peelembed.partition_search import (
     PartitionSpec,
-    SearchBudget,
     _drops,
     _penalty,
     _stats,
@@ -173,8 +171,7 @@ def test_drop_table_stays_are_zero_and_exact_ties_take_the_earlier_cell(monkeypa
     monkeypatch.setattr(partition_search, "_drops", drops)
     for family in ("uniform_metric", "path_metric", "clustered"):
         m = generate(GeneratorSpec(family=family, n=9, seed=1))
-        solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful",
-                                        budget=SearchBudget(restarts=2)), seed=1)
+        solve_hc_dense(m, SolveConfig(0.5, "faithful", restarts=2), seed=1)
     assert seen["rows"] > 100 and seen["ties"] > 10, seen
 
 
@@ -265,8 +262,7 @@ def test_embedded_rows_match_each_row_embedded():
         assert got == [_embed_assignment(row) for row in rows], (n, k)
         assert all(type(slot) is int for arr in got for slot in arr.position)
     m = generate(GeneratorSpec(family="clustered", n=12, seed=1))
-    rows = reduced_restarts(12, 3, 0, SearchBudget(restarts=32),
-                            _prefix_cut_gains(quantize(m.dist), 3), 12 * 13)
+    rows = reduced_restarts(12, 3, 0, 32, _prefix_cut_gains(quantize(m.dist), 3), 12 * 13)
     assert _embed_rows(rows) == [_embed_assignment(row) for row in rows]
 
 
@@ -316,17 +312,16 @@ def test_lockstep_restarts_match_per_restart_loop(batch, monkeypatch):
     # row's gains do not depend on its batch.
     for label, m, parts, restarts, moves in _restart_cases():
         q = quantize(m.dist)
-        budget = SearchBudget(restarts=restarts)
         for module, gains, scorer, _, entries in (HC, LA):
             with monkeypatch.context() as patch:
                 if moves is not None:
-                    patch.setattr(SearchBudget, "moves", lambda self, n: moves)
-                want = list(reference_reduced_restarts(m.n, parts, 3, budget,
+                    patch.setattr(local_search, "moves", lambda n: moves)
+                want = list(reference_reduced_restarts(m.n, parts, 3, restarts,
                                                        lambda rows: scorer(q, rows, parts)))
                 if batch != "default":
                     rows = {"one row": 1, "split": 2}[batch]
                     patch.setattr(local_search, "BATCH_ENTRIES", entries(m.n, parts) * rows)
-                got = reduced_restarts(m.n, parts, 3, budget, gains(q, parts),
+                got = reduced_restarts(m.n, parts, 3, restarts, gains(q, parts),
                                        entries(m.n, parts))
             assert got.shape == (restarts, m.n), label
             for row, (g, w) in enumerate(zip(got, want)):
@@ -413,13 +408,12 @@ def _restarts_case(n, family, parts, restarts, batch, objective):
     each row's gains on its own."""
     _, gains, scorer, _, entries = objective
     q = quantize(generate(GeneratorSpec(family=family, n=n, seed=n + parts)).dist)
-    budget = SearchBudget(restarts=restarts)
-    want = list(reference_reduced_restarts(n, parts, 3, budget,
+    want = list(reference_reduced_restarts(n, parts, 3, restarts,
                                            lambda rows: scorer(q, rows, parts)))
     with pytest.MonkeyPatch.context() as patch:
         if batch == "one row":
             patch.setattr(local_search, "BATCH_ENTRIES", 1)
-        got = reduced_restarts(n, parts, 3, budget, gains(q, parts), entries(n, parts))
+        got = reduced_restarts(n, parts, 3, restarts, gains(q, parts), entries(n, parts))
     for row, (g, w) in enumerate(zip(got, want)):
         assert g.tobytes() == w.tobytes(), row
 
@@ -522,16 +516,14 @@ def test_swap_tables_are_symmetric_with_a_zero_diagonal():
 @pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_dense_witnesses_match_reference_loops(eps):
     # every sweep of either reduced search takes the gain tables
-    budget = SearchBudget(restarts=3)
-    hc_cfg = DenseHcConfig(eps=eps, budget=budget)
-    la_cfg = DenseLaConfig(eps=eps, budget=budget)
+    cfg = SolveConfig(eps, restarts=3)
     for label, m in _metrics((7, 10)):
         for seed in (0, 1):
-            got, _ = solve_hc_dense(m, hc_cfg, seed=seed)
-            want = reference_hc_reduced(m, hc_cfg, seed)
+            got, _ = solve_hc_dense(m, cfg, seed=seed)
+            want = reference_hc_reduced(m, cfg, seed)
             assert got.serialize() == want.serialize(), (label, seed)
-            assert solve_la_dense(m, la_cfg, seed=seed)[0] == reference_la_reduced(
-                m, la_cfg, seed
+            assert solve_la_dense(m, cfg, seed=seed)[0] == reference_la_reduced(
+                m, cfg, seed
             ), (label, seed)
 
 
@@ -539,7 +531,7 @@ def test_dense_witnesses_match_reference_loops(eps):
 def test_screened_la_witnesses_match_reference_loop(eps, monkeypatch):
     # every LA gain table and swap climb takes one row at a time
     monkeypatch.setattr(local_search, "BATCH_ENTRIES", 1)
-    cfg = DenseLaConfig(eps=eps, budget=SearchBudget(restarts=3))
+    cfg = SolveConfig(eps, restarts=3)
     for label, m in _metrics((7, 10)):
         for seed in (0, 1):
             got = solve_la_dense(m, cfg, seed=seed)[0]
@@ -562,9 +554,8 @@ def test_default_budget_witnesses_are_pinned(family, objective):
     # the reference loops run at n <= 10; this pins the full search, 32
     # restarts sweeping in lockstep and the LA swap climb, at a larger n
     m = generate(GeneratorSpec(family=family, n=60, seed=0))
-    solve, cfg = {"hc": (solve_hc_dense, DenseHcConfig(eps=0.5)),
-                  "la": (solve_la_dense, DenseLaConfig(eps=0.5))}[objective]
-    witness = solve(m, cfg, seed=0)[0].serialize()
+    solve = {"hc": solve_hc_dense, "la": solve_la_dense}[objective]
+    witness = solve(m, SolveConfig(0.5), seed=0)[0].serialize()
     assert hashlib.sha256(witness.encode()).hexdigest() == PINNED_WITNESSES[family, objective]
 
 
@@ -583,9 +574,8 @@ PINNED_FAITHFUL_WITNESSES = {
 @pytest.mark.parametrize("objective, n", sorted(PINNED_FAITHFUL_WITNESSES))
 def test_default_budget_faithful_witnesses_are_pinned(objective, n):
     m = generate(GeneratorSpec(family="clustered", n=n, seed=0))
-    solve, cfg = {"hc": (solve_hc_dense, DenseHcConfig(eps=0.5, grid_mode="faithful")),
-                  "la": (solve_la_dense, DenseLaConfig(eps=0.5, grid_mode="faithful"))}[objective]
-    witness = solve(m, cfg, seed=0)[0].serialize()
+    solve = {"hc": solve_hc_dense, "la": solve_la_dense}[objective]
+    witness = solve(m, SolveConfig(0.5, "faithful"), seed=0)[0].serialize()
     assert hashlib.sha256(witness.encode()).hexdigest() == PINNED_FAITHFUL_WITNESSES[objective, n]
 
 
@@ -613,19 +603,18 @@ def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
 
         monkeypatch.setattr(module, "grid_partitions", record)
     for restarts, (_, m) in zip((4, 3, 1, 2, 1), _metrics((7,))):
-        budget = SearchBudget(restarts=restarts)
-        solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful", budget=budget), seed=1)
-        solve_la_dense(m, DenseLaConfig(eps=0.45, grid_mode="faithful", budget=budget), seed=1)
+        solve_hc_dense(m, SolveConfig(0.5, "faithful", restarts), seed=1)
+        solve_la_dense(m, SolveConfig(0.45, "faithful", restarts), seed=1)
     assert len(grids) == 10 and all(
         len(sizes) * len(reference_weight_cells(m, parts, levels, eps_err)) > 50
         for m, parts, sizes, levels, eps_err, *_ in grids)
     hits = splits = 0
-    for m, parts, sizes, levels, eps_err, budget, seed in grids:
-        args = (levels, eps_err, budget, seed)
+    for m, parts, sizes, levels, eps_err, restarts, seed in grids:
+        args = (levels, eps_err, restarts, seed)
         want = reference_grid_partitions(m, parts, sizes, *args)
         states.clear()
         assert list(grid_partitions(m, parts, lambda: sizes, *args)) == want, (m, parts)
-        splits += max(states, default=0) > budget.restarts
+        splits += max(states, default=0) > restarts
         with monkeypatch.context() as patch:
             patch.setattr(partition_search, "BATCH_ENTRIES", 1)
             assert list(grid_partitions(m, parts, lambda: sizes, *args)) == want, (m, parts)
@@ -671,16 +660,15 @@ def test_faithful_grids_decide_as_float_sums(eps, monkeypatch):
     checked = 0
     for objective, family, n, seed in FAITHFUL_CORPUS:
         m = generate(GeneratorSpec(family=family, n=n, seed=seed))
-        solve, cfg = {"hc": (solve_hc_dense, DenseHcConfig),
-                      "la": (solve_la_dense, DenseLaConfig)}[objective]
+        solve = {"hc": solve_hc_dense, "la": solve_la_dense}[objective]
         with pytest.raises(_Grid):
-            solve(m, cfg(eps=eps, grid_mode="faithful"), seed=seed)
-        m, parts, sizes, levels, eps_err, budget, seed = grids.pop()
+            solve(m, SolveConfig(eps, "faithful"), seed=seed)
+        m, parts, sizes, levels, eps_err, restarts, seed = grids.pop()
         if not partition_search.exhaustive(m.n, parts):
             if eps < 1.0:
                 continue
-            budget = SearchBudget(restarts=2)
-        args = (levels, eps_err, budget, seed)
+            restarts = 2
+        args = (levels, eps_err, restarts, seed)
         want = reference_grid_partitions(m, parts, sizes, *args)
         assert list(grid_partitions(m, parts, lambda: sizes, *args)) == want, (family, n)
         checked += 1
@@ -699,7 +687,7 @@ def test_default_budget_faithful_hc_grid_matches_per_cell_reference(monkeypatch)
 
     monkeypatch.setattr(hc_dense, "grid_partitions", record)
     m = generate(GeneratorSpec(family="clustered", n=13, seed=0))
-    solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"), seed=0)
+    solve_hc_dense(m, SolveConfig(0.5, "faithful"), seed=0)
     (m, parts, sizes, *rest), = grids
     assert not partition_search.exhaustive(m.n, parts)
     want = reference_grid_partitions(m, parts, sizes, *rest)
@@ -707,16 +695,15 @@ def test_default_budget_faithful_hc_grid_matches_per_cell_reference(monkeypatch)
 
 
 def test_reduced_search_scores_the_quantized_metric(monkeypatch):
-    # a solve quantizes once when it searches (both) or climbs (LA), and its
-    # gain tables and swap climb see only that copy; otherwise it quantizes
-    # nothing
+    # a solve quantizes once when it searches (both) or climbs (LA, always),
+    # and its gain tables and swap climb see only that copy; otherwise it
+    # quantizes nothing
     m = _metrics((12,))[0][1]
     for module, solve, factories, cases in (
         (hc_dense, solve_hc_dense, ("_caterpillar_gains",),
-         [(DenseHcConfig(eps=0.5, budget=SearchBudget(restarts=r)), r > 0) for r in (0, 2)]),
+         [(SolveConfig(0.5, restarts=r), r > 0) for r in (0, 2)]),
         (la_dense, solve_la_dense, ("_prefix_cut_gains", "_swap_gains"),
-         [(DenseLaConfig(eps=0.5, budget=SearchBudget(restarts=r), swap_sweeps=w), r + w > 0)
-          for r in (0, 2) for w in (0, 40)]),
+         [(SolveConfig(0.5, restarts=r), True) for r in (0, 2)]),
     ):
         made, seen = [], []
         real_quantize = module.quantize
@@ -749,7 +736,7 @@ def _transposed_swap_gains(dist, pos):
 def test_la_witness_does_not_depend_on_the_swap_product_order(eps, monkeypatch):
     # The swap climb decides on exact gains of the quantized metric, so
     # summing its product in another order changes no witness bit.
-    cfg = DenseLaConfig(eps=eps, budget=SearchBudget(restarts=8))
+    cfg = SolveConfig(eps, restarts=8)
     cases = small_corpus() + _metrics((40, 90))
     want = [solve_la_dense(m, cfg, seed=1)[0].serialize() for _, m in cases]
     monkeypatch.setattr(la_dense, "_swap_gains", _transposed_swap_gains)
@@ -792,22 +779,21 @@ def test_dense_solvers_build_and_score_each_distinct_restart_once(family, monkey
         for name in names:
             record(module, name)
 
-    cfg = DenseHcConfig(eps=0.5)
+    cfg = SolveConfig(0.5)
     tree, _ = solve_hc_dense(m, cfg, seed=0)
     rows = {row.tobytes() for row in calls["reduced_restarts"][0][1]}
     scored = [args[1] for args, _ in calls["evaluate_hc"]]
-    assert len(rows) < cfg.budget.restarts
+    assert len(rows) < cfg.restarts
     assert len(scored) == len(rows) + 1  # the ladder and each distinct row
     assert len({id(t) for t in scored}) == len(scored)
     assert tree.serialize() == reference_hc_reduced(m, cfg, 0).serialize()
 
-    cfg = DenseLaConfig(eps=0.5)
     arr, _ = solve_la_dense(m, cfg, seed=0)
     identity = LinearArrangement.from_order(range(m.n)).position
     rows = calls["reduced_restarts"][1][1]
     embedded = {identity, *(la_dense._embed_assignment(row).position for row in rows)}
     [((_, starts, _), climbed)] = calls["_swap_hill_climb"]
-    assert len(embedded) < cfg.budget.restarts + 1
+    assert len(embedded) < cfg.restarts + 1
     assert sorted(s.position for s in starts) == sorted(embedded)
     scored = [args[1].position for args, _ in calls["evaluate_la"]]
     assert sorted(scored) == sorted({identity, *(a.position for a in climbed)})
@@ -820,7 +806,6 @@ def test_partition_search_matches_reference_loop(monkeypatch):
     # the upper bounds, and its crossing weights either exact bounds or none.
     monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", 0)  # the local regime at every n
     rng = np.random.default_rng(17)
-    budget = SearchBudget(restarts=1)
     found = cases = 0
     flips = []
     for family in ALL_FAMILIES:
@@ -838,8 +823,8 @@ def test_partition_search_matches_reference_loop(monkeypatch):
                 wb = [[(w, w) for w in row] for row in cross]
             spec = PartitionSpec.build(k, size_bounds=sizes, weight_bounds=wb)
             for seed in (0, 1):
-                got = search_partition(m, spec, eps_err, budget=budget, seed=seed)
-                want = reference_search_local(m, spec, eps_err, budget, seed)
+                got = search_partition(m, spec, eps_err, restarts=1, seed=seed)
+                want = reference_search_local(m, spec, eps_err, 1, seed)
                 if (None if got is None else got.assignment) != want:
                     flips.append((family, n, k, seed))
                     assert got is not None and partition_feasible(m, spec, eps_err, got.assignment)
@@ -858,19 +843,18 @@ def test_dense_value_is_the_witness_value(grid_mode):
     single, zeros = validate_metric([[0.0]]), validate_metric(np.zeros((4, 4)))
     pair = validate_metric([[0.0, 1.0], [1.0, 0.0]])
     searched = [(label, m, 0.5) for label, m in _metrics((6,))]
-    solvers = {  # solver -> (config, evaluator, (label, metric, eps) cases)
-        solve_la_dense: (DenseLaConfig, evaluate_la, [
+    solvers = {  # solver -> (evaluator, (label, metric, eps) cases)
+        solve_la_dense: (evaluate_la, [
             ("one point", single, 0.5), ("n < k", pair, 0.3), ("zero diameter", zeros, 0.5),
         ]),
-        solve_hc_dense: (DenseHcConfig, evaluate_hc, [
+        solve_hc_dense: (evaluate_hc, [
             ("one point", single, 0.5), ("n <= slots, enumerated", _metrics((5,))[0][1], 0.25),
             ("zero diameter", zeros, 0.5),
         ]),
     }
-    for solve, (cfg_type, evaluate, early) in solvers.items():
+    for solve, (evaluate, early) in solvers.items():
         for label, m, eps in early + searched:
-            cfg = cfg_type(eps=eps, grid_mode=grid_mode, budget=SearchBudget(restarts=2))
-            witness, value = solve(m, cfg, seed=1)
+            witness, value = solve(m, SolveConfig(eps, grid_mode, restarts=2), seed=1)
             assert value == evaluate(m, witness), (solve.__name__, label)
 
 
@@ -881,9 +865,9 @@ def test_coincidence_check_decides_as_the_diameter(monkeypatch):
               ("one point", validate_metric([[0.0]]), False),
               ("row 0 zero", validate_metric(near), True)]
     cases = [  # (solver, config, module whose search must run on "row 0 zero")
-        (solve_la_dense, DenseLaConfig(eps=0.5), la_dense),
-        (solve_hc_dense, DenseHcConfig(eps=0.5), hc_dense),
-        (solve_hc_dense, DenseHcConfig(eps=0.2), None),  # n <= slots: enumerated
+        (solve_la_dense, SolveConfig(0.5), la_dense),
+        (solve_hc_dense, SolveConfig(0.5), hc_dense),
+        (solve_hc_dense, SolveConfig(0.2), None),  # n <= slots: enumerated
     ]
     searched = []
     for module in (la_dense, hc_dense):
@@ -903,41 +887,38 @@ def test_coincidence_check_decides_as_the_diameter(monkeypatch):
                 want = solve(m, cfg, seed=0)
             assert got == want, (label, solve.__name__, cfg)
     # the enumerated trees compete: some beat the ladder on "row 0 zero"
-    _, value = solve_hc_dense(inputs[2][1], DenseHcConfig(eps=0.2))
+    _, value = solve_hc_dense(inputs[2][1], SolveConfig(0.2))
     assert value > evaluate_hc(inputs[2][1], ladder_tree(range(6)))
 
 
 def _solve_peak(m, restarts, monkeypatch, eps=0.5):
     """tracemalloc peak of each dense solver, one sweep per restart."""
-    monkeypatch.setattr(SearchBudget, "moves", lambda self, n: 1)
-    budget = SearchBudget(restarts=restarts)
-    for solve, cfg in (
-        (solve_hc_dense, DenseHcConfig(eps=eps, budget=budget)),
-        (solve_la_dense, DenseLaConfig(eps=eps, budget=budget)),
-    ):
+    monkeypatch.setattr(local_search, "moves", lambda n: 1)
+    cfg = SolveConfig(eps, restarts=restarts)
+    for solve in (solve_hc_dense, solve_la_dense):
         tracemalloc.start()
         try:
             solve(m, cfg, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        yield cfg, peak
+        yield solve.__name__, peak
 
 
 def test_one_restart_memory_is_bounded(monkeypatch):
     # Unbatched, one HC sweep at n=300 would hold 600 candidates x 300^2
     # entries (over 400 MB per temporary); batches keep it to a few MB each.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
-    for cfg, peak in _solve_peak(m, 1, monkeypatch):
-        assert peak < 32e6, (cfg, peak)
+    for solver, peak in _solve_peak(m, 1, monkeypatch):
+        assert peak < 32e6, (solver, peak)
 
 
 def test_lockstep_restart_memory_is_bounded(monkeypatch):
     # 32 restarts sweep together: all their moved rows at once would be
     # 32 x 600 rows of 300 ids for HC (46 MB); each batch builds only its own.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
-    for cfg, peak in _solve_peak(m, 32, monkeypatch):
-        assert peak < 32e6, (cfg, peak)
+    for solver, peak in _solve_peak(m, 32, monkeypatch):
+        assert peak < 32e6, (solver, peak)
 
 
 def test_faithful_grid_memory_is_bounded():
@@ -945,12 +926,11 @@ def test_faithful_grid_memory_is_bounded():
     # restarts of each of its 525 cells.  One sweep of all 16800 rows at once
     # would hold (16800, 26, 3, 3) crossing temporaries of 31 MB each; each
     # chunk of cells builds only its own, and LA at n=30 likewise.
-    for solve, cfg, n in ((solve_hc_dense, DenseHcConfig(eps=0.5, grid_mode="faithful"), 13),
-                          (solve_la_dense, DenseLaConfig(eps=0.5, grid_mode="faithful"), 30)):
+    for solve, n in ((solve_hc_dense, 13), (solve_la_dense, 30)):
         m = generate(GeneratorSpec(family="clustered", n=n, seed=0))
         tracemalloc.start()
         try:
-            solve(m, cfg, seed=0)
+            solve(m, SolveConfig(0.5, "faithful"), seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -964,7 +944,7 @@ def test_exhaustive_grid_memory_is_bounded():
     m = generate(GeneratorSpec(family="clustered", n=11, seed=0))
     tracemalloc.start()
     try:
-        solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"), seed=0)
+        solve_hc_dense(m, SolveConfig(0.5, "faithful"), seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1024,11 +1004,10 @@ def test_screened_la_sweep_memory_is_bounded(monkeypatch):
         swept[0] += len(assigns)
         return gains(assigns)
 
-    monkeypatch.setattr(SearchBudget, "moves", lambda self, n: 1)
-    budget = SearchBudget(restarts=32)
+    monkeypatch.setattr(local_search, "moves", lambda n: 1)
     tracemalloc.start()
     try:
-        reduced_restarts(m.n, 2, 0, budget, counted, m.n * (m.n + 1))
+        reduced_restarts(m.n, 2, 0, 32, counted, m.n * (m.n + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1041,5 +1020,5 @@ def test_small_eps_memory_is_bounded(monkeypatch):
     # restart, and the gain tables of each restart grow with n x slots and
     # slots^2; batches of restarts keep them to a few MB.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=60, seed=0))
-    for cfg, peak in _solve_peak(m, 32, monkeypatch, eps=0.02):
-        assert peak < 16e6, (cfg, peak)
+    for solver, peak in _solve_peak(m, 32, monkeypatch, eps=0.02):
+        assert peak < 16e6, (solver, peak)

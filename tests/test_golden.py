@@ -35,29 +35,26 @@ import pytest
 
 from peelembed import objectives
 from peelembed.cli import main
-from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
-from peelembed.hc_peeling import HcPeelConfig, solve_hc
+from peelembed.hc_dense import solve_hc_dense
+from peelembed.hc_peeling import solve_hc
 from peelembed.instances import GeneratorSpec, generate, hc_case_c_spec, la_case_c_spec
-from peelembed.la_dense import DenseLaConfig, solve_la_dense
-from peelembed.la_peeling import LaPeelConfig, solve_la
+from peelembed.la_dense import solve_la_dense
+from peelembed.la_peeling import solve_la
+from peelembed.local_search import SolveConfig
 from peelembed.metric import format_metric, format_point_cloud
-from peelembed.partition_search import SearchBudget
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-ZERO = SearchBudget(restarts=0)
 
 
 def _la_case_c(n, seed):
     spec, eps = la_case_c_spec(n, seed=seed)
-    dense = DenseLaConfig(eps=eps, budget=ZERO, swap_sweeps=0)
-    return solve_la(generate(spec), LaPeelConfig(eps=eps, dense=dense), seed=seed)
+    return solve_la(generate(spec), SolveConfig(eps, restarts=0), seed=seed)
 
 
 def _hc_case_c(n, seed):
     spec, eps = hc_case_c_spec(n, seed=seed)
-    dense = DenseHcConfig(eps=eps, budget=ZERO)
-    return solve_hc(generate(spec), HcPeelConfig(eps=eps, dense=dense), seed=seed)
+    return solve_hc(generate(spec), SolveConfig(eps, restarts=0), seed=seed)
 
 
 def _outliers(core_n):
@@ -71,8 +68,8 @@ PEELING_RUNS = {
     "la_case_c_n440_s2": lambda: _la_case_c(440, 2),
     "hc_case_c_n1860_s0": lambda: _hc_case_c(1860, 0),
     "hc_case_c_n1900_s1": lambda: _hc_case_c(1900, 1),
-    "la_case_b_outlier51": lambda: solve_la(_outliers(50), LaPeelConfig(eps=0.6)),
-    "hc_case_b_outlier501": lambda: solve_hc(_outliers(500), HcPeelConfig(eps=0.05)),
+    "la_case_b_outlier51": lambda: solve_la(_outliers(50), SolveConfig(0.6)),
+    "hc_case_b_outlier501": lambda: solve_hc(_outliers(500), SolveConfig(0.05)),
 }
 
 
@@ -94,12 +91,11 @@ FAITHFUL_LOCAL = [
 
 def render_faithful_local():
     """A header, value and witness line per solve of ``FAITHFUL_LOCAL``."""
-    solvers = {"la": (solve_la_dense, DenseLaConfig), "hc": (solve_hc_dense, DenseHcConfig)}
+    solvers = {"la": solve_la_dense, "hc": solve_hc_dense}
     lines = []
     for objective, family, n, seed in FAITHFUL_LOCAL:
-        solve, cfg = solvers[objective]
-        witness, value = solve(generate(GeneratorSpec(family=family, n=n, seed=seed)),
-                               cfg(eps=0.5, grid_mode="faithful"), seed=seed)
+        m = generate(GeneratorSpec(family=family, n=n, seed=seed))
+        witness, value = solvers[objective](m, SolveConfig(0.5, "faithful"), seed=seed)
         lines += [f"{objective} {family} n={n} seed={seed}", f"value {value!r}",
                   witness.serialize()]
     return "\n".join(lines) + "\n"

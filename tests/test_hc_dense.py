@@ -4,8 +4,8 @@ import pytest
 from conftest import random_metric
 from peelembed import objectives
 from peelembed.errors import InvalidSpec
-from peelembed.hc_dense import DenseHcConfig, _parts_of, solve_hc_dense
-from peelembed.local_search import best_of
+from peelembed.hc_dense import _parts_of, slot_count, solve_hc_dense
+from peelembed.local_search import SolveConfig, best_of
 from peelembed.metric import subset_stats, validate_metric
 from peelembed.objectives import HcTree, all_binary_trees, evaluate_hc, ladder_tree, ladders_on
 from peelembed.oracles import brute_force_hc
@@ -20,28 +20,27 @@ U4 = validate_metric(np.ones((4, 4)) - np.eye(4))
 
 
 def test_config_validation():
-    assert DenseHcConfig(eps=0.5).k == 2
-    assert DenseHcConfig(eps=0.5).slots == 3
-    assert DenseHcConfig(eps=0.9).k == 1
+    assert slot_count(0.5) == 3
+    assert slot_count(0.9) == 2  # k floored at 1
     with pytest.raises(InvalidSpec):
-        DenseHcConfig(eps=1.5)
+        SolveConfig(eps=1.5)
 
 
 def test_n2_unique_tree():
     m = validate_metric([[0, 0.7], [0.7, 0]])
-    tree, _ = solve_hc_dense(m, DenseHcConfig(eps=0.5))
+    tree, _ = solve_hc_dense(m, SolveConfig(eps=0.5))
     assert evaluate_hc(m, tree) == pytest.approx(1.4)
 
 
 def test_uniform_any_mode_scores_twenty():
     for mode in ("reduced", "faithful"):
-        tree, _ = solve_hc_dense(U4, DenseHcConfig(eps=0.5, grid_mode=mode))
+        tree, _ = solve_hc_dense(U4, SolveConfig(eps=0.5, grid_mode=mode))
         assert evaluate_hc(U4, tree) == 20.0
 
 
 def test_two_cluster_faithful_hits_oracle(two_cluster_6):
     opt = brute_force_hc(two_cluster_6).value
-    tree, _ = solve_hc_dense(two_cluster_6, DenseHcConfig(eps=0.5, grid_mode="faithful"))
+    tree, _ = solve_hc_dense(two_cluster_6, SolveConfig(eps=0.5, grid_mode="faithful"))
     assert evaluate_hc(two_cluster_6, tree) == pytest.approx(opt)
 
 
@@ -50,21 +49,21 @@ def test_faithful_never_below_reduced_never_below_ladder():
     for seed in range(3):
         m = random_metric(rng, 6)
         ladder_val = evaluate_hc(m, ladder_tree(range(m.n)))
-        red = evaluate_hc(m, solve_hc_dense(m, DenseHcConfig(eps=0.5), seed=seed)[0])
+        red = evaluate_hc(m, solve_hc_dense(m, SolveConfig(eps=0.5), seed=seed)[0])
         fai = evaluate_hc(
-            m, solve_hc_dense(m, DenseHcConfig(eps=0.5, grid_mode="faithful"), seed=seed)[0]
+            m, solve_hc_dense(m, SolveConfig(eps=0.5, grid_mode="faithful"), seed=seed)[0]
         )
         assert fai >= red - 1e-9 >= ladder_val - 2e-9
 
 
 def test_soundness_against_oracle(corpus):
     for label, m in corpus[:30]:
-        tree, _ = solve_hc_dense(m, DenseHcConfig(eps=0.5))
+        tree, _ = solve_hc_dense(m, SolveConfig(eps=0.5))
         assert evaluate_hc(m, tree) <= brute_force_hc(m).value + 1e-9, label
 
 
 def test_determinism(two_cluster_6):
-    cfg = DenseHcConfig(eps=0.5, grid_mode="faithful")
+    cfg = SolveConfig(eps=0.5, grid_mode="faithful")
     a = solve_hc_dense(two_cluster_6, cfg, seed=5)
     b = solve_hc_dense(two_cluster_6, cfg, seed=5)
     assert a[0].serialize() == b[0].serialize() and a[1] == b[1]
@@ -126,8 +125,8 @@ def test_small_n_branch_walks_no_tree(monkeypatch, n):
         return walk(root)
 
     m = random_metric(np.random.default_rng(n), n)
-    cfg = DenseHcConfig(eps=0.25)
-    assert n <= cfg.slots
+    cfg = SolveConfig(eps=0.25)
+    assert n <= slot_count(cfg.eps)
     monkeypatch.setattr(objectives, "_leaf_spans", counted)
     tree, value = solve_hc_dense(m, cfg)
     assert len(walks) == 0
@@ -149,6 +148,6 @@ def test_reduced_search_walks_no_tree(monkeypatch, n):
 
     monkeypatch.setattr(objectives, "_leaf_spans", counted)
     m = random_metric(np.random.default_rng(n), n)
-    tree, value = solve_hc_dense(m, DenseHcConfig(eps=0.5))
+    tree, value = solve_hc_dense(m, SolveConfig(eps=0.5))
     assert len(walks) == 0
     assert value == evaluate_hc(m, tree)

@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 
 from peelembed.errors import DepthExceeded, InvalidSpec
-from peelembed.hc_dense import DenseHcConfig
-from peelembed.hc_peeling import HcPeelConfig, solve_hc
+from peelembed import hc_peeling
+from peelembed.hc_peeling import default_depth, solve_hc
 from peelembed.instances import GeneratorSpec, generate, hc_case_c_spec
 from peelembed.metric import Metric
 from peelembed.objectives import evaluate_hc
 from peelembed.oracles import brute_force_hc
-from peelembed.partition_search import SearchBudget
+from peelembed.local_search import SolveConfig
 
 from structural import cross_weight, hc_ladder_payoff, set_weight
 
 HC_EPS = 1.0 / 24.0
-CHEAP_DENSE = DenseHcConfig(eps=HC_EPS, budget=SearchBudget(restarts=0))
-CASE_C_CFG = HcPeelConfig(eps=HC_EPS, dense=CHEAP_DENSE)
+CASE_C_CFG = SolveConfig(HC_EPS, restarts=0)
 
 
 def case_c_run(n, seed=0):
@@ -50,25 +49,24 @@ def outlier_layer_instance(core_n=500):
 class TestConfig:
     def test_eps_validation(self):
         with pytest.raises(InvalidSpec):
-            HcPeelConfig(eps=-0.1)
+            SolveConfig(eps=-0.1)
 
     def test_depth_cap_default(self):
-        cfg = HcPeelConfig(eps=0.5)
         # 2 * log2(log2(n) + 2) + 8, floored
-        assert cfg.default_depth(2) == int(2 * math.log2(3)) + 8
-        assert cfg.default_depth(1 << 14) == 16
+        assert default_depth(2) == int(2 * math.log2(3)) + 8
+        assert default_depth(1 << 14) == 16
 
 
 class TestCaseRouting:
     def test_dense_instance_is_case_a(self, cluster_outlier_5):
         # rho = 0.184 >= 0.4^2, so the whole instance goes to the dense leaf.
-        tree, trace = solve_hc(cluster_outlier_5, HcPeelConfig(eps=0.4))
+        tree, trace = solve_hc(cluster_outlier_5, SolveConfig(eps=0.4))
         assert trace.case_sequence() == "a"
         assert trace.value == pytest.approx(evaluate_hc(cluster_outlier_5, tree))
 
     def test_two_points_case_a(self):
         m = Metric(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        tree, trace = solve_hc(m, HcPeelConfig(eps=0.5))
+        tree, trace = solve_hc(m, SolveConfig(eps=0.5))
         assert trace.case_sequence() == "a"
         assert trace.value == pytest.approx(4.0)
 
@@ -76,7 +74,7 @@ class TestCaseRouting:
         # Density ~0.002 < 0.05^2 and the core holds almost no weight, so the
         # outlier is cut first and the core follows as an ascending ladder.
         m = outlier_layer_instance()
-        tree, trace = solve_hc(m, HcPeelConfig(eps=0.05))
+        tree, trace = solve_hc(m, SolveConfig(eps=0.05))
         assert trace.case_sequence() == "b"
         rec = trace.levels[0]
         assert rec.a_ids == (500,)
@@ -89,7 +87,7 @@ class TestCaseRouting:
         # (1 - sqrt(rho)) * (1 - 16 eps) * n * W.
         eps = 0.05
         m = outlier_layer_instance()
-        _, trace = solve_hc(m, HcPeelConfig(eps=eps))
+        _, trace = solve_hc(m, SolveConfig(eps=eps))
         rec = trace.levels[0]
         assert rec.case == "b"
         total_w = set_weight(m, range(m.n))
@@ -120,7 +118,7 @@ class TestStructuralBounds:
         # Cross-check the difference identity against a direct walk of the
         # tree on a small case (b) instance.
         m = outlier_layer_instance(core_n=40)
-        tree, trace = solve_hc(m, HcPeelConfig(eps=0.2))
+        tree, trace = solve_hc(m, SolveConfig(eps=0.2))
         rec = trace.levels[0]
         assert rec.case == "b"
         payoff = hc_ladder_payoff(m, tree, rec.a_ids)
@@ -169,7 +167,7 @@ class TestSoundnessAndDeterminism:
                 continue
             opt = brute_force_hc(m).value
             for eps in (0.5, 1.0):
-                tree, trace = solve_hc(m, HcPeelConfig(eps=eps))
+                tree, trace = solve_hc(m, SolveConfig(eps=eps))
                 assert trace.value <= opt * (1 + 1e-9), label
                 assert trace.value == pytest.approx(evaluate_hc(m, tree))
 
@@ -188,6 +186,6 @@ class TestSoundnessAndDeterminism:
     def test_depth_exceeded(self, monkeypatch):
         spec, eps = hc_case_c_spec(1860)
         m = generate(spec)
-        monkeypatch.setattr(HcPeelConfig, "default_depth", staticmethod(lambda n: 0))
+        monkeypatch.setattr(hc_peeling, "default_depth", lambda n: 0)
         with pytest.raises(DepthExceeded):
-            solve_hc(m, HcPeelConfig(eps=eps, dense=CHEAP_DENSE))
+            solve_hc(m, SolveConfig(eps, restarts=0))

@@ -14,13 +14,12 @@ import pytest
 
 from peelembed.errors import DepthExceeded, InvalidSpec
 from peelembed.instances import GeneratorSpec, generate, la_case_c_spec
-from peelembed.la_dense import DenseLaConfig
 from peelembed import la_peeling
-from peelembed.la_peeling import LaPeelConfig, _core_distances, _split, solve_la
+from peelembed.la_peeling import _core_distances, _split, default_depth, solve_la
+from peelembed.local_search import SolveConfig
 from peelembed.metric import Metric
 from peelembed.objectives import evaluate_la
 from peelembed.oracles import brute_force_la
-from peelembed.partition_search import SearchBudget
 
 from structural import (
     la_cross_value,
@@ -32,12 +31,7 @@ from structural import (
     sub_positions,
 )
 
-CHEAP_DENSE = DenseLaConfig(
-    eps=0.45,
-    budget=SearchBudget(restarts=0),
-    swap_sweeps=0,
-)
-CASE_C_CFG = LaPeelConfig(eps=0.45, dense=CHEAP_DENSE)
+CASE_C_CFG = SolveConfig(0.45, restarts=0)
 
 
 def case_c_run(n, seed=0):
@@ -51,27 +45,26 @@ def case_c_run(n, seed=0):
 class TestConfig:
     def test_eps_validation(self):
         with pytest.raises(InvalidSpec):
-            LaPeelConfig(eps=0.0)
+            SolveConfig(0.0)
         with pytest.raises(InvalidSpec):
-            LaPeelConfig(eps=1.5)
+            SolveConfig(1.5)
 
     def test_depth_cap_default(self):
-        cfg = LaPeelConfig(eps=0.5)
-        assert cfg.default_depth(2) == 12
-        assert cfg.default_depth(1024) == 48
+        assert default_depth(2) == 12
+        assert default_depth(1024) == 48
 
 
 class TestCaseRouting:
     def test_dense_instance_is_case_a(self, cluster_outlier_5):
         # rho = 0.184 >= 0.5^6, so the whole instance goes to the dense leaf.
-        arr, trace = solve_la(cluster_outlier_5, LaPeelConfig(eps=0.5))
+        arr, trace = solve_la(cluster_outlier_5, SolveConfig(eps=0.5))
         assert trace.case_sequence() == "a"
         assert trace.depth == 1
         assert trace.value == pytest.approx(evaluate_la(cluster_outlier_5, arr))
 
     def test_two_points_case_a(self):
         m = Metric(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        arr, trace = solve_la(m, LaPeelConfig(eps=0.5))
+        arr, trace = solve_la(m, SolveConfig(eps=0.5))
         assert trace.case_sequence() == "a"
         assert trace.value == pytest.approx(1.0)
 
@@ -83,7 +76,7 @@ class TestCaseRouting:
             family="cluster_plus_outliers", n=51, core_n=50, outlier_n=1
         )
         m = generate(spec)
-        arr, trace = solve_la(m, LaPeelConfig(eps=0.6))
+        arr, trace = solve_la(m, SolveConfig(eps=0.6))
         assert trace.case_sequence() == "b"
         rec = trace.levels[0]
         assert rec.a_ids == (50,)
@@ -221,7 +214,7 @@ class TestSoundnessAndDeterminism:
                 continue
             opt = brute_force_la(m).value
             for eps in (0.5, 1.0):
-                arr, trace = solve_la(m, LaPeelConfig(eps=eps))
+                arr, trace = solve_la(m, SolveConfig(eps=eps))
                 assert trace.value <= opt * (1 + 1e-9), label
                 assert trace.value == pytest.approx(evaluate_la(m, arr))
 
@@ -240,9 +233,9 @@ class TestSoundnessAndDeterminism:
     def test_depth_exceeded(self, monkeypatch):
         spec, eps = la_case_c_spec(300)
         m = generate(spec)
-        monkeypatch.setattr(LaPeelConfig, "default_depth", staticmethod(lambda n: 0))
+        monkeypatch.setattr(la_peeling, "default_depth", lambda n: 0)
         with pytest.raises(DepthExceeded):
-            solve_la(m, LaPeelConfig(eps=eps, dense=CHEAP_DENSE))
+            solve_la(m, SolveConfig(eps, restarts=0))
 
 
 @pytest.mark.parametrize("n", [301, 350, 397])

@@ -12,15 +12,14 @@ from conftest import random_metric
 from structural import reference_enumerate_assignments, reference_grid_cells, reference_weight_cells
 from peelembed import hc_dense, partition_search
 from peelembed.errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
-from peelembed.hc_dense import DenseHcConfig, solve_hc_dense
+from peelembed.hc_dense import slot_count, solve_hc_dense
 from peelembed.instances import FAMILIES, GeneratorSpec, generate, two_cluster_metric
-from peelembed.la_dense import DenseLaConfig, solve_la_dense
-from peelembed.local_search import quantize
+from peelembed.la_dense import part_count, solve_la_dense
+from peelembed.local_search import SolveConfig, quantize
 from peelembed.metric import validate_metric
 from peelembed.partition_search import (
     Partition,
     PartitionSpec,
-    SearchBudget,
     crossing_matrix,
     enumerate_assignments,
     grid_cells,
@@ -97,10 +96,12 @@ def test_invalid_specs_rejected():
 
 
 @pytest.mark.parametrize("field", ["restarts"])
-def test_negative_budget_rejected(field):
+def test_negative_budget_rejected(field, two_cluster_6):
     with pytest.raises(InvalidSpec, match=f"{field} must be >= 0, got -1"):
-        SearchBudget(**{field: -1})
-    assert getattr(SearchBudget(**{field: 0}), field) == 0
+        SolveConfig(0.5, **{field: -1})
+    assert getattr(SolveConfig(0.5, **{field: 0}), field) == 0
+    with pytest.raises(InvalidSpec, match=f"{field} must be >= 0, got -1"):
+        search_partition(two_cluster_6, PartitionSpec.build(2), 0.0, **{field: -1})
 
 
 def test_partition_dump_and_crossing_consistency(two_cluster_6):
@@ -152,7 +153,8 @@ def test_enumeration_in_chunks_is_bit_equal(n, k):
     for family, seed in itertools.product(FAMILIES, (1, 2)):
         kwargs = {"weight_ratio": 0.2} if family == "two_scale" else {}
         m = generate(GeneratorSpec(family=family, n=n, seed=seed, **kwargs))
-        got, want = enumerate_assignments(m, k), reference_enumerate_assignments(quantize(m.dist), k)
+        q = quantize(m.dist)
+        got, want = enumerate_assignments(q, k), reference_enumerate_assignments(q, k)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), (family, seed)
 
@@ -162,7 +164,6 @@ def test_zero_diameter_metric_is_searched_as_before(monkeypatch):
     # in both regimes what it returned when it divided by a weight normaliser
     # of 1, with no NaN and no RuntimeWarning
     m = validate_metric(np.zeros((4, 4)))
-    budget = SearchBudget(restarts=4)
     cases = [  # (spec, exhaustive hit, local hit, feasible of the four assignments)
         (PartitionSpec.build(2, size_bounds=[(0.5, 0.5)] * 2),
          (0, 0, 1, 1), (0, 0, 1, 1), [True, False, False]),
@@ -181,7 +182,7 @@ def test_zero_diameter_metric_is_searched_as_before(monkeypatch):
         for spec, exhaustive_hit, local_hit, feasible in cases:
             for hit, cutoff in ((exhaustive_hit, 12), (local_hit, 0)):
                 monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", cutoff)
-                part = search_partition(m, spec, 0.0, budget=budget, seed=0)
+                part = search_partition(m, spec, 0.0, restarts=4, seed=0)
                 assert (part and part.assignment) == hit, (spec, cutoff)
                 assert part is None or part.crossing_weights == ((0.0,) * spec.k,) * spec.k
             assert [partition_feasible(m, spec, 0.0, a) for a in assignments
@@ -193,7 +194,7 @@ def test_enumeration_memory_is_bounded():
     m = generate(GeneratorSpec(family="clustered", n=11, seed=0))
     tracemalloc.start()
     try:
-        enumerate_assignments(m, 3)
+        enumerate_assignments(quantize(m.dist), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -207,10 +208,9 @@ def test_local_search_regime_finds_balanced_split():
 
     m = metric_from_points(pts[:, None])
     spec = PartitionSpec.build(2, size_bounds=[(0.5, 0.5), (0.5, 0.5)])
-    budget = SearchBudget(restarts=8)
-    part = search_partition(m, spec, eps_err=0.01, budget=budget, seed=0)
+    part = search_partition(m, spec, eps_err=0.01, restarts=8, seed=0)
     assert part is not None and part.part_sizes == (20, 20)
-    again = search_partition(m, spec, eps_err=0.01, budget=budget, seed=0)
+    again = search_partition(m, spec, eps_err=0.01, restarts=8, seed=0)
     assert again == part  # determinism under fixed seed and budget
 
 
@@ -267,13 +267,12 @@ def test_faithful_grid_is_refused_exactly_below_eps_04(objective, monkeypatch):
     monkeypatch.setattr(hc_dense, "grid_cells", size_cells)
     monkeypatch.setattr(hc_dense, "all_binary_trees", skeletons)
     monkeypatch.setattr(partition_search, "_search_cells", search)
-    solve, config, passed = {"la": (solve_la_dense, DenseLaConfig, ["density", "search"]),
-                             "hc": (solve_hc_dense, DenseHcConfig,
-                                    ["density", "sizes", "search"])}[objective]
+    solve, passed = {"la": (solve_la_dense, ["density", "search"]),
+                     "hc": (solve_hc_dense, ["density", "sizes", "search"])}[objective]
     m = generate(GeneratorSpec(family="clustered", n=9))
     for eps in (0.25, 0.3, 0.3999, 0.4, 0.5, 2 / 3, 0.7, 1.0):
         calls.clear()
-        cfg = config(eps=eps, grid_mode="faithful", budget=SearchBudget(restarts=1))
+        cfg = SolveConfig(eps, "faithful", restarts=1)
         if eps < 0.4:
             with pytest.raises(FaithfulGridTooLarge,
                                match=r"^\d+\^\d+ grid cells exceed the cap 2000000$"):
@@ -306,12 +305,11 @@ def test_grid_cells_match_the_loop(eps, monkeypatch):
     monkeypatch.setattr(hc_dense, "grid_cells", record("sizes"))
     monkeypatch.setattr(partition_search, "_search_cells", search)
     m = generate(GeneratorSpec(family="clustered", n=9))
-    for solve, config, kinds in ((solve_hc_dense, DenseHcConfig, ["weights", "sizes"]),
-                                 (solve_la_dense, DenseLaConfig, ["weights"])):
+    for solve, parts, kinds in ((solve_hc_dense, slot_count, ["weights", "sizes"]),
+                                (solve_la_dense, part_count, ["weights"])):
         calls.clear()
-        cfg = config(eps=eps, grid_mode="faithful", budget=SearchBudget(restarts=1))
         with pytest.raises(_Searched):
-            solve(m, cfg)
+            solve(m, SolveConfig(eps, "faithful", restarts=1))
         assert [kind for kind, _ in calls] == kinds
         for kind, (levels, step, count, keep) in calls:
             got = grid_cells(levels, step, count, keep)
@@ -319,8 +317,7 @@ def test_grid_cells_match_the_loop(eps, monkeypatch):
             assert len(loop) and got.shape == (len(loop), count), (kind, eps)
             assert got.tobytes() == np.array(loop).tobytes(), (kind, eps)
             if kind == "weights":
-                parts = getattr(cfg, "slots", cfg.k)
-                assert loop == reference_weight_cells(m, parts, levels, step), eps
+                assert loop == reference_weight_cells(m, parts(eps), levels, step), eps
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.2])
@@ -329,7 +326,7 @@ def test_refused_faithful_hc_grid_builds_no_cells(eps):
     # as one array; the weight grid's cap refuses the grid before any cell
     # of either grid is built.
     m = generate(GeneratorSpec(family="clustered", n=9))
-    cfg = DenseHcConfig(eps=eps, grid_mode="faithful", budget=SearchBudget(restarts=1))
+    cfg = SolveConfig(eps, "faithful", restarts=1)
     tracemalloc.start()
     try:
         with pytest.raises(FaithfulGridTooLarge):

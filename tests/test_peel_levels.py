@@ -15,18 +15,12 @@ import numpy as np
 import pytest
 
 from peelembed import hc_dense, hc_peeling, la_dense, la_peeling, metric, objectives, peeling
-from peelembed.hc_dense import DenseHcConfig
-from peelembed.hc_peeling import HcPeelConfig
 from peelembed.instances import generate, hc_case_c_spec
-from peelembed.la_dense import DenseLaConfig
-from peelembed.la_peeling import LaPeelConfig
+from peelembed.local_search import SolveConfig
 from peelembed.metric import Metric, find_core, metric_from_points, subset_stats
 from peelembed.objectives import HcTree, LinearArrangement, evaluate_la
-from peelembed.partition_search import SearchBudget
 
 from structural import reference_evaluate_hc, set_weight
-
-ZERO = SearchBudget(restarts=0)
 
 # HC's case (b) test keeps a level in case (c) only while its core holds 16 eps
 # of the weight at density below eps^2, which takes n in the thousands per
@@ -45,19 +39,16 @@ def nested_line(cluster_n, width, outliers):
 def la_case(cluster_n=800):
     eps = 0.45
     m = nested_line(cluster_n, 4.2 / cluster_n, [0.17, 1.0])
-    cfg = LaPeelConfig(eps=eps, dense=DenseLaConfig(eps=eps, budget=ZERO, swap_sweeps=0))
-    return la_peeling._POLICY, m, cfg
+    return la_peeling._POLICY, m, SolveConfig(eps, restarts=0)
 
 
 def hc_case(cluster_n, width, outliers, eps):
-    cfg = HcPeelConfig(eps=eps, dense=DenseHcConfig(eps=eps, budget=ZERO))
-    return HC_SHALLOW_B, nested_line(cluster_n, width, outliers), cfg
+    return HC_SHALLOW_B, nested_line(cluster_n, width, outliers), SolveConfig(eps, restarts=0)
 
 
 def hc_calibrated_case():
     spec, eps = hc_case_c_spec(1860)
-    cfg = HcPeelConfig(eps=eps, dense=DenseHcConfig(eps=eps, budget=ZERO))
-    return hc_peeling._POLICY, generate(spec), cfg
+    return hc_peeling._POLICY, generate(spec), SolveConfig(eps, restarts=0)
 
 
 # name -> (builder of (policy, metric, config), depth of the run)
