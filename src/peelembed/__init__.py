@@ -16,7 +16,7 @@ from .oracles import (
     brute_force_la,
     random_bisection_la,
 )
-from .partition_search import Partition, PartitionSpec, search_partition
+from .partition_search import PartitionSpec, search_partition
 from .trace import LevelRecord, RecursionTrace
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ __all__ = [
     "LevelRecord",
     "LinearArrangement",
     "Metric",
-    "Partition",
     "PartitionSpec",
     "PeelEmbedError",
     "RecursionTrace",

@@ -110,9 +110,12 @@ def _load_metric(path: str, fmt: str) -> Metric:
 def _write_out(out: str, text: str) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigParse(f"cannot write {out}: {exc}") from None
 
 
 def _cmd_validate(args) -> int:
@@ -302,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-clusters", dest="m_clusters", type=int)
     p.add_argument("--intra-scale", dest="intra_scale", type=float)
     p.add_argument("--inter-scale", dest="inter_scale", type=float)
-    p.add_argument("--core-n", dest="core_n", type=int)
     p.add_argument("--outlier-n", dest="outlier_n", type=int)
     p.add_argument("--ratio", type=float)
     p.add_argument("--weight-ratio", dest="weight_ratio", type=float)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +37,6 @@ class GeneratorSpec:
     m_clusters: int = 3  # clustered
     intra_scale: float = 0.05  # clustered
     inter_scale: float = 1.0  # clustered
-    core_n: Optional[int] = None  # cluster_plus_outliers; None -> n - outlier_n
     outlier_n: int = 1  # cluster_plus_outliers, two_scale
     ratio: float = 1e-4  # cluster_plus_outliers: cluster width / outlier distance
     weight_ratio: float = 1.0  # two_scale: intra-cluster weight / crossing weight
@@ -46,10 +44,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
-        for name in ("n", "seed", "dim", "m_clusters", "core_n", "outlier_n"):
+        for name in ("n", "seed", "dim", "m_clusters", "outlier_n"):
             value = getattr(self, name)
-            unset = name == "core_n" and value is None
-            if isinstance(value, bool) or not (isinstance(value, Integral) or unset):
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise InvalidSpec(f"n must be >= 1, got {self.n}")
@@ -85,10 +82,9 @@ def generate(spec: GeneratorSpec) -> Metric:
         pts = centers[labels] + rng.normal(0.0, spec.intra_scale, size=(n, spec.dim))
         return metric_from_points(pts)
     if spec.family == "cluster_plus_outliers":
-        core_n = spec.core_n if spec.core_n is not None else n - spec.outlier_n
-        if core_n < 1 or core_n + spec.outlier_n != n:
-            raise InvalidSpec(f"core_n + outlier_n must equal n={n}")
-        core = rng.uniform(0.0, spec.ratio, size=core_n)
+        if spec.outlier_n >= n:
+            raise InvalidSpec(f"outlier_n must be below n={n}, got {spec.outlier_n}")
+        core = rng.uniform(0.0, spec.ratio, size=n - spec.outlier_n)
         outliers = 1.0 + spec.ratio * np.arange(spec.outlier_n)
         return metric_from_points(np.concatenate([core, outliers])[:, None])
     if spec.family == "two_scale":

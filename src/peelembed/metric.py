@@ -118,10 +118,6 @@ class Metric:
         in row 0 settles it, so the whole matrix is read only if none is."""
         return not (self.n and self.dist[0].max() > 0.0) and self.diameter() <= 0.0
 
-    def total_weight(self) -> float:
-        """``subset_stats(self, range(self.n)).weight_sum``."""
-        return _block_max_and_weight(self.dist, range(self.n))[1]
-
     def __repr__(self):
         return f"Metric(n={self.n})"
 

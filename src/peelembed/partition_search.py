@@ -9,7 +9,8 @@ penalty function, where a miss only means "not found within budget".
 :func:`grid_partitions` asks this of every cell of a faithful grid, refuses
 a grid over ``MAX_GRID_CELLS`` and searches each grid once: one enumeration,
 or all (cell, restart) rows of a chunk of cells climbing in lockstep.
-:func:`search_partition` is the one-cell case.
+:func:`search_partition` is the one-cell case.  A hit is an assignment
+tuple, the part of each point.
 
 Every decision runs on ``local_search.quantize``'s integer copy of the
 metric, on which D_V is 2^s.  :func:`_integer_cells` puts each bound once on
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -73,17 +74,6 @@ class PartitionSpec:
         return cls(k=k, size_bounds=tuple(sb), weight_bounds=tuple(map(tuple, wb)))
 
 
-@dataclass(frozen=True)
-class Partition:
-    assignment: tuple
-    part_sizes: tuple
-    crossing_weights: tuple  # k x k, symmetric; diagonal = intra-part weight
-
-    @property
-    def k(self) -> int:
-        return len(self.part_sizes)
-
-
 def _bounds(spec: PartitionSpec):
     """(slb, sub, wlb, wub): the spec's size and weight lower and upper
     bounds as the (1, k) and (1, k * k) arrays of one cell, weights row-major."""
@@ -130,7 +120,7 @@ def _stats(q: np.ndarray, assigns: np.ndarray, k: int):
     return onehot.sum(axis=1), cross, part_dist
 
 
-def _penalty(unit: float, cell, sizes, weights, inverse=slice(None)):
+def _penalty(unit: float, cell, sizes, weights, inverse):
     """Summed amounts by which the part sizes of state ``inverse[r]``, c
     points counting c * ``unit``, and its crossing weights leave row r's
     bounds ``cell`` = (lo, hi, wlo, whi): 0 exactly when it meets them all."""
@@ -138,32 +128,6 @@ def _penalty(unit: float, cell, sizes, weights, inverse=slice(None)):
     sizes, weights = sizes * unit, weights[inverse]
     return ((np.maximum(lo - sizes, 0.0) + np.maximum(sizes - hi, 0.0)).sum(axis=-1)[inverse]
             + (np.maximum(wlo - weights, 0.0) + np.maximum(weights - whi, 0.0)).sum(axis=-1))
-
-
-def crossing_matrix(m: Metric, assignment: Sequence[int], k: int) -> np.ndarray:
-    """Symmetric k x k weight matrix; off-diagonal = crossing, diagonal = intra."""
-    assign = np.asarray(assignment, dtype=int)
-    onehot = np.eye(k)[assign]
-    cross = onehot.T @ m.dist @ onehot
-    np.fill_diagonal(cross, np.diag(cross) / 2.0)
-    return cross
-
-
-def make_partition(m: Metric, assignment: Sequence[int], k: int) -> Partition:
-    assign = tuple(int(a) for a in assignment)
-    sizes = tuple(int((np.asarray(assign) == j).sum()) for j in range(k))
-    cross = crossing_matrix(m, assign, k)
-    return Partition(assignment=assign, part_sizes=sizes,
-                     crossing_weights=tuple(tuple(float(x) for x in row) for row in cross))
-
-
-def partition_feasible(m: Metric, spec: PartitionSpec, eps_err: float,
-                       assignment: Sequence[int]) -> bool:
-    """Exact feasibility recomputation on the integer metric; the only check
-    trusted before returning."""
-    q, unit, cell = _integer_cells(m, eps_err, *_bounds(spec))
-    sizes, cross, _ = _stats(q, np.asarray(assignment, dtype=int)[None], spec.k)
-    return bool(_penalty(unit, cell, sizes, cross.reshape(1, -1))[0] == 0.0)
 
 
 def enumerate_assignments(q: np.ndarray, k: int):
@@ -184,8 +148,9 @@ def enumerate_assignments(q: np.ndarray, k: int):
 
 
 def search_partition(m: Metric, spec: PartitionSpec, eps_err: float,
-                     restarts: int = SolveConfig.restarts, seed: int = 0) -> Optional[Partition]:
-    """Find a partition meeting ``spec`` within additive slack ``eps_err``.
+                     restarts: int = SolveConfig.restarts, seed: int = 0) -> Optional[tuple]:
+    """The assignment tuple, each point's part, of a partition meeting
+    ``spec`` within additive slack ``eps_err``: the one-cell grid's hit.
 
     Returns None when nothing is found; in the exhaustive regime that means
     no feasible partition exists, otherwise only that ``restarts`` seeded
@@ -206,11 +171,7 @@ def search_partition(m: Metric, spec: PartitionSpec, eps_err: float,
         raise SpecInfeasibleTrivially(
             f"size fractions cannot sum to 1: lb={slb.sum():g}, ub={sub.sum():g}"
         )
-    assignment = next(_search_cells(m, bounds, eps_err, restarts, seed))
-    if assignment is None:
-        return None
-    assert partition_feasible(m, spec, eps_err, assignment)
-    return make_partition(m, assignment, k)
+    return next(_search_cells(m, bounds, eps_err, restarts, seed))
 
 
 def exhaustive(n: int, k: int) -> bool:

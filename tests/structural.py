@@ -3,13 +3,14 @@
 Used by the unit tests and the acceptance suite to check the split lower
 bound, the pair-set and point-set upper bounds, the layer-weight bound, the
 ladder payoff floor and the telescoping accounting on realized runs, and
-holding the per-candidate reference loops of the dense solvers and the
-partition search with its float decisions, the per-cell loop of the
-faithful grids and the einsum form of the exhaustive enumeration, the
-per-restart loop of the reduced search with its move list and batched
-scorers, the per-k
-triangle scan, whole-slab screen and whole-matrix symmetrising of metric
-validation, the whole-mask ball count of core detection, the all-token
+holding the partition search's exact feasibility test of whole arrays of
+assignments with its brute force, the per-candidate reference loops of
+the dense solvers and the partition search with its float decisions and
+crossing matrix, the per-cell loop of the faithful grids and the einsum
+form of the exhaustive enumeration, the per-restart loop of the reduced
+search with its move list and batched scorers, the per-k triangle scan,
+whole-slab screen and whole-matrix symmetrising of metric validation, the
+whole-mask ball count of core detection, the all-token
 matrix parse with its format sniff, the node-at-a-time tree walks, the
 nested-tuple skeleton trees and tree enumeration, the mask-at-a-time loops
 of the exact oracles, the four-array LA swap table, the core gather of the
@@ -63,7 +64,9 @@ from peelembed.partition_search import (
     PartitionSpec,
     _bounds,
     _greedy_seed,
-    crossing_matrix,
+    _integer_cells,
+    _penalty,
+    _stats,
     exhaustive,
 )
 
@@ -717,6 +720,54 @@ def reference_move(sizes, cross, part_dist, p, a, b):
     return sz, cr
 
 
+def all_assignments(n, k):
+    """The k^n assignments of n points to k parts as (k^n, n) rows, in
+    lexicographic order."""
+    return np.indices((k,) * n).reshape(n, -1).T
+
+
+def exact_masks(m, eps_err, bounds, assignments):
+    """For each cell of ``bounds`` = (slb, sub, wlb, wub), the (L, k) size
+    and (U, k * k) weight cells of ``_search_cells``, size cell outer, the
+    mask of the (A, n) ``assignments`` that meet it within ``eps_err``: the
+    partition search's exact test, the metric quantized and the bounds put
+    on its integer scale once by ``_integer_cells``, each assignment's
+    statistics built once by ``_stats`` and its penalty taken by
+    ``_penalty``, feasible at 0."""
+    assigns = np.asarray(assignments, dtype=int).reshape(-1, m.n)
+    q, unit, (lo, hi, wlo, whi) = _integer_cells(m, eps_err, *bounds)
+    sizes, cross, _ = _stats(q, assigns, lo.shape[1])
+    weights, rows = cross.reshape(len(assigns), -1), np.arange(len(assigns))
+    for size_lo, size_hi in zip(lo, hi):
+        for cell_lo, cell_hi in zip(wlo, whi):
+            yield _penalty(unit, (size_lo, size_hi, cell_lo, cell_hi), sizes, weights, rows) == 0
+
+
+def exact_feasible(m, spec, eps_err, assignments):
+    """``exact_masks`` of the one cell of ``spec``: which of the (A, n)
+    ``assignments`` meet it within ``eps_err``, as the search decides."""
+    return next(exact_masks(m, eps_err, _bounds(spec), assignments))
+
+
+def smallest_feasible(m, spec, eps_err):
+    """The lexicographically smallest assignment tuple meeting ``spec``
+    within ``eps_err`` by ``exact_feasible``, or None: brute force over all
+    k^n assignments."""
+    assigns = all_assignments(m.n, spec.k)
+    hits = np.flatnonzero(exact_feasible(m, spec, eps_err, assigns))
+    return tuple(assigns[hits[0]].tolist()) if len(hits) else None
+
+
+def reference_crossing_matrix(m, assignment, k):
+    """``partition_search.crossing_matrix`` as it was: the symmetric k x k
+    float weight matrix of an assignment on the true metric, off-diagonal
+    the crossing weights, diagonal the intra-part weights."""
+    onehot = np.eye(k)[np.asarray(assignment, dtype=int)]
+    cross = onehot.T @ m.dist @ onehot
+    np.fill_diagonal(cross, np.diag(cross) / 2.0)
+    return cross
+
+
 def float_bounds(m, spec):
     """(norm, slb, sub, wlb, wub): the weight normaliser n^2 * D_V, 1 when
     D_V = 0, and ``spec``'s bound arrays, as the float decisions of the
@@ -727,11 +778,12 @@ def float_bounds(m, spec):
 
 
 def reference_feasible(m, spec, eps_err, assignment):
-    """``partition_feasible`` on float sums, as it was: every size fraction
-    and normalised crossing weight within eps_err + 1e-12 of its bounds."""
+    """The partition search's feasibility test on float sums, as it was:
+    every size fraction and normalised crossing weight within
+    eps_err + 1e-12 of its bounds."""
     norm, slb, sub, wlb, wub = float_bounds(m, spec)
     sizes = np.bincount(np.asarray(assignment, dtype=int), minlength=spec.k) / m.n
-    cross = crossing_matrix(m, assignment, spec.k) / norm
+    cross = reference_crossing_matrix(m, assignment, spec.k) / norm
     return not ((sizes < slb - eps_err - 1e-12).any() or (sizes > sub + eps_err + 1e-12).any()
                 or (cross < wlb - eps_err - 1e-12).any() or (cross > wub + eps_err + 1e-12).any())
 
@@ -758,7 +810,7 @@ def reference_search_local(m, spec, eps_err, restarts, seed):
         onehot = np.eye(k)[assign]
         part_dist = m.dist @ onehot  # part_dist[p, j] = W(p, part j)
         sizes = onehot.sum(axis=0)
-        cross = crossing_matrix(m, assign, k)
+        cross = reference_crossing_matrix(m, assign, k)
         pen = penalty(sizes, cross)
         for _ in range(local_search.moves(n)):
             if pen <= 0.0:

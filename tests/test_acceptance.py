@@ -6,7 +6,6 @@ artifacts (the small-n corpus with oracle values and the pool of recursive
 multi-scale runs) are built once per module.
 """
 
-import itertools
 import json
 import math
 import time
@@ -39,16 +38,17 @@ from peelembed.oracles import (
 )
 from peelembed.partition_search import (
     PartitionSpec,
-    partition_feasible,
     search_partition,
 )
 
 from structural import (
     cross_weight,
+    exact_feasible,
     hc_ladder_payoff,
     la_cross_value,
     pair_set_upper_bound,
     point_set_upper_bound,
+    smallest_feasible,
     split_lower_bound,
     sub_positions,
 )
@@ -216,7 +216,6 @@ def random_la_layer_run(rng):
     spec = GeneratorSpec(
         family="cluster_plus_outliers",
         n=core_n + outlier_n,
-        core_n=core_n,
         outlier_n=outlier_n,
         ratio=float(10.0 ** rng.uniform(-5, -2)),
         seed=int(rng.integers(0, 2**31)),
@@ -236,7 +235,6 @@ def random_hc_layer_run(rng):
     spec = GeneratorSpec(
         family="cluster_plus_outliers",
         n=core_n + outlier_n,
-        core_n=core_n,
         outlier_n=outlier_n,
         ratio=float(10.0 ** rng.uniform(-5, -2)),
         seed=int(rng.integers(0, 2**31)),
@@ -355,26 +353,19 @@ def test_partition_search_equivalence():
             wb = [[(0.0, float(mu[a][b])) for b in range(k)] for a in range(k)]
             spec = PartitionSpec.build(k, size_bounds=sb, weight_bounds=wb)
             eps_err = 0.05
-
-            def brute():
-                for assign in itertools.product(range(k), repeat=n):
-                    if partition_feasible(m, spec, eps_err, assign):
-                        return assign
-                return None
-
             try:
                 got = search_partition(m, spec, eps_err=eps_err, seed=trial)
             except SpecInfeasibleTrivially:
-                assert brute() is None
+                assert smallest_feasible(m, spec, eps_err) is None
                 missing += 1
                 continue
-            ref = brute()
+            ref = smallest_feasible(m, spec, eps_err)
             if got is None:
                 assert ref is None
                 missing += 1
             else:
                 assert ref is not None
-                assert partition_feasible(m, spec, eps_err, got.assignment)
+                assert exact_feasible(m, spec, eps_err, got).all()
                 found += 1
         assert found >= 10 and missing >= 10
 

@@ -177,6 +177,21 @@ class TestValidateAndGen:
         assert captured.err.startswith("error: cannot read input ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["gen", "bench", "solve-la", "solve-hc"])
+    def test_unwritable_output_exits_2(self, matrix_file, tmp_path, capsys, command):
+        # --out or --trace into a missing directory: one error line naming
+        # the path, as for an unreadable input, and no traceback
+        path = str(tmp_path / "absent" / "out.txt")
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({"instances": [{"family": "uniform_metric", "n": 4}]}))
+        argv = {"gen": ["--out", path, "gen", "--family", "clustered", "--n", "5"],
+                "bench": ["--out", path, "bench", "--config", str(config)]}.get(
+            command, [command, "--input", matrix_file, "--eps", "0.5", "--trace", path])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSolveAndOracle:
     def test_solve_la_sound_and_parses(self, matrix_file, two_cluster_6, capsys):

@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structural import (
+    exact_feasible,
     family_metrics,
     reference_arrangement_values,
     reference_caterpillar_values,
+    reference_crossing_matrix,
     reference_grid_partitions,
     reference_hc_reduced,
     reference_hc_value,
@@ -59,9 +61,7 @@ from peelembed.partition_search import (
     _drops,
     _penalty,
     _stats,
-    crossing_matrix,
     grid_partitions,
-    partition_feasible,
     search_partition,
 )
 
@@ -123,7 +123,7 @@ def test_moved_states_match_reference_updates(k):
             own = (lo, hi, wlo[r, 0], whi[r, 0])
 
             def penalty(sizes, cross):
-                return _penalty(unit, own, sizes[None], cross.ravel()[None, active])[0]
+                return _penalty(unit, own, sizes[None], cross.ravel()[None, active], [0])[0]
 
             now = penalty(sizes, cross)
             for p, b in itertools.product(range(n), range(k)):
@@ -819,15 +819,15 @@ def test_partition_search_matches_reference_loop(monkeypatch):
             sizes = [(0.0, f) for f in np.bincount(planted, minlength=k) / n]
             wb = None
             if case % 2:
-                cross = crossing_matrix(m, planted, k) / (n * n * m.diameter())
+                cross = reference_crossing_matrix(m, planted, k) / (n * n * m.diameter())
                 wb = [[(w, w) for w in row] for row in cross]
             spec = PartitionSpec.build(k, size_bounds=sizes, weight_bounds=wb)
             for seed in (0, 1):
                 got = search_partition(m, spec, eps_err, restarts=1, seed=seed)
                 want = reference_search_local(m, spec, eps_err, 1, seed)
-                if (None if got is None else got.assignment) != want:
+                if got != want:
                     flips.append((family, n, k, seed))
-                    assert got is not None and partition_feasible(m, spec, eps_err, got.assignment)
+                    assert got is not None and exact_feasible(m, spec, eps_err, got).all()
                 found += want is not None
                 cases += 1
     assert found >= cases / 3, (found, cases)

@@ -58,8 +58,7 @@ def _hc_case_c(n, seed):
 
 
 def _outliers(core_n):
-    return generate(GeneratorSpec(family="cluster_plus_outliers", n=core_n + 1,
-                                  core_n=core_n, outlier_n=1))
+    return generate(GeneratorSpec(family="cluster_plus_outliers", n=core_n + 1, outlier_n=1))
 
 
 PEELING_RUNS = {

@@ -41,7 +41,7 @@ def runs():
 
 def outlier_layer_instance(core_n=500):
     spec = GeneratorSpec(
-        family="cluster_plus_outliers", n=core_n + 1, core_n=core_n, outlier_n=1
+        family="cluster_plus_outliers", n=core_n + 1, outlier_n=1
     )
     return generate(spec)
 

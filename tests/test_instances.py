@@ -34,7 +34,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n", 4.5), ("n", True), ("seed", 1.5), ("dim", 1.5), ("m_clusters", 2.0),
-        ("core_n", 3.0), ("outlier_n", False), ("seed", "1"),
+        ("outlier_n", 3.0), ("outlier_n", False), ("seed", "1"),
     ])
     def test_non_integer_field_rejected(self, field, value):
         # a float or bool would reach numpy, which fails on it with a
@@ -58,11 +58,13 @@ class TestSpecValidation:
         assert m.n == 5
 
     def test_core_split_must_cover_n(self):
-        spec = GeneratorSpec(
-            family="cluster_plus_outliers", n=6, core_n=3, outlier_n=1
-        )
-        with pytest.raises(InvalidSpec):
-            generate(spec)
+        # the core is the n - outlier_n points that are not outliers, and
+        # must keep at least one
+        for outlier_n in (6, 7):
+            spec = GeneratorSpec(family="cluster_plus_outliers", n=6, outlier_n=outlier_n)
+            with pytest.raises(InvalidSpec, match=f"^outlier_n must be below n=6, got {outlier_n}$"):
+                generate(spec)
+        assert generate(GeneratorSpec(family="cluster_plus_outliers", n=6, outlier_n=5)).n == 6
 
     def test_two_scale_needs_room(self):
         with pytest.raises(InvalidSpec):
@@ -118,9 +120,9 @@ class TestFrozenExamples:
         assert m.dist[1, 3] == 2.0
 
     def test_cluster_plus_outliers_density(self):
-        # 50 near-duplicates plus a far outlier: rho ~ 1/core_n.
+        # 50 near-duplicates plus a far outlier: rho ~ 1/50, one over the core size.
         m = generate(
-            GeneratorSpec(family="cluster_plus_outliers", n=51, core_n=50)
+            GeneratorSpec(family="cluster_plus_outliers", n=51)
         )
         rho = subset_stats(m, range(m.n)).density
         assert rho == pytest.approx(0.0192, abs=2e-3)

@@ -73,7 +73,7 @@ class TestCaseRouting:
         # sits under eps^6 ~ 0.047, the outlier is the whole far layer and
         # the remaining weight is far below eps * W, so one level stops in b.
         spec = GeneratorSpec(
-            family="cluster_plus_outliers", n=51, core_n=50, outlier_n=1
+            family="cluster_plus_outliers", n=51, outlier_n=1
         )
         m = generate(spec)
         arr, trace = solve_la(m, SolveConfig(eps=0.6))

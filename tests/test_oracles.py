@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_metric
 from peelembed.errors import DuplicateLeaf, InvalidSpec, TooLarge
 from peelembed.instances import GeneratorSpec, generate
-from peelembed.metric import Metric, validate_metric
+from peelembed.metric import Metric, subset_stats, validate_metric
 from peelembed.objectives import (
     HcTree,
     LinearArrangement,
@@ -204,6 +204,6 @@ def test_fact_33_floor_on_random_metrics():
     for _ in range(25):
         n = int(rng.integers(2, 9))
         m = random_metric(rng, n)
-        w = m.total_weight()
+        w = subset_stats(m, range(n)).weight_sum
         assert brute_force_la(m).value >= n * w / 3.0 - 1e-9
         assert brute_force_hc(m).value >= 2.0 * n * w / 3.0 - 1e-9

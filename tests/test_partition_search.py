@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_metric
-from structural import reference_enumerate_assignments, reference_grid_cells, reference_weight_cells
+from structural import (
+    all_assignments,
+    exact_feasible,
+    exact_masks,
+    reference_crossing_matrix,
+    reference_enumerate_assignments,
+    reference_grid_cells,
+    reference_weight_cells,
+    smallest_feasible,
+)
 from peelembed import hc_dense, partition_search
 from peelembed.errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
 from peelembed.hc_dense import slot_count, solve_hc_dense
@@ -18,24 +27,13 @@ from peelembed.la_dense import part_count, solve_la_dense
 from peelembed.local_search import SolveConfig, quantize
 from peelembed.metric import validate_metric
 from peelembed.partition_search import (
-    Partition,
     PartitionSpec,
-    crossing_matrix,
     enumerate_assignments,
     grid_cells,
-    make_partition,
-    partition_feasible,
     search_partition,
 )
 
 U4 = validate_metric(np.ones((4, 4)) - np.eye(4))
-
-
-def brute_force_feasible(m, spec, eps_err):
-    for assign in itertools.product(range(spec.k), repeat=m.n):
-        if partition_feasible(m, spec, eps_err, assign):
-            return assign
-    return None
 
 
 def test_uniform_balanced_split_exact():
@@ -44,10 +42,10 @@ def test_uniform_balanced_split_exact():
         size_bounds=[(0.5, 0.5), (0.5, 0.5)],
         weight_bounds=[[(0, math.inf), (4 / 16, 4 / 16)], [(4 / 16, 4 / 16), (0, math.inf)]],
     )
-    part = search_partition(U4, spec, eps_err=0.0)
-    assert part is not None
-    assert part.part_sizes == (2, 2)
-    assert part.crossing_weights[0][1] == pytest.approx(4.0)
+    hit = search_partition(U4, spec, eps_err=0.0)
+    assert hit is not None
+    assert np.bincount(hit).tolist() == [2, 2]
+    assert reference_crossing_matrix(U4, hit, 2)[0, 1] == pytest.approx(4.0)
 
 
 def test_two_cluster_natural_split():
@@ -59,9 +57,7 @@ def test_two_cluster_natural_split():
         size_bounds=[(0.5, 0.5)] * 2,
         weight_bounds=[[(0, math.inf), target], [target, (0, math.inf)]],
     )
-    part = search_partition(m, spec, eps_err=1e-9)
-    assert part is not None
-    assert part.assignment in ((0, 0, 0, 1, 1, 1), (1, 1, 1, 0, 0, 0))
+    assert search_partition(m, spec, eps_err=1e-9) in ((0, 0, 0, 1, 1, 1), (1, 1, 1, 0, 0, 0))
 
 
 def test_trivially_infeasible_spec():
@@ -104,14 +100,6 @@ def test_negative_budget_rejected(field, two_cluster_6):
         search_partition(two_cluster_6, PartitionSpec.build(2), 0.0, **{field: -1})
 
 
-def test_partition_dump_and_crossing_consistency(two_cluster_6):
-    part = make_partition(two_cluster_6, (0, 0, 0, 1, 1, 1), 2)
-    cross = crossing_matrix(two_cluster_6, part.assignment, 2)
-    assert cross[0, 1] == pytest.approx(9.0)
-    assert cross[0, 0] == pytest.approx(0.3)  # intra weight of one triangle
-    assert part.part_sizes == (3, 3) and part.crossing_weights[0][1] == cross[0, 1]
-
-
 def test_exhaustive_matches_brute_force_oracle():
     rng = np.random.default_rng(11)
     checked_found = checked_missing = 0
@@ -131,17 +119,47 @@ def test_exhaustive_matches_brute_force_oracle():
         try:
             got = search_partition(m, spec, eps_err=eps_err, seed=trial)
         except SpecInfeasibleTrivially:
-            assert brute_force_feasible(m, spec, eps_err) is None
+            assert smallest_feasible(m, spec, eps_err) is None
             continue
-        ref = brute_force_feasible(m, spec, eps_err)
+        ref = smallest_feasible(m, spec, eps_err)
         if got is None:
             assert ref is None
             checked_missing += 1
         else:
-            assert partition_feasible(m, spec, eps_err, got.assignment)
-            assert got.assignment == ref  # lexicographically smallest
+            assert exact_feasible(m, spec, eps_err, got).all()
+            assert got == ref  # lexicographically smallest
             checked_found += 1
     assert checked_found >= 5 and checked_missing >= 5
+
+
+@pytest.mark.parametrize("family", ["clustered", "uniform_metric"])
+@pytest.mark.parametrize("objective, n", [("la", 10), ("hc", 7)])
+def test_grid_hits_are_the_smallest_exactly_feasible_assignments(objective, n, family,
+                                                                   monkeypatch):
+    # The exhaustive faithful grids of the search workload's shapes at eps
+    # 0.5, driven through _search_cells: a cell misses exactly when no
+    # assignment meets it by the exact test, and otherwise hits the
+    # lexicographically smallest assignment that does.
+    grids = []
+
+    def search(*args, real=partition_search._search_cells):
+        grids.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partition_search, "_search_cells", search)
+    solve = {"la": solve_la_dense, "hc": solve_hc_dense}[objective]
+    m = generate(GeneratorSpec(family=family, n=n))
+    solve(m, SolveConfig(0.5, "faithful"))
+    [(grid_m, bounds, eps_err, restarts, seed)] = grids
+    k = bounds[0].shape[1]
+    assert grid_m is m and partition_search.exhaustive(n, k)
+    assigns = all_assignments(n, k)
+    hits = list(search(m, bounds, eps_err, restarts, seed))
+    assert len(hits) == len(bounds[0]) * len(bounds[2])
+    for hit, mask in zip(hits, exact_masks(m, eps_err, bounds, assigns), strict=True):
+        passing = np.flatnonzero(mask)
+        assert hit == (tuple(assigns[passing[0]].tolist()) if len(passing) else None)
+    assert None in hits and any(hits), (hits.count(None), len(hits))
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for k in (2, 3, 4) for n in range(3, 13)
@@ -162,7 +180,8 @@ def test_enumeration_in_chunks_is_bit_equal(n, k):
 def test_zero_diameter_metric_is_searched_as_before(monkeypatch):
     # quantize's copy of an all-zero metric is all zeros: the search returns
     # in both regimes what it returned when it divided by a weight normaliser
-    # of 1, with no NaN and no RuntimeWarning
+    # of 1, and the exact test accepts what it accepted, with no NaN and no
+    # RuntimeWarning
     m = validate_metric(np.zeros((4, 4)))
     cases = [  # (spec, exhaustive hit, local hit, feasible of the four assignments)
         (PartitionSpec.build(2, size_bounds=[(0.5, 0.5)] * 2),
@@ -182,11 +201,9 @@ def test_zero_diameter_metric_is_searched_as_before(monkeypatch):
         for spec, exhaustive_hit, local_hit, feasible in cases:
             for hit, cutoff in ((exhaustive_hit, 12), (local_hit, 0)):
                 monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", cutoff)
-                part = search_partition(m, spec, 0.0, restarts=4, seed=0)
-                assert (part and part.assignment) == hit, (spec, cutoff)
-                assert part is None or part.crossing_weights == ((0.0,) * spec.k,) * spec.k
-            assert [partition_feasible(m, spec, 0.0, a) for a in assignments
-                    if max(a) < spec.k] == feasible, spec
+                assert search_partition(m, spec, 0.0, restarts=4, seed=0) == hit, (spec, cutoff)
+            tested = [a for a in assignments if max(a) < spec.k]
+            assert exact_feasible(m, spec, 0.0, tested).tolist() == feasible, spec
 
 
 def test_enumeration_memory_is_bounded():
@@ -208,19 +225,19 @@ def test_local_search_regime_finds_balanced_split():
 
     m = metric_from_points(pts[:, None])
     spec = PartitionSpec.build(2, size_bounds=[(0.5, 0.5), (0.5, 0.5)])
-    part = search_partition(m, spec, eps_err=0.01, restarts=8, seed=0)
-    assert part is not None and part.part_sizes == (20, 20)
+    hit = search_partition(m, spec, eps_err=0.01, restarts=8, seed=0)
+    assert hit is not None and np.bincount(hit).tolist() == [20, 20]
     again = search_partition(m, spec, eps_err=0.01, restarts=8, seed=0)
-    assert again == part  # determinism under fixed seed and budget
+    assert again == hit  # determinism under fixed seed and budget
 
 
 def test_returned_partition_reverifies(corpus):
     for label, m in corpus[:20]:
         k = 2
         spec = PartitionSpec.build(k)  # unconstrained
-        part = search_partition(m, spec, eps_err=0.0)
-        assert part is not None
-        assert partition_feasible(m, spec, 0.0, part.assignment), label
+        hit = search_partition(m, spec, eps_err=0.0)
+        assert hit is not None
+        assert exact_feasible(m, spec, 0.0, hit).all(), label
 
 
 @settings(max_examples=25, deadline=None)
@@ -232,7 +249,7 @@ def test_exhaustive_no_false_notfound(n, seed, eps_err):
         2, weight_bounds=[[(0.0, math.inf), (0.0, target)], [(0.0, target), (0.0, math.inf)]]
     )
     got = search_partition(m, spec, eps_err=eps_err, seed=seed)
-    ref = brute_force_feasible(m, spec, eps_err)
+    ref = smallest_feasible(m, spec, eps_err)
     assert (got is None) == (ref is None)
 
 
