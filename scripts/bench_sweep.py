@@ -18,6 +18,7 @@ import sys
 from collections import defaultdict
 
 from peelembed.cli import run_bench
+from peelembed.errors import PeelEmbedError
 
 FAMILIES = (
     "euclidean_gaussian",
@@ -69,7 +70,10 @@ def main():
     parser.add_argument("--out", default=None, help="CSV path (default stdout only summary)")
     args = parser.parse_args()
 
-    text = run_bench(build_config(args), seed=args.seed, timing=args.timing)
+    try:
+        text = run_bench(build_config(args), seed=args.seed, timing=args.timing)
+    except PeelEmbedError as exc:  # a usage error: one line, exit 2, no traceback
+        parser.error(str(exc))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

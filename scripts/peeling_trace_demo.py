@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 
+from peelembed.errors import PeelEmbedError
 from peelembed.hc_peeling import solve_hc
 from peelembed.instances import generate, hc_case_c_spec, la_case_c_spec
 from peelembed.la_peeling import solve_la
@@ -45,18 +46,21 @@ def main():
                         help="dense-leaf search restarts (0 = cheapest leaf)")
     args = parser.parse_args()
 
-    if args.objective == "la":
-        n = args.n or 400
-        spec, eps = la_case_c_spec(n, seed=args.seed)
-        m = generate(spec)
-        _, trace = solve_la(m, SolveConfig(eps, restarts=args.restarts), seed=args.seed)
-        show(trace, n, 2 * math.log2(n) + 4)
-    else:
-        n = args.n or 1900
-        spec, eps = hc_case_c_spec(n, seed=args.seed)
-        m = generate(spec)
-        _, trace = solve_hc(m, SolveConfig(eps, restarts=args.restarts), seed=args.seed)
-        show(trace, n, 2 * math.log2(math.log2(n) + 2) + 4)
+    try:
+        if args.objective == "la":
+            n = args.n or 400
+            spec, eps = la_case_c_spec(n, seed=args.seed)
+            m = generate(spec)
+            _, trace = solve_la(m, SolveConfig(eps, restarts=args.restarts), seed=args.seed)
+            show(trace, n, 2 * math.log2(n) + 4)
+        else:
+            n = args.n or 1900
+            spec, eps = hc_case_c_spec(n, seed=args.seed)
+            m = generate(spec)
+            _, trace = solve_hc(m, SolveConfig(eps, restarts=args.restarts), seed=args.seed)
+            show(trace, n, 2 * math.log2(math.log2(n) + 2) + 4)
+    except PeelEmbedError as exc:  # a usage error: one line, exit 2, no traceback
+        parser.error(str(exc))
     return 0
 
 

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .local_search import SolveConfig, best_of, first_copies, quantize, reduced_restarts
+from .local_search import SolveConfig, best_of, distinct_rows, quantize, reduced_restarts
 from .metric import Metric
 from .objectives import HcTree, all_binary_trees, evaluate_hc, ladder_tree, ladders_on
 from .partition_search import grid_cells, grid_partitions
@@ -115,13 +115,13 @@ def _gain_rows(dist, upper, assigns, slots):
 def _solve_reduced(m: Metric, cfg: SolveConfig, seed: int):
     n, slots = m.n, slot_count(cfg.eps)
     skeleton = ladder_tree(range(slots))
-    restarts = []
+    restarts = np.empty((0, n), dtype=np.int64)
     if cfg.restarts:  # quantizing reads every distance; zero restarts need none
         restarts = reduced_restarts(n, slots, seed, cfg.restarts,
                                     _caterpillar_gains(quantize(m.dist), slots),
                                     n * slots + slots * slots)
     ladder = ladder_tree(range(n))
-    rows, which = first_copies(restarts, np.ndarray.tobytes)
+    rows, which = distinct_rows(restarts)
     trees = [ladders_on(skeleton, _parts_of(row, slots)) for row in rows]
     values = {id(tree): evaluate_hc(m, tree) for tree in [ladder, *trees]}
     return best_of([ladder, *(trees[i] for i in which)], lambda tree: values[id(tree)],

@@ -20,7 +20,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .local_search import SolveConfig, ascend, best_of, first_copies, quantize, reduced_restarts
+from .local_search import SolveConfig, ascend, best_of, distinct_rows, quantize, reduced_restarts
 from .metric import Metric
 from .objectives import LinearArrangement, evaluate_la
 from .partition_search import grid_partitions
@@ -42,14 +42,14 @@ def _embed_assignment(assignment) -> LinearArrangement:
     return LinearArrangement.from_order(np.argsort(assignment, kind="stable").tolist())
 
 
-def _embed_rows(assigns: np.ndarray) -> list:
-    """``_embed_assignment`` of each (C, n) assignment row, from one argsort:
-    the point in each slot of every row, and slot s + 1 scattered to it."""
+def _embed_rows(assigns: np.ndarray) -> np.ndarray:
+    """The slots of ``_embed_assignment`` of each (C, n) assignment row, one
+    (C, n) row each, from one argsort: slot s + 1 scattered to the point in
+    slot s of every row."""
     c, n = assigns.shape
     slots = np.empty_like(assigns)
     slots[np.arange(c)[:, None], np.argsort(assigns, axis=1, kind="stable")] = np.arange(1, n + 1)
-    # each row scatters 1..n once, so each is a bijection
-    return [LinearArrangement(tuple(row)) for row in slots.tolist()]
+    return slots
 
 
 def _prefix_cut_gains(dist: np.ndarray, k: int):
@@ -135,14 +135,15 @@ def _swap_gains(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def _swap_hill_climb(q: np.ndarray, starts, sweeps: int) -> list:
-    """Steepest-ascent slot swaps on the quantized metric ``q`` from each
-    start arrangement until a local maximum, every start in lockstep through
-    ``ascend``, which reads each start's n x n swap table and takes its first
-    best swap in row-major order.  On ``quantize``'s integer metric the table
-    is exactly symmetric with a zero diagonal, so that swap is the first best
-    pair i < j, and no swap of a point with itself is ever taken."""
-    pos = np.array([arr.position for arr in starts], dtype=float)
+def _swap_hill_climb(q: np.ndarray, starts: np.ndarray, sweeps: int) -> np.ndarray:
+    """The (S, n) slots that steepest-ascent slot swaps on the quantized
+    metric ``q`` reach from each (S, n) start row of slots, until a local
+    maximum, every start in lockstep through ``ascend``, which reads each
+    start's n x n swap table and takes its first best swap in row-major
+    order.  On ``quantize``'s integer metric the table is exactly symmetric
+    with a zero diagonal, so that swap is the first best pair i < j, and no
+    swap of a point with itself is ever taken."""
+    pos = starts.astype(float)
     n = pos.shape[1]
 
     def swap(ids, picks):
@@ -150,23 +151,24 @@ def _swap_hill_climb(q: np.ndarray, starts, sweeps: int) -> list:
         pos[ids, i], pos[ids, j] = pos[ids, j], pos[ids, i]
 
     ascend(pos, sweeps, n * n, lambda rows: _swap_gains(q, rows).reshape(len(rows), n * n), swap)
-    # slot swaps of a permutation: each row is one, so no bijection check
-    return [LinearArrangement(tuple(row)) for row in pos.astype(int).tolist()]
+    return pos.astype(starts.dtype)
 
 
 def _solve_reduced(m: Metric, cfg: SolveConfig, seed: int):
     n, k = m.n, part_count(cfg.eps)
-    identity = LinearArrangement.from_order(range(n))
     q = quantize(m.dist)
-    restarts = []
+    starts = np.arange(1, n + 1)[None]  # the identity
     if cfg.restarts:
-        restarts = _embed_rows(
-            reduced_restarts(n, k, seed, cfg.restarts, _prefix_cut_gains(q, k), n * (n + 1)))
+        restarts = reduced_restarts(n, k, seed, cfg.restarts, _prefix_cut_gains(q, k), n * (n + 1))
+        starts = np.vstack([starts, _embed_rows(restarts)])
     # a start's climb does not depend on the other starts: each distinct
-    # start climbs once, and each distinct arrangement is scored once
-    starts, which = first_copies([identity, *restarts], _position)
-    climbed = _swap_hill_climb(q, starts, CLIMB_SWEEPS)
-    arrs, which = first_copies([identity, *(climbed[i] for i in which)], _position)
+    # start climbs once, and each distinct candidate, the identity and then
+    # each start climbed, is built and scored once
+    rows, which = distinct_rows(starts)
+    climbed = _swap_hill_climb(q, rows, CLIMB_SWEEPS)[which]
+    ends, which = distinct_rows(np.vstack([starts[:1], climbed]))
+    # slot swaps of a permutation: each row is one, so no bijection check
+    arrs = [LinearArrangement(tuple(row)) for row in ends.tolist()]
     values = {id(arr): evaluate_la(m, arr) for arr in arrs}
     return best_of([arrs[i] for i in which], lambda arr: values[id(arr)], _position)
 

@@ -1,6 +1,6 @@
 """What every local search shares: the one solve config, a restart's
-sweeps, the dense solvers' tie-break, the steepest-ascent loop and the
-reduced search's restart loop.
+sweeps, the dense solvers' tie-break, the one row dedup, the steepest-ascent
+loop and the reduced search's restart loop.
 
 Each restart of the reduced search starts from a seeded assignment of the
 points to parts and runs sweeps of single-point moves.  A sweep reads the
@@ -79,25 +79,14 @@ def best_of(candidates, value, key, best=None):
     return best
 
 
-def first_copies(items, key):
-    """(firsts, which): the first item of each distinct ``key(item)``, in
-    order, and for each item the index in ``firsts`` of its first copy.
-
-    The reduced searches' restarts often end in equal rows.  A solver builds
-    and scores each distinct one once and hands ``best_of`` the first copy's
-    object for every repeat: ``best_of`` still meets every candidate in order,
-    skips a repeat of the incumbent, and compares any other repeat with the
-    value its first copy scored, the bits that scoring it again would give.
-    So the pick is the one of the candidates built one by one.
-    """
-    index, firsts, which = {}, [], []
-    for item in items:
-        k = key(item)
-        if k not in index:
-            index[k] = len(firsts)
-            firsts.append(item)
-        which.append(index[k])
-    return firsts, which
+def distinct_rows(rows: np.ndarray):
+    """(states, inverse): the distinct rows of an (L, n) array, ordered by
+    their bytes, and the index of each row's state among them.  A search
+    scores each state once and hands ``best_of`` every repeat in order as
+    its state's one object, so the pick is the one of rows scored one by one."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
 def quantize(dist: np.ndarray) -> np.ndarray:

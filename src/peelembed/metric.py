@@ -214,11 +214,10 @@ def _symmetrize(mat: np.ndarray, tol: float) -> None:
         raise AsymmetricMatrix(f"dist[{i}][{j}] != dist[{j}][{i}]")
 
 
-def _triangle_screen(mat: np.ndarray, tol: float) -> Iterator[list]:
-    """Screen the pairs {i, k}, i < k, one row i at a time; once row i is
-    done, yield the points of its flagged pairs: i and each flagged k, or []
-    if none.  A triple that fails the test of
-    :func:`_raise_triangle_witness` is always flagged.
+def _triangle_screen(mat: np.ndarray, tol: float) -> np.ndarray:
+    """Screen the pairs {i, k}, i < k, one row i at a time, and return the
+    boolean mask of the points of every flagged pair.  A triple that fails
+    the test of :func:`_raise_triangle_witness` is always flagged.
 
     For i < k, ``|d(k,j) - d(i,j)| <= d(i,k)`` over all j is the triangle
     inequality with the pair {i, k} as one side.  Columns j > i suffice: a
@@ -229,8 +228,7 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> Iterator[list]:
     copied into one reused contiguous buffer and differenced in place there:
     the same entries and comparisons as the whole slab at once, in a buffer
     that stays in cache.  The pair that sees a triple's violation holds its
-    via point k, as its one side is {i, k} or {k, j}, and its smaller point
-    is at most k.
+    via point k, as its one side is {i, k} or {k, j}, so k is flagged.
 
     Rounding, with u = eps / 2 and M = max(D) >= every entry: if the witness
     test fl(d_ij - fl(d_ik + d_kj)) > tol rejects, then exactly
@@ -246,11 +244,11 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> Iterator[list]:
     margin = SCREEN_MARGIN_EPS * np.finfo(float).eps * max(float(mat.max()), 1.0)
     allowed = tol - margin
     buf = np.empty(max(BLOCK_ENTRIES, n - 1))
+    flagged = np.zeros(n, dtype=bool)
     for i in range(n - 2):  # the last two rows hold no triple with i smallest
         rest = mat[i, i + 1 :]
         bound = rest + allowed
         step = max(1, BLOCK_ENTRIES // rest.size)
-        flagged = []
         for lo in range(0, rest.size, step):
             block = mat[i + 1 + lo : i + 1 + lo + step, i + 1 :]
             slab = buf[: block.size].reshape(block.shape)
@@ -259,28 +257,25 @@ def _triangle_screen(mat: np.ndarray, tol: float) -> Iterator[list]:
             np.abs(slab, out=slab)
             over = slab.max(axis=1) > bound[lo : lo + step]
             if over.any():
-                flagged += (i + 1 + lo + np.flatnonzero(over)).tolist()
-        yield [i, *flagged] if flagged else flagged
+                flagged[i] = True
+                flagged[i + 1 + lo + np.flatnonzero(over)] = True
+    return flagged
 
 
 def _raise_triangle_witness(mat: np.ndarray, tol: float) -> None:
     """Raise :class:`TriangleViolation` at the smallest violating k, with the
     first (i, j) of largest slack; return if no triple violates by > tol.
 
-    Only points that :func:`_triangle_screen` flags can violate, and row r
-    of the screen flags only r and points above it, so once it is past row c
-    every violating k <= c is flagged.  So right after row c, c's largest
-    slack is found by :func:`_largest_slack` if it is flagged, and the first
-    above tol is at the smallest violating k; on a metric only the screen runs.
+    Only points that :func:`_triangle_screen` flags can violate, so
+    :func:`_largest_slack` runs on the flagged points in ascending order,
+    and the first above tol is at the smallest violating k; on a metric
+    only the screen runs.
     """
-    n = mat.shape[0]
-    buf = np.empty(min(max(1, BLOCK_ENTRIES // n), n) * n)
-    marks = np.zeros(n, dtype=bool)
-    # rows n - 2 and n - 1, which the screen skips, flag nothing
-    rows = itertools.chain(_triangle_screen(mat, tol), itertools.repeat([]))
-    for k, points in zip(range(n), rows):
-        marks[points] = True
-        if marks[k]:
+    flagged = np.flatnonzero(_triangle_screen(mat, tol)).tolist()
+    if flagged:
+        n = mat.shape[0]
+        buf = np.empty(min(max(1, BLOCK_ENTRIES // n), n) * n)
+        for k in flagged:
             worst, (i, j) = _largest_slack(mat, k, buf)
             if worst > tol:
                 raise TriangleViolation(i, j, k, worst)

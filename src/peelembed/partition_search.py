@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FaithfulGridTooLarge, InvalidSpec, SpecInfeasibleTrivially
-from .local_search import BATCH_ENTRIES, SolveConfig, ascend, moves, quantize
+from .local_search import BATCH_ENTRIES, SolveConfig, ascend, distinct_rows, moves, quantize
 from .metric import Metric, subset_stats
 
 _INF = math.inf
@@ -259,7 +259,7 @@ def _local_hits(q, unit, cells, slb, restarts, seed):
                 assign[ids, point] = part
 
             ascend(np.arange(len(assign)), moves(n), entries, drops, move)
-            states, inverse = _distinct(assign)
+            states, inverse = distinct_rows(assign)
             sizes, cross, _ = _stats(q, states, k)
             weights = cross.reshape(len(states), k * k)[:, active]
             done = _penalty(unit, (size_lo, size_hi, row_lo, row_hi), sizes, weights, inverse) == 0
@@ -275,7 +275,7 @@ def _drops(q, unit, cell, rows, active):
     part b", written 0 in p's own part.  The moved states of each distinct
     row are built once."""
     n, k = rows.shape[1], len(cell[0])
-    states, inverse = _distinct(rows)
+    states, inverse = distinct_rows(rows)
     sizes, cross, part_dist = _stats(q, states, k)
     i, j = np.divmod(np.flatnonzero(active), k)
     delta = np.eye(k) - np.eye(k)[states][:, :, None]  # [h, p, b, j]: change of part j's size
@@ -289,14 +289,6 @@ def _drops(q, unit, cell, rows, active):
     drop = drop.reshape(len(rows), n * k)
     drop[np.arange(len(rows))[:, None], np.arange(n) * k + rows] = 0.0  # stays
     return drop
-
-
-def _distinct(rows):
-    """(states, inverse): the distinct rows of an (L, n) array, and the
-    index of each row's state among them."""
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-    return rows[first], inverse
 
 
 def _greedy_seed(rng, n, k, slb):

@@ -585,3 +585,19 @@ class TestRepeatedMain:
             trace = "" if dense_only else (tmp_path / "t.jsonl").read_text()
             outs.append((capsys.readouterr().out, trace))
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["peeling_trace_demo.py", "--n", "100"],  # below LA case (c)'s calibration
+    ["bench_sweep.py", "--eps", "0"],
+    ["bench_sweep.py", "--algorithms", "bogus"],
+])
+def test_scripts_report_bad_arguments_as_usage_errors(argv):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith(f"{argv[0]}: error: ")

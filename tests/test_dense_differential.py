@@ -53,7 +53,14 @@ from peelembed.la_dense import (
     _swap_hill_climb,
     solve_la_dense,
 )
-from peelembed.local_search import SolveConfig, quantize, reduced_restarts
+from peelembed.local_search import (
+    TIE_TOL,
+    SolveConfig,
+    best_of,
+    distinct_rows,
+    quantize,
+    reduced_restarts,
+)
 from peelembed.metric import Metric, validate_metric
 from peelembed.objectives import LinearArrangement, evaluate_hc, evaluate_la, ladder_tree
 from peelembed.partition_search import (
@@ -252,18 +259,23 @@ def test_swap_tables_match_the_formula_order(n):
             assert got.tobytes() == reference_swap_table(q, pos).tobytes(), (label, pos.shape)
 
 
+def _arrangements(slots):
+    """The arrangement of each (S, n) row of slots, as the LA solver builds them."""
+    return [LinearArrangement(tuple(row)) for row in slots.tolist()]
+
+
 def test_embedded_rows_match_each_row_embedded():
     # one argsort of all rows gives each row's consecutive-parts embedding
     rng = np.random.default_rng(6)
     for n, k in ((1, 2), (2, 2), (12, 2), (12, 3), (30, 6)):
         rows = rng.integers(0, k, size=(33, n))
         rows[0] = 0  # one part only
-        got = _embed_rows(rows)
+        got = _arrangements(_embed_rows(rows))
         assert got == [_embed_assignment(row) for row in rows], (n, k)
         assert all(type(slot) is int for arr in got for slot in arr.position)
     m = generate(GeneratorSpec(family="clustered", n=12, seed=1))
     rows = reduced_restarts(12, 3, 0, 32, _prefix_cut_gains(quantize(m.dist), 3), 12 * 13)
-    assert _embed_rows(rows) == [_embed_assignment(row) for row in rows]
+    assert _arrangements(_embed_rows(rows)) == [_embed_assignment(row) for row in rows]
 
 
 def test_swap_hill_climb_matches_reference(monkeypatch):
@@ -275,19 +287,21 @@ def test_swap_hill_climb_matches_reference(monkeypatch):
     for label, m in _metrics((7, 40)):
         q = quantize(m.dist)
         identity = LinearArrangement.from_order(range(m.n))
-        starts = [identity] + [LinearArrangement.from_order(rng.permutation(m.n))
-                               for _ in range(2)]
-        want = [reference_swap_hill_climb(Metric(q), arr, 40) for arr in starts]
+        starts = np.array([identity.position] + [
+            LinearArrangement.from_order(rng.permutation(m.n)).position for _ in range(2)])
+        want = [reference_swap_hill_climb(Metric(q), arr, 40) for arr in _arrangements(starts)]
         for rows in (None, 1, len(starts) + 1):
             with monkeypatch.context() as patch:
                 if rows is not None:
                     patch.setattr(local_search, "BATCH_ENTRIES", m.n * m.n * rows)
-                got = _swap_hill_climb(q, starts, 40)
+                got = _arrangements(_swap_hill_climb(q, starts, 40))
             assert got == want, (label, rows)
         # a start climbed to the top cannot gain, and no sweeps change none
-        top = _swap_hill_climb(q, starts[1:2], 10_000)[0]
-        assert _swap_hill_climb(q, [top, starts[2], top], 40) == [top, want[2], top], label
-        assert _swap_hill_climb(q, starts, 0) == starts, label
+        top = _swap_hill_climb(q, starts[1:2], 10_000)
+        [top_arr] = _arrangements(top)
+        again = _swap_hill_climb(q, np.vstack([top, starts[2:3], top]), 40)
+        assert _arrangements(again) == [top_arr, want[2], top_arr], label
+        assert _arrangements(_swap_hill_climb(q, starts, 0)) == _arrangements(starts), label
 
 
 def _restart_cases():
@@ -590,11 +604,11 @@ def test_grid_partitions_match_per_cell_reference(regime, monkeypatch):
         monkeypatch.setattr(partition_search, "EXHAUSTIVE_N", 0)
     states = []  # distinct states of each set of rows the local regime scores
 
-    def distinct(rows, real=partition_search._distinct):
+    def distinct(rows, real=partition_search.distinct_rows):
         states.append(len(real(rows)[0]))
         return real(rows)
 
-    monkeypatch.setattr(partition_search, "_distinct", distinct)
+    monkeypatch.setattr(partition_search, "distinct_rows", distinct)
     grids = []
     for module in (hc_dense, la_dense):
         def record(m, parts, size_cells, levels, *rest, real=module.grid_partitions):
@@ -758,6 +772,53 @@ def test_quantize_is_the_one_line_form():
             assert dist.tobytes() == before.tobytes(), label
 
 
+def test_best_of_meets_every_repeat_in_order():
+    # Within TIE_TOL the pick is not transitive: X ties B and loses on its
+    # key, C beats B by more than TIE_TOL, and then X ties C and wins on its
+    # key.  A dedup that dropped X's repeat would keep C.
+    values = {"B": 0.0, "X": 0.6 * TIE_TOL, "C": 1.2 * TIE_TOL}
+    keys = {"B": 1, "X": 2, "C": 3}
+    assert best_of(["B", "X"], values.get, keys.get) == ("B", values["B"])
+    assert best_of(["B", "X", "C"], values.get, keys.get) == ("C", values["C"])
+    assert best_of(["B", "X", "C", "X"], values.get, keys.get) == ("X", values["X"])
+    # a repeat of the incumbent object is not scored again; any other is
+    scored = []
+
+    def value(cand):
+        scored.append(cand)
+        return values[cand]
+
+    assert best_of(["C", "C", "B", "B", "C"], value, keys.get) == ("C", values["C"])
+    assert scored == ["C", "B", "B"]
+    scored.clear()
+    assert best_of(["C"], value, keys.get, ("C", values["C"])) == ("C", values["C"])
+    assert scored == []
+
+
+def test_distinct_rows_is_a_byte_exact_dedup():
+    # the partition search's uint8 rows, the reduced searches' int64
+    # restarts, LA slot rows, one row and no rows
+    rng = np.random.default_rng(9)
+    m = generate(GeneratorSpec(family="clustered", n=12, seed=1))
+    restarts = reduced_restarts(12, 3, 0, 32, _prefix_cut_gains(quantize(m.dist), 3), 12 * 13)
+    cases = [
+        rng.integers(0, 3, size=(40, 3)).astype(np.min_scalar_type(3)),  # 27 states
+        restarts,
+        _embed_rows(restarts),
+        np.arange(1, 8)[None],
+        np.empty((0, 7), dtype=np.int64),
+    ]
+    assert cases[0].dtype == np.uint8 and restarts.dtype == np.int64
+    for rows in cases:
+        states, inverse = distinct_rows(rows)
+        assert states.dtype == rows.dtype and states.shape[1:] == rows.shape[1:]
+        assert states[inverse].shape == rows.shape
+        assert states[inverse].tobytes() == rows.tobytes()
+        assert len({state.tobytes() for state in states}) == len(states)
+    # each case but the last two repeats rows
+    assert all(len(distinct_rows(rows)[0]) < len(rows) for rows in cases[:3])
+
+
 @pytest.mark.parametrize("family", ["clustered", "euclidean_gaussian"])
 def test_dense_solvers_build_and_score_each_distinct_restart_once(family, monkeypatch):
     # 32 restarts end in far fewer distinct rows on these families; each
@@ -794,9 +855,9 @@ def test_dense_solvers_build_and_score_each_distinct_restart_once(family, monkey
     embedded = {identity, *(la_dense._embed_assignment(row).position for row in rows)}
     [((_, starts, _), climbed)] = calls["_swap_hill_climb"]
     assert len(embedded) < cfg.restarts + 1
-    assert sorted(s.position for s in starts) == sorted(embedded)
+    assert sorted(s.position for s in _arrangements(starts)) == sorted(embedded)
     scored = [args[1].position for args, _ in calls["evaluate_la"]]
-    assert sorted(scored) == sorted({identity, *(a.position for a in climbed)})
+    assert sorted(scored) == sorted({identity, *(a.position for a in _arrangements(climbed))})
     assert arr == reference_la_reduced(m, cfg, 0)
 
 
@@ -957,7 +1018,8 @@ def test_lockstep_climb_memory_is_bounded():
     # every pair of every start (12 MB); each batch scans its own rows.
     m = generate(GeneratorSpec(family="euclidean_gaussian", n=300, seed=0))
     rng = np.random.default_rng(0)
-    starts = [LinearArrangement.from_order(rng.permutation(m.n)) for _ in range(33)]
+    starts = np.array([LinearArrangement.from_order(rng.permutation(m.n)).position
+                       for _ in range(33)])
     q = quantize(m.dist)
     tracemalloc.start()
     try:
