@@ -8,19 +8,24 @@ a direct local search over part assignments, taking the exact gain of every
 move in O(1) from per-row prefix-cut tables, and then polishes the identity
 and every distinct restart arrangement by one swap hill-climb that steps all
 of them in lockstep.  Both climb on the integer copy of the metric that
-``local_search.quantize`` makes, through ``local_search.ascend``; only the
-final pick scores the true metric.  Faithful always also considers the
-reduced candidate, so it never scores below it.
+``local_search.quantize`` makes, through ``local_search.ascend``, and pick
+on it: the climbed rows' exact values come in one batch, the largest wins
+and the smaller slot tuple breaks equal values (``local_search.pick``).
+Only the winner is scored on the true metric, once.  Faithful always also
+considers the reduced winner, so on the quantized metric it never scores
+below it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
 
-from .local_search import SolveConfig, ascend, best_of, distinct_rows, quantize, reduced_restarts
+from .local_search import (SolveConfig, ascend, distinct_rows, pick, pick_rows, quantize,
+                           reduced_restarts, row_values)
 from .metric import Metric
 from .objectives import LinearArrangement, evaluate_la
 from .partition_search import grid_partitions
@@ -154,26 +159,44 @@ def _swap_hill_climb(q: np.ndarray, starts: np.ndarray, sweeps: int) -> np.ndarr
     return pos.astype(starts.dtype)
 
 
-def _solve_reduced(m: Metric, cfg: SolveConfig, seed: int):
-    n, k = m.n, part_count(cfg.eps)
-    q = quantize(m.dist)
+def _arrangement_values(dist: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The value sum_{i < j} dist_ij |pos_i - pos_j| of each (C, n) row of
+    slots, from one n x n array per row, in batches of at most
+    ``BATCH_ENTRIES`` entries.  On ``quantize``'s metric, with W the weight
+    of all pairs, the sum over ordered pairs is at most 2 n W <= 2^49 < 2^52,
+    so every partial sum is an exact integer and each value is
+    ``evaluate_la``'s there, bit for bit."""
+    n = pos.shape[1]
+
+    def values(rows):
+        rows = rows.astype(float)
+        gaps = rows[:, :, None] - rows[:, None, :]
+        np.abs(gaps, out=gaps)
+        gaps *= dist
+        return gaps.reshape(len(rows), n * n).sum(axis=1) / 2.0
+
+    return row_values(pos, n * n, values)
+
+
+def _solve_reduced(q: np.ndarray, cfg: SolveConfig, seed: int):
+    """(arrangement, its value on ``q``) of the reduced search, the value
+    None when its one candidate needs no pick."""
+    n, k = len(q), part_count(cfg.eps)
     starts = np.arange(1, n + 1)[None]  # the identity
     if cfg.restarts:
         restarts = reduced_restarts(n, k, seed, cfg.restarts, _prefix_cut_gains(q, k), n * (n + 1))
         starts = np.vstack([starts, _embed_rows(restarts)])
-    # a start's climb does not depend on the other starts: each distinct
-    # start climbs once, and each distinct candidate, the identity and then
-    # each start climbed, is built and scored once
-    rows, which = distinct_rows(starts)
-    climbed = _swap_hill_climb(q, rows, CLIMB_SWEEPS)[which]
-    ends, which = distinct_rows(np.vstack([starts[:1], climbed]))
+    # a start's climb does not depend on the other starts, so each distinct
+    # start climbs once; a climb never ends below its start, so the climbed
+    # identity stands for the identity
+    ends = _swap_hill_climb(q, distinct_rows(starts)[0], CLIMB_SWEEPS)
     # slot swaps of a permutation: each row is one, so no bijection check
-    arrs = [LinearArrangement(tuple(row)) for row in ends.tolist()]
-    values = {id(arr): evaluate_la(m, arr) for arr in arrs}
-    return best_of([arrs[i] for i in which], lambda arr: values[id(arr)], _position)
+    if len(ends) == 1:
+        return LinearArrangement(tuple(ends[0].tolist())), None
+    return pick_rows(ends, _arrangement_values(q, ends), LinearArrangement, _position)
 
 
-def _solve_faithful(m: Metric, cfg: SolveConfig, seed: int, best):
+def _solve_faithful(m: Metric, q: np.ndarray, cfg: SolveConfig, seed: int, best):
     n, k, eps = m.n, part_count(cfg.eps), cfg.eps
     # floor(eps * n) points per part, the rest in the last part; as
     # (k - 1) * eps <= 1, the rest is never negative
@@ -182,7 +205,7 @@ def _solve_faithful(m: Metric, cfg: SolveConfig, seed: int, best):
     levels = int(math.floor(1.0 / eps**7 + 1e-9)) + 1  # grid values 0..1/eps^7
     assignments = grid_partitions(m, k, lambda: [sizes], levels, eps**9, cfg.restarts, seed)
     arrangements = map(_embed_assignment, assignments)
-    return best_of(arrangements, lambda arr: evaluate_la(m, arr), _position, best)
+    return pick(arrangements, partial(evaluate_la, Metric(q)), _position, best)
 
 
 def solve_la_dense(
@@ -190,12 +213,15 @@ def solve_la_dense(
 ) -> tuple[LinearArrangement, float]:
     """(arrangement, its value) of the best arrangement found for a dense
     instance: the identity when n < k or when all points coincide
-    (:meth:`Metric.coincident`, which reads row 0 before the whole matrix)."""
+    (:meth:`Metric.coincident`, which reads row 0 before the whole matrix).
+    Candidates are picked on ``quantize``'s metric; only the winner's value
+    is taken on ``m``."""
     n = m.n
     if n < part_count(cfg.eps) or m.coincident():
         identity = LinearArrangement.from_order(range(n))
         return identity, evaluate_la(m, identity)
-    best = _solve_reduced(m, cfg, seed)
+    q = quantize(m.dist)
+    best = _solve_reduced(q, cfg, seed)
     if cfg.grid_mode == "faithful":
-        best = _solve_faithful(m, cfg, seed, best)
-    return best
+        best = _solve_faithful(m, q, cfg, seed, best)
+    return best[0], evaluate_la(m, best[0])

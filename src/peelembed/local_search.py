@@ -1,5 +1,5 @@
 """What every local search shares: the one solve config, a restart's
-sweeps, the dense solvers' tie-break, the one row dedup, the steepest-ascent
+sweeps, the dense solvers' pick, the one row dedup, the steepest-ascent
 loop and the reduced search's restart loop.
 
 Each restart of the reduced search starts from a seeded assignment of the
@@ -12,10 +12,11 @@ lockstep: the reduced search's restarts, the LA swap climb's starts and the
 partition search's (cell, restart) rows, whose tables hold drops in penalty.
 
 All run on ``quantize``'s integer copy of the metric, on which every gain
-is exact whatever the order of its sums.  So a move gains when its gain is
-positive, the first largest gain is the same in any order of summation, and
-``TIE_TOL`` only breaks near-ties of ``best_of``'s final pick on the true
-metric.
+and every candidate's value is exact whatever the order of its sums.  So a
+move gains when its gain is positive, the first largest gain is the same in
+any order of summation, and the dense solvers' final pick (``pick``,
+``pick_rows``) is a total order on (value, key) with no tolerance: only its
+winner is scored on the true metric.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ import numpy as np
 
 from .errors import InvalidSpec
 
-# A candidate replaces the incumbent only when it is better by more than this.
-TIE_TOL = 1e-12
-
-# Most table entries one batch of rows may hold: the gain tables of the
-# reduced searches and the n x n gains of the LA swap climb.  Each entry costs
-# a few dozen bytes of temporaries, so a sweep stays within a few MB whatever
-# n, the number of parts and the number of rows sweeping together are.
+# Most table entries one batch of rows may hold: the gain and value tables
+# of the reduced searches and the n x n gains of the LA swap climb.  Each
+# entry costs a few dozen bytes of temporaries, so a sweep stays within a few
+# MB whatever n, the number of parts and the number of rows sweeping
+# together are.
 BATCH_ENTRIES = 1 << 16
 
 
@@ -63,46 +62,64 @@ def moves(n: int) -> int:
     return 200 * n
 
 
-def best_of(candidates, value, key, best=None):
-    """(candidate, value) of the best of ``best`` (None or such a pair) and
-    ``candidates``, scored in order: a candidate replaces the incumbent when
-    it scores more than ``TIE_TOL`` higher, or within ``TIE_TOL`` with a
-    smaller ``key``.  A candidate that is the incumbent object itself is not
-    rescored, as it could not replace itself."""
+def pick(candidates, value, key, best=None):
+    """(candidate, value) of the best of ``best`` and ``candidates``: the
+    largest ``value``, and the smallest ``key`` among equal values.  Every
+    value is an exact integer of ``quantize``'s metric, so this is a total
+    order: the winner depends neither on the order of the candidates nor on
+    repeats.  ``best`` is None or a (candidate, value) incumbent, whose value
+    is None when it is yet to be scored."""
+    if best is not None and best[1] is None:
+        best = (best[0], value(best[0]))
     for cand in candidates:
-        if best is not None and cand is best[0]:
-            continue
         v = value(cand)
-        if (best is None or v > best[1] + TIE_TOL
-                or (abs(v - best[1]) <= TIE_TOL and key(cand) < key(best[0]))):
+        if best is None or v > best[1] or (v == best[1] and key(cand) < key(best[0])):
             best = (cand, v)
     return best
 
 
+def pick_rows(rows, values, build, key):
+    """``pick`` over the candidates ``build(row)`` of the (C, n) ``rows``,
+    given their exact ``values``: only the rows tied at the largest value are
+    built, each distinct one once, as a tuple of ints."""
+    top = values.max()
+    tied = dict.fromkeys(map(tuple, rows[values == top].tolist()))
+    return min(map(build, tied), key=key), float(top)
+
+
+def row_values(rows, entries, value):
+    """The values ``value(batch)`` gives each row of ``rows``, from
+    ``entries`` table entries per row, in batches of at most
+    ``BATCH_ENTRIES // entries`` rows."""
+    step = max(1, BATCH_ENTRIES // entries)
+    return np.concatenate([value(rows[start:start + step]) for start in range(0, len(rows), step)])
+
+
 def distinct_rows(rows: np.ndarray):
     """(states, inverse): the distinct rows of an (L, n) array, ordered by
-    their bytes, and the index of each row's state among them.  A search
-    scores each state once and hands ``best_of`` every repeat in order as
-    its state's one object, so the pick is the one of rows scored one by one."""
+    their bytes, and the index of each row's state among them, so that a
+    search steps or scores each state once."""
     keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
     _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
     return rows[first], inverse
 
 
 def quantize(dist: np.ndarray) -> np.ndarray:
-    """The metric that the reduced search runs on: ``dist`` over its largest
-    entry D, times 2^s, rounded to integers, with
-    s = floor(log2(2^53 / (16 n^3))).
+    """The metric that the local searches run on and the dense solvers pick
+    on: ``dist`` over its largest entry D, times 2^s, rounded to integers,
+    with s = floor(log2(2^53 / (16 n^3))).
 
     Each entry is then an integer in [0, 2^s], and the weight W of all pairs
     is below n^2 2^s / 2 <= 2^48 / n.  A move's gain is a signed sum of
     products of entries and small integers whose magnitudes sum to at most
     13 n W (see the gain tables of both dense solvers and the LA swap gains);
     every table entry and partial sum is bounded by the same sum, so stays
-    below 13 * 2^48 < 2^52.
+    below 13 * 2^48 < 2^52.  A candidate's value, a sum of entries times
+    slot gaps or leaf counts of at most n, is at most n W < 2^48; the value
+    formulas of both dense solvers stay below 2^52 the same way.
     Below 2^53 every product and sum of integers is exact, and so is every
-    multiple of 1/2 below 2^52, as HC's halved terms are.  So every gain is
-    exact, in any order of summation, BLAS's included.  Dividing by D before
+    multiple of 1/2 below 2^52, as HC's halved terms are.  So every gain and
+    value is exact, in any order of summation, BLAS's included.  Dividing by D before
     scaling keeps a tiny D from overflowing the scale factor; when D = 0 the
     copy is all zeros.
     """

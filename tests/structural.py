@@ -26,12 +26,7 @@ import numpy as np
 from peelembed import la_dense, local_search
 from peelembed.hc_dense import _parts_of, slot_count
 from peelembed.la_dense import _embed_assignment, _position, part_count
-from peelembed.local_search import (
-    BATCH_ENTRIES,
-    TIE_TOL,
-    best_of,
-    quantize,
-)
+from peelembed.local_search import BATCH_ENTRIES, quantize
 from peelembed.errors import (
     AsymmetricMatrix,
     InputParse,
@@ -468,8 +463,8 @@ def reference_reduced_restarts(n, parts, seed, restarts, score):
             points, targets = reference_single_moves(assign, parts)
             values = score_moves(assign, points, targets, score)
             gains = values - value
-            pick = sequential_argmax(gains.tolist(), TIE_TOL)
-            if gains[pick] <= TIE_TOL:
+            pick = sequential_argmax(gains.tolist(), 1e-12)
+            if gains[pick] <= 1e-12:
                 break
             assign[points[pick]] = targets[pick]
             value = values[pick]
@@ -628,14 +623,20 @@ def reference_swap_hill_climb(m, arr, sweeps):
     return LinearArrangement.from_positions(int(p) for p in pos)
 
 
+def reference_pick(candidates, value, key):
+    """The dense solvers' pick: the candidate of largest ``value``, and of
+    smallest ``key`` among equal values, as one sort key."""
+    return min(candidates, key=lambda cand: (-value(cand), key(cand)))
+
+
 def reference_hc_reduced(m, cfg, seed):
     """Tree of the reduced HC search, one full evaluation per candidate: the
-    restarts search the quantized metric, the final pick scores the true one."""
+    restarts search the quantized metric, and the pick takes the ladder and
+    each restart's tree by their values there."""
     n, slots = m.n, slot_count(cfg.eps)
     q = Metric(quantize(m.dist))
     skeleton = reference_caterpillar_skeleton(slots)
-    ladder = ladder_tree(range(n))
-    best = (ladder, evaluate_hc(m, ladder))
+    candidates = [ladder_tree(range(n))]
 
     def score(a):
         tree = reference_skeleton_tree(skeleton, _parts_of(a, slots))
@@ -663,19 +664,19 @@ def reference_hc_reduced(m, cfg, seed):
             _, p, b = move
             assign[p] = b
             value, tree = score(assign)
-        best = best_of([tree], lambda tree: evaluate_hc(m, tree), HcTree.serialize, best)
-    return best[0]
+        candidates.append(tree)
+    return reference_pick(candidates, lambda tree: evaluate_hc(q, tree), HcTree.serialize)
 
 
 def reference_la_reduced(m, cfg, seed):
     """Arrangement of the reduced LA search, one full evaluation per candidate:
-    the restarts and the swap climb search the quantized metric, the final
-    pick scores the true one."""
+    the restarts and the swap climb search the quantized metric, and the pick
+    takes the identity, its climb and each restart's climb by their values
+    there."""
     n, k, sweeps = m.n, part_count(cfg.eps), la_dense.CLIMB_SWEEPS
     q = Metric(quantize(m.dist))
     identity = LinearArrangement.from_order(range(n))
-    best = best_of([identity, reference_swap_hill_climb(q, identity, sweeps)],
-                   lambda arr: evaluate_la(m, arr), _position)
+    candidates = [identity, reference_swap_hill_climb(q, identity, sweeps)]
 
     for ss in np.random.SeedSequence(seed).spawn(cfg.restarts):
         rng = np.random.default_rng(ss)
@@ -699,9 +700,24 @@ def reference_la_reduced(m, cfg, seed):
             _, p, b = move
             assign[p] = b
             value = evaluate_la(q, _embed_assignment(assign))
-        arr = reference_swap_hill_climb(q, _embed_assignment(assign), sweeps)
-        best = best_of([arr], lambda arr: evaluate_la(m, arr), _position, best)
-    return best[0]
+        candidates.append(reference_swap_hill_climb(q, _embed_assignment(assign), sweeps))
+    return reference_pick(candidates, lambda arr: evaluate_la(q, arr), _position)
+
+
+def reference_faithful_pick(m, objective, parts, hits, reduced):
+    """Witness of a faithful solve whose grid found the assignments ``hits``
+    and whose reduced search found ``reduced``: the pick, on the quantized
+    metric, of ``reduced`` and, for each hit, the tree of every skeleton
+    on the slots (HC) or the consecutive-parts arrangement (LA)."""
+    q = Metric(quantize(m.dist))
+    if objective == "hc":
+        skeletons = list(reference_all_binary_trees(range(parts)))
+        candidates = [reduced] + [reference_skeleton_tree(skeleton, _parts_of(hit, parts))
+                                  for hit in hits for skeleton in skeletons]
+        return reference_pick(candidates, lambda tree: evaluate_hc(q, tree), HcTree.serialize)
+    orders = (sorted(range(m.n), key=lambda p: (hit[p], p)) for hit in hits)
+    candidates = [reduced, *map(LinearArrangement.from_order, orders)]
+    return reference_pick(candidates, lambda arr: evaluate_la(q, arr), _position)
 
 
 def reference_move(sizes, cross, part_dist, p, a, b):

@@ -1,6 +1,9 @@
 """Command-line interface: subcommand roundtrips, exit codes, bench CSV."""
 
 import argparse
+import csv
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -601,3 +604,98 @@ def test_scripts_report_bad_arguments_as_usage_errors(argv):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines()[-1].startswith(f"{argv[0]}: error: ")
+
+
+def _bench_sweep(monkeypatch, *args):
+    """The bench_sweep script as a module, its command line set to ``args``
+    and its ``run_bench`` recording each call, whose CSV text is
+    ``module.sweep_text``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_sweep.py"
+    spec = importlib.util.spec_from_file_location("bench_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.calls, module.sweep_text = [], None
+    monkeypatch.setattr(module, "run_bench",
+                        lambda *a, **k: module.calls.append(a) or module.sweep_text)
+    monkeypatch.setattr(sys, "argv", ["bench_sweep.py", *args])
+    return module
+
+
+GOLDEN_SWEEP = Path(__file__).resolve().parent / "golden" / "bench_sweep.csv"
+
+
+def _usage_error(sweep, capsys):
+    """The stderr of a bench_sweep run that must stop with a usage error."""
+    with pytest.raises(SystemExit) as stop:
+        sweep.main()
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error" in line] == err.splitlines()[-1:]
+    assert sweep.calls == []  # no solve ran
+    return err.splitlines()[-1]
+
+
+def test_bench_sweep_refuses_an_unwritable_out_before_any_solve(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "missing-dir" / "x.csv")
+    sweep = _bench_sweep(monkeypatch, "--out", path, "--max-n", "3", "--seeds", "1")
+    assert _usage_error(sweep, capsys).startswith(f"bench_sweep.py: error: cannot write {path}: ")
+
+
+def _csv(rows):
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def test_bench_sweep_compare_flags_a_lowered_ratio_and_a_dropped_row(monkeypatch, capsys):
+    golden = GOLDEN_SWEEP.read_text(encoding="utf-8")
+    rows = list(csv.DictReader(io.StringIO(golden)))
+    assert _csv(rows) == golden
+    lowered = next(i for i, row in enumerate(rows)
+                   if (row["algorithm"], row["eps"]) == ("dense-hc", "0.5") and row["ratio"])
+    dropped = next(i for i, row in enumerate(rows)
+                   if (row["algorithm"], row["eps"]) == ("dense-la", "0.25") and row["ratio"])
+    rows[lowered]["ratio"] = "0.500000"
+    gone = rows.pop(dropped)
+
+    sweep = _bench_sweep(monkeypatch, "--compare", str(GOLDEN_SWEEP))
+    sweep.sweep_text = _csv(rows)
+    assert sweep.main() == 1
+    printed = capsys.readouterr().out.splitlines()
+    compared = printed[printed.index(next(line for line in printed if "old mean" in line)):]
+    table = {tuple(line.split()[:2]): line.split()[2:] for line in compared[1:11]}
+    assert len(table) == 10 and all(cells[-2:] == ["0", "0"] for key, cells in table.items()
+                                    if key != ("dense-hc", "0.5"))
+    count, old_mean, new_mean, old_min, new_min, down, up = table["dense-hc", "0.5"]
+    assert (count, new_min, down, up) == ("144", "0.500000", "1", "0")
+    assert float(new_mean) < float(old_mean) and float(old_min) > 0.5
+    assert table["dense-la", "0.25"][0] == "143"
+    assert compared[11:] == [f"missing {gone['instance']} eps=0.25 dense-la"]
+
+    # the golden sweep against itself changes nothing
+    sweep = _bench_sweep(monkeypatch, "--compare", str(GOLDEN_SWEEP))
+    sweep.sweep_text = golden
+    assert sweep.main() == 0
+    assert "missing" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["no ratio column", "bad ratio", "short row", "repeated key"])
+def test_bench_sweep_refuses_a_malformed_base_before_any_solve(case, tmp_path, monkeypatch,
+                                                                capsys):
+    lines = GOLDEN_SWEEP.read_text(encoding="utf-8").splitlines()[:4]
+    if case == "no ratio column":
+        lines[0] = lines[0].replace("ratio", "ratios")
+    elif case == "bad ratio":
+        lines[2] = lines[2].replace(",1.000000,", ",x,")
+    elif case == "short row":
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    else:
+        lines[3] = lines[2]
+    base = tmp_path / "base.csv"
+    base.write_text("\n".join(lines) + "\n")
+    sweep = _bench_sweep(monkeypatch, "--compare", str(base))
+    error = _usage_error(sweep, capsys)
+    assert error.startswith(f"bench_sweep.py: error: cannot read base {base}: ")

@@ -22,8 +22,10 @@ from structural import (
     exact_feasible,
     family_metrics,
     reference_arrangement_values,
+    reference_caterpillar_skeleton,
     reference_caterpillar_values,
     reference_crossing_matrix,
+    reference_faithful_pick,
     reference_grid_partitions,
     reference_hc_reduced,
     reference_hc_value,
@@ -34,6 +36,7 @@ from structural import (
     reference_reduced_restarts,
     reference_search_local,
     reference_single_moves,
+    reference_skeleton_tree,
     reference_swap_gain,
     reference_swap_hill_climb,
     reference_swap_table,
@@ -41,23 +44,31 @@ from structural import (
     score_moves,
 )
 from peelembed import hc_dense
-from peelembed.hc_dense import _caterpillar_gains, solve_hc_dense
+from peelembed.hc_dense import (
+    _caterpillar_gains,
+    _caterpillar_values,
+    _parts_of,
+    slot_count,
+    solve_hc_dense,
+)
 from peelembed.instances import FAMILIES as ALL_FAMILIES
 from peelembed.instances import GeneratorSpec, generate, small_corpus
 from peelembed import la_dense, local_search, partition_search
 from peelembed.la_dense import (
+    _arrangement_values,
     _embed_assignment,
     _embed_rows,
     _prefix_cut_gains,
     _swap_gains,
     _swap_hill_climb,
+    part_count,
     solve_la_dense,
 )
 from peelembed.local_search import (
-    TIE_TOL,
     SolveConfig,
-    best_of,
     distinct_rows,
+    pick,
+    pick_rows,
     quantize,
     reduced_restarts,
 )
@@ -710,13 +721,13 @@ def test_default_budget_faithful_hc_grid_matches_per_cell_reference(monkeypatch)
 
 def test_reduced_search_scores_the_quantized_metric(monkeypatch):
     # a solve quantizes once when it searches (both) or climbs (LA, always),
-    # and its gain tables and swap climb see only that copy; otherwise it
-    # quantizes nothing
+    # and its gain tables, swap climb and batch values see only that copy;
+    # otherwise it quantizes nothing
     m = _metrics((12,))[0][1]
     for module, solve, factories, cases in (
-        (hc_dense, solve_hc_dense, ("_caterpillar_gains",),
+        (hc_dense, solve_hc_dense, ("_caterpillar_gains", "_caterpillar_values"),
          [(SolveConfig(0.5, restarts=r), r > 0) for r in (0, 2)]),
-        (la_dense, solve_la_dense, ("_prefix_cut_gains", "_swap_gains"),
+        (la_dense, solve_la_dense, ("_prefix_cut_gains", "_swap_gains", "_arrangement_values"),
          [(SolveConfig(0.5, restarts=r), True) for r in (0, 2)]),
     ):
         made, seen = [], []
@@ -772,27 +783,90 @@ def test_quantize_is_the_one_line_form():
             assert dist.tobytes() == before.tobytes(), label
 
 
-def test_best_of_meets_every_repeat_in_order():
-    # Within TIE_TOL the pick is not transitive: X ties B and loses on its
-    # key, C beats B by more than TIE_TOL, and then X ties C and wins on its
-    # key.  A dedup that dropped X's repeat would keep C.
-    values = {"B": 0.0, "X": 0.6 * TIE_TOL, "C": 1.2 * TIE_TOL}
-    keys = {"B": 1, "X": 2, "C": 3}
-    assert best_of(["B", "X"], values.get, keys.get) == ("B", values["B"])
-    assert best_of(["B", "X", "C"], values.get, keys.get) == ("C", values["C"])
-    assert best_of(["B", "X", "C", "X"], values.get, keys.get) == ("X", values["X"])
-    # a repeat of the incumbent object is not scored again; any other is
-    scored = []
+def test_pick_does_not_depend_on_candidate_order():
+    # Equal integer values go to the smaller key, a total order: every order
+    # of a crafted set, repeats included, gives the same winner, the
+    # smallest key among the largest value, whether the first candidate
+    # comes as an incumbent, scored or not, or with the rest.
+    values = {"B": 7.0, "X": 7.0, "C": 7.0, "L": 6.0, "A": 6.0}
+    keys = {"B": 2, "X": 1, "C": 3, "L": 4, "A": 0}
+    for order in set(itertools.permutations(("B", "X", "C", "X", "L", "A", "B"))):
+        assert pick(order, values.get, keys.get) == ("X", 7.0)
+        first, rest = order[0], order[1:]
+        for value in (None, values[first]):
+            assert pick(rest, values.get, keys.get, (first, value)) == ("X", 7.0)
+    # pick_rows takes the same winner in every order of the rows, and builds
+    # only the rows tied at the largest value, each distinct one once
+    rows = np.array([[2, 0], [1, 1], [0, 2], [1, 1], [3, 0], [0, 2]])
+    row_values = np.array([5.0, 5.0, 5.0, 5.0, 6.0, 5.0])
+    for top in (6.0, 4.0):
+        row_values[4] = top
+        for perm in map(list, itertools.permutations(range(len(rows)))):
+            built = []
+            got = pick_rows(rows[perm], row_values[perm], lambda row: built.append(row) or row,
+                            lambda row: row[::-1])
+            if top == 6.0:
+                assert got == ((3, 0), 6.0) and built == [(3, 0)]
+            else:  # (2, 0) has the smallest reversed tuple, not the smallest tuple
+                assert got == ((2, 0), 5.0)
+                assert sorted(built) == [(0, 2), (1, 1), (2, 0)]
 
-    def value(cand):
-        scored.append(cand)
-        return values[cand]
 
-    assert best_of(["C", "C", "B", "B", "C"], value, keys.get) == ("C", values["C"])
-    assert scored == ["C", "B", "B"]
-    scored.clear()
-    assert best_of(["C"], value, keys.get, ("C", values["C"])) == ("C", values["C"])
-    assert scored == []
+def _value_cases():
+    """(label, q, parts, rows) of six random rows of 2-5 parts on the small
+    corpus at n >= 4 and at n = 12, 30 and 60: row 0 all zeros (the
+    ascending ladder, the identity), row 1 with part 1 empty and row 2 with
+    the last part empty."""
+    rng = np.random.default_rng(31)
+    corpus = [(label, m) for label, m in small_corpus(per_family=1) if m.n >= 4]
+    for label, m in corpus + _metrics((12, 30, 60)):
+        parts = int(rng.integers(2, 6))
+        rows = rng.integers(0, parts, size=(6, m.n))
+        rows[0] = 0
+        rows[1, rows[1] == 1] = 0
+        rows[2] = np.minimum(rows[2], parts - 2)
+        yield f"{label}-p{parts}", quantize(m.dist), parts, rows
+
+
+@pytest.mark.parametrize("batch", ["default", "one row"])
+def test_batch_values_equal_the_evaluators_on_quantized(batch, monkeypatch):
+    # bit for bit: each batch value is the evaluator's value of the built
+    # candidate on the quantized metric, whatever the batch
+    if batch == "one row":
+        monkeypatch.setattr(local_search, "BATCH_ENTRIES", 1)
+    rng = np.random.default_rng(32)
+    for label, q, parts, rows in _value_cases():
+        m, n = Metric(q), q.shape[0]
+        skeleton = reference_caterpillar_skeleton(parts)
+        trees = [reference_skeleton_tree(skeleton, _parts_of(row, parts)) for row in rows]
+        assert trees[0] == ladder_tree(range(n))
+        want = np.array([evaluate_hc(m, tree) for tree in trees])
+        assert _caterpillar_values(q, rows, parts).tobytes() == want.tobytes(), label
+        slots = np.vstack([_embed_rows(rows), [rng.permutation(n) + 1 for _ in range(3)]])
+        want = np.array([evaluate_la(m, arr) for arr in _arrangements(slots)])
+        assert _arrangement_values(q, slots).tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("batch", ["default", "one row"])
+def test_batch_value_changes_are_the_gain_cells(batch, monkeypatch):
+    # for each move of each row, the batch value of the moved row less that
+    # of the row is the move's cell of the gain table, for both solvers
+    if batch == "one row":
+        monkeypatch.setattr(local_search, "BATCH_ENTRIES", 1)
+    values = {
+        "hc": (_caterpillar_gains, lambda q, rows, parts: _caterpillar_values(q, rows, parts)),
+        "la": (_prefix_cut_gains, lambda q, rows, parts: _arrangement_values(q, _embed_rows(rows))),
+    }
+    for label, q, parts, rows in _value_cases():
+        points, targets = reference_single_moves(rows, parts)
+        for objective, (gains, value) in values.items():
+            got = np.take_along_axis(gains(q, parts)(rows), points * parts + targets, axis=1)
+            moved = np.repeat(rows[:, None], len(points), axis=1)
+            moved[:, np.arange(len(points)), points] = targets
+            changes = value(q, moved.reshape(-1, q.shape[0]), parts).reshape(got.shape)
+            # == rather than bytes: LA turns the sign of a zero change
+            np.testing.assert_array_equal(got, changes - value(q, rows, parts)[:, None],
+                                          err_msg=f"{label} {objective}")
 
 
 def test_distinct_rows_is_a_byte_exact_dedup():
@@ -820,10 +894,12 @@ def test_distinct_rows_is_a_byte_exact_dedup():
 
 
 @pytest.mark.parametrize("family", ["clustered", "euclidean_gaussian"])
-def test_dense_solvers_build_and_score_each_distinct_restart_once(family, monkeypatch):
-    # 32 restarts end in far fewer distinct rows on these families; each
-    # distinct row is built, climbed and scored once, and the pick is the
-    # reference loop's, which builds and scores every restart
+def test_dense_solvers_score_the_true_metric_once(family, monkeypatch):
+    # 32 restarts end in far fewer distinct rows on these families.  Each
+    # solve picks on the quantized metric, builds a tree only for rows tied
+    # at the largest value there, and calls the true-metric evaluator once,
+    # for the winner; the pick is the reference loop's, which builds and
+    # scores every restart.  The LA starts climb once each.
     m = generate(GeneratorSpec(family=family, n=12, seed=1))
     calls = {}
 
@@ -835,30 +911,66 @@ def test_dense_solvers_build_and_score_each_distinct_restart_once(family, monkey
             return log[-1][1]
         monkeypatch.setattr(module, name, wrapped)
 
-    for module, names in ((hc_dense, ("reduced_restarts", "evaluate_hc")),
+    for module, names in ((hc_dense, ("reduced_restarts", "evaluate_hc", "ladders_on")),
                           (la_dense, ("reduced_restarts", "evaluate_la", "_swap_hill_climb"))):
         for name in names:
             record(module, name)
 
     cfg = SolveConfig(0.5)
-    tree, _ = solve_hc_dense(m, cfg, seed=0)
+    q = Metric(quantize(m.dist))
+    tree, value = solve_hc_dense(m, cfg, seed=0)
     rows = {row.tobytes() for row in calls["reduced_restarts"][0][1]}
-    scored = [args[1] for args, _ in calls["evaluate_hc"]]
     assert len(rows) < cfg.restarts
-    assert len(scored) == len(rows) + 1  # the ladder and each distinct row
-    assert len({id(t) for t in scored}) == len(scored)
-    assert tree.serialize() == reference_hc_reduced(m, cfg, 0).serialize()
+    assert [args for args, _ in calls["evaluate_hc"]] == [(m, tree)]
+    built = [t for _, t in calls["ladders_on"]]
+    assert tree in built and len(built) <= len(rows) + 1
+    assert len({evaluate_hc(q, t) for t in built}) == 1
+    assert tree == reference_hc_reduced(m, cfg, 0)
 
-    arr, _ = solve_la_dense(m, cfg, seed=0)
+    arr, value = solve_la_dense(m, cfg, seed=0)
+    assert [args for args, _ in calls["evaluate_la"]] == [(m, arr)]
     identity = LinearArrangement.from_order(range(m.n)).position
     rows = calls["reduced_restarts"][1][1]
     embedded = {identity, *(la_dense._embed_assignment(row).position for row in rows)}
-    [((_, starts, _), climbed)] = calls["_swap_hill_climb"]
+    [((_, starts, _), _)] = calls["_swap_hill_climb"]
     assert len(embedded) < cfg.restarts + 1
     assert sorted(s.position for s in _arrangements(starts)) == sorted(embedded)
-    scored = [args[1].position for args, _ in calls["evaluate_la"]]
-    assert sorted(scored) == sorted({identity, *(a.position for a in _arrangements(climbed))})
     assert arr == reference_la_reduced(m, cfg, 0)
+
+    # a faithful solve scores the grid's candidates on the quantized metric
+    for log in calls.values():
+        log.clear()
+    small = generate(GeneratorSpec(family=family, n=7, seed=1))
+    for solve, name in ((solve_hc_dense, "evaluate_hc"), (solve_la_dense, "evaluate_la")):
+        witness, _ = solve(small, SolveConfig(0.5, "faithful", restarts=2), seed=1)
+        assert [args for args, _ in calls[name] if args[0] is small] == [(small, witness)]
+        assert len(calls[name]) > 2
+
+
+def test_faithful_witnesses_match_reference_pick(monkeypatch):
+    # the faithful solves pick, on the quantized metric, the reference
+    # reduced witness and every candidate of each grid hit, rebuilt by the
+    # reference builders
+    hits = []
+    for module in (hc_dense, la_dense):
+        def record(*args, real=module.grid_partitions):
+            for hit in real(*args):
+                hits.append(hit)
+                yield hit
+
+        monkeypatch.setattr(module, "grid_partitions", record)
+    cfg = SolveConfig(0.5, "faithful", restarts=3)
+    found = 0
+    for label, m in _metrics((7, 9)):
+        for objective, solve, reduced, parts in (
+                ("hc", solve_hc_dense, reference_hc_reduced, slot_count(cfg.eps)),
+                ("la", solve_la_dense, reference_la_reduced, part_count(cfg.eps))):
+            hits.clear()
+            got, _ = solve(m, cfg, seed=1)
+            want = reference_faithful_pick(m, objective, parts, hits, reduced(m, cfg, 1))
+            assert got == want, (label, objective)
+            found += len(hits)
+    assert found >= 20, found
 
 
 def test_partition_search_matches_reference_loop(monkeypatch):

@@ -5,14 +5,15 @@ from conftest import random_metric
 from peelembed import objectives
 from peelembed.errors import InvalidSpec
 from peelembed.hc_dense import _parts_of, slot_count, solve_hc_dense
-from peelembed.local_search import SolveConfig, best_of
-from peelembed.metric import subset_stats, validate_metric
+from peelembed.local_search import SolveConfig, quantize
+from peelembed.metric import Metric, subset_stats, validate_metric
 from peelembed.objectives import HcTree, all_binary_trees, evaluate_hc, ladder_tree, ladders_on
 from peelembed.oracles import brute_force_hc
 from structural import (
     has_not_all_small_weights,
     reference_all_binary_trees,
     reference_caterpillar_skeleton,
+    reference_pick,
     reference_skeleton_tree,
 )
 
@@ -116,7 +117,8 @@ def test_ladders_on_matches_nested_skeleton_trees(slots):
 @pytest.mark.parametrize("n", [2, 4, 5])
 def test_small_n_branch_walks_no_tree(monkeypatch, n):
     # at n <= slots every tree is built straight into order and spans while
-    # it is enumerated, and the pick is that of the nested trees walked
+    # it is enumerated, and the pick is that of the nested trees walked, on
+    # the quantized metric, with the winner's value on the true one
     walks = []
     walk = objectives._leaf_spans
 
@@ -132,8 +134,10 @@ def test_small_n_branch_walks_no_tree(monkeypatch, n):
     assert len(walks) == 0
     monkeypatch.undo()
     nested = map(HcTree, reference_all_binary_trees(range(n)))
-    want = best_of([ladder_tree(range(n)), *nested], lambda t: evaluate_hc(m, t), HcTree.serialize)
-    assert (tree, value) == want
+    q = Metric(quantize(m.dist))
+    want = reference_pick([ladder_tree(range(n)), *nested], lambda t: evaluate_hc(q, t),
+                          HcTree.serialize)
+    assert (tree, value) == (want, evaluate_hc(m, want))
 
 
 @pytest.mark.parametrize("n", [12, 120])
